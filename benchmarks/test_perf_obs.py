@@ -4,17 +4,18 @@ Two readings matter:
 
 * ``test_perf_engine.test_engine_schedule_run_throughput`` vs.
   ``test_engine_throughput_profiled`` here is the *enabled* cost of the
-  profiler's timed dispatch (two clock reads + one dict update per
-  event);
+  profiler's probe hooks (two calls, two clock reads and one dict
+  update per event);
 * the ``test_perf_engine`` numbers themselves, tracked across commits,
-  guard the *disabled* cost — an unprofiled simulator pays one aliased
-  ``is None`` branch per event and one per ``schedule()``, bounded at
-  <3% by the zero-cost contract (see OBSERVABILITY.md).
+  guard the *disabled* cost — an unprobed simulator runs the bare loop
+  and pays one ``is None`` branch per ``schedule()``, bounded at <3% by
+  the zero-cost contract (see OBSERVABILITY.md).
 """
 
 from repro.mptcp.connection import MptcpConnection
-from repro.obs import Profiler, profiling
+from repro.obs import Profiler
 from repro.sim.engine import Simulator
+from repro.sim.probe import probing
 from repro.topology.bottleneck import build_single_bottleneck
 
 
@@ -41,7 +42,7 @@ def test_tcp_transfer_profiled(benchmark):
     with profiling on: end-to-end enabled overhead, plus the snapshot."""
 
     def run():
-        with profiling() as profiler:
+        with probing(Profiler()) as profiler:
             net = build_single_bottleneck(num_pairs=1, marking_threshold=10)
             conn = MptcpConnection(net, "S0", "D0", [net.flow_path(0)],
                                    scheme="xmp", size_bytes=2_000_000)

@@ -17,36 +17,16 @@ allocation-free per-event floor; simperf *protects* that floor:
   telemetry, SIM023 kwargs/dunder-trapped calls.  Run with
   ``python -m repro.lint --perf``.
 
-* **Runtime sanitizer** (:mod:`repro.lint.perf.runtime`): a
-  zero-cost-when-disabled tracemalloc hook around every fired hot
-  callback (fourth engine seam, same activation contract as
-  :mod:`repro.validate` / :mod:`repro.obs` / :mod:`repro.lint.race`),
-  enabled with ``REPRO_ALLOC=1``.  ``python -m repro.lint.perf``
+* **Runtime sanitizer** (:mod:`repro.lint.perf.runtime`): the
+  ``alloc``-kind probe on the engine's probe seam
+  (:mod:`repro.sim.probe`) — a tracemalloc window around every fired
+  hot callback, enabled with ``REPRO_ALLOC=1`` or
+  ``probing(AllocMonitor())``.  ``python -m repro.lint.perf``
   cross-checks dynamically observed allocators against the static
   explanation closure on the golden scenarios, with bit-identical
   digests.
-
-This ``__init__`` deliberately imports only the light modules (rule
-metadata and the dependency-free hooks) so that
-:class:`repro.net.Network` can consult the activation registry at
-construction time without pulling the whole analyzer in.
 """
 
-from repro.lint.perf.hooks import (
-    activate,
-    active_alloc_monitor,
-    alloc_monitoring,
-    alloc_requested,
-    deactivate,
-)
 from repro.lint.perf.info import PERF_CODES, PERF_RULE_INFOS
 
-__all__ = [
-    "PERF_CODES",
-    "PERF_RULE_INFOS",
-    "activate",
-    "active_alloc_monitor",
-    "alloc_monitoring",
-    "alloc_requested",
-    "deactivate",
-]
+__all__ = ["PERF_CODES", "PERF_RULE_INFOS"]

@@ -33,9 +33,9 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from repro.lint.perf.hooks import alloc_monitoring
 from repro.lint.perf.hotpaths import HotPathRegistry
 from repro.lint.perf.runtime import AllocMonitor
+from repro.sim.probe import probing
 
 #: Default smoke set: one bottleneck golden plus one incast cell — the
 #: two scenario shapes that exercise the densest transport fan-in.
@@ -170,7 +170,7 @@ def _run_goldens(args: argparse.Namespace) -> int:
     ok = True
     for name in names:
         monitor = AllocMonitor(registry=registry)
-        with alloc_monitoring(monitor):
+        with probing(monitor):
             digest, validator = run_scenario(name)
         unexplained = sorted(set(monitor.allocators()) - explained)
         status: List[str] = []

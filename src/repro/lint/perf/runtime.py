@@ -1,16 +1,14 @@
 """The runtime side of simperf: the per-hot-function allocation sanitizer.
 
-An :class:`AllocMonitor` attaches to a
-:class:`~repro.sim.engine.Simulator` through the engine's passive
-``alloc`` slot — the fourth zero-cost hook seam, next to the validator's
-``observer``, the profiler, and the race monitor.  The instrumented loop
-calls exactly two hooks around every fired callback:
+An :class:`AllocMonitor` is the ``alloc``-kind probe on the engine's
+probe seam (:mod:`repro.sim.probe`).  It uses the two hooks the probed
+loop calls around every fired callback:
 
-* ``alloc.on_event_fired(time, priority, callback)`` — before the fire:
+* ``on_event_fired(time, priority, callback)`` — before the fire:
   if the callback resolves to a function registered in ``hotpaths.toml``
   (memoized by the underlying function object), the tracemalloc peak is
   reset and the traced-memory baseline captured;
-* ``alloc.on_event_settled()`` — after the fire: the peak delta over the
+* ``on_event_settled()`` — after the fire: the peak delta over the
   baseline is attributed to that hot function.
 
 The monitor observes and never perturbs: tracemalloc tracks allocator
@@ -39,6 +37,7 @@ import tracemalloc
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.lint.perf.hotpaths import HotPathRegistry
+from repro.sim.probe import Probe
 
 #: Per-function JSONL records are capped so a long campaign cannot grow
 #: the log unboundedly; the in-memory totals are always complete.
@@ -54,8 +53,10 @@ _LOG_RECORDS_PER_FUNCTION = 50
 SCALAR_NOISE_BYTES = 32
 
 
-class AllocMonitor:
+class AllocMonitor(Probe):
     """Attributes tracemalloc peak deltas to registered hot functions."""
+
+    kind = "alloc"
 
     def __init__(
         self,
@@ -83,12 +84,6 @@ class AllocMonitor:
         self._started_tracing = not tracemalloc.is_tracing()
         if self._started_tracing:
             tracemalloc.start()
-
-    # -- attachment ----------------------------------------------------
-
-    def attach(self, sim: Any) -> None:
-        """Attach to a simulator's passive ``alloc`` slot."""
-        sim.alloc = self
 
     def close(self) -> None:
         """Release tracemalloc, if this monitor started it."""

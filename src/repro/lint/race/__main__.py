@@ -23,7 +23,8 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.lint.race.hooks import race_monitoring
+from repro.lint.race.runtime import RaceMonitor
+from repro.sim.probe import probing
 
 #: Default smoke set: one bottleneck golden plus one incast cell — the
 #: two scenario shapes with the densest same-instant batches.
@@ -80,7 +81,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     records: List[dict] = []
     ok = True
     for name in names:
-        with race_monitoring() as monitor:
+        with probing(RaceMonitor()) as monitor:
             digest, validator = run_scenario(name)
         status: List[str] = []
         if monitor.collisions:

@@ -1,16 +1,15 @@
 """The runtime side of simrace: the same-instant write sanitizer.
 
-A :class:`RaceMonitor` attaches to a :class:`~repro.sim.engine.Simulator`
-through the engine's passive ``race`` slot (the same seam as the
-validator's ``observer`` and the profiler).  The instrumented loop calls
-exactly two hooks around every fired callback:
+A :class:`RaceMonitor` is the ``race``-kind probe on the engine's probe
+seam (:mod:`repro.sim.probe`).  It uses the two hooks the probed loop
+calls around every fired callback:
 
-* ``race.on_event_fired(time, priority, callback)`` — before the fire:
+* ``on_event_fired(time, priority, callback)`` — before the fire:
   batch bookkeeping (a *batch* is a maximal run of events sharing
   ``(time, priority)`` — precisely the events whose mutual order is
   insertion-order only) and a shallow snapshot of the callback's bound
   receiver;
-* ``race.on_event_settled()`` — after the fire: the receiver's state is
+* ``on_event_settled()`` — after the fire: the receiver's state is
   diffed against the snapshot; every attribute the callback *rebound* is
   recorded, and a rebind of an attribute a **different** callback
   already rebound in the same batch is a collision — the runtime
@@ -33,6 +32,8 @@ from __future__ import annotations
 
 import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.sim.probe import Probe
 
 
 def _state_of(receiver: Any) -> Dict[str, Any]:
@@ -67,8 +68,10 @@ def _rebound(old: Any, new: Any) -> bool:
         return True
 
 
-class RaceMonitor:
+class RaceMonitor(Probe):
     """Observes same-instant batches and records write collisions."""
+
+    kind = "race"
 
     def __init__(self, log_path: Optional[str] = None) -> None:
         self.log_path = log_path
@@ -86,12 +89,6 @@ class RaceMonitor:
         #: (receiver, before-snapshot, qualname, time, priority) of the
         #: event currently firing, or None.
         self._pending: Optional[Tuple[Any, Dict[str, Any], str, float, int]] = None
-
-    # -- attachment ----------------------------------------------------
-
-    def attach(self, sim: Any) -> None:
-        """Attach to a simulator's passive ``race`` slot."""
-        sim.race = self
 
     # -- engine hooks --------------------------------------------------
 

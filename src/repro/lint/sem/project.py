@@ -39,8 +39,15 @@ _SEVERITIES: Dict[str, Severity] = {
     info.code: info.severity for info in SEM_RULE_INFOS
 }
 
-#: Module prefixes whose classes play the observer role (SIM014).
-OBSERVER_MODULE_PREFIXES = ("repro.validate", "repro.obs", "repro.lint.race")
+#: Module prefixes whose classes play the observer role (SIM014): the
+#: probe protocol itself and every package that implements a probe.
+OBSERVER_MODULE_PREFIXES = (
+    "repro.sim.probe",
+    "repro.validate",
+    "repro.obs",
+    "repro.lint.race",
+    "repro.lint.perf",
+)
 
 _DERIVATION_ROUNDS = 8  # sink-passthrough fixpoint bound (call depth)
 
@@ -554,9 +561,9 @@ class ProjectAnalyzer:
                             code="SIM014",
                             message=(
                                 f"{hook['receiver']}.{method}(...) matches no "
-                                "on_* method on any observer in "
-                                "repro.validate / repro.obs; the event is "
-                                "silently dropped"
+                                "on_* method on repro.sim.probe.Probe or any "
+                                "observer class; the event is silently "
+                                "dropped"
                             ),
                             severity=_SEVERITIES["SIM014"],
                         )

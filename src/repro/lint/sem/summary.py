@@ -47,7 +47,9 @@ from repro.sim.units import ANNOTATION_DIMENSIONS, CONSTRUCTOR_DIMENSIONS
 #: loads, repeated attribute chains, kwargs/dunder call shapes, try
 #: inside loops) and the ``# simperf: allow-alloc(...)`` pragma map, for
 #: simperf (:mod:`repro.lint.perf`).
-SUMMARY_VERSION = 4
+#: v5: SIM014 hook receivers follow the single probe seam (``probe`` +
+#: per-object ``observer``), so ``hook_calls`` extraction changed.
+SUMMARY_VERSION = 5
 
 UNITS_MODULE = "repro.sim.units"
 RANDOM_STREAMS = "repro.sim.random.RandomStreams"
@@ -59,12 +61,13 @@ HANDLER_NAME_RE = re.compile(
 )
 
 #: Receiver identifiers that make a ``.on_*()`` call an observer-hook
-#: dispatch (SIM014): ``observer.on_x(...)``, ``self.observer.on_x(...)``,
-#: ``profiler.on_x(...)``.  Hot paths that hoist the receiver into a
-#: local (``obs = self.observer`` before a drain loop) are caught by the
-#: scanner's alias tracking, which maps the local back to the receiver
-#: it was loaded from.
-HOOK_RECEIVERS = frozenset({"observer", "profiler", "race"})
+#: dispatch (SIM014): the engine's one ``probe`` slot
+#: (``probe.on_x(...)``, ``self.probe.on_x(...)``) and the per-object
+#: validation ``observer`` (``self.observer.on_x(...)``).  Hot paths that
+#: hoist the receiver into a local (``obs = self.observer`` before a
+#: drain loop) are caught by the scanner's alias tracking, which maps the
+#: local back to the receiver it was loaded from.
+HOOK_RECEIVERS = frozenset({"probe", "observer"})
 
 #: Receiver terminals that make a ``.schedule()``/``.post()`` call a
 #: scheduler call (simrace's raw material): ``sim.schedule(...)``,

@@ -13,13 +13,13 @@ from typing import Callable, List, Optional, Sequence
 from repro.net.network import Network
 from repro.net.packet import MSS_BYTES
 from repro.net.routing import Path
+from repro.sim.probe import watchers
 from repro.sim.units import Seconds
 from repro.transport.flow import echo_mode_for
 from repro.transport.receiver import DEFAULT_DELACK_TIMEOUT, Receiver
 from repro.transport.tcp import InfiniteSource, TcpSender, segments_for_bytes
 from repro.mptcp.coupling import create_coupling
 from repro.mptcp.scheduler import SharedSegmentPool
-from repro.validate.hooks import active_validator
 
 
 class Subflow:
@@ -98,9 +98,8 @@ class MptcpConnection:
         self.subflows: List[Subflow] = []
         for path in paths:
             self.add_subflow(path)
-        validator = active_validator()
-        if validator is not None:
-            validator.watch_connection(self)
+        for probe in watchers():
+            probe.watch_connection(self)
 
     def add_subflow(self, path: Path, start: bool = False) -> Subflow:
         """Attach one more subflow over ``path``.

@@ -14,12 +14,9 @@ from repro.net.link import Link
 from repro.net.node import Host, Node, Switch
 from repro.net.queue import DropTailQueue
 from repro.net.routing import Path, enumerate_paths
-from repro.lint.perf.hooks import active_alloc_monitor
-from repro.lint.race.hooks import active_race_monitor
-from repro.obs.hooks import active_profiler
 from repro.sim.engine import Simulator
+from repro.sim.probe import attach_active, watchers
 from repro.sim.units import BitsPerSecond, Seconds
-from repro.validate.hooks import active_validator
 
 QueueFactory = Callable[[], DropTailQueue]
 
@@ -36,18 +33,7 @@ class Network:
         self._path_cache: Dict[Tuple[str, str], List[Path]] = {}
         self._reverse: Dict[Link, Link] = {}
         self._next_flow_id = 0
-        validator = active_validator()
-        if validator is not None:
-            validator.watch_sim(self.sim)
-        profiler = active_profiler()
-        if profiler is not None:
-            profiler.attach(self.sim)
-        race = active_race_monitor()
-        if race is not None:
-            race.attach(self.sim)
-        alloc = active_alloc_monitor()
-        if alloc is not None:
-            alloc.attach(self.sim)
+        attach_active(self.sim)
 
     # ------------------------------------------------------------------
     # Construction
@@ -106,9 +92,8 @@ class Network:
         self.links.append(link)
         self.adjacency.setdefault(src, []).append(link)
         self._path_cache.clear()
-        validator = active_validator()
-        if validator is not None:
-            validator.watch_link(link)
+        for probe in watchers():
+            probe.watch_link(link)
         return link
 
     def _check_name(self, name: str) -> None:

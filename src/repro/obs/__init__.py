@@ -7,21 +7,13 @@ The observability layer every performance PR measures itself against:
 * :mod:`repro.obs.telemetry` — the :class:`Telemetry` recorder (one
   JSONL document per campaign cell);
 * :mod:`repro.obs.records` — the typed record schema and the
-  :func:`deterministic_view` the determinism tests pin;
-* :mod:`repro.obs.hooks` — the dependency-free activation registry
-  (mirrors :mod:`repro.validate.hooks`).
+  :func:`deterministic_view` the determinism tests pin.
 
-See OBSERVABILITY.md for the record schema and the overhead contract.
+Profiling is switched on through the probe seam
+(``repro.sim.probe.probing(Profiler())`` or ``$REPRO_PROFILE``).  See
+OBSERVABILITY.md for the record schema and the overhead contract.
 """
 
-from repro.obs.hooks import (
-    activate,
-    active_profiler,
-    deactivate,
-    profiling,
-    profiling_requested,
-    telemetry_dir,
-)
 from repro.obs.profiler import (
     ComponentStat,
     HeapStats,
@@ -45,12 +37,6 @@ from repro.obs.records import (
 from repro.obs.telemetry import RUNS_FILENAME, Telemetry, from_environment
 
 __all__ = [
-    "activate",
-    "active_profiler",
-    "deactivate",
-    "profiling",
-    "profiling_requested",
-    "telemetry_dir",
     "ComponentStat",
     "HeapStats",
     "Profiler",

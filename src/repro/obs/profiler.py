@@ -1,19 +1,20 @@
 """The engine profiler: where simulation wall-time goes, by component.
 
-A :class:`Profiler` is an opt-in observer on
-:class:`~repro.sim.engine.Simulator` (the ``sim.profiler`` slot).  While
-attached it buckets every fired event — count and cumulative callback
-wall-time — under a *component* key derived from the callback's
+A :class:`Profiler` is the ``profile``-kind
+:class:`~repro.sim.probe.Probe`.  While attached to a simulator it
+buckets every fired event — count and cumulative callback wall-time —
+under a *component* key derived from the callback's
 ``__module__``/``__qualname__`` (``net.link.Link._finish_transmission``,
 ``transport.tcp.TcpSender._on_ack``, ...), and tracks heap health:
 pushes, pops, compactions and peak heap size.
 
-The zero-cost-when-disabled contract matches :mod:`repro.validate`: an
-unprofiled simulator pays one aliased ``is None`` branch per event in the
-loop and one per ``schedule()`` — nothing else.  The engine itself never
-reads a host clock; it calls the :attr:`Profiler.clock` the profiler
-hands it, so the wall-clock read lives here (the one module besides the
-runner's cell timer that simlint's SIM002 allowlists).
+The zero-cost-when-disabled contract is the probe seam's
+(:mod:`repro.sim.probe`): an unprofiled simulator runs the bare loop.
+The engine never reads a host clock; the profiler reads its own, last
+thing in ``on_event_fired`` and first thing in ``on_event_settled``, so
+the wall-clock read lives here (the one module besides the runner's cell
+timer that simlint's SIM002 allowlists) and the timed window is the
+callback plus one call/return pair.
 
 Wall-times are obviously host-dependent; everything else in a
 :class:`ProfileSnapshot` — per-component event counts, heap counters — is
@@ -23,9 +24,11 @@ tests pin (see :func:`repro.obs.records.deterministic_view`).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Dict, List, Tuple
+
+from repro.sim.probe import Probe
 
 #: Strip this prefix from callback modules: every component is ours.
 _PACKAGE_PREFIX = "repro."
@@ -62,9 +65,7 @@ class HeapStats:
     The name predates the calendar-queue engine; the counters now cover
     its three tiers.  ``promotions``/``max_run`` count sorted-run rebuilds
     and the largest run seen, ``far_spills`` counts records pulled from
-    the far heap into near buckets, and ``batches``/``batched_packets``
-    count link service trains when batched mode is enabled (see
-    :mod:`repro.net.link`); all zero under exact per-packet service.
+    the far heap into near buckets.
     """
 
     pushes: int
@@ -74,8 +75,6 @@ class HeapStats:
     promotions: int = 0
     far_spills: int = 0
     max_run: int = 0
-    batches: int = 0
-    batched_packets: int = 0
 
 
 @dataclass(frozen=True)
@@ -120,8 +119,6 @@ class ProfileSnapshot:
                 "promotions": self.heap.promotions,
                 "far_spills": self.heap.far_spills,
                 "max_run": self.heap.max_run,
-                "batches": self.heap.batches,
-                "batched_packets": self.heap.batched_packets,
             },
         }
 
@@ -148,25 +145,21 @@ class ProfileSnapshot:
         )
         lines.append(
             f"calendar: {heap.promotions:,} promotions "
-            f"(max run {heap.max_run:,}), {heap.far_spills:,} far spills, "
-            f"{heap.batches:,} link trains ({heap.batched_packets:,} packets)"
+            f"(max run {heap.max_run:,}), {heap.far_spills:,} far spills"
         )
         return "\n".join(lines)
 
 
-class Profiler:
+class Profiler(Probe):
     """Buckets fired events and callback wall-time by component.
 
     Attach with :meth:`attach` (or construct objects under
-    :func:`repro.obs.hooks.profiling` and let
-    :class:`~repro.net.network.Network` attach its simulator for you),
-    run the simulation, then :meth:`snapshot`.
+    ``probing(Profiler())`` and let :class:`~repro.net.network.Network`
+    attach its simulator for you), run the simulation, then
+    :meth:`snapshot`.
     """
 
-    #: The host clock the engine's timed dispatch uses.  Living here —
-    #: not in the engine — keeps SIM002's "no wall clocks in simulation
-    #: code" guarantee intact for repro.sim.
-    clock = staticmethod(time.perf_counter)
+    kind = "profile"
 
     def __init__(self) -> None:
         #: component name -> [events, cumulative seconds]; mutated on the
@@ -176,36 +169,38 @@ class Profiler:
         #: strings for every fired event).
         self._names: Dict[Any, str] = {}
         self._sims: List[Any] = []
+        #: The callback now firing and the clock reading taken before it.
+        self._callback: Any = None
+        self._started = 0.0
         self.pushes = 0
         self.pops = 0
         self.peak_size = 0
         self.promotions = 0
         self.max_run = 0
-        self.batches = 0
-        self.batched_packets = 0
-
-    # -- attachment ----------------------------------------------------
 
     def attach(self, sim: Any) -> None:
-        """Start profiling ``sim`` (its ``profiler`` slot points here)."""
-        sim.profiler = self
+        """Start profiling ``sim``."""
+        super().attach(sim)
         self._sims.append(sim)
 
-    def detach(self, sim: Any) -> None:
-        """Stop profiling ``sim``; its counters stay in this profiler."""
-        if sim.profiler is self:
-            sim.profiler = None
+    # -- engine hooks (hot path) ---------------------------------------
 
-    # -- engine callbacks (hot path) -----------------------------------
-
-    def on_push(self, heap_size: int) -> None:
-        """One ``schedule()``; ``heap_size`` is the heap after the push."""
+    def on_push(self, pending: int) -> None:
+        """One ``schedule()``; ``pending`` is the heap after the push."""
         self.pushes += 1
-        if heap_size > self.peak_size:
-            self.peak_size = heap_size
+        if pending > self.peak_size:
+            self.peak_size = pending
 
-    def on_fire(self, callback: Callable[..., Any], elapsed: float) -> None:
-        """One fired event: ``elapsed`` seconds spent in ``callback``."""
+    def on_event_fired(
+        self, time: float, priority: int, callback: Callable[..., Any]
+    ) -> None:
+        self._callback = callback
+        self._started = perf_counter()
+
+    def on_event_settled(self) -> None:
+        """One fired event: bucket the time its callback took."""
+        elapsed = perf_counter() - self._started
+        callback = self._callback
         self.pops += 1
         func = getattr(callback, "__func__", callback)
         name = self._names.get(func)
@@ -223,16 +218,11 @@ class Profiler:
         """One cancelled event popped (and skipped) by the loop."""
         self.pops += 1
 
-    def on_promote(self, run_size: int) -> None:
-        """One near-bucket promotion produced a sorted run of ``run_size``."""
+    def on_promote(self, size: int) -> None:
+        """One near-bucket promotion produced a sorted run of ``size``."""
         self.promotions += 1
-        if run_size > self.max_run:
-            self.max_run = run_size
-
-    def on_batch(self, packets: int) -> None:
-        """One batched link train served ``packets`` back-to-back packets."""
-        self.batches += 1
-        self.batched_packets += packets
+        if size > self.max_run:
+            self.max_run = size
 
     # -- results -------------------------------------------------------
 
@@ -252,8 +242,6 @@ class Profiler:
                 getattr(sim, "far_spills", 0) for sim in self._sims
             ),
             max_run=self.max_run,
-            batches=self.batches,
-            batched_packets=self.batched_packets,
         )
         return ProfileSnapshot(
             components=components,

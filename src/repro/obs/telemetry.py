@@ -27,8 +27,8 @@ import os
 import pathlib
 from typing import Any, Iterable, List, Optional
 
-from repro.obs.hooks import telemetry_dir
 from repro.obs.records import run_record, to_jsonl
+from repro.sim.probe import setting
 
 #: File every campaign appends its per-run records to.
 RUNS_FILENAME = "runs.jsonl"
@@ -65,8 +65,14 @@ class Telemetry:
 
 
 def from_environment() -> Optional[Telemetry]:
-    """The process-wide telemetry sink, if ``$REPRO_TELEMETRY`` names one."""
-    directory = telemetry_dir()
+    """The process-wide telemetry sink, if ``$REPRO_TELEMETRY`` names one.
+
+    This is how the CLI's ``--telemetry DIR`` reaches campaign worker
+    processes (children inherit the environment), and how a bare library
+    caller opts a whole process into telemetry without touching every
+    :class:`~repro.runner.campaign.Campaign` construction site.
+    """
+    directory = setting("REPRO_TELEMETRY")
     if directory is None:
         return None
     return Telemetry(pathlib.Path(directory).expanduser())

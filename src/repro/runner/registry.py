@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
 from repro.runner.spec import SOURCE_RUN, CellMetrics, RunResult, RunSpec
+from repro.sim.probe import fresh, probing, requested
 
 
 #: Simulation backends a kind can run on.  "packet" is the per-event
@@ -102,40 +103,20 @@ def execute(spec: RunSpec) -> RunResult:
     ``$REPRO_PROFILE`` / ``$REPRO_TELEMETRY`` is set — the CLI's
     ``--telemetry`` flag, likewise inherited by workers), the run
     executes under a fresh :class:`~repro.obs.profiler.Profiler` and its
-    snapshot lands in ``metrics.profile``.  Profiling observes only; the
-    result value is byte-identical with and without it.
+    snapshot lands in ``metrics.profile``.  Probes observe only; the
+    result value is byte-identical with and without them.
     """
-    from repro.obs import hooks as obs_hooks
-    from repro.validate.hooks import validation_requested
-
     run = kind_entry(spec.kind).resolve()
-    checks = 0
-    profiler = None
-    if obs_hooks.profiling_requested():
-        from repro.obs.profiler import Profiler
-
-        profiler = Profiler()
-        obs_hooks.activate(profiler)
+    profiler: Any = fresh("profile") if requested("profile") else None
+    validator: Any = fresh("validate") if requested("validate") else None
     started = time.perf_counter()
-    try:
-        if validation_requested():
-            from repro.validate.hooks import activate, deactivate
-            from repro.validate.invariants import Validator
-
-            validator = Validator()
-            activate(validator)
-            try:
-                value = run(spec.config)
-            finally:
-                deactivate(validator)
-            validator.finish()
-            validator.raise_if_violations(context=spec.label())
-            checks = validator.checks
-        else:
-            value = run(spec.config)
-    finally:
-        if profiler is not None:
-            obs_hooks.deactivate(profiler)
+    with probing(*(p for p in (profiler, validator) if p is not None)):
+        value = run(spec.config)
+    checks = 0
+    if validator is not None:
+        validator.finish()
+        validator.raise_if_violations(context=spec.label())
+        checks = validator.checks
     wall = time.perf_counter() - started
     metrics = CellMetrics(
         wall_time_s=wall,

@@ -41,8 +41,9 @@ come out oversized, doubling when they come out undersized), and a hard
 run is split at a *time boundary*, never between two events at the same
 instant, so the ``(time, priority, seq)`` total order — including
 same-instant priority ties resolved across tiers — is exactly the order
-a single binary heap would produce.  ``tests/test_sim_calendar.py``
-pins this equivalence property against a reference heap.
+a single binary heap would produce.
+``tests/test_sim_calendar_properties.py`` pins this equivalence property
+against a reference heap.
 
 Event records are packed 6-tuples ``(time, priority, seq, event, callback,
 args)`` so ordering comparisons and sorting stay in C.  The ``event``
@@ -61,6 +62,7 @@ from bisect import bisect_left, insort
 from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.sim.events import Event
+from repro.sim.probe import NO_PROBE, Probe
 
 #: One packed event record; ``event`` is None for post()-ed records.
 EventRecord = Tuple[float, int, int, Optional[Event], Callable[..., None], tuple]
@@ -137,31 +139,11 @@ class Simulator:
         self._promotions = 0
         self._far_spills = 0
         self._max_run = 0
-        #: Optional validation observer (see :mod:`repro.validate`): when
-        #: set *before* :meth:`run`, ``observer.on_event(time)`` fires for
-        #: every event.  ``None`` (the default) costs one aliased branch.
-        self.observer: Optional[Any] = None
-        #: Optional engine profiler (see :mod:`repro.obs`): when set,
-        #: every fired callback is timed with the profiler's own clock
-        #: and bucketed by component, and scheduler traffic is counted.
-        #: ``None`` (the default) costs one aliased branch per event and
-        #: one per :meth:`schedule` — the <3% zero-cost contract.
-        self.profiler: Optional[Any] = None
-        #: Optional same-instant race sanitizer (see :mod:`repro.lint.race`):
-        #: when set, ``race.on_event_fired(time, priority, callback)`` /
-        #: ``race.on_event_settled()`` bracket every fired callback so the
-        #: monitor can diff receiver state within equal-``(time, priority)``
-        #: batches.  Purely observational; ``None`` (the default) keeps the
-        #: leanest loop in play — the same zero-cost contract as above.
-        self.race: Optional[Any] = None
-        #: Optional allocation sanitizer (see :mod:`repro.lint.perf`):
-        #: when set, ``alloc.on_event_fired(time, priority, callback)`` /
-        #: ``alloc.on_event_settled()`` bracket every fired callback so
-        #: the monitor can attribute tracemalloc peak deltas to
-        #: registered hot functions.  Purely observational; ``None``
-        #: (the default) keeps the leanest loop in play — the fourth
-        #: seam under the same zero-cost contract.
-        self.alloc: Optional[Any] = None
+        #: The one instrumentation slot (see :mod:`repro.sim.probe`): when
+        #: set *before* :meth:`run`, the probe brackets every fired
+        #: callback and counts scheduler traffic.  ``None`` (the default)
+        #: selects the bare loop and costs one branch per ``schedule()``.
+        self.probe: Optional[Probe] = None
 
     # ------------------------------------------------------------------
     # Clock
@@ -259,8 +241,8 @@ class Simulator:
             self._far.append(record)
             if time < self._far_tail_min:
                 self._far_tail_min = time
-        if self.profiler is not None:
-            self.profiler.on_push(self.pending_events)
+        if self.probe is not None:
+            self.probe.on_push(self.pending_events)
         return event
 
     def post(
@@ -294,8 +276,8 @@ class Simulator:
             self._far.append(record)
             if time < self._far_tail_min:
                 self._far_tail_min = time
-        if self.profiler is not None:
-            self.profiler.on_push(self.pending_events)
+        if self.probe is not None:
+            self.probe.on_push(self.pending_events)
 
     def schedule_at(
         self,
@@ -462,9 +444,9 @@ class Simulator:
                 i < self._far_sorted and far[i][0] < horizon
             ):
                 self._spill_far(horizon)
-        profiler = self.profiler
-        if profiler is not None:
-            profiler.on_promote(size)
+        probe = self.probe
+        if probe is not None:
+            probe.on_promote(size)
         return True
 
     # ------------------------------------------------------------------
@@ -489,15 +471,7 @@ class Simulator:
         self._stopped = False
         stop_time = _INF if until is None else until
         remaining = _INF if max_events is None else max_events
-        observer = self.observer
-        profiler = self.profiler
-        race = self.race
-        alloc = self.alloc
-        # The profiler supplies its own host clock: repro.sim never reads
-        # wall time itself (simlint SIM002), it only times on request.
-        clock: Optional[Callable[[], float]] = (
-            profiler.clock if profiler is not None else None
-        )
+        probe = self.probe
         # Both loops re-read _run/_run_i every iteration (a cancel inside
         # a callback can trigger a compaction that rebuilds the run and
         # rewinds the index) and fetch the next record with a narrow
@@ -505,13 +479,10 @@ class Simulator:
         # means "run consumed", because nothing else runs inside the try.
         exhausted = False
         try:
-            if (
-                observer is None and clock is None and max_events is None
-                and race is None and alloc is None
-            ):
-                # Leanest loop: the default configuration for experiments
-                # (no hooks, no event budget).  Identical semantics minus
-                # the hook calls and the ``remaining`` countdown; keeping
+            if probe is None and max_events is None:
+                # Bare loop: the default configuration for experiments
+                # (no probe, no event budget).  Identical semantics minus
+                # the probe calls and the ``remaining`` countdown; keeping
                 # the hot loop branch-free is worth the duplication.
                 while True:
                     i = self._run_i
@@ -546,48 +517,11 @@ class Simulator:
                     self._events_processed += 1
                     if self._stopped:
                         break
-            elif (
-                observer is None and clock is None and race is None
-                and alloc is None
-            ):
-                # Lean loop with an event budget (max_events).
-                while True:
-                    i = self._run_i
-                    run = self._run
-                    try:
-                        record = run[i]
-                    except IndexError:
-                        if self._promote():  # simperf: allow-alloc(amortized: one rebuild per calendar batch)
-                            continue
-                        exhausted = True
-                        break
-                    time = record[0]
-                    if time > stop_time:
-                        if stop_time > self._now:
-                            self._now = stop_time
-                        break
-                    event = record[3]
-                    if event is not None:
-                        if event.cancelled:
-                            self._run_i = i + 1
-                            event.sim = None
-                            self._cancelled_pending -= 1
-                            continue
-                        event.sim = None
-                    self._run_i = i + 1
-                    self._now = time
-                    args = record[5]
-                    if args:
-                        record[4](*args)  # simlint: disable=SIM023 - unpacking an existing tuple is the fast variadic call shape
-                    else:
-                        record[4]()
-                    self._events_processed += 1
-                    if self._stopped:
-                        break
-                    remaining -= 1
-                    if remaining <= 0:
-                        break
             else:
+                # Probed loop: the probe brackets every fired callback,
+                # and the event budget (max_events) is counted here too.
+                if probe is None:
+                    probe = NO_PROBE
                 while True:
                     i = self._run_i
                     run = self._run
@@ -609,31 +543,15 @@ class Simulator:
                             self._run_i = i + 1
                             event.sim = None
                             self._cancelled_pending -= 1
-                            if profiler is not None:
-                                profiler.on_discard()
+                            probe.on_discard()
                             continue
                         event.sim = None
                     self._run_i = i + 1
                     self._now = time
-                    if observer is not None:
-                        observer.on_event(time)
-                    if race is not None:
-                        race.on_event_fired(time, record[1], record[4])
-                    # alloc brackets the callback innermost so the
-                    # tracemalloc window excludes the other hooks.
-                    if alloc is not None:
-                        alloc.on_event_fired(time, record[1], record[4])
-                    if clock is None:
-                        record[4](*record[5])  # simlint: disable=SIM023 - unpacking an existing tuple is the fast variadic call shape
-                    else:
-                        started = clock()
-                        record[4](*record[5])  # simlint: disable=SIM023 - unpacking an existing tuple is the fast variadic call shape
-                        assert profiler is not None
-                        profiler.on_fire(record[4], clock() - started)
-                    if alloc is not None:
-                        alloc.on_event_settled()
-                    if race is not None:
-                        race.on_event_settled()
+                    callback = record[4]
+                    probe.on_event_fired(time, record[1], callback)
+                    callback(*record[5])  # simlint: disable=SIM023 - unpacking an existing tuple is the fast variadic call shape
+                    probe.on_event_settled()
                     self._events_processed += 1
                     if self._stopped:
                         break

@@ -1,0 +1,356 @@
+"""The probe seam: the one way instrumentation reaches a simulation.
+
+Everything that watches a run — the invariant validator
+(:mod:`repro.validate`), the engine profiler (:mod:`repro.obs`), the
+same-instant race sanitizer (:mod:`repro.lint.race`) and the allocation
+sanitizer (:mod:`repro.lint.perf`) — is a :class:`Probe`.  This module
+holds the whole seam and imports nothing from the rest of :mod:`repro`,
+so the lowest layers can consult it at object-construction time without
+import cycles and without loading any of the tools above:
+
+* :class:`Probe` — the protocol, as a base class of no-ops;
+* :class:`ProbeSet` — the composite a simulator carries when probes of
+  more than one kind are attached, fanning out in :data:`BRACKET_ORDER`;
+* the activation registry — one :data:`_ACTIVE` stack,
+  :func:`probing`, and the :data:`ENV` table mapping the ``REPRO_*``
+  switches to lazily imported probe factories.
+
+The contract with the hot paths: a simulator whose ``probe`` slot is
+``None`` (the default) runs the bare event loop and pays one ``is None``
+branch per ``schedule()``/``post()`` and per promotion; constructors of
+links, senders and connections pay one truth test of an empty list.
+Probes observe and never perturb — they schedule nothing and mutate
+nothing they watch, so results are bit-identical with any set attached.
+
+Bracket order
+-------------
+
+Around every fired callback the engine calls ``on_event_fired`` and
+``on_event_settled``.  A :class:`ProbeSet` fans ``on_event_fired`` out
+validate → race → alloc → profile and ``on_event_settled`` in the
+reverse order, so the profiler's two clock reads sit closest to the
+callback and the allocation sanitizer's tracemalloc window is the next
+bracket out (it contains the profiler's bookkeeping, nothing else).
+"""
+
+from __future__ import annotations
+
+import contextlib
+import importlib
+import os
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+#: The probe kinds, outermost bracket first.  At most one probe of each
+#: kind watches a simulator.
+BRACKET_ORDER = ("validate", "race", "alloc", "profile")
+
+
+class Probe:
+    """The instrumentation protocol; every method is a no-op here.
+
+    Subclasses set :attr:`kind` to one of :data:`BRACKET_ORDER` and
+    override what they need.  ``on_*`` methods are called by the engine,
+    ``watch_*`` by model constructors while the probe is active.
+    """
+
+    __slots__ = ()
+
+    #: Which bracket this probe occupies (``""``: none, see ProbeSet).
+    kind = ""
+
+    def attach(self, sim: Any) -> None:
+        """Start watching ``sim``, next to probes of other kinds on it."""
+        current = sim.probe
+        if current is None or current.kind == self.kind:
+            sim.probe = self
+            return
+        if not isinstance(current, ProbeSet):
+            current = sim.probe = ProbeSet(current)
+        setattr(current, self.kind, self)
+
+    def detach(self, sim: Any) -> None:
+        """Stop watching ``sim`` (no-op when this probe is not on it)."""
+        current = sim.probe
+        if current is self:
+            sim.probe = None
+        elif isinstance(current, ProbeSet) and getattr(current, self.kind) is self:
+            setattr(current, self.kind, NO_PROBE)
+
+    def close(self) -> None:
+        """Release what the probe holds; :func:`probing` calls it on exit."""
+
+    # -- engine hooks --------------------------------------------------
+
+    def on_event_fired(
+        self, time: float, priority: int, callback: Callable[..., None]
+    ) -> None:
+        """Immediately before ``callback`` fires at ``(time, priority)``."""
+
+    def on_event_settled(self) -> None:
+        """Immediately after that callback returned."""
+
+    def on_push(self, pending: int) -> None:
+        """One ``schedule()``/``post()``; ``pending`` counts it."""
+
+    def on_promote(self, size: int) -> None:
+        """One near-bucket promotion produced a sorted run of ``size``."""
+
+    def on_discard(self) -> None:
+        """The loop popped and skipped one cancelled event."""
+
+    # -- construction-time hooks ---------------------------------------
+
+    def watch_link(self, link: Any) -> None:
+        """A :class:`~repro.net.link.Link` was added to a network."""
+
+    def watch_sender(self, sender: Any) -> None:
+        """A :class:`~repro.transport.tcp.TcpSender` was constructed."""
+
+    def watch_connection(self, connection: Any) -> None:
+        """An :class:`~repro.mptcp.connection.MptcpConnection` was built."""
+
+
+#: Stands in for "no probe of this kind" inside a :class:`ProbeSet`, and
+#: for the whole slot when ``run(max_events=...)`` needs the probed loop.
+NO_PROBE = Probe()
+
+
+class ProbeSet(Probe):
+    """One probe per kind behind a simulator's single ``probe`` slot.
+
+    The fan-out is spelled out rather than looped: it runs inside the
+    allocation sanitizer's tracemalloc window, where a loop's iterator
+    object would show up as a phantom allocation of every callback.
+    """
+
+    __slots__ = BRACKET_ORDER
+    validate: Probe
+    race: Probe
+    alloc: Probe
+    profile: Probe
+
+    def __init__(self, *probes: Probe) -> None:
+        self.validate = self.race = self.alloc = self.profile = NO_PROBE
+        for probe in probes:
+            setattr(self, probe.kind, probe)
+
+    def on_event_fired(
+        self, time: float, priority: int, callback: Callable[..., None]
+    ) -> None:
+        self.validate.on_event_fired(time, priority, callback)
+        self.race.on_event_fired(time, priority, callback)
+        self.alloc.on_event_fired(time, priority, callback)
+        self.profile.on_event_fired(time, priority, callback)
+
+    def on_event_settled(self) -> None:
+        self.profile.on_event_settled()
+        self.alloc.on_event_settled()
+        self.race.on_event_settled()
+        self.validate.on_event_settled()
+
+    def on_push(self, pending: int) -> None:
+        self.validate.on_push(pending)
+        self.race.on_push(pending)
+        self.alloc.on_push(pending)
+        self.profile.on_push(pending)
+
+    def on_promote(self, size: int) -> None:
+        self.validate.on_promote(size)
+        self.race.on_promote(size)
+        self.alloc.on_promote(size)
+        self.profile.on_promote(size)
+
+    def on_discard(self) -> None:
+        self.validate.on_discard()
+        self.race.on_discard()
+        self.alloc.on_discard()
+        self.profile.on_discard()
+
+
+def member(probe: Optional[Probe], kind: str) -> Optional[Probe]:
+    """The probe of ``kind`` behind a simulator's ``probe`` slot value."""
+    if isinstance(probe, ProbeSet):
+        probe = getattr(probe, kind)
+    if probe is None or probe.kind != kind:
+        return None
+    return probe
+
+
+# ----------------------------------------------------------------------
+# Activation
+# ----------------------------------------------------------------------
+
+
+class EnvRow(NamedTuple):
+    """How the environment switches one probe kind on."""
+
+    #: Any of these set to a non-empty value other than ``0`` requests it.
+    switches: Tuple[str, ...]
+    #: Where the probe class lives; imported only when first needed.
+    module: str
+    factory: str
+    #: Variable naming a JSONL path handed to the factory as ``log_path``.
+    log: Optional[str] = None
+    #: True: the switch materialises one monitor shared by every Network
+    #: in the process.  False: :func:`repro.runner.registry.execute`
+    #: builds a fresh probe per campaign cell.
+    shared: bool = False
+
+
+#: The one table from ``REPRO_*`` variables to probe factories
+#: (declared, with meanings, in :mod:`repro.core.env`).
+ENV: Dict[str, EnvRow] = {
+    "validate": EnvRow(
+        ("REPRO_VALIDATE",), "repro.validate.invariants", "Validator"
+    ),
+    "race": EnvRow(
+        ("REPRO_RACE",), "repro.lint.race.runtime", "RaceMonitor",
+        log="REPRO_RACE_LOG", shared=True,
+    ),
+    "alloc": EnvRow(
+        ("REPRO_ALLOC",), "repro.lint.perf.runtime", "AllocMonitor",
+        log="REPRO_ALLOC_LOG", shared=True,
+    ),
+    "profile": EnvRow(
+        ("REPRO_PROFILE", "REPRO_TELEMETRY"), "repro.obs.profiler", "Profiler"
+    ),
+}
+
+#: Explicitly activated probes; the innermost of each kind is in force.
+_ACTIVE: List[Probe] = []
+
+#: The environment-requested shared monitors, by kind, once materialised.
+_SHARED: Dict[str, Probe] = {}
+
+
+def setting(name: str) -> Optional[str]:
+    """A ``REPRO_*`` variable's value; ``None`` when unset, empty or ``0``."""
+    value = os.environ.get(name, "")
+    return None if value in ("", "0") else value
+
+
+def activate(probe: Probe) -> None:
+    """Push ``probe``: objects constructed from now on register with it."""
+    _ACTIVE.append(probe)
+
+
+def deactivate(probe: Optional[Probe] = None) -> None:
+    """Pop the innermost probe (must be ``probe`` when given)."""
+    if not _ACTIVE:
+        raise RuntimeError("no probe is active")
+    if probe is not None and _ACTIVE[-1] is not probe:
+        raise RuntimeError("deactivate() out of order: not the innermost probe")
+    _ACTIVE.pop()
+
+
+def _innermost(kind: str) -> Optional[Probe]:
+    """The innermost explicitly activated ``kind`` probe."""
+    for probe in reversed(_ACTIVE):
+        if probe.kind == kind:
+            return probe
+    return None
+
+
+def requested(kind: str) -> bool:
+    """Whether runs should carry a ``kind`` probe.
+
+    True when one is explicitly active in this process or any of the
+    kind's environment switches is on — which is how the CLI's
+    ``--validate`` / ``--telemetry`` flags reach pool workers (children
+    inherit the environment).
+    """
+    if _innermost(kind) is not None:
+        return True
+    return any(setting(name) is not None for name in ENV[kind].switches)
+
+
+def fresh(kind: str) -> Probe:
+    """A new ``kind`` probe from its :data:`ENV` factory."""
+    row = ENV[kind]
+    factory: Callable[..., Probe] = getattr(
+        importlib.import_module(row.module), row.factory
+    )
+    if row.log is None:
+        return factory()
+    return factory(log_path=setting(row.log))
+
+
+def active(kind: str) -> Optional[Probe]:
+    """The ``kind`` probe new simulators attach to, or ``None``.
+
+    The innermost explicitly activated one wins, so an experiment run
+    *inside* a probed block gets its own probe without disturbing the
+    outer one.  Otherwise a ``shared`` kind whose switch is on
+    materialises its process-wide monitor on first use.
+    """
+    probe = _innermost(kind)
+    row = ENV[kind]
+    if probe is not None or not row.shared or setting(row.switches[0]) is None:
+        return probe
+    if kind not in _SHARED:
+        _SHARED[kind] = fresh(kind)
+    return _SHARED[kind]
+
+
+def attach_active(sim: Any) -> None:
+    """Attach the active probe of every kind to a new network's ``sim``."""
+    for kind in BRACKET_ORDER:
+        probe = active(kind)
+        if probe is not None:
+            probe.attach(sim)
+
+
+def watchers() -> Tuple[Probe, ...]:
+    """The explicitly activated probes, innermost per kind.
+
+    What constructors hand new links, senders and connections to
+    (``watch_*``).  The shared environment monitors watch simulators
+    only, which keeps this a bare truth test — no environment read per
+    constructed object — when nothing is active.
+    """
+    if not _ACTIVE:
+        return ()
+    found = map(_innermost, BRACKET_ORDER)
+    return tuple(probe for probe in found if probe is not None)
+
+
+@contextlib.contextmanager
+def probing(*probes: Probe) -> Iterator[Any]:
+    """Run a block with ``probes`` active; close them afterwards.
+
+    Usage::
+
+        with probing(Profiler()) as prof:
+            run_fig1(Fig1Config())
+        print(prof.snapshot().format())
+
+    Yields the probe itself when given one, the tuple when given several.
+    """
+    for probe in probes:
+        activate(probe)
+    try:
+        yield probes[0] if len(probes) == 1 else probes
+    finally:
+        for probe in reversed(probes):
+            deactivate(probe)
+            probe.close()
+
+
+__all__ = [
+    "BRACKET_ORDER",
+    "ENV",
+    "EnvRow",
+    "NO_PROBE",
+    "Probe",
+    "ProbeSet",
+    "activate",
+    "active",
+    "attach_active",
+    "deactivate",
+    "fresh",
+    "member",
+    "probing",
+    "requested",
+    "setting",
+    "watchers",
+]

@@ -23,10 +23,10 @@ from repro.net.packet import MSS_BYTES, Packet, make_data_packet
 from repro.net.routing import Path
 from repro.sim.engine import Simulator
 from repro.sim.events import Timer
+from repro.sim.probe import watchers
 from repro.sim.units import Seconds
 from repro.transport.cc import CongestionControl
 from repro.transport.rto import RttEstimator
-from repro.validate.hooks import active_validator
 
 #: Fast retransmit after this many duplicate ACKs (RFC 5681).
 DUPACK_THRESHOLD = 3
@@ -180,9 +180,8 @@ class TcpSender:
         #: Optional validation observer (see :mod:`repro.validate`).
         self.observer = None
         host.register(flow, subflow, self._on_packet)
-        validator = active_validator()
-        if validator is not None:
-            validator.watch_sender(self)
+        for probe in watchers():
+            probe.watch_sender(self)
 
     # ------------------------------------------------------------------
     # Derived state

@@ -15,29 +15,18 @@ the PR-1 run cache would otherwise happily spread across every figure):
 See ``VALIDATION.md`` for each invariant's paper reference and the
 blessing workflow.
 
-This ``__init__`` imports only the dependency-free :mod:`.hooks` module
-eagerly; everything else resolves lazily (PEP 562).  That is load-bearing:
-the instrumented core modules (``net.network``, ``transport.tcp``,
-``mptcp.connection``) import ``repro.validate.hooks`` at module scope,
-which executes this ``__init__`` — an eager import of ``invariants`` (or
-``golden``/``scenarios``) here would circle back into the still-partial
-core packages.
+Everything resolves lazily (PEP 562): the golden/scenario modules import
+the experiment drivers, which a caller that only wants
+:func:`validating` should not pay for.
 """
 
 from __future__ import annotations
-
-from repro.validate.hooks import (
-    activate,
-    active_validator,
-    deactivate,
-    validating,
-    validation_requested,
-)
 
 _LAZY = {
     "InvariantError": "repro.validate.invariants",
     "Validator": "repro.validate.invariants",
     "Violation": "repro.validate.invariants",
+    "validating": "repro.validate.invariants",
     "check_digest": "repro.validate.golden",
     "diff_digests": "repro.validate.golden",
     "digest_bottleneck_run": "repro.validate.golden",
@@ -63,11 +52,4 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(module_name), name)
 
 
-__all__ = [
-    "activate",
-    "active_validator",
-    "deactivate",
-    "validating",
-    "validation_requested",
-    *sorted(_LAZY),
-]
+__all__ = sorted(_LAZY)

@@ -4,9 +4,10 @@ The reproduction's claims rest on precise mechanism behaviour: the
 marking rule (paper §2.1), the once-per-round BOS reduction machine
 (Fig. 2 / Algorithm 1), TraSh's per-round δ (Eq. 9), and plain
 conservation laws every discrete-event network model must obey.  A
-:class:`Validator` attaches lightweight observers to simulators, queues,
-links and senders as they are constructed (see
-:mod:`repro.validate.hooks`) and checks:
+:class:`Validator` is the ``validate``-kind probe (see
+:mod:`repro.sim.probe`): while active it attaches lightweight observers
+to simulators, queues, links and senders as they are constructed, and
+checks:
 
 * **sim-time monotonicity** — the event clock never moves backwards and
   the fired-event count matches what the observer saw;
@@ -38,16 +39,19 @@ swapping the instance's ``__class__`` for a generated subclass whose
 ``accept``/``pop``/``_finish_transmission`` notify the observer around
 the base implementation — the base classes' hot paths carry no check at
 all, so an un-validated run pays exactly nothing on the per-packet path.
-The simulator loop and the TCP ACK path keep a single aliased
-``observer is None`` branch instead (their methods are long-lived loops
-that cannot be swapped mid-run).
+The simulator is watched through its ``probe`` slot (a per-simulator
+:class:`SimObserver`), and the TCP ACK path keeps a single aliased
+``observer is None`` branch (a long-lived method that cannot be swapped
+mid-run).
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Iterator, List, Optional
 
+from repro.sim.probe import Probe, member, probing
 from repro.transport.cc import MIN_CWND
 
 #: Slack for float comparisons in window-law checks.
@@ -157,10 +161,12 @@ def _observed_link_class(cls: type) -> type:
     return observed
 
 
-class SimObserver:
+class SimObserver(Probe):
     """Watches one simulator: monotonic clock, consistent event counter."""
 
     __slots__ = ("validator", "sim", "last_time", "events_seen", "base_events")
+
+    kind = "validate"
 
     def __init__(self, validator: "Validator", sim: Any) -> None:
         self.validator = validator
@@ -169,7 +175,7 @@ class SimObserver:
         self.events_seen = 0
         self.base_events = sim.events_processed
 
-    def on_event(self, time: float) -> None:
+    def on_event_fired(self, time: float, priority: int, callback: Any) -> None:
         v = self.validator
         v.checks += 2
         if time < self.last_time:
@@ -543,16 +549,18 @@ class BosObserver:
 # ----------------------------------------------------------------------
 
 
-class Validator:
+class Validator(Probe):
     """Collects observers and violations for one validated run.
 
-    Attach it through :func:`repro.validate.hooks.validating` (or
-    ``activate``/``deactivate``); constructors in the instrumented
+    Activate it through :func:`validating` (or
+    :func:`repro.sim.probe.probing`); constructors in the instrumented
     modules register new simulators, queues, links, senders and
     connections automatically.  Call :meth:`finish` after the simulation
     to run the post-hoc conservation sweeps, then
     :meth:`raise_if_violations` (or inspect :attr:`violations`).
     """
+
+    kind = "validate"
 
     def __init__(self, fail_fast: bool = False) -> None:
         self.fail_fast = fail_fast
@@ -569,12 +577,12 @@ class Validator:
 
     # -- registration ---------------------------------------------------
 
-    def watch_sim(self, sim: Any) -> None:
+    def attach(self, sim: Any) -> None:
         """Instrument a simulator (idempotent per object)."""
-        if sim.observer is not None:
+        if member(sim.probe, self.kind) is not None:
             return
         observer = SimObserver(self, sim)
-        sim.observer = observer
+        observer.attach(sim)
         self._sim_observers.append(observer)
 
     def watch_queue(self, queue: Any, label: str = "queue") -> None:
@@ -727,11 +735,42 @@ class Validator:
         )
 
 
+@contextlib.contextmanager
+def validating(
+    validator: Optional[Validator] = None,
+    finish: bool = True,
+    raise_on_violation: bool = True,
+) -> Iterator[Validator]:
+    """Run a block with an active validator; finish and (optionally) raise.
+
+    Usage::
+
+        with validating() as v:
+            net = build_single_bottleneck(...)
+            ...
+            net.sim.run(until=0.5)
+        # post-run checks ran; InvariantError raised if anything fired
+
+    Pass ``raise_on_violation=False`` to inspect ``v.violations`` yourself
+    (the negative tests do), or ``finish=False`` to also skip the post-run
+    sweep.
+    """
+    if validator is None:
+        validator = Validator()
+    with probing(validator):
+        yield validator
+    if finish:
+        validator.finish()
+    if raise_on_violation:
+        validator.raise_if_violations()
+
+
 __all__ = [
     "EPS",
     "InvariantError",
     "Violation",
     "Validator",
+    "validating",
     "SimObserver",
     "QueueObserver",
     "LinkObserver",

@@ -36,8 +36,7 @@ from repro.validate.golden import (
     digest_incast_sweep,
     digest_workload,
 )
-from repro.validate.hooks import validating
-from repro.validate.invariants import Validator
+from repro.validate.invariants import Validator, validating
 
 ScenarioFn = Callable[..., Dict[str, Any]]
 

@@ -6,8 +6,10 @@ docs can drift from it:
 
 * an AST scan over ``src/repro`` collects every ``REPRO_*`` literal the
   code actually *reads or writes through the environment* (``os.environ``
-  subscripts, ``os.environ.get`` / ``os.getenv`` calls, and the
-  ``_ENV*`` module-constant idiom the hook modules use).  Every
+  subscripts, ``os.environ.get`` / ``os.getenv`` calls, literals handed
+  to ``repro.sim.probe.setting``, and every literal inside a module
+  constant named ``ENV`` / ``*_ENV*`` — the switch table in
+  :mod:`repro.sim.probe`).  Every
   collected name must be registered with ``process`` scope, and every
   ``process`` row must be collected — a row nothing reads is as stale
   as a read nothing documents;
@@ -50,20 +52,27 @@ class _EnvReads(ast.NodeVisitor):
 
     def __init__(self) -> None:
         self.names: Set[str] = set()
-        #: value of every ``_ENV*``-style module constant, so indirect
-        #: reads (``os.environ.get(_ENV_RACE)``) still count.
-        self._consts: Set[str] = set()
 
     def _note(self, value: str) -> None:
         if _NAME_RE.match(value):
             self.names.add(value)
 
-    def visit_Assign(self, node: ast.Assign) -> None:
-        value = _literal(node.value)
-        if value and any(
-            isinstance(t, ast.Name) and "_ENV" in t.id for t in node.targets
+    def _note_env_constant(self, targets, value) -> None:
+        """Every REPRO_* literal inside an ``ENV``-named constant counts:
+        the table's readers index it instead of spelling the names."""
+        if value is not None and any(
+            isinstance(t, ast.Name) and (t.id == "ENV" or "_ENV" in t.id)
+            for t in targets
         ):
-            self._note(value)
+            for child in ast.walk(value):
+                self._note(_literal(child))
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self._note_env_constant(node.targets, node.value)
+        self.generic_visit(node)
+
+    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
+        self._note_env_constant([node.target], node.value)
         self.generic_visit(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
@@ -74,6 +83,7 @@ class _EnvReads(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         getenv = isinstance(func, ast.Attribute) and func.attr == "getenv"
+        getenv = getenv or (isinstance(func, ast.Name) and func.id == "setting")
         environ_get = (
             isinstance(func, ast.Attribute)
             and func.attr in ("get", "pop", "setdefault")

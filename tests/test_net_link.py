@@ -68,6 +68,18 @@ class TestTiming:
         sim.run()
         assert [p for _, p in dst.arrivals] == packets
 
+    def test_one_serialization_event_per_packet(self, sim):
+        # Exact per-packet service is the only mode: every served packet
+        # costs one serialization-finish event plus one delivery event,
+        # so queue occupancy (what the ECN threshold K is compared to)
+        # steps one packet at a time.
+        link, dst = make_link(sim)
+        for _ in range(5):
+            link.enqueue(data())
+        sim.run()
+        assert len(dst.arrivals) == 5
+        assert sim.events_processed == 2 * 5
+
 
 class TestQueueInteraction:
     def test_queue_holds_only_waiting_packets(self, sim):
@@ -162,3 +174,27 @@ class TestFailure:
             Link(sim, "L", src, dst, 0.0, 1e-6)
         with pytest.raises(ValueError):
             Link(sim, "L", src, dst, 1e9, -1.0)
+
+
+class TestRebind:
+    def test_rebind_refreshes_hot_callbacks(self, sim):
+        # The pre-bound serve/deliver callbacks must follow a __class__
+        # swap (the repro.validate wrapping strategy) once _rebind runs.
+        link, dst = make_link(sim)
+        seen = []
+
+        class Traced(Link):
+            __slots__ = ()
+
+            def _finish_transmission(self, packet):
+                seen.append(packet)
+                Link._finish_transmission(self, packet)
+
+        link.__class__ = Traced
+        link._rebind()
+        packets = [data() for _ in range(3)]
+        for p in packets:
+            link.enqueue(p)
+        sim.run()
+        assert seen == packets
+        assert [p for _, p in dst.arrivals] == packets

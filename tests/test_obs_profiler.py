@@ -1,5 +1,6 @@
 """Tests for the engine profiler (repro.obs): component bucketing, heap
-counters, the activation hooks, and the zero-cost-when-disabled contract.
+counters, attachment, and the zero-cost-when-disabled contract.  The
+activation registry itself is covered by ``tests/test_sim_probe.py``.
 """
 
 from __future__ import annotations
@@ -9,14 +10,9 @@ import pickle
 import pytest
 
 from repro.net.network import Network
-from repro.obs import (
-    ProfileSnapshot,
-    Profiler,
-    component_of,
-    hooks,
-    profiling,
-)
+from repro.obs import ProfileSnapshot, Profiler, component_of
 from repro.sim.engine import Simulator
+from repro.sim.probe import probing
 
 
 def noop() -> None:
@@ -112,7 +108,7 @@ class TestProfilerCounters:
         profiler.attach(sim)
         sim.schedule(0.0, noop)
         profiler.detach(sim)
-        assert sim.profiler is None
+        assert sim.probe is None
         sim.run()
         snap = profiler.snapshot()
         assert snap.heap.pushes == 1
@@ -171,8 +167,7 @@ class TestSnapshot:
         }
         assert set(as_dict["heap"]) == {"pushes", "pops", "compactions",
                                         "peak_size", "promotions",
-                                        "far_spills", "max_run", "batches",
-                                        "batched_packets"}
+                                        "far_spills", "max_run"}
         text = snap.format()
         assert "Ticker.tick" in text
         assert "heap:" in text
@@ -185,48 +180,16 @@ class TestSnapshot:
 
 class TestHooks:
     def test_profiling_context_attaches_new_networks(self):
-        with profiling() as profiler:
+        with probing(Profiler()) as profiler:
             net = Network()
-            assert net.sim.profiler is profiler
+            assert net.sim.probe is profiler
         # Outside the block, new networks stay unprofiled.
-        assert Network().sim.profiler is None
-
-    def test_nesting_innermost_wins(self):
-        with profiling() as outer:
-            with profiling() as inner:
-                assert hooks.active_profiler() is inner
-            assert hooks.active_profiler() is outer
-        assert hooks.active_profiler() is None
-
-    def test_deactivate_out_of_order_raises(self):
-        outer, inner = Profiler(), Profiler()
-        hooks.activate(outer)
-        hooks.activate(inner)
-        try:
-            with pytest.raises(RuntimeError, match="out of order"):
-                hooks.deactivate(outer)
-        finally:
-            hooks.deactivate(inner)
-            hooks.deactivate(outer)
-        with pytest.raises(RuntimeError, match="no profiler"):
-            hooks.deactivate()
-
-    def test_profiling_requested_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert not hooks.profiling_requested()
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert hooks.profiling_requested()
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert not hooks.profiling_requested()
-        monkeypatch.setenv("REPRO_TELEMETRY", "some/dir")
-        assert hooks.profiling_requested()  # telemetry implies profiling
-        assert hooks.telemetry_dir() == "some/dir"
+        assert Network().sim.probe is None
 
 
 class TestZeroCostContract:
     def test_disabled_simulator_has_no_profiler(self, sim):
-        assert sim.profiler is None
+        assert sim.probe is None
         sim.schedule(0.0, noop)
         sim.run()
         assert sim.events_processed == 1

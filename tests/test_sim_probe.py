@@ -1,0 +1,326 @@
+"""The probe-seam contract (``repro.sim.probe``), in one place.
+
+One file for what used to be four per-package copies: the activation
+registry (stack discipline, innermost-per-kind nesting, the ``REPRO_*``
+switches), the bracket order a :class:`ProbeSet` fans out in, the
+``max_events`` budget on the probed loop, the observe-never-perturb
+guarantee with all four probe kinds attached at once, and the import
+hygiene that motivates keeping the seam dependency-free.
+"""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from repro.lint.perf.runtime import AllocMonitor
+from repro.lint.race.runtime import RaceMonitor
+from repro.net.network import Network
+from repro.obs.profiler import Profiler
+from repro.sim import probe as seam
+from repro.sim.engine import Simulator
+from repro.sim.probe import (
+    BRACKET_ORDER,
+    Probe,
+    ProbeSet,
+    activate,
+    active,
+    deactivate,
+    member,
+    probing,
+    requested,
+)
+from repro.validate.golden import check_digest
+from repro.validate.invariants import Validator
+from repro.validate.scenarios import SCENARIOS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: The real probe of each kind, as the environment table builds it.
+FACTORIES = {
+    "validate": Validator,
+    "race": RaceMonitor,
+    "alloc": AllocMonitor,
+    "profile": Profiler,
+}
+
+
+class Recorder(Probe):
+    """Logs every engine hook it receives as ``"<kind>.<hook>"``."""
+
+    def __init__(self, kind: str, log: list) -> None:
+        self.kind = kind
+        self.log = log
+
+    def on_event_fired(self, time, priority, callback):
+        self.log.append(f"{self.kind}.fired")
+
+    def on_event_settled(self):
+        self.log.append(f"{self.kind}.settled")
+
+    def on_push(self, pending):
+        self.log.append(f"{self.kind}.push")
+
+    def on_discard(self):
+        self.log.append(f"{self.kind}.discard")
+
+
+# ----------------------------------------------------------------------
+# Bracket order
+# ----------------------------------------------------------------------
+
+
+def test_bracket_order_with_all_four_kinds():
+    log: list = []
+    # Activated in a scrambled order: the bracket order is the seam's,
+    # not the caller's.
+    recorders = [Recorder(kind, log) for kind in ("alloc", "profile", "validate", "race")]
+    with probing(*recorders):
+        sim = Network().sim
+    assert isinstance(sim.probe, ProbeSet)
+
+    def callback():
+        log.append("callback")
+        sim.post(1.0, lambda: None)
+
+    cancelled = sim.schedule(0.5, callback)
+    sim.schedule(1.0, callback)
+    cancelled.cancel()
+    del log[:]  # drop the two set-up pushes
+    sim.run(until=1.0)
+
+    fired = [f"{kind}.fired" for kind in BRACKET_ORDER]
+    pushes = [f"{kind}.push" for kind in BRACKET_ORDER]
+    settled = [f"{kind}.settled" for kind in reversed(BRACKET_ORDER)]
+    discards = [f"{kind}.discard" for kind in BRACKET_ORDER]
+    assert fired == ["validate.fired", "race.fired", "alloc.fired", "profile.fired"]
+    assert log == discards + fired + ["callback"] + pushes + settled
+
+
+def test_single_probe_needs_no_set_and_detach_restores_the_bare_slot():
+    log: list = []
+    sim = Simulator()
+    race, profile = Recorder("race", log), Recorder("profile", log)
+    race.attach(sim)
+    assert sim.probe is race
+    profile.attach(sim)
+    assert member(sim.probe, "race") is race
+    assert member(sim.probe, "profile") is profile
+    assert member(sim.probe, "alloc") is None
+    # A second probe of one kind replaces the first, like the old slots.
+    newer = Recorder("race", log)
+    newer.attach(sim)
+    assert member(sim.probe, "race") is newer
+    race.detach(sim)  # no longer attached: a no-op
+    assert member(sim.probe, "race") is newer
+    newer.detach(sim)
+    assert member(sim.probe, "race") is None
+    lone = Simulator()
+    profile.attach(lone)
+    profile.detach(lone)
+    assert lone.probe is None
+
+
+# ----------------------------------------------------------------------
+# The activation stack
+# ----------------------------------------------------------------------
+
+
+def test_activate_deactivate_stack():
+    outer, inner = Validator(), Validator()
+    activate(outer)
+    try:
+        assert active("validate") is outer
+        activate(inner)
+        assert active("validate") is inner
+        deactivate(inner)
+        assert active("validate") is outer
+    finally:
+        deactivate(outer)
+    assert active("validate") is None
+
+
+def test_deactivate_out_of_order_raises():
+    outer, inner = Profiler(), RaceMonitor()
+    activate(outer)
+    activate(inner)
+    try:
+        with pytest.raises(RuntimeError, match="out of order"):
+            deactivate(outer)
+        assert active("race") is inner  # stack unchanged
+    finally:
+        deactivate(inner)
+        deactivate(outer)
+
+
+def test_deactivate_empty_raises():
+    with pytest.raises(RuntimeError, match="no probe is active"):
+        deactivate()
+
+
+@pytest.mark.parametrize("kind", BRACKET_ORDER)
+def test_nesting_innermost_per_kind(kind):
+    """An experiment run inside a probed block gets its own probe, and a
+    probe of another kind in between shadows nothing."""
+    other = "race" if kind != "race" else "profile"
+    outer, inner = FACTORIES[kind](), FACTORIES[kind]()
+    assert active(kind) is None and not requested(kind)
+    with probing(outer):
+        net_outer = Network()
+        with probing(FACTORIES[other]()):
+            assert active(kind) is outer
+            with probing(inner):
+                assert active(kind) is inner and requested(kind)
+                net_inner = Network()
+            assert active(kind) is outer
+    assert active(kind) is None
+    watching_outer = member(net_outer.sim.probe, kind)
+    watching_inner = member(net_inner.sim.probe, kind)
+    if kind == "validate":  # a validator watches each sim through an observer
+        assert watching_outer.validator is outer
+        assert watching_inner.validator is inner
+        assert len(outer._sim_observers) == len(inner._sim_observers) == 1
+    else:
+        assert watching_outer is outer
+        assert watching_inner is inner
+
+
+# ----------------------------------------------------------------------
+# The environment table
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["validate", "profile"])
+def test_env_switch_requests_probe(kind, monkeypatch):
+    """Per-cell kinds: the switch makes ``execute`` build a fresh probe;
+    it does not by itself attach anything to a bare ``Network``."""
+    switches = seam.ENV[kind].switches
+    for name in switches:
+        monkeypatch.delenv(name, raising=False)
+    assert not requested(kind)
+    for name in switches:
+        monkeypatch.setenv(name, "1" if name != "REPRO_TELEMETRY" else "some/dir")
+        assert requested(kind)
+        assert active(kind) is None
+        assert Network().sim.probe is None
+        monkeypatch.setenv(name, "0")
+        assert not requested(kind)
+        monkeypatch.setenv(name, "")
+        assert not requested(kind)
+    first, second = seam.fresh(kind), seam.fresh(kind)
+    assert type(first) is FACTORIES[kind] and first is not second
+
+
+def test_telemetry_switch_names_the_sink(monkeypatch, tmp_path):
+    from repro.obs.telemetry import from_environment
+
+    monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+    assert from_environment() is None
+    monkeypatch.setenv("REPRO_TELEMETRY", str(tmp_path))
+    assert from_environment().directory == tmp_path
+    assert requested("profile")  # telemetry implies profiling
+
+
+@pytest.mark.parametrize("kind", ["race", "alloc"])
+def test_env_monitor_is_shared(kind, monkeypatch, tmp_path):
+    """Ambient kinds: the switch materialises one process-wide monitor,
+    the log variable reaches it, and every new Network attaches it."""
+    switch, log = seam.ENV[kind].switches[0], seam.ENV[kind].log
+    monkeypatch.setattr(seam, "_SHARED", {})
+    monkeypatch.delenv(switch, raising=False)
+    assert active(kind) is None
+    monkeypatch.setenv(switch, "1")
+    monkeypatch.setenv(log, str(tmp_path / "report.jsonl"))
+    assert requested(kind)
+    monitor = active(kind)
+    try:
+        assert type(monitor) is FACTORIES[kind]
+        assert monitor.log_path == str(tmp_path / "report.jsonl")
+        assert active(kind) is monitor  # shared per process
+        assert Network().sim.probe is monitor
+        assert Network().sim.probe is monitor
+        explicit = FACTORIES[kind]()
+        with probing(explicit):  # explicit activation wins
+            assert active(kind) is explicit
+        monkeypatch.setenv(switch, "0")
+        assert active(kind) is None and not requested(kind)
+        assert Network().sim.probe is None
+    finally:
+        monitor.close()
+
+
+# ----------------------------------------------------------------------
+# The probed loop carries the max_events budget
+# ----------------------------------------------------------------------
+
+
+def _budgeted_run(probe, budget):
+    sim = Simulator()
+    fired = []
+    if probe is not None:
+        probe.attach(sim)
+    for i in range(20):
+        event = sim.schedule(i * 1e-3, fired.append, i)
+        if i % 5 == 2:
+            event.cancel()  # cancelled events never count against the budget
+    sim.run(max_events=budget)
+    state = (list(fired), sim.now, sim.events_processed, sim.pending_events)
+    sim.run()
+    return state, fired
+
+
+@pytest.mark.parametrize("budget", [1, 7, 16, 100])
+def test_max_events_stops_at_the_same_event_with_and_without_a_probe(budget):
+    bare, bare_all = _budgeted_run(None, budget)
+    log: list = []
+    probed, probed_all = _budgeted_run(Recorder("profile", log), budget)
+    assert bare == probed
+    assert bare[2] == min(budget, 16)
+    assert bare_all == probed_all == [i for i in range(20) if i % 5 != 2]
+    assert log.count("profile.fired") == log.count("profile.settled") == 16
+
+
+# ----------------------------------------------------------------------
+# Observe, never perturb — all four kinds at once
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.invariants
+@pytest.mark.parametrize("name", list(SCENARIOS))
+def test_golden_bit_identical_bare_and_fully_probed(name):
+    bare = SCENARIOS[name]()
+    validator, profiler = Validator(), Profiler()
+    race, alloc = RaceMonitor(), AllocMonitor()
+    with probing(validator, profiler, race, alloc):
+        probed = SCENARIOS[name]()
+    validator.finish()
+    assert probed == bare
+    assert check_digest(name, probed) == []
+    assert validator.violations == [] and validator.checks > 0
+    assert race.collisions == []
+    # Every probe saw every event.
+    events = profiler.snapshot().events
+    assert events == race.events == alloc.events > 0
+    assert events == sum(o.events_seen for o in validator._sim_observers)
+
+
+# ----------------------------------------------------------------------
+# Import hygiene: pushing packets loads no tooling
+# ----------------------------------------------------------------------
+
+
+def test_importing_the_model_layers_loads_no_tooling():
+    code = (
+        "import sys, repro.net, repro.transport, repro.mptcp\n"
+        "print([m for m in sorted(sys.modules) if m.startswith("
+        "('repro.lint', 'repro.obs', 'repro.validate'))])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC), "PATH": ""},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"

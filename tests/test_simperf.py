@@ -20,13 +20,6 @@ import json
 
 import pytest
 
-from repro.lint.perf import (
-    activate,
-    active_alloc_monitor,
-    alloc_monitoring,
-    alloc_requested,
-    deactivate,
-)
 from repro.lint.perf.analyzer import check_perf, explained_hot_functions
 from repro.lint.perf.hotpaths import HotPathError, HotPathRegistry
 from repro.lint.perf.info import PERF_CODES
@@ -34,6 +27,7 @@ from repro.lint.perf.runtime import SCALAR_NOISE_BYTES, AllocMonitor
 from repro.lint.registry import catalog, known_codes
 from repro.lint.sem import ProjectAnalyzer
 from repro.sim.engine import Simulator
+from repro.sim.probe import probing
 
 pytestmark = pytest.mark.simperf
 
@@ -306,44 +300,14 @@ def test_alloc_log_streams_and_is_capped(tmp_path):
     assert all(r["bytes"] > SCALAR_NOISE_BYTES for r in records)
 
 
-def test_hooks_stack_discipline():
-    monitor = AllocMonitor(registry=HotPathRegistry.from_text("# empty\n"))
-    assert not alloc_requested() or active_alloc_monitor() is not None
-    activate(monitor)
-    try:
-        assert active_alloc_monitor() is monitor
-        assert alloc_requested()
-    finally:
-        deactivate(monitor)
-    with pytest.raises(RuntimeError):
-        deactivate(monitor)
-    monitor.close()
-
-
-def test_env_activation(monkeypatch):
-    import repro.lint.perf.hooks as hooks
-
-    monkeypatch.setattr(hooks, "_ENV_MONITOR", None)
-    monkeypatch.setenv("REPRO_ALLOC", "1")
-    assert alloc_requested()
-    monitor = active_alloc_monitor()
-    assert monitor is not None
-    assert active_alloc_monitor() is monitor  # shared per process
-    monitor.close()
-    monkeypatch.setenv("REPRO_ALLOC", "0")
-    monkeypatch.setattr(hooks, "_ENV_MONITOR", None)
-    assert active_alloc_monitor() is None
-    assert not alloc_requested()
-
-
 def test_network_attaches_active_monitor():
     from repro.net.network import Network
 
-    with alloc_monitoring() as monitor:
+    with probing(AllocMonitor()) as monitor:
         net = Network()
-    assert net.sim.alloc is monitor
+    assert net.sim.probe is monitor
     net2 = Network()
-    assert net2.sim.alloc is None
+    assert net2.sim.probe is None
 
 
 # ----------------------------------------------------------------------
@@ -359,7 +323,7 @@ def test_sanitizer_leaves_golden_digest_bit_identical():
     from repro.validate.golden import check_digest
     from repro.validate.scenarios import run_scenario
 
-    with alloc_monitoring() as monitor:
+    with probing(AllocMonitor()) as monitor:
         digest, validator = run_scenario("bottleneck-xmp")
     assert validator.violations == []
     assert check_digest("bottleneck-xmp", digest) == []

@@ -17,17 +17,11 @@ import json
 
 import pytest
 
-from repro.lint.race import (
-    activate,
-    active_race_monitor,
-    deactivate,
-    race_monitoring,
-    race_requested,
-)
 from repro.lint.race.runtime import RaceMonitor
 from repro.lint.sem import ProjectAnalyzer
 from repro.sim.engine import Simulator
 from repro.sim.priorities import MODEL, SAMPLE, TIERS, tier_name
+from repro.sim.probe import probing
 
 pytestmark = pytest.mark.simrace
 
@@ -306,41 +300,14 @@ def test_monitor_writes_jsonl_report(tmp_path):
     assert records[1]["events"] == monitor.events
 
 
-def test_hooks_stack_discipline():
-    monitor = RaceMonitor()
-    assert not race_requested() or active_race_monitor() is not None
-    activate(monitor)
-    try:
-        assert active_race_monitor() is monitor
-        assert race_requested()
-    finally:
-        deactivate(monitor)
-    with pytest.raises(RuntimeError):
-        deactivate(monitor)
-
-
-def test_env_activation(monkeypatch):
-    import repro.lint.race.hooks as hooks
-
-    monkeypatch.setattr(hooks, "_ENV_MONITOR", None)
-    monkeypatch.setenv("REPRO_RACE", "1")
-    assert race_requested()
-    monitor = active_race_monitor()
-    assert monitor is not None
-    assert active_race_monitor() is monitor  # shared per process
-    monkeypatch.setenv("REPRO_RACE", "0")
-    monkeypatch.setattr(hooks, "_ENV_MONITOR", None)
-    assert active_race_monitor() is None
-
-
 def test_network_attaches_active_monitor():
     from repro.net.network import Network
 
-    with race_monitoring() as monitor:
+    with probing(RaceMonitor()) as monitor:
         net = Network()
-    assert net.sim.race is monitor
+    assert net.sim.probe is monitor
     net2 = Network()
-    assert net2.sim.race is None
+    assert net2.sim.probe is None
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +321,7 @@ def test_sanitizer_leaves_golden_digest_bit_identical():
     from repro.validate.golden import check_digest
     from repro.validate.scenarios import run_scenario
 
-    with race_monitoring() as monitor:
+    with probing(RaceMonitor()) as monitor:
         digest, validator = run_scenario("bottleneck-xmp")
     assert monitor.collisions == []
     assert monitor.events > 0

@@ -66,7 +66,7 @@ class TestScenarioDeterminism:
         # produce identical digests: observers only read, never steer.
         from repro.experiments.fattree_eval import _simulate
         from repro.validate.golden import digest_fattree as digest
-        from repro.validate.hooks import validating
+        from repro.validate import validating
 
         scenario = FatTreeScenario(duration=0.008, k=4, seed=1)
         bare = digest(_simulate(scenario))

@@ -1,4 +1,8 @@
-"""The runtime invariant checker: hooks, observers, clean validated runs."""
+"""The runtime invariant checker: observers, clean validated runs.
+
+The activation registry the validator shares with the other probes is
+covered by ``tests/test_sim_probe.py``.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +12,10 @@ from repro.mptcp.connection import MptcpConnection
 from repro.net.network import Network
 from repro.net.queue import DropTailQueue, ThresholdECNQueue
 from repro.sim.engine import Simulator
+from repro.sim.probe import active, requested
 from repro.transport.cc import RenoCC
 from repro.transport.flow import SinglePathFlow
-from repro.validate import (
-    InvariantError,
-    Validator,
-    activate,
-    active_validator,
-    deactivate,
-    validating,
-    validation_requested,
-)
+from repro.validate import InvariantError, Validator, validating
 
 pytestmark = pytest.mark.invariants
 
@@ -38,57 +35,20 @@ def _two_host_net() -> Network:
 
 
 # ----------------------------------------------------------------------
-# The registry (hooks.py)
+# The validating() wrapper
 # ----------------------------------------------------------------------
 
 
 class TestHooks:
     def test_no_validator_by_default(self):
-        assert active_validator() is None
-        assert not validation_requested()
-
-    def test_activate_deactivate_stack(self):
-        outer, inner = Validator(), Validator()
-        activate(outer)
-        try:
-            assert active_validator() is outer
-            activate(inner)
-            assert active_validator() is inner
-            deactivate(inner)
-            assert active_validator() is outer
-        finally:
-            deactivate(outer)
-        assert active_validator() is None
-
-    def test_deactivate_out_of_order_raises(self):
-        outer, inner = Validator(), Validator()
-        activate(outer)
-        activate(inner)
-        try:
-            with pytest.raises(RuntimeError, match="out of order"):
-                deactivate(outer)
-            assert active_validator() is inner  # stack unchanged
-        finally:
-            deactivate(inner)
-            deactivate(outer)
-
-    def test_deactivate_empty_raises(self):
-        with pytest.raises(RuntimeError, match="no validator is active"):
-            deactivate()
+        assert active("validate") is None
+        assert not requested("validate")
 
     def test_validating_context_manager(self):
         with validating() as validator:
-            assert active_validator() is validator
-        assert active_validator() is None
+            assert active("validate") is validator
+        assert active("validate") is None
         assert validator.finished
-
-    def test_validation_requested_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VALIDATE", "1")
-        assert validation_requested()
-        monkeypatch.setenv("REPRO_VALIDATE", "0")
-        assert not validation_requested()
-        monkeypatch.delenv("REPRO_VALIDATE")
-        assert not validation_requested()
 
 
 # ----------------------------------------------------------------------
@@ -99,7 +59,7 @@ class TestHooks:
 class TestDisabledByDefault:
     def test_observer_slots_default_none(self):
         net = _two_host_net()
-        assert net.sim.observer is None
+        assert net.sim.probe is None
         assert all(link.observer is None for link in net.links)
         assert all(link.queue.observer is None for link in net.links)
         flow = SinglePathFlow(net, "A", "B", net.paths("A", "B")[0],
@@ -143,22 +103,13 @@ class TestValidatedRuns:
     def test_watch_idempotent(self):
         validator = Validator()
         sim = Simulator()
-        validator.watch_sim(sim)
-        validator.watch_sim(sim)
+        validator.attach(sim)
+        validator.attach(sim)
         queue = DropTailQueue(10)
         validator.watch_queue(queue)
         validator.watch_queue(queue)
         assert len(validator._sim_observers) == 1
         assert len(validator._queue_observers) == 1
-
-    def test_nested_validators_get_their_own_objects(self):
-        with validating() as outer:
-            Simulator_outer = Network()  # registered with outer
-            with validating() as inner:
-                net_inner = Network()  # registered with inner only
-            assert net_inner.sim.observer in inner._sim_observers
-        assert Simulator_outer.sim.observer in outer._sim_observers
-        assert len(outer._sim_observers) == 1
 
     def test_summary_and_report(self):
         with validating() as validator:
