@@ -11,7 +11,7 @@ import pytest
 
 from _bench_common import emit
 
-from repro.core import fluid
+from repro import fluid
 from repro.metrics.collector import QueueMonitor
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.bottleneck import build_single_bottleneck

@@ -9,7 +9,7 @@ implementation sits where the paper's own analysis says it should.
 Run:  python examples/model_vs_simulator.py
 """
 
-from repro.core import fluid
+from repro import fluid
 from repro.core.utility import equilibrium_window
 from repro.metrics.collector import QueueMonitor
 from repro.mptcp.connection import MptcpConnection

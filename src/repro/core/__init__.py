@@ -11,6 +11,6 @@
 
 from repro.core.bos import BosCC
 from repro.core.trash import TraSh
-from repro.core import analysis, fluid, utility
+from repro.core import analysis, utility
 
-__all__ = ["BosCC", "TraSh", "utility", "fluid", "analysis"]
+__all__ = ["BosCC", "TraSh", "utility", "analysis"]

@@ -15,21 +15,53 @@ the packet engine in ``repro.fluid.crosscheck`` within documented
 tolerances); it does not model per-packet effects — retransmission
 timeouts, slow start, incast synchronization.  Use it where the packet
 engine cannot go: k=16/k=32 fat trees with 10^4-10^6 concurrent flows.
+
+The paper's own Eq. 2 model lives here too: :func:`bos_window_ode` and
+:func:`threshold_marking_probability` beside the other laws, and the two
+closed-form integrators (:func:`integrate_single_flow`,
+:func:`integrate_shared_link`) the packet simulator is validated
+against.
 """
 
 from repro.fluid.backend import FluidResult, FluidScenario, run_fluid
-from repro.fluid.model import FluidLink, FluidModel, FluidSubflow, model_from_network
-from repro.fluid.solver import FluidTrajectory, integrate_model, vector_available
+from repro.fluid.laws import bos_window_ode, threshold_marking_probability
+from repro.fluid.model import (
+    PACKET_BITS,
+    FluidLink,
+    FluidModel,
+    FluidSubflow,
+    model_from_network,
+)
+from repro.fluid.solver import (
+    SAMPLE_STRIDE,
+    FluidLinkResult,
+    FluidTrajectory,
+    integrate_model,
+    integrate_shared_link,
+    integrate_single_flow,
+    step_count,
+    tail_mean,
+    vector_available,
+)
 
 __all__ = [
+    "PACKET_BITS",
+    "SAMPLE_STRIDE",
     "FluidLink",
+    "FluidLinkResult",
     "FluidModel",
     "FluidResult",
     "FluidScenario",
     "FluidSubflow",
     "FluidTrajectory",
+    "bos_window_ode",
     "integrate_model",
+    "integrate_shared_link",
+    "integrate_single_flow",
     "model_from_network",
     "run_fluid",
+    "step_count",
+    "tail_mean",
+    "threshold_marking_probability",
     "vector_available",
 ]

@@ -21,10 +21,14 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
-from repro.core.fluid import PACKET_BITS, SAMPLE_STRIDE, tail_mean
 from repro.fluid.laws import FLUID_SCHEMES
-from repro.fluid.model import model_from_network
-from repro.fluid.solver import FluidTrajectory, integrate_model
+from repro.fluid.model import PACKET_BITS, model_from_network
+from repro.fluid.solver import (
+    SAMPLE_STRIDE,
+    FluidTrajectory,
+    integrate_model,
+    tail_mean,
+)
 from repro.net.routing import DistinctPathSelector, Path
 from repro.sim.random import RandomStreams
 from repro.sim.units import (

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.core.fluid import tail_mean
 from repro.fluid.backend import FluidScenario, _simulate as _simulate_fluid
+from repro.fluid.solver import tail_mean
 from repro.metrics.collector import PeriodicSampler, QueueMonitor
 from repro.mptcp.connection import MptcpConnection
 from repro.sim.units import (

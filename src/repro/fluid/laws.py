@@ -3,8 +3,8 @@
 Each law is the fluid (per-second drift) form of a packet-level scheme,
 built from the *same* pure formulas the packet controllers use:
 
-* ``xmp`` — Eq. 2's BOS ODE (:func:`repro.core.fluid.bos_window_ode`)
-  with delta from TraSh's Eq. 9 (:func:`repro.core.trash.trash_delta`);
+* ``xmp`` — Eq. 2's BOS ODE (:func:`bos_window_ode`) with delta from
+  TraSh's Eq. 9 (:func:`repro.core.trash.trash_delta`);
 * ``bos-uncoupled`` — Eq. 2 with delta = 1;
 * ``lia`` — RFC 6356's linked increase with alpha from
   :func:`repro.mptcp.lia.lia_alpha` and the Reno halving as drift;
@@ -20,8 +20,9 @@ pinned to them by an equality test (``tests/test_fluid_backend.py``).
 
 from __future__ import annotations
 
+import math
+
 from repro.core.bos import DEFAULT_BETA
-from repro.core.fluid import bos_window_ode
 from repro.core.trash import trash_delta
 from repro.mptcp.lia import lia_alpha
 from repro.sim.units import Seconds
@@ -36,8 +37,32 @@ FLUID_SCHEMES = ("xmp", "bos-uncoupled", "lia", "dctcp")
 MIN_WINDOW = 1.0
 
 #: Width (packets) of the logistic marking knee, the default of
-#: :func:`repro.core.fluid.threshold_marking_probability`.
+#: :func:`threshold_marking_probability`.
 MARKING_WIDTH = 2.0
+
+
+def bos_window_ode(
+    w: float, p: float, delta: float, beta: float, rtt: float
+) -> float:
+    """Right-hand side of Eq. 2: dw/dt given marking probability ``p``."""
+    if rtt <= 0:
+        raise ValueError(f"rtt must be positive, got {rtt}")
+    return (delta / rtt) * (1.0 - p) - (w / (rtt * beta)) * p
+
+
+def threshold_marking_probability(
+    queue_packets: float, threshold: float, width: float = MARKING_WIDTH
+) -> float:
+    """Smooth stand-in for 'at least one mark this round' near a K-queue.
+
+    Below ``K`` the instantaneous queue rarely crosses the threshold
+    within a round; above it, almost every round sees a mark.  A logistic
+    of width ~2 packets reproduces that knife edge while keeping the ODE
+    well behaved.
+    """
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    return 1.0 / (1.0 + math.exp(-(queue_packets - threshold) / width))
 
 
 def scheme_uses_ecn(scheme: str) -> bool:
@@ -112,10 +137,12 @@ __all__ = [
     "MARKING_WIDTH",
     "MIN_WINDOW",
     "bos_window_drift",
+    "bos_window_ode",
     "dctcp_alpha_drift",
     "dctcp_window_drift",
     "lia_alpha",
     "lia_window_drift",
     "scheme_uses_ecn",
+    "threshold_marking_probability",
     "xmp_window_drift",
 ]

@@ -17,10 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.fluid import PACKET_BITS
 from repro.net.network import Network
 from repro.net.routing import Path
 from repro.sim.units import Packets, Seconds
+
+#: Packet size used to convert packets <-> bits (paper: 1500 B MTU).
+PACKET_BITS = 1500 * 8
 
 #: Reverse-path (ACK) size used in the no-load RTT: 40 B of TCP/IP
 #: header, as in the packet engine's pure-ACK segments.
@@ -97,7 +99,7 @@ def model_from_network(
     selectors.  Only links appearing on some forward path become fluid
     links — reverse (ACK) directions contribute their no-load delay but
     carry negligible load, exactly the approximation the shared-link
-    model in :mod:`repro.core.fluid` makes.
+    model :func:`repro.fluid.solver.integrate_shared_link` makes.
     """
     link_index: Dict[str, int] = {}
     links: List[FluidLink] = []
@@ -142,6 +144,7 @@ def model_from_network(
 
 __all__ = [
     "ACK_BITS",
+    "PACKET_BITS",
     "FluidLink",
     "FluidModel",
     "FluidSubflow",

@@ -8,18 +8,22 @@ code, float-time equality, raw unit literals, set-order-dependent
 scheduling, past scheduling, mutable defaults, runner bypasses,
 pickle-unsafe members and swallowed exceptions.
 
-On top of the per-file rules sits simsem (:mod:`repro.lint.sem`), the
-cross-module semantic pass: unit-dimension dataflow against a declared
-sink registry (SIM011/SIM012), seed provenance (SIM013), observer-hook
-conformance (SIM014) and event-handler reachability (SIM015).
+On top of the per-file rules sits the whole-program join over one set
+of per-file summaries, run on every invocation: unit-dimension dataflow
+against a declared sink registry (SIM011/SIM012), seed provenance
+(SIM013), observer-hook conformance (SIM014) and event-handler
+reachability (SIM015) in :mod:`repro.lint.sem`; same-instant ordering
+races (SIM016–SIM018) in :mod:`repro.lint.race`; hot-path cost against
+``hotpaths.toml`` (SIM019–SIM023) in :mod:`repro.lint.perf`.  The two
+runtime sanitizers those packages carry run over the golden scenarios in
+:mod:`repro.lint.smoke`.
 
 Usage::
 
-    python -m repro.lint [PATH ...]      # default: src/repro
-    python -m repro.lint --sem src/repro # + the cross-module pass
+    python -m repro.lint [PATH ...]      # the one pass; default src/repro
     python -m repro lint -- --fix src    # via the main CLI
-    pytest -m simlint                    # the self-check suite
-    pytest -m simsem                     # the semantic-pass suite
+    python -m repro.lint.smoke           # both sanitizers on the goldens
+    pytest -m lint                       # the self-check suite
 
 Rule catalog, suppression syntax (``# simlint: disable=SIM001``) and
 ``--fix`` scope are documented in LINTING.md.  Pure stdlib by design:

@@ -1,25 +1,18 @@
-"""The simlint command line: ``python -m repro.lint`` / ``repro lint``.
+"""The lint command line: ``python -m repro.lint`` / ``repro lint``.
 
 Exit codes: 0 clean, 1 findings remain, 2 usage error.  ``--fix``
 applies the mechanically safe fixes in place and reports what is left.
 
-``--sem`` additionally runs simsem, the cross-module semantic pass
-(SIM011–SIM015, see :mod:`repro.lint.sem`); ``--race`` additionally
-runs simrace, the same-instant race pass (SIM016–SIM018, see
-:mod:`repro.lint.race`); ``--perf`` additionally runs simperf, the
-hot-path performance pass (SIM019–SIM023, see :mod:`repro.lint.perf`;
-``--from-telemetry`` feeds recorded ``repro.obs`` JSONL to the SIM022
-registry-drift check).  All share one whole-program summary pass, so
-``--sem --race --perf`` costs a single analysis.  Per-file summaries are
-cached under ``--sem-cache`` (content-addressed; safe to persist across
-runs and in CI), and ``--baseline`` ratchets legacy findings so new
-code is held to zero while old findings burn down.
-
-``--changed-only`` narrows the per-file rules (SIM001–SIM010) to files
-git reports as changed against HEAD; the whole-program passes still
-analyze the full tree — cross-module properties are only meaningful on
-whole trees.  ``--format sarif`` emits SARIF 2.1.0 covering every pass,
-for CI upload.
+Every run is the one pass: the per-file rules (SIM001–SIM010) and the
+whole-program join over one set of per-file summaries — unit dataflow,
+seed provenance, hook conformance and handler reachability
+(SIM011–SIM015, :mod:`repro.lint.sem`), same-instant races
+(SIM016–SIM018, :mod:`repro.lint.race`) and hot-path cost
+(SIM019–SIM023, :mod:`repro.lint.perf`).  ``--select``/``--ignore``
+narrow what is reported, never what is analyzed: cross-module
+properties are only meaningful on whole trees.  ``--from-telemetry``
+feeds recorded ``repro.obs`` JSONL to the SIM022 registry-drift check,
+and ``--format sarif`` emits SARIF 2.1.0 for CI upload.
 """
 
 from __future__ import annotations
@@ -27,25 +20,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 from pathlib import Path
 from typing import List, Optional, Sequence, Set
 
-from repro.lint.core import Analyzer, Finding, Rule, iter_python_files
+from repro.lint.core import Analyzer, Finding, iter_python_files
 from repro.lint.fixes import fix_file
-from repro.lint.perf.info import PERF_CODES
-from repro.lint.race.info import RACE_CODES
 from repro.lint.registry import catalog, known_codes, syntactic_rules
 from repro.lint.sarif import findings_to_sarif
-from repro.lint.sem.baseline import (
-    BaselineError,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.sem.cache import DEFAULT_CACHE_DIR, SummaryCache
-from repro.lint.sem.info import SEM_CODES
 from repro.lint.sem.project import ProjectAnalyzer
 
 DEFAULT_TARGET = "src/repro"
@@ -73,65 +55,13 @@ def _selected_codes(
     return selected
 
 
-def _project_gate(args: argparse.Namespace) -> Set[str]:
-    """Codes the whole-program pass may report, per --sem/--race/--perf."""
-    gate: Set[str] = set()
-    if args.sem:
-        gate.update(SEM_CODES)
-    if args.race:
-        gate.update(RACE_CODES)
-    if args.perf:
-        gate.update(PERF_CODES)
-    return gate
-
-
-def _select_rules(
-    selected: Set[str], project_gate: Set[str], parser: argparse.ArgumentParser
-) -> List[Rule]:
-    rules = [rule for rule in syntactic_rules() if rule.code in selected]
-    project_active = bool(selected & project_gate)
-    if not rules and not project_active:
-        parser.error("--select/--ignore left no rules to run")
-    return rules
-
-
-def _changed_files(parser: argparse.ArgumentParser) -> Set[str]:
-    """Absolute paths git reports as changed vs HEAD (plus untracked).
-
-    Both the staged-or-unstaged diff and untracked files count: the
-    point is "what am I editing right now", for fast local iteration.
-    """
-    def _git(*argv: str) -> str:
-        return subprocess.run(
-            ["git", *argv],
-            capture_output=True,
-            text=True,
-            check=True,
-        ).stdout
-
-    try:
-        top = _git("rev-parse", "--show-toplevel").strip()
-        diffed = _git("diff", "--name-only", "HEAD", "--")
-        untracked = _git("ls-files", "--others", "--exclude-standard", "--")
-    except (OSError, subprocess.CalledProcessError) as exc:
-        parser.error(f"--changed-only requires a git work tree ({exc})")
-    names = set(diffed.splitlines()) | set(untracked.splitlines())
-    return {
-        os.path.abspath(os.path.join(top, name)) for name in names if name
-    }
-
-
-_KIND_FLAGS = {"semantic": " (--sem)", "race": " (--race)", "perf": " (--perf)"}
-
-
 def _rule_listing() -> str:
     lines = ["simlint rules (see LINTING.md for the full catalog):"]
     for entry in catalog():
-        marker = _KIND_FLAGS.get(entry.kind, "")
         fix = " [--fix]" if entry.fixable else ""
         lines.append(
             f"  {entry.code}  {entry.name:<26} "
-            f"[{entry.rung}/{entry.severity.value}]{fix}{marker}"
+            f"[{entry.kind}/{entry.severity.value}]{fix}"
         )
         lines.append(f"         {entry.rationale}")
     return "\n".join(lines)
@@ -144,7 +74,6 @@ def _rule_listing_json() -> str:
                 {
                     "code": entry.code,
                     "name": entry.name,
-                    "rung": entry.rung,
                     "kind": entry.kind,
                     "severity": entry.severity.value,
                     "fixable": entry.fixable,
@@ -183,41 +112,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule codes to skip")
     parser.add_argument("--fix", action="store_true",
                         help="apply mechanically safe fixes in place")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="restrict the per-file rules SIM001-SIM010 to "
-                             "files changed vs git HEAD (whole-program "
-                             "passes still see the full tree)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress the summary line")
-    sem = parser.add_argument_group("whole-program analysis (simsem / simrace)")
-    sem.add_argument("--sem", action="store_true",
-                     help="also run the cross-module semantic pass "
-                          "(SIM011-SIM015); analyze whole trees, not "
-                          "single files, for full precision")
-    sem.add_argument("--race", action="store_true",
-                     help="also run the same-instant race pass "
-                          "(SIM016-SIM018); shares the summary pass "
-                          "with --sem")
-    sem.add_argument("--perf", action="store_true",
-                     help="also run the hot-path performance pass "
-                          "(SIM019-SIM023); shares the summary pass "
-                          "with --sem/--race")
-    sem.add_argument("--from-telemetry", metavar="FILE",
-                     help="recorded repro.obs telemetry JSONL for the "
-                          "SIM022 registry-drift check (requires --perf)")
-    sem.add_argument("--baseline", metavar="FILE",
-                     help="ratchet file: suppress up to the baselined "
-                          "count of whole-program findings per (path, code)")
-    sem.add_argument("--write-baseline", metavar="FILE",
-                     help="write the current whole-program findings as "
-                          "the new baseline and exit 0")
-    sem.add_argument("--sem-cache", metavar="DIR", default=DEFAULT_CACHE_DIR,
-                     help="summary cache directory "
-                          f"(default: {DEFAULT_CACHE_DIR})")
-    sem.add_argument("--no-sem-cache", action="store_true",
-                     help="disable the summary cache for this run")
+    parser.add_argument("--from-telemetry", metavar="FILE",
+                        help="recorded repro.obs telemetry JSONL for the "
+                             "SIM022 registry-drift check")
     return parser
 
 
@@ -231,14 +132,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             _rule_listing_json() if args.format == "json" else _rule_listing()
         )
         return 0
-    if (args.baseline or args.write_baseline) and not (
-        args.sem or args.race or args.perf
-    ):
-        parser.error(
-            "--baseline/--write-baseline require --sem, --race or --perf"
-        )
-    if args.from_telemetry and not args.perf:
-        parser.error("--from-telemetry requires --perf")
     paths = list(args.paths)
     if not paths:
         if os.path.isdir(DEFAULT_TARGET):
@@ -249,15 +142,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "does not exist here"
             )
     selected = _selected_codes(args, parser)
-    project_gate = _project_gate(args)
-    analyzer = Analyzer(rules=_select_rules(selected, project_gate, parser))
+    if not selected:
+        parser.error("--select/--ignore left no rules to run")
+    analyzer = Analyzer(
+        rules=[rule for rule in syntactic_rules() if rule.code in selected]
+    )
 
     files = list(iter_python_files(paths))
-    if args.changed_only:
-        changed = _changed_files(parser)
-        files = [
-            path for path in files if os.path.abspath(str(path)) in changed
-        ]
     findings: List[Finding] = []
     fixed_total = 0
     for path in files:
@@ -268,52 +159,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             findings.extend(analyzer.lint_file(path))
 
-    sem_stats = None
-    if project_gate:
-        cache = None
-        if not args.no_sem_cache:
-            cache = SummaryCache(args.sem_cache)
-        project = ProjectAnalyzer(
-            cache=cache,
-            race=args.race,
-            perf=args.perf,
-            telemetry=(
-                Path(args.from_telemetry) if args.from_telemetry else None
-            ),
-        )
-        sem_findings = [
-            f
-            for f in project.analyze_paths(paths)
-            if (f.code in selected and f.code in project_gate)
-            or f.code == "SIM000"
-        ]
-        sem_stats = project.stats
-        if args.write_baseline:
-            write_baseline(args.write_baseline, sem_findings)
-            if not args.quiet:
-                print(
-                    f"simsem: baseline written to {args.write_baseline} "
-                    f"({len(sem_findings)} finding(s))",
-                    file=sys.stderr,
-                )
-            return 0
-        if args.baseline:
-            try:
-                baseline = load_baseline(args.baseline)
-            except BaselineError as exc:
-                parser.error(str(exc))
-            sem_findings = apply_baseline(sem_findings, baseline)
-        findings.extend(sem_findings)
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    project = ProjectAnalyzer(
+        telemetry=Path(args.from_telemetry) if args.from_telemetry else None
+    )
+    # A syntax error (SIM000) is already in the per-file findings.
+    findings.extend(
+        f for f in project.analyze_paths(paths) if f.code in selected
+    )
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
 
     if args.format == "json":
         payload = {
             "checked_files": len(files),
             "fixed": fixed_total,
             "findings": [f.to_json() for f in findings],
+            "sem": project.stats.as_dict(),
         }
-        if sem_stats is not None:
-            payload["sem"] = sem_stats.as_dict()
         print(json.dumps(payload, indent=2))
     elif args.format == "sarif":
         print(json.dumps(findings_to_sarif(findings), indent=2))
@@ -326,11 +187,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             if args.fix:
                 summary += f", {fixed_total} fixed"
-            if sem_stats is not None:
-                summary += (
-                    f" (sem: {sem_stats.computed} summarized, "
-                    f"{sem_stats.cached} cached)"
-                )
             print(summary, file=sys.stderr)
     return 1 if findings else 0
 

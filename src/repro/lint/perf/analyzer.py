@@ -32,13 +32,9 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.core import Finding, Severity
+from repro.lint.core import Finding
 from repro.lint.perf.hotpaths import HotPathRegistry
-from repro.lint.perf.info import PERF_RULE_INFOS
-
-_SEVERITIES: Dict[str, Severity] = {
-    info.code: info.severity for info in PERF_RULE_INFOS
-}
+from repro.lint.registry import PROJECT_SEVERITIES as _SEVERITIES
 
 #: SIM022 threshold: a component must exceed this share of total
 #: callback wall time in a recorded profile before registry membership

@@ -16,7 +16,6 @@ silent misparses.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
@@ -133,13 +132,6 @@ class HotPathRegistry:
     def items(self) -> Iterator[Tuple[str, str]]:
         for qname in sorted(self._reasons):
             yield qname, self._reasons[qname]
-
-    def digest(self) -> str:
-        """Content digest, for cache keys and report provenance."""
-        blob = "|".join(
-            f"{qname}={reason}" for qname, reason in self.items()
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 __all__ = [

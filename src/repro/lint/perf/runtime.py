@@ -25,7 +25,7 @@ function is reported as an *allocator* only when it shows a traced
 allocation above that floor on a majority of its firings
 (:meth:`AllocMonitor.allocators`) — structural per-event allocation,
 not free-list warmup noise.  The static cross-check
-(``python -m repro.lint.perf``) then demands that every such function
+(``python -m repro.lint.smoke``) then demands that every such function
 has an allocation site or allow-alloc pragma reachable in its summary
 call graph; anything else is an *unexplained* allocation.
 """
@@ -185,6 +185,7 @@ class AllocMonitor(Probe):
         """The run's totals, in the JSONL summary-record shape."""
         return {
             "kind": "summary",
+            "probe": self.kind,
             "events": self.events,
             "hot_events": self.hot_events,
             "functions": len(self.stats),

@@ -32,13 +32,9 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.lint.core import Finding, Severity
-from repro.lint.race.info import RACE_RULE_INFOS
+from repro.lint.core import Finding
+from repro.lint.registry import PROJECT_SEVERITIES as _SEVERITIES
 from repro.sim.priorities import PRIORITIES_MODULE, TIERS, tier_name
-
-_SEVERITIES: Dict[str, Severity] = {
-    info.code: info.severity for info in RACE_RULE_INFOS
-}
 
 _CLOSURE_ROUNDS = 8  # intra-class self-call fixpoint bound
 

@@ -160,6 +160,7 @@ class RaceMonitor(Probe):
         """The run's totals, in the JSONL summary-record shape."""
         return {
             "kind": "summary",
+            "probe": self.kind,
             "events": self.events,
             "batches": self.batches,
             "collisions": len(self.collisions),

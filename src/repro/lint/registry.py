@@ -1,58 +1,152 @@
-"""The single rule registry: syntactic rule classes + semantic rule infos.
+"""The single rule catalog: every code SIM001–SIM023 in one table.
 
-Before this module existed, the rule list was assembled independently by
-:mod:`repro.lint.cli` (code validation, ``--list-rules``) and
-:mod:`repro.lint.core` (the analyzer's default rule set), which is how
-catalogs drift.  Now both — plus the semantic pass, the tests and the
-docs — build from here:
+The per-file rules (SIM001–SIM010) are :class:`~repro.lint.core.Rule`
+classes and describe themselves; the whole-program rules
+(SIM011–SIM023) are findings of the join over the per-file summaries
+(:mod:`repro.lint.sem.project`, :mod:`repro.lint.race.analyzer`,
+:mod:`repro.lint.perf.analyzer`), not per-node rules, so their catalog
+rows are spelled out here in :data:`PROJECT_RULES`.  The CLI
+(``--list-rules``, ``--select``/``--ignore``), the SARIF driver, the
+analyzers' severities, the tests and LINTING.md all build from this
+module:
 
-* :func:`syntactic_rules` — fresh :class:`~repro.lint.core.Rule`
-  instances (SIM001–SIM010), what :class:`~repro.lint.core.Analyzer`
-  runs per file;
-* :func:`known_codes` — every valid code for ``--select``/``--ignore``,
-  optionally including the whole-program codes SIM011–SIM023;
-* :func:`catalog` — uniform entries for every code, in code order, for
-  ``--list-rules`` and LINTING.md cross-checks.
+* :func:`syntactic_rules` — fresh rule instances, what
+  :class:`~repro.lint.core.Analyzer` runs per file;
+* :func:`known_codes` — every valid code for ``--select``/``--ignore``;
+* :func:`catalog` — one uniform entry per code, in code order;
+* :data:`PROJECT_SEVERITIES` — severity per whole-program code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, List
+from typing import Dict, FrozenSet, List, Tuple
 
 from repro.lint.core import Rule, Severity
-from repro.lint.perf.info import PERF_CODES, PERF_RULE_INFOS
-from repro.lint.race.info import RACE_CODES, RACE_RULE_INFOS
 from repro.lint.rules import RULE_CLASSES, all_rules
-from repro.lint.sem.info import SEM_CODES, SEM_RULE_INFOS
-
-#: Analysis-ladder rung per catalog kind, for ``--list-rules`` display.
-KIND_RUNGS = {
-    "syntactic": "simlint",
-    "semantic": "simsem",
-    "race": "simrace",
-    "perf": "simperf",
-}
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One rule's catalog row, whichever pass implements it."""
+    """One rule's catalog row, whichever analysis implements it."""
 
     code: str
     name: str
     severity: Severity
     rationale: str
-    #: "syntactic" (per-file Rule), "semantic" (simsem whole-program),
-    #: "race" (simrace whole-program) or "perf" (simperf whole-program).
+    #: Which analysis reports it: "syntactic" (per-file Rule),
+    #: "semantic" (unit/seed/hook/handler dataflow), "race"
+    #: (same-instant ordering) or "perf" (hot-path cost).
     kind: str
     #: Whether ``--fix`` can rewrite this rule's findings.
     fixable: bool = False
 
-    @property
-    def rung(self) -> str:
-        """The analysis-ladder rung that implements the rule."""
-        return KIND_RUNGS[self.kind]
+
+PROJECT_RULES: Tuple[CatalogEntry, ...] = (
+    CatalogEntry(
+        "SIM011", "unit-sink-mismatch", Severity.ERROR,
+        "a value of one dimension (or a raw literal travelling through "
+        "assignments) reaches a parameter declared to take another; "
+        "seconds-vs-bytes mixups shift every figure silently",
+        "semantic",
+    ),
+    CatalogEntry(
+        "SIM012", "unit-unsafe-arithmetic", Severity.ERROR,
+        "adding values of different dimensions, or multiplying two "
+        "rates, is dimensionally meaningless; the result poisons every "
+        "downstream quantity",
+        "semantic",
+    ),
+    CatalogEntry(
+        "SIM013", "seed-provenance", Severity.ERROR,
+        "an RNG seeded from hash()/id()/pid-like entropy is "
+        "nondeterministic across processes even though it LOOKS seeded; "
+        "seeds must descend from a component seed or repro.sim.random",
+        "semantic",
+    ),
+    CatalogEntry(
+        "SIM014", "hook-conformance", Severity.ERROR,
+        "an observer hook call no observer class defines (or a defined "
+        "hook nothing ever fires) is silent protocol drift between the "
+        "model and the probe seam (repro.sim.probe and its probes)",
+        "semantic",
+    ),
+    CatalogEntry(
+        "SIM015", "dead-event-handler", Severity.WARNING,
+        "a handler-named callable nothing references can never be "
+        "reached from any schedule() site; it is either dead code or a "
+        "wiring bug",
+        "semantic",
+    ),
+    CatalogEntry(
+        "SIM016", "same-instant-write-write", Severity.ERROR,
+        "two distinct callbacks scheduled at one instant and equal "
+        "priority both rebind the same component attribute; the "
+        "surviving value depends on insertion order alone, which no "
+        "model code may rely on",
+        "race",
+    ),
+    CatalogEntry(
+        "SIM017", "seq-order-dependence", Severity.ERROR,
+        "a callback reads an attribute that a same-instant "
+        "equal-priority peer writes; the pair is non-commutative, so "
+        "swapping their insertion order changes the result silently",
+        "race",
+    ),
+    CatalogEntry(
+        "SIM018", "unnamed-priority-tier", Severity.WARNING,
+        "a periodic (self-rescheduling) callback is scheduled at the "
+        "default or a bare-literal priority: its ticks walk onto "
+        "instants shared with model events, where ordering must be "
+        "named via repro.sim.priorities — the PR 4 sampler-bug shape",
+        "race",
+    ),
+    CatalogEntry(
+        "SIM019", "hot-path-allocation", Severity.ERROR,
+        "An allocation site (constructor call, display, comprehension, "
+        "f-string, str concat, lambda/closure) inside a function "
+        "registered in hotpaths.toml; PR 6's allocation-free fast "
+        "paths regress silently otherwise.  Waive a deliberate site "
+        "with `# simperf: allow-alloc(<reason>)`.",
+        "perf",
+    ),
+    CatalogEntry(
+        "SIM020", "unhoisted-attr-chain", Severity.WARNING,
+        "An attribute chain two or more hops deep resolved repeatedly "
+        "inside a loop of a hot function; pre-bind it to a local "
+        "(the Link._rebind idiom) so each event pays one LOAD_FAST.",
+        "perf",
+    ),
+    CatalogEntry(
+        "SIM021", "hot-calls-allocating-callee", Severity.WARNING,
+        "A hot function calls a non-hot callee whose summary records "
+        "unwaived allocation sites — the allocation is one hop away "
+        "and invisible to SIM019.  Register the callee as hot, hoist "
+        "the call, or waive the call line with allow-alloc.",
+        "perf",
+    ),
+    CatalogEntry(
+        "SIM022", "hot-registry-drift", Severity.ERROR,
+        "A function exceeds the wall-time share threshold in recorded "
+        "repro.obs telemetry but is absent from hotpaths.toml, so "
+        "none of the hot-path rules protect it; add it to the "
+        "registry (closes the profiler->analyzer loop).",
+        "perf",
+    ),
+    CatalogEntry(
+        "SIM023", "hot-path-dynamic-call", Severity.WARNING,
+        "A call in a hot function that defeats CPython's fast calling "
+        "convention: **kwargs / *args unpacking (builds a dict or "
+        "tuple per event) or an explicit dunder call routed through "
+        "the slow lookup path.",
+        "perf",
+    ),
+)
+
+#: Severity per whole-program code, for the analyzers that emit them.
+PROJECT_SEVERITIES: Dict[str, Severity] = {
+    entry.code: entry.severity for entry in PROJECT_RULES
+}
 
 
 def syntactic_rules() -> List[Rule]:
@@ -60,18 +154,8 @@ def syntactic_rules() -> List[Rule]:
     return all_rules()
 
 
-def known_codes(include_sem: bool = True) -> FrozenSet[str]:
-    """Every rule code the CLI accepts."""
-    codes = {cls.code for cls in RULE_CLASSES}
-    if include_sem:
-        codes.update(SEM_CODES)
-        codes.update(RACE_CODES)
-        codes.update(PERF_CODES)
-    return frozenset(codes)
-
-
 def catalog() -> List[CatalogEntry]:
-    """All rules — syntactic and whole-program — as uniform entries."""
+    """All rules — per-file and whole-program — in code order."""
     entries = [
         CatalogEntry(
             code=cls.code,
@@ -83,28 +167,20 @@ def catalog() -> List[CatalogEntry]:
         )
         for cls in RULE_CLASSES
     ]
-    for kind, infos in (
-        ("semantic", SEM_RULE_INFOS),
-        ("race", RACE_RULE_INFOS),
-        ("perf", PERF_RULE_INFOS),
-    ):
-        entries.extend(
-            CatalogEntry(
-                code=info.code,
-                name=info.name,
-                severity=info.severity,
-                rationale=info.rationale,
-                kind=kind,
-            )
-            for info in infos
-        )
+    entries.extend(PROJECT_RULES)
     entries.sort(key=lambda entry: entry.code)
     return entries
 
 
+def known_codes() -> FrozenSet[str]:
+    """Every rule code the CLI accepts."""
+    return frozenset(entry.code for entry in catalog())
+
+
 __all__ = [
     "CatalogEntry",
-    "KIND_RUNGS",
+    "PROJECT_RULES",
+    "PROJECT_SEVERITIES",
     "catalog",
     "known_codes",
     "syntactic_rules",

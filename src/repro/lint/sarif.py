@@ -1,9 +1,8 @@
 """SARIF 2.1.0 serialization for lint findings.
 
-One ``run`` whose tool driver enumerates the full rule catalog —
-syntactic (simlint), semantic (simsem) and race (simrace) — so that CI
-SARIF upload annotates PR diffs with whichever passes actually ran.
-Pure stdlib, like everything under :mod:`repro.lint`.
+One ``run`` whose tool driver enumerates the full rule catalog
+(:func:`repro.lint.registry.catalog`), so that CI SARIF upload annotates
+PR diffs.  Pure stdlib, like everything under :mod:`repro.lint`.
 """
 
 from __future__ import annotations

@@ -1,43 +1,28 @@
-"""simsem: cross-module semantic analysis for the simulator.
+"""Cross-module semantic analysis: the whole-program half of the lint pass.
 
-Two phases (see LINTING.md for the rule catalog SIM011–SIM015):
+Two phases (see LINTING.md for the rule catalog):
 
 1. :mod:`repro.lint.sem.summary` extracts one JSON-serializable summary
-   per file — symbol definitions, abstract argument values, locally
-   decidable findings — cacheable by content hash
-   (:mod:`repro.lint.sem.cache`);
+   per file — symbol definitions, abstract argument values, scheduler
+   calls, per-function cost records, locally decidable findings;
 2. :mod:`repro.lint.sem.project` joins the summaries into whole-program
    tables and checks unit-sink dataflow, hook conformance and handler
    reachability against the sink registry
-   (:mod:`repro.lint.sem.registry`).
+   (:mod:`repro.lint.sem.registry`), then hands the same summaries to
+   the race (:mod:`repro.lint.race.analyzer`) and hot-path
+   (:mod:`repro.lint.perf.analyzer`) joins.
 
-Run it via ``python -m repro lint --sem src/repro``.
+``python -m repro.lint`` runs it on every invocation.
 """
 
-from repro.lint.sem.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.lint.sem.cache import DEFAULT_CACHE_DIR, SummaryCache, summary_key
-from repro.lint.sem.info import SEM_CODES, SEM_RULE_INFOS, SemRuleInfo
 from repro.lint.sem.project import ProjectAnalyzer, SemStats
 from repro.lint.sem.registry import SinkRegistry, SinkRegistryError
 from repro.lint.sem.summary import build_summary
 
 __all__ = [
-    "DEFAULT_CACHE_DIR",
     "ProjectAnalyzer",
-    "SEM_CODES",
-    "SEM_RULE_INFOS",
-    "SemRuleInfo",
     "SemStats",
     "SinkRegistry",
     "SinkRegistryError",
-    "SummaryCache",
-    "apply_baseline",
     "build_summary",
-    "load_baseline",
-    "summary_key",
-    "write_baseline",
 ]

@@ -1,20 +1,23 @@
-"""Phase 2 of simsem: cross-module checks over the per-file summaries.
+"""Phase 2: cross-module checks over the per-file summaries.
 
-Given the summaries (freshly extracted or replayed from the cache), this
-module builds the whole-program tables — symbol definitions, module
-constants, the effective sink set (checked-in registry + alias
-annotations + derived passthrough sinks) — and emits:
+Given the summaries, this module builds the whole-program tables —
+symbol definitions, module constants, the effective sink set
+(checked-in registry + alias annotations + derived passthrough sinks) —
+and emits:
 
 * **SIM011** unit-sink-mismatch: a value whose dimension is known (or a
   raw literal that travelled through assignments) reaches a parameter
   declared with a different dimension;
 * **SIM012 / SIM013**: locally decided during phase 1, replayed from
-  the summaries here so a warm cache still reports them;
+  the summaries here;
 * **SIM014** hook-conformance: ``observer.on_x(...)`` calls vs. ``on_*``
   methods defined by observers in ``repro.validate`` / ``repro.obs`` —
   both directions (undefined hook fired, defined hook never fired);
 * **SIM015** dead-event-handler: handler-named defs no identifier in
-  the whole analyzed tree references.
+  the whole analyzed tree references;
+* **SIM016–SIM018** and **SIM019–SIM023**: the race and hot-path joins
+  (:mod:`repro.lint.race.analyzer`, :mod:`repro.lint.perf.analyzer`)
+  over the same summaries.
 
 SIM014 and SIM015 are whole-program properties: they only run when the
 analyzed set actually contains observer modules (for SIM014), and their
@@ -29,15 +32,13 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.lint.core import Finding, Severity, iter_python_files
+from repro.lint.perf.analyzer import check_perf
+from repro.lint.perf.hotpaths import HotPathRegistry
+from repro.lint.race.analyzer import check_races
+from repro.lint.registry import PROJECT_SEVERITIES as _SEVERITIES
 from repro.lint.rules.numerics import UNIT_KWARGS
-from repro.lint.sem.cache import SummaryCache, summary_key
-from repro.lint.sem.info import SEM_RULE_INFOS
 from repro.lint.sem.registry import SinkRegistry
 from repro.lint.sem.summary import build_summary
-
-_SEVERITIES: Dict[str, Severity] = {
-    info.code: info.severity for info in SEM_RULE_INFOS
-}
 
 #: Module prefixes whose classes play the observer role (SIM014): the
 #: probe protocol itself and every package that implements a probe.
@@ -54,20 +55,13 @@ _DERIVATION_ROUNDS = 8  # sink-passthrough fixpoint bound (call depth)
 
 @dataclass
 class SemStats:
-    """Bookkeeping for one analysis run (cache efficiency, volume)."""
+    """Volume of one analysis run."""
 
     files: int = 0
-    computed: int = 0
-    cached: int = 0
     findings: int = 0
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "files": self.files,
-            "computed": self.computed,
-            "cached": self.cached,
-            "findings": self.findings,
-        }
+        return {"files": self.files, "findings": self.findings}
 
 
 @dataclass
@@ -149,55 +143,25 @@ class _EffectiveSinks:
 
 
 class ProjectAnalyzer:
-    """Two-phase cross-module analyzer (simsem's entry point)."""
+    """Two-phase whole-program analyzer: summaries, then every join."""
 
     def __init__(
         self,
         registry: Optional[SinkRegistry] = None,
-        cache: Optional[SummaryCache] = None,
-        race: bool = False,
-        perf: bool = False,
         telemetry: Optional[Path] = None,
-        hotpaths: Optional[Any] = None,
+        hotpaths: Optional[HotPathRegistry] = None,
     ) -> None:
         self.registry = registry if registry is not None else SinkRegistry.load()
-        self.cache = cache
-        #: Also run the simrace join checks (SIM016–SIM018) over the same
-        #: summaries.  Phase 1 is shared either way: the v3 summaries
-        #: always carry the race facts, so enabling this costs only the
-        #: extra join work.
-        self.race = race
-        #: Also run the simperf join checks (SIM019–SIM023); the v4
-        #: summaries always carry the cost records, same deal as race.
-        self.perf = perf
         #: Recorded ``repro.obs`` telemetry JSONL for the SIM022
-        #: registry-drift check (``--from-telemetry``); only consulted
-        #: when ``perf`` is on.
+        #: registry-drift check (``--from-telemetry``).
         self.telemetry = telemetry
-        #: A :class:`~repro.lint.perf.hotpaths.HotPathRegistry` override
-        #: for the perf join (fixture projects carry their own); ``None``
-        #: means the checked-in ``hotpaths.toml``.
+        #: Hot-path registry override for the perf join (fixture
+        #: projects carry their own); ``None`` means the checked-in
+        #: ``hotpaths.toml``.
         self.hotpaths = hotpaths
         self.stats = SemStats()
 
     # -- phase 1 ----------------------------------------------------------
-
-    def _summarize(self, path: str, source: str) -> Dict[str, Any]:
-        self.stats.files += 1
-        if self.cache is None:
-            self.stats.computed += 1
-            return build_summary(path, source)
-        key = summary_key(source, self.registry.digest())
-        cached = self.cache.get(key)
-        # The summary stores its (possibly virtual) path; a file moved
-        # byte-identically still needs its findings at the new path.
-        if cached is not None and cached.get("path") == path.replace("\\", "/"):
-            self.stats.cached += 1
-            return cached
-        self.stats.computed += 1
-        summary = build_summary(path, source)
-        self.cache.put(key, summary)
-        return summary
 
     def analyze_paths(
         self, paths: Iterable["str | Path"]
@@ -213,13 +177,12 @@ class ProjectAnalyzer:
         """Analyze (path, source) pairs — the paths may be virtual (the
         fixture corpus builds mini-projects from ``# simlint-path:``
         headers)."""
-        self.stats = SemStats()
         summaries = [
-            self._summarize(path.replace("\\", "/"), source)
+            build_summary(path.replace("\\", "/"), source)
             for path, source in sorted(items)
         ]
         findings = self._check(summaries)
-        self.stats.findings = len(findings)
+        self.stats = SemStats(files=len(summaries), findings=len(findings))
         return findings
 
     # -- phase 2 ----------------------------------------------------------
@@ -232,23 +195,14 @@ class ProjectAnalyzer:
         findings.extend(self._check_sinks(program, sinks))
         findings.extend(self._check_hooks(program))
         findings.extend(self._check_dead_handlers(program))
-        if self.race:
-            # Imported lazily: the race analyzer depends on this module's
-            # summaries but sem-only runs should not pay for it.
-            from repro.lint.race.analyzer import check_races
-
-            findings.extend(check_races(program.summaries))
-        if self.perf:
-            # Same lazy-import contract as the race join above.
-            from repro.lint.perf.analyzer import check_perf
-
-            findings.extend(
-                check_perf(
-                    program.summaries,
-                    registry=self.hotpaths,
-                    telemetry=self.telemetry,
-                )
+        findings.extend(check_races(program.summaries))
+        findings.extend(
+            check_perf(
+                program.summaries,
+                registry=self.hotpaths,
+                telemetry=self.telemetry,
             )
+        )
         findings = self._apply_suppressions(program, findings)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
         return findings

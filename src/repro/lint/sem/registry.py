@@ -21,7 +21,6 @@ stdlib on every supported Python (``tomllib`` only exists from 3.11).
 
 from __future__ import annotations
 
-import hashlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -176,15 +175,6 @@ class SinkRegistry:
 
     def __len__(self) -> int:
         return len(self._sinks)
-
-    def digest(self) -> str:
-        """Stable content hash; part of every summary-cache key."""
-        payload = "|".join(
-            f"{qname}:{param}={dimension}"
-            for qname, params in self.items()
-            for param, dimension in sorted(params.items())
-        )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 __all__ = [

@@ -1,11 +1,11 @@
-"""Phase 1 of simsem: one JSON-serializable summary per source file.
+"""Phase 1: one JSON-serializable summary per source file.
 
 The summary carries *everything* phase 2 needs — symbol definitions,
 import bindings, call records with abstract argument values, locally
 decidable findings (SIM012 unit-unsafe arithmetic, SIM013 seed
 provenance), observer-hook call/definition sites, handler-named defs and
-the file's identifier reference set — so that a cached summary fully
-substitutes for re-parsing the file.  Anything that requires another
+the file's identifier reference set — so that no join ever re-parses
+a file.  Anything that requires another
 file's facts (sink resolution, hook conformance, dead handlers) is left
 to :mod:`repro.lint.sem.project`.
 
@@ -37,19 +37,6 @@ from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.lint.core import Suppressions, _normalize
 from repro.sim.units import ANNOTATION_DIMENSIONS, CONSTRUCTOR_DIMENSIONS
-
-#: Bump when the summary schema or extraction logic changes; part of the
-#: cache key, so stale cached summaries can never be replayed.
-#: v3: per-function self read/write sets, scheduler-call records
-#: (``sched_calls``) and self-receiver call marking, for simrace
-#: (:mod:`repro.lint.race`).
-#: v4: per-function ``cost`` records (allocation sites, in-loop global
-#: loads, repeated attribute chains, kwargs/dunder call shapes, try
-#: inside loops) and the ``# simperf: allow-alloc(...)`` pragma map, for
-#: simperf (:mod:`repro.lint.perf`).
-#: v5: SIM014 hook receivers follow the single probe seam (``probe`` +
-#: per-object ``observer``), so ``hook_calls`` extraction changed.
-SUMMARY_VERSION = 5
 
 UNITS_MODULE = "repro.sim.units"
 RANDOM_STREAMS = "repro.sim.random.RandomStreams"
@@ -1124,7 +1111,6 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
         tree = ast.parse(source, filename=posix)
     except SyntaxError as exc:
         return {
-            "version": SUMMARY_VERSION,
             "path": posix,
             "module": module,
             "parse_error": True,
@@ -1264,7 +1250,6 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
             perf_pragmas[str(lineno)] = pragma.group(1).strip()
 
     return {
-        "version": SUMMARY_VERSION,
         "path": posix,
         "module": module,
         "parse_error": False,
@@ -1284,7 +1269,6 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
 
 __all__ = [
     "PERF_PRAGMA_RE",
-    "SUMMARY_VERSION",
     "HANDLER_NAME_RE",
     "build_summary",
     "module_name_for_path",

@@ -1,0 +1,223 @@
+"""The sanitizer smoke: ``python -m repro.lint.smoke``.
+
+Runs each golden scenario once with both runtime sanitizers on the
+probe seam — ``probing(RaceMonitor(), AllocMonitor(registry))``; the
+seam's bracket order puts the race monitor outside the allocation
+monitor's tracemalloc window — and then the two engine micro cells.
+Exit code 0 needs all of:
+
+* **no observed collisions** — no two distinct callbacks rebound the
+  same attribute of one object within an equal-``(time, priority)``
+  batch (:mod:`repro.lint.race.runtime`);
+* **no unexplained allocators** — every registered hot function that
+  tracemalloc saw allocating on a majority of its firings has a static
+  explanation: an allocation site (waived or not) reachable from it
+  through the summary call graph
+  (:func:`repro.lint.perf.analyzer.explained_hot_functions`);
+* **no invariant violations** — the validator stayed quiet;
+* **bit-identical digests** — the sanitizers observed without
+  perturbing: every scenario digest still matches its checked-in golden;
+* **allocation-free micro cells** — with *every* callback traced after a
+  free-list warmup segment, neither the ``schedule()`` cell nor the
+  ``post()`` cell (the ledger's ``sim.schedule_fire_ns`` /
+  ``sim.post_fire_ns`` drivers) allocates on a majority of firings.
+
+``--out`` writes one JSONL report regardless of outcome (per scenario:
+collision records, the race summary, per-function allocation records,
+the allocation summary; then one summary per micro cell — see
+OBSERVABILITY.md), so CI can upload it as an artifact.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence
+
+from repro.lint.core import iter_python_files
+from repro.lint.perf.analyzer import explained_hot_functions
+from repro.lint.perf.hotpaths import HotPathRegistry
+from repro.lint.perf.runtime import AllocMonitor
+from repro.lint.race.runtime import RaceMonitor
+from repro.lint.sem.summary import build_summary
+from repro.sim.engine import Simulator
+from repro.sim.probe import probing
+from repro.validate.golden import check_digest, format_diff
+from repro.validate.scenarios import run_scenario, scenario_names
+
+#: The tree the static explanation closure is built from: the package
+#: this module was imported from, wherever the process was started.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+#: Micro-cell sizes: enough events past warmup that free-list noise
+#: cannot reach the majority threshold, small enough for a CI smoke.
+_MICRO_WARMUP = 20_000
+_MICRO_EVENTS = 80_000
+
+
+def tree_summaries() -> List[Dict[str, Any]]:
+    """Phase-1 summaries of the whole ``repro`` package."""
+    return [
+        build_summary(str(path), path.read_text(encoding="utf-8"))
+        for path in iter_python_files([PACKAGE_ROOT])
+    ]
+
+
+# -- micro cells ---------------------------------------------------------
+
+
+def _micro_schedule_fire(monitor: AllocMonitor) -> int:
+    """The ``schedule()`` cell, split so the monitor attaches only after
+    a free-list warmup segment."""
+    sim = Simulator()
+    noop = lambda: None  # noqa: E731 - the cheapest possible callback
+    schedule = sim.schedule
+    for i in range(_MICRO_EVENTS):
+        schedule(i * 1e-6, noop)
+    sim.run(max_events=_MICRO_WARMUP)
+    monitor.attach(sim)
+    sim.run()
+    return sim.events_processed
+
+
+def _micro_hotpath_fire(monitor: AllocMonitor) -> int:
+    """The ``post()`` cell: self-posting chains through the
+    allocation-free hot path."""
+    sim = Simulator()
+    post = sim.post
+    fired = [0]
+
+    def tick() -> None:
+        fired[0] += 1
+        if fired[0] < _MICRO_EVENTS:
+            post(1.3e-6, tick)
+
+    for lane in range(8):
+        sim.schedule(lane * 1e-7, tick)
+    sim.run(max_events=_MICRO_WARMUP)
+    monitor.attach(sim)
+    sim.run()
+    return sim.events_processed
+
+
+MICRO_CELLS: Dict[str, Callable[[AllocMonitor], int]] = {
+    "micro_schedule_fire": _micro_schedule_fire,
+    "micro_hotpath_fire": _micro_hotpath_fire,
+}
+
+
+# -- the run -------------------------------------------------------------
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro.lint.smoke",
+        description=(
+            "run golden scenarios under the race and allocation "
+            "sanitizers, cross-check digests, observed collisions and "
+            "observed allocators, then trace the engine micro cells"
+        ),
+    )
+    parser.add_argument(
+        "--scenario",
+        action="append",
+        metavar="NAME",
+        help="golden scenario to run (repeatable; default: all of them)",
+    )
+    parser.add_argument("--out", metavar="FILE",
+                        help="write the JSONL sanitizer report here")
+    parser.add_argument("-q", "--quiet", action="store_true",
+                        help="only print failures")
+    return parser
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(list(argv) if argv is not None else None)
+
+    known = scenario_names()
+    names = list(args.scenario) if args.scenario else known
+    for name in names:
+        if name not in known:
+            parser.error(
+                f"unknown scenario {name!r} (known: {', '.join(known)})"
+            )
+
+    registry = HotPathRegistry.load()
+    explained = explained_hot_functions(tree_summaries(), registry)
+
+    records: List[Dict[str, Any]] = []
+    ok = True
+    for name in names:
+        with probing(RaceMonitor(), AllocMonitor(registry)) as (race, alloc):
+            digest, validator = run_scenario(name)
+        unexplained = sorted(set(alloc.allocators()) - explained)
+        problems: List[str] = []
+        if race.collisions:
+            problems.append(f"{len(race.collisions)} collision(s)")
+        if unexplained:
+            problems.append(
+                f"{len(unexplained)} unexplained allocator(s): "
+                + ", ".join(unexplained)
+            )
+        if validator.violations:
+            problems.append(
+                f"{len(validator.violations)} invariant violation(s)"
+            )
+        differences = check_digest(name, digest)
+        if differences:
+            problems.append("digest mismatch under the sanitizers")
+            print(format_diff(name, differences), file=sys.stderr)
+        records.extend(race.collisions)
+        records.append({**race.summary(), "scenario": name})
+        records.extend(
+            {"kind": "function", "scenario": name, "function": dotted,
+             **alloc.stats[dotted]}
+            for dotted in sorted(alloc.stats)
+        )
+        records.append(
+            {**alloc.summary(), "scenario": name, "unexplained": unexplained}
+        )
+        if problems or not args.quiet:
+            print(
+                f"{name:<28} {', '.join(problems) or 'ok'}  "
+                f"[{race.events} events, "
+                f"{race.batches} same-instant batches, "
+                f"{alloc.hot_events} hot]"
+            )
+        ok = ok and not problems
+
+    for name, cell in MICRO_CELLS.items():
+        monitor = AllocMonitor(trace_all=True)
+        try:
+            events = cell(monitor)
+        finally:
+            monitor.close()
+        allocators = monitor.allocators()
+        records.append({**monitor.summary(), "scenario": name})
+        if allocators or not args.quiet:
+            status = (
+                f"{len(allocators)} per-event allocator(s): "
+                + ", ".join(allocators)
+                if allocators
+                else "ok"
+            )
+            print(
+                f"{name:<28} {status}  [{events} events, "
+                f"{monitor.hot_events} traced]"
+            )
+        ok = ok and not allocators
+
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            for record in records:
+                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        if not args.quiet:
+            print(f"smoke report: {args.out} ({len(records)} record(s))")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":  # pragma: no cover - exercised via subprocess
+    sys.exit(main())

@@ -51,6 +51,7 @@ class Link:
         "observer",
         "_deliver",
         "_serve",
+        "_resume",
     )
 
     def __init__(
@@ -88,6 +89,9 @@ class Link:
         self.observer = None
         self._deliver = dst.receive
         self._serve = self._finish_transmission
+        #: ``set_up()`` arrived while a doomed frame was still in
+        #: service; its finish event raises ``up`` (see :meth:`set_up`).
+        self._resume = False
 
     def _rebind(self) -> None:
         """Refresh the pre-bound hot-path callbacks.
@@ -129,14 +133,29 @@ class Link:
         return True
 
     def set_down(self) -> None:
-        """Take the link down, discarding queued packets."""
+        """Take the link down, discarding queued packets.
+
+        A frame in service is lost too: its pending finish event finds
+        the link down and counts it in ``queue.stats.dropped``.
+        """
         self.up = False
+        self._resume = False
         while self.queue.pop() is not None:
             self.queue.stats.dropped += 1
 
     def set_up(self) -> None:
-        """Bring the link back up."""
-        self.up = True
+        """Bring the link back up.
+
+        A frame that was in service when the link went down stays lost
+        however soon the link returns: while its finish event is still
+        pending the link stays down, and that event's down arm raises
+        ``up`` — so a flap shorter than one serialization time cannot
+        revive it, and the transmit arm never has to ask.
+        """
+        if self.busy and not self.up:
+            self._resume = True
+        else:
+            self.up = True
 
     @property
     def occupancy(self) -> int:
@@ -172,8 +191,13 @@ class Link:
                 return
             self.busy = False
             return
-        self.queue.pop()
+        # Went down mid-serialization: the frame is lost.  The queue is
+        # empty (set_down flushed it, enqueue refuses while down).
+        self.queue.stats.dropped += 1
         self.busy = False
+        if self._resume:
+            self._resume = False
+            self.up = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "DOWN"

@@ -98,7 +98,9 @@ class Simulator:
     #: insertion-sort (C bisect + list-insert memmove), and the per-packet
     #: layers post short-delay events constantly, so small runs trade a
     #: few extra promotions (one cheap Timsort each) for much cheaper
-    #: in-run inserts.  Tuned on the BENCH_engine.json cells.
+    #: in-run inserts.  Tuned on the engine cells the ledger now carries
+    #: (BENCHMARK.json: sim.schedule_fire_ns, sim.post_fire_ns,
+    #: sim.events_per_s.*).
     RUN_LO = 8
     RUN_HI = 128
     #: Hard cap: an oversized run is cut back to ~RUN_MAX at a time

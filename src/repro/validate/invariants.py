@@ -141,8 +141,9 @@ def _observed_link_class(cls: type) -> type:
 
     def _finish_transmission(self: Any, packet: Any) -> None:
         # Capture up/down before the base method: it may start the next
-        # transmission, but it cannot flip ``up`` (that takes an external
-        # set_down call, which runs as its own event).
+        # transmission, and its down arm raises ``up`` when a set_up()
+        # was deferred behind the lost frame; it never takes it down
+        # (that needs an external set_down call, its own event).
         was_up = self.up
         cls._finish_transmission(self, packet)
         if was_up and self.observer is not None:

@@ -1,5 +1,5 @@
 """Tests for the fluid backend package (repro.fluid) and the integrator
-fixes in repro.core.fluid it depends on: exact step counts, final-state
+fixes it depends on: exact step counts, final-state
 sampling, tail-fraction validation, Eq. 2/3 equilibrium properties, the
 reference/vector solver equivalence, combinatorial fat-tree paths, and
 the runner/telemetry backend plumbing."""
@@ -8,7 +8,8 @@ import math
 
 import pytest
 
-from repro.core import fluid, utility
+from repro import fluid
+from repro.core import utility
 from repro.fluid import (
     FluidScenario,
     integrate_model,

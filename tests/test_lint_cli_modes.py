@@ -1,22 +1,21 @@
-"""CLI-mode tests for ``python -m repro.lint``: flag interactions.
+"""CLI-surface tests for ``python -m repro.lint`` and ``repro.lint.smoke``.
 
-Covers the gating matrix (``--select`` × ``--sem`` × ``--race`` ×
-``--perf``), exit codes, ``--list-rules`` in both formats, SARIF
-output, ``--changed-only`` git scoping, the baseline ratchet over race
-findings, and corrupt-cache-is-miss for the extended (v3) summary
-schema.
+There is one pass and one sanitizer smoke, so this file pins what the
+surface *is*: the removed mode flags are usage errors, ``--select`` of a
+whole-program code needs no mode flag, one no-flag run over a mixed
+project reports every rule family together in all three formats, and the
+smoke runner's report and exit codes.
 """
 
 import json
-import subprocess
 
 import pytest
 
+from repro.lint import smoke
 from repro.lint.cli import main as lint_main
-from repro.lint.sem import ProjectAnalyzer
-from repro.lint.sem.cache import SummaryCache
+from repro.lint.race.runtime import RaceMonitor
 
-pytestmark = pytest.mark.simrace
+pytestmark = pytest.mark.lint
 
 RACY_SOURCE = '''\
 class Cell:
@@ -39,6 +38,32 @@ CLEAN_SOURCE = "def helper(x):\n    return x + 1\n"
 
 WALLCLOCK_SOURCE = "import time\n\n\ndef stamp():\n    return time.time()\n"
 
+UNIT_MISMATCH_SOURCE = '''\
+from repro.sim.units import Seconds, megabits_per_second
+
+
+def set_timeout(timeout: Seconds) -> None:
+    pass
+
+
+def run() -> None:
+    set_timeout(megabits_per_second(1))
+'''
+
+#: Lands on a hot path of the checked-in hotpaths.toml once it sits at
+#: ``<project>/repro/net/link.py`` (module ``repro.net.link``).
+HOT_ALLOC_SOURCE = '''\
+class Link:
+    def __init__(self):
+        self.log = []
+
+    def enqueue(self, sim, packet):
+        sim.post(1.0, self._finish_transmission, packet)
+
+    def _finish_transmission(self, packet):
+        self.log.append([packet, packet])
+'''
+
 
 @pytest.fixture
 def racy_project(tmp_path):
@@ -46,82 +71,130 @@ def racy_project(tmp_path):
     return tmp_path
 
 
+@pytest.fixture
+def mixed_project(tmp_path):
+    """One finding per rule family: SIM002, SIM011, SIM016, SIM019."""
+    (tmp_path / "stamp.py").write_text(WALLCLOCK_SOURCE, encoding="utf-8")
+    (tmp_path / "units_mod.py").write_text(
+        UNIT_MISMATCH_SOURCE, encoding="utf-8"
+    )
+    (tmp_path / "cell.py").write_text(RACY_SOURCE, encoding="utf-8")
+    net = tmp_path / "repro" / "net"
+    net.mkdir(parents=True)
+    (net / "link.py").write_text(HOT_ALLOC_SOURCE, encoding="utf-8")
+    return tmp_path
+
+
+MIXED_CODES = ["SIM002", "SIM011", "SIM016", "SIM019"]
+
+
 # ----------------------------------------------------------------------
-# Gating matrix and exit codes
+# The removed ladder
 # ----------------------------------------------------------------------
 
 
-def test_race_codes_gated_behind_race_flag(racy_project):
-    target = str(racy_project)
-    assert lint_main([target, "-q"]) == 0
-    assert lint_main(["--sem", target, "-q"]) == 0
-    assert lint_main(["--race", target, "-q"]) == 1
-    assert lint_main(["--sem", "--race", target, "-q"]) == 1
-
-
-def test_select_race_code_requires_race_flag(racy_project):
-    target = str(racy_project)
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--sem"],
+        ["--race"],
+        ["--perf"],
+        ["--changed-only"],
+        ["--baseline", "b.json"],
+        ["--write-baseline", "b.json"],
+        ["--sem-cache", "dir"],
+        ["--no-sem-cache"],
+    ],
+    ids=lambda flag: flag[0],
+)
+def test_removed_flags_are_usage_errors(flag, racy_project):
     with pytest.raises(SystemExit) as excinfo:
-        lint_main(["--select", "SIM016", target, "-q"])
+        lint_main([*flag, str(racy_project), "-q"])
     assert excinfo.value.code == 2
-    assert lint_main(["--select", "SIM016", "--race", target, "-q"]) == 1
-    # Selecting one race code mutes the others but keeps the pass on.
-    assert lint_main(["--select", "SIM018", "--race", target, "-q"]) == 0
+
+
+def test_option_count_is_the_documented_seven():
+    from repro.lint.cli import build_parser
+
+    options = sorted(
+        action.option_strings[-1]
+        for action in build_parser()._actions
+        if action.option_strings and "--help" not in action.option_strings
+    )
+    assert options == [
+        "--fix", "--format", "--from-telemetry", "--ignore",
+        "--list-rules", "--quiet", "--select",
+    ]
+
+
+# ----------------------------------------------------------------------
+# --select / --ignore with no mode flag
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("code", ["SIM011", "SIM016", "SIM019"])
+def test_select_whole_program_code_needs_no_mode_flag(code, mixed_project):
+    target = str(mixed_project)
+    assert lint_main(["--select", code, target, "-q"]) == 1
+    assert lint_main(["--ignore", code, target, "-q"]) == 1  # the others
+    assert lint_main(["--ignore", ",".join(MIXED_CODES), target, "-q"]) == 0
 
 
 def test_select_interacts_across_passes(tmp_path):
     (tmp_path / "cell.py").write_text(RACY_SOURCE, encoding="utf-8")
     (tmp_path / "stamp.py").write_text(WALLCLOCK_SOURCE, encoding="utf-8")
     target = str(tmp_path)
-    # Syntactic finding only, race pass muted by --select:
-    assert lint_main(["--select", "SIM002", "--race", target, "-q"]) == 1
+    # Selecting one race code mutes the others and the per-file rules:
+    assert lint_main(["--select", "SIM018", target, "-q"]) == 0
+    # Syntactic finding only, race finding muted by --select:
+    assert lint_main(["--select", "SIM002", target, "-q"]) == 1
     # --ignore drops the race finding, syntactic SIM002 remains:
-    assert lint_main(["--race", "--ignore", "SIM016", target, "-q"]) == 1
-    assert lint_main(
-        ["--race", "--ignore", "SIM002,SIM016", target, "-q"]
-    ) == 0
+    assert lint_main(["--ignore", "SIM016", target, "-q"]) == 1
+    assert lint_main(["--ignore", "SIM002,SIM016", target, "-q"]) == 0
 
 
-HOT_ALLOC_SOURCE = '''\
-class Pump:
-    def __init__(self):
-        self.log = []
-
-    def on_event(self, seq):
-        self.log.append([seq, seq + 1])
-
-    def prime(self, sim):
-        sim.schedule(0.0, self.on_event)
-'''
-
-
-def test_perf_codes_gated_behind_perf_flag(tmp_path, monkeypatch):
-    """A hot-path allocation only reports under --perf — and only when
-    the file lands on a registered hot path, which needs the virtual
-    module to match hotpaths.toml; here we just pin the gating."""
-    (tmp_path / "pump.py").write_text(HOT_ALLOC_SOURCE, encoding="utf-8")
-    target = str(tmp_path)
-    assert lint_main([target, "-q"]) == 0
-    assert lint_main(["--sem", target, "-q"]) == 0
-    assert lint_main(["--perf", target, "-q"]) == 0  # not registered hot
-    with pytest.raises(SystemExit) as excinfo:
-        lint_main(["--select", "SIM019", target, "-q"])
-    assert excinfo.value.code == 2
-    assert lint_main(["--select", "SIM019", "--perf", target, "-q"]) == 0
-
-
-def test_from_telemetry_requires_perf_flag(tmp_path):
+def test_from_telemetry_needs_no_mode_flag(tmp_path):
     telemetry = tmp_path / "runs.jsonl"
     telemetry.write_text("", encoding="utf-8")
     (tmp_path / "ok.py").write_text(CLEAN_SOURCE, encoding="utf-8")
-    with pytest.raises(SystemExit) as excinfo:
-        lint_main(
-            ["--from-telemetry", str(telemetry), str(tmp_path), "-q"]
-        )
-    assert excinfo.value.code == 2
     assert lint_main(
-        ["--perf", "--from-telemetry", str(telemetry), str(tmp_path), "-q"]
+        ["--from-telemetry", str(telemetry), str(tmp_path), "-q"]
     ) == 0
+
+
+# ----------------------------------------------------------------------
+# One run, every family, three formats
+# ----------------------------------------------------------------------
+
+
+def test_one_run_reports_every_family_text(mixed_project, capsys):
+    assert lint_main([str(mixed_project)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert sorted(line.split()[1] for line in lines) == MIXED_CODES
+    assert "4 finding(s) in 4 file(s)" in captured.err
+
+
+def test_one_run_reports_every_family_json(mixed_project, capsys):
+    assert lint_main(["--format", "json", str(mixed_project)]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(f["code"] for f in payload["findings"]) == MIXED_CODES
+    assert payload["checked_files"] == 4
+    assert payload["sem"] == {"files": 4, "findings": 3}
+
+
+def test_one_run_reports_every_family_sarif(mixed_project, capsys):
+    assert lint_main(["--format", "sarif", str(mixed_project)]) == 1
+    log = json.loads(capsys.readouterr().out)
+    results = log["runs"][0]["results"]
+    assert sorted(r["ruleId"] for r in results) == MIXED_CODES
+
+
+def test_syntax_error_is_reported_once(tmp_path, capsys):
+    """Both halves of the pass see the broken file; it reports once."""
+    (tmp_path / "broken.py").write_text("def broken(:\n", encoding="utf-8")
+    assert lint_main([str(tmp_path), "-q"]) == 1
+    assert capsys.readouterr().out.count("SIM000") == 1
 
 
 # ----------------------------------------------------------------------
@@ -137,10 +210,7 @@ def test_list_rules_text_spans_the_ladder(capsys):
     for entry in catalog():
         assert entry.code in out
         assert entry.name in out
-    # Each whole-program rule advertises the flag that enables it.
-    assert "(--sem)" in out
-    assert "(--race)" in out
-    assert "(--perf)" in out
+        assert f"[{entry.kind}/{entry.severity.value}]" in out
     assert "[--fix]" in out
 
 
@@ -151,25 +221,22 @@ def test_list_rules_json_is_machine_readable(capsys):
     payload = json.loads(capsys.readouterr().out)
     rules = payload["rules"]
     assert [r["code"] for r in rules] == [e.code for e in catalog()]
+    assert [r["code"] for r in rules] == [f"SIM{n:03d}" for n in range(1, 24)]
     by_code = {r["code"]: r for r in rules}
     assert by_code["SIM001"]["kind"] == "syntactic"
     assert by_code["SIM011"]["kind"] == "semantic"
     assert by_code["SIM016"]["kind"] == "race"
     assert by_code["SIM019"]["kind"] == "perf"
-    assert by_code["SIM019"]["rung"] == "simperf"
     for rule in rules:
         assert set(rule) == {
-            "code", "name", "rung", "kind", "severity", "fixable",
-            "rationale",
+            "code", "name", "kind", "severity", "fixable", "rationale",
         }
         assert rule["severity"] in ("error", "warning")
         assert rule["rationale"].strip()
 
 
 def test_race_findings_in_json_payload(racy_project, capsys):
-    assert lint_main(
-        ["--race", "--format", "json", str(racy_project)]
-    ) == 1
+    assert lint_main(["--format", "json", str(racy_project)]) == 1
     payload = json.loads(capsys.readouterr().out)
     codes = [f["code"] for f in payload["findings"]]
     assert codes == ["SIM016"]
@@ -181,15 +248,13 @@ def test_race_findings_in_json_payload(racy_project, capsys):
 
 
 def test_sarif_output_is_valid_and_complete(racy_project, capsys):
-    assert lint_main(
-        ["--race", "--format", "sarif", str(racy_project)]
-    ) == 1
+    assert lint_main(["--format", "sarif", str(racy_project)]) == 1
     log = json.loads(capsys.readouterr().out)
     assert log["version"] == "2.1.0"
     run = log["runs"][0]
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
-    # The driver catalog spans every pass, SIM001 through SIM018.
-    for code in ("SIM001", "SIM011", "SIM016", "SIM017", "SIM018"):
+    # The driver catalog spans every family.
+    for code in ("SIM001", "SIM011", "SIM016", "SIM017", "SIM018", "SIM023"):
         assert code in rule_ids
     results = run["results"]
     assert [r["ruleId"] for r in results] == ["SIM016"]
@@ -207,142 +272,85 @@ def test_sarif_empty_run_still_valid(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# --changed-only
+# The sanitizer smoke
 # ----------------------------------------------------------------------
 
 
-def _git(cwd, *argv):
-    subprocess.run(
-        ["git", "-c", "user.email=t@example.invalid", "-c", "user.name=t",
-         *argv],
-        cwd=cwd,
-        check=True,
-        capture_output=True,
+def _smoke(tmp_path, *extra):
+    out = tmp_path / "report.jsonl"
+    code = smoke.main(
+        ["--scenario", "bottleneck-xmp", "--out", str(out), *extra]
     )
+    records = [json.loads(line) for line in out.read_text().splitlines()]
+    return code, records
 
 
-def test_changed_only_narrows_per_file_rules(tmp_path, monkeypatch):
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    _git(repo, "init", "-q")
-    (repo / "old.py").write_text(WALLCLOCK_SOURCE, encoding="utf-8")
-    (repo / "cell.py").write_text(RACY_SOURCE, encoding="utf-8")
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-q", "-m", "seed")
-    (repo / "new.py").write_text(WALLCLOCK_SOURCE, encoding="utf-8")
-    monkeypatch.chdir(repo)
+def test_smoke_report_and_exit_codes(tmp_path, capsys, monkeypatch):
+    code, records = _smoke(tmp_path)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "bottleneck-xmp" in out and "micro_hotpath_fire" in out
 
-    # Full run sees both wall-clock findings; changed-only sees only
-    # the uncommitted file's.
-    assert lint_main(["--select", "SIM002", ".", "-q"]) == 1
-    assert lint_main(
-        ["--select", "SIM002", "--changed-only", ".", "-q"]
-    ) == 1
-    # With old.py also clean at HEAD there is nothing changed to flag.
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-q", "-m", "second")
-    assert lint_main(
-        ["--select", "SIM002", "--changed-only", ".", "-q"]
-    ) == 0
-    # Whole-tree run still reports: --changed-only narrowed, not fixed.
-    assert lint_main(["--select", "SIM002", ".", "-q"]) == 1
-
-
-def test_changed_only_keeps_race_pass_whole_tree(tmp_path, monkeypatch):
-    """SIM016-SIM018 stay whole-tree under --changed-only: cross-module
-    properties are only meaningful on whole trees."""
-    repo = tmp_path / "repo"
-    repo.mkdir()
-    _git(repo, "init", "-q")
-    (repo / "cell.py").write_text(RACY_SOURCE, encoding="utf-8")
-    _git(repo, "add", "-A")
-    _git(repo, "commit", "-q", "-m", "seed")
-    monkeypatch.chdir(repo)
-    # cell.py is unchanged vs HEAD, yet the race finding still reports.
-    assert lint_main(
-        ["--race", "--changed-only", "--no-sem-cache", ".", "-q"]
-    ) == 1
-
-
-# ----------------------------------------------------------------------
-# Baseline ratchet over race findings
-# ----------------------------------------------------------------------
-
-
-def test_baseline_round_trip_with_race(racy_project, tmp_path):
-    target = str(racy_project)
-    baseline = str(tmp_path / "baseline.json")
-    assert lint_main(
-        ["--race", "--write-baseline", baseline, target, "-q"]
-    ) == 0
-    # Ratcheted: the legacy finding is suppressed.
-    assert lint_main(["--race", "--baseline", baseline, target, "-q"]) == 0
-    # A new race elsewhere still fails.
-    (racy_project / "sampler.py").write_text(
-        "class S:\n"
-        "    def tick(self):\n"
-        "        self.sim.schedule(0.01, self.tick)\n",
-        encoding="utf-8",
+    summaries = {
+        (r["scenario"], r["probe"]): r
+        for r in records
+        if r["kind"] == "summary"
+    }
+    assert set(summaries) == {
+        ("bottleneck-xmp", "race"),
+        ("bottleneck-xmp", "alloc"),
+        ("micro_schedule_fire", "alloc"),
+        ("micro_hotpath_fire", "alloc"),
+    }
+    race = summaries["bottleneck-xmp", "race"]
+    assert race["collisions"] == 0 and race["batches"] > 0
+    alloc = summaries["bottleneck-xmp", "alloc"]
+    assert alloc["unexplained"] == [] and alloc["hot_events"] > 0
+    assert alloc["events"] == race["events"]  # one run, both monitors
+    functions = [r for r in records if r["kind"] == "function"]
+    assert functions and all(
+        r["scenario"] == "bottleneck-xmp" and r["events"] > 0
+        for r in functions
     )
-    assert lint_main(["--race", "--baseline", baseline, target, "-q"]) == 1
+    for cell in ("micro_schedule_fire", "micro_hotpath_fire"):
+        assert summaries[cell, "alloc"]["allocators"] == []
 
+    # An observed collision fails the run and lands in the report.
+    class PlantedCollision(RaceMonitor):
+        def on_event_settled(self):
+            super().on_event_settled()
+            if not self.collisions:
+                self._record_collision(0.0, 0, self, "attr", "a", "b")
 
-def test_baseline_requires_a_project_pass(racy_project, tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        lint_main(
-            ["--baseline", str(tmp_path / "b.json"), str(racy_project)]
+    # (The micro cells passed above; the failing reruns skip them.)
+    monkeypatch.setattr(smoke, "MICRO_CELLS", {})
+    with monkeypatch.context() as patch:
+        patch.setattr(smoke, "RaceMonitor", PlantedCollision)
+        code, records = _smoke(tmp_path, "-q")
+    assert code == 1
+    assert [r["attr"] for r in records if r["kind"] == "collision"] == ["attr"]
+    assert "1 collision(s)" in capsys.readouterr().out
+
+    # So does an allocator the static summaries cannot explain.
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            smoke, "explained_hot_functions", lambda summaries, registry: set()
         )
-    assert excinfo.value.code == 2
-
-
-# ----------------------------------------------------------------------
-# Summary cache under the extended (v3) schema
-# ----------------------------------------------------------------------
-
-
-def test_corrupt_cache_entry_is_miss_for_race_facts(tmp_path):
-    project = tmp_path / "proj"
-    project.mkdir()
-    (project / "cell.py").write_text(RACY_SOURCE, encoding="utf-8")
-    cache_dir = tmp_path / "cache"
-
-    cold = ProjectAnalyzer(cache=SummaryCache(cache_dir), race=True)
-    cold_findings = [f.format() for f in cold.analyze_paths([str(project)])]
-    assert cold.stats.computed == 1
-
-    warm = ProjectAnalyzer(cache=SummaryCache(cache_dir), race=True)
-    warm_findings = [f.format() for f in warm.analyze_paths([str(project)])]
-    assert warm.stats.cached == 1
-    assert warm_findings == cold_findings
-
-    # Truncate every entry: the next run recomputes, same findings.
-    entries = sorted(cache_dir.rglob("*.json"))
-    assert entries
-    for entry in entries:
-        entry.write_text("{not json", encoding="utf-8")
-    rebuilt = ProjectAnalyzer(cache=SummaryCache(cache_dir), race=True)
-    rebuilt_findings = [
-        f.format() for f in rebuilt.analyze_paths([str(project)])
+        code, records = _smoke(tmp_path, "-q")
+    assert code == 1
+    (alloc,) = [
+        r for r in records
+        if r["kind"] == "summary" and r["scenario"] == "bottleneck-xmp"
+        and r["probe"] == "alloc"
     ]
-    assert rebuilt.stats.cached == 0
-    assert rebuilt_findings == cold_findings
+    assert alloc["unexplained"] == alloc["allocators"] != []
+    assert "unexplained allocator(s)" in capsys.readouterr().out
 
 
-def test_stale_schema_version_is_miss(tmp_path):
-    """An entry stamped with an older schema version never replays —
-    the v2->v3 bump invalidates by construction."""
-    project = tmp_path / "proj"
-    project.mkdir()
-    (project / "cell.py").write_text(RACY_SOURCE, encoding="utf-8")
-    cache_dir = tmp_path / "cache"
-    first = ProjectAnalyzer(cache=SummaryCache(cache_dir), race=True)
-    first.analyze_paths([str(project)])
-    entries = sorted(cache_dir.rglob("*.json"))
-    assert entries
-    for entry in entries:
-        blob = json.loads(entry.read_text(encoding="utf-8"))
-        blob["version"] = 2
-        entry.write_text(json.dumps(blob), encoding="utf-8")
-    second = ProjectAnalyzer(cache=SummaryCache(cache_dir), race=True)
-    second.analyze_paths([str(project)])
-    assert second.stats.cached == 0
+def test_smoke_option_count_is_three():
+    options = [
+        action.option_strings[-1]
+        for action in smoke.build_parser()._actions
+        if action.option_strings and "--help" not in action.option_strings
+    ]
+    assert options == ["--scenario", "--out", "--quiet"]

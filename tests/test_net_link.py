@@ -3,9 +3,11 @@
 import pytest
 
 from repro.net.link import Link
+from repro.net.network import Network
 from repro.net.node import Host, Node
 from repro.net.packet import Packet, DATA
 from repro.net.queue import DropTailQueue
+from repro.sim.probe import fresh, probing, requested
 
 
 class Sink(Node):
@@ -174,6 +176,81 @@ class TestFailure:
             Link(sim, "L", src, dst, 0.0, 1e-6)
         with pytest.raises(ValueError):
             Link(sim, "L", src, dst, 1e9, -1.0)
+
+
+class TestFlapConservation:
+    """Across down/up edges every offered frame is, at every instant,
+    exactly one of: transmitted, dropped, waiting, or in service."""
+
+    def test_flap_within_one_serialization_keeps_frame_lost(self, sim):
+        # 1500 B at 1 Gbps serializes for 12 us; the link is back up
+        # 1 us after it went down, well before the finish event.
+        link, dst = make_link(sim)
+        link.enqueue(data())
+        sim.schedule(1e-6, link.set_down)
+        sim.schedule(2e-6, link.set_up)
+        sim.run()
+        assert dst.arrivals == []
+        assert link.packets_transmitted == 0
+        assert link.queue.stats.dropped == 1
+        assert link.up and not link.busy
+        link.enqueue(data())  # and it carries traffic again
+        sim.run()
+        assert len(dst.arrivals) == 1
+
+    @pytest.mark.parametrize(
+        "validate", [False, True], ids=["bare", "REPRO_VALIDATE"]
+    )
+    def test_down_up_down_script_conserves_frames(self, validate, monkeypatch):
+        monkeypatch.setenv("REPRO_VALIDATE", "1" if validate else "")
+        # Activate what the environment asks for, as runner.execute does.
+        validator = fresh("validate") if requested("validate") else None
+        assert (validator is not None) == validate
+        with probing(*([validator] if validator else [])):
+            net = Network()
+            src, dst = Sink(net.sim, "src"), Sink(net.sim, "dst")
+            link = net.add_link(src, dst, 1e9, 10e-6, lambda: DropTailQueue(3))
+        sim = net.sim
+        offered = 0
+
+        def offer(count):
+            nonlocal offered
+            for _ in range(count):
+                link.enqueue(data())
+                offered += 1
+
+        script = [
+            (0.0, offer, 5),        # 1 in service, 3 waiting, 1 overflow
+            (1e-6, link.set_down),  # flushes 3, dooms the one in service
+            (2e-6, link.set_up),    # deferred behind the doomed frame
+            (3e-6, offer, 1),       # still down: dropped
+            (13e-6, offer, 3),      # finish at 12 us raised `up`: serving
+            (14e-6, link.set_down),
+            (15e-6, link.set_up),
+            (16e-6, link.set_down),  # withdraws the deferred up
+            (30e-6, offer, 1),      # down and idle: dropped
+            (31e-6, link.set_up),   # idle: immediate
+            (32e-6, offer, 2),
+        ]
+        for when, action, *args in script:
+            sim.schedule(when, action, *args)
+        steps = 0
+        while sim.pending_events:
+            sim.run(max_events=1)
+            steps += 1
+            stats = link.queue.stats
+            assert offered == (
+                link.packets_transmitted + stats.dropped
+                + link.occupancy + int(link.busy)
+            ), f"unbalanced after step {steps} at t={sim.now}"
+        assert offered == 12 and steps > len(script)
+        assert link.packets_transmitted == len(dst.arrivals) == 2
+        assert link.queue.stats.dropped == 10
+        assert link.up and not link.busy
+        if validator is not None:
+            validator.finish()
+            assert validator.violations == []
+            assert validator.checks > 0
 
 
 class TestRebind:

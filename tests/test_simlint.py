@@ -19,7 +19,7 @@ from repro.lint import Analyzer, all_rules, iter_python_files
 from repro.lint.cli import main as lint_main
 from repro.lint.fixes import apply_fixes
 
-pytestmark = pytest.mark.simlint
+pytestmark = pytest.mark.lint
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"

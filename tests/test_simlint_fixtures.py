@@ -18,7 +18,7 @@ import pytest
 
 from repro.lint import Analyzer, all_rules, rules_by_code
 
-pytestmark = pytest.mark.simlint
+pytestmark = pytest.mark.lint
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 

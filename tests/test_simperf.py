@@ -13,7 +13,7 @@ The acceptance bar the pass is held to:
   sides agree in the positive direction: a planted per-event allocation
   is flagged by SIM019 *and* attributed by the monitor;
 * the rule catalog, the CLI and LINTING.md agree on the full
-  SIM001–SIM023 ladder.
+  SIM001–SIM023 catalog.
 """
 
 import json
@@ -22,20 +22,20 @@ import pytest
 
 from repro.lint.perf.analyzer import check_perf, explained_hot_functions
 from repro.lint.perf.hotpaths import HotPathError, HotPathRegistry
-from repro.lint.perf.info import PERF_CODES
 from repro.lint.perf.runtime import SCALAR_NOISE_BYTES, AllocMonitor
 from repro.lint.registry import catalog, known_codes
 from repro.lint.sem import ProjectAnalyzer
+from repro.lint.smoke import tree_summaries
 from repro.sim.engine import Simulator
 from repro.sim.probe import probing
 
-pytestmark = pytest.mark.simperf
+pytestmark = pytest.mark.lint
+
+PERF_CODES = frozenset(e.code for e in catalog() if e.kind == "perf")
 
 
 def perf_findings(sources, registry, telemetry=None):
-    analyzer = ProjectAnalyzer(
-        cache=None, perf=True, hotpaths=registry, telemetry=telemetry
-    )
+    analyzer = ProjectAnalyzer(hotpaths=registry, telemetry=telemetry)
     return [
         f
         for f in analyzer.analyze_sources(sources)
@@ -54,7 +54,7 @@ def test_checked_in_registry_loads_and_is_reasoned():
     for qname, reason in registry.items():
         assert qname.startswith("repro."), qname
         assert reason.strip(), f"{qname} has an empty reason"
-    assert registry.digest() == HotPathRegistry.load().digest()
+    assert list(registry.items()) == list(HotPathRegistry.load().items())
 
 
 def test_registry_rejects_malformed_entries():
@@ -73,10 +73,8 @@ def test_registry_rejects_malformed_entries():
 def test_registry_entries_resolve_to_real_functions():
     """Every registered hot path exists in the analyzed tree — a rename
     cannot silently detach the rules from the function they protect."""
-    from repro.lint.perf.__main__ import _build_summaries
-
     known = set()
-    for summary in _build_summaries("src/repro"):
+    for summary in tree_summaries():
         module = str(summary["module"])
         for qname in summary.get("functions", {}):
             known.add(f"{module}.{qname}")
@@ -94,7 +92,7 @@ def test_registry_entries_resolve_to_real_functions():
 def test_src_tree_is_perf_clean():
     """The audited source tree carries no SIM019-SIM023 findings: every
     hot-path allocation is hoisted or carries a reasoned waiver."""
-    analyzer = ProjectAnalyzer(cache=None, perf=True)
+    analyzer = ProjectAnalyzer()
     findings = [
         f
         for f in analyzer.analyze_paths(["src/repro"])
@@ -319,7 +317,6 @@ def test_sanitizer_leaves_golden_digest_bit_identical():
     """The monitor observes, never perturbs: the bottleneck golden is
     bit-identical with the sanitizer attached, and every observed
     allocator has a static explanation."""
-    from repro.lint.perf.__main__ import _explained
     from repro.validate.golden import check_digest
     from repro.validate.scenarios import run_scenario
 
@@ -329,8 +326,8 @@ def test_sanitizer_leaves_golden_digest_bit_identical():
     assert check_digest("bottleneck-xmp", digest) == []
     assert monitor.events > 0
     assert monitor.hot_events > 0
-    unexplained = set(monitor.allocators()) - _explained(
-        "src/repro", monitor.registry
+    unexplained = set(monitor.allocators()) - explained_hot_functions(
+        tree_summaries(), monitor.registry
     )
     assert unexplained == set()
 
@@ -349,54 +346,19 @@ def test_static_and_dynamic_agree_on_planted_allocation():
     assert monitor.allocators() == [_dotted("alloc_per_event")]
 
 
-def test_perf_module_cli_smoke(tmp_path, capsys):
-    from repro.lint.perf.__main__ import main as perf_main
-
-    out = tmp_path / "report.jsonl"
-    assert perf_main(
-        ["--scenario", "bottleneck-xmp", "--out", str(out)]
-    ) == 0
-    records = [
-        json.loads(line) for line in out.read_text().splitlines()
-    ]
-    assert records[-1]["kind"] == "summary"
-    assert records[-1]["scenario"] == "bottleneck-xmp"
-    assert records[-1]["unexplained"] == []
-    assert "bottleneck-xmp" in capsys.readouterr().out
-
-
-def test_perf_module_micro_cells(tmp_path, capsys):
-    """The deterministic micro twins: zero unexplained allocations per
-    event on both the schedule() and the hot-path post() cells."""
-    from repro.lint.perf.__main__ import main as perf_main
-
-    out = tmp_path / "micro.jsonl"
-    assert perf_main(["--micro", "--out", str(out)]) == 0
-    records = [
-        json.loads(line) for line in out.read_text().splitlines()
-    ]
-    cells = {r["scenario"]: r for r in records if r["kind"] == "summary"}
-    assert set(cells) == {"micro_schedule_fire", "micro_hotpath_fire"}
-    for record in cells.values():
-        assert record["allocators"] == []
-    assert "micro_hotpath_fire" in capsys.readouterr().out
-
-
 # ----------------------------------------------------------------------
 # Catalog sync: registry <-> SARIF <-> LINTING.md
 # ----------------------------------------------------------------------
 
 
 def test_catalog_spans_the_full_ladder():
-    """SIM001-SIM023, contiguous, one entry per code, each mapped to
-    its rung."""
+    """SIM001-SIM023, contiguous, one entry per code, each tagged with
+    the analysis that reports it."""
     entries = catalog()
     codes = [entry.code for entry in entries]
     assert codes == [f"SIM{n:03d}" for n in range(1, 24)]
     assert known_codes() == frozenset(codes)
-    rungs = {entry.code: entry.rung for entry in entries}
-    for code in PERF_CODES:
-        assert rungs[code] == "simperf"
+    assert PERF_CODES == {f"SIM{n:03d}" for n in range(19, 24)}
     kinds = {entry.kind for entry in entries}
     assert kinds == {"syntactic", "semantic", "race", "perf"}
 
@@ -407,9 +369,7 @@ def test_sarif_driver_catalog_matches_registry(tmp_path, capsys):
     (tmp_path / "ok.py").write_text(
         "def helper(x):\n    return x + 1\n", encoding="utf-8"
     )
-    assert lint_main(
-        ["--sem", "--race", "--perf", "--format", "sarif", str(tmp_path)]
-    ) == 0
+    assert lint_main(["--format", "sarif", str(tmp_path)]) == 0
     log = json.loads(capsys.readouterr().out)
     rules = log["runs"][0]["tool"]["driver"]["rules"]
     assert [r["id"] for r in rules] == [e.code for e in catalog()]

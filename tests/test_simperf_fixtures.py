@@ -3,13 +3,13 @@
 Same contract as the simrace corpus (see ``test_simrace_fixtures.py``):
 each direct subdirectory of ``tests/lint_fixtures/perf/`` is one
 mini-project analyzed as a unit through
-``ProjectAnalyzer(perf=True).analyze_sources``, with virtual paths from
+``ProjectAnalyzer(hotpaths=...).analyze_sources``, with virtual paths from
 each file's ``# simlint-path:`` header.  Two sidecars parameterize the
 pass: ``hotpaths.toml`` (the project's hot-path registry) and an
 optional ``telemetry.jsonl`` (recorded profiles for SIM022).  ``_bad``
 projects must produce exactly the findings their ``# EXPECT:`` comments
-announce (code, line and multiplicity); ``_good`` twins must be clean —
-of perf *and* semantic findings, so a fixture can never hide a sem
+announce (code, line and multiplicity); ``_good`` twins must be clean of
+every rule family, so a fixture can never hide another family's
 regression.
 """
 
@@ -22,7 +22,7 @@ import pytest
 from repro.lint.perf.hotpaths import HotPathRegistry
 from repro.lint.sem import ProjectAnalyzer
 
-pytestmark = pytest.mark.simperf
+pytestmark = pytest.mark.lint
 
 PERF_FIXTURES = Path(__file__).parent / "lint_fixtures" / "perf"
 PERF_CODES = ("SIM019", "SIM020", "SIM021", "SIM022", "SIM023")
@@ -68,8 +68,6 @@ def make_analyzer(project: Path) -> ProjectAnalyzer:
     registry = HotPathRegistry.load(project / "hotpaths.toml")
     telemetry = project / "telemetry.jsonl"
     return ProjectAnalyzer(
-        cache=None,
-        perf=True,
         hotpaths=registry,
         telemetry=telemetry if telemetry.is_file() else None,
     )
@@ -120,16 +118,6 @@ def test_every_perf_rule_has_bad_and_good_twin(code):
     assert any(f.code == code for f in bad_findings), (
         f"{bad.name} never triggers {code}"
     )
-
-
-def test_perf_off_by_default():
-    """Without perf=True the same bad twins produce no perf findings."""
-    for project in project_dirs():
-        if not project.name.endswith("_bad"):
-            continue
-        items, _expected = load_project(project)
-        findings = ProjectAnalyzer(cache=None).analyze_sources(items)
-        assert not any(f.code in PERF_CODES for f in findings), project.name
 
 
 def test_finding_order_is_deterministic():

@@ -23,13 +23,13 @@ from repro.sim.engine import Simulator
 from repro.sim.priorities import MODEL, SAMPLE, TIERS, tier_name
 from repro.sim.probe import probing
 
-pytestmark = pytest.mark.simrace
+pytestmark = pytest.mark.lint
 
 RACE_CODES = ("SIM016", "SIM017", "SIM018")
 
 
 def race_findings(sources):
-    analyzer = ProjectAnalyzer(cache=None, race=True)
+    analyzer = ProjectAnalyzer()
     return [
         f
         for f in analyzer.analyze_sources(sources)
@@ -85,7 +85,7 @@ class Cell:
 
 def test_src_tree_is_race_clean():
     """The audited source tree carries no SIM016-SIM018 findings."""
-    analyzer = ProjectAnalyzer(cache=None, race=True)
+    analyzer = ProjectAnalyzer()
     findings = [
         f
         for f in analyzer.analyze_paths(["src/repro"])
@@ -338,19 +338,3 @@ def test_static_and_dynamic_agree_on_planted_race():
         sim.schedule(0.5, v.write_two),
     ))
     assert len(monitor.collisions) == 1
-
-
-def test_race_module_cli_smoke(tmp_path, capsys):
-    from repro.lint.race.__main__ import main as race_main
-
-    out = tmp_path / "report.jsonl"
-    assert race_main(
-        ["--scenario", "bottleneck-xmp", "--out", str(out)]
-    ) == 0
-    records = [
-        json.loads(line) for line in out.read_text().splitlines()
-    ]
-    assert records[-1]["kind"] == "summary"
-    assert records[-1]["scenario"] == "bottleneck-xmp"
-    assert records[-1]["collisions"] == 0
-    assert "bottleneck-xmp" in capsys.readouterr().out

@@ -3,11 +3,11 @@
 Same contract as the simsem corpus (see ``test_simsem_fixtures.py``):
 each direct subdirectory of ``tests/lint_fixtures/race/`` is one
 mini-project analyzed as a unit through
-``ProjectAnalyzer(race=True).analyze_sources``, with virtual paths from
+``ProjectAnalyzer().analyze_sources``, with virtual paths from
 each file's ``# simlint-path:`` header.  ``_bad`` projects must produce
 exactly the findings their ``# EXPECT:`` comments announce (code, line
-and multiplicity); ``_good`` twins must be clean — of race *and*
-semantic findings, so a fixture can never hide a sem regression.
+and multiplicity); ``_good`` twins must be clean of
+every rule family, so a fixture can never hide another family's regression.
 """
 
 import re
@@ -18,7 +18,7 @@ import pytest
 
 from repro.lint.sem import ProjectAnalyzer
 
-pytestmark = pytest.mark.simrace
+pytestmark = pytest.mark.lint
 
 RACE_FIXTURES = Path(__file__).parent / "lint_fixtures" / "race"
 RACE_CODES = ("SIM016", "SIM017", "SIM018")
@@ -60,7 +60,7 @@ def load_project(project: Path):
 
 def analyze_project(project: Path):
     items, expected = load_project(project)
-    analyzer = ProjectAnalyzer(cache=None, race=True)
+    analyzer = ProjectAnalyzer()
     return analyzer.analyze_sources(items), expected
 
 
@@ -106,21 +106,13 @@ def test_every_race_rule_has_bad_and_good_twin(code):
     )
 
 
-def test_race_off_by_default():
-    """Without race=True the same bad twins produce no race findings."""
-    for name in ("sim016_bad", "sim017_bad", "sim018_bad"):
-        items, _expected = load_project(RACE_FIXTURES / name)
-        findings = ProjectAnalyzer(cache=None).analyze_sources(items)
-        assert not any(f.code in RACE_CODES for f in findings)
-
-
 def test_finding_order_is_deterministic():
     """Same project, any input order, twice — identical finding lists."""
     project = RACE_FIXTURES / "sim018_bad"
     items, _expected = load_project(project)
     runs = []
     for ordered in (items, list(reversed(items)), items):
-        analyzer = ProjectAnalyzer(cache=None, race=True)
+        analyzer = ProjectAnalyzer()
         runs.append([f.format() for f in analyzer.analyze_sources(ordered)])
     assert runs[0] == runs[1] == runs[2]
 
@@ -137,7 +129,7 @@ def test_race_findings_are_suppressible():
         )
         for path, text in items
     ]
-    findings = ProjectAnalyzer(cache=None, race=True).analyze_sources(
+    findings = ProjectAnalyzer().analyze_sources(
         suppressed
     )
     assert not any(f.code == "SIM016" for f in findings)

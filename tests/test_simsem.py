@@ -1,11 +1,9 @@
 """Unit and integration tests for simsem (repro.lint.sem).
 
 Covers the pieces the fixture corpus does not: the sink-registry parser,
-phase-1 summary extraction, the content-addressed summary cache
-(hit / invalidation / corruption), the baseline ratchet, the CLI
-surface (``--sem``, ``--baseline``, ``--write-baseline``, cache flags),
-the SIM004 ``--fix`` round trip, and the acceptance gate that the real
-tree analyzes clean.
+phase-1 summary extraction, the semantic codes through the CLI, the
+SIM004 ``--fix`` round trip, and the acceptance gate that the real tree
+analyzes clean.
 """
 
 import json
@@ -15,24 +13,17 @@ import pytest
 
 from repro.lint import Analyzer, catalog, known_codes
 from repro.lint.cli import main as lint_main
-from repro.lint.core import Finding, Severity
 from repro.lint.sem import (
     ProjectAnalyzer,
     SinkRegistry,
     SinkRegistryError,
-    SummaryCache,
-    apply_baseline,
     build_summary,
-    load_baseline,
-    summary_key,
-    write_baseline,
 )
-from repro.lint.sem.baseline import BaselineError
 from repro.lint.sem.registry import parse_sinks_toml
 from repro.lint.sem.summary import module_name_for_path
 from repro.sim import units
 
-pytestmark = pytest.mark.simsem
+pytestmark = pytest.mark.lint
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -80,16 +71,15 @@ def test_parse_sinks_toml_rejects(text, fragment):
     assert fragment in str(excinfo.value)
 
 
-def test_registry_lookup_and_digest():
+def test_registry_lookup_and_conflicts():
     registry = SinkRegistry({"repro.net.link.Link.__init__": {"delay": "seconds"}})
-    digest_before = registry.digest()
     # A constructor sink answers to the class name at attribute calls.
     assert registry.by_callable_name("Link") == [
         ("repro.net.link.Link.__init__", {"delay": "seconds"})
     ]
     assert registry.by_qname("repro.net.link.Link.__init__") == {"delay": "seconds"}
     registry.add("repro.net.network.Network.connect", "rate_bps", "bits_per_second")
-    assert registry.digest() != digest_before
+    assert len(registry) == 2
     # Conflicting redeclaration is a hard error, agreement is idempotent.
     registry.add("repro.net.network.Network.connect", "rate_bps", "bits_per_second")
     with pytest.raises(SinkRegistryError):
@@ -148,8 +138,6 @@ def test_build_summary_extracts_facts():
     ]
     assert call["callee"] == {"kind": "local", "name": "set_rto"}
     assert call["args"] == [{"k": "dim", "d": "seconds"}]
-    assert summary_key(source, "d") == summary_key(source, "d")
-    assert summary_key(source, "d") != summary_key(source + "#", "d")
 
 
 def test_build_summary_syntax_error_degrades_to_sim000():
@@ -157,148 +145,6 @@ def test_build_summary_syntax_error_degrades_to_sim000():
     assert summary["parse_error"]
     (finding,) = summary["local_findings"]
     assert finding[0] == "SIM000"
-
-
-# ----------------------------------------------------------------------
-# Summary cache
-# ----------------------------------------------------------------------
-
-
-def _write_tree(root: Path) -> None:
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "arith.py").write_text(
-        "from repro.sim.units import bytes_, microseconds\n"
-        "\n"
-        "def slack():\n"
-        "    return microseconds(50) + bytes_(1500)\n",
-        encoding="utf-8",
-    )
-    (root / "clean_a.py").write_text("def ok():\n    return 1\n", encoding="utf-8")
-    (root / "clean_b.py").write_text("VALUE = 3\n", encoding="utf-8")
-
-
-def test_cache_warm_run_reuses_every_summary(tmp_path):
-    """The acceptance property: an unchanged tree replays entirely from
-    cache, with identical findings (including cached local findings)."""
-    tree = tmp_path / "tree"
-    _write_tree(tree)
-    cache_dir = tmp_path / "cache"
-
-    cold = ProjectAnalyzer(registry=SinkRegistry(), cache=SummaryCache(cache_dir))
-    cold_findings = [f.format() for f in cold.analyze_paths([tree])]
-    assert cold.stats.files == 3
-    assert cold.stats.computed == 3
-    assert cold.stats.cached == 0
-    assert len(cold_findings) == 1 and "SIM012" in cold_findings[0]
-
-    warm = ProjectAnalyzer(registry=SinkRegistry(), cache=SummaryCache(cache_dir))
-    warm_findings = [f.format() for f in warm.analyze_paths([tree])]
-    assert warm.stats.files == 3
-    assert warm.stats.cached == warm.stats.files  # every file reused
-    assert warm.stats.computed == 0
-    assert warm_findings == cold_findings
-
-
-def test_cache_invalidates_on_edit_registry_and_corruption(tmp_path):
-    tree = tmp_path / "tree"
-    _write_tree(tree)
-    cache_dir = tmp_path / "cache"
-    ProjectAnalyzer(
-        registry=SinkRegistry(), cache=SummaryCache(cache_dir)
-    ).analyze_paths([tree])
-
-    # Edit one file: exactly that file is recomputed.
-    (tree / "clean_b.py").write_text("VALUE = 4\n", encoding="utf-8")
-    edited = ProjectAnalyzer(registry=SinkRegistry(), cache=SummaryCache(cache_dir))
-    edited.analyze_paths([tree])
-    assert edited.stats.computed == 1
-    assert edited.stats.cached == 2
-
-    # A different sink registry changes every key: full recompute.
-    other = SinkRegistry({"repro.x.f": {"t": "seconds"}})
-    rekeyed = ProjectAnalyzer(registry=other, cache=SummaryCache(cache_dir))
-    rekeyed.analyze_paths([tree])
-    assert rekeyed.stats.computed == 3
-
-    # A corrupt cache entry is a miss, never a crash.
-    entries = sorted(cache_dir.rglob("*.json"))
-    assert entries
-    entries[0].write_text("not json{", encoding="utf-8")
-    recovered = ProjectAnalyzer(
-        registry=SinkRegistry(), cache=SummaryCache(cache_dir)
-    )
-    findings = recovered.analyze_paths([tree])
-    assert recovered.stats.files == 3
-    assert [f.code for f in findings] == ["SIM012"]
-
-
-def test_cache_does_not_replay_across_renames(tmp_path):
-    """A byte-identical file at a NEW path must re-report at that path."""
-    cache = SummaryCache(tmp_path / "cache")
-    source = (
-        "from repro.sim.units import bytes_, microseconds\n"
-        "def slack():\n"
-        "    return microseconds(1) + bytes_(1)\n"
-    )
-    first = ProjectAnalyzer(registry=SinkRegistry(), cache=cache)
-    (finding,) = first.analyze_sources([("src/repro/old.py", source)])
-    assert finding.path == "src/repro/old.py"
-    second = ProjectAnalyzer(registry=SinkRegistry(), cache=cache)
-    (finding,) = second.analyze_sources([("src/repro/new.py", source)])
-    assert finding.path == "src/repro/new.py"
-    assert second.stats.computed == 1  # the cached summary was not reused
-
-
-# ----------------------------------------------------------------------
-# Baseline ratchet
-# ----------------------------------------------------------------------
-
-
-def _finding(path: str, line: int, code: str = "SIM011") -> Finding:
-    return Finding(
-        path=path, line=line, col=0, code=code,
-        message="m", severity=Severity.ERROR,
-    )
-
-
-def test_baseline_round_trip_absorbs_earliest(tmp_path):
-    baseline_file = tmp_path / "baseline.json"
-    old = [_finding("a.py", 3), _finding("a.py", 9), _finding("b.py", 1, "SIM013")]
-    write_baseline(baseline_file, old)
-    loaded = load_baseline(baseline_file)
-    assert loaded == {"a.py:SIM011": 2, "b.py:SIM013": 1}
-    # Same findings: everything absorbed.
-    assert apply_baseline(old, loaded) == []
-    # One extra finding in an existing group: only the excess reports,
-    # and it is the latest by position.
-    grown = old + [_finding("a.py", 40)]
-    (excess,) = apply_baseline(grown, loaded)
-    assert (excess.path, excess.line) == ("a.py", 40)
-    # A new (path, code) group has no allowance at all.
-    moved = [_finding("c.py", 2)]
-    assert apply_baseline(moved, loaded) == moved
-    # Ratchet: fixing findings and rewriting can only shrink the counts.
-    write_baseline(baseline_file, old[:1])
-    assert load_baseline(baseline_file) == {"a.py:SIM011": 1}
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        "not json{",
-        json.dumps({"version": 99, "counts": {}}),
-        json.dumps({"version": 1}),
-        json.dumps({"version": 1, "counts": {"a.py:SIM011": 0}}),
-        json.dumps({"version": 1, "counts": {"a.py:SIM011": "two"}}),
-    ],
-)
-def test_baseline_rejects_malformed(tmp_path, payload):
-    target = tmp_path / "baseline.json"
-    target.write_text(payload, encoding="utf-8")
-    with pytest.raises(BaselineError):
-        load_baseline(target)
-    with pytest.raises(BaselineError):
-        load_baseline(tmp_path / "missing.json")
 
 
 # ----------------------------------------------------------------------
@@ -325,78 +171,37 @@ def _write_bad_module(tree: Path) -> Path:
 def test_cli_sem_exit_codes(tmp_path, capsys):
     tree = tmp_path / "proj"
     target = _write_bad_module(tree)
-    cache = str(tmp_path / "cache")
-    assert lint_main(["--sem", "--sem-cache", cache, str(tree), "-q"]) == 1
+    assert lint_main([str(tree), "-q"]) == 1
     out = capsys.readouterr().out
     assert "SIM011" in out and "seconds" in out
-    # Fix the dimension: clean exit, warm cache for the unchanged file.
+    # Fix the dimension: clean exit.
     target.write_text(
         target.read_text(encoding="utf-8").replace(
             "megabits_per_second(1)", "milliseconds(200)"
         ),
         encoding="utf-8",
     )
-    assert lint_main(["--sem", "--sem-cache", cache, str(tree), "-q"]) == 0
-    assert lint_main(["--sem", "--no-sem-cache", str(tree), "-q"]) == 0
+    assert lint_main([str(tree), "-q"]) == 0
 
 
 def test_cli_sem_select_filters_sem_codes(tmp_path):
     tree = tmp_path / "proj"
     _write_bad_module(tree)
-    args = ["--sem", "--no-sem-cache", str(tree), "-q"]
+    args = [str(tree), "-q"]
     assert lint_main(["--select", "SIM011", *args]) == 1
     assert lint_main(["--select", "SIM013", *args]) == 0
     assert lint_main(["--ignore", "SIM011", *args]) == 0
-    # Without --sem the semantic pass does not run at all.
-    assert lint_main([str(tree), "-q"]) == 0
 
 
 def test_cli_sem_json_payload(tmp_path, capsys):
     tree = tmp_path / "proj"
     _write_bad_module(tree)
-    assert lint_main(
-        ["--sem", "--no-sem-cache", "--format", "json", str(tree)]
-    ) == 1
+    assert lint_main(["--format", "json", str(tree)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["sem"]["files"] == 1
     assert payload["sem"]["findings"] == 1
     (finding,) = payload["findings"]
     assert finding["code"] == "SIM011"
-
-
-def test_cli_baseline_ratchet_round_trip(tmp_path, capsys):
-    tree = tmp_path / "proj"
-    _write_bad_module(tree)
-    baseline = str(tmp_path / "baseline.json")
-    cache = str(tmp_path / "cache")
-    base_args = ["--sem", "--sem-cache", cache, str(tree), "-q"]
-    assert lint_main(["--write-baseline", baseline, *base_args]) == 0
-    capsys.readouterr()
-    # Ratcheted: the legacy finding is absorbed.
-    assert lint_main(["--baseline", baseline, *base_args]) == 0
-    # A NEW violation still fails even under the baseline.
-    extra = tree / "extra.py"
-    extra.write_text(
-        "import random\n"
-        "\n"
-        "def rng(name: str) -> random.Random:\n"
-        "    return random.Random(hash(name))\n",
-        encoding="utf-8",
-    )
-    assert lint_main(["--baseline", baseline, *base_args]) == 1
-    out = capsys.readouterr().out
-    assert "SIM013" in out and "SIM011" not in out
-
-
-def test_cli_baseline_requires_sem(tmp_path):
-    with pytest.raises(SystemExit) as excinfo:
-        lint_main(["--baseline", str(tmp_path / "b.json"), str(tmp_path)])
-    assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        lint_main(
-            ["--sem", "--baseline", str(tmp_path / "missing.json"), str(tmp_path)]
-        )
-    assert excinfo.value.code == 2  # unreadable baseline is a usage error
 
 
 def test_cli_list_rules_includes_semantic_catalog(capsys):
@@ -405,7 +210,6 @@ def test_cli_list_rules_includes_semantic_catalog(capsys):
     for code in ("SIM011", "SIM012", "SIM013", "SIM014", "SIM015"):
         assert code in out
         assert code in known_codes()
-    assert "(--sem)" in out
     kinds = {entry.code: entry.kind for entry in catalog()}
     assert kinds["SIM004"] == "syntactic"
     assert kinds["SIM011"] == "semantic"
@@ -485,11 +289,10 @@ def test_sim004_findings_are_marked_fixable():
 
 
 def test_real_tree_analyzes_clean():
-    """src/repro carries zero semantic findings — the empty-baseline
-    acceptance criterion, kept as a permanent regression gate (the
-    access_rate literals in topology/{testbed,torus}.py once violated
-    it; see VALIDATION.md)."""
-    analyzer = ProjectAnalyzer(cache=None)
+    """src/repro carries zero whole-program findings, kept as a
+    permanent regression gate (the access_rate literals in
+    topology/{testbed,torus}.py once violated it; see VALIDATION.md)."""
+    analyzer = ProjectAnalyzer()
     findings = analyzer.analyze_paths([REPO / "src" / "repro"])
     assert findings == [], "\n".join(f.format() for f in findings)
     assert analyzer.stats.files > 90

@@ -20,7 +20,7 @@ import pytest
 from repro.lint.sem import ProjectAnalyzer, SinkRegistry
 from repro.lint.sem.registry import parse_sinks_toml
 
-pytestmark = pytest.mark.simsem
+pytestmark = pytest.mark.lint
 
 SEM_FIXTURES = Path(__file__).parent / "lint_fixtures" / "sem"
 SEM_CODES = ("SIM011", "SIM012", "SIM013", "SIM014", "SIM015")
@@ -71,7 +71,7 @@ def load_project(project: Path):
 
 def analyze_project(project: Path):
     items, expected, registry = load_project(project)
-    analyzer = ProjectAnalyzer(registry=registry, cache=None)
+    analyzer = ProjectAnalyzer(registry=registry)
     return analyzer.analyze_sources(items), expected
 
 
@@ -123,12 +123,12 @@ def test_finding_order_is_deterministic():
     items, _expected, registry = load_project(project)
     runs = []
     for ordered in (items, list(reversed(items)), items):
-        analyzer = ProjectAnalyzer(registry=registry, cache=None)
+        analyzer = ProjectAnalyzer(registry=registry)
         runs.append([f.format() for f in analyzer.analyze_sources(ordered)])
     assert runs[0] == runs[1] == runs[2]
     # And the order itself is the canonical (path, line, col, code) sort.
     keys = [(f.path, f.line, f.col, f.code) for f in (
-        ProjectAnalyzer(registry=registry, cache=None).analyze_sources(items)
+        ProjectAnalyzer(registry=registry).analyze_sources(items)
     )]
     assert keys == sorted(keys)
 
@@ -137,11 +137,11 @@ def test_suppression_fixture_is_honoured():
     """The suppressed twin would fire SIM012 without its pragma."""
     project = SEM_FIXTURES / "sim012_suppressed_good"
     items, _expected, registry = load_project(project)
-    findings = ProjectAnalyzer(registry=registry, cache=None).analyze_sources(items)
+    findings = ProjectAnalyzer(registry=registry).analyze_sources(items)
     assert findings == []
     stripped = [
         (path, text.replace("# simlint: disable=SIM012", ""))
         for path, text in items
     ]
-    findings = ProjectAnalyzer(registry=registry, cache=None).analyze_sources(stripped)
+    findings = ProjectAnalyzer(registry=registry).analyze_sources(stripped)
     assert [f.code for f in findings] == ["SIM012"]
