@@ -10,12 +10,17 @@ import os
 import pathlib
 
 from repro.experiments.fattree_eval import FatTreeScenario
+from repro.runner import Campaign
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Worker processes for grid benches (``REPRO_BENCH_JOBS=N``); results
 #: are bit-identical to serial, only wall-clock changes.
 BENCH_JOBS = max(1, int(os.environ.get("REPRO_BENCH_JOBS", "1")))
+
+#: The campaign every grid bench runs on (process-wide cache, so benches
+#: sharing a scenario grid pay for each cell once per session).
+BENCH_CAMPAIGN = Campaign(jobs=BENCH_JOBS)
 
 #: The shared fat-tree evaluation grid (k=4; paper link parameters; scaled
 #: flow sizes; 0.5 s of simulated time per cell).
@@ -28,8 +33,9 @@ BENCH_INCAST = dataclasses.replace(BENCH_BASE, duration=1.5)
 
 
 def base_for(pattern: str) -> FatTreeScenario:
-    """The bench scenario base appropriate for a traffic pattern."""
-    return BENCH_INCAST if pattern == "incast" else BENCH_BASE
+    """The bench scenario base for a traffic pattern, set to that pattern."""
+    base = BENCH_INCAST if pattern == "incast" else BENCH_BASE
+    return dataclasses.replace(base, pattern=pattern)
 
 
 def emit(name: str, text: str) -> None:

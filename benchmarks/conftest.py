@@ -14,7 +14,8 @@ Two environment knobs extend that:
   other value is taken as the cache directory.  Off by default so code
   changes can never be masked by stale results.
 * ``REPRO_BENCH_JOBS`` — fan grid cells over N worker processes
-  (deterministic; see ``_bench_common.BENCH_JOBS``).
+  (deterministic); every grid bench runs on the one
+  ``_bench_common.BENCH_CAMPAIGN`` built from it.
 """
 
 from __future__ import annotations

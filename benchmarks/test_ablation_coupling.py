@@ -11,7 +11,8 @@ Two properties separate XMP (BOS + TraSh) from uncoupled BOS subflows:
 
 from _bench_common import emit
 
-from repro.experiments.fig4_traffic_shifting import Fig4Config, run_fig4
+from repro.experiments.catalog import run
+from repro.experiments.fig4_traffic_shifting import Fig4Config
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.bottleneck import build_single_bottleneck
 
@@ -35,7 +36,7 @@ def test_ablation_coupling(once):
     def run_all():
         coupled = fairness_ratio("xmp")
         uncoupled = fairness_ratio("bos-uncoupled")
-        shift_coupled = run_fig4(Fig4Config(scheme="xmp", time_scale=0.1))
+        shift_coupled = run("fig4", Fig4Config(scheme="xmp", time_scale=0.1))
         return coupled, uncoupled, shift_coupled
 
     coupled, uncoupled, shift = once(run_all)

@@ -2,14 +2,14 @@
 
 import pytest
 
-from _bench_common import base_for, emit
+from _bench_common import BENCH_CAMPAIGN, base_for, emit
 
-from repro.experiments.fig10_rtt import run_fig10
+from repro.experiments.catalog import run
 
 
 @pytest.mark.parametrize("pattern", ["permutation", "random", "incast"])
 def test_fig10_rtt(once, pattern):
-    result = once(run_fig10, pattern, base_for(pattern))
+    result = once(run, "rtt", base_for(pattern), BENCH_CAMPAIGN)
     emit(f"fig10_rtt_{pattern}", result.format())
 
     # Paper shapes: XMP and DCTCP hold RTT low (queues near K); LIA's RTT

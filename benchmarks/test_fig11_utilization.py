@@ -2,14 +2,14 @@
 
 import pytest
 
-from _bench_common import base_for, emit
+from _bench_common import BENCH_CAMPAIGN, base_for, emit
 
-from repro.experiments.fig11_utilization import run_fig11
+from repro.experiments.catalog import run
 
 
 @pytest.mark.parametrize("pattern", ["permutation", "random", "incast"])
 def test_fig11_utilization(once, pattern):
-    result = once(run_fig11, pattern, base_for(pattern))
+    result = once(run, "utilization", base_for(pattern), BENCH_CAMPAIGN)
     emit(f"fig11_utilization_{pattern}", result.format())
 
     # Paper shapes: DCTCP's single-path collisions give it the widest

@@ -4,7 +4,8 @@ import pytest
 
 from _bench_common import emit
 
-from repro.experiments.fig1_convergence import Fig1Config, run_fig1
+from repro.experiments.catalog import run
+from repro.experiments.fig1_convergence import Fig1Config
 
 #: One simulated second per join/leave step (the paper used 5 s; 1 s is
 #: ~4400 RTTs at 225 us, ample for steady state).
@@ -24,7 +25,7 @@ def test_fig1_convergence(once, scheme, threshold):
         interval=INTERVAL,
         sample_interval=0.02,
     )
-    result = once(run_fig1, config)
+    result = once(run, "fig1", config)
     lines = [f"{scheme} K={threshold}: steady-state Jain index per segment"]
     for start, end, active, jain in result.segments:
         lines.append(

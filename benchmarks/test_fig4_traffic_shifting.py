@@ -4,7 +4,8 @@ import pytest
 
 from _bench_common import emit
 
-from repro.experiments.fig4_traffic_shifting import Fig4Config, run_fig4
+from repro.experiments.catalog import run
+from repro.experiments.fig4_traffic_shifting import Fig4Config
 
 #: Compress the paper's 40 s schedule to 10 s of simulated time.
 TIME_SCALE = 0.25
@@ -12,7 +13,7 @@ TIME_SCALE = 0.25
 
 @pytest.mark.parametrize("beta", [4.0, 6.0], ids=["beta4", "beta6"])
 def test_fig4_traffic_shifting(once, beta):
-    result = once(run_fig4, Fig4Config(beta=beta, time_scale=TIME_SCALE))
+    result = once(run, "fig4", Fig4Config(beta=beta, time_scale=TIME_SCALE))
     phases = result.phases()
     lines = [f"beta={beta}: Flow 2 subflow rates (normalized to 300 Mbps)"]
     for phase, (start, end) in phases.items():

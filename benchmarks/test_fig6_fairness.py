@@ -4,14 +4,15 @@ import pytest
 
 from _bench_common import emit
 
-from repro.experiments.fig6_fairness import Fig6Config, run_fig6
+from repro.experiments.catalog import run
+from repro.experiments.fig6_fairness import Fig6Config
 
 TIME_SCALE = 0.25
 
 
 @pytest.mark.parametrize("beta", [4.0, 6.0], ids=["beta4", "beta6"])
 def test_fig6_fairness(once, beta):
-    result = once(run_fig6, Fig6Config(beta=beta, time_scale=TIME_SCALE))
+    result = once(run, "fig6", Fig6Config(beta=beta, time_scale=TIME_SCALE))
     s = TIME_SCALE
     lines = [f"beta={beta}: flow rates in the all-active window (Mbps)"]
     for flow in (1, 2, 3, 4):
@@ -28,8 +29,8 @@ def test_fig6_fairness(once, beta):
 
 def test_fig6_beta4_at_least_as_fair_as_beta6(once):
     def both():
-        r4 = run_fig6(Fig6Config(beta=4.0, time_scale=TIME_SCALE))
-        r6 = run_fig6(Fig6Config(beta=6.0, time_scale=TIME_SCALE))
+        r4 = run("fig6", Fig6Config(beta=4.0, time_scale=TIME_SCALE))
+        r6 = run("fig6", Fig6Config(beta=6.0, time_scale=TIME_SCALE))
         return r4.fairness_all_flows(), r6.fairness_all_flows()
 
     jain4, jain6 = once(both)

@@ -4,7 +4,8 @@ import pytest
 
 from _bench_common import emit
 
-from repro.experiments.fig7_rate_compensation import Fig7Config, run_fig7
+from repro.experiments.catalog import run
+from repro.experiments.fig7_rate_compensation import Fig7Config
 
 #: Compress the paper's 70 s schedule to 3.5 s; intervals stay hundreds of
 #: RTTs long.
@@ -18,7 +19,7 @@ CONFIGS = [(4.0, 20), (5.0, 15), (6.0, 10)]
                          ids=[f"beta{int(b)}_k{k}" for b, k in CONFIGS])
 def test_fig7_rate_compensation(once, beta, threshold):
     result = once(
-        run_fig7,
+        run, "fig7",
         Fig7Config(beta=beta, marking_threshold=threshold,
                    time_scale=TIME_SCALE),
     )

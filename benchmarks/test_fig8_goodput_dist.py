@@ -1,8 +1,8 @@
 """Bench: Fig. 8 — goodput CDFs and per-category percentile bars."""
 
-from _bench_common import BENCH_BASE, BENCH_INCAST, BENCH_JOBS, emit
+from _bench_common import BENCH_BASE, BENCH_CAMPAIGN, base_for, emit
 
-from repro.experiments.fig8_goodput_dist import run_fig8
+from repro.experiments.catalog import run
 from repro.experiments.reporting import format_summary
 from repro.metrics.stats import percentile
 
@@ -29,7 +29,7 @@ def render(result) -> str:
 
 
 def test_fig8a_permutation_cdf(once):
-    result = once(run_fig8, "permutation", BENCH_BASE, jobs=BENCH_JOBS)
+    result = once(run, "fig8", BENCH_BASE, BENCH_CAMPAIGN)
     emit("fig8a_permutation", render(result))
     # Paper shape: the XMP-4 CDF sits right of DCTCP's (higher goodput).
     assert result.median("XMP-4") > result.median("DCTCP") * 0.95
@@ -37,13 +37,13 @@ def test_fig8a_permutation_cdf(once):
 
 
 def test_fig8b_incast_cdf(once):
-    result = once(run_fig8, "incast", BENCH_INCAST)
+    result = once(run, "fig8", base_for("incast"), BENCH_CAMPAIGN)
     emit("fig8b_incast", render(result))
     assert result.median("XMP-2") > result.median("LIA-2")
 
 
 def test_fig8cd_categories(once):
-    result = once(run_fig8, "permutation", BENCH_BASE)
+    result = once(run, "fig8", BENCH_BASE, BENCH_CAMPAIGN)
     by_cat = result.by_category
     # Paper shape (Fig. 8c): DCTCP wins inner-rack; XMP narrows the gap on
     # inter-pod flows via multipath.

@@ -1,13 +1,13 @@
 """Bench: Fig. 9 — incast job-completion-time CDF."""
 
-from _bench_common import BENCH_INCAST, emit
+from _bench_common import BENCH_CAMPAIGN, BENCH_INCAST, emit
 
-from repro.experiments.fig9_jct_cdf import run_jct
+from repro.experiments.catalog import run
 from repro.metrics.stats import percentile
 
 
 def test_fig9_jct_cdf(once):
-    result = once(run_jct, BENCH_INCAST)
+    result = once(run, "jct", BENCH_INCAST, BENCH_CAMPAIGN)
     lines = ["JCT CDF quantiles (ms):"]
     for label, jcts in result.jcts.items():
         if not jcts:

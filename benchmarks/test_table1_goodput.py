@@ -1,16 +1,17 @@
 """Bench: Table 1 — average goodput per scheme per traffic pattern."""
 
-from _bench_common import BENCH_BASE, BENCH_INCAST, BENCH_JOBS, emit
+from _bench_common import BENCH_BASE, BENCH_CAMPAIGN, BENCH_INCAST, emit
 
-from repro.experiments.table1_goodput import PAPER_TABLE1, run_table1
+from repro.experiments.catalog import run
+from repro.experiments.table1_goodput import PAPER_TABLE1
 
 
 def run_full_table1():
     """Permutation/Random cells at the standard horizon, Incast at the
     longer one (shared, via the result cache, with Figs. 8-11/Table 3)."""
-    bulk = run_table1(BENCH_BASE, patterns=("permutation", "random"),
-                      jobs=BENCH_JOBS)
-    incast = run_table1(BENCH_INCAST, patterns=("incast",), jobs=BENCH_JOBS)
+    bulk = run("table1", BENCH_BASE, BENCH_CAMPAIGN,
+               patterns=("permutation", "random"))
+    incast = run("table1", BENCH_INCAST, BENCH_CAMPAIGN, patterns=("incast",))
     for label, cells in incast.goodput_mbps.items():
         bulk.goodput_mbps[label]["incast"] = cells["incast"]
     bulk.patterns = ("permutation", "random", "incast")

@@ -1,15 +1,13 @@
 """Bench: Table 2 — XMP coexisting with LIA / TCP / DCTCP."""
 
-from _bench_common import BENCH_BASE, BENCH_JOBS, emit
+from _bench_common import BENCH_BASE, BENCH_CAMPAIGN, emit
 
-from repro.experiments.table2_coexistence import (
-    PAPER_TABLE2,
-    run_table2,
-)
+from repro.experiments.catalog import run
+from repro.experiments.table2_coexistence import PAPER_TABLE2
 
 
 def test_table2_coexistence(once):
-    result = once(run_table2, BENCH_BASE, jobs=BENCH_JOBS)
+    result = once(run, "table2", BENCH_BASE, BENCH_CAMPAIGN)
     lines = [result.format(), "", "Paper:"]
     for (scheme, queue), (xmp, other) in sorted(PAPER_TABLE2.items()):
         lines.append(f"  XMP : {scheme.upper():<5} q={queue:<4} {xmp} : {other}")

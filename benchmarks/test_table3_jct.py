@@ -1,12 +1,13 @@
 """Bench: Table 3 — mean JCT and fraction of jobs over 300 ms."""
 
-from _bench_common import BENCH_INCAST, emit
+from _bench_common import BENCH_CAMPAIGN, BENCH_INCAST, emit
 
-from repro.experiments.table3_jct import PAPER_TABLE3, run_table3
+from repro.experiments.catalog import run
+from repro.experiments.fig9_jct_cdf import PAPER_TABLE3
 
 
 def test_table3_jct(once):
-    result = once(run_table3, BENCH_INCAST)
+    result = once(run, "jct", BENCH_INCAST, BENCH_CAMPAIGN)
     lines = [result.format_table3(), "", "Paper:"]
     for label, (mean_s, frac) in PAPER_TABLE3.items():
         lines.append(f"  {label:<6} {mean_s * 1e3:.0f} ms   >300ms: {frac:.1%}")

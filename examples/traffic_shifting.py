@@ -9,13 +9,14 @@ compensate on the other — the TraSh algorithm in action.
 Run:  python examples/traffic_shifting.py
 """
 
-from repro.experiments.fig4_traffic_shifting import Fig4Config, run_fig4
+from repro.experiments.catalog import run
+from repro.experiments.fig4_traffic_shifting import Fig4Config
 
 TIME_SCALE = 0.15  # compress the paper's 40 s to 6 s of simulated time
 
 
 def main() -> None:
-    result = run_fig4(Fig4Config(beta=4.0, time_scale=TIME_SCALE))
+    result = run("fig4", Fig4Config(beta=4.0, time_scale=TIME_SCALE))
 
     print("Flow 2 subflow rates (normalized to the 300 Mbps bottleneck):")
     print(f"{'time':>8}  {'subflow 1 (DN1)':>16}  {'subflow 2 (DN2)':>16}")

@@ -83,6 +83,10 @@ if [ "$run_bench_only" = 1 ]; then
 fi
 
 workload_smoke() {
+    # `list` first: it builds every experiment row's default grid, so a
+    # row that cannot construct its defaults fails here in under a second.
+    echo "== experiment table (python -m repro list) =="
+    PYTHONPATH="$REPRO_PYTHONPATH" python -m repro list
     # One tiny cell of each new traffic kind through the real CLI: the
     # cheapest end-to-end proof that samplers -> schedule -> open-loop
     # launch -> FCT/queue reducers -> table formatting still compose.

@@ -46,40 +46,21 @@ OBSERVABILITY.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import sys
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from repro.experiments.fattree_eval import PATTERNS, FatTreeScenario
-from repro.experiments.fig1_convergence import Fig1Config
-from repro.experiments.fig4_traffic_shifting import Fig4Config
-from repro.experiments.fig6_fairness import Fig6Config
-from repro.experiments.fig7_rate_compensation import Fig7Config
-from repro.experiments.fig9_jct_cdf import run_jct
-from repro.experiments.fig10_rtt import FIG10_SCHEMES, run_fig10
-from repro.experiments.fig11_utilization import run_fig11
-from repro.experiments.reporting import format_cdf, format_table
-from repro.experiments.table1_goodput import TABLE1_SCHEMES, run_table1
-from repro.experiments.table2_coexistence import (
-    COEXIST_SCHEMES,
-    QUEUE_SIZES,
-    run_table2,
+from repro.experiments.catalog import (
+    EXPERIMENTS,
+    K,
+    PATTERN,
+    SEED,
+    Experiment,
+    Flag,
+    flag,
 )
-from repro.experiments.workload_matrix import (
-    MATRIX_LOADS,
-    MATRIX_SCHEMES,
-    SWEEP_FAN_INS,
-    IncastSweepScenario,
-    WorkloadScenario,
-    parse_scheme_spec,
-    run_incast_sweep,
-    run_workload_matrix,
-)
-from repro.fluid.backend import TOPOLOGIES as FLUID_TOPOLOGIES, FluidScenario
-from repro.fluid.laws import FLUID_SCHEMES
-from repro.fluid.solver import SOLVERS as FLUID_SOLVERS
-from repro.sim.units import seconds
-from repro.workloads.arrivals import ARRIVAL_NAMES
-from repro.workloads.cdf import WORKLOAD_NAMES
+from repro.experiments.fattree_eval import FatTreeScenario
 from repro.runner import (
     Campaign,
     CampaignResult,
@@ -88,55 +69,32 @@ from repro.runner import (
     RunSpec,
     default_cache,
 )
+from repro.runner.registry import BACKEND_PACKET, backend_of
+from repro.sim.probe import exported
 
-#: name -> (cell count at defaults, help text).  The cell count is the
-#: number of independent simulations, i.e. the useful upper bound for
-#: ``--jobs``.
-EXPERIMENT_INFO: Dict[str, Tuple[int, str]] = {
-    "fig1": (1, "Fig. 1: convergence on one bottleneck"),
-    "fig4": (1, "Fig. 4: traffic shifting testbed"),
-    "fig6": (1, "Fig. 6: fairness vs subflow count"),
-    "fig7": (1, "Fig. 7: torus rate compensation"),
-    "table1": (
-        len(TABLE1_SCHEMES) * len(PATTERNS),
-        "Table 1: goodput per scheme per pattern",
-    ),
-    "table2": (
-        len(COEXIST_SCHEMES) * len(QUEUE_SIZES),
-        "Table 2: XMP coexistence",
-    ),
-    "jct": (len(TABLE1_SCHEMES), "Fig. 9 / Table 3: incast job completion times"),
-    "rtt": (len(FIG10_SCHEMES), "Fig. 10: RTT by category"),
-    "utilization": (len(FIG10_SCHEMES), "Fig. 11: utilization by layer"),
-    "workload": (
-        len(MATRIX_SCHEMES) * len(MATRIX_LOADS),
-        "workload matrix: empirical flow sizes, open-loop arrivals, "
-        "FCT/queue-depth by load 0.1-0.9",
-    ),
-    "incast": (
-        len(MATRIX_SCHEMES) * len(SWEEP_FAN_INS),
-        "incast sweep: partition-aggregate fan-in vs JCT and goodput "
-        "collapse",
-    ),
-    "fluid": (
-        1,
-        "fluid ODE backend: steady-state windows/goodput/queues; "
-        "--crosscheck validates fluid against the packet engine",
-    ),
-    "export": (1, "run one fat-tree scenario and dump JSON/CSV artifacts"),
-    "validate": (
-        6,
-        "run the golden-trace scenarios under the invariant checker "
-        "(--bless regenerates goldens)",
-    ),
-    "profile": (
-        1,
-        "run one experiment kind under the engine profiler: hot-spot "
-        "table + JSONL telemetry (see OBSERVABILITY.md)",
-    ),
+#: kind -> config class of every packet-engine row: what ``profile`` can run.
+PROFILE_KINDS = {
+    row.kind: row.config
+    for row in EXPERIMENTS.values()
+    if backend_of(row.kind) == BACKEND_PACKET
 }
 
-EXPERIMENTS = tuple(EXPERIMENT_INFO)
+
+def _scenario_flags(duration: float, scheme_help: Optional[str] = None) -> Tuple[Flag, ...]:
+    """One fat-tree cell's flags (``export`` and ``profile``)."""
+    return (
+        flag("--scheme", default="xmp", help=scheme_help),
+        flag("--subflows", type=int, default=2),
+        PATTERN,
+        flag("--duration", type=float, default=duration),
+        K,
+        SEED,
+    )
+
+
+def _add_flags(p: argparse.ArgumentParser, flags: Iterable[Flag]) -> None:
+    for option, kwargs in flags:
+        p.add_argument(option, **kwargs)
 
 
 def _add_runner_options(p: argparse.ArgumentParser) -> None:
@@ -171,104 +129,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="list available experiments and cell counts")
 
-    p = sub.add_parser("fig1", help=EXPERIMENT_INFO["fig1"][1])
-    p.add_argument("--scheme", choices=("dctcp", "bos"), default="dctcp")
-    p.add_argument("--threshold", type=int, default=10, help="marking K")
-    p.add_argument("--beta", type=float, default=2.0)
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="seconds between joins/leaves (paper: 5)")
-    _add_runner_options(p)
-
-    p = sub.add_parser("fig4", help=EXPERIMENT_INFO["fig4"][1])
-    p.add_argument("--beta", type=float, default=4.0)
-    p.add_argument("--time-scale", type=float, default=0.2)
-    _add_runner_options(p)
-
-    p = sub.add_parser("fig6", help=EXPERIMENT_INFO["fig6"][1])
-    p.add_argument("--beta", type=float, default=4.0)
-    p.add_argument("--time-scale", type=float, default=0.2)
-    _add_runner_options(p)
-
-    p = sub.add_parser("fig7", help=EXPERIMENT_INFO["fig7"][1])
-    p.add_argument("--beta", type=float, default=4.0)
-    p.add_argument("--threshold", type=int, default=20, help="marking K")
-    p.add_argument("--time-scale", type=float, default=0.05)
-    _add_runner_options(p)
-
-    for name in ("table1", "table2", "jct", "rtt", "utilization"):
-        p = sub.add_parser(name, help=EXPERIMENT_INFO[name][1])
-        p.add_argument("--duration", type=float, default=0.4)
-        p.add_argument("--k", type=int, default=4, help="fat-tree arity")
-        p.add_argument("--seed", type=int, default=1)
-        if name == "table1":
-            p.add_argument("--patterns", nargs="+",
-                           default=["permutation", "random", "incast"])
-        if name in ("rtt", "utilization"):
-            p.add_argument("--pattern", default="permutation")
+    for row in EXPERIMENTS.values():
+        p = sub.add_parser(row.name, help=row.help)
+        _add_flags(p, row.flags)
+        if row.name == "fluid":
+            # Not a row flag: a crosscheck compares raw fluid and packet
+            # runs, it is not a campaign over the row's cells.
+            p.add_argument(
+                "--crosscheck", nargs="?", const="all", default=None,
+                choices=("bottleneck", "fattree", "all"), metavar="TOPO",
+                help="cross-validate fluid vs packet on the golden "
+                     "scenarios instead of running one cell "
+                     "(optionally restrict to one topology)")
         _add_runner_options(p)
-
-    p = sub.add_parser("workload", help=EXPERIMENT_INFO["workload"][1])
-    p.add_argument("--workload", default="websearch", choices=WORKLOAD_NAMES,
-                   help="flow-size distribution (default: websearch)")
-    p.add_argument("--arrival", default="poisson", choices=ARRIVAL_NAMES,
-                   help="interarrival process (default: poisson)")
-    p.add_argument("--loads", nargs="+", type=float,
-                   default=list(MATRIX_LOADS), metavar="LOAD",
-                   help="offered loads as a fraction of fabric capacity "
-                        "(default: 0.1 .. 0.9)")
-    p.add_argument("--schemes", nargs="+", metavar="SCHEME[-N]",
-                   default=[f"{s}-{n}" for s, n in MATRIX_SCHEMES],
-                   help="schemes with subflow counts, e.g. xmp-2 dctcp "
-                        "lia-2 (default: xmp-2 dctcp-1 lia-2)")
-    p.add_argument("--duration", type=float, default=0.1)
-    p.add_argument("--size-scale", type=float, default=1.0,
-                   help="multiplier on sampled flow sizes")
-    p.add_argument("--elephants", type=int, default=0,
-                   help="long-lived background bulk flows")
-    p.add_argument("--k", type=int, default=4, help="fat-tree arity")
-    p.add_argument("--seed", type=int, default=1)
-    _add_runner_options(p)
-
-    p = sub.add_parser("incast", help=EXPERIMENT_INFO["incast"][1])
-    p.add_argument("--fan-ins", nargs="+", type=int,
-                   default=list(SWEEP_FAN_INS), metavar="N",
-                   help="workers per partition-aggregate round "
-                        "(default: 2 4 8 12)")
-    p.add_argument("--schemes", nargs="+", metavar="SCHEME[-N]",
-                   default=[f"{s}-{n}" for s, n in MATRIX_SCHEMES],
-                   help="response-flow schemes, e.g. xmp-2 dctcp lia-2")
-    p.add_argument("--response-bytes", type=int, default=64_000,
-                   help="bytes each worker sends back (default: 64000)")
-    p.add_argument("--concurrent", type=int, default=4,
-                   help="partition-aggregate jobs in flight at once")
-    p.add_argument("--duration", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=4, help="fat-tree arity")
-    p.add_argument("--seed", type=int, default=1)
-    _add_runner_options(p)
-
-    p = sub.add_parser("fluid", help=EXPERIMENT_INFO["fluid"][1])
-    p.add_argument("--scheme", default="xmp", choices=FLUID_SCHEMES)
-    p.add_argument("--topology", default="bottleneck",
-                   choices=FLUID_TOPOLOGIES)
-    p.add_argument("--flows", type=int, default=4,
-                   help="long-lived flows (default 4)")
-    p.add_argument("--subflows", type=int, default=1)
-    p.add_argument("--duration", type=float, default=None,
-                   help="horizon in seconds (default 0.2; crosscheck 0.3)")
-    p.add_argument("--dt", type=float, default=2e-5,
-                   help="Euler step in seconds (default 2e-5)")
-    p.add_argument("--beta", type=float, default=4.0)
-    p.add_argument("--k", type=int, default=4,
-                   help="fat-tree arity (fattree topology only)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--solver", default="reference", choices=FLUID_SOLVERS,
-                   help="reference (pure python) or vector (numpy)")
-    p.add_argument("--crosscheck", nargs="?", const="all", default=None,
-                   choices=("bottleneck", "fattree", "all"), metavar="TOPO",
-                   help="cross-validate fluid vs packet on the golden "
-                        "scenarios instead of running one cell "
-                        "(optionally restrict to one topology)")
-    _add_runner_options(p)
 
     p = sub.add_parser(
         "lint",
@@ -278,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("lint_args", nargs=argparse.REMAINDER, metavar="ARGS",
                    help="arguments forwarded to python -m repro.lint")
 
-    p = sub.add_parser("validate", help=EXPERIMENT_INFO["validate"][1])
+    p = sub.add_parser("validate", help=TOOLS["validate"][1])
     p.add_argument("scenarios", nargs="*", metavar="SCENARIO",
                    help="scenario names (default: all; see "
                         "repro.validate.scenarios)")
@@ -286,29 +159,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="regenerate the checked-in golden digests from "
                         "this run instead of diffing against them")
 
-    p = sub.add_parser("export", help=EXPERIMENT_INFO["export"][1])
+    p = sub.add_parser("export", help=TOOLS["export"][1])
     p.add_argument("directory", help="output directory")
-    p.add_argument("--scheme", default="xmp")
-    p.add_argument("--subflows", type=int, default=2)
-    p.add_argument("--pattern", default="permutation",
-                   choices=("permutation", "random", "incast"))
-    p.add_argument("--duration", type=float, default=0.4)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--seed", type=int, default=1)
+    _add_flags(p, _scenario_flags(duration=0.4))
     _add_runner_options(p)
 
-    p = sub.add_parser("profile", help=EXPERIMENT_INFO["profile"][1])
-    p.add_argument("experiment",
-                   choices=("fattree", "fig1", "fig4", "fig6", "fig7"),
+    p = sub.add_parser("profile", help=TOOLS["profile"][1])
+    p.add_argument("experiment", choices=tuple(PROFILE_KINDS),
                    help="registered experiment kind to profile")
-    p.add_argument("--scheme", default="xmp",
-                   help="fattree scheme (fattree kind only)")
-    p.add_argument("--subflows", type=int, default=2)
-    p.add_argument("--pattern", default="permutation",
-                   choices=("permutation", "random", "incast"))
-    p.add_argument("--duration", type=float, default=0.1)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--seed", type=int, default=1)
+    _add_flags(p, _scenario_flags(
+        duration=0.1, scheme_help="fattree scheme (fattree kind only)"))
     p.add_argument("--top", type=int, default=12, metavar="N",
                    help="hot-spot table rows (default 12)")
     p.add_argument("--telemetry", default="telemetry", metavar="DIR",
@@ -316,42 +176,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _campaign_kwargs(args: argparse.Namespace) -> dict:
-    """Translate runner flags into the drivers' campaign kwargs.
+def _campaign(args: argparse.Namespace) -> Campaign:
+    """The campaign the runner flags describe.
 
     The CLI attaches a disk tier (unlike library defaults, which stay
     memory-only unless ``$REPRO_CACHE_DIR`` is set): a repeated
     invocation with a warm cache skips simulation entirely.
 
-    ``--validate`` forces recomputation (cached results were produced by
-    *unvalidated* runs, so replaying them would check nothing) and sets
-    ``$REPRO_VALIDATE`` so worker processes validate too.
-
-    ``--telemetry DIR`` exports ``$REPRO_TELEMETRY``: the drivers'
-    campaigns pick the sink up from the environment (no driver signature
-    carries it), and pool workers inherit the variable so their cells run
-    profiled.
+    ``--validate`` forces recomputation: cached results were produced by
+    *unvalidated* runs, so replaying them would check nothing.
     """
-    import os
+    telemetry = None
+    if args.telemetry:
+        from repro.obs.telemetry import Telemetry
 
-    if getattr(args, "telemetry", None):
-        os.environ["REPRO_TELEMETRY"] = args.telemetry
-    if getattr(args, "validate", False):
-        os.environ["REPRO_VALIDATE"] = "1"
-        return {"jobs": args.jobs, "cache": None, "use_cache": False}
-    if args.no_cache:
-        return {"jobs": args.jobs, "cache": None, "use_cache": False}
-    disk = DiskCache(args.cache_dir) if args.cache_dir else DiskCache()
-    cache = RunCache(memory=default_cache().memory, disk=disk)
-    return {"jobs": args.jobs, "cache": cache, "use_cache": True}
+        telemetry = Telemetry(args.telemetry)
+    if args.validate or args.no_cache:
+        return Campaign(args.jobs, use_cache=False, telemetry=telemetry)
+    cache = RunCache(memory=default_cache().memory, disk=DiskCache(args.cache_dir))
+    return Campaign(args.jobs, cache, telemetry=telemetry)
 
 
-def _epilogue(args: argparse.Namespace, campaign: Optional[CampaignResult]) -> str:
+def _epilogue(args: argparse.Namespace, campaign: CampaignResult) -> str:
     """The ``[runner]`` summary (and optional per-cell table) for a run."""
-    if campaign is None:
-        return ""
     lines = [f"[runner] {campaign.summary()}"]
-    if getattr(args, "validate", False):
+    if args.validate:
         checks = sum(r.metrics.invariant_checks for r in campaign.results)
         lines.append(
             f"[validate] {len(campaign.results)} cells passed "
@@ -359,224 +208,49 @@ def _epilogue(args: argparse.Namespace, campaign: Optional[CampaignResult]) -> s
         )
     if args.cells:
         lines.append(campaign.format_cells())
-    if getattr(args, "telemetry", None):
+    if args.telemetry:
         from repro.obs.telemetry import RUNS_FILENAME
 
         lines.append(f"[telemetry] appended to {args.telemetry}/{RUNS_FILENAME}")
     return "\n" + "\n".join(lines)
 
 
-def _run_single(kind: str, config, args: argparse.Namespace):
-    """Run a one-cell experiment through the runner; returns its result
-    value and the one-cell campaign for the epilogue."""
-    kwargs = _campaign_kwargs(args)
-    campaign = Campaign(
-        jobs=1, cache=kwargs["cache"], use_cache=kwargs["use_cache"]
-    ).run([RunSpec(kind, config)])
-    return campaign.results[0].value, campaign
+def _from_flags(config: type, args: argparse.Namespace) -> Any:
+    """``config`` built from the namespace attributes that are its fields."""
+    names = {field.name for field in dataclasses.fields(config)}
+    return config(**{k: v for k, v in vars(args).items() if k in names})
 
 
-def _scenario(args: argparse.Namespace) -> FatTreeScenario:
-    return FatTreeScenario(duration=args.duration, k=args.k, seed=args.seed)
+def _run_experiment(row: Experiment, args: argparse.Namespace) -> str:
+    """The one path every experiment row takes: flags -> grid -> view."""
+    if getattr(args, "crosscheck", None):
+        return _run_crosscheck(args)
+    base, axes = row.parse(vars(args))
+    view, outcome = row.run(base, _campaign(args), **axes)
+    return view.format() + _epilogue(args, outcome)
 
 
-def _run_fig1(args) -> str:
-    result, campaign = _run_single("fig1", Fig1Config(
-        scheme=args.scheme, beta=args.beta,
-        marking_threshold=args.threshold, interval=args.interval,
-    ), args)
-    rows = [
-        (f"{start:.1f}-{end:.1f}s", active, f"{jain:.4f}")
-        for start, end, active, jain in result.segments
-    ]
-    table = format_table(["segment", "active flows", "Jain"], rows,
-                         title=f"Fig. 1 ({args.scheme}, K={args.threshold})")
-    return (f"{table}\nworst multi-flow Jain: {result.worst_jain():.4f}"
-            + _epilogue(args, campaign))
+def _run_crosscheck(args: argparse.Namespace) -> str:
+    from repro.fluid.crosscheck import run_crosschecks
+
+    checks = run_crosschecks(args.crosscheck, duration=args.duration)
+    lines = [check.format() for check in checks]
+    failed = [check for check in checks if not check.ok]
+    lines.append(f"crosscheck: {len(checks) - len(failed)}/{len(checks)} ok")
+    if failed:
+        raise SystemExit("\n".join(lines) + "\ncrosscheck: FAILED")
+    return "\n".join(lines)
 
 
-def _run_fig4(args) -> str:
-    result, campaign = _run_single(
-        "fig4", Fig4Config(beta=args.beta, time_scale=args.time_scale), args
-    )
-    rows = []
-    for phase, (start, end) in result.phases().items():
-        rows.append(
-            (
-                phase,
-                f"{result.mean_normalized('flow2-1', start, end):.3f}",
-                f"{result.mean_normalized('flow2-2', start, end):.3f}",
-            )
-        )
-    return format_table(
-        ["phase", "subflow 1", "subflow 2"], rows,
-        title=f"Fig. 4 (beta={args.beta}): Flow 2 normalized rates",
-    ) + _epilogue(args, campaign)
-
-
-def _run_fig6(args) -> str:
-    result, campaign = _run_single(
-        "fig6", Fig6Config(beta=args.beta, time_scale=args.time_scale), args
-    )
-    s = args.time_scale
-    rows = [
-        (f"flow {flow}",
-         f"{result.flow_rate_between(flow, 21 * s, 25 * s) / 1e6:.1f} Mbps")
-        for flow in (1, 2, 3, 4)
-    ]
-    table = format_table(["flow", "rate (20-25s window)"], rows,
-                         title=f"Fig. 6 (beta={args.beta})")
-    return (f"{table}\nJain index: {result.fairness_all_flows():.4f}"
-            + _epilogue(args, campaign))
-
-
-def _run_fig7(args) -> str:
-    result, campaign = _run_single("fig7", Fig7Config(
-        beta=args.beta, marking_threshold=args.threshold,
-        time_scale=args.time_scale,
-    ), args)
-    s = args.time_scale
-    rows = []
-    for i in range(1, 6):
-        for j in (1, 2):
-            name = f"flow{i}-{j}"
-            rows.append(
-                (
-                    name,
-                    f"{result.normalized_mean(name, 20 * s, 25 * s):.3f}",
-                    f"{result.normalized_mean(name, 40 * s, 45 * s):.3f}",
-                    f"{result.normalized_mean(name, 65 * s, 70 * s):.3f}",
-                )
-            )
-    return format_table(
-        ["subflow", "pre (20-25s)", "congested (40-45s)", "L3 closed (65-70s)"],
-        rows,
-        title=f"Fig. 7 (beta={args.beta}, K={args.threshold})",
-    ) + _epilogue(args, campaign)
-
-
-def _run_table1(args) -> str:
-    result = run_table1(
-        _scenario(args), patterns=tuple(args.patterns), **_campaign_kwargs(args)
-    )
-    return result.format() + _epilogue(args, result.campaign)
-
-
-def _run_table2(args) -> str:
-    result = run_table2(_scenario(args), **_campaign_kwargs(args))
-    return result.format() + _epilogue(args, result.campaign)
-
-
-def _run_jct(args) -> str:
-    result = run_jct(_scenario(args), **_campaign_kwargs(args))
-    lines = [result.format_table3(), "", "CDFs:"]
-    for label, jcts in result.jcts.items():
-        lines.append(f"  {label:<7} {format_cdf(jcts, scale=1e3, unit='ms')}")
-    return "\n".join(lines) + _epilogue(args, result.campaign)
-
-
-def _run_rtt(args) -> str:
-    result = run_fig10(args.pattern, _scenario(args), **_campaign_kwargs(args))
-    return result.format() + _epilogue(args, result.campaign)
-
-
-def _run_utilization(args) -> str:
-    result = run_fig11(args.pattern, _scenario(args), **_campaign_kwargs(args))
-    return result.format() + _epilogue(args, result.campaign)
-
-
-def _run_workload(args) -> str:
-    base = WorkloadScenario(
-        workload=args.workload,
-        arrival=args.arrival,
-        duration=args.duration,
-        size_scale=args.size_scale,
-        background_elephants=args.elephants,
-        k=args.k,
-        seed=args.seed,
-    )
-    schemes = tuple(parse_scheme_spec(s) for s in args.schemes)
-    result = run_workload_matrix(
-        base, schemes=schemes, loads=tuple(args.loads), **_campaign_kwargs(args)
-    )
-    return result.format() + _epilogue(args, result.campaign)
-
-
-def _run_incast(args) -> str:
-    base = IncastSweepScenario(
-        response_bytes=args.response_bytes,
-        concurrent_jobs=args.concurrent,
-        duration=args.duration,
-        k=args.k,
-        seed=args.seed,
-    )
-    schemes = tuple(parse_scheme_spec(s) for s in args.schemes)
-    result = run_incast_sweep(
-        base, schemes=schemes, fan_ins=tuple(args.fan_ins),
-        **_campaign_kwargs(args)
-    )
-    return result.format() + _epilogue(args, result.campaign)
-
-
-def _run_fluid(args) -> str:
-    if args.crosscheck:
-        from repro.fluid.crosscheck import run_crosschecks
-
-        duration = seconds(args.duration) if args.duration else None
-        checks = run_crosschecks(args.crosscheck, duration=duration)
-        lines = [check.format() for check in checks]
-        failed = [check for check in checks if not check.ok]
-        lines.append(
-            f"crosscheck: {len(checks) - len(failed)}/{len(checks)} ok"
-        )
-        if failed:
-            raise SystemExit("\n".join(lines) + "\ncrosscheck: FAILED")
-        return "\n".join(lines)
-
-    scenario = FluidScenario(
-        scheme=args.scheme,
-        topology=args.topology,
-        flows=args.flows,
-        subflows=args.subflows,
-        duration=seconds(args.duration if args.duration else 0.2),
-        dt=seconds(args.dt),
-        beta=args.beta,
-        k=args.k,
-        seed=args.seed,
-        solver=args.solver,
-    )
-    result, campaign = _run_single("fluid", scenario, args)
-    windows = result.steady_state_windows()
-    goodputs = result.flow_goodputs_bps()
-    rows = [
-        ("mean window", f"{sum(windows) / len(windows):.2f} packets"),
-        ("mean goodput", f"{sum(goodputs) / len(goodputs) / 1e6:.1f} Mbps"),
-        ("min/max goodput",
-         f"{min(goodputs) / 1e6:.1f} / {max(goodputs) / 1e6:.1f} Mbps"),
-        ("max queue", f"{result.max_steady_state_queue():.1f} packets"),
-        ("state updates", f"{result.events}"),
-    ]
-    return format_table(
-        ["steady state", "value"], rows,
-        title=f"fluid {scenario.label()} ({args.solver} solver)",
-    ) + _epilogue(args, campaign)
-
-
-def _run_export(args) -> str:
+def _run_export(args: argparse.Namespace) -> str:
     from repro.experiments.export import (
         export_campaign_metrics,
         export_fattree_result,
     )
 
-    scenario = FatTreeScenario(
-        scheme=args.scheme,
-        subflows=args.subflows,
-        pattern=args.pattern,
-        duration=args.duration,
-        k=args.k,
-        seed=args.seed,
-    )
-    result, campaign = _run_single("fattree", scenario, args)
+    scenario = _from_flags(FatTreeScenario, args)
+    campaign = _campaign(args).run([RunSpec("fattree", scenario)])
+    result = campaign.values[0]
     out = export_fattree_result(result, args.directory)
     export_campaign_metrics(campaign, args.directory)
     return (
@@ -587,7 +261,7 @@ def _run_export(args) -> str:
     )
 
 
-def _run_profile(args) -> str:
+def _run_profile(args: argparse.Namespace) -> str:
     """Run one experiment kind under the engine profiler, no cache.
 
     Prints the per-component hot-spot table and heap health, and appends
@@ -596,24 +270,17 @@ def _run_profile(args) -> str:
     """
     from repro.obs.telemetry import Telemetry
 
-    if args.experiment == "fattree":
-        config = FatTreeScenario(
-            scheme=args.scheme, subflows=args.subflows, pattern=args.pattern,
-            duration=args.duration, k=args.k, seed=args.seed,
-        )
+    config_class = PROFILE_KINDS[args.experiment]
+    if config_class is FatTreeScenario:
+        config = _from_flags(FatTreeScenario, args)
     else:
-        config = {
-            "fig1": Fig1Config,
-            "fig4": Fig4Config,
-            "fig6": Fig6Config,
-            "fig7": Fig7Config,
-        }[args.experiment]()
+        config = config_class()
     telemetry = Telemetry(args.telemetry)
     # No cache: profiling a cache hit would measure nothing.  Campaign
     # exports $REPRO_PROFILE for the duration, so the cell runs profiled.
-    campaign = Campaign(
-        jobs=1, cache=None, use_cache=False, telemetry=telemetry
-    ).run([RunSpec(args.experiment, config)])
+    campaign = Campaign(use_cache=False, telemetry=telemetry).run(
+        [RunSpec(args.experiment, config)]
+    )
     result = campaign.results[0]
     profile = result.metrics.profile
     if profile is None:  # pragma: no cover - defensive; execute() profiles
@@ -630,7 +297,7 @@ def _run_profile(args) -> str:
     return "\n".join(lines)
 
 
-def _run_validate(args) -> str:
+def _run_validate(args: argparse.Namespace) -> str:
     from repro.validate.scenarios import run_golden_suite
 
     report, ok = run_golden_suite(
@@ -642,32 +309,33 @@ def _run_validate(args) -> str:
     return report + ("\nvalidate: blessed" if args.bless else "\nvalidate: OK")
 
 
-_RUNNERS = {
-    "fig1": _run_fig1,
-    "fig4": _run_fig4,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "table1": _run_table1,
-    "table2": _run_table2,
-    "jct": _run_jct,
-    "rtt": _run_rtt,
-    "utilization": _run_utilization,
-    "workload": _run_workload,
-    "incast": _run_incast,
-    "fluid": _run_fluid,
-    "export": _run_export,
-    "validate": _run_validate,
-    "profile": _run_profile,
+#: The subcommands that are not experiment rows: name -> (runner, help).
+TOOLS: Dict[str, Tuple[Callable[[argparse.Namespace], str], str]] = {
+    "export": (_run_export,
+               "run one fat-tree scenario and dump JSON/CSV artifacts"),
+    "validate": (_run_validate,
+                 "run the golden-trace scenarios under the invariant checker "
+                 "(--bless regenerates goldens)"),
+    "profile": (_run_profile,
+                "run one experiment kind under the engine profiler: hot-spot "
+                "table + JSONL telemetry (see OBSERVABILITY.md)"),
 }
 
 
 def _list_text() -> str:
+    """Every subcommand with its cell count — the useful upper bound for
+    ``--jobs`` — computed from each row's default grid."""
+    from repro.validate.scenarios import scenario_names
+
+    entries = [(row.name, len(row.grid()), row.help) for row in EXPERIMENTS.values()]
+    tool_cells = {"export": 1, "validate": len(scenario_names()), "profile": 1}
+    entries += [(name, tool_cells[name], text) for name, (_, text) in TOOLS.items()]
     lines = [
         "available experiments (cells = independent simulations; size --jobs accordingly):"
     ]
-    for name, (cells, help_text) in EXPERIMENT_INFO.items():
+    for name, cells, text in entries:
         cell_word = "cell " if cells == 1 else "cells"
-        lines.append(f"  {name:<12} {cells:>2} {cell_word}  {help_text}")
+        lines.append(f"  {name:<12} {cells:>2} {cell_word}  {text}")
     return "\n".join(lines)
 
 
@@ -686,7 +354,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse.REMAINDER keeps a leading "--" separator; drop it.
         lint_args = [a for a in args.lint_args if a != "--"]
         return lint_main(lint_args)
-    print(_RUNNERS[args.command](args))
+    # --validate reaches pool workers through the environment; scoped to
+    # this one command so the calling process is left as it was found.
+    validating = getattr(args, "validate", False)
+    with exported("REPRO_VALIDATE") if validating else contextlib.nullcontext():
+        if args.command in EXPERIMENTS:
+            print(_run_experiment(EXPERIMENTS[args.command], args))
+        else:
+            print(TOOLS[args.command][0](args))
     return 0
 
 

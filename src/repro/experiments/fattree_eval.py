@@ -20,13 +20,15 @@ paper's values.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.collector import RttSampler
 from repro.metrics.goodput import FlowRecord
+from repro.mptcp.coupling import scheme_label
 from repro.sim.random import RandomStreams
-from repro.topology.fattree import build_fattree
+from repro.topology.fattree import FatTreeNetwork, build_fattree
 from repro.traffic.factory import TransferFactory
 from repro.traffic.incast import IncastPattern
 from repro.traffic.permutation import PermutationPattern
@@ -60,10 +62,13 @@ class FatTreeScenario:
     rtt_sample_interval: float = 0.005
 
     def label(self) -> str:
-        base = self.scheme.upper()
-        if self.subflows > 1:
-            base = f"{base}-{self.subflows}"
-        return base
+        return scheme_label(self.scheme, self.subflows)
+
+    def coexist_label(self) -> Optional[str]:
+        """Label of the coexisting half's flows (Table 2), if any."""
+        if self.coexist_scheme is None:
+            return None
+        return scheme_label(self.coexist_scheme, self.coexist_subflows)
 
 
 @dataclass
@@ -120,58 +125,68 @@ def clear_cache() -> None:
     default_cache().clear_memory()
 
 
-def run_fattree(
-    scenario: FatTreeScenario, use_cache: bool = True, cache=None
-) -> FatTreeResult:
+def run_fattree(scenario: FatTreeScenario, campaign=None) -> FatTreeResult:
     """Run (or fetch from the runner cache) one fat-tree scenario."""
     from repro.runner import RunSpec, run_spec
 
-    return run_spec(
-        RunSpec("fattree", scenario), cache=cache, use_cache=use_cache
-    ).value
+    return run_spec(RunSpec("fattree", scenario), campaign).value
 
 
-def _simulate(scenario: FatTreeScenario) -> FatTreeResult:
-    if scenario.pattern not in PATTERNS:
-        raise ValueError(f"unknown pattern {scenario.pattern!r}")
-    streams = RandomStreams(scenario.seed)
+def build_cell(scenario) -> Tuple[RandomStreams, FatTreeNetwork, List[str]]:
+    """What every fat-tree cell starts from: the scenario's seeded
+    streams, its fabric (``k``, queue size, marking K) and the host list."""
     net = build_fattree(
         k=scenario.k,
         queue_capacity=scenario.queue_capacity,
         marking_threshold=scenario.marking_threshold,
     )
-    hosts = list(net.host_names)
+    return RandomStreams(scenario.seed), net, list(net.host_names)
+
+
+def scheme_factory(
+    net: FatTreeNetwork,
+    scenario,
+    rng: random.Random,
+    label: str,
+    scheme: Optional[str] = None,
+    subflows: Optional[int] = None,
+    rtt_sampler: Optional[RttSampler] = None,
+) -> TransferFactory:
+    """A factory at the scenario's beta and RTOmin, for the scenario's
+    scheme under test unless another ``scheme``/``subflows`` is named."""
+    return TransferFactory(
+        net,
+        scenario.scheme if scheme is None else scheme,
+        subflow_count=scenario.subflows if subflows is None else subflows,
+        beta=scenario.beta,
+        rto_min=scenario.rto_min,
+        rng=rng,
+        rtt_sampler=rtt_sampler,
+        label=label,
+    )
+
+
+def _simulate(scenario: FatTreeScenario) -> FatTreeResult:
+    if scenario.pattern not in PATTERNS:
+        raise ValueError(f"unknown pattern {scenario.pattern!r}")
+    streams, net, hosts = build_cell(scenario)
     rtt_sampler = RttSampler(
         net.sim, scenario.rtt_sample_interval, until=scenario.duration
     )
     rtt_sampler.start(scenario.rtt_sample_interval)
 
-    main_factory = TransferFactory(
-        net,
-        scenario.scheme,
-        subflow_count=scenario.subflows,
-        beta=scenario.beta,
-        rto_min=scenario.rto_min,
-        rng=streams.stream("paths-main"),
+    main_factory = scheme_factory(
+        net, scenario, streams.stream("paths-main"), scenario.label(),
         rtt_sampler=rtt_sampler,
-        label=scenario.label(),
     )
     factories = [main_factory]
     incast_pattern: Optional[IncastPattern] = None
 
     if scenario.coexist_scheme is not None:
-        other_label = scenario.coexist_scheme.upper()
-        if scenario.coexist_subflows > 1:
-            other_label = f"{other_label}-{scenario.coexist_subflows}"
-        other_factory = TransferFactory(
-            net,
-            scenario.coexist_scheme,
-            subflow_count=scenario.coexist_subflows,
-            beta=scenario.beta,
-            rto_min=scenario.rto_min,
-            rng=streams.stream("paths-coexist"),
+        other_factory = scheme_factory(
+            net, scenario, streams.stream("paths-coexist"), scenario.coexist_label(),
+            scheme=scenario.coexist_scheme, subflows=scenario.coexist_subflows,
             rtt_sampler=rtt_sampler,
-            label=other_label,
         )
         factories.append(other_factory)
         # Interleave the halves: contiguous halves would land each scheme

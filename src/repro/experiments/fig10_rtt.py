@@ -11,13 +11,13 @@ delay predominates RTT in DCNs".  The shapes to hold, per pattern:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.experiments.fattree_eval import FatTreeScenario
 from repro.experiments.reporting import format_table
 from repro.metrics.stats import summarize
-from repro.runner import Campaign, CampaignResult, RunSpec
+from repro.runner import CampaignResult
 
 #: Schemes Fig. 10 plots.
 FIG10_SCHEMES: Tuple[Tuple[str, int], ...] = (
@@ -57,22 +57,9 @@ class Fig10Result:
         )
 
 
-def run_fig10(
-    pattern: str,
-    base: FatTreeScenario = FatTreeScenario(),
-    schemes: Sequence[Tuple[str, int]] = FIG10_SCHEMES,
-    jobs: int = 1,
-    cache=None,
-    use_cache: bool = True,
-) -> Fig10Result:
-    """Collect per-category RTT distributions for one pattern."""
-    grid = [
-        replace(base, scheme=scheme, subflows=subflows, pattern=pattern)
-        for scheme, subflows in schemes
-    ]
-    campaign = Campaign(jobs=jobs, cache=cache, use_cache=use_cache)
-    outcome = campaign.run(RunSpec("fattree", scenario) for scenario in grid)
-    result = Fig10Result(pattern=pattern, campaign=outcome)
+def view(grid: Sequence[FatTreeScenario], outcome: CampaignResult) -> Fig10Result:
+    """Per-category RTT distributions for the grid's one pattern."""
+    result = Fig10Result(pattern=grid[0].pattern, campaign=outcome)
     for scenario, run in zip(grid, outcome.values):
         label = scenario.label()
         result.rtt[label] = {
@@ -83,4 +70,4 @@ def run_fig10(
     return result
 
 
-__all__ = ["Fig10Result", "run_fig10", "FIG10_SCHEMES", "CATEGORIES"]
+__all__ = ["Fig10Result", "view", "FIG10_SCHEMES", "CATEGORIES"]

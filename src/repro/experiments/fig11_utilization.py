@@ -12,14 +12,13 @@ layer (core / aggregation / rack).  Shapes to hold, per pattern:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence
 
 from repro.experiments.fattree_eval import FatTreeScenario
-from repro.experiments.fig10_rtt import FIG10_SCHEMES
 from repro.experiments.reporting import format_table
 from repro.metrics.stats import mean, summarize
-from repro.runner import Campaign, CampaignResult, RunSpec
+from repro.runner import CampaignResult
 
 LAYERS = ("core", "aggregation", "rack")
 
@@ -61,22 +60,9 @@ class Fig11Result:
         )
 
 
-def run_fig11(
-    pattern: str,
-    base: FatTreeScenario = FatTreeScenario(),
-    schemes: Sequence[Tuple[str, int]] = FIG10_SCHEMES,
-    jobs: int = 1,
-    cache=None,
-    use_cache: bool = True,
-) -> Fig11Result:
-    """Collect per-layer utilization distributions for one pattern."""
-    grid = [
-        replace(base, scheme=scheme, subflows=subflows, pattern=pattern)
-        for scheme, subflows in schemes
-    ]
-    campaign = Campaign(jobs=jobs, cache=cache, use_cache=use_cache)
-    outcome = campaign.run(RunSpec("fattree", scenario) for scenario in grid)
-    result = Fig11Result(pattern=pattern, campaign=outcome)
+def view(grid: Sequence[FatTreeScenario], outcome: CampaignResult) -> Fig11Result:
+    """Per-layer utilization distributions for the grid's one pattern."""
+    result = Fig11Result(pattern=grid[0].pattern, campaign=outcome)
     for scenario, run in zip(grid, outcome.values):
         label = scenario.label()
         result.utilization[label] = {
@@ -85,4 +71,4 @@ def run_fig11(
     return result
 
 
-__all__ = ["Fig11Result", "run_fig11", "LAYERS"]
+__all__ = ["Fig11Result", "view", "LAYERS"]

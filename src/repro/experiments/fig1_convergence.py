@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.experiments.reporting import format_table
 from repro.metrics.collector import RateSampler
 from repro.metrics.fairness import jain_index
 from repro.mptcp.connection import MptcpConnection
@@ -107,14 +108,16 @@ class Fig1Result:
         ]
         return sum(times) / len(times) if times else 0.0
 
-
-def run_fig1(
-    config: Fig1Config, use_cache: bool = False, cache=None
-) -> Fig1Result:
-    """Run one panel of Fig. 1 (through the campaign runner)."""
-    from repro.runner import RunSpec, run_spec
-
-    return run_spec(RunSpec("fig1", config), cache=cache, use_cache=use_cache).value
+    def format(self) -> str:
+        rows = [
+            (f"{start:.1f}-{end:.1f}s", active, f"{jain:.4f}")
+            for start, end, active, jain in self.segments
+        ]
+        table = format_table(
+            ["segment", "active flows", "Jain"], rows,
+            title=f"Fig. 1 ({self.config.scheme}, K={self.config.marking_threshold})",
+        )
+        return f"{table}\nworst multi-flow Jain: {self.worst_jain():.4f}"
 
 
 def _simulate(config: Fig1Config) -> Fig1Result:
@@ -177,4 +180,4 @@ def _simulate(config: Fig1Config) -> Fig1Result:
     return result
 
 
-__all__ = ["Fig1Config", "Fig1Result", "run_fig1", "JOIN_STEPS", "LEAVE_STEPS"]
+__all__ = ["Fig1Config", "Fig1Result", "JOIN_STEPS", "LEAVE_STEPS"]

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from repro.experiments.reporting import format_table
 from repro.metrics.collector import RateSampler
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.testbed import build_shifting_testbed
@@ -66,14 +67,19 @@ class Fig4Result:
             "recovered": (32.0 * s, 40.0 * s),
         }
 
-
-def run_fig4(
-    config: Fig4Config, use_cache: bool = False, cache=None
-) -> Fig4Result:
-    """Run the Fig. 4 experiment (through the campaign runner)."""
-    from repro.runner import RunSpec, run_spec
-
-    return run_spec(RunSpec("fig4", config), cache=cache, use_cache=use_cache).value
+    def format(self) -> str:
+        rows = [
+            (
+                phase,
+                f"{self.mean_normalized('flow2-1', start, end):.3f}",
+                f"{self.mean_normalized('flow2-2', start, end):.3f}",
+            )
+            for phase, (start, end) in self.phases().items()
+        ]
+        return format_table(
+            ["phase", "subflow 1", "subflow 2"], rows,
+            title=f"Fig. 4 (beta={self.config.beta}): Flow 2 normalized rates",
+        )
 
 
 def _simulate(config: Fig4Config) -> Fig4Result:
@@ -125,4 +131,4 @@ def _simulate(config: Fig4Config) -> Fig4Result:
     )
 
 
-__all__ = ["Fig4Config", "Fig4Result", "run_fig4"]
+__all__ = ["Fig4Config", "Fig4Result"]

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.experiments.reporting import format_table
 from repro.metrics.collector import RateSampler
 from repro.metrics.fairness import jain_index
 from repro.mptcp.connection import MptcpConnection
@@ -65,14 +66,16 @@ class Fig6Result:
         rates = [self.flow_rate_between(flow, start, end) for flow in (1, 2, 3, 4)]
         return jain_index(rates)
 
-
-def run_fig6(
-    config: Fig6Config, use_cache: bool = False, cache=None
-) -> Fig6Result:
-    """Run the Fig. 6 experiment (through the campaign runner)."""
-    from repro.runner import RunSpec, run_spec
-
-    return run_spec(RunSpec("fig6", config), cache=cache, use_cache=use_cache).value
+    def format(self) -> str:
+        s = self.config.time_scale
+        rows = [
+            (f"flow {flow}",
+             f"{self.flow_rate_between(flow, 21 * s, 25 * s) / 1e6:.1f} Mbps")
+            for flow in (1, 2, 3, 4)
+        ]
+        table = format_table(["flow", "rate (20-25s window)"], rows,
+                             title=f"Fig. 6 (beta={self.config.beta})")
+        return f"{table}\nJain index: {self.fairness_all_flows():.4f}"
 
 
 def _simulate(config: Fig6Config) -> Fig6Result:
@@ -128,4 +131,4 @@ def _simulate(config: Fig6Config) -> Fig6Result:
     )
 
 
-__all__ = ["Fig6Config", "Fig6Result", "run_fig6"]
+__all__ = ["Fig6Config", "Fig6Result"]

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
+from repro.experiments.reporting import format_table
 from repro.metrics.collector import RateSampler
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.torus import DEFAULT_CAPACITIES, build_torus
@@ -59,14 +60,25 @@ class Fig7Result:
         """Mean rate over a window, normalized like the paper (1 Gbps)."""
         return self.mean_rate(name, start, end) / 1e9
 
-
-def run_fig7(
-    config: Fig7Config, use_cache: bool = False, cache=None
-) -> Fig7Result:
-    """Run the Fig. 7 experiment (through the campaign runner)."""
-    from repro.runner import RunSpec, run_spec
-
-    return run_spec(RunSpec("fig7", config), cache=cache, use_cache=use_cache).value
+    def format(self) -> str:
+        s = self.config.time_scale
+        rows = []
+        for i in range(1, 6):
+            for j in (1, 2):
+                name = f"flow{i}-{j}"
+                rows.append(
+                    (
+                        name,
+                        f"{self.normalized_mean(name, 20 * s, 25 * s):.3f}",
+                        f"{self.normalized_mean(name, 40 * s, 45 * s):.3f}",
+                        f"{self.normalized_mean(name, 65 * s, 70 * s):.3f}",
+                    )
+                )
+        return format_table(
+            ["subflow", "pre (20-25s)", "congested (40-45s)", "L3 closed (65-70s)"],
+            rows,
+            title=f"Fig. 7 (beta={self.config.beta}, K={self.config.marking_threshold})",
+        )
 
 
 def _simulate(config: Fig7Config) -> Fig7Result:
@@ -115,4 +127,4 @@ def _simulate(config: Fig7Config) -> Fig7Result:
     )
 
 
-__all__ = ["Fig7Config", "Fig7Result", "run_fig7"]
+__all__ = ["Fig7Config", "Fig7Result"]

@@ -12,21 +12,14 @@ XMP's multipath compensates; LIA's inner-rack goodput is ruined by the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.fattree_eval import FatTreeScenario
-from repro.experiments.table1_goodput import TABLE1_SCHEMES
+from repro.experiments.fig10_rtt import CATEGORIES, FIG10_SCHEMES
+from repro.experiments.reporting import format_table
 from repro.metrics.stats import cdf_points, summarize
-from repro.runner import Campaign, CampaignResult, RunSpec
-
-#: Schemes shown in the per-category panels (c)/(d).
-CATEGORY_SCHEMES: Tuple[Tuple[str, int], ...] = (
-    ("dctcp", 1),
-    ("lia", 4),
-    ("xmp", 2),
-    ("xmp", 4),
-)
+from repro.runner import CampaignResult
 
 LINK_RATE_BPS = 1e9
 
@@ -51,40 +44,40 @@ class Fig8Result:
         values.sort()
         return values[len(values) // 2]
 
+    def format(self) -> str:
+        headers = ["Scheme", "median"] + [f"{c} p50" for c in CATEGORIES]
+        rows = []
+        for label in self.cdfs:
+            row = [label, f"{self.median(label):.3f}"]
+            for category in CATEGORIES:
+                summary = self.by_category.get(label, {}).get(category)
+                row.append(f"{summary['p50']:.3f}" if summary else "-")
+            rows.append(row)
+        return format_table(
+            headers, rows,
+            title=f"Fig. 8 ({self.pattern}): goodput normalized to 1 Gbps",
+        )
 
-def run_fig8(
-    pattern: str,
-    base: FatTreeScenario = FatTreeScenario(),
-    schemes: Sequence[Tuple[str, int]] = TABLE1_SCHEMES,
-    jobs: int = 1,
-    cache=None,
-    use_cache: bool = True,
-) -> Fig8Result:
-    """Compute Fig. 8's distributions for one traffic pattern."""
-    grid = [
-        replace(base, scheme=scheme, subflows=subflows, pattern=pattern)
-        for scheme, subflows in schemes
-    ]
-    campaign = Campaign(jobs=jobs, cache=cache, use_cache=use_cache)
-    outcome = campaign.run(RunSpec("fattree", scenario) for scenario in grid)
-    result = Fig8Result(pattern=pattern, campaign=outcome)
-    for (scheme, subflows), scenario, run in zip(schemes, grid, outcome.values):
+
+def view(grid: Sequence[FatTreeScenario], outcome: CampaignResult) -> Fig8Result:
+    """Fig. 8's distributions for the grid's one traffic pattern."""
+    result = Fig8Result(pattern=grid[0].pattern, campaign=outcome)
+    for scenario, run in zip(grid, outcome.values):
         label = scenario.label()
         records = run.all_records(label)
         normalized = [
             record.goodput_bps(run.duration) / LINK_RATE_BPS for record in records
         ]
         result.cdfs[label] = cdf_points(normalized) if normalized else []
-        if (scheme, subflows) in CATEGORY_SCHEMES:
+        # Panels (c)/(d) show the four schemes Fig. 10 plots.
+        if (scenario.scheme, scenario.subflows) in FIG10_SCHEMES:
             grouped: Dict[str, List[float]] = {}
-            for record in records:
-                grouped.setdefault(record.category, []).append(
-                    record.goodput_bps(run.duration) / LINK_RATE_BPS
-                )
+            for record, goodput in zip(records, normalized):
+                grouped.setdefault(record.category, []).append(goodput)
             result.by_category[label] = {
                 category: summarize(values) for category, values in grouped.items()
             }
     return result
 
 
-__all__ = ["Fig8Result", "run_fig8", "CATEGORY_SCHEMES", "LINK_RATE_BPS"]
+__all__ = ["Fig8Result", "view", "LINK_RATE_BPS"]

@@ -15,14 +15,13 @@ Paper's Table 3::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.fattree_eval import FatTreeScenario
-from repro.experiments.reporting import format_table
-from repro.experiments.table1_goodput import TABLE1_SCHEMES
+from repro.experiments.reporting import format_cdf, format_table
 from repro.metrics.stats import cdf_points, mean
-from repro.runner import Campaign, CampaignResult, RunSpec
+from repro.runner import CampaignResult
 
 PAPER_TABLE3 = {
     "DCTCP": (0.052, 0.001),
@@ -83,21 +82,16 @@ class JctResult:
             )
         return format_table(headers, rows, title="Table 3: Job Completion Time")
 
+    def format(self) -> str:
+        """Table 3 followed by Fig. 9's CDF quantiles, one line per scheme."""
+        lines = [self.format_table3(), "", "CDFs:"]
+        for label, jcts in self.jcts.items():
+            lines.append(f"  {label:<7} {format_cdf(jcts, scale=1e3, unit='ms')}")
+        return "\n".join(lines)
 
-def run_jct(
-    base: FatTreeScenario = FatTreeScenario(),
-    schemes: Sequence[Tuple[str, int]] = TABLE1_SCHEMES,
-    jobs: int = 1,
-    cache=None,
-    use_cache: bool = True,
-) -> JctResult:
-    """Run the Incast pattern for every scheme and collect JCTs."""
-    grid = [
-        replace(base, scheme=scheme, subflows=subflows, pattern="incast")
-        for scheme, subflows in schemes
-    ]
-    campaign = Campaign(jobs=jobs, cache=cache, use_cache=use_cache)
-    outcome = campaign.run(RunSpec("fattree", scenario) for scenario in grid)
+
+def view(grid: Sequence[FatTreeScenario], outcome: CampaignResult) -> JctResult:
+    """Collect every scheme's JCTs from its Incast cell."""
     result = JctResult(campaign=outcome)
     for scenario, run in zip(grid, outcome.values):
         label = scenario.label()
@@ -107,4 +101,4 @@ def run_jct(
     return result
 
 
-__all__ = ["JctResult", "run_jct", "PAPER_TABLE3", "DEADLINE"]
+__all__ = ["JctResult", "view", "PAPER_TABLE3", "DEADLINE"]

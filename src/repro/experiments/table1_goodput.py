@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.fattree_eval import PATTERNS, FatTreeScenario
 from repro.experiments.reporting import format_table
-from repro.runner import Campaign, CampaignResult, RunSpec
+from repro.runner import CampaignResult
 
 #: The paper's Table 1 scheme column, as (scheme, subflow count).
 TABLE1_SCHEMES: Tuple[Tuple[str, int], ...] = (
@@ -76,23 +76,10 @@ def scenarios_for(
     ]
 
 
-def run_table1(
-    base: FatTreeScenario = FatTreeScenario(),
-    schemes: Sequence[Tuple[str, int]] = TABLE1_SCHEMES,
-    patterns: Sequence[str] = PATTERNS,
-    jobs: int = 1,
-    cache=None,
-    use_cache: bool = True,
-) -> Table1Result:
-    """Run every (scheme, pattern) cell and aggregate mean goodput."""
-    grid = [
-        replace(base, scheme=scheme, subflows=subflows, pattern=pattern)
-        for scheme, subflows in schemes
-        for pattern in patterns
-    ]
-    campaign = Campaign(jobs=jobs, cache=cache, use_cache=use_cache)
-    outcome = campaign.run(RunSpec("fattree", scenario) for scenario in grid)
-    result = Table1Result(patterns=list(patterns), campaign=outcome)
+def view(grid: Sequence[FatTreeScenario], outcome: CampaignResult) -> Table1Result:
+    """Aggregate mean goodput per (scheme, pattern) cell."""
+    patterns = list(dict.fromkeys(scenario.pattern for scenario in grid))
+    result = Table1Result(patterns=patterns, campaign=outcome)
     for scenario, run in zip(grid, outcome.values):
         label = scenario.label()
         result.goodput_mbps.setdefault(label, {})[scenario.pattern] = (
@@ -106,5 +93,5 @@ __all__ = [
     "PAPER_TABLE1",
     "Table1Result",
     "scenarios_for",
-    "run_table1",
+    "view",
 ]

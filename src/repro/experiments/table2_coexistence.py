@@ -16,11 +16,11 @@ schemes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.fattree_eval import FatTreeScenario
 from repro.experiments.reporting import format_table
-from repro.runner import Campaign, CampaignResult, RunSpec
+from repro.runner import CampaignResult
 
 #: (coexisting scheme, its subflow count) — the paper's three rows.
 COEXIST_SCHEMES: Tuple[Tuple[str, int], ...] = (
@@ -71,16 +71,13 @@ class Table2Result:
         )
 
 
-def run_table2(
-    base: FatTreeScenario = FatTreeScenario(),
+def cells(
+    base: FatTreeScenario,
     schemes: Sequence[Tuple[str, int]] = COEXIST_SCHEMES,
     queue_sizes: Sequence[int] = QUEUE_SIZES,
-    jobs: int = 1,
-    cache=None,
-    use_cache: bool = True,
-) -> Table2Result:
-    """Run every coexistence cell and collect both sides' mean goodput."""
-    grid = [
+) -> List[FatTreeScenario]:
+    """XMP-2 against every (coexisting scheme, queue size) under Random."""
+    return [
         replace(
             base,
             scheme="xmp",
@@ -93,17 +90,15 @@ def run_table2(
         for other_scheme, other_subflows in schemes
         for queue in queue_sizes
     ]
-    campaign = Campaign(jobs=jobs, cache=cache, use_cache=use_cache)
-    outcome = campaign.run(RunSpec("fattree", scenario) for scenario in grid)
+
+
+def view(grid: Sequence[FatTreeScenario], outcome: CampaignResult) -> Table2Result:
+    """Collect both sides' mean goodput per coexistence cell."""
     result = Table2Result(campaign=outcome)
     for scenario, run in zip(grid, outcome.values):
-        other_scheme = scenario.coexist_scheme
-        other_label = other_scheme.upper()
-        if scenario.coexist_subflows > 1:
-            other_label = f"{other_label}-{scenario.coexist_subflows}"
-        result.cells[(other_scheme, scenario.queue_capacity)] = (
+        result.cells[(scenario.coexist_scheme, scenario.queue_capacity)] = (
             run.mean_goodput_bps(scenario.label()) / 1e6,
-            run.mean_goodput_bps(other_label) / 1e6,
+            run.mean_goodput_bps(scenario.coexist_label()) / 1e6,
         )
     return result
 
@@ -113,5 +108,6 @@ __all__ = [
     "QUEUE_SIZES",
     "PAPER_TABLE2",
     "Table2Result",
-    "run_table2",
+    "cells",
+    "view",
 ]

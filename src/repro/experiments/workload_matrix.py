@@ -11,10 +11,13 @@ Two new experiment kinds extend the paper-shaped evaluation
   rounds whose responses run the scheme under test, measuring JCTs and
   the goodput-collapse ratio.
 
-:func:`run_workload_matrix` fans schemes x loads (the standard 0.1-0.9
-sweep) through the campaign runner; :func:`run_incast_sweep` does the
-same for schemes x fan-ins.  Both inherit the runner's guarantees —
-content-addressed caching, deterministic jobs=N merge, telemetry.
+:func:`matrix_cells` spans schemes x loads (the standard 0.1-0.9 sweep)
+and :func:`sweep_cells` schemes x fan-ins; :func:`matrix_view` /
+:func:`sweep_view` fold the campaign back into the printed tables.  They
+are the ``workload`` / ``incast`` rows of
+:mod:`repro.experiments.catalog`, so both inherit the runner's
+guarantees — content-addressed caching, deterministic jobs=N merge,
+telemetry.
 """
 
 from __future__ import annotations
@@ -22,21 +25,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.experiments.fattree_eval import build_cell, scheme_factory
 from repro.experiments.reporting import format_table
 from repro.metrics.collector import QueueMonitor
 from repro.metrics.fct import (
     DEFAULT_BIN_EDGES,
     DEFAULT_BIN_LABELS,
     check_fct_invariants,
+    duration_summary,
     fct_by_size_bin,
     fct_summary,
     goodput_collapse_ratio,
     queue_depth_p99,
 )
 from repro.metrics.goodput import FlowRecord
-from repro.runner import Campaign, CampaignResult, RunSpec
-from repro.sim.random import RandomStreams
-from repro.topology.fattree import build_fattree
+from repro.mptcp.coupling import available_schemes, scheme_label
+from repro.runner import CampaignResult
 from repro.traffic.factory import TransferFactory
 from repro.workloads.arrivals import make_arrivals, offered_flow_rate, workload_capacity_bps
 from repro.workloads.cdf import make_sampler
@@ -64,11 +68,61 @@ SWEEP_FAN_INS: Tuple[int, ...] = (2, 4, 8, 12)
 
 
 def parse_scheme_spec(spec: str) -> Tuple[str, int]:
-    """Parse a CLI scheme spec: ``"xmp-2"`` -> ("xmp", 2), ``"dctcp"`` -> ("dctcp", 1)."""
-    name, dash, count = spec.rpartition("-")
+    """Parse a CLI scheme spec: ``"xmp-2"`` -> ("xmp", 2), ``"dctcp"`` -> ("dctcp", 1).
+
+    Raises ``ValueError`` for a scheme :func:`create_coupling` would not
+    accept, so a typo fails at parse time rather than inside a cell.
+    """
+    scheme, subflows = spec.lower(), 1
+    name, dash, count = scheme.rpartition("-")
     if dash and count.isdigit():
-        return name.lower(), int(count)
-    return spec.lower(), 1
+        scheme, subflows = name, int(count)
+    if scheme not in available_schemes():
+        raise ValueError(
+            f"unknown scheme {scheme!r} (one of {', '.join(available_schemes())})"
+        )
+    return scheme, subflows
+
+
+def _run_monitored(net, scenario) -> QueueMonitor:
+    """Run the cell to its horizon with every queue's depth sampled."""
+    monitor = QueueMonitor(
+        net.sim,
+        net.links,
+        scenario.queue_sample_interval,
+        until=scenario.duration,
+    )
+    monitor.start(scenario.queue_sample_interval)
+    net.sim.run(until=scenario.duration)
+    return monitor
+
+
+class _QueueDepths:
+    """What both cell results share: queue samples and run totals."""
+
+    #: Sampled queue occupancy per topology layer.
+    queue_samples: Dict[str, List[int]]
+
+    def queue_p99(self, layer: Optional[str] = None) -> float:
+        """99p sampled queue depth, over one layer or the whole fabric."""
+        if layer is not None:
+            return queue_depth_p99(self.queue_samples.get(layer, []))
+        merged: List[int] = []
+        for samples in self.queue_samples.values():
+            merged.extend(samples)
+        return queue_depth_p99(merged)
+
+    def _collect(self, net, monitor: QueueMonitor) -> None:
+        """Fill the per-layer queue samples and the network's totals."""
+        layer_samples: Dict[str, List[int]] = {}
+        for link in net.links:
+            layer_samples.setdefault(link.layer, []).extend(
+                monitor.occupancy[link.name]
+            )
+        self.queue_samples = layer_samples
+        self.total_marked = net.total_marked()
+        self.total_dropped = net.total_dropped()
+        self.events = net.sim.events_processed
 
 
 # ----------------------------------------------------------------------
@@ -101,14 +155,12 @@ class WorkloadScenario:
     queue_sample_interval: float = 0.001
 
     def label(self) -> str:
-        base = self.scheme.upper()
-        if self.subflows > 1:
-            base = f"{base}-{self.subflows}"
+        base = scheme_label(self.scheme, self.subflows)
         return f"{base}/{self.workload}@{self.load:g}"
 
 
 @dataclass
-class WorkloadResult:
+class WorkloadResult(_QueueDepths):
     """Everything one workload cell hands to the FCT/queue reducers."""
 
     scenario: WorkloadScenario
@@ -124,7 +176,6 @@ class WorkloadResult:
     offered_bytes: int = 0
     #: The capacity (bits/s) the load fraction was calibrated against.
     capacity_bps: float = 0.0
-    #: Sampled queue occupancy per topology layer.
     queue_samples: Dict[str, List[int]] = field(default_factory=dict)
     duration: float = 0.0
     total_marked: int = 0
@@ -138,15 +189,6 @@ class WorkloadResult:
     def fct_overall(self) -> Dict[str, float]:
         return fct_summary(self.records)
 
-    def queue_p99(self, layer: Optional[str] = None) -> float:
-        """99p sampled queue depth, over one layer or the whole fabric."""
-        if layer is not None:
-            return queue_depth_p99(self.queue_samples.get(layer, []))
-        merged: List[int] = []
-        for samples in self.queue_samples.values():
-            merged.extend(samples)
-        return queue_depth_p99(merged)
-
     def achieved_load(self) -> float:
         """Delivered bytes over capacity x duration — the served load."""
         if self.capacity_bps <= 0 or self.duration <= 0:
@@ -157,13 +199,7 @@ class WorkloadResult:
 
 
 def _simulate_workload(scenario: WorkloadScenario) -> WorkloadResult:
-    streams = RandomStreams(scenario.seed)
-    net = build_fattree(
-        k=scenario.k,
-        queue_capacity=scenario.queue_capacity,
-        marking_threshold=scenario.marking_threshold,
-    )
-    hosts = list(net.host_names)
+    streams, net, hosts = build_cell(scenario)
 
     sampler = make_sampler(scenario.workload, scenario.size_scale)
     capacity = workload_capacity_bps(net)
@@ -177,28 +213,17 @@ def _simulate_workload(scenario: WorkloadScenario) -> WorkloadResult:
         scenario.duration,
     )
 
-    factory = TransferFactory(
-        net,
-        scenario.scheme,
-        subflow_count=scenario.subflows,
-        beta=scenario.beta,
-        rto_min=scenario.rto_min,
-        rng=streams.stream("paths-main"),
-        label=scenario.label(),
+    factory = scheme_factory(
+        net, scenario, streams.stream("paths-main"), scenario.label()
     )
     pattern = OpenLoopPattern(factory, schedule)
     pattern.start()
 
     elephant_factory: Optional[TransferFactory] = None
     if scenario.background_elephants > 0:
-        elephant_factory = TransferFactory(
-            net,
-            scenario.scheme,
-            subflow_count=scenario.subflows,
-            beta=scenario.beta,
-            rto_min=scenario.rto_min,
-            rng=streams.stream("paths-elephants"),
-            label=f"{scenario.label()}/bg",
+        elephant_factory = scheme_factory(
+            net, scenario, streams.stream("paths-elephants"),
+            f"{scenario.label()}/bg",
         )
         # Sized to outlive the run: double what a host access link could
         # serialize over the whole horizon.
@@ -211,15 +236,7 @@ def _simulate_workload(scenario: WorkloadScenario) -> WorkloadResult:
             rng=streams.stream("elephants"),
         ).start()
 
-    monitor = QueueMonitor(
-        net.sim,
-        net.links,
-        scenario.queue_sample_interval,
-        until=scenario.duration,
-    )
-    monitor.start(scenario.queue_sample_interval)
-
-    net.sim.run(until=scenario.duration)
+    monitor = _run_monitored(net, scenario)
 
     result = WorkloadResult(
         scenario=scenario,
@@ -237,15 +254,7 @@ def _simulate_workload(scenario: WorkloadScenario) -> WorkloadResult:
         duration=scenario.duration,
     )
     check_fct_invariants(result.records, scenario.duration, context=scenario.label())
-    layer_samples: Dict[str, List[int]] = {}
-    for link in net.links:
-        layer_samples.setdefault(link.layer, []).extend(
-            monitor.occupancy[link.name]
-        )
-    result.queue_samples = layer_samples
-    result.total_marked = net.total_marked()
-    result.total_dropped = net.total_dropped()
-    result.events = net.sim.events_processed
+    result._collect(net, monitor)
     return result
 
 
@@ -274,14 +283,11 @@ class IncastSweepScenario:
     queue_sample_interval: float = 0.001
 
     def label(self) -> str:
-        base = self.scheme.upper()
-        if self.subflows > 1:
-            base = f"{base}-{self.subflows}"
-        return f"{base}/fanin{self.fan_in}"
+        return f"{scheme_label(self.scheme, self.subflows)}/fanin{self.fan_in}"
 
 
 @dataclass
-class IncastSweepResult:
+class IncastSweepResult(_QueueDepths):
     """JCTs, response FCT records and queue depths of one fan-in cell."""
 
     scenario: IncastSweepScenario
@@ -309,23 +315,9 @@ class IncastSweepResult:
     def response_fct(self) -> Dict[str, float]:
         return fct_summary(self.responses)
 
-    def queue_p99(self, layer: Optional[str] = None) -> float:
-        if layer is not None:
-            return queue_depth_p99(self.queue_samples.get(layer, []))
-        merged: List[int] = []
-        for samples in self.queue_samples.values():
-            merged.extend(samples)
-        return queue_depth_p99(merged)
-
 
 def _simulate_incast(scenario: IncastSweepScenario) -> IncastSweepResult:
-    streams = RandomStreams(scenario.seed)
-    net = build_fattree(
-        k=scenario.k,
-        queue_capacity=scenario.queue_capacity,
-        marking_threshold=scenario.marking_threshold,
-    )
-    hosts = list(net.host_names)
+    streams, net, hosts = build_cell(scenario)
 
     # Requests stay tiny, single-path TCP (the paper's small-flow rule);
     # the *responses* — the traffic that collapses — run the scheme
@@ -338,14 +330,8 @@ def _simulate_incast(scenario: IncastSweepScenario) -> IncastSweepResult:
         rng=streams.stream("paths-requests"),
         label="REQ-TCP",
     )
-    response_factory = TransferFactory(
-        net,
-        scenario.scheme,
-        subflow_count=scenario.subflows,
-        beta=scenario.beta,
-        rto_min=scenario.rto_min,
-        rng=streams.stream("paths-responses"),
-        label=scenario.label(),
+    response_factory = scheme_factory(
+        net, scenario, streams.stream("paths-responses"), scenario.label()
     )
     pattern = PartitionAggregatePattern(
         request_factory,
@@ -359,15 +345,7 @@ def _simulate_incast(scenario: IncastSweepScenario) -> IncastSweepResult:
     )
     pattern.start()
 
-    monitor = QueueMonitor(
-        net.sim,
-        net.links,
-        scenario.queue_sample_interval,
-        until=scenario.duration,
-    )
-    monitor.start(scenario.queue_sample_interval)
-
-    net.sim.run(until=scenario.duration)
+    monitor = _run_monitored(net, scenario)
 
     result = IncastSweepResult(
         scenario=scenario,
@@ -379,20 +357,12 @@ def _simulate_incast(scenario: IncastSweepScenario) -> IncastSweepResult:
         duration=scenario.duration,
     )
     check_fct_invariants(result.responses, scenario.duration, context=scenario.label())
-    layer_samples: Dict[str, List[int]] = {}
-    for link in net.links:
-        layer_samples.setdefault(link.layer, []).extend(
-            monitor.occupancy[link.name]
-        )
-    result.queue_samples = layer_samples
-    result.total_marked = net.total_marked()
-    result.total_dropped = net.total_dropped()
-    result.events = net.sim.events_processed
+    result._collect(net, monitor)
     return result
 
 
 # ----------------------------------------------------------------------
-# Campaign drivers
+# Grids and their views
 # ----------------------------------------------------------------------
 
 
@@ -401,7 +371,6 @@ class WorkloadMatrixResult:
     """The schemes x loads grid, addressable by (label, load)."""
 
     cells: Dict[Tuple[str, float], WorkloadResult] = field(default_factory=dict)
-    loads: Sequence[float] = MATRIX_LOADS
     campaign: Optional[CampaignResult] = None
 
     def labels(self) -> List[str]:
@@ -444,23 +413,23 @@ class WorkloadMatrixResult:
         )
 
 
-def run_workload_matrix(
-    base: WorkloadScenario = WorkloadScenario(),
+def matrix_cells(
+    base: WorkloadScenario,
     schemes: Sequence[Tuple[str, int]] = MATRIX_SCHEMES,
     loads: Sequence[float] = MATRIX_LOADS,
-    jobs: int = 1,
-    cache=None,
-    use_cache: bool = True,
-) -> WorkloadMatrixResult:
-    """Run every (scheme, load) workload cell through the campaign runner."""
-    grid = [
+) -> List[WorkloadScenario]:
+    """Every (scheme, load) workload cell."""
+    return [
         replace(base, scheme=scheme, subflows=subflows, load=load)
         for scheme, subflows in schemes
         for load in loads
     ]
-    campaign = Campaign(jobs=jobs, cache=cache, use_cache=use_cache)
-    outcome = campaign.run(RunSpec("workload", scenario) for scenario in grid)
-    result = WorkloadMatrixResult(loads=list(loads), campaign=outcome)
+
+
+def matrix_view(
+    grid: Sequence[WorkloadScenario], outcome: CampaignResult
+) -> WorkloadMatrixResult:
+    result = WorkloadMatrixResult(campaign=outcome)
     for scenario, cell in zip(grid, outcome.values):
         result.cells[(scenario.label(), scenario.load)] = cell
     return result
@@ -471,7 +440,6 @@ class IncastSweepTable:
     """The schemes x fan-ins grid with JCT and collapse columns."""
 
     cells: Dict[Tuple[str, int], IncastSweepResult] = field(default_factory=dict)
-    fan_ins: Sequence[int] = SWEEP_FAN_INS
     campaign: Optional[CampaignResult] = None
 
     def format(self) -> str:
@@ -487,7 +455,7 @@ class IncastSweepTable:
         ]
         rows = []
         for (label, fan_in), cell in self.cells.items():
-            jct = fct_summary_like(cell.jcts)
+            jct = duration_summary(cell.jcts)
             resp = cell.response_fct()
             rows.append(
                 [
@@ -506,37 +474,23 @@ class IncastSweepTable:
         )
 
 
-def fct_summary_like(values: Sequence[float]) -> Dict[str, float]:
-    """count/mean/p50/p99 of raw duration samples (JCT lists)."""
-    from repro.metrics.stats import mean, percentile
-
-    if not values:
-        return {"count": 0.0, "mean_s": 0.0, "p50_s": 0.0, "p99_s": 0.0}
-    return {
-        "count": float(len(values)),
-        "mean_s": mean(values),
-        "p50_s": percentile(values, 50),
-        "p99_s": percentile(values, 99),
-    }
-
-
-def run_incast_sweep(
-    base: IncastSweepScenario = IncastSweepScenario(),
+def sweep_cells(
+    base: IncastSweepScenario,
     schemes: Sequence[Tuple[str, int]] = MATRIX_SCHEMES,
     fan_ins: Sequence[int] = SWEEP_FAN_INS,
-    jobs: int = 1,
-    cache=None,
-    use_cache: bool = True,
-) -> IncastSweepTable:
-    """Run every (scheme, fan-in) incast cell through the campaign runner."""
-    grid = [
+) -> List[IncastSweepScenario]:
+    """Every (scheme, fan-in) incast cell."""
+    return [
         replace(base, scheme=scheme, subflows=subflows, fan_in=fan_in)
         for scheme, subflows in schemes
         for fan_in in fan_ins
     ]
-    campaign = Campaign(jobs=jobs, cache=cache, use_cache=use_cache)
-    outcome = campaign.run(RunSpec("incast_sweep", scenario) for scenario in grid)
-    result = IncastSweepTable(fan_ins=list(fan_ins), campaign=outcome)
+
+
+def sweep_view(
+    grid: Sequence[IncastSweepScenario], outcome: CampaignResult
+) -> IncastSweepTable:
+    result = IncastSweepTable(campaign=outcome)
     for scenario, cell in zip(grid, outcome.values):
         result.cells[(scenario.label(), scenario.fan_in)] = cell
     return result
@@ -553,6 +507,8 @@ __all__ = [
     "IncastSweepResult",
     "WorkloadMatrixResult",
     "IncastSweepTable",
-    "run_workload_matrix",
-    "run_incast_sweep",
+    "matrix_cells",
+    "matrix_view",
+    "sweep_cells",
+    "sweep_view",
 ]

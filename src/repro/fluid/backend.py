@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
+from repro.experiments.reporting import format_table
 from repro.fluid.laws import FLUID_SCHEMES
 from repro.fluid.model import PACKET_BITS, model_from_network
 from repro.fluid.solver import (
@@ -29,6 +30,7 @@ from repro.fluid.solver import (
     integrate_model,
     tail_mean,
 )
+from repro.mptcp.coupling import scheme_label
 from repro.net.routing import DistinctPathSelector, Path
 from repro.sim.random import RandomStreams
 from repro.sim.units import (
@@ -69,9 +71,7 @@ class FluidScenario:
     w0: float = 2.0
 
     def label(self) -> str:
-        base = self.scheme.upper()
-        if self.subflows > 1:
-            base = f"{base}-{self.subflows}"
+        base = scheme_label(self.scheme, self.subflows)
         return f"{base}/{self.topology}-f{self.flows}"
 
 
@@ -123,16 +123,28 @@ class FluidResult:
         """The most congested link's tail-mean queue, packets."""
         return max(self.trajectory.steady_state_queues(tail_fraction))
 
+    def format(self) -> str:
+        windows = self.steady_state_windows()
+        goodputs = self.flow_goodputs_bps()
+        rows = [
+            ("mean window", f"{sum(windows) / len(windows):.2f} packets"),
+            ("mean goodput", f"{sum(goodputs) / len(goodputs) / 1e6:.1f} Mbps"),
+            ("min/max goodput",
+             f"{min(goodputs) / 1e6:.1f} / {max(goodputs) / 1e6:.1f} Mbps"),
+            ("max queue", f"{self.max_steady_state_queue():.1f} packets"),
+            ("state updates", f"{self.events}"),
+        ]
+        return format_table(
+            ["steady state", "value"], rows,
+            title=f"fluid {self.scenario.label()} ({self.scenario.solver} solver)",
+        )
 
-def run_fluid(
-    scenario: FluidScenario, use_cache: bool = True, cache=None
-) -> FluidResult:
+
+def run_fluid(scenario: FluidScenario, campaign=None) -> FluidResult:
     """Run (or fetch from the runner cache) one fluid scenario."""
     from repro.runner import RunSpec, run_spec
 
-    return run_spec(
-        RunSpec("fluid", scenario), cache=cache, use_cache=use_cache
-    ).value
+    return run_spec(RunSpec("fluid", scenario), campaign).value
 
 
 def _permutation_pairs(

@@ -63,6 +63,21 @@ def completion_times(records: Sequence[FlowRecord]) -> List[float]:
     ]
 
 
+def duration_summary(values: Sequence[float]) -> Dict[str, float]:
+    """count/mean/p50/p99 of duration samples in seconds (FCTs, JCTs).
+
+    Empty input gives all zeros, so tables keep a fixed shape.
+    """
+    if not values:
+        return {"count": 0.0, "mean_s": 0.0, "p50_s": 0.0, "p99_s": 0.0}
+    return {
+        "count": float(len(values)),
+        "mean_s": mean(values),
+        "p50_s": percentile(values, 50),
+        "p99_s": percentile(values, 99),
+    }
+
+
 def fct_by_size_bin(
     records: Sequence[FlowRecord],
     edges: Sequence[int] = DEFAULT_BIN_EDGES,
@@ -81,19 +96,7 @@ def fct_by_size_bin(
             continue
         label = size_bin_label(record.size_bytes, edges, labels)
         binned[label].append(record.complete_time - record.start_time)
-    table: Dict[str, Dict[str, float]] = {}
-    for label in labels:
-        fcts = binned[label]
-        if fcts:
-            table[label] = {
-                "count": float(len(fcts)),
-                "mean_s": mean(fcts),
-                "p50_s": percentile(fcts, 50),
-                "p99_s": percentile(fcts, 99),
-            }
-        else:
-            table[label] = {"count": 0.0, "mean_s": 0.0, "p50_s": 0.0, "p99_s": 0.0}
-    return table
+    return {label: duration_summary(binned[label]) for label in labels}
 
 
 def queue_depth_p99(samples: Sequence[int]) -> float:
@@ -167,15 +170,7 @@ def fct_summary(
     """
     if duration is not None:
         check_fct_invariants(records, duration)
-    fcts = completion_times(records)
-    if not fcts:
-        return {"count": 0.0, "mean_s": 0.0, "p50_s": 0.0, "p99_s": 0.0}
-    return {
-        "count": float(len(fcts)),
-        "mean_s": mean(fcts),
-        "p50_s": percentile(fcts, 50),
-        "p99_s": percentile(fcts, 99),
-    }
+    return duration_summary(completion_times(records))
 
 
 __all__ = [
@@ -183,6 +178,7 @@ __all__ = [
     "DEFAULT_BIN_LABELS",
     "size_bin_label",
     "completion_times",
+    "duration_summary",
     "fct_by_size_bin",
     "queue_depth_p99",
     "goodput_collapse_ratio",

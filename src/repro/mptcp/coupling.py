@@ -79,6 +79,12 @@ def create_coupling(scheme: str, beta: float = 4.0, weight: float = 1.0):
     raise ValueError(f"unknown scheme: {scheme!r}")
 
 
+def scheme_label(scheme: str, subflows: int = 1) -> str:
+    """The report name of a scheme at a subflow count: "XMP-2", "DCTCP"."""
+    base = scheme.upper()
+    return f"{base}-{subflows}" if subflows > 1 else base
+
+
 def available_schemes() -> List[str]:
     """Names :func:`create_coupling` accepts."""
     return [
@@ -94,4 +100,5 @@ def available_schemes() -> List[str]:
     ]
 
 
-__all__ = ["create_coupling", "available_schemes", "UncoupledFactory", "XmpCoupling"]
+__all__ = ["create_coupling", "available_schemes", "scheme_label",
+           "UncoupledFactory", "XmpCoupling"]

@@ -10,8 +10,8 @@ interleave partial lines.
 
 Switched on three equivalent ways:
 
-* CLI: ``--telemetry DIR`` on any experiment subcommand (also exported
-  as ``$REPRO_TELEMETRY`` so pool workers profile themselves);
+* CLI: ``--telemetry DIR`` on any experiment subcommand (builds the
+  ``Campaign(telemetry=...)`` below; nothing is left in the environment);
 * environment: ``REPRO_TELEMETRY=DIR`` — every
   :class:`~repro.runner.campaign.Campaign` in the process records;
 * library: ``Campaign(telemetry=Telemetry(dir))``.

@@ -27,6 +27,7 @@ from typing import Any, Iterable, List, Optional
 from repro.runner.cache import RunCache, default_cache
 from repro.runner.registry import events_of, execute
 from repro.runner.spec import CellMetrics, RunResult, RunSpec
+from repro.sim.probe import exported
 
 
 @dataclass
@@ -121,7 +122,6 @@ class Campaign:
         telemetry: Optional[Any] = None,
     ) -> None:
         self.jobs = max(1, int(jobs))
-        self.use_cache = use_cache
         self.cache = (cache if cache is not None else default_cache()) if use_cache else None
         if telemetry is None:
             from repro.obs.telemetry import from_environment
@@ -134,15 +134,10 @@ class Campaign:
         # the cache must run profiled — in-process and in pool workers
         # alike.  Exporting $REPRO_PROFILE before the pool is created
         # covers both (children inherit the environment at creation).
-        profile_exported = False
-        if self.telemetry is not None and not os.environ.get("REPRO_PROFILE"):
-            os.environ["REPRO_PROFILE"] = "1"
-            profile_exported = True
-        try:
+        if self.telemetry is None or os.environ.get("REPRO_PROFILE"):
             return self._run(specs)
-        finally:
-            if profile_exported:
-                del os.environ["REPRO_PROFILE"]
+        with exported("REPRO_PROFILE"):
+            return self._run(specs)
 
     def _run(self, specs: Iterable[RunSpec]) -> CampaignResult:
         spec_list = list(specs)
@@ -190,14 +185,9 @@ class Campaign:
         return outcome
 
 
-def run_spec(
-    spec: RunSpec,
-    cache: Optional[RunCache] = None,
-    use_cache: bool = True,
-) -> RunResult:
-    """Run a single spec through the cache (the one-cell campaign)."""
-    campaign = Campaign(jobs=1, cache=cache, use_cache=use_cache)
-    return campaign.run([spec]).results[0]
+def run_spec(spec: RunSpec, campaign: Optional[Campaign] = None) -> RunResult:
+    """Run a single spec — the one-cell campaign (default: ``Campaign()``)."""
+    return (campaign or Campaign()).run([spec]).results[0]
 
 
 __all__ = ["Campaign", "CampaignResult", "run_spec"]

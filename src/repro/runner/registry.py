@@ -3,9 +3,9 @@
 Kinds are registered *lazily* as ``(module, function)`` name pairs rather
 than callables, for two reasons:
 
-* the experiment modules import :mod:`repro.runner` to route their public
-  ``run_*`` entry points through it, so the registry must not import them
-  back at module-import time (cycle); and
+* the experiment modules import :mod:`repro.runner` (their views fold a
+  ``CampaignResult``), so the registry must not import them back at
+  module-import time (cycle); and
 * worker processes receive only the pickled :class:`RunSpec` and resolve
   the run function themselves, so nothing un-picklable crosses the
   process boundary.
@@ -93,15 +93,15 @@ def execute(spec: RunSpec) -> RunResult:
     """Run one spec from scratch, timed. Used inline and by pool workers.
 
     When validation is requested (a validator is active in-process, or
-    ``$REPRO_VALIDATE`` is set — the CLI's ``--validate`` flag, which
-    worker processes inherit through the environment), the run executes
+    ``$REPRO_VALIDATE`` is set — the CLI's ``--validate`` flag exports
+    it for the one command, and worker processes inherit it), the run executes
     under a fresh :class:`~repro.validate.invariants.Validator` and
     raises :class:`~repro.validate.invariants.InvariantError` on any
     violation, naming the cell.
 
     When profiling is requested (a profiler is active in-process, or
-    ``$REPRO_PROFILE`` / ``$REPRO_TELEMETRY`` is set — the CLI's
-    ``--telemetry`` flag, likewise inherited by workers), the run
+    ``$REPRO_PROFILE`` / ``$REPRO_TELEMETRY`` is set — a campaign with a
+    telemetry sink exports the former for its workers), the run
     executes under a fresh :class:`~repro.obs.profiler.Profiler` and its
     snapshot lands in ``metrics.profile``.  Probes observe only; the
     result value is byte-identical with and without them.

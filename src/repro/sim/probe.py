@@ -229,6 +229,24 @@ def setting(name: str) -> Optional[str]:
     return None if value in ("", "0") else value
 
 
+@contextlib.contextmanager
+def exported(name: str) -> Iterator[None]:
+    """Switch the ``REPRO_*`` variable ``name`` on for a block, then restore it.
+
+    Pool workers created inside the block inherit the switch; restoring
+    keeps later runs in the same process from being silently probed.
+    """
+    previous = os.environ.get(name)
+    os.environ[name] = "1"
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ[name]
+        else:
+            os.environ[name] = previous
+
+
 def activate(probe: Probe) -> None:
     """Push ``probe``: objects constructed from now on register with it."""
     _ACTIVE.append(probe)
@@ -321,7 +339,7 @@ def probing(*probes: Probe) -> Iterator[Any]:
     Usage::
 
         with probing(Profiler()) as prof:
-            run_fig1(Fig1Config())
+            _simulate(Fig1Config())  # anything that builds networks
         print(prof.snapshot().format())
 
     Yields the probe itself when given one, the tuple when given several.
@@ -347,6 +365,7 @@ __all__ = [
     "active",
     "attach_active",
     "deactivate",
+    "exported",
     "fresh",
     "member",
     "probing",

@@ -22,6 +22,7 @@ from typing import Callable, List, Optional
 from repro.metrics.collector import RttSampler
 from repro.metrics.goodput import FlowRecord
 from repro.mptcp.connection import MptcpConnection
+from repro.mptcp.coupling import scheme_label
 from repro.net.network import Network
 from repro.net.routing import DistinctPathSelector, EcmpSelector
 from repro.topology.fattree import FatTreeNetwork
@@ -59,17 +60,11 @@ class TransferFactory:
         #: pair as the start/completion event seam for FCT accounting.
         self.on_launch = on_launch
         #: Name used in reports: e.g. "XMP-2", "LIA-4", "DCTCP".
-        self.label = label if label is not None else self._default_label()
+        self.label = label if label is not None else scheme_label(scheme, subflow_count)
         self.records: List[FlowRecord] = []
         self.active: List[MptcpConnection] = []
         self._ecmp = EcmpSelector(self.rng)
         self._distinct = DistinctPathSelector(self.rng)
-
-    def _default_label(self) -> str:
-        base = self.scheme.upper()
-        if self.subflow_count > 1:
-            return f"{base}-{self.subflow_count}"
-        return base
 
     def category(self, src: str, dst: str) -> str:
         """Flow category; 'any' when the topology has no notion of racks."""

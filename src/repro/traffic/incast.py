@@ -17,9 +17,13 @@ CDF jumps come from.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.traffic.factory import TransferFactory
+from repro.workloads.partition_aggregate import (
+    PartitionAggregateJob,
+    PartitionAggregatePattern,
+)
 
 #: Paper values — kept exact, they are what the latency results depend on.
 REQUEST_BYTES = 2_000
@@ -27,61 +31,13 @@ RESPONSE_BYTES = 64_000
 SERVERS_PER_JOB = 8
 CONCURRENT_JOBS = 8
 
-
-class IncastJob:
-    """One request/response round between a client and its servers."""
-
-    def __init__(
-        self,
-        pattern: "IncastPattern",
-        client: str,
-        servers: Sequence[str],
-        start_time: float,
-    ) -> None:
-        self.pattern = pattern
-        self.client = client
-        self.servers = list(servers)
-        self.start_time = start_time
-        self.complete_time: Optional[float] = None
-        self._responses_pending = len(self.servers)
-
-    def launch(self) -> None:
-        """Send all requests simultaneously."""
-        for server in self.servers:
-            self.pattern.factory.launch(
-                self.client,
-                server,
-                REQUEST_BYTES,
-                on_complete=self._request_done(server),
-            )
-
-    def _request_done(self, server: str) -> Callable:
-        def callback(record) -> None:
-            # The server received the request; respond immediately.
-            self.pattern.factory.launch(
-                server,
-                self.client,
-                RESPONSE_BYTES,
-                on_complete=self._response_done,
-            )
-
-        return callback
-
-    def _response_done(self, record) -> None:
-        self._responses_pending -= 1
-        if self._responses_pending == 0:
-            self.complete_time = self.pattern.network.sim.now
-            self.pattern._job_finished(self)
-
-    def completion_time(self) -> Optional[float]:
-        """JCT in seconds, if finished."""
-        if self.complete_time is None:
-            return None
-        return self.complete_time - self.start_time
+#: One request/response round between a client and its servers.
+IncastJob = PartitionAggregateJob
 
 
-class IncastPattern:
-    """Keep ``concurrent_jobs`` jobs running, recording every JCT."""
+class IncastPattern(PartitionAggregatePattern):
+    """Partition-aggregate rounds at the paper's constants: one factory
+    carries both directions and the fan-in is ``servers_per_job``."""
 
     def __init__(
         self,
@@ -91,60 +47,16 @@ class IncastPattern:
         concurrent_jobs: int = CONCURRENT_JOBS,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if len(hosts) < servers_per_job + 1:
-            raise ValueError(
-                f"need at least {servers_per_job + 1} hosts, got {len(hosts)}"
-            )
-        self.factory = factory
-        self.network = factory.network
-        self.hosts = list(hosts)
-        self.servers_per_job = servers_per_job
-        self.concurrent_jobs = concurrent_jobs
-        self.rng = rng if rng is not None else random.Random(0)
-        self.completed_jobs: List[IncastJob] = []
-        self.active_jobs: List[IncastJob] = []
-        self.jobs_started = 0
-        self._stopped = False
-
-    def start(self) -> None:
-        """Launch the initial batch of concurrent jobs."""
-        for _ in range(self.concurrent_jobs):
-            self._start_job()
-
-    def stop(self) -> None:
-        """Finish running jobs but start no new ones."""
-        self._stopped = True
-
-    def completion_times(self) -> List[float]:
-        """All recorded JCTs, seconds."""
-        times = []
-        for job in self.completed_jobs:
-            jct = job.completion_time()
-            if jct is not None:
-                times.append(jct)
-        return times
-
-    # ------------------------------------------------------------------
-
-    def _start_job(self) -> None:
-        if self._stopped:
-            return
-        chosen = self.rng.sample(self.hosts, self.servers_per_job + 1)
-        client, servers = chosen[0], chosen[1:]
-        self.jobs_started += 1
-        job = IncastJob(self, client, servers, self.network.sim.now)
-        self.active_jobs.append(job)
-        job.launch()
-
-    def _job_finished(self, job: IncastJob) -> None:
-        self.active_jobs.remove(job)
-        self.completed_jobs.append(job)
-        self._start_job()
-
-    def unfinished_ages(self, now: float) -> List[float]:
-        """How long each still-running job has been going (for deadline
-        accounting at the end of a finite simulation)."""
-        return [now - job.start_time for job in self.active_jobs]
+        super().__init__(
+            factory,
+            factory,
+            hosts,
+            fan_in=servers_per_job,
+            request_bytes=REQUEST_BYTES,
+            response_bytes=RESPONSE_BYTES,
+            concurrent_jobs=concurrent_jobs,
+            rng=rng,
+        )
 
 
 __all__ = [

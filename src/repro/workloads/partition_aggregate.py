@@ -1,11 +1,11 @@
 """Parametric partition-aggregate (incast) fan-in jobs.
 
-The paper's incast workload (:mod:`repro.traffic.incast`) is pinned to
-its §5.2.1 constants — 8 servers, 2 KB requests, 64 KB responses, TCP
-everywhere.  The fan-in *sweep* the AMP line of work runs needs those
-knobs open: how does each scheme's goodput collapse as the number of
-simultaneous responders into one access link grows from 2 to
-``hosts-1``?
+The paper's incast workload (:mod:`repro.traffic.incast`) is this
+pattern pinned to its §5.2.1 constants — 8 servers, 2 KB requests,
+64 KB responses, one TCP factory for both directions.  The fan-in
+*sweep* the AMP line of work runs needs those knobs open: how does each
+scheme's goodput collapse as the number of simultaneous responders into
+one access link grows from 2 to ``hosts-1``?
 
 A :class:`PartitionAggregateJob` is one aggregator round: the
 aggregator sends ``request_bytes`` to ``fan_in`` workers; each worker
@@ -42,37 +42,25 @@ class PartitionAggregateJob:
 
     def __init__(
         self,
-        request_factory: TransferFactory,
-        response_factory: TransferFactory,
+        pattern: "PartitionAggregatePattern",
         aggregator: str,
         workers: Sequence[str],
-        request_bytes: int,
-        response_bytes: int,
         start_time: float,
-        on_done: Callable[["PartitionAggregateJob"], None],
     ) -> None:
-        self.request_factory = request_factory
-        self.response_factory = response_factory
+        self.pattern = pattern
         self.aggregator = aggregator
         self.workers = list(workers)
-        self.request_bytes = request_bytes
-        self.response_bytes = response_bytes
         self.start_time = start_time
         self.complete_time: Optional[float] = None
-        self._on_done = on_done
         self._responses_pending = len(self.workers)
-
-    @property
-    def fan_in(self) -> int:
-        return len(self.workers)
 
     def launch(self) -> None:
         """Send every request simultaneously."""
         for worker in self.workers:
-            self.request_factory.launch(
+            self.pattern.request_factory.launch(
                 self.aggregator,
                 worker,
-                self.request_bytes,
+                self.pattern.request_bytes,
                 on_complete=self._request_done(worker),
             )
 
@@ -80,10 +68,10 @@ class PartitionAggregateJob:
         def callback(record) -> None:
             # Request delivered; the worker responds at once, using the
             # scheme under test.
-            self.response_factory.launch(
+            self.pattern.response_factory.launch(
                 worker,
                 self.aggregator,
-                self.response_bytes,
+                self.pattern.response_bytes,
                 on_complete=self._response_done,
             )
 
@@ -92,14 +80,8 @@ class PartitionAggregateJob:
     def _response_done(self, record) -> None:
         self._responses_pending -= 1
         if self._responses_pending == 0:
-            self.complete_time = self.request_factory.network.sim.now
-            self._on_done(self)
-
-    def completion_time(self) -> Optional[float]:
-        """JCT in seconds, if finished."""
-        if self.complete_time is None:
-            return None
-        return self.complete_time - self.start_time
+            self.complete_time = self.pattern.network.sim.now
+            self.pattern._job_finished(self)
 
 
 class PartitionAggregatePattern:
@@ -147,12 +129,7 @@ class PartitionAggregatePattern:
 
     def completion_times(self) -> List[float]:
         """All recorded JCTs, seconds."""
-        times = []
-        for job in self.completed_jobs:
-            jct = job.completion_time()
-            if jct is not None:
-                times.append(jct)
-        return times
+        return [job.complete_time - job.start_time for job in self.completed_jobs]
 
     def unfinished_ages(self, now: float) -> List[float]:
         """Ages of rounds still running (finite-horizon accounting)."""
@@ -166,14 +143,7 @@ class PartitionAggregatePattern:
         chosen = self.rng.sample(self.hosts, self.fan_in + 1)
         self.jobs_started += 1
         job = PartitionAggregateJob(
-            self.request_factory,
-            self.response_factory,
-            chosen[0],
-            chosen[1:],
-            self.request_bytes,
-            self.response_bytes,
-            self.network.sim.now,
-            self._job_finished,
+            self, chosen[0], chosen[1:], self.network.sim.now
         )
         self.active_jobs.append(job)
         job.launch()

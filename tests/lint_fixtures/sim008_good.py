@@ -3,11 +3,10 @@
 and helpers may build simulations directly."""
 
 
-def run_fixture(config, use_cache=False, cache=None):
+def run_fixture(config, campaign=None):
     from repro.runner import RunSpec, run_spec
 
-    return run_spec(RunSpec("fixture", config),
-                    cache=cache, use_cache=use_cache).value
+    return run_spec(RunSpec("fixture", config), campaign).value
 
 
 def _simulate(config):

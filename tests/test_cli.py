@@ -32,7 +32,7 @@ class TestParser:
             ["fig7", "--beta", "5", "--threshold", "15"]
         )
         assert args.beta == 5.0
-        assert args.threshold == 15
+        assert args.marking_threshold == 15
 
     def test_table1_patterns(self):
         args = build_parser().parse_args(
@@ -128,3 +128,116 @@ class TestExecution:
                     (out_dir / "runs.jsonl").read_text().splitlines()]
         assert record["kind"] == "fig4"
         assert record["profile"] is not None
+
+
+def _tiny_runs():
+    """name -> (base config, axes): every row shrunk to about a second."""
+    from repro.experiments.fattree_eval import FatTreeScenario
+    from repro.experiments.fig1_convergence import Fig1Config
+    from repro.experiments.fig4_traffic_shifting import Fig4Config
+    from repro.experiments.fig6_fairness import Fig6Config
+    from repro.experiments.fig7_rate_compensation import Fig7Config
+    from repro.experiments.workload_matrix import (
+        IncastSweepScenario,
+        WorkloadScenario,
+    )
+    from repro.fluid.backend import FluidScenario
+
+    fattree = FatTreeScenario(duration=0.01)
+    one = {"schemes": (("xmp", 2),)}
+    return {
+        "fig1": (Fig1Config(interval=0.01), {}),
+        "fig4": (Fig4Config(time_scale=0.005), {}),
+        "fig6": (Fig6Config(time_scale=0.005), {}),
+        "fig7": (Fig7Config(time_scale=0.002), {}),
+        "table1": (fattree, {**one, "patterns": ("permutation",)}),
+        "table2": (fattree, {"schemes": (("dctcp", 1),), "queue_sizes": (100,)}),
+        "fig8": (fattree, one),
+        "jct": (fattree, one),
+        "rtt": (fattree, one),
+        "utilization": (fattree, one),
+        "workload": (WorkloadScenario(duration=0.004), {**one, "loads": (0.3,)}),
+        "incast": (IncastSweepScenario(duration=0.004), {**one, "fan_ins": (2,)}),
+        "fluid": (FluidScenario(duration=0.005), {}),
+    }
+
+
+class TestExperimentTable:
+    """Every row of repro.experiments.catalog conforms to the one contract."""
+
+    def rows(self):
+        from repro.experiments.catalog import EXPERIMENTS
+
+        return EXPERIMENTS
+
+    def test_every_row_has_a_tiny_run(self):
+        assert set(_tiny_runs()) == set(self.rows())
+
+    def test_help_parses(self, capsys):
+        for name in self.rows():
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args([name, "--help"])
+            assert exit_info.value.code == 0
+            assert name in capsys.readouterr().out
+
+    def test_flag_dests_are_config_fields_or_cells_keywords(self):
+        import dataclasses
+        import inspect
+
+        from repro.experiments.catalog import dest_of
+
+        for name, row in self.rows().items():
+            fields = {field.name for field in dataclasses.fields(row.config)}
+            axes = set(inspect.signature(row.cells).parameters)
+            for flag in row.flags:
+                assert dest_of(flag) in fields | axes, (name, flag[0])
+            args = build_parser().parse_args([name])
+            base, given_axes = row.parse(vars(args))
+            assert isinstance(base, row.config)
+            assert set(given_axes) <= axes
+
+    def test_list_counts_are_the_default_grids(self, capsys):
+        assert main(["list"]) == 0
+        listed = {
+            line.split()[0]: int(line.split()[1])
+            for line in capsys.readouterr().out.splitlines()[1:]
+        }
+        for name, row in self.rows().items():
+            assert listed[name] == len(row.grid(row.config())), name
+
+    def test_every_view_formats(self):
+        from repro.experiments.catalog import run
+
+        for name, (base, axes) in _tiny_runs().items():
+            text = run(name, base, **axes).format()
+            assert isinstance(text, str) and text, name
+
+
+class TestInputValidation:
+    """Bad values exit 2 with a usage line instead of dying inside a cell."""
+
+    @pytest.mark.parametrize("argv", [
+        ["rtt", "--pattern", "bogus"],
+        ["table1", "--patterns", "bogus"],
+        ["workload", "--schemes", "bogus-2"],
+    ], ids=["pattern", "patterns", "scheme"])
+    def test_bogus_input_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+class TestEnvironment:
+    def test_validate_and_telemetry_leave_environ_untouched(self, capsys, tmp_path):
+        import os
+
+        before = dict(os.environ)
+        assert main([
+            "fig4", "--time-scale", "0.01", "--validate",
+            "--telemetry", str(tmp_path / "telem"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "[validate] 1 cells passed" in out
+        assert (tmp_path / "telem" / "runs.jsonl").exists()
+        assert dict(os.environ) == before

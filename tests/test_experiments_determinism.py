@@ -7,9 +7,14 @@ test_behavior_invariants).
 
 import dataclasses
 
+from repro.experiments.catalog import run
 from repro.experiments.fattree_eval import FatTreeScenario, run_fattree
-from repro.experiments.fig4_traffic_shifting import Fig4Config, run_fig4
-from repro.experiments.fig6_fairness import Fig6Config, run_fig6
+from repro.experiments.fig4_traffic_shifting import Fig4Config
+from repro.experiments.fig6_fairness import Fig6Config
+from repro.runner import Campaign
+
+#: Every run below must really simulate: no cache lookup, no store.
+FRESH = Campaign(use_cache=False)
 
 TINY = FatTreeScenario(
     duration=0.05,
@@ -33,13 +38,13 @@ class TestFatTreeDeterminism:
         )
 
     def test_same_seed_identical(self):
-        a = run_fattree(TINY, use_cache=False)
-        b = run_fattree(TINY, use_cache=False)
+        a = run_fattree(TINY, FRESH)
+        b = run_fattree(TINY, FRESH)
         assert self.fingerprint(a) == self.fingerprint(b)
 
     def test_different_seed_differs(self):
-        a = run_fattree(TINY, use_cache=False)
-        b = run_fattree(dataclasses.replace(TINY, seed=10), use_cache=False)
+        a = run_fattree(TINY, FRESH)
+        b = run_fattree(dataclasses.replace(TINY, seed=10), FRESH)
         assert self.fingerprint(a) != self.fingerprint(b)
 
     def test_scenario_hashable_and_equal(self):
@@ -51,18 +56,18 @@ class TestFatTreeDeterminism:
 class TestSmallDriverDeterminism:
     def test_fig4_repeatable(self):
         config = Fig4Config(time_scale=0.02)
-        a = run_fig4(config)
-        b = run_fig4(config)
+        a = run("fig4", config, FRESH)
+        b = run("fig4", config, FRESH)
         assert a.times == b.times
         assert a.rates == b.rates
 
     def test_fig6_repeatable(self):
         config = Fig6Config(time_scale=0.02)
-        a = run_fig6(config)
-        b = run_fig6(config)
+        a = run("fig6", config, FRESH)
+        b = run("fig6", config, FRESH)
         assert a.rates == b.rates
 
     def test_fig4_series_shapes(self):
-        result = run_fig4(Fig4Config(time_scale=0.02))
+        result = run("fig4", Fig4Config(time_scale=0.02))
         for series in result.rates.values():
             assert len(series) == len(result.times)

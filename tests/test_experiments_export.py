@@ -4,8 +4,9 @@ import csv
 import json
 
 from repro.experiments.export import export_fattree_result, export_rate_result
+from repro.experiments.catalog import run
 from repro.experiments.fattree_eval import FatTreeScenario, run_fattree
-from repro.experiments.fig4_traffic_shifting import Fig4Config, run_fig4
+from repro.experiments.fig4_traffic_shifting import Fig4Config
 
 TINY = FatTreeScenario(
     duration=0.06,
@@ -59,7 +60,7 @@ class TestFatTreeExport:
 
 class TestRateExport:
     def test_fig4_export(self, tmp_path):
-        result = run_fig4(Fig4Config(time_scale=0.02))
+        result = run("fig4", Fig4Config(time_scale=0.02))
         out = export_rate_result(result, tmp_path, name="fig4")
         rows = list(csv.reader(open(out / "fig4.csv")))
         assert rows[0][0] == "time"

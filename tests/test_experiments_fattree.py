@@ -9,17 +9,12 @@ import dataclasses
 
 import pytest
 
+from repro.experiments.catalog import run
 from repro.experiments.fattree_eval import (
     FatTreeScenario,
     clear_cache,
     run_fattree,
 )
-from repro.experiments.fig8_goodput_dist import run_fig8
-from repro.experiments.fig9_jct_cdf import run_jct
-from repro.experiments.fig10_rtt import run_fig10
-from repro.experiments.fig11_utilization import run_fig11
-from repro.experiments.table1_goodput import run_table1
-from repro.experiments.table2_coexistence import run_table2
 
 #: Tiny flows and a short horizon keep each simulation around a second.
 BASE = FatTreeScenario(
@@ -81,21 +76,21 @@ class TestDriver:
 
 class TestViews:
     def test_table1_structure_and_ordering(self):
-        result = run_table1(BASE, schemes=SCHEMES, patterns=("permutation",))
+        result = run("table1", BASE, schemes=SCHEMES, patterns=("permutation",))
         assert set(result.goodput_mbps) == {"DCTCP", "XMP-2"}
         assert result.goodput_mbps["XMP-2"]["permutation"] > 0
         text = result.format()
         assert "XMP-2" in text and "Permutation" in text
 
     def test_xmp_beats_dctcp_on_permutation(self):
-        result = run_table1(BASE, schemes=SCHEMES, patterns=("permutation",))
+        result = run("table1", BASE, schemes=SCHEMES, patterns=("permutation",))
         assert (
             result.goodput_mbps["XMP-2"]["permutation"]
             > result.goodput_mbps["DCTCP"]["permutation"]
         )
 
     def test_fig8_cdfs(self):
-        result = run_fig8("permutation", BASE, schemes=SCHEMES)
+        result = run("fig8", BASE, schemes=SCHEMES)
         for label in ("DCTCP", "XMP-2"):
             points = result.cdfs[label]
             assert points
@@ -104,33 +99,33 @@ class TestViews:
             assert fractions[-1] == pytest.approx(1.0)
 
     def test_fig8_categories(self):
-        result = run_fig8("permutation", BASE, schemes=SCHEMES)
+        result = run("fig8", BASE, schemes=SCHEMES)
         assert "DCTCP" in result.by_category
         for summary in result.by_category["DCTCP"].values():
             assert summary["min"] <= summary["p50"] <= summary["max"]
 
     def test_fig10_rtt_low_for_marking_schemes(self):
-        result = run_fig10("permutation", BASE, schemes=SCHEMES)
+        result = run("rtt", BASE, schemes=SCHEMES)
         for label in ("DCTCP", "XMP-2"):
             for category, summary in result.rtt[label].items():
                 # Marked queues hold RTT within a few ms everywhere.
                 assert summary["p50"] < 3e-3
 
     def test_fig11_utilization_bounds(self):
-        result = run_fig11("permutation", BASE, schemes=SCHEMES)
+        result = run("utilization", BASE, schemes=SCHEMES)
         for label, layers in result.utilization.items():
             for layer, summary in layers.items():
                 assert 0.0 <= summary["min"] <= summary["max"] <= 1.0
 
     def test_jct_runs_produce_jobs(self):
-        result = run_jct(BASE, schemes=(("xmp", 2),))
+        result = run("jct", BASE, schemes=(("xmp", 2),))
         assert result.jcts["XMP-2"]
         assert result.jobs_started["XMP-2"] >= 8
         assert 0.0 <= result.fraction_over("XMP-2") <= 1.0
         assert "XMP-2" in result.format_table3()
 
     def test_table2_cells(self):
-        result = run_table2(BASE, schemes=(("dctcp", 1),), queue_sizes=(100,))
+        result = run("table2", BASE, schemes=(("dctcp", 1),), queue_sizes=(100,))
         xmp, other = result.cells[("dctcp", 100)]
         assert xmp > 0 and other > 0
         assert "XMP : DCTCP" in result.format()

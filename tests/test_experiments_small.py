@@ -8,32 +8,33 @@ subflow count, and rate compensation with attenuation.
 
 import pytest
 
-from repro.experiments.fig1_convergence import Fig1Config, run_fig1
-from repro.experiments.fig4_traffic_shifting import Fig4Config, run_fig4
-from repro.experiments.fig6_fairness import Fig6Config, run_fig6
-from repro.experiments.fig7_rate_compensation import Fig7Config, run_fig7
+from repro.experiments.catalog import run
+from repro.experiments.fig1_convergence import Fig1Config
+from repro.experiments.fig4_traffic_shifting import Fig4Config
+from repro.experiments.fig6_fairness import Fig6Config
+from repro.experiments.fig7_rate_compensation import Fig7Config
 
 
 @pytest.fixture(scope="module")
 def fig1_bos():
-    return run_fig1(Fig1Config(scheme="bos", beta=2.0, marking_threshold=20,
-                               interval=0.4, sample_interval=0.02))
+    return run("fig1", Fig1Config(scheme="bos", beta=2.0, marking_threshold=20,
+                                  interval=0.4, sample_interval=0.02))
 
 
 @pytest.fixture(scope="module")
 def fig4_result():
-    return run_fig4(Fig4Config(beta=4.0, time_scale=0.1))
+    return run("fig4", Fig4Config(beta=4.0, time_scale=0.1))
 
 
 @pytest.fixture(scope="module")
 def fig6_result():
-    return run_fig6(Fig6Config(beta=4.0, time_scale=0.1))
+    return run("fig6", Fig6Config(beta=4.0, time_scale=0.1))
 
 
 @pytest.fixture(scope="module")
 def fig7_result():
-    return run_fig7(Fig7Config(beta=4.0, marking_threshold=20,
-                               time_scale=0.02, sample_interval=5.0))
+    return run("fig7", Fig7Config(beta=4.0, marking_threshold=20,
+                                  time_scale=0.02, sample_interval=5.0))
 
 
 class TestFig1:

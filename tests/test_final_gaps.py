@@ -5,9 +5,8 @@ import dataclasses
 
 import pytest
 
+from repro.experiments.catalog import run
 from repro.experiments.fattree_eval import FatTreeScenario, run_fattree
-from repro.experiments.fig10_rtt import run_fig10
-from repro.experiments.fig11_utilization import run_fig11
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.bottleneck import build_single_bottleneck
 from repro.traffic.factory import TransferFactory
@@ -18,18 +17,19 @@ TINY = FatTreeScenario(
     random_max=300_000,
     seed=13,
 )
+RANDOM = dataclasses.replace(TINY, pattern="random")
 SCHEMES = (("xmp", 2),)
 
 
 class TestRandomPatternViews:
     def test_fig10_random(self):
-        result = run_fig10("random", TINY, schemes=SCHEMES)
+        result = run("rtt", RANDOM, schemes=SCHEMES)
         assert result.rtt["XMP-2"]
         for summary in result.rtt["XMP-2"].values():
             assert summary["p50"] > 0
 
     def test_fig11_random(self):
-        result = run_fig11("random", TINY, schemes=SCHEMES)
+        result = run("utilization", RANDOM, schemes=SCHEMES)
         layers = result.utilization["XMP-2"]
         assert set(layers) == {"core", "aggregation", "rack"}
 

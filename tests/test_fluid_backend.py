@@ -242,12 +242,12 @@ class TestFluidBackend:
         )
 
     def test_runs_through_runner_and_cache(self):
-        from repro.runner import RunCache
+        from repro.runner import Campaign, RunCache
 
         cache = RunCache()
         scenario = FluidScenario(flows=2, duration=seconds(0.01))
-        first = run_fluid(scenario, cache=cache)
-        second = run_fluid(scenario, cache=cache)
+        first = run_fluid(scenario, Campaign(cache=cache))
+        second = run_fluid(scenario, Campaign(cache=cache))
         assert first.steady_state_windows() == second.steady_state_windows()
 
     def test_fattree_scenario_subflows_spread_paths(self):

@@ -259,3 +259,21 @@ class TestIncastPattern:
         factory = TransferFactory(fattree, "tcp", rng=random.Random(2))
         with pytest.raises(ValueError):
             IncastPattern(factory, fattree.host_names[:5], rng=random.Random(3))
+
+    def test_is_partition_aggregate_at_the_paper_constants(self):
+        from repro.workloads.partition_aggregate import PartitionAggregatePattern
+
+        def run(make_pattern):
+            net = build_fattree(k=4)
+            factory = TransferFactory(net, "tcp", rng=random.Random(2))
+            pattern = make_pattern(factory, net.host_names)
+            pattern.start()
+            net.sim.run(until=0.3)
+            return pattern.completion_times(), pattern.jobs_started, factory.records
+
+        incast = run(lambda f, hosts: IncastPattern(f, hosts, rng=random.Random(3)))
+        spelled_out = run(lambda f, hosts: PartitionAggregatePattern(
+            f, f, hosts, fan_in=8, request_bytes=2_000, response_bytes=64_000,
+            concurrent_jobs=8, rng=random.Random(3),
+        ))
+        assert incast[0] and incast == spelled_out

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.catalog import run
 from repro.experiments.workload_matrix import (
     IncastSweepScenario,
     WorkloadScenario,
     _simulate_incast,
     _simulate_workload,
     parse_scheme_spec,
-    run_incast_sweep,
-    run_workload_matrix,
 )
 from repro.runner import Campaign, RunSpec, registered_kinds
 from repro.runner.cache import DiskCache, MemoryCache, RunCache
@@ -110,13 +109,13 @@ class TestDeterminismAndCache:
     LOADS = (0.3, 0.6)
 
     def test_jobs_1_equals_jobs_4(self):
-        serial = run_workload_matrix(
-            TINY, schemes=self.SCHEMES, loads=self.LOADS,
-            jobs=1, use_cache=False,
+        serial = run(
+            "workload", TINY, Campaign(jobs=1, use_cache=False),
+            schemes=self.SCHEMES, loads=self.LOADS,
         )
-        parallel = run_workload_matrix(
-            TINY, schemes=self.SCHEMES, loads=self.LOADS,
-            jobs=4, use_cache=False,
+        parallel = run(
+            "workload", TINY, Campaign(jobs=4, use_cache=False),
+            schemes=self.SCHEMES, loads=self.LOADS,
         )
         assert list(serial.cells) == list(parallel.cells)
         for key in serial.cells:
@@ -126,14 +125,14 @@ class TestDeterminismAndCache:
 
     def test_cache_hit_equals_cache_miss(self, tmp_path):
         cache = RunCache(memory=MemoryCache(), disk=DiskCache(tmp_path))
-        cold = run_incast_sweep(
-            TINY_INCAST, schemes=(("xmp", 2),), fan_ins=(2, 4),
-            cache=cache, use_cache=True,
+        cold = run(
+            "incast", TINY_INCAST, Campaign(cache=cache),
+            schemes=(("xmp", 2),), fan_ins=(2, 4),
         )
         assert cold.campaign.cached_count == 0
-        warm = run_incast_sweep(
-            TINY_INCAST, schemes=(("xmp", 2),), fan_ins=(2, 4),
-            cache=cache, use_cache=True,
+        warm = run(
+            "incast", TINY_INCAST, Campaign(cache=cache),
+            schemes=(("xmp", 2),), fan_ins=(2, 4),
         )
         assert warm.campaign.cached_count == 2
         for key in cold.cells:
@@ -151,8 +150,9 @@ class TestDeterminismAndCache:
 
 class TestDriversAndFormat:
     def test_workload_matrix_format(self):
-        result = run_workload_matrix(
-            TINY, schemes=(("xmp", 2),), loads=(0.3,), use_cache=False
+        result = run(
+            "workload", TINY, Campaign(use_cache=False),
+            schemes=(("xmp", 2),), loads=(0.3,),
         )
         text = result.format()
         assert "Workload matrix" in text
@@ -163,8 +163,9 @@ class TestDriversAndFormat:
         assert result.labels() == ["XMP-2/websearch@0.3"]
 
     def test_incast_sweep_format(self):
-        result = run_incast_sweep(
-            TINY_INCAST, schemes=(("dctcp", 1),), fan_ins=(4,), use_cache=False
+        result = run(
+            "incast", TINY_INCAST, Campaign(use_cache=False),
+            schemes=(("dctcp", 1),), fan_ins=(4,),
         )
         text = result.format()
         assert "Incast fan-in sweep" in text
