@@ -56,14 +56,16 @@ if [ "$run_lint" = 1 ]; then
         echo "== ruff not installed; skipping =="
     fi
     # One pass: the per-file rules and the whole-program join (unit
-    # dataflow, races, hot-path cost) over one set of file summaries;
+    # dataflow, priority tiers, hot-path cost) over one set of file summaries;
     # the gate is zero findings.
     echo "== lint (python -m repro.lint) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro.lint src/repro
-    # One smoke: every golden scenario under the race and allocation
-    # sanitizers together (digests must stay bit-identical, no observed
-    # collision, every observed allocator statically explained), then
-    # the two engine micro cells with every callback traced.
+    # One smoke: every golden scenario under all four probes together —
+    # validator, race and allocation sanitizers, profiler (digests must
+    # stay bit-identical, no observed collision, every observed
+    # allocator statically explained, no callback firing 5% of the
+    # events missing from hotpaths.toml), then the two engine micro
+    # cells with every callback traced.
     echo "== sanitizer smoke (python -m repro.lint.smoke) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro.lint.smoke \
         --out lint-report.jsonl

@@ -5,18 +5,19 @@ Static counterpart to the runtime invariant checker
 fires*, simlint rejects the code shapes that introduce such hazards
 before they ever run — unseeded randomness, wall-clock reads in model
 code, float-time equality, raw unit literals, set-order-dependent
-scheduling, past scheduling, mutable defaults, runner bypasses,
-pickle-unsafe members and swallowed exceptions.
+scheduling, mutable defaults, pickle-unsafe members and swallowed
+exceptions.
 
 On top of the per-file rules sits the whole-program join over one set
 of per-file summaries, run on every invocation: unit-dimension dataflow
 against a declared sink registry (SIM011/SIM012), seed provenance
 (SIM013), observer-hook conformance (SIM014) and event-handler
-reachability (SIM015) in :mod:`repro.lint.sem`; same-instant ordering
-races (SIM016–SIM018) in :mod:`repro.lint.race`; hot-path cost against
-``hotpaths.toml`` (SIM019–SIM023) in :mod:`repro.lint.perf`.  The two
-runtime sanitizers those packages carry run over the golden scenarios in
-:mod:`repro.lint.smoke`.
+reachability (SIM015) in :mod:`repro.lint.sem`; priority tiers of
+periodic callbacks (SIM018) in :mod:`repro.lint.race`; hot-path cost
+against ``hotpaths.toml`` (SIM019/SIM020) in :mod:`repro.lint.perf`.
+The two runtime sanitizers those packages carry run over the golden
+scenarios in :mod:`repro.lint.smoke`, which decides at run time what the
+seven retired rules (LINTING.md has the audit) tried to guess.
 
 Usage::
 

@@ -6,13 +6,12 @@ applies the mechanically safe fixes in place and reports what is left.
 Every run is the one pass: the per-file rules (SIM001–SIM010) and the
 whole-program join over one set of per-file summaries — unit dataflow,
 seed provenance, hook conformance and handler reachability
-(SIM011–SIM015, :mod:`repro.lint.sem`), same-instant races
-(SIM016–SIM018, :mod:`repro.lint.race`) and hot-path cost
-(SIM019–SIM023, :mod:`repro.lint.perf`).  ``--select``/``--ignore``
-narrow what is reported, never what is analyzed: cross-module
-properties are only meaningful on whole trees.  ``--from-telemetry``
-feeds recorded ``repro.obs`` JSONL to the SIM022 registry-drift check,
-and ``--format sarif`` emits SARIF 2.1.0 for CI upload.
+(SIM011–SIM015, :mod:`repro.lint.sem`), priority tiers (SIM018,
+:mod:`repro.lint.race`) and hot-path cost (SIM019/SIM020,
+:mod:`repro.lint.perf`).  ``--select``/``--ignore`` narrow what is
+reported, never what is analyzed: cross-module properties are only
+meaningful on whole trees.  ``--format sarif`` emits SARIF 2.1.0 for CI
+upload.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 from typing import List, Optional, Sequence, Set
 
 from repro.lint.core import Analyzer, Finding, iter_python_files
@@ -116,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the rule catalog and exit")
     parser.add_argument("-q", "--quiet", action="store_true",
                         help="suppress the summary line")
-    parser.add_argument("--from-telemetry", metavar="FILE",
-                        help="recorded repro.obs telemetry JSONL for the "
-                             "SIM022 registry-drift check")
     return parser
 
 
@@ -159,9 +154,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         else:
             findings.extend(analyzer.lint_file(path))
 
-    project = ProjectAnalyzer(
-        telemetry=Path(args.from_telemetry) if args.from_telemetry else None
-    )
+    project = ProjectAnalyzer()
     # A syntax error (SIM000) is already in the per-file findings.
     findings.extend(
         f for f in project.analyze_paths(paths) if f.code in selected

@@ -1,19 +1,16 @@
-"""Profile-guided hot-path performance analysis (SIM019–SIM023).
+"""Profile-guided hot-path performance analysis (SIM019, SIM020).
 
 PR 6 leaned the engine and link hot paths to an allocation-free
 per-event floor; this package *protects* that floor:
 
 * **Static join** (:mod:`repro.lint.perf.analyzer`): consumes the
   per-file summaries — per-function cost records with every allocation
-  site, in-loop attribute chain, global load and kwargs/dunder call —
-  and joins them against the hot-path registry (``hotpaths.toml``, see
+  site and in-loop attribute chain — and joins them against the
+  hot-path registry (``hotpaths.toml``, see
   :mod:`repro.lint.perf.hotpaths`).  SIM019 flags allocations in
   registered hot functions (waivable per line with
   ``# simperf: allow-alloc(<reason>)``), SIM020 unhoisted attribute
-  chains in hot loops, SIM021 one-hop transitive allocation through
-  non-hot callees, SIM022 registry drift against recorded ``repro.obs``
-  telemetry, SIM023 kwargs/dunder-trapped calls.  Part of every
-  ``python -m repro.lint`` run.
+  chains in hot loops.  Part of every ``python -m repro.lint`` run.
 
 * **Runtime sanitizer** (:mod:`repro.lint.perf.runtime`): the
   ``alloc``-kind probe on the engine's probe seam

@@ -3,15 +3,17 @@
 ``hotpaths.toml`` (checked in next to this module) lists dotted function
 qnames — ``repro.net.link.Link._finish_transmission`` — each with a
 one-line ``reason`` documenting *why* it is hot (which loop drives it).
-The join pass (:mod:`repro.lint.perf.analyzer`) applies SIM019/020/021/
-023 only to registered functions, and SIM022 fails the build when
-recorded telemetry shows a function above the wall-time share threshold
-that this file does not know about.
+The join pass (:mod:`repro.lint.perf.analyzer`) applies SIM019/SIM020
+only to registered functions, the allocation sanitizer traces only
+registered functions, and ``python -m repro.lint.smoke`` fails when an
+unregistered callback fires a twentieth of a golden scenario's events —
+so the file cannot drift away from where the events actually go.
 
 The file format is the same deliberately tiny TOML subset as
-``sinks.toml``: ``[section]`` headers and ``key = "string"`` pairs, ``#``
-comments, hard errors on anything else — no tomllib dependency and no
-silent misparses.
+``sinks.toml``, read by the same function
+(:func:`repro.lint.core.parse_toml_subset`): ``[section]``
+headers and ``key = "string"`` pairs, ``#`` comments, hard errors on
+anything else — no tomllib dependency and no silent misparses.
 """
 
 from __future__ import annotations
@@ -20,17 +22,22 @@ import re
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
+from repro.lint.core import parse_toml_subset
+
 DEFAULT_HOTPATHS_FILE = Path(__file__).with_name("hotpaths.toml")
 
-_SECTION_RE = re.compile(r"^\[(?P<name>[^\]]+)\]\s*$")
-_PAIR_RE = re.compile(
-    r"^(?P<key>[A-Za-z_][A-Za-z0-9_-]*)\s*=\s*\"(?P<value>[^\"]*)\"\s*$"
-)
 _QNAME_RE = re.compile(r"^[A-Za-z_][\w]*(\.[A-Za-z_][\w]*)+$")
 
 
 class HotPathError(ValueError):
     """A malformed or inconsistent hotpaths.toml."""
+
+
+def _unparseable_line(raw_line: str, value: Optional[str]) -> str:
+    return (
+        f"unparseable line {raw_line!r} (the hotpaths format is "
+        "[dotted.qname] sections with one `reason = \"...\"` each)"
+    )
 
 
 class HotPathRegistry:
@@ -69,36 +76,11 @@ class HotPathRegistry:
         return registry
 
     def _parse(self, text: str, origin: str) -> None:
-        section: Optional[str] = None
-        reason: Optional[str] = None
-
-        def _flush() -> None:
-            if section is None:
-                return
-            if reason is None:
-                raise HotPathError(
-                    f"{origin}: hot path [{section}] is missing its "
-                    "`reason = \"...\"` line"
-                )
-            self.add(section, reason)
-
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            match = _SECTION_RE.match(line)
-            if match:
-                _flush()
-                section = match.group("name").strip()
-                reason = None
-                continue
-            match = _PAIR_RE.match(line)
-            if match:
-                if section is None:
-                    raise HotPathError(
-                        f"{origin}:{lineno}: key outside any [section]"
-                    )
-                key = match.group("key")
+        for _lineno, _raw, section, pairs in parse_toml_subset(
+            text, origin, HotPathError, _unparseable_line
+        ):
+            reason: Optional[str] = None
+            for lineno, key, value in pairs:
                 if key != "reason":
                     raise HotPathError(
                         f"{origin}:{lineno}: unknown key {key!r} "
@@ -109,14 +91,13 @@ class HotPathRegistry:
                         f"{origin}:{lineno}: duplicate reason for "
                         f"[{section}]"
                     )
-                reason = match.group("value")
-                continue
-            raise HotPathError(
-                f"{origin}:{lineno}: unparseable line {raw!r} (the "
-                "hotpaths format is [dotted.qname] sections with one "
-                "`reason = \"...\"` each)"
-            )
-        _flush()
+                reason = value
+            if reason is None:
+                raise HotPathError(
+                    f"{origin}: hot path [{section}] is missing its "
+                    "`reason = \"...\"` line"
+                )
+            self.add(section, reason)
 
     # -- queries -----------------------------------------------------------
 

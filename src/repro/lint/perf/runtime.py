@@ -4,7 +4,7 @@ An :class:`AllocMonitor` is the ``alloc``-kind probe on the engine's
 probe seam (:mod:`repro.sim.probe`).  It uses the two hooks the probed
 loop calls around every fired callback:
 
-* ``on_event_fired(time, priority, callback)`` — before the fire:
+* ``on_event_fired(time, priority, callback, args)`` — before the fire:
   if the callback resolves to a function registered in ``hotpaths.toml``
   (memoized by the underlying function object), the tracemalloc peak is
   reset and the traced-memory baseline captured;
@@ -112,7 +112,7 @@ class AllocMonitor(Probe):
         return resolved
 
     def on_event_fired(
-        self, when: float, priority: int, callback: Callable[..., None]
+        self, when: float, priority: int, callback: Callable[..., None], args: tuple
     ) -> None:
         """Called by the engine loop immediately before a callback fires."""
         self.events += 1

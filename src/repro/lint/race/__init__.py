@@ -1,16 +1,14 @@
-"""Same-instant event-ordering race detection (SIM016–SIM018).
+"""Same-instant event-ordering race detection (SIM018 + the sanitizer).
 
 The engine's total event order is ``(time, priority, seq)``: two events
 sharing ``(time, priority)`` fire in *insertion order*, which no model
 code may depend on.  This package attacks that hazard from both sides:
 
 * **Static join** (:mod:`repro.lint.race.analyzer`): consumes the
-  per-file summaries — scheduler-call records with delay source text,
-  priority classification and attribute read/write sets per callback —
-  and reports SIM016 (same-instant write–write hazard), SIM017
-  (seq-order dependence: non-commutative read/write pairs) and SIM018
-  (a periodic callback scheduled at an unnamed priority, the PR 4
-  sampler-bug shape).  Part of every ``python -m repro.lint`` run.
+  per-file summaries — scheduler-call records with priority
+  classification and callback shape — and reports SIM018 (a periodic
+  callback scheduled at an unnamed priority, the PR 4 sampler-bug
+  shape).  Part of every ``python -m repro.lint`` run.
 
 * **Runtime sanitizer** (:mod:`repro.lint.race.runtime`): the
   ``race``-kind probe on the engine's probe seam

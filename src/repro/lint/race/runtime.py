@@ -4,7 +4,7 @@ A :class:`RaceMonitor` is the ``race``-kind probe on the engine's probe
 seam (:mod:`repro.sim.probe`).  It uses the two hooks the probed loop
 calls around every fired callback:
 
-* ``on_event_fired(time, priority, callback)`` — before the fire:
+* ``on_event_fired(time, priority, callback, args)`` — before the fire:
   batch bookkeeping (a *batch* is a maximal run of events sharing
   ``(time, priority)`` — precisely the events whose mutual order is
   insertion-order only) and a shallow snapshot of the callback's bound
@@ -12,19 +12,17 @@ calls around every fired callback:
 * ``on_event_settled()`` — after the fire: the receiver's state is
   diffed against the snapshot; every attribute the callback *rebound* is
   recorded, and a rebind of an attribute a **different** callback
-  already rebound in the same batch is a collision — the runtime
-  counterpart of static SIM016.
+  already rebound in the same batch is a collision.
 
 The monitor observes and never perturbs: it schedules nothing, mutates
 nothing it observes, holds only transient references, and the golden
 digests must be bit-identical with ``REPRO_RACE=1``
 (``tests/test_simrace.py`` pins this).
 
-Detection semantics match the static pass deliberately: a "write" is an
-attribute *rebinding* (snapshot diff by identity-then-equality), so
-in-place container mutation (``list.append``) is invisible to both
-sides, and a rebind to an equal value is invisible to the runtime side
-only.  Collisions stream to JSONL when a log path is set; see
+Detection semantics: a "write" is an attribute *rebinding* (snapshot
+diff by identity-then-equality), so in-place container mutation
+(``list.append``) and a rebind to an equal value are invisible.
+Collisions stream to JSONL when a log path is set; see
 OBSERVABILITY.md for the record shape.
 """
 
@@ -93,7 +91,7 @@ class RaceMonitor(Probe):
     # -- engine hooks --------------------------------------------------
 
     def on_event_fired(
-        self, when: float, priority: int, callback: Callable[..., None]
+        self, when: float, priority: int, callback: Callable[..., None], args: tuple
     ) -> None:
         """Called by the engine loop immediately before a callback fires."""
         self.events += 1

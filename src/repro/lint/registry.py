@@ -1,8 +1,11 @@
-"""The single rule catalog: every code SIM001–SIM023 in one table.
+"""The single rule catalog: the 16 codes in SIM001–SIM020 in one table.
 
-The per-file rules (SIM001–SIM010) are :class:`~repro.lint.core.Rule`
-classes and describe themselves; the whole-program rules
-(SIM011–SIM023) are findings of the join over the per-file summaries
+Seven codes are retired and never reused — SIM006, SIM008, SIM016,
+SIM017, SIM021, SIM022, SIM023; LINTING.md's audit table says which
+run-time check replaced each.  The per-file rules (SIM001–SIM010) are
+:class:`~repro.lint.core.Rule` classes and describe themselves; the
+whole-program rules (SIM011–SIM020) are findings of the join over the
+per-file summaries
 (:mod:`repro.lint.sem.project`, :mod:`repro.lint.race.analyzer`,
 :mod:`repro.lint.perf.analyzer`), not per-node rules, so their catalog
 rows are spelled out here in :data:`PROJECT_RULES`.  The CLI
@@ -79,21 +82,6 @@ PROJECT_RULES: Tuple[CatalogEntry, ...] = (
         "semantic",
     ),
     CatalogEntry(
-        "SIM016", "same-instant-write-write", Severity.ERROR,
-        "two distinct callbacks scheduled at one instant and equal "
-        "priority both rebind the same component attribute; the "
-        "surviving value depends on insertion order alone, which no "
-        "model code may rely on",
-        "race",
-    ),
-    CatalogEntry(
-        "SIM017", "seq-order-dependence", Severity.ERROR,
-        "a callback reads an attribute that a same-instant "
-        "equal-priority peer writes; the pair is non-commutative, so "
-        "swapping their insertion order changes the result silently",
-        "race",
-    ),
-    CatalogEntry(
         "SIM018", "unnamed-priority-tier", Severity.WARNING,
         "a periodic (self-rescheduling) callback is scheduled at the "
         "default or a bare-literal priority: its ticks walk onto "
@@ -114,31 +102,7 @@ PROJECT_RULES: Tuple[CatalogEntry, ...] = (
         "SIM020", "unhoisted-attr-chain", Severity.WARNING,
         "An attribute chain two or more hops deep resolved repeatedly "
         "inside a loop of a hot function; pre-bind it to a local "
-        "(the Link._rebind idiom) so each event pays one LOAD_FAST.",
-        "perf",
-    ),
-    CatalogEntry(
-        "SIM021", "hot-calls-allocating-callee", Severity.WARNING,
-        "A hot function calls a non-hot callee whose summary records "
-        "unwaived allocation sites — the allocation is one hop away "
-        "and invisible to SIM019.  Register the callee as hot, hoist "
-        "the call, or waive the call line with allow-alloc.",
-        "perf",
-    ),
-    CatalogEntry(
-        "SIM022", "hot-registry-drift", Severity.ERROR,
-        "A function exceeds the wall-time share threshold in recorded "
-        "repro.obs telemetry but is absent from hotpaths.toml, so "
-        "none of the hot-path rules protect it; add it to the "
-        "registry (closes the profiler->analyzer loop).",
-        "perf",
-    ),
-    CatalogEntry(
-        "SIM023", "hot-path-dynamic-call", Severity.WARNING,
-        "A call in a hot function that defeats CPython's fast calling "
-        "convention: **kwargs / *args unpacking (builds a dict or "
-        "tuple per event) or an explicit dunder call routed through "
-        "the slow lookup path.",
+        "so each iteration pays one LOAD_FAST.",
         "perf",
     ),
 )

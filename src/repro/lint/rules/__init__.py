@@ -1,7 +1,8 @@
 """The simlint rule catalog.
 
-One :class:`~repro.lint.core.Rule` subclass per SIMxxx code; see
-LINTING.md for the catalog with rationale.  :func:`all_rules` is the
+One :class:`~repro.lint.core.Rule` subclass per per-file SIMxxx code
+(SIM006 and SIM008 are retired and their numbers stay unused); see
+LINTING.md for the catalog with rationale and the audit behind it.  :func:`all_rules` is the
 single registry the analyzer, CLI and docs build from.
 """
 
@@ -11,9 +12,8 @@ from typing import Dict, List, Tuple, Type
 
 from repro.lint.core import Rule
 from repro.lint.rules.determinism import UnorderedIterationRule, UnseededRandomRule
-from repro.lint.rules.drivers import PickleUnsafeMemberRule, UnroutedDriverRule
+from repro.lint.rules.drivers import PickleUnsafeMemberRule
 from repro.lint.rules.numerics import FloatTimeEqualityRule, MagicUnitLiteralRule
-from repro.lint.rules.scheduling import PastSchedulingRule
 from repro.lint.rules.structure import MutableDefaultRule, SwallowedExceptionRule
 from repro.lint.rules.wallclock import WallClockRule
 
@@ -23,9 +23,7 @@ RULE_CLASSES: Tuple[Type[Rule], ...] = (
     FloatTimeEqualityRule,  # SIM003
     MagicUnitLiteralRule,  # SIM004
     UnorderedIterationRule,  # SIM005
-    PastSchedulingRule,  # SIM006
     MutableDefaultRule,  # SIM007
-    UnroutedDriverRule,  # SIM008
     PickleUnsafeMemberRule,  # SIM009
     SwallowedExceptionRule,  # SIM010
 )

@@ -1,12 +1,8 @@
-"""Driver-shape rules: runner routing (SIM008), pickle safety (SIM009).
+"""Driver-shape rule: pickle safety (SIM009).
 
-Every experiment cell must execute through :mod:`repro.runner` — that is
-the single choke point where caching keys are computed, wall time is
-measured and the invariant checker is activated.  A public ``run_*``
-driver that builds a network/simulator directly bypasses all three.
-And because :class:`~repro.runner.spec.RunSpec` configs and results
-cross process boundaries pickled, a lambda or local closure stored on
-one of those classes fails only when someone first passes ``--jobs 4``.
+:class:`~repro.runner.spec.RunSpec` configs and results cross process
+boundaries pickled, so a lambda or local closure stored on one of those
+classes fails only when someone first passes ``--jobs 4``.
 """
 
 from __future__ import annotations
@@ -16,65 +12,6 @@ import re
 from typing import Iterator
 
 from repro.lint.core import FileContext, Finding, Rule, Severity
-
-#: Names whose presence shows the driver routes through the runner.
-RUNNER_NAMES = frozenset({"RunSpec", "run_spec", "Campaign"})
-
-#: Callees that construct a simulation directly.
-DIRECT_SIM_CONSTRUCTORS = frozenset({"Simulator", "Network", "_simulate"})
-
-
-def _call_name(node: ast.Call) -> "str | None":
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
-class UnroutedDriverRule(Rule):
-    """SIM008: public ``run_*`` drivers must go through repro.runner."""
-
-    code = "SIM008"
-    name = "unrouted-driver"
-    severity = Severity.ERROR
-    rationale = (
-        "a driver that builds the simulation itself bypasses the runner's "
-        "cache keys, cell timing and invariant-checker activation"
-    )
-    node_types = (ast.FunctionDef,)
-    restrict_to_path_parts = ("repro/experiments/",)
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        assert isinstance(node, ast.FunctionDef)
-        if not node.name.startswith("run_"):
-            return
-        if any(isinstance(a, ast.ClassDef) for a in ctx.ancestors(node)):
-            return  # methods are not drivers
-        routed = False
-        direct: "ast.Call | None" = None
-        for inner in ast.walk(node):
-            if isinstance(inner, (ast.Name, ast.Attribute)):
-                name = inner.id if isinstance(inner, ast.Name) else inner.attr
-                if name in RUNNER_NAMES:
-                    routed = True
-                    break
-            if isinstance(inner, ast.Call) and direct is None:
-                name = _call_name(inner)
-                if name is not None and (
-                    name in DIRECT_SIM_CONSTRUCTORS or name.startswith("build_")
-                ):
-                    direct = inner
-        if not routed and direct is not None:
-            yield self.finding(
-                ctx,
-                node,
-                f"driver {node.name}() constructs a simulation directly "
-                f"({_call_name(direct)}) without routing through "
-                "repro.runner (RunSpec/run_spec/Campaign)",
-            )
-
 
 #: Class names whose instances travel through RunSpec pickling.
 _PICKLED_CLASS_RE = re.compile(r"(Config|Scenario|Spec|Result)$")

@@ -15,9 +15,9 @@ and emits:
   both directions (undefined hook fired, defined hook never fired);
 * **SIM015** dead-event-handler: handler-named defs no identifier in
   the whole analyzed tree references;
-* **SIM016–SIM018** and **SIM019–SIM023**: the race and hot-path joins
-  (:mod:`repro.lint.race.analyzer`, :mod:`repro.lint.perf.analyzer`)
-  over the same summaries.
+* **SIM018** and **SIM019/SIM020**: the priority-tier and hot-path
+  joins (:mod:`repro.lint.race.analyzer`,
+  :mod:`repro.lint.perf.analyzer`) over the same summaries.
 
 SIM014 and SIM015 are whole-program properties: they only run when the
 analyzed set actually contains observer modules (for SIM014), and their
@@ -148,13 +148,9 @@ class ProjectAnalyzer:
     def __init__(
         self,
         registry: Optional[SinkRegistry] = None,
-        telemetry: Optional[Path] = None,
         hotpaths: Optional[HotPathRegistry] = None,
     ) -> None:
         self.registry = registry if registry is not None else SinkRegistry.load()
-        #: Recorded ``repro.obs`` telemetry JSONL for the SIM022
-        #: registry-drift check (``--from-telemetry``).
-        self.telemetry = telemetry
         #: Hot-path registry override for the perf join (fixture
         #: projects carry their own); ``None`` means the checked-in
         #: ``hotpaths.toml``.
@@ -196,13 +192,7 @@ class ProjectAnalyzer:
         findings.extend(self._check_hooks(program))
         findings.extend(self._check_dead_handlers(program))
         findings.extend(check_races(program.summaries))
-        findings.extend(
-            check_perf(
-                program.summaries,
-                registry=self.hotpaths,
-                telemetry=self.telemetry,
-            )
-        )
+        findings.extend(check_perf(program.summaries, registry=self.hotpaths))
         findings = self._apply_suppressions(program, findings)
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
         return findings

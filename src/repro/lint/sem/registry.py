@@ -14,9 +14,11 @@ Sinks come from two merged sources:
   (``delay: Seconds`` in a signature), which phase 2 merges in via
   :meth:`SinkRegistry.add`.
 
-The file is parsed by a deliberately tiny TOML-subset reader (sections,
-``key = "string"`` pairs, ``#`` comments) so the analyzer stays pure
-stdlib on every supported Python (``tomllib`` only exists from 3.11).
+The file is parsed by a deliberately tiny TOML-subset reader
+(:func:`repro.lint.core.parse_toml_subset`: sections, ``key = "string"`` pairs, ``#``
+comments — ``hotpaths.toml`` goes through the same function) so the
+analyzer stays pure stdlib on every supported Python (``tomllib`` only
+exists from 3.11).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.lint.core import parse_toml_subset
 from repro.sim.units import (
     DIM_BITS_PER_SECOND,
     DIM_BYTES,
@@ -43,8 +46,14 @@ class SinkRegistryError(ValueError):
     """Raised for a malformed sink-registry file."""
 
 
+def _unparseable_sink_line(raw_line: str, value: Optional[str]) -> str:
+    if value is None:
+        return f"expected 'param = \"dimension\"', got {raw_line!r}"
+    return f"dimension must be a quoted string, got {value!r}"
+
+
 def parse_sinks_toml(text: str, origin: str = "<sinks>") -> Dict[str, Dict[str, str]]:
-    """Parse the ``[dotted.callable]`` / ``param = "dimension"`` subset.
+    """Parse the ``[dotted.callable]`` / ``param = "dimension"`` file.
 
     Returns ``{dotted_callable: {param: dimension}}``.  Anything outside
     the subset (nested tables, non-string values, duplicate params) is a
@@ -52,53 +61,33 @@ def parse_sinks_toml(text: str, origin: str = "<sinks>") -> Dict[str, Dict[str, 
     silence would only hide typos.
     """
     sinks: Dict[str, Dict[str, str]] = {}
-    section: Optional[str] = None
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if not section or any(not part for part in section.split(".")):
+    for lineno, raw_line, section, pairs in parse_toml_subset(
+        text, origin, SinkRegistryError, _unparseable_sink_line
+    ):
+        if not section or any(not part for part in section.split(".")):
+            raise SinkRegistryError(
+                f"{origin}:{lineno}: malformed section header {raw_line!r}"
+            )
+        if section in sinks:
+            raise SinkRegistryError(
+                f"{origin}:{lineno}: duplicate section [{section}]"
+            )
+        params = sinks[section] = {}
+        for lineno, param, dimension in pairs:
+            if dimension not in KNOWN_DIMENSIONS:
                 raise SinkRegistryError(
-                    f"{origin}:{lineno}: malformed section header {raw_line!r}"
+                    f"{origin}:{lineno}: unknown dimension {dimension!r} "
+                    f"(known: {', '.join(sorted(KNOWN_DIMENSIONS))})"
                 )
-            if section in sinks:
+            if not param.isidentifier():
                 raise SinkRegistryError(
-                    f"{origin}:{lineno}: duplicate section [{section}]"
+                    f"{origin}:{lineno}: parameter {param!r} is not an identifier"
                 )
-            sinks[section] = {}
-            continue
-        if "=" not in line:
-            raise SinkRegistryError(
-                f"{origin}:{lineno}: expected 'param = \"dimension\"', got {raw_line!r}"
-            )
-        if section is None:
-            raise SinkRegistryError(
-                f"{origin}:{lineno}: key outside any [section]"
-            )
-        key, _, value = line.partition("=")
-        param = key.strip()
-        value = value.strip()
-        if not (len(value) >= 2 and value[0] == '"' and value[-1] == '"'):
-            raise SinkRegistryError(
-                f"{origin}:{lineno}: dimension must be a quoted string, got {value!r}"
-            )
-        dimension = value[1:-1]
-        if dimension not in KNOWN_DIMENSIONS:
-            raise SinkRegistryError(
-                f"{origin}:{lineno}: unknown dimension {dimension!r} "
-                f"(known: {', '.join(sorted(KNOWN_DIMENSIONS))})"
-            )
-        if not param.isidentifier():
-            raise SinkRegistryError(
-                f"{origin}:{lineno}: parameter {param!r} is not an identifier"
-            )
-        if param in sinks[section]:
-            raise SinkRegistryError(
-                f"{origin}:{lineno}: duplicate parameter {param!r} in [{section}]"
-            )
-        sinks[section][param] = dimension
+            if param in params:
+                raise SinkRegistryError(
+                    f"{origin}:{lineno}: duplicate parameter {param!r} in [{section}]"
+                )
+            params[param] = dimension
     return sinks
 
 

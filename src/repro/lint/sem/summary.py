@@ -31,7 +31,6 @@ summary round-trips through JSON:
 from __future__ import annotations
 
 import ast
-import builtins
 import re
 from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
@@ -57,7 +56,7 @@ HANDLER_NAME_RE = re.compile(
 HOOK_RECEIVERS = frozenset({"probe", "observer"})
 
 #: Receiver terminals that make a ``.schedule()``/``.post()`` call a
-#: scheduler call (simrace's raw material): ``sim.schedule(...)``,
+#: scheduler call (SIM018's raw material): ``sim.schedule(...)``,
 #: ``self._sim.post(...)``, ``net.sim.schedule_at(...)``.
 _SIM_RECEIVER_RE = re.compile(r"^_?sim(ulator)?$")
 
@@ -173,9 +172,6 @@ class _ImportMap:
     def resolve(self, name: str) -> Optional[str]:
         return self._bindings.get(name)
 
-    def as_dict(self) -> Dict[str, str]:
-        return dict(self._bindings)
-
 
 def _dotted_name(expr: ast.expr, imports: _ImportMap) -> Optional[str]:
     """Resolve ``Name``/``Attribute`` chains through the import map."""
@@ -231,7 +227,7 @@ def _loc(node: ast.AST) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# v4 cost records (simperf's raw material)
+# Cost records (simperf's raw material)
 # ---------------------------------------------------------------------------
 
 #: Python-level names recognized by name as allocating a fresh object.
@@ -243,8 +239,6 @@ _ALLOC_BUILTINS = frozenset(
         "copy", "deepcopy",
     }
 )
-
-_BUILTIN_NAMES = frozenset(dir(builtins))
 
 
 def _callee_text(func: ast.expr) -> str:
@@ -263,8 +257,8 @@ def _is_alloc_call(func: ast.expr) -> bool:
     Capitalized terminals are constructors by convention (``Event``,
     ``units.Seconds``); a small closed set of lowercase builtins
     (``list``, ``range``, ``deque``, …) allocates too.  Plain method and
-    function calls are *not* allocations here — SIM021 handles the
-    transitive case through summaries instead of guessing.
+    function calls are *not* allocations here — what a callee allocates
+    is measured by the allocation sanitizer instead of guessed.
     """
     terminal: Optional[str] = None
     if isinstance(func, ast.Name):
@@ -297,35 +291,8 @@ def _attr_chain(node: ast.Attribute) -> Optional[Tuple[str, int]]:
     return ".".join(parts), len(parts) - 1
 
 
-def _function_local_names(node: ast.AST) -> Set[str]:
-    """Names bound inside the function: params, assignments, imports,
-    ``for``/``with``/``except`` targets, nested def/class names."""
-    names: Set[str] = set()
-    args = getattr(node, "args", None)
-    if args is not None:
-        for group in ("posonlyargs", "args", "kwonlyargs"):
-            names.update(a.arg for a in getattr(args, group, []))
-        for special in (args.vararg, args.kwarg):
-            if special is not None:
-                names.add(special.arg)
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Store, ast.Del)):
-            names.add(sub.id)
-        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if sub is not node:
-                names.add(sub.name)
-        elif isinstance(sub, (ast.Import, ast.ImportFrom)):
-            for alias in sub.names:
-                names.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(sub, ast.ExceptHandler) and sub.name:
-            names.add(sub.name)
-        elif isinstance(sub, (ast.Global, ast.Nonlocal)):
-            names.difference_update(sub.names)
-    return names
-
-
 def _collect_cost(node: ast.AST) -> Dict[str, Any]:
-    """The v4 per-function cost record.
+    """The per-function cost record.
 
     Everything simperf's join pass needs to reason about a function's
     datapath cost without re-parsing it:
@@ -334,25 +301,15 @@ def _collect_cost(node: ast.AST) -> Dict[str, Any]:
       displays, comprehensions/genexps, f-strings and str ``+``-concat,
       lambda/closure creation), each ``{kind, line, col, detail,
       in_loop}``;
-    * ``global_loads`` — module-global name loads *inside loops* (each a
-      dict lookup per iteration that a local alias would hoist);
     * ``attr_chains`` — Name-rooted attribute chains of depth >= 2
       inside loops, aggregated ``{chain, count, line, col}`` (first
-      occurrence position);
-    * ``kwargs_calls`` — ``**kwargs`` / ``*args`` unpacking and explicit
-      dunder-method call sites, each ``{kind, line, col, callee}``;
-    * ``try_in_loop`` — ``try`` statements inside loops (setup cost per
-      iteration), each ``{line, col}``.
+      occurrence position).
 
     ``in_loop`` nests through loop *bodies* only: a ``for`` iterable is
     evaluated once and does not count.
     """
     allocs: List[Dict[str, Any]] = []
-    global_loads: List[Dict[str, Any]] = []
     chains: Dict[str, Dict[str, Any]] = {}
-    kwargs_calls: List[Dict[str, Any]] = []
-    try_in_loop: List[Dict[str, Any]] = []
-    local_names = _function_local_names(node)
 
     def record_alloc(kind: str, n: ast.AST, detail: str, in_loop: bool) -> None:
         line, col = _loc(n)
@@ -373,28 +330,6 @@ def _collect_cost(node: ast.AST) -> Dict[str, Any]:
         elif isinstance(n, ast.Call):
             if _is_alloc_call(n.func):
                 record_alloc("call", n, _callee_text(n.func), in_loop)
-            if any(keyword.arg is None for keyword in n.keywords):
-                line, col = _loc(n)
-                kwargs_calls.append(
-                    {"kind": "kwargs", "line": line, "col": col,
-                     "callee": _callee_text(n.func)}
-                )
-            elif any(isinstance(arg, ast.Starred) for arg in n.args):
-                line, col = _loc(n)
-                kwargs_calls.append(
-                    {"kind": "star-args", "line": line, "col": col,
-                     "callee": _callee_text(n.func)}
-                )
-            if (
-                isinstance(n.func, ast.Attribute)
-                and n.func.attr.startswith("__")
-                and n.func.attr.endswith("__")
-            ):
-                line, col = _loc(n)
-                kwargs_calls.append(
-                    {"kind": "dunder", "line": line, "col": col,
-                     "callee": _callee_text(n.func)}
-                )
         elif isinstance(n, (ast.ListComp, ast.SetComp, ast.DictComp,
                             ast.GeneratorExp)):
             kind = {
@@ -416,9 +351,6 @@ def _collect_cost(node: ast.AST) -> Dict[str, Any]:
                 for side in (n.left, n.right)
             ):
                 record_alloc("str-concat", n, "+", in_loop)
-        elif isinstance(n, ast.Try) and in_loop:
-            line, col = _loc(n)
-            try_in_loop.append({"line": line, "col": col})
         elif isinstance(n, ast.Attribute):
             is_chain_parent = True
             if in_loop and not chain_parent and isinstance(n.ctx, ast.Load):
@@ -434,14 +366,6 @@ def _collect_cost(node: ast.AST) -> Dict[str, Any]:
                         }
                     else:
                         entry["count"] = int(entry["count"]) + 1
-        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            if (
-                in_loop
-                and n.id not in local_names
-                and n.id not in _BUILTIN_NAMES
-            ):
-                line, col = _loc(n)
-                global_loads.append({"name": n.id, "line": line, "col": col})
 
         if isinstance(n, ast.AnnAssign):
             # The annotation itself is not evaluated per call (and under
@@ -471,12 +395,9 @@ def _collect_cost(node: ast.AST) -> Dict[str, Any]:
 
     return {
         "allocs": allocs,
-        "global_loads": global_loads,
         "attr_chains": sorted(
             chains.values(), key=lambda c: (int(c["line"]), int(c["col"]))
         ),
-        "kwargs_calls": kwargs_calls,
-        "try_in_loop": try_in_loop,
     }
 
 
@@ -495,7 +416,6 @@ class _FunctionScanner:
         local_returns: Dict[str, str],
         self_attr_dims: Dict[str, str],
         is_method: bool,
-        source: Optional[str] = None,
     ) -> None:
         self.module = module
         self.qname = qname
@@ -507,13 +427,10 @@ class _FunctionScanner:
         self.local_returns = local_returns
         self.self_attr_dims = self_attr_dims
         self.is_method = is_method
-        self.source = source
         self.calls: List[Dict[str, Any]] = []
         self.findings: List[Tuple[str, int, int, str]] = []
         self.hook_calls: List[Dict[str, Any]] = []
         self.sched_calls: List[Dict[str, Any]] = []
-        self.self_reads: Set[str] = set()
-        self.self_writes: Set[str] = set()
         self.return_dims: List[Optional[str]] = []
         self._env: Dict[str, Dict[str, Any]] = {}
         self._assigned: Set[str] = set()
@@ -523,11 +440,6 @@ class _FunctionScanner:
         self._hook_aliases: Dict[str, Optional[str]] = {}
 
     # -- environment -----------------------------------------------------
-
-    def _body_statements(self) -> Iterator[ast.stmt]:
-        body = getattr(self.node, "body", [])
-        for stmt in body:
-            yield stmt
 
     def _collect_env(self) -> None:
         """Flow-insensitive: join every assignment to a name.
@@ -797,7 +709,7 @@ class _FunctionScanner:
             return self._hook_aliases.get(expr.id)
         return None
 
-    # -- scheduler calls (simrace's raw material) -------------------------
+    # -- scheduler calls (SIM018's raw material) --------------------------
 
     @staticmethod
     def _is_sim_receiver(expr: ast.expr) -> bool:
@@ -808,68 +720,40 @@ class _FunctionScanner:
             return _SIM_RECEIVER_RE.match(expr.attr) is not None
         return False
 
-    def _expr_src(self, expr: ast.expr) -> Optional[str]:
-        if self.source is None:
-            return None
-        segment = ast.get_source_segment(self.source, expr)
-        if segment is None:
-            return None
-        return " ".join(segment.split())
-
-    def _classify_priority(self, call: ast.Call) -> Dict[str, Any]:
+    @staticmethod
+    def _classify_priority(call: ast.Call) -> Dict[str, Any]:
         """Abstract the ``priority=`` argument of a scheduler call.
 
-        ``default`` (omitted), ``literal`` (bare int — unnamed),
-        ``named`` (resolves through the import map to a dotted constant,
-        e.g. ``repro.sim.priorities.SAMPLE``), ``local`` (a module-level
-        constant of this file) or ``unknown`` (never flagged).
+        ``default`` (omitted), ``literal`` (bare int — unnamed) or
+        ``other`` (a name or expression; never flagged).
         """
-        expr: Optional[ast.expr] = None
         for keyword in call.keywords:
             if keyword.arg == "priority":
-                expr = keyword.value
-        if expr is None:
-            return {"kind": "default"}
-        literal = _numeric_literal(expr)
-        if literal is not None:
-            return {"kind": "literal", "value": int(literal)}
-        dotted = _dotted_name(expr, self.imports)
-        if dotted is not None:
-            return {"kind": "named", "name": dotted}
-        if isinstance(expr, ast.Name) and expr.id in self.module_constants:
-            return {"kind": "local", "name": expr.id}
-        return {"kind": "unknown"}
+                literal = _numeric_literal(keyword.value)
+                if literal is None:
+                    return {"kind": "other"}
+                return {"kind": "literal", "value": int(literal)}
+        return {"kind": "default"}
 
     @staticmethod
     def _classify_callback(expr: Optional[ast.expr]) -> Dict[str, Any]:
-        """Abstract the callback argument of a scheduler call."""
+        """Abstract the callback argument of a scheduler call: a method
+        of ``self``, a method of some other receiver, or anything else."""
         if isinstance(expr, ast.Attribute):
             if isinstance(expr.value, ast.Name) and expr.value.id == "self":
                 return {"kind": "self", "method": expr.attr}
-            recv: Optional[str] = None
-            if isinstance(expr.value, ast.Name):
-                recv = expr.value.id
-            elif isinstance(expr.value, ast.Attribute):
-                recv = expr.value.attr
-            return {"kind": "recv", "recv": recv, "method": expr.attr}
-        if isinstance(expr, ast.Name):
-            return {"kind": "func", "name": expr.id}
+            return {"kind": "recv", "method": expr.attr}
         return {"kind": "unknown"}
 
     def _record_sched_call(self, call: ast.Call) -> None:
         func = call.func
         assert isinstance(func, ast.Attribute)
         line, col = _loc(call)
-        delay_expr = call.args[0] if call.args else None
         callback_expr = call.args[1] if len(call.args) > 1 else None
         self.sched_calls.append(
             {
-                "kind": func.attr,
                 "line": line,
                 "col": col,
-                "delay_src": (
-                    None if delay_expr is None else self._expr_src(delay_expr)
-                ),
                 "priority": self._classify_priority(call),
                 "callback": self._classify_callback(callback_expr),
             }
@@ -896,8 +780,6 @@ class _FunctionScanner:
             ):
                 self._record_sched_call(call)
             callee = {"kind": "attr", "name": func.attr}
-            if isinstance(func.value, ast.Name) and func.value.id == "self":
-                callee["self"] = True
         if callee is None:
             return
         line, col = _loc(call)
@@ -925,14 +807,6 @@ class _FunctionScanner:
 
     def scan(self) -> None:
         self._collect_env()
-        # ``self.m()`` is a method dispatch, not a data access: keep the
-        # callee attribute out of the read set (the call itself is still
-        # recorded, with a ``self`` flag, for the race closure).
-        dispatch_attrs = {
-            id(node.func)
-            for node in ast.walk(self.node)
-            if isinstance(node, ast.Call)
-        }
         for node in ast.walk(self.node):
             if node is not self.node and isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -944,24 +818,6 @@ class _FunctionScanner:
             elif isinstance(node, ast.Call):
                 self._check_rng_construction(node)
                 self._record_call(node)
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.value, ast.Name
-            ) and node.value.id == "self" and id(node) not in dispatch_attrs:
-                # Attribute *rebinding* counts as a write; loads (including
-                # the base of a subscript or method call) count as reads.
-                # In-place container mutation is a read of the container —
-                # matching the runtime sanitizer's snapshot-diff semantics.
-                if isinstance(node.ctx, (ast.Store, ast.Del)):
-                    self.self_writes.add(node.attr)
-                else:
-                    self.self_reads.add(node.attr)
-            elif isinstance(node, ast.AugAssign) and isinstance(
-                node.target, ast.Attribute
-            ) and isinstance(node.target.value, ast.Name) and (
-                node.target.value.id == "self"
-            ):
-                # ``self.x += 1`` both reads and rebinds the attribute.
-                self.self_reads.add(node.target.attr)
             elif isinstance(node, ast.Return) and node.value is not None:
                 value = self._eval(node.value)
                 self.return_dims.append(
@@ -1179,19 +1035,15 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
             module, qname, node, imports, params,
             _param_dims(node, imports), constants, local_returns,
             attr_dims_by_class.get(class_name or "", {}), is_method,
-            source=source,
         )
         scanner.scan()
         functions[qname] = {
-            "line": node.lineno,
             "params": params,
             "param_dims": _param_dims(node, imports),
             "is_method": is_method,
             "class": class_name,
             "calls": scanner.calls,
             "sched_calls": scanner.sched_calls,
-            "self_reads": sorted(scanner.self_reads),
-            "self_writes": sorted(scanner.self_writes),
             "cost": _collect_cost(node),
         }
         local_findings.extend(
@@ -1209,7 +1061,7 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
     # module level — rare — are scanned as a pseudo-function).
     module_scanner = _FunctionScanner(
         module, "<module>", tree, imports, [], {}, constants,
-        local_returns, {}, is_method=False, source=source,
+        local_returns, {}, is_method=False,
     )
     for stmt in tree.body:
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -1221,15 +1073,12 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
                     module_scanner._record_call(sub)
     if module_scanner.calls or module_scanner.findings:
         functions["<module>"] = {
-            "line": 1,
             "params": [],
             "param_dims": {},
             "is_method": False,
             "class": None,
             "calls": module_scanner.calls,
             "sched_calls": module_scanner.sched_calls,
-            "self_reads": [],
-            "self_writes": [],
         }
         local_findings.extend(
             [code, line, col, message]
@@ -1253,7 +1102,6 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
         "path": posix,
         "module": module,
         "parse_error": False,
-        "imports": imports.as_dict(),
         "functions": functions,
         "classes": classes,
         "module_constants": constants,

@@ -1,10 +1,11 @@
 """The sanitizer smoke: ``python -m repro.lint.smoke``.
 
-Runs each golden scenario once with both runtime sanitizers on the
-probe seam — ``probing(RaceMonitor(), AllocMonitor(registry))``; the
-seam's bracket order puts the race monitor outside the allocation
-monitor's tracemalloc window — and then the two engine micro cells.
-Exit code 0 needs all of:
+Runs each golden scenario once with all four probe kinds on the seam —
+``probing(RaceMonitor(), AllocMonitor(registry), Profiler())`` around a
+scenario that brings its own validator; the seam's bracket order puts
+the race monitor outside the allocation monitor's tracemalloc window and
+the profiler inside it — and then the two engine micro cells.  Exit
+code 0 needs all of:
 
 * **no observed collisions** — no two distinct callbacks rebound the
   same attribute of one object within an equal-``(time, priority)``
@@ -14,9 +15,15 @@ Exit code 0 needs all of:
   explanation: an allocation site (waived or not) reachable from it
   through the summary call graph
   (:func:`repro.lint.perf.analyzer.explained_hot_functions`);
+* **no unregistered hot callback** — no callback missing from
+  ``hotpaths.toml`` fires :data:`HOT_SHARE` or more of a scenario's
+  events (a deterministic count, from the profiler's per-component
+  tally), so the registry the hot-path rules and the allocation
+  sanitizer work from cannot drift from where the events go;
+* **every probe saw every event** — the four probes' event counts agree;
 * **no invariant violations** — the validator stayed quiet;
-* **bit-identical digests** — the sanitizers observed without
-  perturbing: every scenario digest still matches its checked-in golden;
+* **bit-identical digests** — the probes observed without perturbing:
+  every scenario digest still matches its checked-in golden;
 * **allocation-free micro cells** — with *every* callback traced after a
   free-list warmup segment, neither the ``schedule()`` cell nor the
   ``post()`` cell (the ledger's ``sim.schedule_fire_ns`` /
@@ -42,6 +49,7 @@ from repro.lint.perf.hotpaths import HotPathRegistry
 from repro.lint.perf.runtime import AllocMonitor
 from repro.lint.race.runtime import RaceMonitor
 from repro.lint.sem.summary import build_summary
+from repro.obs.profiler import Profiler
 from repro.sim.engine import Simulator
 from repro.sim.probe import probing
 from repro.validate.golden import check_digest, format_diff
@@ -50,6 +58,10 @@ from repro.validate.scenarios import run_scenario, scenario_names
 #: The tree the static explanation closure is built from: the package
 #: this module was imported from, wherever the process was started.
 PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+#: An unregistered callback firing this share of a scenario's events
+#: fails the smoke (largest on the goldens today: ``Timer._fire``, 1.2 %).
+HOT_SHARE = 0.05
 
 #: Micro-cell sizes: enough events past warmup that free-list noise
 #: cannot reach the majority threshold, small enough for a CI smoke.
@@ -151,8 +163,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     records: List[Dict[str, Any]] = []
     ok = True
     for name in names:
-        with probing(RaceMonitor(), AllocMonitor(registry)) as (race, alloc):
+        with probing(RaceMonitor(), AllocMonitor(registry), Profiler()) as (
+            race, alloc, profiler
+        ):
             digest, validator = run_scenario(name)
+        profile = profiler.snapshot()
         unexplained = sorted(set(alloc.allocators()) - explained)
         problems: List[str] = []
         if race.collisions:
@@ -161,6 +176,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             problems.append(
                 f"{len(unexplained)} unexplained allocator(s): "
                 + ", ".join(unexplained)
+            )
+        for stat in profile.components:
+            dotted = f"repro.{stat.component}"
+            if stat.events >= HOT_SHARE * profile.events and dotted not in registry:
+                problems.append(
+                    f"{dotted} fires {stat.events} of {profile.events} "
+                    "events but is not in hotpaths.toml"
+                )
+        if not (
+            profile.events == race.events == alloc.events
+            == validator.events_seen
+        ):
+            problems.append(
+                f"probes disagree on the event count (profile "
+                f"{profile.events}, race {race.events}, alloc "
+                f"{alloc.events}, validate {validator.events_seen})"
             )
         if validator.violations:
             problems.append(

@@ -48,7 +48,6 @@ class Link:
         "packets_transmitted",
         "bytes_offered",
         "layer",
-        "observer",
         "_deliver",
         "_serve",
         "_resume",
@@ -82,31 +81,14 @@ class Link:
         self.packets_transmitted = 0
         self.bytes_offered = 0
         self.layer = layer
-        #: Validation observer storage (see :mod:`repro.validate`): the
-        #: slot lives here so a watched link's generated subclass shares
-        #: this layout.  Only that subclass reads it (its wrapped
-        #: ``_finish_transmission``); the transmit path here never does.
-        self.observer = None
+        # The transmit path passes these two bound methods into
+        # Simulator.post for every served packet; binding them once per
+        # link removes a method-object allocation from each post.
         self._deliver = dst.receive
         self._serve = self._finish_transmission
         #: ``set_up()`` arrived while a doomed frame was still in
         #: service; its finish event raises ``up`` (see :meth:`set_up`).
         self._resume = False
-
-    def _rebind(self) -> None:
-        """Refresh the pre-bound hot-path callbacks.
-
-        The transmit path passes two bound methods into
-        :meth:`Simulator.post` for every served packet (the destination's
-        ``receive`` and this link's ``_finish_transmission``); binding
-        them once per link instead of once per packet removes a
-        method-object allocation from each post.  Anything that changes
-        where those lookups must land — swapping ``__class__`` for a
-        validation subclass (:meth:`repro.validate.invariants.SimObserver.
-        watch_link`) or replacing ``dst`` — must call this afterwards.
-        """
-        self._deliver = self.dst.receive
-        self._serve = self._finish_transmission
 
     # ------------------------------------------------------------------
 

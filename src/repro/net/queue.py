@@ -59,7 +59,7 @@ class QueueStats:
 class DropTailQueue:
     """FIFO queue with a hard capacity in packets."""
 
-    __slots__ = ("capacity", "_buffer", "stats", "observer")
+    __slots__ = ("capacity", "_buffer", "stats")
 
     def __init__(self, capacity: int = 100) -> None:
         if capacity < 1:
@@ -67,10 +67,6 @@ class DropTailQueue:
         self.capacity = capacity
         self._buffer: Deque[Packet] = deque()
         self.stats = QueueStats()
-        #: Validation observer storage (see :mod:`repro.validate`): the
-        #: slot lives here so a watched queue's generated subclass shares
-        #: this layout; the hot paths below never consult it.
-        self.observer = None
 
     def __len__(self) -> int:
         return len(self._buffer)

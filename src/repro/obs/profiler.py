@@ -192,7 +192,7 @@ class Profiler(Probe):
             self.peak_size = pending
 
     def on_event_fired(
-        self, time: float, priority: int, callback: Callable[..., Any]
+        self, time: float, priority: int, callback: Callable[..., Any], args: tuple
     ) -> None:
         self._callback = callback
         self._started = perf_counter()

@@ -513,7 +513,7 @@ class Simulator:
                     self._now = time
                     args = record[5]
                     if args:
-                        record[4](*args)  # simlint: disable=SIM023 - unpacking an existing tuple is the fast variadic call shape
+                        record[4](*args)
                     else:
                         record[4]()
                     self._events_processed += 1
@@ -551,8 +551,9 @@ class Simulator:
                     self._run_i = i + 1
                     self._now = time
                     callback = record[4]
-                    probe.on_event_fired(time, record[1], callback)
-                    callback(*record[5])  # simlint: disable=SIM023 - unpacking an existing tuple is the fast variadic call shape
+                    args = record[5]
+                    probe.on_event_fired(time, record[1], callback, args)
+                    callback(*args)
                     probe.on_event_settled()
                     self._events_processed += 1
                     if self._stopped:

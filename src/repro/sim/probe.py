@@ -21,6 +21,11 @@ branch per ``schedule()``/``post()`` and per promotion; constructors of
 links, senders and connections pay one truth test of an empty list.
 Probes observe and never perturb — they schedule nothing and mutate
 nothing they watch, so results are bit-identical with any set attached.
+And a probe never replaces what it watches: no class is swapped and no
+callback rebound, so a probed run fires exactly the callbacks a bare run
+fires and every probe sees them under the same ``module.qualname``.
+What a probe needs from a fired event it reads from ``on_event_fired``,
+which carries the record's ``args`` for that purpose.
 
 Bracket order
 -------------
@@ -82,9 +87,9 @@ class Probe:
     # -- engine hooks --------------------------------------------------
 
     def on_event_fired(
-        self, time: float, priority: int, callback: Callable[..., None]
+        self, time: float, priority: int, callback: Callable[..., None], args: tuple
     ) -> None:
-        """Immediately before ``callback`` fires at ``(time, priority)``."""
+        """Immediately before ``callback(*args)`` fires at ``(time, priority)``."""
 
     def on_event_settled(self) -> None:
         """Immediately after that callback returned."""
@@ -135,12 +140,12 @@ class ProbeSet(Probe):
             setattr(self, probe.kind, probe)
 
     def on_event_fired(
-        self, time: float, priority: int, callback: Callable[..., None]
+        self, time: float, priority: int, callback: Callable[..., None], args: tuple
     ) -> None:
-        self.validate.on_event_fired(time, priority, callback)
-        self.race.on_event_fired(time, priority, callback)
-        self.alloc.on_event_fired(time, priority, callback)
-        self.profile.on_event_fired(time, priority, callback)
+        self.validate.on_event_fired(time, priority, callback, args)
+        self.race.on_event_fired(time, priority, callback, args)
+        self.alloc.on_event_fired(time, priority, callback, args)
+        self.profile.on_event_fired(time, priority, callback, args)
 
     def on_event_settled(self) -> None:
         self.profile.on_event_settled()

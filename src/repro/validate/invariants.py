@@ -34,22 +34,26 @@ checks:
   behind the sender's ACK point, and a completed finite transfer
   delivered exactly its size.
 
-Observers are attached per object.  Queues and links are watched by
-swapping the instance's ``__class__`` for a generated subclass whose
-``accept``/``pop``/``_finish_transmission`` notify the observer around
-the base implementation — the base classes' hot paths carry no check at
+Observers are attached per object, and the validator follows the probe
+seam's rule — a probe never replaces what it watches.  The simulator is
+watched through its ``probe`` slot (a per-simulator
+:class:`SimObserver`); a link's transmissions are read from the very
+events the engine fires (``on_event_fired`` hands over the callback and
+its ``args``, so the link's own ``_finish_transmission`` runs untouched
+and every other probe sees it under its real name); a link's queue is
+watched by composition — ``link.queue`` becomes a :class:`WatchedQueue`
+that delegates to the real queue and tells a :class:`QueueObserver` what
+happened.  ``Link`` and the queue classes carry no validation state at
 all, so an un-validated run pays exactly nothing on the per-packet path.
-The simulator is watched through its ``probe`` slot (a per-simulator
-:class:`SimObserver`), and the TCP ACK path keeps a single aliased
-``observer is None`` branch (a long-lived method that cannot be swapped
-mid-run).
+The TCP ACK path keeps a single aliased ``observer is None`` branch (a
+long-lived method with no event of its own to read).
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Any, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.sim.probe import Probe, member, probing
 from repro.transport.cc import MIN_CWND
@@ -79,89 +83,6 @@ class Violation:
 # ----------------------------------------------------------------------
 
 
-# ----------------------------------------------------------------------
-# Observed subclasses for per-packet hot paths
-# ----------------------------------------------------------------------
-#
-# Watching a queue or link swaps the instance's ``__class__`` for a
-# generated subclass (``__slots__ = ()`` keeps the layout identical, so
-# the assignment is legal) whose hot methods wrap the originals.  The
-# wrappers resolve the base method through the original class at call
-# time, so ``monkeypatch.setattr(ThresholdECNQueue, "_mark", ...)``-style
-# sabotage in negative tests still reaches the real implementation.
-
-_OBSERVED_QUEUE: dict = {}
-_OBSERVED_LINK: dict = {}
-
-
-def _observed_queue_class(cls: type) -> type:
-    if getattr(cls, "_repro_observed", False):
-        return cls
-    observed = _OBSERVED_QUEUE.get(cls)
-    if observed is not None:
-        return observed
-
-    def accept(self: Any, packet: Any) -> bool:
-        occupancy_before = len(self._buffer)
-        accepted = cls.accept(self, packet)
-        observer = self.observer
-        if observer is not None:
-            if accepted:
-                observer.on_enqueue(self, packet, occupancy_before)
-            else:
-                observer.on_drop(self, packet)
-        return accepted
-
-    def pop(self: Any) -> Any:
-        packet = cls.pop(self)
-        if packet is not None and self.observer is not None:
-            self.observer.on_dequeue(self, packet)
-        return packet
-
-    observed = type(
-        "Observed" + cls.__name__,
-        (cls,),
-        {
-            "__slots__": (),
-            "_repro_observed": True,
-            "accept": accept,
-            "pop": pop,
-        },
-    )
-    _OBSERVED_QUEUE[cls] = observed
-    return observed
-
-
-def _observed_link_class(cls: type) -> type:
-    if getattr(cls, "_repro_observed", False):
-        return cls
-    observed = _OBSERVED_LINK.get(cls)
-    if observed is not None:
-        return observed
-
-    def _finish_transmission(self: Any, packet: Any) -> None:
-        # Capture up/down before the base method: it may start the next
-        # transmission, and its down arm raises ``up`` when a set_up()
-        # was deferred behind the lost frame; it never takes it down
-        # (that needs an external set_down call, its own event).
-        was_up = self.up
-        cls._finish_transmission(self, packet)
-        if was_up and self.observer is not None:
-            self.observer.on_transmit(self, packet)
-
-    observed = type(
-        "Observed" + cls.__name__,
-        (cls,),
-        {
-            "__slots__": (),
-            "_repro_observed": True,
-            "_finish_transmission": _finish_transmission,
-        },
-    )
-    _OBSERVED_LINK[cls] = observed
-    return observed
-
-
 class SimObserver(Probe):
     """Watches one simulator: monotonic clock, consistent event counter."""
 
@@ -176,7 +97,9 @@ class SimObserver(Probe):
         self.events_seen = 0
         self.base_events = sim.events_processed
 
-    def on_event_fired(self, time: float, priority: int, callback: Any) -> None:
+    def on_event_fired(
+        self, time: float, priority: int, callback: Any, args: tuple
+    ) -> None:
         v = self.validator
         v.checks += 2
         if time < self.last_time:
@@ -189,6 +112,12 @@ class SimObserver(Probe):
             v.record("sim-time-monotonic", "simulator", f"non-finite or negative event time {time!r}")
         self.last_time = time
         self.events_seen += 1
+        observer = v.transmitters.get(id(callback))
+        # A finish event on a downed link is a lost frame, not a
+        # transmission (read before the callback, which may raise ``up``
+        # again when a set_up() was deferred behind that frame).
+        if observer is not None and observer.link.up:
+            observer.on_transmit(observer.link, args[0])
 
     def finish(self) -> None:
         v = self.validator
@@ -202,6 +131,44 @@ class SimObserver(Probe):
                 f"{self.events_seen} events — counter corrupted or an event "
                 "bypassed the loop",
             )
+
+
+class WatchedQueue:
+    """A link's queue while a validator watches it.
+
+    Stands where the real queue stood (``link.queue``), hands every call
+    to it, and reports admissions, drops and dequeues to the observer.
+    The real queue — its class, its methods, its counters — is untouched.
+    """
+
+    __slots__ = ("queue", "observer")
+
+    def __init__(self, queue: Any, observer: "QueueObserver") -> None:
+        self.queue = queue
+        self.observer = observer
+
+    def accept(self, packet: Any) -> bool:
+        queue = self.queue
+        occupancy_before = len(queue)
+        if queue.accept(packet):
+            self.observer.on_enqueue(queue, packet, occupancy_before)
+            return True
+        self.observer.on_drop(queue, packet)
+        return False
+
+    def pop(self) -> Any:
+        packet = self.queue.pop()
+        if packet is not None:
+            self.observer.on_dequeue(self.queue, packet)
+        return packet
+
+    def __len__(self) -> int:
+        return len(self.queue)
+
+    def __getattr__(self, name: str) -> Any:
+        # Everything else a queue offers (stats, capacity, occupancy,
+        # threshold, ...) is the real queue's.
+        return getattr(self.queue, name)
 
 
 class QueueObserver:
@@ -570,8 +537,13 @@ class Validator(Probe):
         self.checks = 0
         self.finished = False
         self._sim_observers: List[SimObserver] = []
-        self._queue_observers: List[QueueObserver] = []
-        self._link_observers: List[LinkObserver] = []
+        #: id(real queue) -> the watched stand-in handed out for it
+        #: (which keeps the queue, and so the id, alive).
+        self._watched_queues: Dict[int, WatchedQueue] = {}
+        #: id(link's pre-bound serve callback) -> the link's observer:
+        #: how a fired event is recognised as that link's transmission.
+        #: The observer keeps the link (and so the callback) alive.
+        self.transmitters: Dict[int, LinkObserver] = {}
         self._sender_observers: List[SenderObserver] = []
         self._bos_observers: List[BosObserver] = []
         self._connections: List[Any] = []
@@ -586,26 +558,26 @@ class Validator(Probe):
         observer.attach(sim)
         self._sim_observers.append(observer)
 
-    def watch_queue(self, queue: Any, label: str = "queue") -> None:
-        """Instrument a queue (idempotent per object)."""
-        if queue.observer is not None:
-            return
-        queue.__class__ = _observed_queue_class(queue.__class__)
-        observer = QueueObserver(self, queue, label)
-        queue.observer = observer
-        self._queue_observers.append(observer)
+    def watch_queue(self, queue: Any, label: str = "queue") -> WatchedQueue:
+        """The watched stand-in for ``queue`` (one per queue, however often asked).
+
+        Callers install the result where the queue is used —
+        :meth:`watch_link` does, as ``link.queue`` — and drive it instead.
+        """
+        if isinstance(queue, WatchedQueue):
+            return queue
+        watched = self._watched_queues.get(id(queue))
+        if watched is None:
+            watched = WatchedQueue(queue, QueueObserver(self, queue, label))
+            self._watched_queues[id(queue)] = watched
+        return watched
 
     def watch_link(self, link: Any) -> None:
         """Instrument a link and its queue (idempotent per object)."""
-        if link.observer is None:
-            link.__class__ = _observed_link_class(link.__class__)
-            # The class swap changes where the link's pre-bound transmit
-            # callbacks must resolve; refresh them (see Link._rebind).
-            link._rebind()
-            observer = LinkObserver(self, link)
-            link.observer = observer
-            self._link_observers.append(observer)
-        self.watch_queue(link.queue, label=f"queue[{link.name}]")
+        if id(link._serve) not in self.transmitters:
+            self.attach(link.sim)
+            self.transmitters[id(link._serve)] = LinkObserver(self, link)
+        link.queue = self.watch_queue(link.queue, label=f"queue[{link.name}]")
 
     def watch_sender(self, sender: Any) -> None:
         """Instrument a TCP sender; BOS controllers get law checks too."""
@@ -630,11 +602,16 @@ class Validator(Probe):
         self._connections.append(connection)
 
     @property
+    def events_seen(self) -> int:
+        """Fired events observed, over every watched simulator."""
+        return sum(observer.events_seen for observer in self._sim_observers)
+
+    @property
     def watched_objects(self) -> int:
         return (
             len(self._sim_observers)
-            + len(self._queue_observers)
-            + len(self._link_observers)
+            + len(self._watched_queues)
+            + len(self.transmitters)
             + len(self._sender_observers)
             + len(self._bos_observers)
             + len(self._connections)
@@ -658,8 +635,8 @@ class Validator(Probe):
         self.finished = True
         for group in (
             self._sim_observers,
-            self._queue_observers,
-            self._link_observers,
+            [watched.observer for watched in self._watched_queues.values()],
+            self.transmitters.values(),
             self._sender_observers,
             self._bos_observers,
         ):
@@ -774,6 +751,7 @@ __all__ = [
     "validating",
     "SimObserver",
     "QueueObserver",
+    "WatchedQueue",
     "LinkObserver",
     "SenderObserver",
     "BosObserver",

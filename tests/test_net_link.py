@@ -251,27 +251,3 @@ class TestFlapConservation:
             validator.finish()
             assert validator.violations == []
             assert validator.checks > 0
-
-
-class TestRebind:
-    def test_rebind_refreshes_hot_callbacks(self, sim):
-        # The pre-bound serve/deliver callbacks must follow a __class__
-        # swap (the repro.validate wrapping strategy) once _rebind runs.
-        link, dst = make_link(sim)
-        seen = []
-
-        class Traced(Link):
-            __slots__ = ()
-
-            def _finish_transmission(self, packet):
-                seen.append(packet)
-                Link._finish_transmission(self, packet)
-
-        link.__class__ = Traced
-        link._rebind()
-        packets = [data() for _ in range(3)]
-        for p in packets:
-            link.enqueue(p)
-        sim.run()
-        assert seen == packets
-        assert [p for _, p in dst.arrivals] == packets

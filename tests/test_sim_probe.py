@@ -4,7 +4,8 @@ One file for what used to be four per-package copies: the activation
 registry (stack discipline, innermost-per-kind nesting, the ``REPRO_*``
 switches), the bracket order a :class:`ProbeSet` fans out in, the
 ``max_events`` budget on the probed loop, the observe-never-perturb
-guarantee with all four probe kinds attached at once, and the import
+guarantee with all four probe kinds attached at once, the
+never-replace-what-you-watch rule, and the import
 hygiene that motivates keeping the seam dependency-free.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,7 +57,7 @@ class Recorder(Probe):
         self.kind = kind
         self.log = log
 
-    def on_event_fired(self, time, priority, callback):
+    def on_event_fired(self, time, priority, callback, args):
         self.log.append(f"{self.kind}.fired")
 
     def on_event_settled(self):
@@ -288,8 +290,14 @@ def test_max_events_stops_at_the_same_event_with_and_without_a_probe(budget):
 # ----------------------------------------------------------------------
 
 
+#: The sub-second goldens.  ``python -m repro.lint.smoke`` runs all six
+#: under all four probes (and checks that every probe saw every event);
+#: what only a test can add is the comparison against a *bare* run.
+FAST_GOLDENS = ["bottleneck-xmp", "bottleneck-mixed", "workload-websearch"]
+
+
 @pytest.mark.invariants
-@pytest.mark.parametrize("name", list(SCENARIOS))
+@pytest.mark.parametrize("name", FAST_GOLDENS)
 def test_golden_bit_identical_bare_and_fully_probed(name):
     bare = SCENARIOS[name]()
     validator, profiler = Validator(), Profiler()
@@ -301,10 +309,34 @@ def test_golden_bit_identical_bare_and_fully_probed(name):
     assert check_digest(name, probed) == []
     assert validator.violations == [] and validator.checks > 0
     assert race.collisions == []
-    # Every probe saw every event.
-    events = profiler.snapshot().events
-    assert events == race.events == alloc.events > 0
-    assert events == sum(o.events_seen for o in validator._sim_observers)
+
+
+class CallbackCensus(Probe):
+    """Counts fired callbacks by ``(module, qualname)``."""
+
+    kind = "profile"
+
+    def __init__(self) -> None:
+        self.fired: Counter = Counter()
+
+    def on_event_fired(self, time, priority, callback, args):
+        self.fired[callback.__module__, callback.__qualname__] += 1
+
+
+def test_a_validated_run_fires_exactly_the_callbacks_a_bare_run_fires():
+    """A probe never replaces what it watches: the validator sees link
+    transmissions and queue traffic without renaming a single callback,
+    so every other probe can still recognise them."""
+    with probing(CallbackCensus()) as bare:
+        SCENARIOS["bottleneck-xmp"]()
+    with probing(CallbackCensus(), Validator()) as (watched, validator):
+        SCENARIOS["bottleneck-xmp"]()
+    validator.finish()
+    assert validator.violations == [] and validator.transmitters
+    assert watched.fired == bare.fired
+    assert bare.fired["repro.net.link", "Link._finish_transmission"] > 0
+    tooling = ("repro.validate", "repro.lint", "repro.obs")
+    assert not [key for key in watched.fired if key[0].startswith(tooling)]
 
 
 # ----------------------------------------------------------------------

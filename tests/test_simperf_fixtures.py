@@ -1,12 +1,11 @@
-"""Fixture-corpus tests for simperf's static side (SIM019–SIM023).
+"""Fixture-corpus tests for simperf's static side (SIM019, SIM020).
 
 Same contract as the simrace corpus (see ``test_simrace_fixtures.py``):
 each direct subdirectory of ``tests/lint_fixtures/perf/`` is one
 mini-project analyzed as a unit through
 ``ProjectAnalyzer(hotpaths=...).analyze_sources``, with virtual paths from
-each file's ``# simlint-path:`` header.  Two sidecars parameterize the
-pass: ``hotpaths.toml`` (the project's hot-path registry) and an
-optional ``telemetry.jsonl`` (recorded profiles for SIM022).  ``_bad``
+each file's ``# simlint-path:`` header.  One sidecar parameterizes the
+pass: ``hotpaths.toml`` (the project's hot-path registry).  ``_bad``
 projects must produce exactly the findings their ``# EXPECT:`` comments
 announce (code, line and multiplicity); ``_good`` twins must be clean of
 every rule family, so a fixture can never hide another family's
@@ -25,7 +24,7 @@ from repro.lint.sem import ProjectAnalyzer
 pytestmark = pytest.mark.lint
 
 PERF_FIXTURES = Path(__file__).parent / "lint_fixtures" / "perf"
-PERF_CODES = ("SIM019", "SIM020", "SIM021", "SIM022", "SIM023")
+PERF_CODES = ("SIM019", "SIM020")
 
 _PATH_RE = re.compile(r"#\s*simlint-path:\s*(\S+)")
 _EXPECT_RE = re.compile(r"#\s*EXPECT:\s*([A-Z0-9 ,]+)")
@@ -35,9 +34,6 @@ _EXPECT_RE = re.compile(r"#\s*EXPECT:\s*([A-Z0-9 ,]+)")
 MESSAGE_PHRASES = {
     "SIM019": ("allow-alloc",),
     "SIM020": ("pre-bind it to a local",),
-    "SIM021": ("register the callee in hotpaths.toml",),
-    "SIM022": ("hotpaths.toml does not register it",),
-    "SIM023": ("in hot function",),
 }
 
 
@@ -65,11 +61,8 @@ def load_project(project: Path):
 
 
 def make_analyzer(project: Path) -> ProjectAnalyzer:
-    registry = HotPathRegistry.load(project / "hotpaths.toml")
-    telemetry = project / "telemetry.jsonl"
     return ProjectAnalyzer(
-        hotpaths=registry,
-        telemetry=telemetry if telemetry.is_file() else None,
+        hotpaths=HotPathRegistry.load(project / "hotpaths.toml")
     )
 
 
@@ -122,7 +115,7 @@ def test_every_perf_rule_has_bad_and_good_twin(code):
 
 def test_finding_order_is_deterministic():
     """Same project, any input order, twice — identical finding lists."""
-    project = PERF_FIXTURES / "sim023_bad"
+    project = PERF_FIXTURES / "sim019_bad"
     items, _expected = load_project(project)
     runs = []
     for ordered in (items, list(reversed(items)), items):

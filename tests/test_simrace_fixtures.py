@@ -1,4 +1,4 @@
-"""Fixture-corpus tests for simrace's static side (SIM016–SIM018).
+"""Fixture-corpus tests for simrace's static side (SIM018).
 
 Same contract as the simsem corpus (see ``test_simsem_fixtures.py``):
 each direct subdirectory of ``tests/lint_fixtures/race/`` is one
@@ -21,7 +21,7 @@ from repro.lint.sem import ProjectAnalyzer
 pytestmark = pytest.mark.lint
 
 RACE_FIXTURES = Path(__file__).parent / "lint_fixtures" / "race"
-RACE_CODES = ("SIM016", "SIM017", "SIM018")
+RACE_CODES = ("SIM018",)
 
 _PATH_RE = re.compile(r"#\s*simlint-path:\s*(\S+)")
 _EXPECT_RE = re.compile(r"#\s*EXPECT:\s*([A-Z0-9 ,]+)")
@@ -29,8 +29,6 @@ _EXPECT_RE = re.compile(r"#\s*EXPECT:\s*([A-Z0-9 ,]+)")
 #: Every message must contain at least one of its code's anchor phrases,
 #: so a rule cannot silently degenerate into a generic complaint.
 MESSAGE_PHRASES = {
-    "SIM016": ("write-write hazard",),
-    "SIM017": ("seq-order dependence",),
     "SIM018": ("repro.sim.priorities",),
 }
 
@@ -119,12 +117,12 @@ def test_finding_order_is_deterministic():
 
 def test_race_findings_are_suppressible():
     """`# simlint: disable=` pragmas silence race codes like any other."""
-    items, _expected = load_project(RACE_FIXTURES / "sim016_bad")
+    items, _expected = load_project(RACE_FIXTURES / "sim018_bad")
     suppressed = [
         (
             path,
             text.replace(
-                "# EXPECT: SIM016", "# simlint: disable=SIM016"
+                "# EXPECT: SIM018", "# simlint: disable=SIM018"
             ),
         )
         for path, text in items
@@ -132,4 +130,4 @@ def test_race_findings_are_suppressible():
     findings = ProjectAnalyzer().analyze_sources(
         suppressed
     )
-    assert not any(f.code == "SIM016" for f in findings)
+    assert not any(f.code == "SIM018" for f in findings)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import pytest
 
 from repro.mptcp.connection import MptcpConnection
+from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.queue import DropTailQueue, ThresholdECNQueue
 from repro.sim.engine import Simulator
@@ -60,8 +61,8 @@ class TestDisabledByDefault:
     def test_observer_slots_default_none(self):
         net = _two_host_net()
         assert net.sim.probe is None
-        assert all(link.observer is None for link in net.links)
-        assert all(link.queue.observer is None for link in net.links)
+        assert all(type(link) is Link for link in net.links)
+        assert all(type(link.queue) is ThresholdECNQueue for link in net.links)
         flow = SinglePathFlow(net, "A", "B", net.paths("A", "B")[0],
                               RenoCC(ecn=True), size_bytes=10_000)
         assert flow.sender.observer is None
@@ -106,10 +107,11 @@ class TestValidatedRuns:
         validator.attach(sim)
         validator.attach(sim)
         queue = DropTailQueue(10)
-        validator.watch_queue(queue)
-        validator.watch_queue(queue)
+        watched = validator.watch_queue(queue)
+        assert validator.watch_queue(queue) is watched
+        assert validator.watch_queue(watched) is watched
         assert len(validator._sim_observers) == 1
-        assert len(validator._queue_observers) == 1
+        assert len(validator._watched_queues) == 1
 
     def test_summary_and_report(self):
         with validating() as validator:

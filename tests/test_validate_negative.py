@@ -59,10 +59,10 @@ class TestCorruptedQueueCounter:
     def test_dropped_counter_rollback_detected(self):
         queue = DropTailQueue(capacity=1)
         validator = Validator()
-        validator.watch_queue(queue, label="toy")
+        watched = validator.watch_queue(queue, label="toy")
         pkt = make_data_packet(0, 0, 0, 0.0, (), False)
-        assert queue.accept(pkt)
-        assert not queue.accept(make_data_packet(0, 0, 1, 0.0, (), False))  # drop
+        assert watched.accept(pkt)
+        assert not watched.accept(make_data_packet(0, 0, 1, 0.0, (), False))  # drop
         queue.stats.dropped = 0  # roll the counter back
         validator.finish()
         found = _violations(validator, "queue-conservation")
@@ -110,10 +110,10 @@ class TestEcnContract:
     def test_ce_on_non_ect_packet_detected(self):
         queue = ThresholdECNQueue(capacity=10, threshold=5)
         validator = Validator()
-        validator.watch_queue(queue, label="toy")
+        watched = validator.watch_queue(queue, label="toy")
         pkt = make_data_packet(0, 0, 0, 0.0, (), False)
         pkt.ce = True  # a marker that ignored the ECT bit
-        queue.accept(pkt)
+        watched.accept(pkt)
         found = _violations(validator, "ce-marking")
         assert any("non-ECT" in v.message for v in found)
 
@@ -124,8 +124,8 @@ class TestEcnContract:
         )
         queue = ThresholdECNQueue(capacity=10, threshold=0)
         validator = Validator()
-        validator.watch_queue(queue, label="toy")
-        queue.accept(make_data_packet(0, 0, 0, 0.0, (), True))
+        watched = validator.watch_queue(queue, label="toy")
+        watched.accept(make_data_packet(0, 0, 0, 0.0, (), True))
         found = _violations(validator, "ce-marking")
         assert any("without a CE mark" in v.message for v in found)
         assert any("§2.1" in v.message for v in found)
@@ -133,9 +133,9 @@ class TestEcnContract:
     def test_over_admission_detected(self):
         queue = DropTailQueue(capacity=2)
         validator = Validator()
-        validator.watch_queue(queue, label="toy")
+        watched = validator.watch_queue(queue, label="toy")
         queue.capacity = 1  # shrink under the resident packets
-        queue.accept(make_data_packet(0, 0, 0, 0.0, (), False))
+        watched.accept(make_data_packet(0, 0, 0, 0.0, (), False))
         queue.capacity = 0
         validator.finish()
         found = _violations(validator, "queue-admission")
