@@ -34,7 +34,7 @@ def run_cell(beta: float, threshold: int):
     net.sim.run(until=DURATION)
     return (
         net.forward_bottleneck.utilization(DURATION),
-        monitor.mean_occupancy(net.forward_bottleneck.name),
+        monitor.series.mean(net.forward_bottleneck.name),
     )
 
 

@@ -37,7 +37,7 @@ def packet_run(num_flows: int):
         connections.append(conn)
     net.sim.run(until=0.3)
     windows = [c.subflows[0].sender.cwnd for c in connections]
-    queue = monitor.mean_occupancy(net.forward_bottleneck.name)
+    queue = monitor.series.mean(net.forward_bottleneck.name)
     return windows, queue
 
 
@@ -50,7 +50,7 @@ def test_ablation_fluid_vs_packet(once):
                 threshold=THRESHOLD, duration=0.25,
             )
             fluid_w = sum(fluid_result.steady_state_windows()) / n
-            fluid_q = fluid_result.steady_state_queue()
+            (fluid_q,) = fluid_result.steady_state_queues()
             packet_w_list, packet_q = packet_run(n)
             packet_w = sum(packet_w_list) / n
             rows.append((n, fluid_w, packet_w, fluid_q, packet_q))

@@ -36,8 +36,8 @@ def run_variant(queue_mode: str):
     net.sim.run(until=DURATION)
     name = net.forward_bottleneck.name
     return {
-        "mean_queue": monitor.mean_occupancy(name),
-        "max_queue": monitor.max_occupancy(name),
+        "mean_queue": monitor.series.mean(name),
+        "max_queue": int(max(monitor.series[name])),
         "drops": net.total_dropped(),
         "marks": net.total_marked(),
         "utilization": net.forward_bottleneck.utilization(DURATION),

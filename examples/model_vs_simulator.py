@@ -35,7 +35,7 @@ def packet_run(num_flows):
         connections.append(conn)
     net.sim.run(until=0.3)
     windows = [c.subflows[0].sender.cwnd for c in connections]
-    return sum(windows) / num_flows, monitor.mean_occupancy(
+    return sum(windows) / num_flows, monitor.series.mean(
         net.forward_bottleneck.name
     )
 
@@ -49,7 +49,7 @@ def main() -> None:
             threshold=K, duration=0.25,
         )
         fluid_w = sum(model.steady_state_windows()) / n
-        fluid_q = model.steady_state_queue()
+        (fluid_q,) = model.steady_state_queues()
         packet_w, packet_q = packet_run(n)
         print(f"{n:6d} {fluid_w:9.1f} {packet_w:9.1f} "
               f"{fluid_q:9.1f} {packet_q:9.1f}")

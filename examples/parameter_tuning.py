@@ -40,7 +40,8 @@ def run_cell(beta: float, threshold: int) -> tuple:
     net.sim.run(until=DURATION)
     name = net.forward_bottleneck.name
     utilization = net.forward_bottleneck.utilization(DURATION)
-    return utilization, monitor.mean_occupancy(name), monitor.max_occupancy(name)
+    occupancy = monitor.series
+    return utilization, occupancy.mean(name), int(max(occupancy[name]))
 
 
 def main() -> None:

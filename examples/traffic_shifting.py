@@ -22,7 +22,7 @@ def main() -> None:
     print(f"{'time':>8}  {'subflow 1 (DN1)':>16}  {'subflow 2 (DN2)':>16}")
     series1 = result.normalized("flow2-1")
     series2 = result.normalized("flow2-2")
-    for time, r1, r2 in zip(result.times, series1, series2):
+    for time, r1, r2 in zip(result.series.times, series1, series2):
         bar1 = "#" * int(r1 * 30)
         bar2 = "*" * int(r2 * 30)
         print(f"{time:8.2f}  {r1:16.3f}  {r2:16.3f}   {bar1}{bar2}")

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from repro.core import trash
+
 
 def min_marking_threshold(bdp_packets: float, beta: float) -> float:
     """Eq. 1 — the smallest K that keeps the link busy through a 1/beta cut.
@@ -96,12 +98,17 @@ def subflow_equilibrium_probability(
 
 
 def trash_delta(rate: float, rtt: float, total_rate: float, min_rtt: float) -> float:
-    """Eq. 9 — the TraSh fixed point ``delta = (T_r*x_r)/(T_s*y_s)``."""
+    """Eq. 9 — the TraSh fixed point ``delta = (T_r*x_r)/(T_s*y_s)``.
+
+    The formula itself is :func:`repro.core.trash.trash_delta` at
+    ``cwnd = x_r * T_r``; this form rejects the unmeasurable inputs that
+    one answers with its uncoupled fallback.
+    """
     if total_rate <= 0 or min_rtt <= 0:
         raise ValueError("total rate and min rtt must be positive")
     if rate < 0 or rtt <= 0:
         raise ValueError("rate must be >= 0 and rtt positive")
-    return (rtt * rate) / (min_rtt * total_rate)
+    return trash.trash_delta(rate * rtt, total_rate, min_rtt)
 
 
 def trash_step(

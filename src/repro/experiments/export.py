@@ -21,7 +21,6 @@ import pathlib
 from typing import Union
 
 from repro.experiments.fattree_eval import FatTreeResult
-from repro.metrics.trace import rate_series_to_csv
 
 PathLike = Union[str, pathlib.Path]
 
@@ -99,13 +98,11 @@ def export_fattree_result(result: FatTreeResult, directory: PathLike) -> pathlib
 def export_rate_result(result, directory: PathLike, name: str = "rates") -> pathlib.Path:
     """Write a rate-series experiment result (Fig. 1/4/6/7 style).
 
-    ``result`` must expose ``times``, ``rates`` and ``config``; produces
+    ``result`` must expose ``series`` and ``config``; produces
     ``<name>.csv`` plus ``config.json``.
     """
     out = _ensure_dir(directory)
-    (out / f"{name}.csv").write_text(
-        rate_series_to_csv(result.times, result.rates)
-    )
+    (out / f"{name}.csv").write_text(result.series.to_csv())
     (out / "config.json").write_text(
         json.dumps(dataclasses.asdict(result.config), indent=2)
     )

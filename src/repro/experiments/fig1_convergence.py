@@ -16,11 +16,12 @@ measured in the tail of the segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.experiments.reporting import format_table
 from repro.metrics.collector import RateSampler
 from repro.metrics.fairness import jain_index
+from repro.metrics.series import TimeSeries
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.bottleneck import build_single_bottleneck
 
@@ -50,18 +51,14 @@ class Fig1Result:
     """Rate series plus per-segment fairness."""
 
     config: Fig1Config
-    times: List[float] = field(default_factory=list)
-    rates: Dict[str, List[float]] = field(default_factory=dict)
+    #: Per-flow rate (bits/s) versus time, keyed "flow{i}".
+    series: TimeSeries = field(default_factory=TimeSeries)
     #: (segment_start, segment_end, active_flow_count, jain_index)
     segments: List[Tuple[float, float, int, float]] = field(default_factory=list)
     #: Active flow indices per segment (parallel to ``segments``).
     segment_flows: List[List[int]] = field(default_factory=list)
     #: Simulator events processed (runner observability).
     events: int = 0
-
-    def normalized_rates(self, name: str) -> List[float]:
-        cap = self.config.bottleneck_rate_bps
-        return [rate / cap for rate in self.rates[name]]
 
     def worst_jain(self) -> float:
         """The worst steady-state fairness across multi-flow segments."""
@@ -81,18 +78,17 @@ class Fig1Result:
         flows = self.segment_flows[segment_index]
         fair = self.config.bottleneck_rate_bps / active_count
         band = tolerance * fair
-        sample_indices = [
-            i for i, t in enumerate(self.times) if start < t <= end
-        ]
+        times = self.series.times
+        sample_indices = [i for i, t in enumerate(times) if start < t <= end]
         converged_from = None
         for i in sample_indices:
             within = all(
-                abs(self.rates[f"flow{flow + 1}"][i] - fair) <= band
+                abs(self.series[f"flow{flow + 1}"][i] - fair) <= band
                 for flow in flows
             )
             if within:
                 if converged_from is None:
-                    converged_from = self.times[i]
+                    converged_from = times[i]
             else:
                 converged_from = None
         if converged_from is None:
@@ -155,7 +151,7 @@ def _simulate(config: Fig1Config) -> Fig1Result:
     sampler.start(config.sample_interval)
     net.sim.run(until=total_time)
 
-    result = Fig1Result(config=config, times=sampler.times, rates=sampler.rates)
+    result = Fig1Result(config=config, series=sampler.series)
 
     # Fairness in the tail (last 40%) of each between-events segment.
     for step in range(TOTAL_STEPS):
@@ -171,7 +167,7 @@ def _simulate(config: Fig1Config) -> Fig1Result:
         tail_start = seg_end - 0.4 * interval
         means = []
         for i in active:
-            means.append(sampler.mean_rate(f"flow{i+1}", tail_start, seg_end))
+            means.append(result.series.mean(f"flow{i+1}", tail_start, seg_end))
         result.segments.append(
             (seg_start, seg_end, len(active), jain_index(means))
         )

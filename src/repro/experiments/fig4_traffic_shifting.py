@@ -20,6 +20,7 @@ from typing import Dict, List, Tuple
 
 from repro.experiments.reporting import format_table
 from repro.metrics.collector import RateSampler
+from repro.metrics.series import TimeSeries
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.testbed import build_shifting_testbed
 
@@ -39,23 +40,17 @@ class Fig4Config:
 @dataclass
 class Fig4Result:
     config: Fig4Config
-    times: List[float] = field(default_factory=list)
-    rates: Dict[str, List[float]] = field(default_factory=dict)
+    #: Per-subflow rate (bits/s) versus time.
+    series: TimeSeries = field(default_factory=TimeSeries)
     #: Simulator events processed (runner observability).
     events: int = 0
 
     def normalized(self, name: str) -> List[float]:
         cap = self.config.bottleneck_rate_bps
-        return [rate / cap for rate in self.rates[name]]
+        return [rate / cap for rate in self.series[name]]
 
     def mean_normalized(self, name: str, start: float, end: float) -> float:
-        cap = self.config.bottleneck_rate_bps
-        values = [
-            rate / cap
-            for time, rate in zip(self.times, self.rates[name])
-            if start <= time <= end
-        ]
-        return sum(values) / len(values) if values else 0.0
+        return self.series.mean(name, start, end) / self.config.bottleneck_rate_bps
 
     def phases(self) -> Dict[str, Tuple[float, float]]:
         """The experiment's windows in (scaled) absolute time."""
@@ -125,8 +120,7 @@ def _simulate(config: Fig4Config) -> Fig4Result:
     net.sim.run(until=total)
     return Fig4Result(
         config=config,
-        times=sampler.times,
-        rates=sampler.rates,
+        series=sampler.series,
         events=net.sim.events_processed,
     )
 

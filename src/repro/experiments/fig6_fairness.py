@@ -14,11 +14,11 @@ coupling must prevent a 3-subflow flow from taking 3 shares).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
 
 from repro.experiments.reporting import format_table
 from repro.metrics.collector import RateSampler
 from repro.metrics.fairness import jain_index
+from repro.metrics.series import TimeSeries
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.bottleneck import build_single_bottleneck
 
@@ -38,26 +38,18 @@ class Fig6Config:
 @dataclass
 class Fig6Result:
     config: Fig6Config
-    times: List[float] = field(default_factory=list)
-    #: Keyed "flow{i}-{j}" per subflow, e.g. "flow1-2".
-    rates: Dict[str, List[float]] = field(default_factory=dict)
+    #: Rate (bits/s) versus time, keyed "flow{i}-{j}" per subflow.
+    series: TimeSeries = field(default_factory=TimeSeries)
     #: Simulator events processed (runner observability).
     events: int = 0
 
     def flow_rate_between(self, flow: int, start: float, end: float) -> float:
         """Mean total rate of one flow (all its subflows) over a window."""
         total = 0.0
-        count = 0
-        for name, series in self.rates.items():
-            if not name.startswith(f"flow{flow}-"):
-                continue
-            window = [
-                rate for time, rate in zip(self.times, series) if start <= time <= end
-            ]
-            if window:
-                total += sum(window) / len(window)
-                count += 1
-        return total if count else 0.0
+        for name in self.series.columns:
+            if name.startswith(f"flow{flow}-"):
+                total += self.series.mean(name, start, end)
+        return total
 
     def fairness_all_flows(self) -> float:
         """Jain's index over the four flow rates in the all-active window."""
@@ -125,8 +117,7 @@ def _simulate(config: Fig6Config) -> Fig6Result:
     net.sim.run(until=30.0 * s)
     return Fig6Result(
         config=config,
-        times=sampler.times,
-        rates=sampler.rates,
+        series=sampler.series,
         events=net.sim.events_processed,
     )
 

@@ -19,10 +19,11 @@ the largest-BDP path — and plots 5 s-averaged subflow rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import List
 
 from repro.experiments.reporting import format_table
 from repro.metrics.collector import RateSampler
+from repro.metrics.series import TimeSeries
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.torus import DEFAULT_CAPACITIES, build_torus
 
@@ -42,23 +43,16 @@ class Fig7Config:
 @dataclass
 class Fig7Result:
     config: Fig7Config
-    times: List[float] = field(default_factory=list)
-    #: "flow{i}-{j}" for the five main flows, "bg{b}" for background.
-    rates: Dict[str, List[float]] = field(default_factory=dict)
+    #: Rate (bits/s) versus time: "flow{i}-{j}" for the five main flows,
+    #: "bg{b}" for background.
+    series: TimeSeries = field(default_factory=TimeSeries)
     capacities: List[float] = field(default_factory=list)
     #: Simulator events processed (runner observability).
     events: int = 0
 
-    def mean_rate(self, name: str, start: float, end: float) -> float:
-        values = [
-            rate for time, rate in zip(self.times, self.rates[name])
-            if start <= time <= end
-        ]
-        return sum(values) / len(values) if values else 0.0
-
     def normalized_mean(self, name: str, start: float, end: float) -> float:
         """Mean rate over a window, normalized like the paper (1 Gbps)."""
-        return self.mean_rate(name, start, end) / 1e9
+        return self.series.mean(name, start, end) / 1e9
 
     def format(self) -> str:
         s = self.config.time_scale
@@ -120,8 +114,7 @@ def _simulate(config: Fig7Config) -> Fig7Result:
     net.sim.run(until=total)
     return Fig7Result(
         config=config,
-        times=sampler.times,
-        rates=sampler.rates,
+        series=sampler.series,
         capacities=list(DEFAULT_CAPACITIES),
         events=net.sim.events_processed,
     )

@@ -116,8 +116,10 @@ class _QueueDepths:
         """Fill the per-layer queue samples and the network's totals."""
         layer_samples: Dict[str, List[int]] = {}
         for link in net.links:
+            # Occupancy is whole packets: pooled as ints, which pickle
+            # in a quarter of the bytes of the series' doubles.
             layer_samples.setdefault(link.layer, []).extend(
-                monitor.occupancy[link.name]
+                map(int, monitor.series[link.name])
             )
         self.queue_samples = layer_samples
         self.total_marked = net.total_marked()

@@ -34,13 +34,11 @@ from repro.fluid.model import (
 )
 from repro.fluid.solver import (
     SAMPLE_STRIDE,
-    FluidLinkResult,
     FluidTrajectory,
     integrate_model,
     integrate_shared_link,
     integrate_single_flow,
     step_count,
-    tail_mean,
     vector_available,
 )
 
@@ -48,7 +46,6 @@ __all__ = [
     "PACKET_BITS",
     "SAMPLE_STRIDE",
     "FluidLink",
-    "FluidLinkResult",
     "FluidModel",
     "FluidResult",
     "FluidScenario",
@@ -61,7 +58,6 @@ __all__ = [
     "model_from_network",
     "run_fluid",
     "step_count",
-    "tail_mean",
     "threshold_marking_probability",
     "vector_available",
 ]

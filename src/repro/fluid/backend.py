@@ -24,12 +24,7 @@ from repro.core.bos import DEFAULT_BETA
 from repro.experiments.reporting import format_table
 from repro.fluid.laws import FLUID_SCHEMES
 from repro.fluid.model import PACKET_BITS, model_from_network
-from repro.fluid.solver import (
-    SAMPLE_STRIDE,
-    FluidTrajectory,
-    integrate_model,
-    tail_mean,
-)
+from repro.fluid.solver import SAMPLE_STRIDE, FluidTrajectory, integrate_model
 from repro.mptcp.coupling import scheme_label
 from repro.net.routing import DistinctPathSelector, Path
 from repro.sim.random import RandomStreams
@@ -81,7 +76,7 @@ class FluidResult:
 
     scenario: FluidScenario
     trajectory: FluidTrajectory
-    #: Flow id of each subflow (parallel to trajectory.windows/rates).
+    #: Flow id of each subflow (the column keys of trajectory.windows/rates).
     flow_of_subflow: Tuple[int, ...] = ()
     num_flows: int = 0
     num_links: int = 0
@@ -117,7 +112,7 @@ class FluidResult:
                 f"link {link_name!r} not in fluid model "
                 f"({len(self.trajectory.link_names)} links)"
             ) from None
-        return tail_mean(self.trajectory.queues[index], tail_fraction)
+        return self.trajectory.queues.tail_mean(index, tail_fraction)
 
     def max_steady_state_queue(self, tail_fraction: float = 0.3) -> float:
         """The most congested link's tail-mean queue, packets."""

@@ -23,11 +23,10 @@ variant runs in the tier-1 suite (``tests/test_fluid_crosscheck.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.fluid.backend import FluidScenario, _simulate as _simulate_fluid
-from repro.fluid.solver import tail_mean
-from repro.metrics.collector import PeriodicSampler, QueueMonitor
+from repro.metrics.collector import QueueMonitor, SeriesSampler
 from repro.mptcp.connection import MptcpConnection
 from repro.sim.units import (
     BitsPerSecond,
@@ -90,23 +89,6 @@ class CrossCheck:
         )
 
 
-class _CwndSampler(PeriodicSampler):
-    """Periodic cwnd samples per named sender (packet-side tail means)."""
-
-    def __init__(self, sim, senders, interval: Seconds, until=None) -> None:
-        super().__init__(sim, interval, until)
-        self.senders = dict(senders)
-        self.times: List[float] = []
-        self.samples: Dict[str, List[float]] = {
-            name: [] for name in self.senders
-        }
-
-    def sample(self) -> None:
-        self.times.append(self.sim.now)
-        for name, sender in self.senders.items():
-            self.samples[name].append(sender.cwnd)
-
-
 def crosscheck_bottleneck(
     scheme: str = "xmp",
     flows: int = 4,
@@ -140,15 +122,10 @@ def crosscheck_bottleneck(
     for connection in connections:
         connection.start()
     sample_interval = duration / 300.0
-    cwnd_sampler = _CwndSampler(
-        net.sim,
-        {
-            f"flow{i}": connection.subflows[0].sender
-            for i, connection in enumerate(connections)
-        },
-        interval=sample_interval,
-        until=duration,
-    )
+    cwnd_sampler = SeriesSampler(net.sim, sample_interval, until=duration)
+    for i, connection in enumerate(connections):
+        sender = connection.subflows[0].sender
+        cwnd_sampler.watch(f"flow{i}", lambda sender=sender: sender.cwnd)
     cwnd_sampler.start(sample_interval)
     queue_monitor = QueueMonitor(
         net.sim, [net.forward_bottleneck], sample_interval, until=duration
@@ -157,11 +134,11 @@ def crosscheck_bottleneck(
     net.sim.run(until=duration)
 
     packet_windows = [
-        tail_mean(cwnd_sampler.samples[f"flow{i}"], TAIL_FRACTION)
+        cwnd_sampler.series.tail_mean(f"flow{i}", TAIL_FRACTION)
         for i in range(flows)
     ]
-    packet_queue = tail_mean(
-        queue_monitor.occupancy[net.forward_bottleneck.name], TAIL_FRACTION
+    packet_queue = queue_monitor.series.tail_mean(
+        net.forward_bottleneck.name, TAIL_FRACTION
     )
     packet_goodputs = [
         connection.goodput_bps() for connection in connections

@@ -42,6 +42,7 @@ from repro.core.bos import DEFAULT_BETA
 from repro.fluid import laws
 from repro.fluid.laws import bos_window_ode, threshold_marking_probability
 from repro.fluid.model import PACKET_BITS, FluidModel
+from repro.metrics.series import TimeSeries
 from repro.sim.units import Seconds
 
 SOLVERS = ("reference", "vector")
@@ -68,38 +69,6 @@ def step_count(duration: float, dt: float) -> int:
     return max(1, int(round(duration / dt)))
 
 
-def _check_tail_fraction(tail_fraction: float) -> None:
-    """Tail means need a non-empty tail: require ``0 < fraction <= 1``.
-
-    ``tail_fraction=0.0`` used to slice an empty tail and silently
-    average it to 0.0; out-of-range fractions were accepted and produced
-    nonsense slices.  Both are caller bugs, so they raise.
-    """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError(
-            f"tail_fraction must be in (0, 1], got {tail_fraction}"
-        )
-
-
-def _tail_start(length: int, tail_fraction: float) -> int:
-    """First index of the trailing window; always leaves >= 1 sample."""
-    return min(int(length * (1.0 - tail_fraction)), length - 1)
-
-
-def tail_mean(values: Sequence[float], tail_fraction: float = 0.3) -> float:
-    """Mean of the trailing ``tail_fraction`` of a non-empty series.
-
-    The steady-state reduction every fluid result uses: validated
-    ``tail_fraction`` (see :func:`_check_tail_fraction`), and the window
-    always contains at least the final sample.
-    """
-    _check_tail_fraction(tail_fraction)
-    if not values:
-        raise ValueError("tail_mean needs a non-empty series")
-    start = _tail_start(len(values), tail_fraction)
-    return sum(values[start:]) / (len(values) - start)
-
-
 def vector_available() -> bool:
     """Whether the numpy-backed ``"vector"`` solver can run here."""
     try:
@@ -113,15 +82,15 @@ def vector_available() -> bool:
 class FluidTrajectory:
     """Sampled state series from one integration.
 
-    ``windows``/``rates`` are per-subflow series (packets, packets/s),
-    ``queues`` per-link series (packets); all sampled every
-    ``sample_stride`` steps plus the final step unconditionally.
+    ``windows``/``rates`` hold one column per subflow (packets,
+    packets/s) and ``queues`` one per link (packets), keyed by index;
+    all sampled every ``sample_stride`` steps plus the final step
+    unconditionally, so a tail mean never misses the terminal state.
     """
 
-    times: List[float] = field(default_factory=list)
-    windows: List[List[float]] = field(default_factory=list)
-    rates: List[List[float]] = field(default_factory=list)
-    queues: List[List[float]] = field(default_factory=list)
+    windows: TimeSeries = field(default_factory=TimeSeries)
+    rates: TimeSeries = field(default_factory=TimeSeries)
+    queues: TimeSeries = field(default_factory=TimeSeries)
     link_names: Tuple[str, ...] = ()
     steps: int = 0
     dt: float = 0.0
@@ -129,17 +98,47 @@ class FluidTrajectory:
     #: fluid backend's events-processed equivalent.
     state_updates: int = 0
 
+    @classmethod
+    def empty(
+        cls, num_subflows: int, link_names: Sequence[str], steps: int, dt: float
+    ) -> "FluidTrajectory":
+        """A trajectory with its columns laid out and no sample yet."""
+        return cls(
+            windows=TimeSeries(range(num_subflows)),
+            rates=TimeSeries(range(num_subflows)),
+            queues=TimeSeries(range(len(link_names))),
+            link_names=tuple(link_names),
+            steps=steps,
+            dt=dt,
+            state_updates=steps * (num_subflows + len(link_names)),
+        )
+
+    @property
+    def times(self) -> Sequence[float]:
+        """The sample instants (shared by all three series)."""
+        return self.queues.times
+
+    def record(self, time: float, windows, rates, queues) -> None:
+        """Append one sample of the whole state."""
+        self.windows.append(time, windows)
+        self.rates.append(time, rates)
+        self.queues.append(time, queues)
+
     def steady_state_windows(self, tail_fraction: float = 0.3) -> List[float]:
         """Per-subflow tail-mean window, packets."""
-        return [tail_mean(series, tail_fraction) for series in self.windows]
+        return _tail_means(self.windows, tail_fraction)
 
     def steady_state_rates(self, tail_fraction: float = 0.3) -> List[float]:
         """Per-subflow tail-mean fluid rate, packets/s."""
-        return [tail_mean(series, tail_fraction) for series in self.rates]
+        return _tail_means(self.rates, tail_fraction)
 
     def steady_state_queues(self, tail_fraction: float = 0.3) -> List[float]:
         """Per-link tail-mean queue, packets (parallel to link_names)."""
-        return [tail_mean(series, tail_fraction) for series in self.queues]
+        return _tail_means(self.queues, tail_fraction)
+
+
+def _tail_means(series: TimeSeries, tail_fraction: float) -> List[float]:
+    return [series.tail_mean(key, tail_fraction) for key in series.columns]
 
 
 def integrate_model(
@@ -169,22 +168,6 @@ def integrate_model(
     return _integrate_reference(model, scheme, steps, dt, beta, w0, sample_stride)
 
 
-def _new_trajectory(
-    model: FluidModel, steps: int, dt: float
-) -> FluidTrajectory:
-    num_subflows = len(model.subflows)
-    num_links = len(model.links)
-    return FluidTrajectory(
-        windows=[[] for _ in range(num_subflows)],
-        rates=[[] for _ in range(num_subflows)],
-        queues=[[] for _ in range(num_links)],
-        link_names=tuple(link.name for link in model.links),
-        steps=steps,
-        dt=dt,
-        state_updates=steps * (num_subflows + num_links),
-    )
-
-
 def _integrate_reference(
     model: FluidModel,
     scheme: str,
@@ -211,7 +194,9 @@ def _integrate_reference(
     q = [0.0] * num_links
     alpha = [1.0] * num_subflows if scheme == "dctcp" else None
 
-    out = _new_trajectory(model, steps, dt)
+    out = FluidTrajectory.empty(
+        num_subflows, [link.name for link in model.links], steps, dt
+    )
     for i in range(steps):
         delay = [q[l] / caps[l] for l in range(num_links)]
         p_link = [
@@ -271,12 +256,7 @@ def _integrate_reference(
             q[l] = max(0.0, q[l] + dt * (arrivals[l] - caps[l]))
 
         if i % sample_stride == 0 or i == steps - 1:
-            out.times.append(i * dt)
-            for s in range(num_subflows):
-                out.windows[s].append(w[s])
-                out.rates[s].append(rates[s])
-            for l in range(num_links):
-                out.queues[l].append(q[l])
+            out.record(i * dt, w, rates, q)
     return out
 
 
@@ -332,7 +312,9 @@ def _integrate_vector(
     q = np.zeros(num_links)
     alpha = np.ones(num_subflows) if scheme == "dctcp" else None
 
-    out = _new_trajectory(model, steps, dt)
+    out = FluidTrajectory.empty(
+        num_subflows, [link.name for link in model.links], steps, dt
+    )
     for i in range(steps):
         delay = q / caps
         p_link = 1.0 / (1.0 + np.exp(-(q - knees) / laws.MARKING_WIDTH))
@@ -344,6 +326,7 @@ def _integrate_vector(
         if scheme == "xmp":
             y = np.add.reduceat(x, flow_offsets)[flow_of]
             t_min = np.minimum.reduceat(rtt, flow_offsets)[flow_of]
+            # Eq. 9 with cwnd = x * rtt: repro.core.trash.trash_delta.
             delta = w / (y * t_min)
             dw = (delta * (1.0 - p) - w * p / beta) / rtt
         elif scheme == "bos-uncoupled":
@@ -366,15 +349,7 @@ def _integrate_vector(
         q = np.maximum(q + dt * (arrivals - caps), 0.0)
 
         if i % sample_stride == 0 or i == steps - 1:
-            out.times.append(i * dt)
-            w_list = w.tolist()
-            x_list = x.tolist()
-            q_list = q.tolist()
-            for s in range(num_subflows):
-                out.windows[s].append(w_list[s])
-                out.rates[s].append(x_list[s])
-            for l in range(num_links):
-                out.queues[l].append(q_list[l])
+            out.record(i * dt, w, x, q)
     return out
 
 
@@ -407,34 +382,6 @@ def integrate_single_flow(
     return trajectory
 
 
-@dataclass
-class FluidLinkResult:
-    """Trajectories from :func:`integrate_shared_link`."""
-
-    times: List[float] = field(default_factory=list)
-    windows: List[List[float]] = field(default_factory=list)  # per flow
-    queue: List[float] = field(default_factory=list)
-
-    def steady_state_windows(self, tail_fraction: float = 0.3) -> List[float]:
-        """Mean window per flow over the trailing ``tail_fraction``."""
-        _check_tail_fraction(tail_fraction)
-        if not self.times:
-            return []
-        start = _tail_start(len(self.times), tail_fraction)
-        return [
-            sum(series[start:]) / (len(series) - start)
-            for series in self.windows
-        ]
-
-    def steady_state_queue(self, tail_fraction: float = 0.3) -> float:
-        """Mean queue over the trailing ``tail_fraction`` (packets)."""
-        _check_tail_fraction(tail_fraction)
-        if not self.queue:
-            return 0.0
-        start = _tail_start(len(self.queue), tail_fraction)
-        return sum(self.queue[start:]) / (len(self.queue) - start)
-
-
 def integrate_shared_link(
     num_flows: int,
     capacity_bps: float,
@@ -446,13 +393,14 @@ def integrate_shared_link(
     deltas: Sequence[float] = (),
     w0: float = 2.0,
     sample_stride: int = SAMPLE_STRIDE,
-) -> FluidLinkResult:
+) -> FluidTrajectory:
     """N BOS flows sharing one marked link, in the fluid limit.
 
     Windows follow Eq. 2; the queue integrates excess arrival; RTTs are
     base propagation plus queueing delay; marking follows
-    :func:`threshold_marking_probability`.  Trajectories are sampled
-    every ``sample_stride`` steps, plus the final step unconditionally.
+    :func:`threshold_marking_probability`.  The trajectory has one
+    window/rate column per flow and the one link's queue, sampled every
+    ``sample_stride`` steps, plus the final step unconditionally.
     """
     if num_flows < 1:
         raise ValueError("need at least one flow")
@@ -466,37 +414,34 @@ def integrate_shared_link(
 
     capacity_pps = capacity_bps / PACKET_BITS
     windows = [w0] * num_flows
+    rates = [0.0] * num_flows
     queue = 0.0
-    result = FluidLinkResult(windows=[[] for _ in range(num_flows)])
     steps = step_count(duration, dt)
+    result = FluidTrajectory.empty(num_flows, ["link"], steps, dt)
     for i in range(steps):
         rtt = base_rtt + queue / capacity_pps
         p = threshold_marking_probability(queue, threshold)
         arrival = 0.0
         for f in range(num_flows):
-            arrival += windows[f] / rtt
+            rates[f] = windows[f] / rtt
+            arrival += rates[f]
             windows[f] += dt * bos_window_ode(
                 windows[f], p, flow_deltas[f], beta, rtt
             )
             windows[f] = max(windows[f], 1.0)
         queue = max(0.0, queue + dt * (arrival - capacity_pps))
         if i % sample_stride == 0 or i == steps - 1:
-            result.times.append(i * dt)
-            result.queue.append(queue)
-            for f in range(num_flows):
-                result.windows[f].append(windows[f])
+            result.record(i * dt, windows, rates, [queue])
     return result
 
 
 __all__ = [
     "SAMPLE_STRIDE",
     "SOLVERS",
-    "FluidLinkResult",
     "FluidTrajectory",
     "integrate_model",
     "integrate_shared_link",
     "integrate_single_flow",
     "step_count",
-    "tail_mean",
     "vector_available",
 ]

@@ -2,6 +2,9 @@
 
 * :mod:`repro.metrics.stats` — percentiles, CDFs, summary statistics.
 * :mod:`repro.metrics.fairness` — Jain's fairness index.
+* :mod:`repro.metrics.series` — :class:`TimeSeries`, the one shape every
+  sampled quantity (packet samplers and fluid trajectories alike) is
+  recorded, reduced, cached and exported in.
 * :mod:`repro.metrics.collector` — periodic samplers (per-flow rates,
   queue occupancy, RTTs) driven by simulator events.
 * :mod:`repro.metrics.goodput` — flow records and goodput aggregation
@@ -13,8 +16,9 @@
 
 from repro.metrics.stats import cdf_points, mean, percentile, summarize
 from repro.metrics.fairness import jain_index
+from repro.metrics.series import TimeSeries
 from repro.metrics.collector import QueueMonitor, RateSampler, RttSampler
-from repro.metrics.trace import FlowTracer, rate_series_to_csv
+from repro.metrics.trace import FlowTracer
 from repro.metrics.goodput import FlowRecord, goodput_table
 from repro.metrics.utilization import utilization_by_layer
 from repro.metrics.fct import (
@@ -40,7 +44,7 @@ __all__ = [
     "RateSampler",
     "RttSampler",
     "FlowTracer",
-    "rate_series_to_csv",
+    "TimeSeries",
     "FlowRecord",
     "goodput_table",
     "utilization_by_layer",

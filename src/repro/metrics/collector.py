@@ -1,9 +1,10 @@
 """Periodic samplers driven by simulator events.
 
-Each sampler schedules itself every ``interval`` seconds and appends to
-plain Python lists, so post-processing is ordinary list work.  Samplers
-stop sampling automatically when the simulator's event heap drains (their
-own events keep the heap alive only until ``until`` if given).
+Each sampler schedules itself every ``interval`` seconds; the series
+samplers append to one :class:`~repro.metrics.series.TimeSeries`, which
+is the value results carry and exports write.  Samplers stop sampling
+automatically when the simulator's event heap drains (their own events
+keep the heap alive only until ``until`` if given).
 
 Sampling ticks run at :data:`SAMPLE_PRIORITY`, *after* every transport
 and network event scheduled for the same instant: a sampler must observe
@@ -15,8 +16,9 @@ counters).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.metrics.series import TimeSeries
 from repro.net.link import Link
 from repro.net.packet import MSS_BYTES
 from repro.sim.engine import Simulator
@@ -67,7 +69,34 @@ class PeriodicSampler:
         raise NotImplementedError
 
 
-class RateSampler(PeriodicSampler):
+class SeriesSampler(PeriodicSampler):
+    """Fill one :class:`TimeSeries` from registered zero-argument readers.
+
+    The concrete sampler: each tick appends ``sim.now`` and one value
+    per watched key to :attr:`series`.  What a subclass adds is *which*
+    readers it registers.
+    """
+
+    def __init__(
+        self, sim: Simulator, interval: float, until: Optional[float] = None
+    ) -> None:
+        super().__init__(sim, interval, until)
+        self.series = TimeSeries()
+        self._readers: List[Callable[[], float]] = []
+
+    def watch(self, key: str, read: Callable[[], float]) -> None:
+        """Record ``read()`` under ``key`` from the next tick on.
+
+        Ticks already taken read 0 for the new column.
+        """
+        self.series.add_column(key)
+        self._readers.append(read)
+
+    def sample(self) -> None:
+        self.series.append(self.sim.now, [read() for read in self._readers])
+
+
+class RateSampler(SeriesSampler):
     """Per-sender delivery rate over each interval, bits/second.
 
     This is how the paper's rate-versus-time plots (Figs. 1, 4, 6, 7) are
@@ -83,46 +112,23 @@ class RateSampler(PeriodicSampler):
         until: Optional[float] = None,
     ) -> None:
         super().__init__(sim, interval, until)
-        self.senders = dict(senders)
-        self.times: List[float] = []
-        self.rates: Dict[str, List[float]] = {name: [] for name in self.senders}
-        self._last_delivered: Dict[str, int] = {
-            name: sender.delivered_segments for name, sender in self.senders.items()
-        }
+        for name, sender in senders.items():
+            self.add_sender(name, sender)
 
     def add_sender(self, name: str, sender: TcpSender) -> None:
         """Track one more sender; earlier intervals are padded with 0."""
-        if name in self.senders:
-            raise ValueError(f"duplicate sender name {name}")
-        self.senders[name] = sender
-        self.rates[name] = [0.0] * len(self.times)
-        self._last_delivered[name] = sender.delivered_segments
+        last = sender.delivered_segments
 
-    def sample(self) -> None:
-        self.times.append(self.sim.now)
-        for name, sender in self.senders.items():
+        def rate() -> float:
+            nonlocal last
             delivered = sender.delivered_segments
-            delta = delivered - self._last_delivered[name]
-            self._last_delivered[name] = delivered
-            self.rates[name].append(delta * MSS_BYTES * 8.0 / self.interval)
+            delta, last = delivered - last, delivered
+            return delta * MSS_BYTES * 8.0 / self.interval
 
-    def series(self, name: str) -> List[Tuple[float, float]]:
-        """The (time, rate) series for one sender."""
-        return list(zip(self.times, self.rates[name]))
-
-    def mean_rate(self, name: str, start: float = 0.0, end: float = float("inf")) -> float:
-        """Average rate of a sender over a time window."""
-        values = [
-            rate
-            for time, rate in zip(self.times, self.rates[name])
-            if start <= time <= end
-        ]
-        if not values:
-            return 0.0
-        return sum(values) / len(values)
+        self.watch(name, rate)
 
 
-class QueueMonitor(PeriodicSampler):
+class QueueMonitor(SeriesSampler):
     """Occupancy of a set of link queues over time (buffer-occupancy plots)."""
 
     def __init__(
@@ -133,26 +139,8 @@ class QueueMonitor(PeriodicSampler):
         until: Optional[float] = None,
     ) -> None:
         super().__init__(sim, interval, until)
-        self.links = list(links)
-        self.times: List[float] = []
-        self.occupancy: Dict[str, List[int]] = {link.name: [] for link in self.links}
-
-    def sample(self) -> None:
-        self.times.append(self.sim.now)
-        for link in self.links:
-            self.occupancy[link.name].append(link.occupancy)
-
-    def mean_occupancy(self, link_name: str) -> float:
-        """Time-average occupancy of one link's queue."""
-        samples = self.occupancy[link_name]
-        if not samples:
-            return 0.0
-        return sum(samples) / len(samples)
-
-    def max_occupancy(self, link_name: str) -> int:
-        """Largest sampled occupancy of one link's queue."""
-        samples = self.occupancy[link_name]
-        return max(samples) if samples else 0
+        for link in links:
+            self.watch(link.name, lambda link=link: link.occupancy)
 
 
 class RttSampler(PeriodicSampler):
@@ -186,6 +174,7 @@ class RttSampler(PeriodicSampler):
 __all__ = [
     "SAMPLE_PRIORITY",
     "PeriodicSampler",
+    "SeriesSampler",
     "RateSampler",
     "QueueMonitor",
     "RttSampler",

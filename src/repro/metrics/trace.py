@@ -1,39 +1,28 @@
-"""Flow tracing: per-flow congestion-window/RTT time series and CSV export.
+"""Flow tracing: one sender's control state as a time series.
 
 The experiment drivers aggregate; this module records.  A
 :class:`FlowTracer` samples one sender's control state (cwnd, ssthresh,
 srtt, delivered, retransmissions) on a fixed interval, producing the raw
 material for cwnd-versus-time plots — the debugging view every congestion
--control paper lives in — and exports to CSV for external plotting.
+-control paper lives in; ``tracer.series.to_csv()`` exports it.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Optional
 
-from repro.metrics.collector import PeriodicSampler
+from repro.metrics.collector import SeriesSampler
 from repro.sim.engine import Simulator
 from repro.transport.tcp import TcpSender
 
-#: Columns captured per sample, in export order.
-TRACE_FIELDS = (
-    "time",
-    "cwnd",
-    "ssthresh",
-    "srtt",
-    "delivered_segments",
-    "flight",
-    "retransmissions",
-    "timeouts",
-    "in_recovery",
-)
 
+class FlowTracer(SeriesSampler):
+    """Sample one sender's control variables over time.
 
-class FlowTracer(PeriodicSampler):
-    """Sample one sender's control variables over time."""
+    An infinite ``ssthresh`` (still in slow start) and an unmeasured
+    ``srtt`` are recorded as -1; ``in_recovery`` as 0/1.
+    """
 
     def __init__(
         self,
@@ -43,76 +32,17 @@ class FlowTracer(PeriodicSampler):
         until: Optional[float] = None,
     ) -> None:
         super().__init__(sim, interval, until)
-        self.sender = sender
-        self.samples: List[Dict[str, float]] = []
-
-    def sample(self) -> None:
-        sender = self.sender
-        srtt = sender.srtt
-        ssthresh = sender.ssthresh
-        self.samples.append(
-            {
-                "time": self.sim.now,
-                "cwnd": sender.cwnd,
-                "ssthresh": -1.0 if math.isinf(ssthresh) else ssthresh,
-                "srtt": srtt if srtt is not None else -1.0,
-                "delivered_segments": sender.delivered_segments,
-                "flight": sender.flight,
-                "retransmissions": sender.retransmissions,
-                "timeouts": sender.timeouts,
-                "in_recovery": 1.0 if sender.in_recovery else 0.0,
-            }
+        self.watch("cwnd", lambda: sender.cwnd)
+        self.watch(
+            "ssthresh",
+            lambda: -1.0 if math.isinf(sender.ssthresh) else sender.ssthresh,
         )
-
-    # ------------------------------------------------------------------
-
-    def series(self, field: str) -> List[float]:
-        """One column of the trace as a list."""
-        if field not in TRACE_FIELDS:
-            raise ValueError(f"unknown trace field {field!r}")
-        return [sample[field] for sample in self.samples]
-
-    def max_cwnd(self) -> float:
-        """Largest congestion window observed."""
-        cwnds = self.series("cwnd")
-        return max(cwnds) if cwnds else 0.0
-
-    def to_csv(self) -> str:
-        """The trace as CSV text (header + one row per sample)."""
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=list(TRACE_FIELDS))
-        writer.writeheader()
-        for sample in self.samples:
-            writer.writerow(sample)
-        return buffer.getvalue()
-
-    def write_csv(self, path: str) -> None:
-        """Write the trace to ``path`` as CSV."""
-        with open(path, "w", newline="") as handle:
-            handle.write(self.to_csv())
+        self.watch("srtt", lambda: -1.0 if sender.srtt is None else sender.srtt)
+        self.watch("delivered_segments", lambda: sender.delivered_segments)
+        self.watch("flight", lambda: sender.flight)
+        self.watch("retransmissions", lambda: sender.retransmissions)
+        self.watch("timeouts", lambda: sender.timeouts)
+        self.watch("in_recovery", lambda: sender.in_recovery)
 
 
-def rate_series_to_csv(
-    times: Sequence[float], rates: Dict[str, Sequence[float]]
-) -> str:
-    """Export a RateSampler-style time/rate table as CSV.
-
-    Columns: ``time`` then one column per series name, in sorted order —
-    the exact table a Fig. 4/6/7 plot is drawn from.
-    """
-    names = sorted(rates)
-    for name in names:
-        if len(rates[name]) != len(times):
-            raise ValueError(
-                f"series {name!r} has {len(rates[name])} samples, "
-                f"expected {len(times)}"
-            )
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
-    writer.writerow(["time"] + names)
-    for i, time in enumerate(times):
-        writer.writerow([time] + [rates[name][i] for name in names])
-    return buffer.getvalue()
-
-
-__all__ = ["FlowTracer", "TRACE_FIELDS", "rate_series_to_csv"]
+__all__ = ["FlowTracer"]

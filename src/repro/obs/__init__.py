@@ -24,12 +24,10 @@ from repro.obs.profiler import (
 from repro.obs.records import (
     TELEMETRY_SCHEMA,
     QueueRecord,
-    SamplerRecord,
     SenderRecord,
     deterministic_view,
     drain_link,
     drain_queue,
-    drain_sampler,
     drain_sender,
     run_record,
     to_jsonl,
@@ -44,12 +42,10 @@ __all__ = [
     "component_of",
     "TELEMETRY_SCHEMA",
     "QueueRecord",
-    "SamplerRecord",
     "SenderRecord",
     "deterministic_view",
     "drain_link",
     "drain_queue",
-    "drain_sampler",
     "drain_sender",
     "run_record",
     "to_jsonl",

@@ -2,10 +2,11 @@
 
 One :func:`run_record` per executed campaign cell is the document the
 telemetry layer emits (see :class:`repro.obs.telemetry.Telemetry`); the
-drain helpers below turn live measurement objects — queues, links,
-periodic samplers, TCP senders — into frozen records, so an experiment or
-test can snapshot its observable state without holding simulator
-references.
+drain helpers below turn live measurement objects — queues, links, TCP
+senders — into frozen records, so an experiment or test can snapshot its
+observable state without holding simulator references.  (A sampler needs
+no drain: its ``series`` is already a plain
+:class:`~repro.metrics.series.TimeSeries` value.)
 
 Determinism contract: every field of every record is a pure function of
 the spec **except** the wall-clock measurements (``wall_time_s``,
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; see run_record()
     from repro.runner.spec import RunResult
@@ -68,22 +69,6 @@ class QueueRecord:
 
 
 @dataclass(frozen=True)
-class SamplerRecord:
-    """A periodic sampler's accumulated time-series, name-sorted."""
-
-    kind: str
-    times: Tuple[float, ...]
-    series: Tuple[Tuple[str, Tuple[float, ...]], ...]
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "times": list(self.times),
-            "series": {name: list(values) for name, values in self.series},
-        }
-
-
-@dataclass(frozen=True)
 class SenderRecord:
     """One TCP sender's terminal state."""
 
@@ -124,31 +109,6 @@ def drain_queue(name: str, queue: Any) -> QueueRecord:
 def drain_link(link: Any) -> QueueRecord:
     """Freeze a link's egress queue under the link's name."""
     return drain_queue(link.name, link.queue)
-
-
-def drain_sampler(sampler: Any) -> SamplerRecord:
-    """Freeze any :class:`~repro.metrics.collector.PeriodicSampler`.
-
-    Recognizes the three concrete samplers structurally (``rates`` /
-    ``occupancy`` / ``samples``), so subclasses that keep those attribute
-    names drain for free.
-    """
-    for attr in ("rates", "occupancy", "samples"):
-        series = getattr(sampler, attr, None)
-        if series is not None:
-            break
-    else:
-        raise TypeError(
-            f"cannot drain {type(sampler).__name__}: no rates/occupancy/"
-            "samples attribute"
-        )
-    return SamplerRecord(
-        kind=type(sampler).__name__,
-        times=tuple(getattr(sampler, "times", ())),
-        series=tuple(
-            (name, tuple(values)) for name, values in sorted(series.items())
-        ),
-    )
 
 
 def drain_sender(name: str, sender: Any) -> SenderRecord:
@@ -257,11 +217,9 @@ __all__ = [
     "WALL_CLOCK_FIELDS",
     "PROVENANCE_FIELDS",
     "QueueRecord",
-    "SamplerRecord",
     "SenderRecord",
     "drain_queue",
     "drain_link",
-    "drain_sampler",
     "drain_sender",
     "run_record",
     "deterministic_view",

@@ -153,7 +153,7 @@ class Campaign:
                 spec=spec,
                 value=value,
                 metrics=CellMetrics(
-                    wall_time_s=0.0, events=events_of(spec, value), source=source
+                    wall_time_s=0.0, events=events_of(value), source=source
                 ),
             )
 

@@ -39,11 +39,6 @@ class KindEntry:
     name: str
     module: str
     function: str
-    #: Attribute of the result object carrying the simulator's
-    #: events-processed counter (0 if the result does not expose one).
-    #: Fluid kinds count ODE state updates through the same attribute,
-    #: so events/sec stays the cross-backend throughput currency.
-    events_attr: str = "events"
     #: Which simulation backend executes this kind (telemetry surfaces
     #: it, so mixed packet/fluid campaigns stay distinguishable).
     backend: str = BACKEND_PACKET
@@ -59,11 +54,10 @@ def register_kind(
     name: str,
     module: str,
     function: str,
-    events_attr: str = "events",
     backend: str = BACKEND_PACKET,
 ) -> None:
     """Register (or re-register) an experiment kind."""
-    _KINDS[name] = KindEntry(name, module, function, events_attr, backend)
+    _KINDS[name] = KindEntry(name, module, function, backend)
 
 
 def backend_of(kind: str) -> str:
@@ -83,10 +77,16 @@ def registered_kinds() -> Tuple[str, ...]:
     return tuple(sorted(_KINDS))
 
 
-def events_of(spec: RunSpec, value: Any) -> int:
+#: Attribute of every kind's result object carrying the simulator's
+#: events-processed counter.  Fluid kinds count ODE state updates
+#: through the same attribute, so events/sec stays the cross-backend
+#: throughput currency.
+EVENTS_ATTR = "events"
+
+
+def events_of(value: Any) -> int:
     """The events-processed count a result carries (0 when untracked)."""
-    attr = kind_entry(spec.kind).events_attr
-    return int(getattr(value, attr, 0) or 0)
+    return int(getattr(value, EVENTS_ATTR, 0) or 0)
 
 
 def execute(spec: RunSpec) -> RunResult:
@@ -120,7 +120,7 @@ def execute(spec: RunSpec) -> RunResult:
     wall = time.perf_counter() - started
     metrics = CellMetrics(
         wall_time_s=wall,
-        events=events_of(spec, value),
+        events=events_of(value),
         source=SOURCE_RUN,
         invariant_checks=checks,
         profile=profiler.snapshot() if profiler is not None else None,

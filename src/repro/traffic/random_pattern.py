@@ -10,7 +10,7 @@ sizes follow a bounded Pareto distribution (shape 1.5; the paper's mean
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.sim.priorities import MODEL
 from repro.sim.random import pareto_bounded
@@ -30,7 +30,6 @@ class RandomPattern:
         max_in_degree: int = 4,
         rng: Optional[random.Random] = None,
         exclude_same_rack: bool = False,
-        dst_filter: Optional[Callable[[str, str], bool]] = None,
         destinations: Optional[Sequence[str]] = None,
     ) -> None:
         self.factory = factory
@@ -41,7 +40,6 @@ class RandomPattern:
         self.max_in_degree = max_in_degree
         self.rng = rng if rng is not None else random.Random(0)
         self.exclude_same_rack = exclude_same_rack
-        self.dst_filter = dst_filter
         #: Candidate destinations; defaults to the sources themselves.  The
         #: coexistence experiments split *sources* between schemes but let
         #: either half target any host, as the paper's "half of flows" does.
@@ -71,8 +69,6 @@ class RandomPattern:
             same_rack = getattr(network, "same_rack", None)
             if same_rack is not None and same_rack(src, dst):
                 return False
-        if self.dst_filter is not None and not self.dst_filter(src, dst):
-            return False
         return True
 
     def _pick_destination(self, src: str) -> Optional[str]:

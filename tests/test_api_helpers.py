@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments.fig4_traffic_shifting import Fig4Config, Fig4Result
 from repro.experiments.fig7_rate_compensation import Fig7Config, Fig7Result
+from repro.metrics.series import TimeSeries
 from repro.mptcp.connection import MptcpConnection
 from repro.transport.receiver import EchoMode, Receiver
 
@@ -38,30 +39,33 @@ class TestConnectionIntrospection:
         assert "xmp" in text and "A->B" in text
 
 
+def _rates(name, times, rates):
+    series = TimeSeries([name])
+    for time, rate in zip(times, rates):
+        series.append(time, [rate])
+    return series
+
+
 class TestResultHelpers:
     def test_fig4_mean_normalized_empty_window(self):
         result = Fig4Result(config=Fig4Config())
-        result.times = [1.0]
-        result.rates = {"flow2-1": [150e6]}
+        result.series = _rates("flow2-1", [1.0], [150e6])
         assert result.mean_normalized("flow2-1", 5.0, 6.0) == 0.0
         assert result.mean_normalized("flow2-1", 0.5, 1.5) == pytest.approx(0.5)
 
     def test_fig4_normalized_series(self):
         result = Fig4Result(config=Fig4Config())
-        result.times = [1.0, 2.0]
-        result.rates = {"flow2-1": [300e6, 150e6]}
+        result.series = _rates("flow2-1", [1.0, 2.0], [300e6, 150e6])
         assert result.normalized("flow2-1") == pytest.approx([1.0, 0.5])
 
     def test_fig7_mean_rate_empty(self):
         result = Fig7Result(config=Fig7Config())
-        result.times = []
-        result.rates = {"flow1-1": []}
-        assert result.mean_rate("flow1-1", 0.0, 1.0) == 0.0
+        result.series = _rates("flow1-1", [], [])
+        assert result.normalized_mean("flow1-1", 0.0, 1.0) == 0.0
 
     def test_fig7_normalized_mean_scaling(self):
         result = Fig7Result(config=Fig7Config())
-        result.times = [1.0]
-        result.rates = {"flow1-1": [5e8]}
+        result.series = _rates("flow1-1", [1.0], [5e8])
         assert result.normalized_mean("flow1-1", 0.0, 2.0) == pytest.approx(0.5)
 
 

@@ -39,8 +39,8 @@ class TestBufferOccupancy:
         name = net.forward_bottleneck.name
         # Instantaneous threshold marking: the queue overshoots K only by
         # about the in-flight reaction window, never the 100-packet cap.
-        assert monitor.max_occupancy(name) < 45
-        assert monitor.mean_occupancy(name) < 15
+        assert max(monitor.series[name]) < 45
+        assert monitor.series.mean(name) < 15
 
     def test_tcp_fills_droptail_queue(self):
         net = build_single_bottleneck(num_pairs=1, marking_threshold=None)
@@ -48,7 +48,7 @@ class TestBufferOccupancy:
         monitor.start()
         run_flows(net, [("tcp", 1, 0)], 0.3)
         # Loss-driven control rides the buffer to the brim.
-        assert monitor.max_occupancy(net.forward_bottleneck.name) >= 95
+        assert max(monitor.series[net.forward_bottleneck.name]) >= 95
 
     def test_no_drops_with_marking(self):
         net = build_single_bottleneck(num_pairs=4, marking_threshold=10)

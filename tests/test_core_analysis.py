@@ -106,7 +106,7 @@ class TestAgainstSimulator:
         net.sim.run(until=0.4)
 
         measured_util = net.forward_bottleneck.utilization(0.4)
-        measured_queue = monitor.mean_occupancy(net.forward_bottleneck.name)
+        measured_queue = monitor.series.mean(net.forward_bottleneck.name)
         # The closed form upper-bounds utilization near the Eq. 1 boundary
         # (see the module docstring); measured may sit up to ~9% below.
         assert measured_util <= prediction.utilization + 0.02

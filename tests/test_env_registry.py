@@ -10,11 +10,8 @@ docs can drift from it:
   to ``repro.sim.probe.setting``, and every literal inside a module
   constant named ``ENV`` / ``*_ENV*`` — the switch table in
   :mod:`repro.sim.probe`).  Every
-  collected name must be registered with ``process`` scope, and every
-  ``process`` row must be collected — a row nothing reads is as stale
-  as a read nothing documents;
-* ``shell`` rows must appear in ``scripts/check.sh`` or the CI
-  workflow, and must NOT be read by library code;
+  collected name must be registered, and every row must be collected —
+  a row nothing reads is as stale as a read nothing documents;
 * the environment table in OBSERVABILITY.md must be byte-identical to
   ``repro.core.env.render_table()``.
 """
@@ -104,22 +101,12 @@ def _scan_src() -> Set[str]:
     return names
 
 
-def _shell_text() -> str:
-    chunks = [(REPO / "scripts" / "check.sh").read_text(encoding="utf-8")]
-    workflows = REPO / ".github" / "workflows"
-    if workflows.is_dir():
-        for path in sorted(workflows.glob("*.yml")):
-            chunks.append(path.read_text(encoding="utf-8"))
-    return "\n".join(chunks)
-
-
 class TestRegistryShape:
     def test_names_well_formed_and_unique(self):
         names = [var.name for var in ENV_VARS]
         assert len(names) == len(set(names))
         for var in ENV_VARS:
             assert _NAME_RE.match(var.name), var.name
-            assert var.scope in ("process", "shell"), var.name
             assert var.consumer
             assert var.meaning.endswith(".")
 
@@ -135,33 +122,14 @@ class TestCodeAgreement:
                 f"{name} is read under src/repro but not declared in "
                 "repro.core.env.ENV_VARS"
             )
-            assert registry[name].scope == "process", (
-                f"{name} is read by library code but registered with "
-                f"scope {registry[name].scope!r}"
-            )
 
     def test_every_process_row_is_actually_read(self):
         touched = _scan_src()
         for var in ENV_VARS:
-            if var.scope == "process":
-                assert var.name in touched, (
-                    f"{var.name} is registered as process-scope but "
-                    "nothing under src/repro touches it"
-                )
-
-    def test_shell_rows_live_in_scripts_not_library(self):
-        shell = _shell_text()
-        touched = _scan_src()
-        for var in ENV_VARS:
-            if var.scope == "shell":
-                assert var.name in shell, (
-                    f"{var.name} is registered as shell-scope but "
-                    "appears in neither scripts/check.sh nor CI"
-                )
-                assert var.name not in touched, (
-                    f"{var.name} is registered as shell-scope but "
-                    "library code reads it"
-                )
+            assert var.name in touched, (
+                f"{var.name} is registered but nothing under src/repro "
+                "touches it"
+            )
 
 
 class TestDocAgreement:

@@ -58,16 +58,15 @@ class TestSmallDriverDeterminism:
         config = Fig4Config(time_scale=0.02)
         a = run("fig4", config, FRESH)
         b = run("fig4", config, FRESH)
-        assert a.times == b.times
-        assert a.rates == b.rates
+        assert a.series == b.series
 
     def test_fig6_repeatable(self):
         config = Fig6Config(time_scale=0.02)
         a = run("fig6", config, FRESH)
         b = run("fig6", config, FRESH)
-        assert a.rates == b.rates
+        assert a.series == b.series
 
     def test_fig4_series_shapes(self):
         result = run("fig4", Fig4Config(time_scale=0.02))
-        for series in result.rates.values():
-            assert len(series) == len(result.times)
+        for column in result.series.columns.values():
+            assert len(column) == len(result.series.times)

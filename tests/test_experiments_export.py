@@ -65,6 +65,6 @@ class TestRateExport:
         rows = list(csv.reader(open(out / "fig4.csv")))
         assert rows[0][0] == "time"
         assert "flow2-1" in rows[0]
-        assert len(rows) == len(result.times) + 1
+        assert len(rows) == len(result.series) + 1
         config = json.loads((out / "config.json").read_text())
         assert config["beta"] == 4.0

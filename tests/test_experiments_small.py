@@ -39,8 +39,8 @@ def fig7_result():
 
 class TestFig1:
     def test_series_cover_run(self, fig1_bos):
-        assert fig1_bos.times
-        assert set(fig1_bos.rates) == {f"flow{i}" for i in range(1, 5)}
+        assert len(fig1_bos.series) > 0
+        assert set(fig1_bos.series.columns) == {f"flow{i}" for i in range(1, 5)}
 
     def test_halving_converges_to_fairness(self, fig1_bos):
         assert fig1_bos.worst_jain() > 0.85
@@ -50,7 +50,7 @@ class TestFig1:
         interval = fig1_bos.config.interval
         early = [
             rate
-            for time, rate in zip(fig1_bos.times, fig1_bos.rates["flow4"])
+            for time, rate in zip(fig1_bos.series.times, fig1_bos.series["flow4"])
             if time < 2.9 * interval
         ]
         assert max(early, default=0.0) == 0.0
@@ -60,7 +60,7 @@ class TestFig1:
         interval = fig1_bos.config.interval
         tail = [
             rate
-            for time, rate in zip(fig1_bos.times, fig1_bos.rates["flow4"])
+            for time, rate in zip(fig1_bos.series.times, fig1_bos.series["flow4"])
             if time > 6.5 * interval
         ]
         assert sum(tail) / len(tail) > 0.8e9
@@ -105,7 +105,7 @@ class TestFig6:
             "flow1-1", "flow1-2", "flow1-3",
             "flow2-1", "flow2-2", "flow3-1", "flow4-1",
         }
-        assert expected == set(fig6_result.rates)
+        assert expected == set(fig6_result.series.columns)
 
     def test_stopped_flows_release_bandwidth(self, fig6_result):
         # After 25 s (scaled) flows 3 and 4 leave; flows 1-2 split the link.
@@ -124,7 +124,7 @@ class TestFig6:
 class TestFig7:
     def scaled(self, result, name, start, end):
         s = result.config.time_scale
-        return result.mean_rate(name, start * s, end * s)
+        return result.series.mean(name, start * s, end * s)
 
     def test_l3_subflows_collapse_under_background(self, fig7_result):
         pre = self.scaled(fig7_result, "flow3-1", 20, 25)

@@ -3,15 +3,16 @@
 import pytest
 
 from repro.experiments.fig1_convergence import Fig1Config, Fig1Result
+from repro.metrics.series import TimeSeries
 
 
 def synthetic_result(rates_by_flow, interval=1.0, sample=0.1, capacity=1e9):
     config = Fig1Config(interval=interval, bottleneck_rate_bps=capacity,
                         sample_interval=sample)
     result = Fig1Result(config=config)
-    n_samples = len(next(iter(rates_by_flow.values())))
-    result.times = [sample * (i + 1) for i in range(n_samples)]
-    result.rates = dict(rates_by_flow)
+    result.series = TimeSeries(rates_by_flow)
+    for i, row in enumerate(zip(*rates_by_flow.values())):
+        result.series.append(sample * (i + 1), row)
     return result
 
 

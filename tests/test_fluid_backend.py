@@ -19,6 +19,7 @@ from repro.fluid import (
 )
 from repro.fluid.backend import _simulate
 from repro.fluid.laws import FLUID_SCHEMES
+from repro.metrics.series import TimeSeries
 from repro.net.network import Network
 from repro.sim.units import seconds
 from repro.topology.bottleneck import build_single_bottleneck
@@ -84,7 +85,7 @@ class TestSampling:
             num_flows=1, capacity_bps=1e9, base_rtt=225e-6,
             threshold=10, duration=30 * dt, dt=dt, sample_stride=16,
         )
-        assert result.times == pytest.approx([0.0, 16 * dt, 29 * dt])
+        assert list(result.times) == pytest.approx([0.0, 16 * dt, 29 * dt])
 
     def test_stride_one_samples_every_step(self):
         result = fluid.integrate_shared_link(
@@ -119,6 +120,14 @@ class TestSampling:
 # ----------------------------------------------------------------------
 
 
+def _column(values):
+    """A one-column series holding ``values`` at unit-spaced instants."""
+    series = TimeSeries(["v"])
+    for i, value in enumerate(values):
+        series.append(float(i), [value])
+    return series
+
+
 class TestTailFraction:
     def _result(self):
         return fluid.integrate_shared_link(
@@ -132,22 +141,22 @@ class TestTailFraction:
         with pytest.raises(ValueError):
             result.steady_state_windows(tail_fraction=bad)
         with pytest.raises(ValueError):
-            result.steady_state_queue(tail_fraction=bad)
+            result.steady_state_queues(tail_fraction=bad)
         with pytest.raises(ValueError):
-            fluid.tail_mean([1.0, 2.0], tail_fraction=bad)
+            _column([1.0, 2.0]).tail_mean("v", bad)
 
     def test_full_fraction_is_plain_mean(self):
-        assert fluid.tail_mean([1.0, 2.0, 3.0], 1.0) == pytest.approx(2.0)
+        assert _column([1.0, 2.0, 3.0]).tail_mean("v", 1.0) == pytest.approx(2.0)
 
     def test_tiny_fraction_keeps_final_sample(self):
-        assert fluid.tail_mean([1.0, 2.0, 3.0], 1e-9) == pytest.approx(3.0)
+        assert _column([1.0, 2.0, 3.0]).tail_mean("v", 1e-9) == pytest.approx(3.0)
 
     def test_empty_series_raises(self):
         with pytest.raises(ValueError):
-            fluid.tail_mean([], 0.3)
+            _column([]).tail_mean("v", 0.3)
 
     def test_single_sample(self):
-        assert fluid.tail_mean([7.0], 0.3) == pytest.approx(7.0)
+        assert _column([7.0]).tail_mean("v", 0.3) == pytest.approx(7.0)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +187,7 @@ class TestEquilibriumProperties:
             threshold=10, duration=0.3,
         )
         capacity_pps = capacity / fluid.PACKET_BITS
-        rtt = base_rtt + result.steady_state_queue() / capacity_pps
+        rtt = base_rtt + result.steady_state_queues()[0] / capacity_pps
         total_pps = sum(result.steady_state_windows()) / rtt
         assert total_pps == pytest.approx(capacity_pps, rel=0.05)
 
@@ -290,12 +299,14 @@ class TestSolverEquivalence:
             duration=seconds(0.01), solver="vector",
         ))
         for r_series, v_series in zip(
-            ref.trajectory.windows, vec.trajectory.windows
+            ref.trajectory.windows.columns.values(),
+            vec.trajectory.windows.columns.values(),
         ):
             for r, v in zip(r_series, v_series):
                 assert math.isclose(r, v, rel_tol=1e-9)
         for r_series, v_series in zip(
-            ref.trajectory.queues, vec.trajectory.queues
+            ref.trajectory.queues.columns.values(),
+            vec.trajectory.queues.columns.values(),
         ):
             for r, v in zip(r_series, v_series):
                 assert math.isclose(r, v, rel_tol=1e-9, abs_tol=1e-9)

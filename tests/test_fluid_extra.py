@@ -42,7 +42,7 @@ class TestFluidAnalysisConsistency:
             threshold=threshold, duration=0.25,
         )
         sawtooth = analysis.predict_sawtooth(bdp, threshold, 4.0)
-        assert ode.steady_state_queue() == pytest.approx(
+        assert ode.steady_state_queues()[0] == pytest.approx(
             sawtooth.mean_queue_packets, abs=4.0
         )
 
@@ -75,15 +75,20 @@ class TestFluidTrajectories:
             num_flows=3, capacity_bps=1e9, base_rtt=2e-4,
             threshold=10, duration=0.05,
         )
-        assert len(result.times) == len(result.queue)
-        for series in result.windows:
-            assert len(series) == len(result.times)
-        assert result.times == sorted(result.times)
+        assert result.link_names == ("link",)
+        assert len(result.times) == len(result.queues[0])
+        assert list(result.windows.columns) == list(result.rates.columns) == [0, 1, 2]
+        for series in (result.windows, result.rates, result.queues):
+            assert series.times == result.times
+            for column in series.columns.values():
+                assert len(column) == len(result.times)
+        assert list(result.times) == sorted(result.times)
 
     def test_steady_state_empty_result(self):
-        empty = fluid.FluidLinkResult()
+        empty = fluid.FluidTrajectory()
         assert empty.steady_state_windows() == []
-        assert empty.steady_state_queue() == 0.0
+        assert empty.steady_state_queues() == []
+        assert len(empty.times) == 0
 
 
 class TestSingleFlowOde:
@@ -154,7 +159,7 @@ class TestSharedLink:
             num_flows=2, capacity_bps=1e9, base_rtt=225e-6,
             threshold=10, duration=0.2,
         )
-        queue = result.steady_state_queue()
+        (queue,) = result.steady_state_queues()
         assert 5 < queue < 20
 
     def test_equal_flows_get_equal_windows(self):
@@ -173,7 +178,7 @@ class TestSharedLink:
             threshold=10, duration=0.2,
         )
         windows = result.steady_state_windows()
-        queue = result.steady_state_queue()
+        (queue,) = result.steady_state_queues()
         capacity_pps = capacity / fluid.PACKET_BITS
         rtt = base_rtt + queue / capacity_pps
         total_pps = sum(windows) / rtt

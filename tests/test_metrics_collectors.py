@@ -8,6 +8,7 @@ from repro.metrics.collector import (
     QueueMonitor,
     RateSampler,
     RttSampler,
+    SeriesSampler,
 )
 from repro.metrics.utilization import link_utilizations, utilization_by_layer
 from repro.mptcp.connection import MptcpConnection
@@ -62,7 +63,7 @@ class TestSamplePriority:
         monitor.start()
         sim.schedule(0.03, monitor.stop)
         sim.run(until=0.2)
-        assert monitor.times == pytest.approx([0.0, 0.01, 0.02, 0.03])
+        assert list(monitor.series.times) == pytest.approx([0.0, 0.01, 0.02, 0.03])
 
 
 class TestRateSampler:
@@ -76,7 +77,7 @@ class TestRateSampler:
         conn.start()
         net.sim.run(until=0.1)
         # Steady samples should sit near line rate (1 Gbps payload-scaled).
-        steady = sampler.rates["f"][3:]
+        steady = sampler.series["f"][3:]
         assert all(rate > 0.5e9 for rate in steady)
 
     def test_rate_times_interval_matches_delivery(self, two_host_net):
@@ -88,7 +89,7 @@ class TestRateSampler:
         sampler.start(0.01)
         conn.start()
         net.sim.run(until=0.2)
-        total_from_rates = sum(sampler.rates["f"]) * 0.01 / 8.0
+        total_from_rates = sum(sampler.series["f"]) * 0.01 / 8.0
         delivered = conn.subflows[0].sender.delivered_segments * MSS_BYTES
         assert total_from_rates == pytest.approx(delivered, rel=0.1)
 
@@ -101,7 +102,10 @@ class TestRateSampler:
             delivered_segments = 0
 
         sampler.add_sender("late", FakeSender())
-        assert len(sampler.rates["late"]) == len(sampler.times)
+        assert len(sampler.series) == 4
+        assert list(sampler.series["late"]) == [0.0] * 4
+        sim.run(until=0.45)
+        assert len(sampler.series["late"]) == len(sampler.series.times) == 5
 
     def test_duplicate_name_rejected(self, sim):
         class FakeSender:
@@ -126,7 +130,7 @@ class TestRateSampler:
             sim.schedule(i * 0.1 - 0.05, bump)
         sim.run(until=0.55)
         expected = 100 * MSS_BYTES * 8 / 0.1
-        assert sampler.mean_rate("a", 0.05, 0.55) == pytest.approx(expected)
+        assert sampler.series.mean("a", 0.05, 0.55) == pytest.approx(expected)
 
     def test_interval_validation(self, sim):
         with pytest.raises(ValueError):
@@ -143,19 +147,80 @@ class TestQueueMonitor:
         conn.start()
         net.sim.run(until=0.05)
         name = links[0].name
-        assert monitor.max_occupancy(name) >= 0
-        assert len(monitor.times) > 10
+        assert max(monitor.series[name]) >= 0
+        assert len(monitor.series) > 10
 
     def test_stop_halts_sampling(self, sim):
         monitor = QueueMonitor(sim, [], interval=0.01)
         monitor.start()
         sim.schedule(0.05, monitor.stop)
         sim.run(until=0.2)
-        assert len(monitor.times) <= 7
+        assert len(monitor.series) <= 7
 
     def test_empty_stats(self, sim):
         monitor = QueueMonitor(sim, [], interval=0.01)
-        assert monitor.times == []
+        assert len(monitor.series) == 0
+        assert monitor.series.columns == {}
+
+
+class TestSeriesSampler:
+    def test_readers_fill_one_row_per_tick(self, sim):
+        state = {"n": 0}
+
+        def bump():
+            state["n"] += 1
+
+        sampler = SeriesSampler(sim, interval=0.01, until=0.03)
+        sampler.watch("n", lambda: state["n"])
+        sampler.watch("twice", lambda: 2 * state["n"])
+        sampler.start()
+        for i in range(4):
+            sim.schedule(i * 0.01, bump)
+        sim.run()
+        assert list(sampler.series["n"]) == [1.0, 2.0, 3.0, 4.0]
+        assert list(sampler.series["twice"]) == [2.0, 4.0, 6.0, 8.0]
+
+    def test_one_tick_event_per_instance(self, sim):
+        """Event counts are digested: N watched keys are still one event."""
+        sampler = SeriesSampler(sim, interval=0.01, until=0.05)
+        for key in "abc":
+            sampler.watch(key, lambda: 0.0)
+        sampler.start()
+        assert len(list(sim.iter_pending())) == 1
+        sim.run()
+        assert len(sampler.series) == 6
+        # Six sampling ticks plus the one past `until` that declines.
+        assert sim.events_processed == 7
+
+    def test_sampled_scenario_fires_the_recorded_event_count(self):
+        """The ``bottleneck-xmp`` golden input plus one sampler: 6,225
+        model events (the golden's own count) and 399 ticks — recorded
+        when each sampler kept its own lists, and event counts are
+        digested, so the shared series must not add or drop a tick."""
+        from repro.topology.bottleneck import build_single_bottleneck
+
+        net = build_single_bottleneck(num_pairs=2, marking_threshold=10)
+        path0 = net.flow_path(0)
+        conns = [
+            MptcpConnection(net, "S0", "D0", [path0, path0], scheme="xmp",
+                            size_bytes=600_000),
+            MptcpConnection(net, "S1", "D1", [net.flow_path(1)], scheme="xmp",
+                            size_bytes=400_000),
+        ]
+        monitor = QueueMonitor(net.sim, net.links, 1e-3, until=0.4)
+        monitor.start(1e-3)
+        for conn in conns:
+            conn.start()
+        net.sim.run(until=0.4)
+        assert net.sim.events_processed == 6624
+        assert len(monitor.series) == 399
+        assert len(monitor.series.columns) == len(net.links)
+
+    def test_duplicate_key_rejected(self, sim):
+        sampler = SeriesSampler(sim, interval=0.01)
+        sampler.watch("a", lambda: 0.0)
+        with pytest.raises(ValueError):
+            sampler.watch("a", lambda: 1.0)
 
 
 class TestRttSampler:

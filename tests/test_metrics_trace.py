@@ -5,7 +5,8 @@ import io
 
 import pytest
 
-from repro.metrics.trace import TRACE_FIELDS, FlowTracer, rate_series_to_csv
+from repro.metrics.series import TimeSeries
+from repro.metrics.trace import FlowTracer
 from repro.mptcp.connection import MptcpConnection
 
 
@@ -23,61 +24,69 @@ def traced_flow(net, until=0.05, interval=1e-3, size=None):
 class TestFlowTracer:
     def test_samples_collected_on_schedule(self, two_host_net):
         _, tracer = traced_flow(two_host_net, until=0.05, interval=0.01)
-        assert 4 <= len(tracer.samples) <= 6
+        assert 4 <= len(tracer.series) <= 6
 
     def test_fields_present(self, two_host_net):
         _, tracer = traced_flow(two_host_net)
-        for sample in tracer.samples:
-            assert set(sample) == set(TRACE_FIELDS)
+        assert list(tracer.series.columns) == [
+            "cwnd", "ssthresh", "srtt", "delivered_segments", "flight",
+            "retransmissions", "timeouts", "in_recovery",
+        ]
+        for column in tracer.series.columns.values():
+            assert len(column) == len(tracer.series.times)
 
     def test_cwnd_series_positive(self, two_host_net):
         _, tracer = traced_flow(two_host_net)
-        assert all(value >= 1.0 for value in tracer.series("cwnd"))
-        assert tracer.max_cwnd() >= 10.0
+        assert all(value >= 1.0 for value in tracer.series["cwnd"])
+        assert max(tracer.series["cwnd"]) >= 10.0
 
     def test_delivered_monotone(self, two_host_net):
         _, tracer = traced_flow(two_host_net)
-        delivered = tracer.series("delivered_segments")
+        delivered = list(tracer.series["delivered_segments"])
         assert delivered == sorted(delivered)
 
     def test_infinite_ssthresh_encoded_as_minus_one(self, two_host_net):
         _, tracer = traced_flow(two_host_net, until=0.002)
         # Early samples are still in slow start (ssthresh infinite).
-        assert tracer.samples[0]["ssthresh"] == -1.0
+        assert tracer.series["ssthresh"][0] == -1.0
 
     def test_unknown_field_rejected(self, two_host_net):
         _, tracer = traced_flow(two_host_net, until=0.002)
-        with pytest.raises(ValueError):
-            tracer.series("bogus")
+        with pytest.raises(KeyError):
+            tracer.series["bogus"]
 
     def test_csv_round_trip(self, two_host_net):
         _, tracer = traced_flow(two_host_net)
-        text = tracer.to_csv()
+        text = tracer.series.to_csv()
         rows = list(csv.DictReader(io.StringIO(text)))
-        assert len(rows) == len(tracer.samples)
-        assert float(rows[-1]["delivered_segments"]) == tracer.samples[-1][
+        assert len(rows) == len(tracer.series)
+        assert float(rows[-1]["delivered_segments"]) == tracer.series[
             "delivered_segments"
-        ]
+        ][-1]
 
     def test_write_csv(self, two_host_net, tmp_path):
         _, tracer = traced_flow(two_host_net)
         path = tmp_path / "trace.csv"
-        tracer.write_csv(str(path))
+        path.write_text(tracer.series.to_csv())
         content = path.read_text()
-        assert content.startswith("time,")
+        assert content.startswith("time,cwnd,ssthresh,")
 
 
 class TestRateSeriesCsv:
     def test_layout(self):
-        text = rate_series_to_csv([0.0, 0.5], {"b": [1.0, 2.0], "a": [3.0, 4.0]})
-        rows = list(csv.reader(io.StringIO(text)))
-        assert rows[0] == ["time", "a", "b"]
-        assert rows[1] == ["0.0", "3.0", "1.0"]
+        series = TimeSeries(["b", "a"])
+        series.append(0.0, [1.0, 3.0])
+        series.append(0.5, [2.0, 4.0])
+        rows = list(csv.reader(io.StringIO(series.to_csv())))
+        # Columns export in registration order, after the time column.
+        assert rows[0] == ["time", "b", "a"]
+        assert rows[1] == ["0.0", "1.0", "3.0"]
 
     def test_length_mismatch_rejected(self):
+        series = TimeSeries(["a", "b"])
         with pytest.raises(ValueError):
-            rate_series_to_csv([0.0, 1.0], {"a": [1.0]})
+            series.append(0.0, [1.0])
+        assert len(series) == 0
 
     def test_empty(self):
-        text = rate_series_to_csv([], {})
-        assert text.strip() == "time"
+        assert TimeSeries().to_csv().strip() == "time"

@@ -8,18 +8,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import pickle
 
 import pytest
 
 from repro.experiments.fattree_eval import FatTreeScenario
-from repro.metrics.collector import QueueMonitor, RateSampler, RttSampler
+from repro.metrics.collector import QueueMonitor, RateSampler
 from repro.mptcp.connection import MptcpConnection
 from repro.obs.records import (
     TELEMETRY_SCHEMA,
     deterministic_view,
     drain_link,
     drain_queue,
-    drain_sampler,
     drain_sender,
     to_jsonl,
 )
@@ -185,20 +185,17 @@ class TestDrainHelpers:
         payload = json.loads(to_jsonl([record.as_dict()]))
         assert payload["enqueued"] == record.enqueued
 
-    def test_drain_sampler_shapes(self, ran_net, sim):
-        _net, _conn, rates, queues = ran_net
-        rate_record = drain_sampler(rates)
-        assert rate_record.kind == "RateSampler"
-        assert len(rate_record.times) == len(rate_record.series[0][1])
-        assert rate_record.series[0][0] == "f"
-        queue_record = drain_sampler(queues)
-        assert queue_record.kind == "QueueMonitor"
-        assert len(queue_record.series) == len(queues.occupancy)
-        # RttSampler has samples but no times attribute: drains empty-timed.
-        rtt_record = drain_sampler(RttSampler(sim, interval=0.01))
-        assert rtt_record.times == ()
-        with pytest.raises(TypeError, match="cannot drain"):
-            drain_sampler(object())
+    def test_drain_sampler_shapes(self, ran_net):
+        """A sampler needs no drain helper: its ``series`` is already a
+        plain value — same shape for every sampler, no simulator
+        reference, picklable as it stands."""
+        net, _conn, rates, queues = ran_net
+        assert list(rates.series.columns) == ["f"]
+        assert len(rates.series.times) == len(rates.series["f"]) > 0
+        assert list(queues.series.columns) == [link.name for link in net.links]
+        assert queues.series.times == rates.series.times
+        for series in (rates.series, queues.series):
+            assert pickle.loads(pickle.dumps(series)) == series
 
     def test_drain_sender(self, ran_net):
         _net, conn, _rates, _queues = ran_net

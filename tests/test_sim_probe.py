@@ -356,3 +356,26 @@ def test_importing_the_model_layers_loads_no_tooling():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_packet_cells_never_import_numpy():
+    """numpy is the fluid vector solver's optional dependency; importing
+    it costs ~12 MB of a packet cell's ~28 MB peak RSS, so the packet
+    path (samplers, series, reducers included) must stay clear of it."""
+    code = (
+        "import sys\n"
+        "import repro.metrics\n"
+        "from repro.runner import RunSpec, execute\n"
+        "from repro.experiments.fattree_eval import FatTreeScenario\n"
+        "from repro.experiments.workload_matrix import WorkloadScenario\n"
+        "execute(RunSpec('fattree', FatTreeScenario(duration=0.005)))\n"
+        "cell = execute(RunSpec('workload', WorkloadScenario(duration=0.005)))\n"
+        "assert cell.value.queue_samples['core']\n"
+        "print('numpy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC), "PATH": ""},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
