@@ -91,10 +91,11 @@ workload_smoke() {
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro list
     # One tiny cell of each new traffic kind through the real CLI: the
     # cheapest end-to-end proof that samplers -> schedule -> open-loop
-    # launch -> FCT/queue reducers -> table formatting still compose.
+    # launch -> FCT/queue reducers -> table formatting still compose
+    # (olia-2: one scheme-table row no default grid runs).
     echo "== workload smoke (tiny workload + incast cells via the CLI) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro workload \
-        --loads 0.4 --schemes xmp-2 dctcp --duration 0.006 --no-cache
+        --loads 0.4 --schemes xmp-2 dctcp olia-2 --duration 0.006 --no-cache
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro incast \
         --fan-ins 4 --schemes xmp-2 --duration 0.006 --no-cache
 }

@@ -8,7 +8,8 @@ Public API tour:
   links, ECN queues); ready-made topologies in :mod:`repro.topology`.
 * :class:`~repro.mptcp.MptcpConnection` — a transfer over one or more
   pinned paths with a pluggable scheme: ``"xmp"`` (the paper),
-  ``"lia"``, ``"olia"``, ``"dctcp"``, ``"tcp"``, …
+  ``"lia"``, ``"dctcp"``, ``"tcp"``, … — any row of
+  :data:`repro.mptcp.coupling.SCHEMES`.
 * :mod:`repro.core` — the paper's algorithms (BOS, TraSh) and the
   closed-form model (Eqs. 1-9).
 * :mod:`repro.traffic` — the paper's Permutation / Random / Incast

@@ -49,7 +49,7 @@ import argparse
 import contextlib
 import dataclasses
 import sys
-from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, NoReturn, Optional, Sequence, Tuple
 
 from repro.experiments.catalog import (
     EXPERIMENTS,
@@ -80,7 +80,9 @@ PROFILE_KINDS = {
 }
 
 
-def _scenario_flags(duration: float, scheme_help: Optional[str] = None) -> Tuple[Flag, ...]:
+def _scenario_flags(
+    duration: Optional[float], scheme_help: Optional[str] = None
+) -> Tuple[Flag, ...]:
     """One fat-tree cell's flags (``export`` and ``profile``)."""
     return (
         flag("--scheme", default="xmp", help=scheme_help),
@@ -90,6 +92,21 @@ def _scenario_flags(duration: float, scheme_help: Optional[str] = None) -> Tuple
         K,
         SEED,
     )
+
+
+#: ``profile``'s config flags.  Only what the user gave reaches the
+#: kind's config, so their parser defaults are ``None`` ("not given").
+PROFILE_FLAGS = tuple(
+    (option, {**kwargs, "default": None})
+    for option, kwargs in _scenario_flags(
+        duration=None, scheme_help="fattree scheme (fattree kind only)")
+)
+
+
+def _usage_error(message: str) -> "NoReturn":
+    """Exit 2 with a one-line message, as argparse does for a bad flag."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _add_flags(p: argparse.ArgumentParser, flags: Iterable[Flag]) -> None:
@@ -167,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help=TOOLS["profile"][1])
     p.add_argument("experiment", choices=tuple(PROFILE_KINDS),
                    help="registered experiment kind to profile")
-    _add_flags(p, _scenario_flags(
-        duration=0.1, scheme_help="fattree scheme (fattree kind only)"))
+    _add_flags(p, PROFILE_FLAGS)
     p.add_argument("--top", type=int, default=12, metavar="N",
                    help="hot-spot table rows (default 12)")
     p.add_argument("--telemetry", default="telemetry", metavar="DIR",
@@ -225,7 +241,10 @@ def _run_experiment(row: Experiment, args: argparse.Namespace) -> str:
     """The one path every experiment row takes: flags -> grid -> view."""
     if getattr(args, "crosscheck", None):
         return _run_crosscheck(args)
-    base, axes = row.parse(vars(args))
+    try:
+        base, axes = row.parse(vars(args))
+    except ValueError as error:  # the config's own validation of a flag value
+        _usage_error(str(error))
     view, outcome = row.run(base, _campaign(args), **axes)
     return view.format() + _epilogue(args, outcome)
 
@@ -270,11 +289,18 @@ def _run_profile(args: argparse.Namespace) -> str:
     """
     from repro.obs.telemetry import Telemetry
 
-    config_class = PROFILE_KINDS[args.experiment]
-    if config_class is FatTreeScenario:
-        config = _from_flags(FatTreeScenario, args)
-    else:
-        config = config_class()
+    kind = args.experiment
+    # The row's own flag -> config split: what is left over names no field.
+    config, unknown = Experiment(
+        kind, "", kind, PROFILE_KINDS[kind], PROFILE_FLAGS
+    ).parse(vars(args))
+    if unknown:
+        _usage_error(
+            f"profile {kind}: no such setting: "
+            + ", ".join("--" + dest for dest in sorted(unknown))
+        )
+    if args.duration is None and hasattr(config, "duration"):
+        config = dataclasses.replace(config, duration=0.1)
     telemetry = Telemetry(args.telemetry)
     # No cache: profiling a cache hit would measure nothing.  Campaign
     # exports $REPRO_PROFILE for the duration, so the cell runs profiled.

@@ -24,6 +24,7 @@ import math
 from typing import Callable, Optional
 
 from repro.transport.cc import MIN_CWND, NORMAL, CongestionControl
+from repro.transport.receiver import EchoMode
 
 #: The paper's recommended reduction factor for 1 Gbps DCN links (§2.1).
 DEFAULT_BETA = 4
@@ -35,7 +36,7 @@ class BosCC(CongestionControl):
     """The BOS window law, optionally coupled through a delta provider."""
 
     ecn_capable = True
-    echo_mode_name = "xmp"
+    echo_mode = EchoMode.XMP
 
     def __init__(
         self,

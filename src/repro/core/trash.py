@@ -20,10 +20,11 @@ Congestion Equality Principle (Proposition 1).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from repro.core.bos import BosCC
+from repro.core.bos import DEFAULT_BETA, BosCC
 from repro.sim.units import Seconds
+from repro.transport.cc import Coupling
 
 
 def trash_delta(
@@ -46,50 +47,35 @@ def trash_delta(
     return weight * cwnd / (total_rate * min_rtt)
 
 
-class TraSh:
+class TraSh(Coupling):
     """The coupling state shared by all subflows of one XMP flow.
 
-    ``weight`` scales every subflow's delta uniformly: since a BOS flow's
-    equilibrium window is proportional to its delta (Eq. 3), a flow with
-    weight w converges to w shares of each bottleneck relative to
-    weight-1 flows — bandwidth differentiation through the same knob
-    TraSh already turns (an extension; the paper uses weight 1).
+    Every controller it hands out is a BOS law with reduction factor
+    ``beta`` whose delta this instance tunes.  ``weight`` scales every
+    subflow's delta uniformly: since a BOS flow's equilibrium window is
+    proportional to its delta (Eq. 3), a flow with weight w converges to
+    w shares of each bottleneck relative to weight-1 flows — bandwidth
+    differentiation through the same knob TraSh already turns (an
+    extension; the paper uses weight 1).
     """
 
-    def __init__(self, weight: float = 1.0) -> None:
+    def __init__(self, beta: float = DEFAULT_BETA, weight: float = 1.0) -> None:
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
+        super().__init__(lambda: BosCC(beta=beta, delta_provider=self.delta))
         self.weight = weight
-        self._controllers: List[BosCC] = []
-
-    def make_controller(self, beta: float) -> BosCC:
-        """Create a BOS controller whose delta this TraSh instance tunes."""
-        controller = BosCC(beta=beta, delta_provider=self.delta)
-        self._controllers.append(controller)
-        return controller
-
-    @property
-    def controllers(self) -> List[BosCC]:
-        return list(self._controllers)
-
-    # ------------------------------------------------------------------
 
     def total_rate(self) -> float:
-        """Sum of ``instant_rate`` over subflows with an RTT estimate."""
+        """Sum of ``instant_rate`` over the active subflows."""
         total = 0.0
-        for controller in self._controllers:
-            sender = controller.sender
-            if sender is not None and sender.running and not sender.completed:
-                total += sender.instant_rate
+        for sender in self.active_senders():
+            total += sender.instant_rate
         return total
 
     def min_rtt(self) -> Optional[float]:
         """``min{srtt_r}`` over active subflows (the paper's ``T_s``)."""
         best: Optional[float] = None
-        for controller in self._controllers:
-            sender = controller.sender
-            if sender is None or not sender.running or sender.completed:
-                continue
+        for sender in self.active_senders():
             srtt = sender.srtt
             if srtt is not None and srtt > 0 and (best is None or srtt < best):
                 best = srtt

@@ -46,6 +46,7 @@ from repro.experiments.table1_goodput import TABLE1_SCHEMES, scenarios_for
 from repro.fluid.backend import TOPOLOGIES as FLUID_TOPOLOGIES, FluidScenario
 from repro.fluid.laws import FLUID_SCHEMES
 from repro.fluid.solver import SOLVERS as FLUID_SOLVERS
+from repro.mptcp.coupling import parse_scheme_spec
 from repro.runner import Campaign, CampaignResult, RunSpec
 from repro.workloads.arrivals import ARRIVAL_NAMES
 from repro.workloads.cdf import WORKLOAD_NAMES
@@ -154,7 +155,7 @@ def _threshold(default: int) -> Flag:
 
 
 def _schemes(help: str) -> Flag:
-    return flag("--schemes", nargs="+", type=workload_matrix.parse_scheme_spec,
+    return flag("--schemes", nargs="+", type=parse_scheme_spec,
                 metavar="SCHEME[-N]", default=list(workload_matrix.MATRIX_SCHEMES), help=help)
 
 

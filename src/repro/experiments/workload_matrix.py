@@ -39,7 +39,7 @@ from repro.metrics.fct import (
     queue_depth_p99,
 )
 from repro.metrics.goodput import FlowRecord
-from repro.mptcp.coupling import available_schemes, scheme_label
+from repro.mptcp.coupling import scheme_label
 from repro.runner import CampaignResult
 from repro.traffic.factory import TransferFactory
 from repro.workloads.arrivals import make_arrivals, offered_flow_rate, workload_capacity_bps
@@ -65,23 +65,6 @@ MATRIX_LOADS: Tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 #: Default fan-in sweep (k=4 gives 16 hosts, so 15 is the ceiling).
 SWEEP_FAN_INS: Tuple[int, ...] = (2, 4, 8, 12)
-
-
-def parse_scheme_spec(spec: str) -> Tuple[str, int]:
-    """Parse a CLI scheme spec: ``"xmp-2"`` -> ("xmp", 2), ``"dctcp"`` -> ("dctcp", 1).
-
-    Raises ``ValueError`` for a scheme :func:`create_coupling` would not
-    accept, so a typo fails at parse time rather than inside a cell.
-    """
-    scheme, subflows = spec.lower(), 1
-    name, dash, count = scheme.rpartition("-")
-    if dash and count.isdigit():
-        scheme, subflows = name, int(count)
-    if scheme not in available_schemes():
-        raise ValueError(
-            f"unknown scheme {scheme!r} (one of {', '.join(available_schemes())})"
-        )
-    return scheme, subflows
 
 
 def _run_monitored(net, scenario) -> QueueMonitor:
@@ -502,7 +485,6 @@ __all__ = [
     "MATRIX_SCHEMES",
     "MATRIX_LOADS",
     "SWEEP_FAN_INS",
-    "parse_scheme_spec",
     "WorkloadScenario",
     "WorkloadResult",
     "IncastSweepScenario",

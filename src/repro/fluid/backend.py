@@ -22,7 +22,7 @@ from typing import List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
 from repro.experiments.reporting import format_table
-from repro.fluid.laws import FLUID_SCHEMES
+from repro.fluid.laws import fluid_law
 from repro.fluid.model import PACKET_BITS, model_from_network
 from repro.fluid.solver import SAMPLE_STRIDE, FluidTrajectory, integrate_model
 from repro.mptcp.coupling import scheme_label
@@ -37,6 +37,7 @@ from repro.sim.units import (
 )
 from repro.topology.bottleneck import build_single_bottleneck
 from repro.topology.fattree import build_fattree
+from repro.traffic.permutation import random_derangement
 
 TOPOLOGIES = ("bottleneck", "fattree")
 
@@ -64,6 +65,13 @@ class FluidScenario:
     solver: str = "reference"
     sample_stride: int = SAMPLE_STRIDE
     w0: float = 2.0
+
+    def __post_init__(self) -> None:
+        fluid_law(self.scheme)  # a scheme without a fluid law is rejected here
+        if self.flows < 1:
+            raise ValueError(f"need at least one flow, got {self.flows}")
+        if self.subflows < 1:
+            raise ValueError(f"need at least one subflow, got {self.subflows}")
 
     def label(self) -> str:
         base = scheme_label(self.scheme, self.subflows)
@@ -148,19 +156,12 @@ def _permutation_pairs(
     """Rounds of random permutation traffic: each host sends to one other.
 
     More flows than hosts means several permutation rounds (distinct
-    shuffles), matching how the packet side's PermutationPattern places
-    long-lived flows; self-pairs are rejected by reshuffling.
+    derangements), matching how the packet side's PermutationPattern
+    places long-lived flows.
     """
     pairs: List[Tuple[str, str]] = []
     while len(pairs) < flows:
-        destinations = list(hosts)
-        for _ in range(64):
-            rng.shuffle(destinations)
-            if all(s != d for s, d in zip(hosts, destinations)):
-                break
-        else:  # pragma: no cover - vanishing probability
-            destinations = list(hosts[1:]) + [hosts[0]]
-        pairs.extend(zip(hosts, destinations))
+        pairs.extend(zip(hosts, random_derangement(hosts, rng)))
     return pairs[:flows]
 
 
@@ -205,14 +206,6 @@ def _flow_paths(scenario: FluidScenario) -> Tuple[object, List[List[Path]]]:
 
 def _simulate(scenario: FluidScenario) -> FluidResult:
     """Integrate one fluid scenario (the registered ``fluid`` kind)."""
-    if scenario.scheme not in FLUID_SCHEMES:
-        raise ValueError(
-            f"unknown fluid scheme {scenario.scheme!r} (one of {FLUID_SCHEMES})"
-        )
-    if scenario.flows < 1:
-        raise ValueError(f"need at least one flow, got {scenario.flows}")
-    if scenario.subflows < 1:
-        raise ValueError(f"need at least one subflow, got {scenario.subflows}")
     net, flow_paths = _flow_paths(scenario)
     model = model_from_network(net, flow_paths)
     trajectory = integrate_model(

@@ -43,6 +43,7 @@ from repro.fluid import laws
 from repro.fluid.laws import bos_window_ode, threshold_marking_probability
 from repro.fluid.model import PACKET_BITS, FluidModel
 from repro.metrics.series import TimeSeries
+from repro.mptcp.coupling import SCHEMES
 from repro.sim.units import Seconds
 
 SOLVERS = ("reference", "vector")
@@ -152,25 +153,28 @@ def integrate_model(
     solver: str = "reference",
 ) -> FluidTrajectory:
     """Euler-integrate ``model`` under ``scheme`` for ``duration``."""
-    if scheme not in laws.FLUID_SCHEMES:
-        raise ValueError(
-            f"unknown fluid scheme {scheme!r} (one of {laws.FLUID_SCHEMES})"
-        )
+    law = laws.fluid_law(scheme)
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r} (one of {SOLVERS})")
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
     if not model.subflows:
         raise ValueError("model has no subflows")
-    steps = step_count(duration, dt)
-    if solver == "vector":
-        return _integrate_vector(model, scheme, steps, dt, beta, w0, sample_stride)
-    return _integrate_reference(model, scheme, steps, dt, beta, w0, sample_stride)
+    # The scheme's signal picks the knee: ECN's K or the buffer limit.
+    ecn = SCHEMES[scheme].ecn
+    knees = [
+        link.ecn_threshold if ecn else link.drop_threshold for link in model.links
+    ]
+    integrate = _integrate_vector if solver == "vector" else _integrate_reference
+    return integrate(
+        model, law, knees, step_count(duration, dt), dt, beta, w0, sample_stride
+    )
 
 
 def _integrate_reference(
     model: FluidModel,
-    scheme: str,
+    law: laws.FluidLaw,
+    knees: List[float],
     steps: int,
     dt: float,
     beta: float,
@@ -178,21 +182,16 @@ def _integrate_reference(
     sample_stride: int,
 ) -> FluidTrajectory:
     """The pure-Python executable specification of one Euler step."""
-    use_ecn = laws.scheme_uses_ecn(scheme)
     num_links = len(model.links)
     num_subflows = len(model.subflows)
     caps = [link.capacity_pps for link in model.links]
-    knees = [
-        link.ecn_threshold if use_ecn else link.drop_threshold
-        for link in model.links
-    ]
     paths = [subflow.links for subflow in model.subflows]
     base = [subflow.base_rtt for subflow in model.subflows]
     slices = model.flow_slices()
 
     w = [float(w0)] * num_subflows
     q = [0.0] * num_links
-    alpha = [1.0] * num_subflows if scheme == "dctcp" else None
+    state = None if law.state0 is None else [law.state0] * num_subflows
 
     out = FluidTrajectory.empty(
         num_subflows, [link.name for link in model.links], steps, dt
@@ -220,34 +219,7 @@ def _integrate_reference(
             for l in paths[s]:
                 arrivals[l] += x
 
-        if scheme == "xmp":
-            for start, end in slices:
-                y = sum(rates[start:end])
-                t_min = min(rtts[start:end])
-                for s in range(start, end):
-                    w[s] += dt * laws.xmp_window_drift(
-                        w[s], probs[s], rtts[s], y, t_min, beta
-                    )
-        elif scheme == "bos-uncoupled":
-            for s in range(num_subflows):
-                w[s] += dt * laws.bos_window_drift(w[s], probs[s], rtts[s], beta)
-        elif scheme == "lia":
-            for start, end in slices:
-                flow_alpha = laws.lia_alpha(w[start:end], rtts[start:end])
-                total = sum(w[start:end])
-                for s in range(start, end):
-                    w[s] += dt * laws.lia_window_drift(
-                        w[s], probs[s], rtts[s], flow_alpha, total
-                    )
-        else:  # dctcp
-            assert alpha is not None
-            for s in range(num_subflows):
-                w[s] += dt * laws.dctcp_window_drift(
-                    w[s], probs[s], rtts[s], alpha[s]
-                )
-                alpha[s] += dt * laws.dctcp_alpha_drift(
-                    alpha[s], probs[s], rtts[s]
-                )
+        law.reference(dt, beta, w, probs, rtts, rates, slices, state)
         for s in range(num_subflows):
             if w[s] < laws.MIN_WINDOW:
                 w[s] = laws.MIN_WINDOW
@@ -262,7 +234,8 @@ def _integrate_reference(
 
 def _integrate_vector(
     model: FluidModel,
-    scheme: str,
+    law: laws.FluidLaw,
+    knees: List[float],
     steps: int,
     dt: float,
     beta: float,
@@ -285,16 +258,10 @@ def _integrate_vector(
             "the 'vector' fluid solver requires numpy; use solver='reference'"
         ) from None
 
-    use_ecn = laws.scheme_uses_ecn(scheme)
     num_links = len(model.links)
     num_subflows = len(model.subflows)
     caps = np.array([link.capacity_pps for link in model.links])
-    knees = np.array(
-        [
-            link.ecn_threshold if use_ecn else link.drop_threshold
-            for link in model.links
-        ]
-    )
+    knee = np.array(knees)
     base = np.array([subflow.base_rtt for subflow in model.subflows])
     path_links = np.concatenate(
         [np.asarray(subflow.links, dtype=np.int64) for subflow in model.subflows]
@@ -310,40 +277,22 @@ def _integrate_vector(
 
     w = np.full(num_subflows, float(w0))
     q = np.zeros(num_links)
-    alpha = np.ones(num_subflows) if scheme == "dctcp" else None
+    state = None if law.state0 is None else np.full(num_subflows, law.state0)
 
     out = FluidTrajectory.empty(
         num_subflows, [link.name for link in model.links], steps, dt
     )
     for i in range(steps):
         delay = q / caps
-        p_link = 1.0 / (1.0 + np.exp(-(q - knees) / laws.MARKING_WIDTH))
+        p_link = 1.0 / (1.0 + np.exp(-(q - knee) / laws.MARKING_WIDTH))
         rtt = base + np.add.reduceat(delay[path_links], sub_offsets)
         survive = np.multiply.reduceat(1.0 - p_link[path_links], sub_offsets)
         p = 1.0 - survive
         x = w / rtt
 
-        if scheme == "xmp":
-            y = np.add.reduceat(x, flow_offsets)[flow_of]
-            t_min = np.minimum.reduceat(rtt, flow_offsets)[flow_of]
-            # Eq. 9 with cwnd = x * rtt: repro.core.trash.trash_delta.
-            delta = w / (y * t_min)
-            dw = (delta * (1.0 - p) - w * p / beta) / rtt
-        elif scheme == "bos-uncoupled":
-            dw = ((1.0 - p) - w * p / beta) / rtt
-        elif scheme == "lia":
-            numerator = np.maximum.reduceat(w / (rtt * rtt), flow_offsets)
-            denominator = np.add.reduceat(w / rtt, flow_offsets)
-            total = np.add.reduceat(w, flow_offsets)
-            flow_alpha = total * numerator / (denominator * denominator)
-            own = 1.0 / np.maximum(w, 1.0)
-            increase = np.minimum(flow_alpha[flow_of] / total[flow_of], own)
-            dw = x * ((1.0 - p) * increase - p * (w / 2.0))
-        else:  # dctcp
-            assert alpha is not None
-            dw = ((1.0 - p) - (w * alpha / 2.0) * p) / rtt
-            alpha = alpha + dt * laws.DEFAULT_GAIN * (p - alpha) / rtt
-
+        dw, state = law.vector(
+            np, dt, beta, w, p, rtt, x, flow_offsets, flow_of, state
+        )
         w = np.maximum(w + dt * dw, laws.MIN_WINDOW)
         arrivals = np.bincount(path_links, weights=x[path_sub], minlength=num_links)
         q = np.maximum(q + dt * (arrivals - caps), 0.0)

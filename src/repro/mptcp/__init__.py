@@ -3,17 +3,12 @@
 An :class:`~repro.mptcp.connection.MptcpConnection` stripes one logical
 transfer over several subflows, each a full
 :class:`~repro.transport.tcp.TcpSender` pinned to its own path.  How the
-subflows' windows are coupled is a pluggable *coupling*:
-
-* ``"xmp"`` — the paper's scheme (BOS per subflow, TraSh tuning deltas);
-* ``"lia"`` — MPTCP's default Linked Increases (Wischik et al., NSDI'11);
-* ``"olia"`` — Opportunistic LIA (Khalili et al., CoNEXT'12), the fix the
-  paper's §7 points at as future work;
-* ``"bos-uncoupled"`` — BOS on every subflow with delta pinned to 1
-  (the coupling ablation);
-* ``"reno"`` / ``"tcp"`` — uncoupled Reno subflows (the fairness
-  strawman); ``"dctcp"`` — DCTCP per subflow (single-path baseline when
-  used with one path).
+subflows' windows are coupled is the scheme's *coupling*, one column of
+its row in :data:`repro.mptcp.coupling.SCHEMES` — the one table of
+schemes (``"xmp"``, the paper's; ``"lia"`` and ``"olia"``, MPTCP's
+couplings; ``"bos-uncoupled"``, the coupling ablation; ``"dctcp"``,
+``"d2tcp"``, ``"tcp"``/``"reno"``, ``"reno-ecn"``, uncoupled laws that
+are the single-path baselines when used with one path).
 """
 
 from repro.mptcp.connection import MptcpConnection, Subflow

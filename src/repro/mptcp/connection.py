@@ -4,6 +4,14 @@ This is the unified transfer object every experiment uses — single-path
 schemes are simply connections with one subflow and an uncoupled
 controller, which keeps goodput accounting and lifecycle identical across
 DCTCP, TCP, LIA-x and XMP-x (exactly how the paper's tables compare them).
+
+Scheduling is a *demand-driven* pull model: every subflow pulls batches
+of segments from the connection's one shared
+:class:`~repro.transport.tcp.FiniteSource` whenever its congestion
+window opens.  Faster subflows (larger window, shorter RTT) therefore
+naturally carry proportionally more of the transfer — the steady-state
+behaviour of the Linux MPTCP lowest-RTT-first scheduler the paper's
+implementation used — without simulating per-packet scheduler decisions.
 """
 
 from __future__ import annotations
@@ -15,11 +23,14 @@ from repro.net.packet import MSS_BYTES
 from repro.net.routing import Path
 from repro.sim.probe import watchers
 from repro.sim.units import Seconds
-from repro.transport.flow import echo_mode_for
 from repro.transport.receiver import DEFAULT_DELACK_TIMEOUT, Receiver
-from repro.transport.tcp import InfiniteSource, TcpSender, segments_for_bytes
+from repro.transport.tcp import (
+    FiniteSource,
+    InfiniteSource,
+    TcpSender,
+    segments_for_bytes,
+)
 from repro.mptcp.coupling import create_coupling
-from repro.mptcp.scheduler import SharedSegmentPool
 
 
 class Subflow:
@@ -78,7 +89,7 @@ class MptcpConnection:
             self.source = InfiniteSource()
         else:
             self.total_segments = segments_for_bytes(size_bytes)
-            self.source = SharedSegmentPool(self.total_segments)
+            self.source = FiniteSource(self.total_segments)
         self.delivered_segments = 0
         self.completed = False
         self.start_time: Optional[float] = None
@@ -130,7 +141,7 @@ class MptcpConnection:
             self.flow_id,
             index,
             self.network.reverse_path(path),
-            echo_mode=echo_mode_for(cc),
+            echo_mode=cc.echo_mode,
             delack_timeout=self._delack_timeout,
             sack_enabled=self.sack,
             ack_jitter=self.ack_jitter,
@@ -196,7 +207,7 @@ class MptcpConnection:
         subflow.failed = True
         sender.stop()
         undelivered = sender.assigned - sender.snd_una
-        if undelivered > 0 and isinstance(self.source, SharedSegmentPool):
+        if undelivered > 0 and self.total_segments is not None:
             self.source.restitute(undelivered)
             for survivor in alive:
                 survivor.sender.kick()

@@ -1,82 +1,121 @@
-"""Coupling registry: map scheme names to per-subflow controller factories.
+"""The scheme table: every congestion scheme, declared once.
 
-A *coupling* owns whatever state its controllers share (TraSh's rate sums,
-LIA's alpha) and hands out one controller per subflow.  Uncoupled schemes
-get a trivial factory.  :func:`create_coupling` is the single entry point
-experiments use, so scheme names in configs ("xmp", "lia-4", …) resolve in
-one place.
+The paper defines XMP as a decomposition — a per-subflow window law
+(BOS), a coupling (TraSh), a congestion signal (ECN at the knee K) and a
+receiver echo discipline — and compares it with schemes that differ in
+exactly those columns.  :data:`SCHEMES` holds one row per scheme name
+with those columns and the factory that builds the flow's
+:class:`~repro.transport.cc.Coupling`.  Everything that needs to know
+what schemes exist reads it: :func:`create_coupling` (the packet
+engine), :func:`parse_scheme_spec` (the CLI's ``--schemes``), the fluid
+backend (:mod:`repro.fluid.laws` keys its fluid laws by these names and
+takes the knee choice from ``ecn``) and DESIGN.md's scheme table
+(:func:`repro.fluid.laws.render_scheme_table`).  A new scheme is a new
+row here.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.bos import BosCC
 from repro.core.trash import TraSh
 from repro.mptcp.lia import LiaCoupling
 from repro.mptcp.olia import OliaCoupling
-from repro.transport.cc import CongestionControl, RenoCC
+from repro.transport.cc import CongestionControl, Coupling, RenoCC
+from repro.transport.d2tcp import D2tcpCC
 from repro.transport.dctcp import DctcpCC
+from repro.transport.receiver import EchoMode
+
+#: ``build(beta, weight)`` -> the coupling of one flow.
+Builder = Callable[[float, float], Coupling]
 
 
-class UncoupledFactory:
-    """Independent controllers; ``factory`` builds each one."""
+@dataclass(frozen=True)
+class Scheme:
+    """One row of :data:`SCHEMES`."""
 
-    def __init__(self, factory: Callable[[], CongestionControl]) -> None:
-        self._factory = factory
-        self._controllers: List[CongestionControl] = []
-
-    def make_controller(self) -> CongestionControl:
-        controller = self._factory()
-        self._controllers.append(controller)
-        return controller
-
-    @property
-    def controllers(self) -> List[CongestionControl]:
-        return list(self._controllers)
-
-
-class XmpCoupling(TraSh):
-    """TraSh with a fixed beta baked in, conforming to the coupling API."""
-
-    def __init__(self, beta: float, weight: float = 1.0) -> None:
-        super().__init__(weight=weight)
-        self.beta = beta
-
-    def make_controller(self) -> BosCC:  # type: ignore[override]
-        return super().make_controller(self.beta)
+    name: str
+    #: The per-subflow window law and what couples the subflows, as the
+    #: docs name them.
+    law: str
+    coupling: str
+    #: The congestion signal: ECN marks at the knee K (True) or
+    #: buffer-full loss (False).
+    ecn: bool
+    #: The receiver echo discipline the law expects.
+    echo: EchoMode
+    build: Builder
 
 
-def create_coupling(scheme: str, beta: float = 4.0, weight: float = 1.0):
-    """Build the coupling object for ``scheme``.
+#: The two values of a row's ``ecn`` column.
+ECN, LOSS = True, False
 
-    Recognized schemes: ``xmp``, ``lia``, ``olia``, ``bos-uncoupled``,
-    ``dctcp``, ``d2tcp``, ``tcp`` / ``reno``, ``reno-ecn``.  ``weight``
-    only affects XMP (bandwidth differentiation, see
-    :class:`repro.core.trash.TraSh`).
+
+def _uncoupled(law: Callable[[], CongestionControl]) -> Builder:
+    """Independent controllers: the base coupling around ``law``."""
+    return lambda beta, weight: Coupling(law)
+
+
+#: name -> row, in the order ``available_schemes()`` and the docs list
+#: them.  ``beta`` only reaches the BOS rows and ``weight`` only XMP
+#: (bandwidth differentiation, see :class:`repro.core.trash.TraSh`);
+#: ``d2tcp`` hands out deadline-less controllers (d = 1, DCTCP-equivalent
+#: — per-flow deadlines are set by constructing ``D2tcpCC`` directly).
+SCHEMES: Dict[str, Scheme] = {
+    row.name: row
+    for row in (
+        Scheme("xmp", "BOS (Algorithm 1)", "TraSh (Eq. 9)", ECN, EchoMode.XMP, TraSh),
+        Scheme("bos-uncoupled", "BOS (Algorithm 1)", "none (delta = 1)", ECN,
+               EchoMode.XMP,
+               lambda beta, weight: Coupling(lambda: BosCC(beta=beta))),
+        Scheme("lia", "Reno", "LIA (RFC 6356)", LOSS, EchoMode.CLASSIC,
+               lambda beta, weight: LiaCoupling()),
+        Scheme("olia", "Reno", "OLIA", LOSS, EchoMode.CLASSIC,
+               lambda beta, weight: OliaCoupling()),
+        Scheme("dctcp", "DCTCP", "none", ECN, EchoMode.DCTCP, _uncoupled(DctcpCC)),
+        Scheme("d2tcp", "D2TCP", "none", ECN, EchoMode.DCTCP, _uncoupled(D2tcpCC)),
+        Scheme("tcp", "Reno", "none", LOSS, EchoMode.CLASSIC, _uncoupled(RenoCC)),
+        Scheme("reno", "Reno", "none", LOSS, EchoMode.CLASSIC, _uncoupled(RenoCC)),
+        Scheme("reno-ecn", "Reno + RFC 3168 ECN", "none", ECN, EchoMode.CLASSIC,
+               _uncoupled(lambda: RenoCC(ecn=True))),
+    )
+}
+
+
+def scheme_row(scheme: str) -> Scheme:
+    """The table row of ``scheme`` (case-insensitive); ``ValueError`` if none."""
+    row = SCHEMES.get(scheme.lower())
+    if row is None:
+        raise ValueError(f"unknown scheme {scheme!r} (one of {', '.join(SCHEMES)})")
+    return row
+
+
+def create_coupling(scheme: str, beta: float = 4.0, weight: float = 1.0) -> Coupling:
+    """Build the coupling object for ``scheme``, a :data:`SCHEMES` name."""
+    return scheme_row(scheme).build(beta, weight)
+
+
+def available_schemes() -> List[str]:
+    """Names :func:`create_coupling` accepts."""
+    return list(SCHEMES)
+
+
+def parse_scheme_spec(spec: str) -> Tuple[str, int]:
+    """Parse a CLI scheme spec: ``"xmp-2"`` -> ("xmp", 2), ``"dctcp"`` -> ("dctcp", 1).
+
+    Raises ``ValueError`` for a scheme the table does not have or a
+    subflow count below 1, so a typo fails at parse time rather than
+    inside a cell.
     """
-    name = scheme.lower()
-    if name == "xmp":
-        return XmpCoupling(beta, weight=weight)
-    if name == "lia":
-        return LiaCoupling()
-    if name == "olia":
-        return OliaCoupling()
-    if name == "bos-uncoupled":
-        return UncoupledFactory(lambda: BosCC(beta=beta))
-    if name == "dctcp":
-        return UncoupledFactory(DctcpCC)
-    if name == "d2tcp":
-        # Deadline-less D2TCP controllers (d = 1, i.e. DCTCP-equivalent);
-        # per-flow deadlines are set by constructing D2tcpCC directly.
-        from repro.transport.d2tcp import D2tcpCC
-
-        return UncoupledFactory(D2tcpCC)
-    if name in ("tcp", "reno"):
-        return UncoupledFactory(lambda: RenoCC(ecn=False))
-    if name == "reno-ecn":
-        return UncoupledFactory(lambda: RenoCC(ecn=True))
-    raise ValueError(f"unknown scheme: {scheme!r}")
+    scheme, subflows = spec.lower(), 1
+    name, dash, count = scheme.rpartition("-")
+    if dash and count.isdigit():
+        scheme, subflows = name, int(count)
+    if subflows < 1:
+        raise ValueError(f"need at least one subflow, got {spec!r}")
+    return scheme_row(scheme).name, subflows
 
 
 def scheme_label(scheme: str, subflows: int = 1) -> str:
@@ -85,20 +124,12 @@ def scheme_label(scheme: str, subflows: int = 1) -> str:
     return f"{base}-{subflows}" if subflows > 1 else base
 
 
-def available_schemes() -> List[str]:
-    """Names :func:`create_coupling` accepts."""
-    return [
-        "xmp",
-        "lia",
-        "olia",
-        "bos-uncoupled",
-        "dctcp",
-        "d2tcp",
-        "tcp",
-        "reno",
-        "reno-ecn",
-    ]
-
-
-__all__ = ["create_coupling", "available_schemes", "scheme_label",
-           "UncoupledFactory", "XmpCoupling"]
+__all__ = [
+    "SCHEMES",
+    "Scheme",
+    "available_schemes",
+    "create_coupling",
+    "parse_scheme_spec",
+    "scheme_label",
+    "scheme_row",
+]

@@ -19,12 +19,14 @@ penalize it for.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Optional, Sequence
 
-from repro.transport.cc import RenoCC
+from repro.transport.cc import Coupling, RenoCC
 
 
-def lia_alpha(windows: Sequence[float], rtts: Sequence[float]) -> float:
+def lia_alpha(
+    windows: Sequence[float], rtts: Sequence[Optional[float]]
+) -> float:
     """RFC 6356's aggressiveness factor as a pure formula.
 
     ``alpha = w_total * max_r(w_r/rtt_r^2) / (sum_r w_r/rtt_r)^2`` over
@@ -47,41 +49,22 @@ def lia_alpha(windows: Sequence[float], rtts: Sequence[float]) -> float:
     return total * numerator / (denominator * denominator)
 
 
-class LiaCoupling:
+class LiaCoupling(Coupling):
     """Shared state across the LIA controllers of one MPTCP flow."""
 
     def __init__(self) -> None:
-        self._controllers: List["LiaCC"] = []
-
-    def make_controller(self) -> "LiaCC":
-        controller = LiaCC(self)
-        self._controllers.append(controller)
-        return controller
-
-    @property
-    def controllers(self) -> List["LiaCC"]:
-        return list(self._controllers)
-
-    def _active(self):
-        for controller in self._controllers:
-            sender = controller.sender
-            if sender is not None and sender.running and not sender.completed:
-                yield sender
+        super().__init__(lambda: LiaCC(self))
 
     def total_cwnd(self) -> float:
         """Sum of windows over active subflows."""
-        return sum(sender.cwnd for sender in self._active())
+        return sum(sender.cwnd for sender in self.active_senders())
 
     def alpha(self) -> float:
         """RFC 6356's aggressiveness factor; 0 when RTTs are unknown yet."""
-        windows = []
-        rtts = []
-        for sender in self._active():
-            srtt = sender.srtt
-            if srtt is None or srtt <= 0:
-                return 0.0
+        windows, rtts = [], []
+        for sender in self.active_senders():
             windows.append(sender.cwnd)
-            rtts.append(srtt)
+            rtts.append(sender.srtt)
         return lia_alpha(windows, rtts)
 
 

@@ -24,40 +24,21 @@ Decrease is Reno halving on loss; OLIA is loss-driven (not ECN-capable).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
-from repro.transport.cc import RenoCC
+from repro.transport.cc import Coupling, RenoCC
 
 
-class OliaCoupling:
+class OliaCoupling(Coupling):
     """Shared state across the OLIA controllers of one MPTCP flow."""
 
     def __init__(self) -> None:
-        self._controllers: List["OliaCC"] = []
-
-    def make_controller(self) -> "OliaCC":
-        controller = OliaCC(self)
-        self._controllers.append(controller)
-        return controller
-
-    @property
-    def controllers(self) -> List["OliaCC"]:
-        return list(self._controllers)
-
-    def _active(self) -> List["OliaCC"]:
-        active = []
-        for controller in self._controllers:
-            sender = controller.sender
-            if sender is not None and sender.running and not sender.completed:
-                active.append(controller)
-        return active
+        super().__init__(lambda: OliaCC(self))
 
     def rate_denominator(self) -> float:
         """``(sum_p w_p/rtt_p)^2``; 0 while RTTs are unknown."""
         total = 0.0
-        for controller in self._active():
-            sender = controller.sender
-            assert sender is not None
+        for sender in self.active_senders():
             srtt = sender.srtt
             if srtt is None or srtt <= 0:
                 return 0.0
@@ -66,26 +47,24 @@ class OliaCoupling:
 
     def alphas(self) -> Dict["OliaCC", float]:
         """The per-path ``alpha_r`` assignment described above."""
-        active = self._active()
-        result: Dict["OliaCC", float] = {controller: 0.0 for controller in active}
+        active = list(self.active_senders())
+        result: Dict["OliaCC", float] = {sender.cc: 0.0 for sender in active}
         if len(active) < 2:
             return result
         quality = {}
-        for controller in active:
-            sender = controller.sender
-            assert sender is not None
+        for sender in active:
             srtt = sender.srtt if sender.srtt else 1.0
-            loss_interval = controller.loss_interval()
-            quality[controller] = loss_interval * loss_interval / srtt
+            loss_interval = sender.cc.loss_interval()
+            quality[sender.cc] = loss_interval * loss_interval / srtt
         best_quality = max(quality.values())
         best: Set["OliaCC"] = {
             c for c, q in quality.items() if q >= best_quality * (1.0 - 1e-9)
         }
-        max_window = max(c.sender.cwnd for c in active)  # type: ignore[union-attr]
+        max_window = max(sender.cwnd for sender in active)
         largest: Set["OliaCC"] = {
-            c
-            for c in active
-            if c.sender is not None and c.sender.cwnd >= max_window * (1.0 - 1e-9)
+            sender.cc
+            for sender in active
+            if sender.cwnd >= max_window * (1.0 - 1e-9)
         }
         best_small = best - largest
         n = len(active)

@@ -28,7 +28,7 @@ import pathlib
 from typing import Any, Iterable, List, Optional
 
 from repro.obs.records import run_record, to_jsonl
-from repro.sim.probe import setting
+from repro.sim.probe import declared, setting
 
 #: File every campaign appends its per-run records to.
 RUNS_FILENAME = "runs.jsonl"
@@ -78,4 +78,22 @@ def from_environment() -> Optional[Telemetry]:
     return Telemetry(pathlib.Path(directory).expanduser())
 
 
-__all__ = ["RUNS_FILENAME", "Telemetry", "from_environment"]
+def render_env_table() -> str:
+    """The markdown ``REPRO_*`` table embedded in OBSERVABILITY.md.
+
+    Every variable is declared once, beside its reader: the probe
+    switches on their :data:`repro.sim.probe.ENV` rows, the cache
+    directory in :mod:`repro.runner.cache`.  ``tests/test_env_registry.py``
+    pins the document copy to this output and AST-scans the tree so a
+    variable cannot be read without being declared, nor declared unread.
+    """
+    from repro.runner.cache import ENV_CACHE_DIR
+
+    lines = ["| variable | consumer | meaning |", "|---|---|---|"]
+    for name, meaning in declared():
+        lines.append(f"| `{name}` | `repro.sim.probe` | {meaning} |")
+    lines.append("| `%s` | `repro.runner.cache` | %s |" % ENV_CACHE_DIR)
+    return "\n".join(lines)
+
+
+__all__ = ["RUNS_FILENAME", "Telemetry", "from_environment", "render_env_table"]

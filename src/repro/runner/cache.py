@@ -41,7 +41,10 @@ from repro.runner.spec import SOURCE_DISK, SOURCE_MEMORY, RunSpec
 #: their sampled series as :class:`repro.metrics.series.TimeSeries`.
 CACHE_SCHEMA = 3
 
-_ENV_CACHE_DIR = "REPRO_CACHE_DIR"
+#: The one variable read here and its meaning (OBSERVABILITY.md's table).
+ENV_CACHE_DIR = (
+    "REPRO_CACHE_DIR", "On-disk run-cache directory (default ~/.cache/repro)."
+)
 
 
 class _Miss:
@@ -60,7 +63,7 @@ MISS = _Miss()
 
 def default_cache_dir() -> pathlib.Path:
     """``$REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    env = os.environ.get(_ENV_CACHE_DIR)
+    env = os.environ.get(ENV_CACHE_DIR[0])
     if env:
         return pathlib.Path(env).expanduser()
     return pathlib.Path("~/.cache/repro").expanduser()
@@ -245,7 +248,7 @@ def default_cache() -> RunCache:
     """
     global _DEFAULT_CACHE
     if _DEFAULT_CACHE is None:
-        disk = DiskCache() if os.environ.get(_ENV_CACHE_DIR) else None
+        disk = DiskCache() if os.environ.get(ENV_CACHE_DIR[0]) else None
         _DEFAULT_CACHE = RunCache(memory=MemoryCache(), disk=disk)
     return _DEFAULT_CACHE
 

@@ -194,6 +194,9 @@ class EnvRow(NamedTuple):
     #: Where the probe class lives; imported only when first needed.
     module: str
     factory: str
+    #: What setting each variable does, one sentence each: the switches
+    #: in order, then ``log`` (rendered into OBSERVABILITY.md's table).
+    meanings: Tuple[str, ...]
     #: Variable naming a JSONL path handed to the factory as ``log_path``.
     log: Optional[str] = None
     #: True: the switch materialises one monitor shared by every Network
@@ -202,24 +205,53 @@ class EnvRow(NamedTuple):
     shared: bool = False
 
 
-#: The one table from ``REPRO_*`` variables to probe factories
-#: (declared, with meanings, in :mod:`repro.core.env`).
+_ON = "(any non-empty value other than 0)."
+
+#: The one table from ``REPRO_*`` variables to probe factories, and the
+#: one place each of those variables is declared.
 ENV: Dict[str, EnvRow] = {
     "validate": EnvRow(
-        ("REPRO_VALIDATE",), "repro.validate.invariants", "Validator"
+        ("REPRO_VALIDATE",), "repro.validate.invariants", "Validator",
+        ("Attach the runtime invariant validator to every campaign cell " + _ON,),
     ),
     "race": EnvRow(
         ("REPRO_RACE",), "repro.lint.race.runtime", "RaceMonitor",
+        (
+            "Attach the same-instant race sanitizer to every new Network " + _ON,
+            "Stream the race sanitizer's collision/summary JSONL report to "
+            "this path (with REPRO_RACE).",
+        ),
         log="REPRO_RACE_LOG", shared=True,
     ),
     "alloc": EnvRow(
         ("REPRO_ALLOC",), "repro.lint.perf.runtime", "AllocMonitor",
+        (
+            "Attach the hot-path allocation sanitizer to every new Network " + _ON,
+            "Stream the allocation sanitizer's per-event JSONL log to this "
+            "path (with REPRO_ALLOC).",
+        ),
         log="REPRO_ALLOC_LOG", shared=True,
     ),
     "profile": EnvRow(
-        ("REPRO_PROFILE", "REPRO_TELEMETRY"), "repro.obs.profiler", "Profiler"
+        ("REPRO_PROFILE", "REPRO_TELEMETRY"), "repro.obs.profiler", "Profiler",
+        (
+            "Profile every run: networks attach their simulator to an "
+            "engine profiler " + _ON,
+            "Directory for campaign telemetry JSONL; implies profiling "
+            "(records embed the engine profile).",
+        ),
     ),
 }
+
+
+def declared() -> List[Tuple[str, str]]:
+    """Every variable of :data:`ENV` with its meaning, in table order."""
+    found: List[Tuple[str, str]] = []
+    for row in ENV.values():
+        names = row.switches + ((row.log,) if row.log else ())
+        found.extend(zip(names, row.meanings))
+    return found
+
 
 #: Explicitly activated probes; the innermost of each kind is in force.
 _ACTIVE: List[Probe] = []
@@ -370,6 +402,7 @@ __all__ = [
     "active",
     "attach_active",
     "deactivate",
+    "declared",
     "exported",
     "fresh",
     "member",

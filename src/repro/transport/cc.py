@@ -17,12 +17,15 @@ strategy classes:
 All of the ECN-reacting schemes share the paper's Fig. 2 state machine —
 reduce at most once per round, tracked through ``cwr_seq`` — implemented
 once in the base class (:meth:`CongestionControl.update_cwr_state`,
-:meth:`CongestionControl.enter_reduced`).
+:meth:`CongestionControl.enter_reduced`).  The controllers of one flow
+come from its :class:`Coupling`, the base of TraSh, LIA and OLIA.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
+
+from repro.transport.receiver import EchoMode
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.transport.tcp import TcpSender
@@ -41,7 +44,7 @@ class CongestionControl:
     #: Whether the scheme sets ECT on its data packets (queues only mark ECT).
     ecn_capable = False
     #: Which receiver echo discipline the scheme expects.
-    echo_mode_name = "classic"
+    echo_mode = EchoMode.CLASSIC
 
     def __init__(self) -> None:
         self.sender: Optional["TcpSender"] = None
@@ -124,7 +127,6 @@ class RenoCC(CongestionControl):
     def __init__(self, ecn: bool = False) -> None:
         super().__init__()
         self.ecn_capable = ecn
-        self.echo_mode_name = "classic"
 
     def on_ack(
         self,
@@ -156,4 +158,41 @@ class RenoCC(CongestionControl):
         return 1.0 / max(sender.cwnd, 1.0)
 
 
-__all__ = ["CongestionControl", "RenoCC", "MIN_CWND", "NORMAL", "REDUCED"]
+class Coupling:
+    """One flow's controllers: hands out one per subflow.
+
+    A coupled scheme subclasses this with the state its controllers
+    share (TraSh's rate sum, LIA's alpha, OLIA's path sets), all of it
+    read off :meth:`active_senders`.  The base itself is the uncoupled
+    case: independent controllers, each built by ``factory``.
+    """
+
+    def __init__(self, factory: Callable[[], CongestionControl]) -> None:
+        self._factory = factory
+        self._controllers: List[CongestionControl] = []
+
+    def make_controller(self) -> CongestionControl:
+        controller = self._factory()
+        self._controllers.append(controller)
+        return controller
+
+    @property
+    def controllers(self) -> List[CongestionControl]:
+        return list(self._controllers)
+
+    def active_senders(self) -> Iterator["TcpSender"]:
+        """The senders of the subflows that are started and unfinished."""
+        for controller in self._controllers:
+            sender = controller.sender
+            if sender is not None and sender.running and not sender.completed:
+                yield sender
+
+
+__all__ = [
+    "CongestionControl",
+    "Coupling",
+    "RenoCC",
+    "MIN_CWND",
+    "NORMAL",
+    "REDUCED",
+]

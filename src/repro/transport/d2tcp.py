@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.transport.cc import MIN_CWND
 from repro.transport.dctcp import DctcpCC
 from repro.transport.tcp import FiniteSource
 
@@ -73,38 +72,9 @@ class D2tcpCC(DctcpCC):
             return source.total - sender.snd_una
         return None
 
-    # ------------------------------------------------------------------
-
-    def on_ack(self, newly_acked, ece_count, rtt_sample, now, round_ended):
-        # Reuse DCTCP's window accounting and once-per-round gating but
-        # substitute the gamma-corrected penalty for the reduction.
-        sender = self.sender
-        assert sender is not None
-        self.update_cwr_state(sender.snd_una)
-
-        self._acked_window += newly_acked
-        self._marked_window += min(ece_count, max(newly_acked, 1))
-        if round_ended and self._acked_window > 0:
-            fraction = min(1.0, self._marked_window / self._acked_window)
-            self.alpha += self.gain * (fraction - self.alpha)
-            self._acked_window = 0
-            self._marked_window = 0
-
-        if ece_count > 0 and self.state == 0:  # NORMAL
-            if self.enter_reduced():
-                self.reductions += 1
-                penalty = self.alpha ** self.imminence(now)
-                reduced = sender.cwnd * (1.0 - penalty / 2.0)
-                sender.cwnd = max(reduced, MIN_CWND)
-                sender.ssthresh = sender.cwnd - 1.0
-            return
-
-        if newly_acked <= 0 or sender.in_recovery or self.state != 0:
-            return
-        if self.in_slow_start:
-            sender.cwnd += newly_acked
-        else:
-            sender.cwnd += newly_acked / max(sender.cwnd, 1.0)
+    def penalty(self, now: float) -> float:
+        """DCTCP's alpha, gamma-corrected by the deadline imminence."""
+        return self.alpha ** self.imminence(now)
 
 
 __all__ = ["D2tcpCC", "D_MIN", "D_MAX"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.transport.cc import MIN_CWND, NORMAL, CongestionControl
+from repro.transport.receiver import EchoMode
 
 #: DCTCP's EWMA gain g (the reference implementation's 1/16).
 DEFAULT_GAIN = 1.0 / 16.0
@@ -26,7 +27,7 @@ class DctcpCC(CongestionControl):
     """DCTCP congestion control."""
 
     ecn_capable = True
-    echo_mode_name = "dctcp"
+    echo_mode = EchoMode.DCTCP
 
     def __init__(self, gain: float = DEFAULT_GAIN, initial_alpha: float = 1.0) -> None:
         super().__init__()
@@ -65,7 +66,7 @@ class DctcpCC(CongestionControl):
         if ece_count > 0 and self.state == NORMAL:
             if self.enter_reduced():
                 self.reductions += 1
-                reduced = sender.cwnd * (1.0 - self.alpha / 2.0)
+                reduced = sender.cwnd * (1.0 - self.penalty(now) / 2.0)
                 sender.cwnd = max(reduced, MIN_CWND)
                 sender.ssthresh = sender.cwnd - 1.0
             return
@@ -76,6 +77,10 @@ class DctcpCC(CongestionControl):
             sender.cwnd += newly_acked
         else:
             sender.cwnd += newly_acked / max(sender.cwnd, 1.0)
+
+    def penalty(self, now: float) -> float:
+        """The congestion penalty a reduction applies: ``cwnd *= 1 - p/2``."""
+        return self.alpha
 
     def on_timeout(self, now: float) -> None:
         super().on_timeout(now)

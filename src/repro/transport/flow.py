@@ -15,7 +15,7 @@ from repro.net.network import Network
 from repro.net.packet import MSS_BYTES
 from repro.net.routing import Path
 from repro.transport.cc import CongestionControl
-from repro.transport.receiver import DEFAULT_DELACK_TIMEOUT, EchoMode, Receiver
+from repro.transport.receiver import DEFAULT_DELACK_TIMEOUT, Receiver
 from repro.transport.tcp import (
     FiniteSource,
     InfiniteSource,
@@ -23,18 +23,6 @@ from repro.transport.tcp import (
     TcpSender,
     segments_for_bytes,
 )
-
-_ECHO_MODES = {
-    "xmp": EchoMode.XMP,
-    "dctcp": EchoMode.DCTCP,
-    "classic": EchoMode.CLASSIC,
-}
-
-
-def echo_mode_for(cc: CongestionControl) -> EchoMode:
-    """Map a congestion controller to the receiver echo discipline it expects."""
-    return _ECHO_MODES[cc.echo_mode_name]
-
 
 class SinglePathFlow:
     """One TCP-like flow pinned to one path."""
@@ -86,7 +74,7 @@ class SinglePathFlow:
             self.flow_id,
             0,
             network.reverse_path(path),
-            echo_mode=echo_mode_for(cc),
+            echo_mode=cc.echo_mode,
             delack_timeout=delack_timeout,
             sack_enabled=sack,
         )
@@ -129,4 +117,4 @@ class SinglePathFlow:
             self._user_on_complete(now)
 
 
-__all__ = ["SinglePathFlow", "echo_mode_for"]
+__all__ = ["SinglePathFlow"]

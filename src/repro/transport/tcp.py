@@ -51,7 +51,8 @@ class SegmentSource:
 
 
 class FiniteSource(SegmentSource):
-    """A fixed number of segments (one finite single-path flow)."""
+    """A fixed number of segments: one finite flow's data, or the pool the
+    subflows of one finite MPTCP connection share."""
 
     def __init__(self, total_segments: int) -> None:
         if total_segments < 0:
@@ -67,6 +68,26 @@ class FiniteSource(SegmentSource):
     @property
     def exhausted(self) -> bool:
         return self.granted >= self.total
+
+    @property
+    def remaining(self) -> int:
+        """Segments not yet handed to any (sub)flow."""
+        return self.total - self.granted
+
+    def restitute(self, count: int) -> None:
+        """Return ``count`` granted-but-undelivered segments to the pool.
+
+        Used by connection-level reinjection: when a subflow is declared
+        dead, the data it was assigned but never got acknowledged goes
+        back into the pool so surviving subflows can carry it.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        if count > self.granted:
+            raise ValueError(
+                f"cannot restitute {count} of {self.granted} granted segments"
+            )
+        self.granted -= count
 
 
 class InfiniteSource(SegmentSource):

@@ -48,7 +48,8 @@ class TestParser:
     def test_profile_defaults(self):
         args = build_parser().parse_args(["profile", "fattree"])
         assert args.experiment == "fattree"
-        assert args.scheme == "xmp"
+        # Not given: the kind's own config default (xmp) applies.
+        assert args.scheme is None
         assert args.top == 12
         assert args.telemetry == "telemetry"
         with pytest.raises(SystemExit):
@@ -111,6 +112,17 @@ class TestExecution:
         record = json.loads(lines[0])
         assert record["kind"] == "fattree"
         assert record["profile"]["hotspots"]
+
+    def test_profile_applies_flags_to_any_kind(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
+        assert main([
+            "profile", "workload", "--duration", "0.004", "--scheme", "dctcp",
+            "--subflows", "1", "--telemetry", str(tmp_path / "telem"),
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "profile: workload/DCTCP/" in out
+        assert "for 0.004s simulated" in out
 
     def test_experiment_with_telemetry(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
@@ -226,6 +238,25 @@ class TestInputValidation:
             main(argv)
         assert exit_info.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, complaint", [
+        (["workload", "--schemes", "xmp-0"], "xmp-0"),
+        (["fluid", "--subflows", "0"], "at least one subflow"),
+        (["fluid", "--flows", "0"], "at least one flow"),
+        (["fluid", "--scheme", "olia"], "invalid choice"),
+        (["profile", "workload", "--pattern", "random"], "--pattern"),
+        (["profile", "fig4", "--duration", "0.01"], "--duration"),
+    ], ids=["zero-subflows-spec", "fluid-subflows", "fluid-flows",
+            "fluid-scheme", "profile-pattern", "profile-duration"])
+    def test_bad_value_fails_at_parse_time_not_inside_a_cell(
+        self, argv, complaint, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert complaint in err.splitlines()[-1]
+        assert "Traceback" not in err
 
 
 class TestEnvironment:

@@ -34,10 +34,10 @@ class StubSender:
 
 
 def coupled(windows_and_rtts):
-    trash = TraSh()
+    trash = TraSh(beta=4)
     controllers = []
     for cwnd, srtt in windows_and_rtts:
-        controller = trash.make_controller(beta=4)
+        controller = trash.make_controller()
         controller.attach(StubSender(cwnd, srtt))
         controllers.append(controller)
     return trash, controllers
@@ -84,8 +84,8 @@ class TestTraShDelta:
         assert trash.min_rtt() == 100e-6
 
     def test_make_controller_returns_coupled_bos(self):
-        trash = TraSh()
-        controller = trash.make_controller(beta=5)
+        trash = TraSh(beta=5)
+        controller = trash.make_controller()
         assert isinstance(controller, BosCC)
         assert controller.beta == 5
         assert controller.delta_provider is not None

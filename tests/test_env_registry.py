@@ -1,19 +1,22 @@
-"""Drift control for the ``REPRO_*`` environment-variable registry.
+"""Drift control for the ``REPRO_*`` environment variables.
 
-``repro.core.env`` declares every environment knob in one table; these
-tests grep the tree from both directions so neither the code nor the
-docs can drift from it:
+Every environment knob is declared once, beside its reader — the probe
+switches on their ``repro.sim.probe.ENV`` rows, the cache directory in
+``repro.runner.cache`` — with its meaning; these tests grep the tree
+from both directions so neither the code nor the docs can drift from
+those declarations:
 
 * an AST scan over ``src/repro`` collects every ``REPRO_*`` literal the
   code actually *reads or writes through the environment* (``os.environ``
   subscripts, ``os.environ.get`` / ``os.getenv`` calls, literals handed
   to ``repro.sim.probe.setting``, and every literal inside a module
-  constant named ``ENV`` / ``*_ENV*`` — the switch table in
-  :mod:`repro.sim.probe`).  Every
-  collected name must be registered, and every row must be collected —
-  a row nothing reads is as stale as a read nothing documents;
+  constant whose name contains ``ENV`` — the declarations themselves,
+  which their readers index instead of spelling the names).  Every
+  collected name must be declared, and every declaration must be
+  collected — a row nothing reads is as stale as a read nothing
+  documents;
 * the environment table in OBSERVABILITY.md must be byte-identical to
-  ``repro.core.env.render_table()``.
+  ``repro.obs.telemetry.render_env_table()``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ import re
 from pathlib import Path
 from typing import Set
 
-from repro.core.env import ENV_VARS, by_name, render_table
+from repro.obs.telemetry import render_env_table
+from repro.runner.cache import ENV_CACHE_DIR
+from repro.sim.probe import declared
+
+#: name -> meaning of every declared variable.
+DECLARED = dict(declared() + [ENV_CACHE_DIR])
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -58,7 +66,7 @@ class _EnvReads(ast.NodeVisitor):
         """Every REPRO_* literal inside an ``ENV``-named constant counts:
         the table's readers index it instead of spelling the names."""
         if value is not None and any(
-            isinstance(t, ast.Name) and (t.id == "ENV" or "_ENV" in t.id)
+            isinstance(t, ast.Name) and "ENV" in t.id
             for t in targets
         ):
             for child in ast.walk(value):
@@ -103,40 +111,33 @@ def _scan_src() -> Set[str]:
 
 class TestRegistryShape:
     def test_names_well_formed_and_unique(self):
-        names = [var.name for var in ENV_VARS]
+        names = [name for name, _ in declared()] + [ENV_CACHE_DIR[0]]
         assert len(names) == len(set(names))
-        for var in ENV_VARS:
-            assert _NAME_RE.match(var.name), var.name
-            assert var.consumer
-            assert var.meaning.endswith(".")
-
-    def test_by_name_round_trips(self):
-        assert set(by_name()) == {var.name for var in ENV_VARS}
+        for name, meaning in DECLARED.items():
+            assert _NAME_RE.match(name), name
+            assert meaning.endswith(".")
 
 
 class TestCodeAgreement:
     def test_every_code_read_is_registered_as_process(self):
-        registry = by_name()
         for name in sorted(_scan_src()):
-            assert name in registry, (
-                f"{name} is read under src/repro but not declared in "
-                "repro.core.env.ENV_VARS"
+            assert name in DECLARED, (
+                f"{name} is read under src/repro but declared neither on a "
+                "repro.sim.probe.ENV row nor beside its reader"
             )
 
     def test_every_process_row_is_actually_read(self):
         touched = _scan_src()
-        for var in ENV_VARS:
-            assert var.name in touched, (
-                f"{var.name} is registered but nothing under src/repro "
-                "touches it"
+        for name in DECLARED:
+            assert name in touched, (
+                f"{name} is declared but nothing under src/repro touches it"
             )
 
 
 class TestDocAgreement:
     def test_observability_table_matches_registry(self):
         doc = (REPO / "OBSERVABILITY.md").read_text(encoding="utf-8")
-        table = render_table()
-        assert table in doc, (
+        assert render_env_table() in doc, (
             "OBSERVABILITY.md's environment table is stale: regenerate "
-            "it with repro.core.env.render_table()"
+            "it with repro.obs.telemetry.render_env_table()"
         )

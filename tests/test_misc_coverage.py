@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.metrics.collector import PeriodicSampler
-from repro.mptcp.coupling import UncoupledFactory
+from repro.transport.cc import Coupling
 from repro.net.queue import REDQueue
 from repro.sim.engine import Simulator
 from repro.transport.cc import RenoCC
@@ -14,14 +14,14 @@ from repro.transport.dctcp import DctcpCC
 
 class TestUncoupledFactory:
     def test_controllers_listed(self):
-        factory = UncoupledFactory(DctcpCC)
+        factory = Coupling(DctcpCC)
         a = factory.make_controller()
         b = factory.make_controller()
         assert factory.controllers == [a, b]
         assert a is not b
 
     def test_factory_builds_requested_type(self):
-        factory = UncoupledFactory(lambda: RenoCC(ecn=True))
+        factory = Coupling(lambda: RenoCC(ecn=True))
         controller = factory.make_controller()
         assert isinstance(controller, RenoCC)
         assert controller.ecn_capable

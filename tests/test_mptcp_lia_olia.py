@@ -6,6 +6,7 @@ import pytest
 
 from repro.mptcp.lia import LiaCC, LiaCoupling
 from repro.mptcp.olia import OliaCC, OliaCoupling
+from repro.transport.receiver import EchoMode
 
 
 class StubSender:
@@ -86,6 +87,7 @@ def olia_set(*windows_rtts):
     for w, r in windows_rtts:
         c = coupling.make_controller()
         c.attach(StubSender(w, r))
+        c.sender.cc = c  # what TcpSender's constructor establishes
         controllers.append(c)
     return coupling, controllers
 
@@ -165,9 +167,9 @@ class TestCouplingRegistry:
     def test_scheme_echo_modes(self):
         from repro.mptcp.coupling import create_coupling
 
-        assert create_coupling("xmp").make_controller().echo_mode_name == "xmp"
-        assert create_coupling("dctcp").make_controller().echo_mode_name == "dctcp"
-        assert create_coupling("tcp").make_controller().echo_mode_name == "classic"
+        assert create_coupling("xmp").make_controller().echo_mode is EchoMode.XMP
+        assert create_coupling("dctcp").make_controller().echo_mode is EchoMode.DCTCP
+        assert create_coupling("tcp").make_controller().echo_mode is EchoMode.CLASSIC
 
     def test_ecn_capability_by_scheme(self):
         from repro.mptcp.coupling import create_coupling

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mptcp.connection import MptcpConnection
-from repro.mptcp.scheduler import SharedSegmentPool
+from repro.transport.tcp import FiniteSource
 from repro.net.network import Network
 from repro.net.queue import ThresholdECNQueue
 
@@ -109,14 +109,14 @@ class TestReinjection:
 
 class TestPoolRestitution:
     def test_restitute_returns_capacity(self):
-        pool = SharedSegmentPool(100)
+        pool = FiniteSource(100)
         pool.take(60)
         pool.restitute(20)
         assert pool.remaining == 60
         assert pool.take(100) == 60
 
     def test_restitute_validation(self):
-        pool = SharedSegmentPool(10)
+        pool = FiniteSource(10)
         pool.take(5)
         with pytest.raises(ValueError):
             pool.restitute(6)
@@ -124,7 +124,7 @@ class TestPoolRestitution:
             pool.restitute(-1)
 
     def test_exhausted_flips_back(self):
-        pool = SharedSegmentPool(10)
+        pool = FiniteSource(10)
         pool.take(10)
         assert pool.exhausted
         pool.restitute(3)

@@ -8,11 +8,11 @@ from repro.experiments.reporting import (
     format_summary,
     format_table,
 )
-from repro.mptcp.scheduler import SharedSegmentPool
 from repro.transport.cc import RenoCC
 from repro.transport.dctcp import DctcpCC
-from repro.transport.flow import SinglePathFlow, echo_mode_for
+from repro.transport.flow import SinglePathFlow
 from repro.transport.receiver import EchoMode
+from repro.transport.tcp import FiniteSource
 from repro.core.bos import BosCC
 
 
@@ -62,9 +62,9 @@ class TestFormatSummaryAndSeries:
 
 class TestEchoModeMapping:
     def test_mapping(self):
-        assert echo_mode_for(BosCC()) is EchoMode.XMP
-        assert echo_mode_for(DctcpCC()) is EchoMode.DCTCP
-        assert echo_mode_for(RenoCC()) is EchoMode.CLASSIC
+        assert BosCC().echo_mode is EchoMode.XMP
+        assert DctcpCC().echo_mode is EchoMode.DCTCP
+        assert RenoCC().echo_mode is EchoMode.CLASSIC
 
 
 class TestSinglePathFlow:
@@ -103,7 +103,7 @@ class TestSinglePathFlow:
 
 class TestSharedPool:
     def test_remaining_tracks_grants(self):
-        pool = SharedSegmentPool(100)
+        pool = FiniteSource(100)
         pool.take(30)
         assert pool.remaining == 70
         pool.take(100)
@@ -111,7 +111,7 @@ class TestSharedPool:
         assert pool.exhausted
 
     def test_multiple_consumers_never_over_grant(self):
-        pool = SharedSegmentPool(50)
+        pool = FiniteSource(50)
         granted = 0
         for _ in range(10):
             granted += pool.take(16)

@@ -3,19 +3,19 @@
 import pytest
 
 from repro.mptcp.connection import MptcpConnection
-from repro.mptcp.coupling import XmpCoupling
+from repro.core.trash import TraSh
 from repro.topology.bottleneck import build_single_bottleneck
 
 
 class TestWeightPlumbing:
     def test_default_weight_one(self):
-        assert XmpCoupling(beta=4.0).weight == 1.0
+        assert TraSh(beta=4.0).weight == 1.0
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            XmpCoupling(beta=4.0, weight=0.0)
+            TraSh(beta=4.0, weight=0.0)
         with pytest.raises(ValueError):
-            XmpCoupling(beta=4.0, weight=-1.0)
+            TraSh(beta=4.0, weight=-1.0)
 
     def test_delta_scales_with_weight(self):
         import math
@@ -30,8 +30,8 @@ class TestWeightPlumbing:
             def instant_rate(self):
                 return self.cwnd / self.srtt
 
-        unit = XmpCoupling(beta=4.0, weight=1.0)
-        heavy = XmpCoupling(beta=4.0, weight=3.0)
+        unit = TraSh(beta=4.0, weight=1.0)
+        heavy = TraSh(beta=4.0, weight=3.0)
         c1 = unit.make_controller()
         c2 = heavy.make_controller()
         c1.attach(StubSender())
@@ -39,7 +39,7 @@ class TestWeightPlumbing:
         assert heavy.delta(c2, 0.0) == pytest.approx(3.0 * unit.delta(c1, 0.0))
 
     def test_fallback_delta_is_weight(self):
-        coupling = XmpCoupling(beta=4.0, weight=2.5)
+        coupling = TraSh(beta=4.0, weight=2.5)
         controller = coupling.make_controller()
         # No sender attached yet -> no rate info -> weight itself.
         assert coupling.delta(controller, 0.0) == 2.5

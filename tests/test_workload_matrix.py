@@ -15,8 +15,8 @@ from repro.experiments.workload_matrix import (
     WorkloadScenario,
     _simulate_incast,
     _simulate_workload,
-    parse_scheme_spec,
 )
+from repro.mptcp.coupling import parse_scheme_spec
 from repro.runner import Campaign, RunSpec, registered_kinds
 from repro.runner.cache import DiskCache, MemoryCache, RunCache
 from repro.validate.golden import digest_incast_sweep, digest_workload
