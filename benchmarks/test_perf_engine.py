@@ -12,6 +12,7 @@ from repro.net.node import Node
 from repro.net.packet import DATA, Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
+from repro.sim.events import Timer
 from repro.topology.bottleneck import build_single_bottleneck
 
 
@@ -28,6 +29,33 @@ def test_engine_schedule_run_throughput(benchmark):
 
     events = benchmark(run)
     assert events == 10_000
+
+
+def test_engine_post_chain_over_parked_timers(benchmark):
+    """20k events on 8 self-posting lanes while 10k armed ``Timer``s sit
+    parked a second out: promotions must not pay for what is merely
+    pending (the counted twin is the scaling guard in
+    tests/test_sim_calendar_properties.py)."""
+
+    def run():
+        sim = Simulator()
+        timers = [Timer(sim, lambda: None) for _ in range(10_000)]
+        for i, timer in enumerate(timers):
+            timer.start(1.0 + i * 1e-6)
+        fired = [0]
+
+        def tick():
+            fired[0] += 1
+            if fired[0] <= 20_000 - 8:
+                sim.post(60e-6, tick)
+
+        for lane in range(8):
+            sim.post(lane * 1e-6, tick)
+        sim.run(until=0.5)
+        return sim.events_processed
+
+    events = benchmark(run)
+    assert events == 20_000
 
 
 def test_link_pipeline_throughput(benchmark):

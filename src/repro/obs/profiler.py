@@ -63,9 +63,9 @@ class HeapStats:
     """Scheduler-health counters over the profiled window.
 
     The name predates the calendar-queue engine; the counters now cover
-    its three tiers.  ``promotions``/``max_run`` count sorted-run rebuilds
+    its four tiers.  ``promotions``/``max_run`` count sorted-run rebuilds
     and the largest run seen, ``far_spills`` counts records pulled from
-    the far heap into near buckets.
+    the far window into near buckets.
     """
 
     pushes: int

@@ -1,7 +1,7 @@
 """Discrete-event simulation engine.
 
 This package provides the event-driven substrate that everything else in
-:mod:`repro` runs on: a binary-heap scheduler (:class:`~repro.sim.engine.Simulator`),
+:mod:`repro` runs on: a calendar-queue scheduler (:class:`~repro.sim.engine.Simulator`),
 cancellable timers (:class:`~repro.sim.events.Event`), unit-conversion helpers
 (:mod:`repro.sim.units`) and reproducible per-component random streams
 (:mod:`repro.sim.random`).

@@ -1,21 +1,26 @@
 """Property-based equivalence tests for the calendar-queue scheduler.
 
-The calendar/ladder structure (sorted run / near bucket / far heap) must
-fire events in *exactly* the order a single reference binary heap would:
+The calendar/ladder structure (sorted run / near bucket / far window /
+parked tier) must fire events in *exactly* the order a single reference
+binary heap would:
 ascending ``(time, priority, seq)``, where ``seq`` is allocation order.
 These tests run every random workload twice — once on the real
 :class:`Simulator`, once on :class:`ReferenceSimulator`, a deliberately
 naive seed-style binary-heap scheduler defined below — and assert the
 fired sequences are identical, across dynamic (in-run) scheduling,
 ``post`` fast-path records, cancellations, same-instant priority ties,
-forced compaction, and ``run(until)`` / ``max_events`` interleavings.
+forced compaction, ``run(until)`` / ``max_events`` interleavings, and a
+long-dated population (hundreds to thousands of cancellable records many
+far windows ahead, cancelled before the run and while parked, compacted
+while parked, dropped by ``reset()``, reached by jump-ahead).
 (A flat "sort the creation log" oracle is *not* equivalent: an event
 created by a same-instant firing necessarily runs after its creator,
 which only an actual scheduler models.)
 
 Times are multiples of 1/1024 s so float sums are exact (PR 2's
-convention), and the scripts shrink the compaction threshold and lean on
-the engine's adaptive bucket width so small workloads still cross tier
+convention), and the scripts shrink the compaction threshold (and, for
+the long-dated population, the far-window length) and lean on the
+engine's adaptive bucket width so small workloads still cross tier
 boundaries.  Uses ``hypothesis`` when available, with a seeded-fuzz
 fallback exercising the same properties otherwise.
 """
@@ -145,15 +150,78 @@ def interpret(sim, script, until_ticks=None, max_events=None):
     return fired
 
 
-def check_workload(script, until_ticks=None, max_events=None):
-    real = Simulator()
+def check_workload(script, until_ticks=None, max_events=None, far_window=None,
+                   real=None):
+    real = real or Simulator()
     real.COMPACT_MIN_CANCELLED = 4  # instance attr shadows class default
+    if far_window is not None:
+        real.FAR_WINDOW = far_window
     fired = interpret(real, script, until_ticks, max_events)
     reference = interpret(
         ReferenceSimulator(), script, until_ticks, max_events
     )
     assert fired == reference
     assert real.pending_events - real.cancelled_pending == 0
+
+
+def with_long_dated(rng, script):
+    """``script`` plus a long-dated population, and how long it spans.
+
+    200-2,000 cancellable records, 64 or more ticks out and spread over
+    up to 65,536 (many far windows ahead whatever the adapted width), are
+    created by the setup program after its own ops.  A share of them is
+    cancelled in the setup program, another by the program of the first
+    event to fire — by then they are parked — and the two shares together
+    can pass one half, which forces a compaction while they are parked.
+    """
+    script = [list(ops) for ops in script] or [[]]
+    first = sum(op[0] != "cancel" for op in script[0])
+    n = rng.randrange(200, 2001)
+    span = rng.choice((256, 4096, 65536))
+
+    def cancels():
+        return [
+            ("cancel", 0, 0, first + rng.randrange(n))
+            for _ in range(int(rng.choice((0.0, 0.3, 0.7)) * n))
+        ]
+
+    script[0] += [
+        ("schedule", 64 + rng.randrange(span), rng.randrange(-2, 3), 0)
+        for _ in range(n)
+    ]
+    script[0] += cancels()
+    if len(script) == 1:
+        script.append([])
+    script[1] = cancels() + script[1]
+    return script, 64 + span
+
+
+def check_long_dated(script, seed, far_window):
+    rng = random.Random(seed)
+    script, span = with_long_dated(rng, script)
+    mode = rng.randrange(3)
+    if mode == 0:
+        check_workload(script, far_window=far_window)
+    elif mode == 1:
+        check_workload(
+            script,
+            until_ticks=rng.randrange(span),
+            max_events=rng.randrange(1, 2001),
+            far_window=far_window,
+        )
+    else:
+        # reset() with records parked: the reused simulator must then be
+        # indistinguishable from a fresh one.
+        real = Simulator()
+        real.FAR_WINDOW = far_window
+        stale = [real.schedule(t * TICK, lambda: None) for t in range(0, span, 7)]
+        real.run(until=rng.randrange(span) * TICK)
+        real.reset()
+        assert real.pending_events == 0
+        for handle in stale:
+            handle.cancel()  # no longer scheduler-resident: not counted
+        assert real.cancelled_pending == 0
+        check_workload(script, real=real)
 
 
 # ----------------------------------------------------------------------
@@ -189,7 +257,7 @@ def test_same_instant_priority_tie_across_promotion():
 def test_fifo_among_equal_priority_across_tiers():
     sim = Simulator()
     fired = []
-    # Same instant, scheduled in two phases: first up-front (far heap),
+    # Same instant, scheduled in two phases: first up-front (parked),
     # then from inside an earlier event (active run).  FIFO by seq must
     # hold across both origins.
     for i in range(4):
@@ -246,6 +314,109 @@ def test_counters_track_promotions_and_spills():
     assert sim.pending_events == 0
 
 
+#: Sub-tick grid for the lane tests below: 2**-20 s keeps sums exact.
+FINE = 1.0 / (1 << 20)
+
+
+def _lanes_over_parked(sim, fired, parked):
+    """8,000 events on 32 staggered self-posting lanes, 64 fine ticks
+    (~61 us) a step — the packet layers' shape: the bucket width stays
+    near 16 us, every post lands beyond the horizon and inside the ~4 ms
+    far window, so every promotion spills and sorts — over ``parked``
+    cancellable records 256 fine ticks (~0.25 ms) apart; every tenth is
+    cancelled mid-run, after the first far windows have opened."""
+    handles = []
+
+    def tick(i):
+        fired.append(("tick", i))
+        if i == 1000:
+            for handle in handles[::10]:
+                handle.cancel()
+        if i + 32 < 8000:
+            sim.post(64 * FINE, tick, i + 32)
+
+    for lane in range(32):
+        sim.post(lane * FINE, tick, lane)
+    for j in range(parked):
+        handles.append(sim.schedule((j + 1) * 256 * FINE, fired.append, ("timer", j)))
+
+
+def test_split_runs_inside_a_far_window_match_one_run():
+    """run(until) stopping with the far window half consumed and records
+    parked beyond it, resumed again and again, fires what one run fires."""
+    whole, split, reference = [], [], []
+    sim = Simulator()
+    _lanes_over_parked(sim, whole, 100)
+    sim.run()
+    ref = ReferenceSimulator()
+    _lanes_over_parked(ref, reference, 100)
+    ref.run()
+    assert whole == reference
+
+    sim = Simulator()
+    _lanes_over_parked(sim, split, 100)
+    stops = 0
+    for k in range(1, 100):
+        sim.run(until=k * 300 * FINE)  # ~0.29 ms: every phase of a window
+        stops += sim._horizon < sim._far_end and bool(sim._far) and bool(sim._parked)
+        assert sim.now == k * 300 * FINE
+    sim.run()
+    assert stops > 10, "the stops were meant to land inside far windows"
+    assert split == whole
+    assert sim.pending_events == 0
+
+
+def test_jump_ahead_reaches_parked_records_over_an_empty_far_window():
+    sim = Simulator()
+    fired = []
+    for delay in (900.0, 1.0, 30.0, 30.0, 2.0):
+        sim.schedule(delay, fired.append, delay)
+    assert sim.run() == 900.0
+    assert fired == [1.0, 2.0, 30.0, 30.0, 900.0]
+    # One jump per pending instant, not a bucket-by-bucket slide.
+    assert sim.promotions <= 4
+    assert sim.pending_events == 0
+    assert sim._promote() is False
+
+
+class _SortMeter(list):
+    """A tier list that counts the records each ``sort()`` is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = self.handed = 0
+
+    def sort(self):
+        self.calls += 1
+        self.handed += len(self)
+        super().sort()
+
+
+def _sort_work(parked):
+    sim = Simulator()
+    far = sim._far = _SortMeter()
+    beyond = sim._parked = _SortMeter()
+    fired = []
+    _lanes_over_parked(sim, fired, 0)
+    for j in range(parked):
+        sim.schedule(1.0 + j * FINE, fired.append, j)
+    sim.run(max_events=8000)
+    assert sim.pending_events == parked
+    return far.handed, beyond.calls, sim.promotions
+
+
+def test_promotion_cost_does_not_grow_with_parked_records():
+    """Scaling guard, in counts: 20,000 parked cancellable records add
+    nothing to what the promotions hand to the far sort, and are looked
+    at once per far window, not once per promotion."""
+    bare, _, promotions = _sort_work(0)
+    loaded, parked_sorts, loaded_promotions = _sort_work(20_000)
+    assert loaded_promotions == promotions > 100
+    assert bare > promotions  # the lanes do make every promotion sort
+    assert loaded == bare
+    assert parked_sorts <= promotions // 64
+
+
 # ----------------------------------------------------------------------
 # Drivers: hypothesis when present, seeded fuzz otherwise
 # ----------------------------------------------------------------------
@@ -292,6 +463,17 @@ if HAVE_HYPOTHESIS:
     ):
         check_workload(script, until_ticks=until_ticks, max_events=max_events)
 
+    @given(
+        scripts,
+        st.integers(min_value=0, max_value=2**32),
+        st.sampled_from((1, 4, 256)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_calendar_matches_reference_with_long_dated_population(
+        script, seed, far_window
+    ):
+        check_long_dated(script, seed, far_window)
+
 else:  # pragma: no cover - minimal images only
 
     def _random_script(rng):
@@ -327,4 +509,11 @@ else:  # pragma: no cover - minimal images only
                 _random_script(rng),
                 until_ticks=rng.randrange(0, 65),
                 max_events=rng.randrange(1, 41),
+            )
+
+    def test_calendar_matches_reference_with_long_dated_population():
+        rng = random.Random(0xFA12)
+        for _ in range(60):
+            check_long_dated(
+                _random_script(rng), rng.randrange(2**32), rng.choice((1, 4, 256))
             )
