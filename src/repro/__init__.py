@@ -37,7 +37,7 @@ from repro.sim import Simulator
 from repro.net import Network
 from repro.mptcp import MptcpConnection
 from repro.core import BosCC, TraSh
-from repro.transport import DctcpCC, RenoCC, SinglePathFlow
+from repro.transport import DctcpCC, RenoCC
 
 __version__ = "1.1.0"
 
@@ -49,6 +49,5 @@ __all__ = [
     "TraSh",
     "DctcpCC",
     "RenoCC",
-    "SinglePathFlow",
     "__version__",
 ]

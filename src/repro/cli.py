@@ -213,6 +213,12 @@ def _campaign(args: argparse.Namespace) -> Campaign:
     return Campaign(args.jobs, cache, telemetry=telemetry)
 
 
+def _reports(campaign: CampaignResult, kind: str) -> list:
+    """The ``kind`` probe's report from every cell that ran under one."""
+    probed = (result.metrics.probes for result in campaign.results)
+    return [probes[kind] for probes in probed if kind in probes]
+
+
 def _epilogue(args: argparse.Namespace, campaign: CampaignResult) -> str:
     """The ``[runner]`` summary (and optional per-cell table) for a run."""
     lines = [f"[runner] {campaign.summary()}"]
@@ -221,6 +227,25 @@ def _epilogue(args: argparse.Namespace, campaign: CampaignResult) -> str:
         lines.append(
             f"[validate] {len(campaign.results)} cells passed "
             f"({checks} invariant checks)"
+        )
+    # The sanitizers' verdicts, when REPRO_RACE / REPRO_ALLOC put them on.
+    race = _reports(campaign, "race")
+    if race:
+        events, batches, collisions = (
+            sum(report[key] for report in race)
+            for key in ("events", "batches", "collisions")
+        )
+        lines.append(
+            f"[race] {len(race)} cells, {events} events, "
+            f"{batches} same-instant batches, {collisions} collisions"
+        )
+    alloc = _reports(campaign, "alloc")
+    if alloc:
+        hot = sum(report["hot_events"] for report in alloc)
+        allocators = sorted({name for report in alloc for name in report["allocators"]})
+        lines.append(
+            f"[alloc] {len(alloc)} cells, {hot} hot events, "
+            f"allocators: {', '.join(allocators) or 'none'}"
         )
     if args.cells:
         lines.append(campaign.format_cells())

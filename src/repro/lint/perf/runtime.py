@@ -32,16 +32,11 @@ call graph; anything else is an *unexplained* allocation.
 
 from __future__ import annotations
 
-import json
 import tracemalloc
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.lint.perf.hotpaths import HotPathRegistry
 from repro.sim.probe import Probe
-
-#: Per-function JSONL records are capped so a long campaign cannot grow
-#: the log unboundedly; the in-memory totals are always complete.
-_LOG_RECORDS_PER_FUNCTION = 50
 
 #: Peak deltas at or below one boxed scalar are measurement noise, not
 #: allocation: CPython 3.11 has no int free list, so any arithmetic past
@@ -61,13 +56,11 @@ class AllocMonitor(Probe):
     def __init__(
         self,
         registry: Optional[HotPathRegistry] = None,
-        log_path: Optional[str] = None,
         trace_all: bool = False,
     ) -> None:
         self.registry = (
             registry if registry is not None else HotPathRegistry.load()
         )
-        self.log_path = log_path
         #: Trace every callback (micro-cell mode), not just registered
         #: hot functions; attribution keys stay dotted qnames.
         self.trace_all = trace_all
@@ -77,9 +70,8 @@ class AllocMonitor(Probe):
         self.stats: Dict[str, Dict[str, int]] = {}
         #: function object -> dotted qname (or None when not registered).
         self._resolved: Dict[Any, Optional[str]] = {}
-        self._logged: Dict[str, int] = {}
-        #: (dotted, time) of the hot callback currently firing, or None.
-        self._pending: Optional[tuple] = None
+        #: dotted qname of the hot callback currently firing, or None.
+        self._pending: Optional[str] = None
         self._baseline = 0
         self._started_tracing = not tracemalloc.is_tracing()
         if self._started_tracing:
@@ -121,7 +113,7 @@ class AllocMonitor(Probe):
             self._pending = None
             return
         self.hot_events += 1
-        self._pending = (dotted, when)
+        self._pending = dotted
         if tracemalloc.is_tracing():
             # Baseline first, reset second: get_traced_memory() reads the
             # counters *before* building its result tuple, so this order
@@ -133,11 +125,10 @@ class AllocMonitor(Probe):
 
     def on_event_settled(self) -> None:
         """Called by the engine loop after the callback returned."""
-        pending = self._pending
-        if pending is None:
+        dotted = self._pending
+        if dotted is None:
             return
         self._pending = None
-        dotted, when = pending
         delta = 0
         if tracemalloc.is_tracing():
             _current, peak = tracemalloc.get_traced_memory()
@@ -151,19 +142,6 @@ class AllocMonitor(Probe):
         if delta > 0:
             entry["alloc_events"] += 1
             entry["bytes"] += delta
-            if (
-                self.log_path is not None
-                and self._logged.get(dotted, 0) < _LOG_RECORDS_PER_FUNCTION
-            ):
-                self._logged[dotted] = self._logged.get(dotted, 0) + 1
-                record = {
-                    "kind": "alloc",
-                    "function": dotted,
-                    "time": when,
-                    "bytes": delta,
-                }
-                with open(self.log_path, "a", encoding="utf-8") as handle:
-                    handle.write(json.dumps(record, sort_keys=True) + "\n")
 
     # -- reporting -----------------------------------------------------
 
@@ -181,30 +159,14 @@ class AllocMonitor(Probe):
             and entry["alloc_events"] / entry["events"] >= min_ratio
         )
 
-    def summary(self) -> Dict[str, Any]:
-        """The run's totals, in the JSONL summary-record shape."""
+    def finish(self, context: str = "") -> Dict[str, Any]:
+        """The allocation report: the run's totals and per-function stats."""
         return {
-            "kind": "summary",
-            "probe": self.kind,
             "events": self.events,
             "hot_events": self.hot_events,
-            "functions": len(self.stats),
             "allocators": self.allocators(),
+            "functions": {name: dict(self.stats[name]) for name in sorted(self.stats)},
         }
-
-    def write_report(
-        self, path: str, extra: Optional[Dict[str, Any]] = None
-    ) -> None:
-        """Write per-function totals plus a trailing summary as JSONL."""
-        summary = self.summary()
-        if extra:
-            summary.update(extra)
-        with open(path, "w", encoding="utf-8") as handle:
-            for dotted in sorted(self.stats):
-                entry = self.stats[dotted]
-                record = {"kind": "function", "function": dotted, **entry}
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
 __all__ = ["AllocMonitor", "SCALAR_NOISE_BYTES"]

@@ -22,13 +22,12 @@ digests must be bit-identical with ``REPRO_RACE=1``
 Detection semantics: a "write" is an attribute *rebinding* (snapshot
 diff by identity-then-equality), so in-place container mutation
 (``list.append``) and a rebind to an equal value are invisible.
-Collisions stream to JSONL when a log path is set; see
-OBSERVABILITY.md for the record shape.
+Nothing is written while events fire: :meth:`RaceMonitor.finish` returns
+the run's report (see OBSERVABILITY.md for its shape).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.probe import Probe
@@ -71,8 +70,7 @@ class RaceMonitor(Probe):
 
     kind = "race"
 
-    def __init__(self, log_path: Optional[str] = None) -> None:
-        self.log_path = log_path
+    def __init__(self) -> None:
         #: Collision records, in observation order (see OBSERVABILITY.md).
         self.collisions: List[Dict[str, Any]] = []
         self.events = 0
@@ -140,41 +138,23 @@ class RaceMonitor(Probe):
         first: str,
         second: str,
     ) -> None:
-        record = {
-            "kind": "collision",
+        self.collisions.append({
             "time": when,
             "priority": priority,
             "receiver": type(receiver).__qualname__,
             "attr": attr,
             "first": first,
             "second": second,
-        }
-        self.collisions.append(record)
-        if self.log_path is not None:
-            with open(self.log_path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
+        })
 
-    def summary(self) -> Dict[str, Any]:
-        """The run's totals, in the JSONL summary-record shape."""
+    def finish(self, context: str = "") -> Dict[str, Any]:
+        """The race report: the run's totals and every collision record."""
         return {
-            "kind": "summary",
-            "probe": self.kind,
             "events": self.events,
             "batches": self.batches,
             "collisions": len(self.collisions),
+            "records": list(self.collisions),
         }
-
-    def write_report(
-        self, path: str, extra: Optional[Dict[str, Any]] = None
-    ) -> None:
-        """Write every collision plus a trailing summary line as JSONL."""
-        summary = self.summary()
-        if extra:
-            summary.update(extra)
-        with open(path, "w", encoding="utf-8") as handle:
-            for record in self.collisions:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.write(json.dumps(summary, sort_keys=True) + "\n")
 
 
 __all__ = ["RaceMonitor"]

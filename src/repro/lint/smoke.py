@@ -29,10 +29,10 @@ code 0 needs all of:
   ``post()`` cell (the ledger's ``sim.schedule_fire_ns`` /
   ``sim.post_fire_ns`` drivers) allocates on a majority of firings.
 
-``--out`` writes one JSONL report regardless of outcome (per scenario:
-collision records, the race summary, per-function allocation records,
-the allocation summary; then one summary per micro cell — see
-OBSERVABILITY.md), so CI can upload it as an artifact.
+``--out`` writes one JSONL report regardless of outcome — one line per
+scenario and per micro cell, whose ``probes`` object holds the monitors'
+``finish()`` reports exactly as a run record does (see OBSERVABILITY.md)
+— so CI can upload it as an artifact.
 """
 
 from __future__ import annotations
@@ -163,15 +163,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     records: List[Dict[str, Any]] = []
     ok = True
     for name in names:
-        with probing(RaceMonitor(), AllocMonitor(registry), Profiler()) as (
-            race, alloc, profiler
-        ):
+        with probing(RaceMonitor(), AllocMonitor(registry), Profiler()) as probes:
             digest, validator = run_scenario(name)
-        profile = profiler.snapshot()
-        unexplained = sorted(set(alloc.allocators()) - explained)
+        race, alloc, profile = (probe.finish(name) for probe in probes)
+        unexplained = sorted(set(alloc["allocators"]) - explained)
         problems: List[str] = []
-        if race.collisions:
-            problems.append(f"{len(race.collisions)} collision(s)")
+        if race["collisions"]:
+            problems.append(f"{race['collisions']} collision(s)")
         if unexplained:
             problems.append(
                 f"{len(unexplained)} unexplained allocator(s): "
@@ -185,13 +183,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "events but is not in hotpaths.toml"
                 )
         if not (
-            profile.events == race.events == alloc.events
+            profile.events == race["events"] == alloc["events"]
             == validator.events_seen
         ):
             problems.append(
                 f"probes disagree on the event count (profile "
-                f"{profile.events}, race {race.events}, alloc "
-                f"{alloc.events}, validate {validator.events_seen})"
+                f"{profile.events}, race {race['events']}, alloc "
+                f"{alloc['events']}, validate {validator.events_seen})"
             )
         if validator.violations:
             problems.append(
@@ -201,22 +199,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if differences:
             problems.append("digest mismatch under the sanitizers")
             print(format_diff(name, differences), file=sys.stderr)
-        records.extend(race.collisions)
-        records.append({**race.summary(), "scenario": name})
-        records.extend(
-            {"kind": "function", "scenario": name, "function": dotted,
-             **alloc.stats[dotted]}
-            for dotted in sorted(alloc.stats)
-        )
-        records.append(
-            {**alloc.summary(), "scenario": name, "unexplained": unexplained}
-        )
+        records.append({
+            "scenario": name,
+            "unexplained": unexplained,
+            "probes": {"race": race, "alloc": alloc},
+        })
         if problems or not args.quiet:
             print(
                 f"{name:<28} {', '.join(problems) or 'ok'}  "
-                f"[{race.events} events, "
-                f"{race.batches} same-instant batches, "
-                f"{alloc.hot_events} hot]"
+                f"[{race['events']} events, "
+                f"{race['batches']} same-instant batches, "
+                f"{alloc['hot_events']} hot]"
             )
         ok = ok and not problems
 
@@ -226,8 +219,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             events = cell(monitor)
         finally:
             monitor.close()
-        allocators = monitor.allocators()
-        records.append({**monitor.summary(), "scenario": name})
+        report = monitor.finish(name)
+        allocators = report["allocators"]
+        records.append({"scenario": name, "probes": {"alloc": report}})
         if allocators or not args.quiet:
             status = (
                 f"{len(allocators)} per-event allocator(s): "
@@ -237,7 +231,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             print(
                 f"{name:<28} {status}  [{events} events, "
-                f"{monitor.hot_events} traced]"
+                f"{report['hot_events']} traced]"
             )
         ok = ok and not allocators
 

@@ -16,13 +16,14 @@ implementation used — without simulating per-packet scheduler decisions.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.net.network import Network
 from repro.net.packet import MSS_BYTES
 from repro.net.routing import Path
 from repro.sim.probe import watchers
 from repro.sim.units import Seconds
+from repro.transport.cc import Coupling
 from repro.transport.receiver import DEFAULT_DELACK_TIMEOUT, Receiver
 from repro.transport.tcp import (
     FiniteSource,
@@ -53,7 +54,12 @@ class Subflow:
 
 
 class MptcpConnection:
-    """A multipath transfer from ``src`` to ``dst`` over explicit paths."""
+    """A multipath transfer from ``src`` to ``dst`` over explicit paths.
+
+    ``scheme`` is a :data:`~repro.mptcp.coupling.SCHEMES` name, or a
+    ready :class:`~repro.transport.cc.Coupling` for controllers the table
+    cannot parameterise (``Coupling(lambda: D2tcpCC(deadline=0.01))``).
+    """
 
     def __init__(
         self,
@@ -61,7 +67,7 @@ class MptcpConnection:
         src: str,
         dst: str,
         paths: Sequence[Path],
-        scheme: str = "xmp",
+        scheme: Union[str, Coupling] = "xmp",
         size_bytes: Optional[int] = None,
         flow_id: Optional[int] = None,
         beta: float = 4.0,
@@ -79,7 +85,8 @@ class MptcpConnection:
         self.network = network
         self.src = src
         self.dst = dst
-        self.scheme = scheme
+        #: The scheme's name (a ready coupling's class name when given one).
+        self.scheme = scheme if isinstance(scheme, str) else type(scheme).__name__
         self.flow_id = flow_id if flow_id is not None else network.next_flow_id()
         self.size_bytes = size_bytes
         self.on_complete = on_complete

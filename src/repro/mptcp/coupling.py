@@ -17,7 +17,7 @@ row here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple, Union
 
 from repro.core.bos import BosCC
 from repro.core.trash import TraSh
@@ -62,7 +62,8 @@ def _uncoupled(law: Callable[[], CongestionControl]) -> Builder:
 #: them.  ``beta`` only reaches the BOS rows and ``weight`` only XMP
 #: (bandwidth differentiation, see :class:`repro.core.trash.TraSh`);
 #: ``d2tcp`` hands out deadline-less controllers (d = 1, DCTCP-equivalent
-#: — per-flow deadlines are set by constructing ``D2tcpCC`` directly).
+#: — a flow with a deadline hands a connection a ready coupling instead:
+#: ``scheme=Coupling(lambda: D2tcpCC(deadline=...))``).
 SCHEMES: Dict[str, Scheme] = {
     row.name: row
     for row in (
@@ -92,8 +93,16 @@ def scheme_row(scheme: str) -> Scheme:
     return row
 
 
-def create_coupling(scheme: str, beta: float = 4.0, weight: float = 1.0) -> Coupling:
-    """Build the coupling object for ``scheme``, a :data:`SCHEMES` name."""
+def create_coupling(
+    scheme: Union[str, Coupling], beta: float = 4.0, weight: float = 1.0
+) -> Coupling:
+    """Build the coupling object for ``scheme``, a :data:`SCHEMES` name.
+
+    A ready :class:`Coupling` passes through, so whatever takes a scheme
+    name also takes hand-built controllers.
+    """
+    if isinstance(scheme, Coupling):
+        return scheme
     return scheme_row(scheme).build(beta, weight)
 
 

@@ -23,12 +23,7 @@ from repro.obs.profiler import (
 )
 from repro.obs.records import (
     TELEMETRY_SCHEMA,
-    QueueRecord,
-    SenderRecord,
     deterministic_view,
-    drain_link,
-    drain_queue,
-    drain_sender,
     run_record,
     to_jsonl,
 )
@@ -41,12 +36,7 @@ __all__ = [
     "ProfileSnapshot",
     "component_of",
     "TELEMETRY_SCHEMA",
-    "QueueRecord",
-    "SenderRecord",
     "deterministic_view",
-    "drain_link",
-    "drain_queue",
-    "drain_sender",
     "run_record",
     "to_jsonl",
     "RUNS_FILENAME",

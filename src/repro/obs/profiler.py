@@ -156,7 +156,7 @@ class Profiler(Probe):
     Attach with :meth:`attach` (or construct objects under
     ``probing(Profiler())`` and let :class:`~repro.net.network.Network`
     attach its simulator for you), run the simulation, then
-    :meth:`snapshot`.
+    :meth:`finish` (the snapshot is this kind's report).
     """
 
     kind = "profile"
@@ -225,6 +225,10 @@ class Profiler(Probe):
             self.max_run = size
 
     # -- results -------------------------------------------------------
+
+    def finish(self, context: str = "") -> ProfileSnapshot:
+        """The profile report: the counters so far, frozen."""
+        return self.snapshot()
 
     def snapshot(self) -> ProfileSnapshot:
         """Freeze the counters into a :class:`ProfileSnapshot`."""

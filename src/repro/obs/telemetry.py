@@ -4,9 +4,10 @@ A :class:`Telemetry` instance owns an output directory and appends one
 :func:`~repro.obs.records.run_record` line per campaign cell to
 ``<dir>/runs.jsonl``.  It is threaded through the campaign runner the
 same way the disk cache is: the **parent** process is the single writer
-(workers only compute; their profile snapshots ride home inside the
-pickled :class:`~repro.runner.spec.RunResult`), so concurrent cells never
-interleave partial lines.
+(workers only compute; every probe's report — the profile snapshot, the
+sanitizers' verdicts — rides home inside the pickled
+:class:`~repro.runner.spec.RunResult`), so concurrent cells never
+interleave partial lines and this file is the one place reports go.
 
 Switched on three equivalent ways:
 

@@ -11,8 +11,9 @@ than callables, for two reasons:
   process boundary.
 
 ``execute`` is the single choke point every simulation goes through: it
-resolves the kind, times the run, extracts the events-processed counter,
-and wraps everything in a :class:`~repro.runner.spec.RunResult`.
+resolves the kind, runs it under the requested probes, times the run,
+extracts the events-processed counter, and wraps everything in a
+:class:`~repro.runner.spec.RunResult`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Tuple
 
 from repro.runner.spec import SOURCE_RUN, CellMetrics, RunResult, RunSpec
-from repro.sim.probe import fresh, probing, requested
+from repro.sim.probe import BRACKET_ORDER, fresh, probing, requested
 
 
 #: Simulation backends a kind can run on.  "packet" is the per-event
@@ -92,38 +93,28 @@ def events_of(value: Any) -> int:
 def execute(spec: RunSpec) -> RunResult:
     """Run one spec from scratch, timed. Used inline and by pool workers.
 
-    When validation is requested (a validator is active in-process, or
-    ``$REPRO_VALIDATE`` is set — the CLI's ``--validate`` flag exports
-    it for the one command, and worker processes inherit it), the run executes
-    under a fresh :class:`~repro.validate.invariants.Validator` and
-    raises :class:`~repro.validate.invariants.InvariantError` on any
-    violation, naming the cell.
-
-    When profiling is requested (a profiler is active in-process, or
-    ``$REPRO_PROFILE`` / ``$REPRO_TELEMETRY`` is set — a campaign with a
-    telemetry sink exports the former for its workers), the run
-    executes under a fresh :class:`~repro.obs.profiler.Profiler` and its
-    snapshot lands in ``metrics.profile``.  Probes observe only; the
-    result value is byte-identical with and without them.
+    One rule for every probe kind: each kind that is requested (a probe
+    of it is active in-process, or one of its ``REPRO_*`` switches is on
+    — the CLI's ``--validate`` exports one for the command, a campaign
+    with a telemetry sink another, and worker processes inherit them)
+    gets a fresh probe for this cell, the cell runs under all of them,
+    and each is finished: its report lands in ``metrics.probes`` under
+    its kind, and a validator that saw a violation raises
+    :class:`~repro.validate.invariants.InvariantError` naming the cell.
+    Probes observe only; the result value is byte-identical with and
+    without them.
     """
     run = kind_entry(spec.kind).resolve()
-    profiler: Any = fresh("profile") if requested("profile") else None
-    validator: Any = fresh("validate") if requested("validate") else None
+    probes = [fresh(kind) for kind in BRACKET_ORDER if requested(kind)]
     started = time.perf_counter()
-    with probing(*(p for p in (profiler, validator) if p is not None)):
+    with probing(*probes):
         value = run(spec.config)
-    checks = 0
-    if validator is not None:
-        validator.finish()
-        validator.raise_if_violations(context=spec.label())
-        checks = validator.checks
-    wall = time.perf_counter() - started
+    reports = {probe.kind: probe.finish(spec.label()) for probe in probes}
     metrics = CellMetrics(
-        wall_time_s=wall,
+        wall_time_s=time.perf_counter() - started,
         events=events_of(value),
         source=SOURCE_RUN,
-        invariant_checks=checks,
-        profile=profiler.snapshot() if profiler is not None else None,
+        probes=reports,
     )
     return RunResult(spec=spec, value=value, metrics=metrics)
 

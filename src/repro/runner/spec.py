@@ -19,8 +19,8 @@ from (computed, memory tier, disk tier).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Dict
 
 #: Where a result came from.
 SOURCE_RUN = "run"
@@ -60,15 +60,21 @@ class CellMetrics:
     wall_time_s: float = 0.0
     events: int = 0
     source: str = SOURCE_RUN
-    #: Invariant checks performed while computing this cell (0 when the
-    #: run was not validated, or when the result came from a cache).
-    invariant_checks: int = 0
-    #: Engine profile of this cell's run — a
-    #: :class:`~repro.obs.profiler.ProfileSnapshot` when the cell was
-    #: simulated under profiling (``--telemetry`` / ``$REPRO_PROFILE``),
-    #: else ``None`` (unprofiled runs and cache hits alike).  Picklable,
-    #: so pool workers' profiles ride home inside the RunResult.
-    profile: Any = None
+    #: kind -> the :meth:`~repro.sim.probe.Probe.finish` report of every
+    #: probe this cell ran under (empty for unprobed runs and cache hits
+    #: alike).  Picklable, so pool workers' reports ride home inside the
+    #: RunResult and the parent is the only process that writes them.
+    probes: Dict[str, Any] = field(default_factory=dict)
+
+    @property
+    def profile(self) -> Any:
+        """The cell's :class:`~repro.obs.profiler.ProfileSnapshot`, if profiled."""
+        return self.probes.get("profile")
+
+    @property
+    def invariant_checks(self) -> int:
+        """Invariant checks performed while computing this cell (0: not validated)."""
+        return self.probes.get("validate", {}).get("checks", 0)
 
     @property
     def cached(self) -> bool:

@@ -7,11 +7,13 @@ bit-for-bit for a given seed.
 
 Cancellation uses lazy deletion: :meth:`Event.cancel` flips a flag and the
 scheduler skips cancelled events when it pops them.  This is much cheaper
-than re-heapifying and is the standard approach for timer-heavy network
-simulations (every TCP segment arms or re-arms an RTO timer).  The
-scheduler counts pending cancellations and compacts its heap when they
-dominate (see :meth:`repro.sim.engine.Simulator._compact`), so long runs
-with many cancelled retransmit timers don't degrade ``heappush`` cost.
+than removing the record from whichever tier of the calendar queue holds
+it and is the standard approach for timer-heavy network simulations
+(every TCP segment arms or re-arms an RTO timer).  The scheduler counts
+pending cancellations and compacts its four tiers when they dominate
+(see :meth:`repro.sim.engine.Simulator._compact`), so long runs with
+many cancelled retransmit timers don't carry them through every
+promotion.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        #: Back-reference set by the scheduler while the event is on its
-        #: heap, so cancellation can be counted for heap compaction; the
-        #: scheduler clears it when the event is popped.
+        #: Back-reference set by the scheduler while the event is pending,
+        #: so cancellation can be counted for compaction; the scheduler
+        #: clears it when the event is popped.
         self.sim: Optional["Simulator"] = None
 
     def cancel(self) -> None:
@@ -81,11 +83,11 @@ class Timer:
     """A restartable one-shot timer built on top of :class:`Event`.
 
     TCP retransmission timers are re-armed on every ACK; naively that would
-    push one heap entry per ACK.  ``Timer`` instead tracks a *deadline*:
+    push one scheduler record per ACK.  ``Timer`` instead tracks a *deadline*:
     when a restart only moves the deadline later (the overwhelmingly common
     case for RTO timers), the already-scheduled event is kept and simply
     re-schedules itself on wake-up if the deadline has moved.  This keeps
-    heap traffic at one event per expiry period instead of one per ACK.
+    scheduler traffic at one event per expiry period instead of one per ACK.
     """
 
     __slots__ = ("_sim", "_callback", "_event", "_deadline")
@@ -122,7 +124,7 @@ class Timer:
         self.start(delay)
 
     def cancel(self) -> None:
-        """Disarm the timer if pending (the heap entry is lazily skipped)."""
+        """Disarm the timer if pending (the pending event is lazily skipped)."""
         self._deadline = None
 
     def _fire(self) -> None:

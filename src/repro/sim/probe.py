@@ -15,6 +15,11 @@ import cycles and without loading any of the tools above:
   :func:`probing`, and the :data:`ENV` table mapping the ``REPRO_*``
   switches to lazily imported probe factories.
 
+Every kind has the same life: built, activated by :func:`probing` (new
+networks attach it), closed when the block exits, then
+:meth:`Probe.finish` does the kind's post-run work and returns its
+picklable report.
+
 The contract with the hot paths: a simulator whose ``probe`` slot is
 ``None`` (the default) runs the bare event loop and pays one ``is None``
 branch per ``schedule()``/``post()`` and per promotion; constructors of
@@ -83,6 +88,12 @@ class Probe:
 
     def close(self) -> None:
         """Release what the probe holds; :func:`probing` calls it on exit."""
+
+    def finish(self, context: str = "") -> Any:
+        """The end of a probe's life: do the kind's post-run work and
+        return its picklable report.  ``context`` names the run (a cell
+        label) in whatever the probe raises."""
+        return None
 
     # -- engine hooks --------------------------------------------------
 
@@ -194,49 +205,35 @@ class EnvRow(NamedTuple):
     #: Where the probe class lives; imported only when first needed.
     module: str
     factory: str
-    #: What setting each variable does, one sentence each: the switches
-    #: in order, then ``log`` (rendered into OBSERVABILITY.md's table).
+    #: What setting each switch does, one sentence each, in order
+    #: (rendered into OBSERVABILITY.md's table).
     meanings: Tuple[str, ...]
-    #: Variable naming a JSONL path handed to the factory as ``log_path``.
-    log: Optional[str] = None
-    #: True: the switch materialises one monitor shared by every Network
-    #: in the process.  False: :func:`repro.runner.registry.execute`
-    #: builds a fresh probe per campaign cell.
-    shared: bool = False
 
 
-_ON = "(any non-empty value other than 0)."
+_ON = "to every campaign cell (any non-empty value other than 0)."
 
 #: The one table from ``REPRO_*`` variables to probe factories, and the
-#: one place each of those variables is declared.
+#: one place each of those variables is declared.  A switch means the
+#: same thing for every kind: :func:`repro.runner.registry.execute`
+#: builds a fresh probe per campaign cell, finishes it, and carries its
+#: report home in the cell's metrics.
 ENV: Dict[str, EnvRow] = {
     "validate": EnvRow(
         ("REPRO_VALIDATE",), "repro.validate.invariants", "Validator",
-        ("Attach the runtime invariant validator to every campaign cell " + _ON,),
+        ("Attach the runtime invariant validator " + _ON,),
     ),
     "race": EnvRow(
         ("REPRO_RACE",), "repro.lint.race.runtime", "RaceMonitor",
-        (
-            "Attach the same-instant race sanitizer to every new Network " + _ON,
-            "Stream the race sanitizer's collision/summary JSONL report to "
-            "this path (with REPRO_RACE).",
-        ),
-        log="REPRO_RACE_LOG", shared=True,
+        ("Attach the same-instant race sanitizer " + _ON,),
     ),
     "alloc": EnvRow(
         ("REPRO_ALLOC",), "repro.lint.perf.runtime", "AllocMonitor",
-        (
-            "Attach the hot-path allocation sanitizer to every new Network " + _ON,
-            "Stream the allocation sanitizer's per-event JSONL log to this "
-            "path (with REPRO_ALLOC).",
-        ),
-        log="REPRO_ALLOC_LOG", shared=True,
+        ("Attach the hot-path allocation sanitizer " + _ON,),
     ),
     "profile": EnvRow(
         ("REPRO_PROFILE", "REPRO_TELEMETRY"), "repro.obs.profiler", "Profiler",
         (
-            "Profile every run: networks attach their simulator to an "
-            "engine profiler " + _ON,
+            "Attach the engine profiler " + _ON,
             "Directory for campaign telemetry JSONL; implies profiling "
             "(records embed the engine profile).",
         ),
@@ -246,18 +243,11 @@ ENV: Dict[str, EnvRow] = {
 
 def declared() -> List[Tuple[str, str]]:
     """Every variable of :data:`ENV` with its meaning, in table order."""
-    found: List[Tuple[str, str]] = []
-    for row in ENV.values():
-        names = row.switches + ((row.log,) if row.log else ())
-        found.extend(zip(names, row.meanings))
-    return found
+    return [pair for row in ENV.values() for pair in zip(row.switches, row.meanings)]
 
 
 #: Explicitly activated probes; the innermost of each kind is in force.
 _ACTIVE: List[Probe] = []
-
-#: The environment-requested shared monitors, by kind, once materialised.
-_SHARED: Dict[str, Probe] = {}
 
 
 def setting(name: str) -> Optional[str]:
@@ -298,8 +288,14 @@ def deactivate(probe: Optional[Probe] = None) -> None:
     _ACTIVE.pop()
 
 
-def _innermost(kind: str) -> Optional[Probe]:
-    """The innermost explicitly activated ``kind`` probe."""
+def active(kind: str) -> Optional[Probe]:
+    """The ``kind`` probe new simulators attach to, or ``None``.
+
+    The innermost explicitly activated one, so an experiment run
+    *inside* a probed block gets its own probe without disturbing the
+    outer one.  The environment never activates a probe by itself: a
+    ``Network`` built by hand is probed through :func:`probing`.
+    """
     for probe in reversed(_ACTIVE):
         if probe.kind == kind:
             return probe
@@ -307,14 +303,14 @@ def _innermost(kind: str) -> Optional[Probe]:
 
 
 def requested(kind: str) -> bool:
-    """Whether runs should carry a ``kind`` probe.
+    """Whether campaign cells should carry a ``kind`` probe.
 
     True when one is explicitly active in this process or any of the
     kind's environment switches is on — which is how the CLI's
     ``--validate`` / ``--telemetry`` flags reach pool workers (children
     inherit the environment).
     """
-    if _innermost(kind) is not None:
+    if active(kind) is not None:
         return True
     return any(setting(name) is not None for name in ENV[kind].switches)
 
@@ -322,29 +318,10 @@ def requested(kind: str) -> bool:
 def fresh(kind: str) -> Probe:
     """A new ``kind`` probe from its :data:`ENV` factory."""
     row = ENV[kind]
-    factory: Callable[..., Probe] = getattr(
+    factory: Callable[[], Probe] = getattr(
         importlib.import_module(row.module), row.factory
     )
-    if row.log is None:
-        return factory()
-    return factory(log_path=setting(row.log))
-
-
-def active(kind: str) -> Optional[Probe]:
-    """The ``kind`` probe new simulators attach to, or ``None``.
-
-    The innermost explicitly activated one wins, so an experiment run
-    *inside* a probed block gets its own probe without disturbing the
-    outer one.  Otherwise a ``shared`` kind whose switch is on
-    materialises its process-wide monitor on first use.
-    """
-    probe = _innermost(kind)
-    row = ENV[kind]
-    if probe is not None or not row.shared or setting(row.switches[0]) is None:
-        return probe
-    if kind not in _SHARED:
-        _SHARED[kind] = fresh(kind)
-    return _SHARED[kind]
+    return factory()
 
 
 def attach_active(sim: Any) -> None:
@@ -356,16 +333,15 @@ def attach_active(sim: Any) -> None:
 
 
 def watchers() -> Tuple[Probe, ...]:
-    """The explicitly activated probes, innermost per kind.
+    """The active probes, innermost per kind.
 
     What constructors hand new links, senders and connections to
-    (``watch_*``).  The shared environment monitors watch simulators
-    only, which keeps this a bare truth test — no environment read per
+    (``watch_*``): a bare truth test — no environment read per
     constructed object — when nothing is active.
     """
     if not _ACTIVE:
         return ()
-    found = map(_innermost, BRACKET_ORDER)
+    found = map(active, BRACKET_ORDER)
     return tuple(probe for probe in found if probe is not None)
 
 
@@ -377,7 +353,7 @@ def probing(*probes: Probe) -> Iterator[Any]:
 
         with probing(Profiler()) as prof:
             _simulate(Fig1Config())  # anything that builds networks
-        print(prof.snapshot().format())
+        print(prof.finish().format())
 
     Yields the probe itself when given one, the tuple when given several.
     """

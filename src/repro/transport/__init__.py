@@ -12,7 +12,6 @@ from repro.transport.dctcp import DctcpCC
 from repro.transport.d2tcp import D2tcpCC
 from repro.transport.receiver import Receiver, EchoMode
 from repro.transport.tcp import TcpSender, SegmentSource, FiniteSource, InfiniteSource
-from repro.transport.flow import SinglePathFlow
 
 __all__ = [
     "RttEstimator",
@@ -27,5 +26,4 @@ __all__ = [
     "SegmentSource",
     "FiniteSource",
     "InfiniteSource",
-    "SinglePathFlow",
 ]

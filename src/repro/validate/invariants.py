@@ -119,7 +119,7 @@ class SimObserver(Probe):
         if observer is not None and observer.link.up:
             observer.on_transmit(observer.link, args[0])
 
-    def finish(self) -> None:
+    def finish(self, context: str = "") -> None:
         v = self.validator
         v.checks += 1
         fired = self.sim.events_processed - self.base_events
@@ -524,8 +524,8 @@ class Validator(Probe):
     :func:`repro.sim.probe.probing`); constructors in the instrumented
     modules register new simulators, queues, links, senders and
     connections automatically.  Call :meth:`finish` after the simulation
-    to run the post-hoc conservation sweeps, then
-    :meth:`raise_if_violations` (or inspect :attr:`violations`).
+    to run the post-hoc conservation sweeps and raise on any violation
+    (or :meth:`sweep`, then inspect :attr:`violations`).
     """
 
     kind = "validate"
@@ -628,8 +628,19 @@ class Validator(Probe):
 
     # -- post-run -------------------------------------------------------
 
-    def finish(self) -> None:
-        """Run the post-hoc sweeps (conservation, counter consistency)."""
+    def finish(self, context: str = "") -> Dict[str, int]:
+        """Sweep, raise :class:`InvariantError` naming ``context`` on any
+        violation, and return the validation report."""
+        self.sweep()
+        self.raise_if_violations(context)
+        return {
+            "events": self.events_seen,
+            "checks": self.checks,
+            "watched_objects": self.watched_objects,
+        }
+
+    def sweep(self) -> None:
+        """Run the post-hoc sweeps (conservation, counter consistency), once."""
         if self.finished:
             return
         self.finished = True
@@ -715,11 +726,9 @@ class Validator(Probe):
 
 @contextlib.contextmanager
 def validating(
-    validator: Optional[Validator] = None,
-    finish: bool = True,
-    raise_on_violation: bool = True,
+    validator: Optional[Validator] = None, raise_on_violation: bool = True
 ) -> Iterator[Validator]:
-    """Run a block with an active validator; finish and (optionally) raise.
+    """Run a block under a validator, then finish it.
 
     Usage::
 
@@ -729,18 +738,17 @@ def validating(
             net.sim.run(until=0.5)
         # post-run checks ran; InvariantError raised if anything fired
 
-    Pass ``raise_on_violation=False`` to inspect ``v.violations`` yourself
-    (the negative tests do), or ``finish=False`` to also skip the post-run
-    sweep.
+    Pass ``raise_on_violation=False`` to only sweep and inspect
+    ``v.violations`` yourself (the negative tests do).
     """
     if validator is None:
         validator = Validator()
     with probing(validator):
         yield validator
-    if finish:
-        validator.finish()
     if raise_on_violation:
-        validator.raise_if_violations()
+        validator.finish()
+    else:
+        validator.sweep()
 
 
 __all__ = [

@@ -281,35 +281,28 @@ def test_smoke_report_and_exit_codes(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "bottleneck-xmp" in out and "micro_hotpath_fire" in out
 
-    summaries = {
-        (r["scenario"], r["probe"]): r
-        for r in records
-        if r["kind"] == "summary"
+    # One line per scenario and micro cell; its ``probes`` object holds
+    # the monitors' finish() reports, as a run record's does.
+    by_scenario = {r["scenario"]: r["probes"] for r in records}
+    assert {name: set(probes) for name, probes in by_scenario.items()} == {
+        "bottleneck-xmp": {"race", "alloc"},
+        "micro_schedule_fire": {"alloc"},
+        "micro_hotpath_fire": {"alloc"},
     }
-    assert set(summaries) == {
-        ("bottleneck-xmp", "race"),
-        ("bottleneck-xmp", "alloc"),
-        ("micro_schedule_fire", "alloc"),
-        ("micro_hotpath_fire", "alloc"),
-    }
-    race = summaries["bottleneck-xmp", "race"]
-    assert race["collisions"] == 0 and race["batches"] > 0
-    alloc = summaries["bottleneck-xmp", "alloc"]
-    assert alloc["unexplained"] == [] and alloc["hot_events"] > 0
+    race, alloc = (by_scenario["bottleneck-xmp"][kind] for kind in ("race", "alloc"))
+    assert set(race) == {"events", "batches", "collisions", "records"}
+    assert race["collisions"] == 0 and race["records"] == [] and race["batches"] > 0
+    assert set(alloc) == {"events", "hot_events", "allocators", "functions"}
+    assert records[0]["unexplained"] == [] and alloc["hot_events"] > 0
     assert alloc["events"] == race["events"]  # one run, both monitors
-    functions = [r for r in records if r["kind"] == "function"]
-    assert functions and all(
-        r["scenario"] == "bottleneck-xmp" and r["events"] > 0
-        for r in functions
-    )
+    functions = alloc["functions"]
+    assert functions and all(entry["events"] > 0 for entry in functions.values())
     # The validator watches links without renaming their callbacks, so
     # the allocation monitor sees the hottest one of all.
-    assert "repro.net.link.Link._finish_transmission" in {
-        r["function"] for r in functions
-    }
+    assert "repro.net.link.Link._finish_transmission" in functions
     assert alloc["hot_events"] >= 0.98 * alloc["events"]
     for cell in ("micro_schedule_fire", "micro_hotpath_fire"):
-        assert summaries[cell, "alloc"]["allocators"] == []
+        assert by_scenario[cell]["alloc"]["allocators"] == []
 
     # An observed collision fails the run and lands in the report.
     class PlantedCollision(RaceMonitor):
@@ -324,7 +317,7 @@ def test_smoke_report_and_exit_codes(tmp_path, capsys, monkeypatch):
         patch.setattr(smoke, "RaceMonitor", PlantedCollision)
         code, records = _smoke(tmp_path, "-q")
     assert code == 1
-    assert [r["attr"] for r in records if r["kind"] == "collision"] == ["attr"]
+    assert [r["attr"] for r in records[0]["probes"]["race"]["records"]] == ["attr"]
     assert "1 collision(s)" in capsys.readouterr().out
 
     # So does an allocator the static summaries cannot explain.
@@ -334,12 +327,8 @@ def test_smoke_report_and_exit_codes(tmp_path, capsys, monkeypatch):
         )
         code, records = _smoke(tmp_path, "-q")
     assert code == 1
-    (alloc,) = [
-        r for r in records
-        if r["kind"] == "summary" and r["scenario"] == "bottleneck-xmp"
-        and r["probe"] == "alloc"
-    ]
-    assert alloc["unexplained"] == alloc["allocators"] != []
+    (record,) = records
+    assert record["unexplained"] == record["probes"]["alloc"]["allocators"] != []
     assert "unexplained allocator(s)" in capsys.readouterr().out
 
     # And so does a callback hotpaths.toml does not register firing more

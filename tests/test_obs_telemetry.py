@@ -1,5 +1,5 @@
 """Telemetry tests (repro.obs): the JSONL sink, the record schema, the
-drain helpers, and the determinism contract — records identical across
+samplers' plain-value series, and the determinism contract — records identical across
 ``--jobs 1`` / ``--jobs 4`` and cache hit / miss modulo the wall-clock
 and provenance fields, and profiling never changing simulation output.
 """
@@ -18,9 +18,6 @@ from repro.mptcp.connection import MptcpConnection
 from repro.obs.records import (
     TELEMETRY_SCHEMA,
     deterministic_view,
-    drain_link,
-    drain_queue,
-    drain_sender,
     to_jsonl,
 )
 from repro.obs.telemetry import Telemetry, from_environment
@@ -174,17 +171,6 @@ class TestDrainHelpers:
         net.sim.run(until=0.03)
         return net, conn, rates, queues
 
-    def test_drain_link_and_queue(self, ran_net):
-        net, _conn, _rates, _queues = ran_net
-        link = next(link for link in net.links if link.src.name == "A")
-        record = drain_link(link)
-        assert record.name == link.name
-        assert record.enqueued >= record.dequeued > 0
-        assert record.max_occupancy >= record.occupancy >= 0
-        assert drain_queue("other-name", link.queue).name == "other-name"
-        payload = json.loads(to_jsonl([record.as_dict()]))
-        assert payload["enqueued"] == record.enqueued
-
     def test_drain_sampler_shapes(self, ran_net):
         """A sampler needs no drain helper: its ``series`` is already a
         plain value — same shape for every sampler, no simulator
@@ -196,12 +182,3 @@ class TestDrainHelpers:
         assert queues.series.times == rates.series.times
         for series in (rates.series, queues.series):
             assert pickle.loads(pickle.dumps(series)) == series
-
-    def test_drain_sender(self, ran_net):
-        _net, conn, _rates, _queues = ran_net
-        record = drain_sender("f", conn.subflows[0].sender)
-        assert record.delivered_segments > 0
-        assert record.cwnd > 0
-        as_dict = record.as_dict()
-        assert as_dict["name"] == "f"
-        assert json.loads(to_jsonl([as_dict]))["running"] == record.running

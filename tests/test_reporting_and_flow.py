@@ -1,4 +1,4 @@
-"""Tests for text reporting helpers, SinglePathFlow and the shared pool."""
+"""Tests for text reporting helpers, single-path flows and the shared pool."""
 
 import pytest
 
@@ -8,9 +8,9 @@ from repro.experiments.reporting import (
     format_summary,
     format_table,
 )
+from repro.mptcp.connection import MptcpConnection
 from repro.transport.cc import RenoCC
 from repro.transport.dctcp import DctcpCC
-from repro.transport.flow import SinglePathFlow
 from repro.transport.receiver import EchoMode
 from repro.transport.tcp import FiniteSource
 from repro.core.bos import BosCC
@@ -68,9 +68,12 @@ class TestEchoModeMapping:
 
 
 class TestSinglePathFlow:
+    """One subflow, uncoupled controller: ``MptcpConnection`` is the flow."""
+
     def test_infinite_flow(self, two_host_net):
-        flow = SinglePathFlow(
-            two_host_net, "A", "B", two_host_net.paths("A", "B")[0], BosCC()
+        flow = MptcpConnection(
+            two_host_net, "A", "B", two_host_net.paths("A", "B"),
+            scheme="bos-uncoupled",
         )
         flow.start()
         two_host_net.sim.run(until=0.05)
@@ -80,18 +83,19 @@ class TestSinglePathFlow:
 
     def test_completion_callback(self, two_host_net):
         seen = []
-        flow = SinglePathFlow(
-            two_host_net, "A", "B", two_host_net.paths("A", "B")[0],
-            BosCC(), size_bytes=100_000, on_complete=seen.append,
+        flow = MptcpConnection(
+            two_host_net, "A", "B", two_host_net.paths("A", "B"),
+            scheme="bos-uncoupled", size_bytes=100_000,
+            on_complete=lambda conn, now: seen.append((conn, now)),
         )
         flow.start()
         two_host_net.sim.run(until=0.5)
-        assert seen
-        assert flow.complete_time == seen[0]
+        assert seen == [(flow, flow.complete_time)]
 
     def test_stop(self, two_host_net):
-        flow = SinglePathFlow(
-            two_host_net, "A", "B", two_host_net.paths("A", "B")[0], BosCC()
+        flow = MptcpConnection(
+            two_host_net, "A", "B", two_host_net.paths("A", "B"),
+            scheme="bos-uncoupled",
         )
         flow.start()
         two_host_net.sim.run(until=0.01)

@@ -2,7 +2,9 @@
 
 One file for what used to be four per-package copies: the activation
 registry (stack discipline, innermost-per-kind nesting, the ``REPRO_*``
-switches), the bracket order a :class:`ProbeSet` fans out in, the
+switches), the one lifecycle ``execute()`` gives every kind (built per
+cell, finished, reported through ``CellMetrics.probes`` into the run
+record), the bracket order a :class:`ProbeSet` fans out in, the
 ``max_events`` budget on the probed loop, the observe-never-perturb
 guarantee with all four probe kinds attached at once, the
 never-replace-what-you-watch rule, and the import
@@ -11,6 +13,9 @@ hygiene that motivates keeping the seam dependency-free.
 
 from __future__ import annotations
 
+import json
+import pickle
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -18,10 +23,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.fattree_eval import FatTreeScenario
+from repro.experiments.fig4_traffic_shifting import Fig4Config
 from repro.lint.perf.runtime import AllocMonitor
 from repro.lint.race.runtime import RaceMonitor
 from repro.net.network import Network
 from repro.obs.profiler import Profiler
+from repro.obs.records import deterministic_view, run_record
+from repro.obs.telemetry import Telemetry
+from repro.runner import Campaign, RunResult, RunSpec, execute
 from repro.sim import probe as seam
 from repro.sim.engine import Simulator
 from repro.sim.probe import (
@@ -36,7 +46,7 @@ from repro.sim.probe import (
     requested,
 )
 from repro.validate.golden import check_digest
-from repro.validate.invariants import Validator
+from repro.validate.invariants import InvariantError, Validator
 from repro.validate.scenarios import SCENARIOS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -195,10 +205,11 @@ def test_nesting_innermost_per_kind(kind):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["validate", "profile"])
+@pytest.mark.parametrize("kind", BRACKET_ORDER)
 def test_env_switch_requests_probe(kind, monkeypatch):
-    """Per-cell kinds: the switch makes ``execute`` build a fresh probe;
-    it does not by itself attach anything to a bare ``Network``."""
+    """One rule for every kind: the switch makes ``execute`` build a fresh
+    probe per cell; it does not by itself attach anything to a ``Network``
+    built by hand (that takes ``probing(...)``)."""
     switches = seam.ENV[kind].switches
     for name in switches:
         monkeypatch.delenv(name, raising=False)
@@ -214,6 +225,8 @@ def test_env_switch_requests_probe(kind, monkeypatch):
         assert not requested(kind)
     first, second = seam.fresh(kind), seam.fresh(kind)
     assert type(first) is FACTORIES[kind] and first is not second
+    first.close()
+    second.close()
 
 
 def test_telemetry_switch_names_the_sink(monkeypatch, tmp_path):
@@ -226,32 +239,99 @@ def test_telemetry_switch_names_the_sink(monkeypatch, tmp_path):
     assert requested("profile")  # telemetry implies profiling
 
 
-@pytest.mark.parametrize("kind", ["race", "alloc"])
-def test_env_monitor_is_shared(kind, monkeypatch, tmp_path):
-    """Ambient kinds: the switch materialises one process-wide monitor,
-    the log variable reaches it, and every new Network attaches it."""
-    switch, log = seam.ENV[kind].switches[0], seam.ENV[kind].log
-    monkeypatch.setattr(seam, "_SHARED", {})
-    monkeypatch.delenv(switch, raising=False)
-    assert active(kind) is None
-    monkeypatch.setenv(switch, "1")
-    monkeypatch.setenv(log, str(tmp_path / "report.jsonl"))
-    assert requested(kind)
-    monitor = active(kind)
-    try:
-        assert type(monitor) is FACTORIES[kind]
-        assert monitor.log_path == str(tmp_path / "report.jsonl")
-        assert active(kind) is monitor  # shared per process
-        assert Network().sim.probe is monitor
-        assert Network().sim.probe is monitor
-        explicit = FACTORIES[kind]()
-        with probing(explicit):  # explicit activation wins
-            assert active(kind) is explicit
-        monkeypatch.setenv(switch, "0")
-        assert active(kind) is None and not requested(kind)
-        assert Network().sim.probe is None
-    finally:
-        monitor.close()
+# ----------------------------------------------------------------------
+# One lifecycle: execute() builds, finishes and reports every kind
+# ----------------------------------------------------------------------
+
+CELL = RunSpec("fattree", FatTreeScenario(duration=0.004))
+
+
+def _events_in(report):
+    """The event count of a finish() report (a dict, or the profile snapshot)."""
+    return report["events"] if isinstance(report, dict) else report.events
+
+
+@pytest.fixture
+def switches_off(monkeypatch):
+    for row in seam.ENV.values():
+        for name in row.switches:
+            monkeypatch.delenv(name, raising=False)
+
+
+@pytest.mark.parametrize("kind", BRACKET_ORDER)
+def test_execute_finishes_and_reports_every_requested_kind(kind, monkeypatch, switches_off):
+    assert execute(CELL).metrics.probes == {}
+    monkeypatch.setenv(seam.ENV[kind].switches[0], "1")
+    metrics = execute(CELL).metrics
+    assert list(metrics.probes) == [kind]
+    assert _events_in(metrics.probes[kind]) == metrics.events > 0
+    assert pickle.loads(pickle.dumps(metrics)) == metrics
+    # The two readers older than ``probes`` still work.
+    assert (metrics.profile is not None) == (kind == "profile")
+    assert (metrics.invariant_checks > 0) == (kind == "validate")
+    record = run_record(RunResult(CELL, None, metrics))
+    assert record["schema"] == 4 and set(record["probes"]) == set(BRACKET_ORDER) - {"profile"}
+    json.dumps(record)  # every report is JSON-ready
+    if kind == "profile":
+        assert record["profile"]["events"] == metrics.events
+    else:
+        assert record["probes"][kind]["events"] == record["events"]
+        assert record["profile"] is None
+
+
+def test_finish_raises_the_validators_violations_naming_the_cell():
+    validator = Validator()
+    validator.record("queue-admission", "toy", "planted")
+    with pytest.raises(InvariantError, match="1 invariant violation in fattree/XMP-2"):
+        validator.finish("fattree/XMP-2")
+    assert validator.finished
+
+
+def test_reports_are_equal_across_jobs_and_written_by_the_parent_only(
+    monkeypatch, switches_off, tmp_path
+):
+    specs = [
+        RunSpec("fattree", FatTreeScenario(duration=0.002, scheme=scheme))
+        for scheme in ("xmp", "dctcp")
+    ]
+    for name in ("REPRO_VALIDATE", "REPRO_RACE", "REPRO_ALLOC"):
+        monkeypatch.setenv(name, "1")
+    views = []
+    for jobs in (1, 2):
+        sink = Telemetry(tmp_path / f"jobs{jobs}")
+        Campaign(jobs=jobs, use_cache=False, telemetry=sink).run(specs)
+        records = sink.read_records()
+        assert len(records) == len(specs)  # one per cell, in one file
+        assert [path.name for path in sink.directory.iterdir()] == ["runs.jsonl"]
+        views.append([deterministic_view(record) for record in records])
+    assert views[0] == views[1]
+    for view in views[0]:
+        probes = view["probes"]
+        assert probes["race"]["events"] == probes["alloc"]["events"] == view["events"]
+        assert probes["validate"]["checks"] == view["invariant_checks"] > 0
+        assert view["profile"]["events"] == view["events"]
+
+
+def test_race_switch_on_a_clean_fig4_cell_reports_instead_of_staying_silent(
+    monkeypatch, switches_off, capsys
+):
+    """The silent-run regression: a clean sanitized run says it ran."""
+    from repro.cli import main
+
+    argv = ["fig4", "--time-scale", "0.002", "--no-cache"]
+    assert main(argv) == 0
+    assert "[race]" not in capsys.readouterr().out
+    monkeypatch.setenv("REPRO_RACE", "1")
+    assert main(argv) == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("[race]")]
+    cells, events, collisions = re.fullmatch(
+        r"\[race\] (\d+) cells, (\d+) events, \d+ same-instant batches, (\d+) collisions",
+        line,
+    ).groups()
+    assert (cells, collisions) == ("1", "0") and int(events) > 0
+    report = execute(RunSpec("fig4", Fig4Config(time_scale=0.002))).metrics.probes["race"]
+    assert report["collisions"] == 0 and report["records"] == []
+    assert report["events"] == int(events)
 
 
 # ----------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.lint.perf.runtime import SCALAR_NOISE_BYTES, AllocMonitor
 from repro.lint.registry import catalog, known_codes
 from repro.lint.sem import ProjectAnalyzer
 from repro.lint.smoke import tree_summaries
+from repro.obs.records import to_jsonl
 from repro.sim.engine import Simulator
 from repro.sim.probe import probing
 
@@ -266,37 +267,19 @@ def test_majority_ratio_separates_warmup_from_structural():
     monitor.close()
 
 
-def test_monitor_writes_jsonl_report(tmp_path):
+def test_monitor_writes_jsonl_report():
+    """``finish()`` is the one report: totals plus per-function stats, and
+    it goes to JSONL as it stands (the run record embeds it)."""
     monitor = _run_monitored(
         AllocMonitor(registry=_victim_registry("alloc_per_event")),
         lambda sim, v, i: sim.schedule(i * 1e-3, v.alloc_per_event),
     )
-    out = tmp_path / "alloc.jsonl"
-    monitor.write_report(str(out), extra={"scenario": "unit"})
-    records = [
-        json.loads(line) for line in out.read_text().splitlines()
-    ]
-    assert [r["kind"] for r in records] == ["function", "summary"]
-    assert records[0]["function"] == _dotted("alloc_per_event")
-    assert records[1]["scenario"] == "unit"
-    assert records[1]["allocators"] == [_dotted("alloc_per_event")]
-
-
-def test_alloc_log_streams_and_is_capped(tmp_path):
-    log = tmp_path / "stream.jsonl"
-    _run_monitored(
-        AllocMonitor(
-            registry=_victim_registry("alloc_per_event"),
-            log_path=str(log),
-        ),
-        lambda sim, v, i: sim.schedule(i * 1e-3, v.alloc_per_event),
-    )
-    records = [
-        json.loads(line) for line in log.read_text().splitlines()
-    ]
-    assert 0 < len(records) <= 50
-    assert all(r["kind"] == "alloc" for r in records)
-    assert all(r["bytes"] > SCALAR_NOISE_BYTES for r in records)
+    report = monitor.finish("unit")
+    dotted = _dotted("alloc_per_event")
+    assert report["functions"] == {dotted: monitor.stats[dotted]}
+    assert report["allocators"] == [dotted]
+    assert report["events"] == report["hot_events"] == 200
+    assert json.loads(to_jsonl([report])) == report
 
 
 def test_network_attaches_active_monitor():

@@ -18,6 +18,7 @@ import pytest
 
 from repro.lint.race.runtime import RaceMonitor
 from repro.lint.sem import ProjectAnalyzer
+from repro.obs.records import to_jsonl
 from repro.sim.engine import Simulator
 from repro.sim.priorities import MODEL, SAMPLE, TIERS, tier_name
 from repro.sim.probe import probing
@@ -147,7 +148,6 @@ def test_monitor_catches_same_instant_write_write():
     ))
     assert len(monitor.collisions) == 1
     record = monitor.collisions[0]
-    assert record["kind"] == "collision"
     assert record["attr"] == "value"
     assert record["first"] == "_Victim.write_one"
     assert record["second"] == "_Victim.write_two"
@@ -214,19 +214,18 @@ def test_monitor_handles_slotted_receivers():
     assert [r["attr"] for r in monitor.collisions] == ["field"]
 
 
-def test_monitor_writes_jsonl_report(tmp_path):
+def test_monitor_writes_jsonl_report():
+    """``finish()`` is the one report: totals plus every collision, and it
+    goes to JSONL as it stands (the run record embeds it)."""
     monitor = _run_monitored(lambda sim, v: (
         sim.schedule(0.5, v.write_one),
         sim.schedule(0.5, v.write_two),
     ))
-    out = tmp_path / "race.jsonl"
-    monitor.write_report(str(out))
-    records = [
-        json.loads(line) for line in out.read_text().splitlines()
-    ]
-    assert [r["kind"] for r in records] == ["collision", "summary"]
-    assert records[1]["collisions"] == 1
-    assert records[1]["events"] == monitor.events
+    report = monitor.finish("unit")
+    assert report["collisions"] == 1 and report["records"] == monitor.collisions
+    assert report["events"] == monitor.events == 2
+    assert report["batches"] == 1
+    assert json.loads(to_jsonl([report])) == report
 
 
 def test_network_attaches_active_monitor():

@@ -115,17 +115,17 @@ class TestEndToEnd:
         should deliver more in the contested period."""
         from repro.mptcp.connection import MptcpConnection
         from repro.topology.bottleneck import build_single_bottleneck
-        from repro.transport.flow import SinglePathFlow
+        from repro.transport.cc import Coupling
 
         net = build_single_bottleneck(num_pairs=2, marking_threshold=10)
         size = 12_000_000
-        tight = SinglePathFlow(
-            net, "S0", "D0", net.flow_path(0),
-            D2tcpCC(deadline=0.08), size_bytes=size,
+        tight = MptcpConnection(
+            net, "S0", "D0", [net.flow_path(0)],
+            scheme=Coupling(lambda: D2tcpCC(deadline=0.08)), size_bytes=size,
         )
-        loose = SinglePathFlow(
-            net, "S1", "D1", net.flow_path(1),
-            D2tcpCC(deadline=5.0), size_bytes=size,
+        loose = MptcpConnection(
+            net, "S1", "D1", [net.flow_path(1)],
+            scheme=Coupling(lambda: D2tcpCC(deadline=5.0)), size_bytes=size,
         )
         tight.start()
         loose.start()

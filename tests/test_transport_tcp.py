@@ -5,8 +5,8 @@ import math
 import pytest
 
 from repro.net.packet import ACK, DATA, Packet, make_ack_packet
-from repro.transport.cc import MIN_CWND, RenoCC
-from repro.transport.flow import SinglePathFlow
+from repro.mptcp.connection import MptcpConnection
+from repro.transport.cc import MIN_CWND, Coupling, RenoCC
 from repro.transport.tcp import (
     DEFAULT_INITIAL_CWND,
     DUPACK_THRESHOLD,
@@ -272,9 +272,9 @@ class TestSources:
 
 class TestEndToEnd:
     def test_transfer_completes_and_counts_bytes(self, two_host_net):
-        flow = SinglePathFlow(
-            two_host_net, "A", "B", two_host_net.paths("A", "B")[0],
-            RenoCC(), size_bytes=1_000_000,
+        flow = MptcpConnection(
+            two_host_net, "A", "B", two_host_net.paths("A", "B"),
+            scheme=Coupling(RenoCC), size_bytes=1_000_000,
         )
         flow.start()
         two_host_net.sim.run(until=1.0)
@@ -283,8 +283,8 @@ class TestEndToEnd:
         assert flow.goodput_bps() > 100e6
 
     def test_goodput_zero_before_start(self, two_host_net):
-        flow = SinglePathFlow(
-            two_host_net, "A", "B", two_host_net.paths("A", "B")[0],
-            RenoCC(), size_bytes=1000,
+        flow = MptcpConnection(
+            two_host_net, "A", "B", two_host_net.paths("A", "B"),
+            scheme=Coupling(RenoCC), size_bytes=1000,
         )
         assert flow.goodput_bps() == 0.0

@@ -14,8 +14,6 @@ from repro.net.network import Network
 from repro.net.queue import DropTailQueue, ThresholdECNQueue
 from repro.sim.engine import Simulator
 from repro.sim.probe import active, requested
-from repro.transport.cc import RenoCC
-from repro.transport.flow import SinglePathFlow
 from repro.validate import InvariantError, Validator, validating
 
 pytestmark = pytest.mark.invariants
@@ -63,10 +61,10 @@ class TestDisabledByDefault:
         assert net.sim.probe is None
         assert all(type(link) is Link for link in net.links)
         assert all(type(link.queue) is ThresholdECNQueue for link in net.links)
-        flow = SinglePathFlow(net, "A", "B", net.paths("A", "B")[0],
-                              RenoCC(ecn=True), size_bytes=10_000)
-        assert flow.sender.observer is None
-        assert flow.sender.cc.observer is None
+        flow = MptcpConnection(net, "A", "B", net.paths("A", "B"),
+                               scheme="reno-ecn", size_bytes=10_000)
+        assert flow.subflows[0].sender.observer is None
+        assert flow.subflows[0].sender.cc.observer is None
 
 
 # ----------------------------------------------------------------------
@@ -78,11 +76,11 @@ class TestValidatedRuns:
     def test_clean_single_path_run(self):
         with validating() as validator:
             net = _two_host_net()
-            flow = SinglePathFlow(net, "A", "B", net.paths("A", "B")[0],
-                                  RenoCC(ecn=True), size_bytes=100_000)
+            flow = MptcpConnection(net, "A", "B", net.paths("A", "B"),
+                                   scheme="reno-ecn", size_bytes=100_000)
             flow.start()
             net.sim.run(until=0.2)
-        assert flow.sender.completed
+        assert flow.subflows[0].sender.completed
         assert not validator.violations
         assert validator.checks > 0
         assert validator.watched_objects >= 1 + 4 + 4 + 1  # sim+links+queues+sender
@@ -116,8 +114,8 @@ class TestValidatedRuns:
     def test_summary_and_report(self):
         with validating() as validator:
             net = _two_host_net()
-            flow = SinglePathFlow(net, "A", "B", net.paths("A", "B")[0],
-                                  RenoCC(ecn=True), size_bytes=20_000)
+            flow = MptcpConnection(net, "A", "B", net.paths("A", "B"),
+                                   scheme="reno-ecn", size_bytes=20_000)
             flow.start()
             net.sim.run(until=0.1)
         summary = validator.summary()

@@ -64,7 +64,7 @@ class TestCorruptedQueueCounter:
         assert watched.accept(pkt)
         assert not watched.accept(make_data_packet(0, 0, 1, 0.0, (), False))  # drop
         queue.stats.dropped = 0  # roll the counter back
-        validator.finish()
+        validator.sweep()
         found = _violations(validator, "queue-conservation")
         assert any("fell behind observed drops" in v.message for v in found)
 
@@ -137,7 +137,7 @@ class TestEcnContract:
         queue.capacity = 1  # shrink under the resident packets
         watched.accept(make_data_packet(0, 0, 0, 0.0, (), False))
         queue.capacity = 0
-        validator.finish()
+        validator.sweep()
         found = _violations(validator, "queue-admission")
         assert found, validator.report()
 
