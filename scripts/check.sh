@@ -101,13 +101,17 @@ workload_smoke() {
 }
 
 fluid_smoke() {
-    # The fluid backend end-to-end through the CLI, then a short
+    # The fluid backend end-to-end through the CLI on the dumbbell and
+    # on a k=8 fat tree (the constructed fat-tree paths), then a short
     # fluid-vs-packet cross-validation on the Fig. 1 dumbbell: the
     # cheapest proof that the ODE backend, the runner plumbing and the
     # crosscheck tolerances still hold together.
-    echo "== fluid smoke (fluid cell + bottleneck crosscheck via the CLI) =="
+    echo "== fluid smoke (dumbbell + fat-tree cells, bottleneck crosscheck via the CLI) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
         --flows 4 --duration 0.05 --no-cache
+    PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
+        --topology fattree --k 8 --flows 256 --subflows 2 --solver vector \
+        --duration 0.01 --no-cache
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
         --crosscheck bottleneck --duration 0.05 --no-cache
 }

@@ -2,8 +2,10 @@
 
 A ``Network`` owns the simulator plus every node and link, provides the
 builder methods topologies use (:meth:`add_host`, :meth:`add_switch`,
-:meth:`connect`), and caches shortest-path enumeration between host pairs
-(topologies are static for the lifetime of an experiment).
+:meth:`connect`), and caches the generic shortest-path enumeration between
+host pairs (topologies are static for the lifetime of an experiment).  The
+fat tree constructs its host-pair paths directly and caches none of them
+(:class:`repro.topology.fattree.FatTreeNetwork`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class Network:
         self.switches: Dict[str, Switch] = {}
         self.links: List[Link] = []
         self.adjacency: Dict[Node, List[Link]] = {}
-        self._path_cache: Dict[Tuple[str, str], List[Path]] = {}
+        self._path_cache: Dict[Tuple[str, str, int], List[Path]] = {}
         self._reverse: Dict[Link, Link] = {}
         self._next_flow_id = 0
         attach_active(self.sim)
@@ -113,8 +115,13 @@ class Network:
         return self.switches[name]
 
     def paths(self, src: str, dst: str, max_paths: int = 64) -> List[Path]:
-        """All shortest paths between two hosts, cached."""
-        key = (src, dst)
+        """All shortest paths between two hosts (at most ``max_paths``).
+
+        The generic BFS enumeration, cached per ``(src, dst, max_paths)``
+        until a link is added; a topology that constructs its paths
+        directly overrides this and caches nothing.
+        """
+        key = (src, dst, max_paths)
         cached = self._path_cache.get(key)
         if cached is None:
             cached = enumerate_paths(

@@ -13,8 +13,8 @@ Two selection policies cover the paper's setups:
   (TCP, DCTCP); collisions of several flows on one link are possible and
   are exactly what Fig. 11 attributes DCTCP's unbalanced utilization to.
 * :class:`DistinctPathSelector` — assigns the subflows of one MPTCP flow to
-  distinct equal-cost paths (randomly rotated per flow), reproducing the
-  multi-address trick.
+  distinct equal-cost paths (a seeded shuffle of the paths per flow),
+  reproducing the multi-address trick.
 """
 
 from __future__ import annotations

@@ -26,6 +26,9 @@ from repro.net.queue import DropTailQueue, ThresholdECNQueue
 from repro.net.routing import Path
 from repro.sim.units import BitsPerSecond, Seconds
 
+#: ``(forward, backward)`` as returned by :meth:`Network.connect`.
+LinkPair = Tuple[Link, Link]
+
 
 class FatTreeNetwork(Network):
     """Network plus fat-tree metadata (k, host naming, flow categories)."""
@@ -36,8 +39,12 @@ class FatTreeNetwork(Network):
         self.host_names: List[str] = []
         #: Per-port rate; set by :func:`build_fattree` (paper: 1 Gbps).
         self.link_rate_bps: BitsPerSecond = 0.0
-        self._link_by_name: Dict[str, Link] = {}
-        self._link_map_size = 0
+        # Link tables filled by build_fattree, read by _construct_paths:
+        # host -> (pod, edge, host<->edge); [pod][edge][agg] edge<->agg;
+        # [pod][agg][j] agg<->core_<agg>_<j>.
+        self._host_ports: Dict[str, Tuple[int, int, Link, Link]] = {}
+        self._edge_agg: List[List[List[LinkPair]]] = []
+        self._agg_core: List[List[List[LinkPair]]] = []
 
     def bisection_bandwidth_bps(self) -> BitsPerSecond:
         """Full bisection bandwidth of the rearrangeably non-blocking tree.
@@ -80,92 +87,69 @@ class FatTreeNetwork(Network):
     #
     # The generic BFS+DFS in repro.net.routing costs O(V+E) per host
     # pair — ~20 s of setup for 10^4 flows at k=16.  Fat-tree shortest
-    # paths are fully determined by the host coordinates, so they can
-    # be constructed directly.  The construction reproduces the DFS
-    # enumeration order *exactly* (aggregation switches ascending, then
-    # cores ascending — the adjacency insertion order of
-    # :func:`build_fattree`), so ECMP/DistinctPath selections, and with
-    # them every golden trace, are bit-identical to the generic path
-    # (pinned by tests/test_fluid_backend.py's equality test).
-
-    def _link(self, src_name: str, dst_name: str) -> Link:
-        if self._link_map_size != len(self.links):
-            self._link_by_name = {link.name: link for link in self.links}
-            self._link_map_size = len(self.links)
-        return self._link_by_name[f"{src_name}->{dst_name}"]
+    # paths are fully determined by the host coordinates, so they are
+    # built directly by indexing the link tables build_fattree kept
+    # from connect(): no name is formatted and no link is looked up.
+    # The construction reproduces the DFS enumeration order *exactly*
+    # (aggregation switches ascending, then cores ascending — the
+    # adjacency insertion order of :func:`build_fattree`), so
+    # ECMP/DistinctPath selections, and with them every golden trace,
+    # are bit-identical to the generic path (pinned by
+    # tests/test_fluid_backend.py's equality tests).
+    #
+    # Nothing is memoised per pair: a list is at most (k/2)^2 tuples
+    # (64 at k=16, 4 at k=4) built in microseconds, while a permutation
+    # draws each pair about once, so a memo would only keep every path
+    # of every pair alive for the life of the network.
 
     def _construct_paths(
         self, src: str, dst: str, max_paths: int
     ) -> Optional[List[Path]]:
-        """Shortest host-to-host paths by coordinates; None if not hosts."""
-        if src not in self.hosts or dst not in self.hosts:
+        """Shortest host-to-host paths from the link tables; None unless
+        both ends are hosts :func:`build_fattree` placed."""
+        src_port = self._host_ports.get(src)
+        dst_port = self._host_ports.get(dst)
+        if src_port is None or dst_port is None:
             return None
         if src == dst:
             return [()]
-        src_pod, src_edge, _ = self.parse_host(src)
-        dst_pod, dst_edge, _ = self.parse_host(dst)
-        half = self.k // 2
-        src_edge_name = f"edge_{src_pod}_{src_edge}"
-        dst_edge_name = f"edge_{dst_pod}_{dst_edge}"
-        up = self._link(src, src_edge_name)
-        down = self._link(dst_edge_name, dst)
+        src_pod, src_edge, up, _ = src_port
+        dst_pod, dst_edge, _, down = dst_port
         if src_pod == dst_pod and src_edge == dst_edge:
-            return [(up, down)]
-        paths: List[Path] = []
-        if src_pod == dst_pod:
-            for a in range(half):
-                if len(paths) >= max_paths:
-                    break
-                agg = f"agg_{src_pod}_{a}"
-                paths.append(
-                    (
-                        up,
-                        self._link(src_edge_name, agg),
-                        self._link(agg, dst_edge_name),
-                        down,
-                    )
+            paths: List[Path] = [(up, down)]
+        elif src_pod == dst_pod:
+            paths = [
+                (up, edge_up, edge_down, down)
+                for (edge_up, _), (_, edge_down) in zip(
+                    self._edge_agg[src_pod][src_edge],
+                    self._edge_agg[dst_pod][dst_edge],
                 )
-            return paths
-        for a in range(half):
-            if len(paths) >= max_paths:
-                break
-            src_agg = f"agg_{src_pod}_{a}"
-            dst_agg = f"agg_{dst_pod}_{a}"
-            edge_up = self._link(src_edge_name, src_agg)
-            edge_down = self._link(dst_agg, dst_edge_name)
-            for j in range(half):
-                if len(paths) >= max_paths:
-                    break
-                core = f"core_{a}_{j}"
-                paths.append(
-                    (
-                        up,
-                        edge_up,
-                        self._link(src_agg, core),
-                        self._link(core, dst_agg),
-                        edge_down,
-                        down,
-                    )
+            ]
+        else:
+            paths = [
+                (up, edge_up, core_up, core_down, edge_down, down)
+                for (edge_up, _), (_, edge_down), src_cores, dst_cores in zip(
+                    self._edge_agg[src_pod][src_edge],
+                    self._edge_agg[dst_pod][dst_edge],
+                    self._agg_core[src_pod],
+                    self._agg_core[dst_pod],
                 )
+                for (core_up, _), (_, core_down) in zip(src_cores, dst_cores)
+            ]
+        del paths[max_paths:]
         return paths
 
     def paths(self, src: str, dst: str, max_paths: int = 64) -> List[Path]:
-        """All shortest paths, constructed combinatorially for host pairs.
+        """All shortest paths, constructed from the link tables for host
+        pairs; a fresh list per call.
 
-        Switch endpoints (or malformed names) fall back to the generic
-        BFS enumeration of :class:`~repro.net.network.Network`.
+        Switch endpoints (or hosts not placed by :func:`build_fattree`)
+        fall back to the generic, cached BFS enumeration of
+        :class:`~repro.net.network.Network`.
         """
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-        try:
-            constructed = self._construct_paths(src, dst, max_paths)
-        except (KeyError, ValueError):
-            constructed = None
+        constructed = self._construct_paths(src, dst, max_paths)
         if constructed is None:
             return super().paths(src, dst, max_paths)
-        self._path_cache[key] = constructed
         return constructed
 
 
@@ -196,20 +180,28 @@ def build_fattree(
     for pod in range(k):
         aggs = [net.add_switch(f"agg_{pod}_{a}") for a in range(half)]
         edges = [net.add_switch(f"edge_{pod}_{e}") for e in range(half)]
+        agg_core: List[List[LinkPair]] = []
+        edge_agg: List[List[LinkPair]] = [[] for _ in edges]
         for a, agg in enumerate(aggs):
             # Aggregation switch a connects to cores a*half .. a*half+half-1.
-            for j in range(half):
-                core = cores[a * half + j]
-                net.connect(agg, core, link_rate_bps, core_delay,
+            agg_core.append([
+                net.connect(agg, cores[a * half + j], link_rate_bps, core_delay,
                             queue_factory=queue, layer="core")
-            for edge in edges:
-                net.connect(edge, agg, link_rate_bps, aggregation_delay,
-                            queue_factory=queue, layer="aggregation")
+                for j in range(half)
+            ])
+            for e, edge in enumerate(edges):
+                edge_agg[e].append(
+                    net.connect(edge, agg, link_rate_bps, aggregation_delay,
+                                queue_factory=queue, layer="aggregation")
+                )
+        net._agg_core.append(agg_core)
+        net._edge_agg.append(edge_agg)
         for e, edge in enumerate(edges):
             for h in range(half):
                 host = net.add_host(f"h_{pod}_{e}_{h}")
-                net.connect(host, edge, link_rate_bps, rack_delay,
-                            queue_factory=queue, layer="rack")
+                up, down = net.connect(host, edge, link_rate_bps, rack_delay,
+                                       queue_factory=queue, layer="rack")
+                net._host_ports[host.name] = (pod, e, up, down)
                 net.host_names.append(host.name)
     return net
 

@@ -4,7 +4,10 @@ sampling, tail-fraction validation, Eq. 2/3 equilibrium properties, the
 reference/vector solver equivalence, combinatorial fat-tree paths, and
 the runner/telemetry backend plumbing."""
 
+import gc
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -21,9 +24,11 @@ from repro.fluid.backend import _simulate
 from repro.fluid.laws import FLUID_SCHEMES
 from repro.metrics.series import TimeSeries
 from repro.net.network import Network
+from repro.net.routing import DistinctPathSelector
 from repro.sim.units import seconds
 from repro.topology.bottleneck import build_single_bottleneck
 from repro.topology.fattree import build_fattree
+from repro.traffic.permutation import random_derangement
 
 
 # ----------------------------------------------------------------------
@@ -321,20 +326,82 @@ class TestSolverEquivalence:
 # ----------------------------------------------------------------------
 
 
+def _assert_matches_generic(net, pairs):
+    """The construction must reproduce the generic DFS enumeration
+    exactly — order and truncation included — or ECMP selections (and
+    every golden trace) would silently change."""
+    for src, dst in pairs:
+        for max_paths in (1, 3, 5, 64):
+            constructed = net._construct_paths(src, dst, max_paths)
+            generic = Network.paths(net, src, dst, max_paths)
+            assert constructed == generic, (src, dst, max_paths)
+
+
+def _every_pair(net):
+    return [(src, dst) for src in net.host_names for dst in net.host_names]
+
+
 class TestFatTreePathConstruction:
+    def test_identical_to_generic_enumeration_k2(self):
+        net = build_fattree(k=2)
+        _assert_matches_generic(net, _every_pair(net))
+
     def test_identical_to_generic_enumeration_k4(self):
-        """The combinatorial construction must reproduce the generic DFS
-        enumeration exactly — order included — or ECMP selections (and
-        every golden trace) would silently change."""
         net = build_fattree(k=4)
-        hosts = net.host_names
-        for src in hosts:
-            for dst in hosts:
-                if src == dst:
-                    continue
-                constructed = net._construct_paths(src, dst, 64)
-                generic = Network.paths(net, src, dst, 64)
-                assert constructed == generic, (src, dst)
+        _assert_matches_generic(net, _every_pair(net))
+
+    def test_identical_to_generic_enumeration_k6(self):
+        net = build_fattree(k=6)
+        _assert_matches_generic(net, _every_pair(net))
+
+    def test_identical_to_generic_enumeration_k8_sample(self):
+        net = build_fattree(k=8)
+        rng = random.Random(8)
+        _assert_matches_generic(
+            net, [tuple(rng.sample(net.host_names, 2)) for _ in range(200)]
+        )
+
+    def test_paths_are_fresh_lists(self):
+        # Nothing is memoised: a caller that mutates its list cannot
+        # corrupt the next caller's.
+        net = build_fattree(k=4)
+        first = net.paths("h_0_0_0", "h_1_0_0")
+        second = net.paths("h_0_0_0", "h_1_0_0")
+        assert first == second and first is not second
+        first.clear()
+        assert net.paths("h_0_0_0", "h_1_0_0") == second
+
+    @pytest.mark.parametrize("order", [(2, 64), (64, 2)], ids=["small-first", "large-first"])
+    def test_max_paths_in_either_order(self, order):
+        net = build_fattree(k=4)
+        for max_paths in order:
+            assert len(net.paths("h_0_0_0", "h_1_0_0", max_paths)) == min(max_paths, 4)
+
+    def test_path_selection_retains_only_the_selected_paths(self):
+        """Selecting paths for the k16 fluid cell's 10,240 permutation
+        pairs may keep the selected paths alive, not every path of every
+        pair (a per-pair memo held ~50 MB here)."""
+        tracemalloc.start()
+        try:
+            net = build_fattree(k=16)
+            gc.collect()
+            built = tracemalloc.get_traced_memory()[0]
+            hosts = net.host_names
+            rng = random.Random(1)
+            pairs = []
+            while len(pairs) < 10_240:
+                pairs.extend(zip(hosts, random_derangement(hosts, rng)))
+            selector = DistinctPathSelector(random.Random(2))
+            chosen = [
+                selector.select(net.paths(src, dst), flow, 2)
+                for flow, (src, dst) in enumerate(pairs[:10_240])
+            ]
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - built
+        finally:
+            tracemalloc.stop()
+        assert len(chosen) == 10_240
+        assert retained < 10 * 2**20, retained
 
     def test_truncation_matches_generic(self):
         net = build_fattree(k=8)

@@ -23,6 +23,18 @@ def diamond_net():
     return net
 
 
+def wide_diamond_net(width=8):
+    """A -> {M0 .. M<width-1>} -> B : ``width`` equal-cost 2-hop paths."""
+    net = Network()
+    a = net.add_host("A")
+    b = net.add_host("B")
+    for i in range(width):
+        mid = net.add_switch(f"M{i}")
+        net.connect(a, mid, 1e9, 1e-6)
+        net.connect(mid, b, 1e9, 1e-6)
+    return net
+
+
 class TestEnumeration:
     def test_two_equal_cost_paths(self):
         net = diamond_net()
@@ -57,17 +69,18 @@ class TestEnumeration:
         paths = enumerate_paths(net.adjacency, net.host("A"), net.host("A"))
         assert paths == [()]
 
+    # The cache once keyed on (src, dst) alone, so whichever bound was
+    # asked first decided the length of every later answer; these two
+    # tests ask in both orders on one network.
     def test_max_paths_bounds_result(self):
-        net = Network()
-        a = net.add_host("A")
-        b = net.add_host("B")
-        for i in range(8):
-            mid = net.add_switch(f"M{i}")
-            net.connect(a, mid, 1e9, 1e-6)
-            net.connect(mid, b, 1e9, 1e-6)
+        net = wide_diamond_net()
         assert len(net.paths("A", "B", max_paths=3)) == 3
-        net2 = diamond_net()
-        assert len(net2.paths("A", "B", max_paths=64)) == 2
+        assert len(net.paths("A", "B", max_paths=64)) == 8
+
+    def test_max_paths_bounds_a_cached_larger_result(self):
+        net = wide_diamond_net()
+        assert len(net.paths("A", "B", max_paths=64)) == 8
+        assert len(net.paths("A", "B", max_paths=3)) == 3
 
     def test_paths_are_cached(self):
         net = diamond_net()
