@@ -105,13 +105,33 @@ fluid_smoke() {
     # on a k=8 fat tree (the constructed fat-tree paths), then a short
     # fluid-vs-packet cross-validation on the Fig. 1 dumbbell: the
     # cheapest proof that the ODE backend, the runner plumbing and the
-    # crosscheck tolerances still hold together.
+    # crosscheck tolerances still hold together.  The fat-tree cell runs
+    # twice against one fresh cache directory, so a fluid result is
+    # pickled to the disk tier and read back: the second run must be
+    # served from the cache and print the same table.
     echo "== fluid smoke (dumbbell + fat-tree cells, bottleneck crosscheck via the CLI) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
         --flows 4 --duration 0.05 --no-cache
-    PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
-        --topology fattree --k 8 --flows 256 --subflows 2 --solver vector \
-        --duration 0.01 --no-cache
+    local fluid_cache cold warm
+    fluid_cache=$(mktemp -d)
+    fattree_cell() {
+        PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
+            --topology fattree --k 8 --flows 256 --subflows 2 --solver vector \
+            --duration 0.01 --cache-dir "$fluid_cache"
+    }
+    cold=$(fattree_cell)
+    warm=$(fattree_cell)
+    rm -rf "$fluid_cache"
+    echo "$cold"
+    echo "$warm" | grep '^\[runner\]'
+    if ! echo "$warm" | grep '^\[runner\]' | grep -q 'all served from cache'; then
+        echo "error: the second fat-tree fluid run was not served from the cache" >&2
+        exit 1
+    fi
+    if [ "$(echo "$cold" | grep -v '^\[runner\]')" != "$(echo "$warm" | grep -v '^\[runner\]')" ]; then
+        echo "error: the cached fat-tree fluid result prints a different table" >&2
+        exit 1
+    fi
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
         --crosscheck bottleneck --duration 0.05 --no-cache
 }

@@ -7,7 +7,9 @@ Eq. 9) coupled to per-link queue/marking state extracted from the same
 ``repro.topology`` builders and path enumeration the packet engine uses.
 A :class:`~repro.fluid.backend.FluidScenario` is a frozen RunSpec config
 like any packet scenario, so fluid cells flow through the same
-Campaign/cache/telemetry machinery (``kind="fluid"``).
+Campaign/cache/telemetry machinery (``kind="fluid"``).  Its result holds
+only the steady-state tail means every reader takes, folded as the solver
+streams; :func:`integrate_model` returns a whole :class:`FluidTrajectory`.
 
 Fidelity contract: the fluid backend reproduces *steady-state* windows,
 queues and per-flow rates of long-lived flows (cross-validated against

@@ -5,7 +5,12 @@ hashable, picklable, content-fingerprintable — so fluid cells run
 through the same Campaign/cache/telemetry machinery.  ``_simulate``
 builds the *same* topology the packet engine would (via
 ``repro.topology``), extracts the fluid model from its links and path
-enumeration, and integrates it.
+enumeration, lets the network go, and integrates the model.  Every
+reader of a fluid cell takes a steady-state tail mean, so the samples
+are folded as the solver yields them and a :class:`FluidResult` holds
+only the tail means — at k=16, three columns of doubles instead of 47 k
+sampled series through the cache, the pickle and the disk tier.  Callers
+that need a trajectory call :func:`~repro.fluid.solver.integrate_model`.
 
 Scenario knobs deliberately mirror the packet drivers: ``bottleneck``
 is the Fig. 1 dumbbell (N pairs, one marked link), ``fattree`` the
@@ -17,16 +22,24 @@ key must name the arithmetic that produced its value.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
 from repro.experiments.reporting import format_table
 from repro.fluid.laws import fluid_law
-from repro.fluid.model import PACKET_BITS, model_from_network
-from repro.fluid.solver import SAMPLE_STRIDE, FluidTrajectory, integrate_model
+from repro.fluid.model import PACKET_BITS, FluidModel, model_from_network
+from repro.fluid.solver import (
+    SAMPLE_STRIDE,
+    SOLVERS,
+    sample_count,
+    steady_state,
+    step_count,
+    stream_model,
+)
 from repro.mptcp.coupling import scheme_label
-from repro.net.routing import DistinctPathSelector, Path
+from repro.net.routing import DistinctPathSelector
 from repro.sim.random import RandomStreams
 from repro.sim.units import (
     BitsPerSecond,
@@ -40,6 +53,9 @@ from repro.topology.fattree import build_fattree
 from repro.traffic.permutation import random_derangement
 
 TOPOLOGIES = ("bottleneck", "fattree")
+
+#: The trailing share of the samples a :class:`FluidResult` averages.
+STEADY_STATE_FRACTION = 0.3
 
 
 @dataclass(frozen=True)
@@ -67,11 +83,21 @@ class FluidScenario:
     w0: float = 2.0
 
     def __post_init__(self) -> None:
+        # Every knob is checked here, before any topology is built.
         fluid_law(self.scheme)  # a scheme without a fluid law is rejected here
         if self.flows < 1:
             raise ValueError(f"need at least one flow, got {self.flows}")
         if self.subflows < 1:
             raise ValueError(f"need at least one subflow, got {self.subflows}")
+        if self.topology not in TOPOLOGIES:
+            raise ValueError(f"unknown fluid topology {self.topology!r} (one of {TOPOLOGIES})")
+        if self.topology == "fattree" and (self.k < 2 or self.k % 2):
+            raise ValueError(f"fat-tree k must be an even integer >= 2, got {self.k}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r} (one of {SOLVERS})")
+        if self.sample_stride < 1:
+            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
+        step_count(self.duration, self.dt)  # both must be positive
 
     def label(self) -> str:
         base = scheme_label(self.scheme, self.subflows)
@@ -80,51 +106,53 @@ class FluidScenario:
 
 @dataclass
 class FluidResult:
-    """One integrated fluid cell plus its steady-state reductions."""
+    """One integrated fluid cell, reduced to its steady state: tail means
+    over :data:`STEADY_STATE_FRACTION` of the samples of each subflow's
+    window (packets) and rate (packets/s) and each link's queue (packets,
+    parallel to ``link_names``)."""
 
     scenario: FluidScenario
-    trajectory: FluidTrajectory
-    #: Flow id of each subflow (the column keys of trajectory.windows/rates).
-    flow_of_subflow: Tuple[int, ...] = ()
-    num_flows: int = 0
-    num_links: int = 0
+    windows: array
+    rates: array
+    queues: array
+    link_names: Tuple[str, ...]
+    #: Flow id of each subflow (parallel to ``windows`` and ``rates``).
+    flow_of_subflow: Tuple[int, ...]
+    num_flows: int
     #: State updates performed — the events-processed equivalent the
     #: runner's throughput accounting uses.
-    events: int = 0
+    events: int
 
-    def steady_state_windows(self, tail_fraction: float = 0.3) -> List[float]:
-        """Per-subflow tail-mean window, packets."""
-        return self.trajectory.steady_state_windows(tail_fraction)
+    @property
+    def num_links(self) -> int:
+        return len(self.link_names)
 
-    def flow_goodputs_bps(self, tail_fraction: float = 0.3) -> List[float]:
+    def steady_state_windows(self) -> List[float]:
+        """Per-subflow steady-state window, packets."""
+        return list(self.windows)
+
+    def flow_goodputs_bps(self) -> List[float]:
         """Per-flow steady-state rate: subflow fluid rates summed, in bps."""
-        rates = self.trajectory.steady_state_rates(tail_fraction)
-        per_flow = [0.0] * self.num_flows
-        for subflow, flow in enumerate(self.flow_of_subflow):
-            per_flow[flow] += rates[subflow] * PACKET_BITS
-        return per_flow
+        return flow_goodputs_bps(self.rates, self.flow_of_subflow, self.num_flows)
 
-    def mean_goodput_bps(self, tail_fraction: float = 0.3) -> float:
+    def mean_goodput_bps(self) -> float:
         """Mean per-flow steady-state goodput, bps."""
-        goodputs = self.flow_goodputs_bps(tail_fraction)
+        goodputs = self.flow_goodputs_bps()
         return sum(goodputs) / len(goodputs) if goodputs else 0.0
 
-    def steady_state_queue(
-        self, link_name: str, tail_fraction: float = 0.3
-    ) -> float:
-        """Tail-mean queue of one named link, packets."""
+    def steady_state_queue(self, link_name: str) -> float:
+        """Steady-state queue of one named link, packets."""
         try:
-            index = self.trajectory.link_names.index(link_name)
+            return self.queues[self.link_names.index(link_name)]
         except ValueError:
             raise KeyError(
                 f"link {link_name!r} not in fluid model "
-                f"({len(self.trajectory.link_names)} links)"
+                f"({len(self.link_names)} links)"
             ) from None
-        return self.trajectory.queues.tail_mean(index, tail_fraction)
 
-    def max_steady_state_queue(self, tail_fraction: float = 0.3) -> float:
-        """The most congested link's tail-mean queue, packets."""
-        return max(self.trajectory.steady_state_queues(tail_fraction))
+    def max_steady_state_queue(self) -> float:
+        """The most congested link's steady-state queue, packets."""
+        return max(self.queues)
 
     def format(self) -> str:
         windows = self.steady_state_windows()
@@ -165,8 +193,19 @@ def _permutation_pairs(
     return pairs[:flows]
 
 
-def _flow_paths(scenario: FluidScenario) -> Tuple[object, List[List[Path]]]:
-    """Build the scenario's network and per-flow forward-path lists."""
+def flow_goodputs_bps(
+    rates: Sequence[float], flow_of_subflow: Sequence[int], num_flows: int
+) -> List[float]:
+    """Per-flow goodput in bps: each flow's subflow rates (packets/s) summed."""
+    per_flow = [0.0] * num_flows
+    for subflow, flow in enumerate(flow_of_subflow):
+        per_flow[flow] += rates[subflow] * PACKET_BITS
+    return per_flow
+
+
+def _build_model(scenario: FluidScenario) -> FluidModel:
+    """The scenario's fluid model.  The network and path lists it is
+    extracted from are garbage once this returns."""
     if scenario.topology == "bottleneck":
         net = build_single_bottleneck(
             num_pairs=scenario.flows,
@@ -181,8 +220,7 @@ def _flow_paths(scenario: FluidScenario) -> Tuple[object, List[List[Path]]]:
             [net.flow_path(flow)] * scenario.subflows
             for flow in range(scenario.flows)
         ]
-        return net, flow_paths
-    if scenario.topology == "fattree":
+    else:
         net = build_fattree(
             k=scenario.k,
             link_rate_bps=scenario.link_rate_bps,
@@ -198,19 +236,13 @@ def _flow_paths(scenario: FluidScenario) -> Tuple[object, List[List[Path]]]:
             selector.select(net.paths(src, dst), flow, scenario.subflows)
             for flow, (src, dst) in enumerate(pairs)
         ]
-        return net, flow_paths
-    raise ValueError(
-        f"unknown fluid topology {scenario.topology!r} (one of {TOPOLOGIES})"
-    )
+    return model_from_network(net, flow_paths)
 
 
-def _simulate(scenario: FluidScenario) -> FluidResult:
-    """Integrate one fluid scenario (the registered ``fluid`` kind)."""
-    net, flow_paths = _flow_paths(scenario)
-    model = model_from_network(net, flow_paths)
-    trajectory = integrate_model(
-        model,
-        scenario.scheme,
+def _solver_args(scenario: FluidScenario) -> Dict[str, Any]:
+    """The scenario's keywords for ``stream_model`` / ``integrate_model``."""
+    return dict(
+        scheme=scenario.scheme,
         duration=scenario.duration,
         dt=scenario.dt,
         beta=scenario.beta,
@@ -218,19 +250,34 @@ def _simulate(scenario: FluidScenario) -> FluidResult:
         sample_stride=scenario.sample_stride,
         solver=scenario.solver,
     )
+
+
+def _simulate(scenario: FluidScenario) -> FluidResult:
+    """Integrate one fluid scenario (the registered ``fluid`` kind)."""
+    model = _build_model(scenario)
+    steps = step_count(scenario.duration, scenario.dt)
+    windows, rates, queues = steady_state(
+        stream_model(model, **_solver_args(scenario)),
+        sample_count(steps, scenario.sample_stride),
+        STEADY_STATE_FRACTION,
+    )
     return FluidResult(
         scenario=scenario,
-        trajectory=trajectory,
+        windows=windows,
+        rates=rates,
+        queues=queues,
+        link_names=tuple(link.name for link in model.links),
         flow_of_subflow=tuple(sf.flow for sf in model.subflows),
         num_flows=model.num_flows,
-        num_links=len(model.links),
-        events=trajectory.state_updates,
+        events=steps * (len(model.subflows) + len(model.links)),
     )
 
 
 __all__ = [
+    "STEADY_STATE_FRACTION",
     "TOPOLOGIES",
     "FluidResult",
     "FluidScenario",
+    "flow_goodputs_bps",
     "run_fluid",
 ]

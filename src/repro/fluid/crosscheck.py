@@ -23,9 +23,15 @@ variant runs in the tier-1 suite (``tests/test_fluid_crosscheck.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
-from repro.fluid.backend import FluidScenario, _simulate as _simulate_fluid
+from repro.fluid.backend import (
+    FluidScenario,
+    _build_model,
+    _solver_args,
+    flow_goodputs_bps,
+)
+from repro.fluid.solver import FluidTrajectory, integrate_model
 from repro.metrics.collector import QueueMonitor, SeriesSampler
 from repro.mptcp.connection import MptcpConnection
 from repro.sim.units import (
@@ -145,7 +151,7 @@ def crosscheck_bottleneck(
     ]
 
     # -- fluid side ----------------------------------------------------
-    fluid = _simulate_fluid(
+    fluid, fluid_goodputs = _fluid_steady_state(
         FluidScenario(
             scheme=scheme,
             topology="bottleneck",
@@ -160,10 +166,9 @@ def crosscheck_bottleneck(
         )
     )
     fluid_windows = fluid.steady_state_windows(TAIL_FRACTION)
-    fluid_queue = fluid.steady_state_queue(
-        net.forward_bottleneck.name, TAIL_FRACTION
+    fluid_queue = fluid.queues.tail_mean(
+        fluid.link_names.index(net.forward_bottleneck.name), TAIL_FRACTION
     )
-    fluid_goodputs = fluid.flow_goodputs_bps(TAIL_FRACTION)
 
     mean = lambda values: sum(values) / len(values)  # noqa: E731
     return [
@@ -215,7 +220,7 @@ def crosscheck_fattree(
         )
     )
     num_hosts = k ** 3 // 4
-    fluid = _simulate_fluid(
+    _, goodputs = _fluid_steady_state(
         FluidScenario(
             scheme=scheme,
             topology="fattree",
@@ -229,12 +234,27 @@ def crosscheck_fattree(
     return [
         CrossCheck(
             name=f"fattree-k{k}/{scheme}-{subflows}/goodput",
-            fluid=fluid.mean_goodput_bps(TAIL_FRACTION),
+            fluid=sum(goodputs) / len(goodputs),
             packet=packet.mean_goodput_bps(),
             tolerance=GOODPUT_RTOL,
             mode="relative",
         ),
     ]
+
+
+def _fluid_steady_state(
+    scenario: FluidScenario,
+) -> Tuple[FluidTrajectory, List[float]]:
+    """One fluid cell's trajectory and per-flow goodputs over
+    :data:`TAIL_FRACTION`, a wider tail than a cached fluid result keeps."""
+    model = _build_model(scenario)
+    trajectory = integrate_model(model, **_solver_args(scenario))
+    goodputs = flow_goodputs_bps(
+        trajectory.steady_state_rates(TAIL_FRACTION),
+        [subflow.flow for subflow in model.subflows],
+        model.num_flows,
+    )
+    return trajectory, goodputs
 
 
 def run_crosschecks(

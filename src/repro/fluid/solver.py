@@ -14,7 +14,10 @@ One Euler step advances, in this order:
    with arrivals taken from the pre-update rates (as in
    :func:`integrate_shared_link`).
 
-Two interchangeable solvers implement these semantics:
+Two interchangeable solvers implement these semantics, each a generator
+of :func:`sample_count` ``(time, windows, rates, queues)`` samples that
+keeps none it has yielded; :func:`integrate_model` collects them into a
+:class:`FluidTrajectory`, :func:`steady_state` folds them into tail means:
 
 * ``"reference"`` — pure Python, the executable specification; and
 * ``"vector"`` — numpy segment reductions over flattened path arrays,
@@ -35,14 +38,15 @@ designed from (``benchmarks/test_ablation_fluid.py`` and the tests).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
 from repro.fluid import laws
 from repro.fluid.laws import bos_window_ode, threshold_marking_probability
 from repro.fluid.model import PACKET_BITS, FluidModel
-from repro.metrics.series import TimeSeries
+from repro.metrics.series import TimeSeries, tail_start
 from repro.mptcp.coupling import SCHEMES
 from repro.sim.units import Seconds
 
@@ -142,7 +146,14 @@ def _tail_means(series: TimeSeries, tail_fraction: float) -> List[float]:
     return [series.tail_mean(key, tail_fraction) for key in series.columns]
 
 
-def integrate_model(
+def sample_count(steps: int, sample_stride: int) -> int:
+    """Samples in a ``steps``-step integration: every ``sample_stride``-th
+    step from step 0, plus the final step when the stride misses it."""
+    last = steps - 1
+    return last // sample_stride + 1 + (last % sample_stride != 0)
+
+
+def stream_model(
     model: FluidModel,
     scheme: str,
     duration: Seconds,
@@ -151,8 +162,12 @@ def integrate_model(
     w0: float = 2.0,
     sample_stride: int = SAMPLE_STRIDE,
     solver: str = "reference",
-) -> FluidTrajectory:
-    """Euler-integrate ``model`` under ``scheme`` for ``duration``."""
+) -> Iterator[Tuple]:
+    """Validate the arguments, then return the solver's sample generator.
+
+    The reference solver updates its window and queue lists in place, so
+    a consumer must copy or fold each sample before it asks for the next.
+    """
     law = laws.fluid_law(scheme)
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r} (one of {SOLVERS})")
@@ -171,6 +186,57 @@ def integrate_model(
     )
 
 
+def integrate_model(
+    model: FluidModel,
+    scheme: str,
+    duration: Seconds,
+    dt: Seconds = 2e-5,
+    beta: float = DEFAULT_BETA,
+    w0: float = 2.0,
+    sample_stride: int = SAMPLE_STRIDE,
+    solver: str = "reference",
+) -> FluidTrajectory:
+    """Euler-integrate ``model`` under ``scheme`` for ``duration``."""
+    names = [link.name for link in model.links]
+    out = FluidTrajectory.empty(len(model.subflows), names, step_count(duration, dt), dt)
+    for sample in stream_model(model, scheme, duration, dt, beta, w0, sample_stride, solver):
+        out.record(*sample)
+    return out
+
+
+def steady_state(
+    samples: Iterable[Tuple], count: int, fraction: float
+) -> Tuple[array, array, array]:
+    """Windows', rates' and queues' tail means over ``count`` streamed samples.
+
+    Holds one running sum per column and no sample.  The sums start where
+    :func:`~repro.metrics.series.tail_start` does and fold left from 0.0,
+    so each mean is ``TimeSeries.tail_mean`` of the collected column, bit
+    for bit.
+    """
+    start = tail_start(count, fraction)
+    totals: Tuple = (0.0, 0.0, 0.0)
+    seen = 0
+    for seen, (_, *state) in enumerate(samples, 1):
+        if seen > start:
+            totals = tuple(map(_fold, totals, state))
+    if seen != count:
+        raise RuntimeError(f"solver yielded {seen} samples, expected {count}")
+    tail = count - start
+    windows, rates, queues = (array("d", [t / tail for t in column]) for column in totals)
+    return windows, rates, queues
+
+
+def _fold(total, values):
+    """``total + values`` per column, ``total`` starting as the scalar 0.0
+    (numpy arrays broadcast it; the reference solver's lists are walked)."""
+    if not isinstance(values, list):
+        return total + values
+    if not isinstance(total, list):
+        total = [total] * len(values)
+    return [t + v for t, v in zip(total, values)]
+
+
 def _integrate_reference(
     model: FluidModel,
     law: laws.FluidLaw,
@@ -180,7 +246,7 @@ def _integrate_reference(
     beta: float,
     w0: float,
     sample_stride: int,
-) -> FluidTrajectory:
+) -> Iterator[Tuple]:
     """The pure-Python executable specification of one Euler step."""
     num_links = len(model.links)
     num_subflows = len(model.subflows)
@@ -193,9 +259,6 @@ def _integrate_reference(
     q = [0.0] * num_links
     state = None if law.state0 is None else [law.state0] * num_subflows
 
-    out = FluidTrajectory.empty(
-        num_subflows, [link.name for link in model.links], steps, dt
-    )
     for i in range(steps):
         delay = [q[l] / caps[l] for l in range(num_links)]
         p_link = [
@@ -228,8 +291,7 @@ def _integrate_reference(
             q[l] = max(0.0, q[l] + dt * (arrivals[l] - caps[l]))
 
         if i % sample_stride == 0 or i == steps - 1:
-            out.record(i * dt, w, rates, q)
-    return out
+            yield i * dt, w, rates, q
 
 
 def _integrate_vector(
@@ -241,7 +303,7 @@ def _integrate_vector(
     beta: float,
     w0: float,
     sample_stride: int,
-) -> FluidTrajectory:
+) -> Iterator[Tuple]:
     """numpy mirror of :func:`_integrate_reference` (same semantics).
 
     Paths are flattened into one link-index array with per-subflow
@@ -279,9 +341,6 @@ def _integrate_vector(
     q = np.zeros(num_links)
     state = None if law.state0 is None else np.full(num_subflows, law.state0)
 
-    out = FluidTrajectory.empty(
-        num_subflows, [link.name for link in model.links], steps, dt
-    )
     for i in range(steps):
         delay = q / caps
         p_link = 1.0 / (1.0 + np.exp(-(q - knee) / laws.MARKING_WIDTH))
@@ -298,8 +357,7 @@ def _integrate_vector(
         q = np.maximum(q + dt * (arrivals - caps), 0.0)
 
         if i % sample_stride == 0 or i == steps - 1:
-            out.record(i * dt, w, x, q)
-    return out
+            yield i * dt, w, x, q
 
 
 def integrate_single_flow(
@@ -391,6 +449,9 @@ __all__ = [
     "integrate_model",
     "integrate_shared_link",
     "integrate_single_flow",
+    "sample_count",
+    "steady_state",
     "step_count",
+    "stream_model",
     "vector_available",
 ]

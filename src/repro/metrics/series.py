@@ -3,15 +3,16 @@
 Everything the paper plots is a sampled series — rate-versus-time
 (Figs. 1/4/6/7), queue occupancy, per-flow control state, and the
 window/rate/queue trajectories of the fluid model — so every sampler and
-both fluid solvers write this one type, result objects carry it through
-the run cache unchanged, and an export is :meth:`TimeSeries.to_csv`.
+``integrate_model`` write this one type, figure results carry it through
+the run cache, and an export is :meth:`TimeSeries.to_csv`.
 
 Columns are ``array('d')`` (8 bytes a sample, no boxed floats), keyed by
 strings for samplers and by integer index for fluid state, in
-registration order.  Reductions sum sequentially in Python floats
-(``sum(values[start:]) / n``): recorded goodputs are digested to nine
-significant digits, so a pairwise or compensated order would be a
-different result, not a faster one.
+registration order.  Every mean sums with :func:`left_sum`, an explicit
+left fold from ``0.0``: CPython 3.11's ``sum``, but 3.12's is compensated
+and goodputs are digested to nine significant digits, so the order is
+spelled out — also for the fluid backend's streamed tail means, which
+must add in :meth:`TimeSeries.tail_mean`'s order without the column.
 
 Standard library only; imports nothing from :mod:`repro`.
 """
@@ -22,6 +23,28 @@ import csv
 import io
 from array import array
 from typing import Dict, Hashable, Iterable, Sequence
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """``((0.0 + v0) + v1) + ...``: the one summation order of every mean."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def tail_start(count: int, fraction: float) -> int:
+    """Index of the first of the trailing ``fraction`` of ``count`` samples.
+
+    The steady-state window: ``0 < fraction <= 1`` (an empty or
+    out-of-range tail is a caller bug, so it raises), and the window
+    always holds at least the final sample.
+    """
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"tail fraction must be in (0, 1], got {fraction}")
+    if count < 1:
+        raise ValueError("a tail mean needs a non-empty series")
+    return min(int(count * (1.0 - fraction)), count - 1)
 
 
 class TimeSeries:
@@ -77,22 +100,14 @@ class TimeSeries:
             for time, value in zip(self.times, self.columns[key])
             if start <= time <= end
         ]
-        return sum(values) / len(values) if values else 0.0
+        return left_sum(values) / len(values) if values else 0.0
 
     def tail_mean(self, key: Hashable, fraction: float = 0.3) -> float:
-        """Mean of the trailing ``fraction`` of one non-empty column.
-
-        The steady-state reduction: ``0 < fraction <= 1`` (an empty or
-        out-of-range tail is a caller bug, so it raises), and the window
-        always holds at least the final sample.
-        """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"tail fraction must be in (0, 1], got {fraction}")
+        """Mean of the trailing ``fraction`` of one non-empty column
+        (the window :func:`tail_start` picks)."""
         values = self.columns[key]
-        if not values:
-            raise ValueError("tail_mean needs a non-empty series")
-        start = min(int(len(values) * (1.0 - fraction)), len(values) - 1)
-        return sum(values[start:]) / (len(values) - start)
+        start = tail_start(len(values), fraction)
+        return left_sum(values[start:]) / (len(values) - start)
 
     def to_csv(self) -> str:
         """CSV text: a ``time`` column, then every column in order."""
@@ -103,4 +118,4 @@ class TimeSeries:
         return buffer.getvalue()
 
 
-__all__ = ["TimeSeries"]
+__all__ = ["TimeSeries", "left_sum", "tail_start"]

@@ -38,8 +38,9 @@ from repro.runner.spec import SOURCE_DISK, SOURCE_MEMORY, RunSpec
 #: Bump when the pickled result layout changes incompatibly.  2: the
 #: fingerprint's dict-key ordering changed to (type-name, repr) so
 #: mixed-type keys hash instead of raising TypeError.  3: results carry
-#: their sampled series as :class:`repro.metrics.series.TimeSeries`.
-CACHE_SCHEMA = 3
+#: their sampled series as :class:`repro.metrics.series.TimeSeries`.  4:
+#: fluid results hold steady-state reductions only, no trajectory.
+CACHE_SCHEMA = 4
 
 #: The one variable read here and its meaning (OBSERVABILITY.md's table).
 ENV_CACHE_DIR = (

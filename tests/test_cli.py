@@ -246,8 +246,11 @@ class TestInputValidation:
         (["fluid", "--scheme", "olia"], "invalid choice"),
         (["profile", "workload", "--pattern", "random"], "--pattern"),
         (["profile", "fig4", "--duration", "0.01"], "--duration"),
+        (["fluid", "--duration", "0"], "must be positive"),
+        (["fluid", "--topology", "fattree", "--k", "3"], "got 3"),
     ], ids=["zero-subflows-spec", "fluid-subflows", "fluid-flows",
-            "fluid-scheme", "profile-pattern", "profile-duration"])
+            "fluid-scheme", "profile-pattern", "profile-duration",
+            "fluid-duration", "fluid-odd-k"])
     def test_bad_value_fails_at_parse_time_not_inside_a_cell(
         self, argv, complaint, capsys
     ):

@@ -1,11 +1,13 @@
 """Tests for the fluid backend package (repro.fluid) and the integrator
 fixes it depends on: exact step counts, final-state
 sampling, tail-fraction validation, Eq. 2/3 equilibrium properties, the
-reference/vector solver equivalence, combinatorial fat-tree paths, and
-the runner/telemetry backend plumbing."""
+reference/vector solver equivalence, the streamed steady state and the
+reductions-only result, combinatorial fat-tree paths, and the
+runner/telemetry backend plumbing."""
 
 import gc
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -20,8 +22,9 @@ from repro.fluid import (
     run_fluid,
     vector_available,
 )
-from repro.fluid.backend import _simulate
+from repro.fluid.backend import _build_model, _simulate, _solver_args
 from repro.fluid.laws import FLUID_SCHEMES
+from repro.fluid.solver import sample_count, steady_state, stream_model
 from repro.metrics.series import TimeSeries
 from repro.net.network import Network
 from repro.net.routing import DistinctPathSelector
@@ -29,6 +32,19 @@ from repro.sim.units import seconds
 from repro.topology.bottleneck import build_single_bottleneck
 from repro.topology.fattree import build_fattree
 from repro.traffic.permutation import random_derangement
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised on minimal images
+    HAVE_HYPOTHESIS = False
+
+
+def _trajectory(scenario):
+    """A fluid cell's whole trajectory, integrated in-process."""
+    return integrate_model(_build_model(scenario), **_solver_args(scenario))
 
 
 # ----------------------------------------------------------------------
@@ -277,10 +293,10 @@ class TestFluidBackend:
             topology="fattree", flows=8, subflows=2,
             duration=seconds(0.01), seed=7,
         )
-        a = _simulate(scenario)
-        b = _simulate(scenario)
-        assert a.trajectory.windows == b.trajectory.windows
-        assert a.trajectory.queues == b.trajectory.queues
+        a = _trajectory(scenario)
+        b = _trajectory(scenario)
+        assert a.windows == b.windows
+        assert a.queues == b.queues
 
 
 # ----------------------------------------------------------------------
@@ -298,20 +314,18 @@ class TestSolverEquivalence:
             scheme=scheme, topology="fattree", flows=8, subflows=2,
             duration=seconds(0.01),
         )
-        ref = _simulate(base)
-        vec = _simulate(FluidScenario(
+        ref = _trajectory(base)
+        vec = _trajectory(FluidScenario(
             scheme=scheme, topology="fattree", flows=8, subflows=2,
             duration=seconds(0.01), solver="vector",
         ))
         for r_series, v_series in zip(
-            ref.trajectory.windows.columns.values(),
-            vec.trajectory.windows.columns.values(),
+            ref.windows.columns.values(), vec.windows.columns.values()
         ):
             for r, v in zip(r_series, v_series):
                 assert math.isclose(r, v, rel_tol=1e-9)
         for r_series, v_series in zip(
-            ref.trajectory.queues.columns.values(),
-            vec.trajectory.queues.columns.values(),
+            ref.queues.columns.values(), vec.queues.columns.values()
         ):
             for r, v in zip(r_series, v_series):
                 assert math.isclose(r, v, rel_tol=1e-9, abs_tol=1e-9)
@@ -319,6 +333,138 @@ class TestSolverEquivalence:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
             _simulate(FluidScenario(solver="magic"))
+
+
+# ----------------------------------------------------------------------
+# The streamed steady state == the tail means of the collected trajectory
+# ----------------------------------------------------------------------
+
+STREAM_SOLVERS = ("reference", "vector") if vector_available() else ("reference",)
+STREAM_FRACTIONS = (0.3, 0.4, 1.0)
+STREAM_DT = 2e-5
+
+
+def check_streamed_steady_state(scheme, solver, steps, stride):
+    """``steady_state`` over ``stream_model`` equals ``tail_mean`` over
+    ``integrate_model``'s columns with ``==``, at every fraction."""
+    model = _build_model(FluidScenario(
+        scheme=scheme, topology="fattree", flows=8, subflows=2,
+    ))
+    kwargs = dict(duration=steps * STREAM_DT, dt=STREAM_DT,
+                  sample_stride=stride, solver=solver)
+    trajectory = integrate_model(model, scheme, **kwargs)
+    count = sample_count(steps, stride)
+    assert len(trajectory.times) == count
+    for fraction in STREAM_FRACTIONS:
+        windows, rates, queues = steady_state(
+            stream_model(model, scheme, **kwargs), count, fraction
+        )
+        assert list(windows) == trajectory.steady_state_windows(fraction)
+        assert list(rates) == trajectory.steady_state_rates(fraction)
+        assert list(queues) == trajectory.steady_state_queues(fraction)
+
+
+class TestStreamedSteadyState:
+    @pytest.mark.parametrize("solver", STREAM_SOLVERS)
+    @pytest.mark.parametrize("scheme", FLUID_SCHEMES)
+    @pytest.mark.parametrize(
+        "steps, stride",
+        [(48, 16), (50, 16), (30, 1), (7, 16), (1, 16)],
+        ids=["multiple", "not-multiple", "stride-1", "short", "one-step"],
+    )
+    def test_grid(self, scheme, solver, steps, stride):
+        check_streamed_steady_state(scheme, solver, steps, stride)
+
+    if HAVE_HYPOTHESIS:
+
+        @given(
+            scheme=st.sampled_from(FLUID_SCHEMES),
+            solver=st.sampled_from(STREAM_SOLVERS),
+            steps=st.integers(1, 80),
+            stride=st.integers(1, 20),
+        )
+        @settings(max_examples=40, deadline=None)
+        def test_any_steps_and_stride(self, scheme, solver, steps, stride):
+            check_streamed_steady_state(scheme, solver, steps, stride)
+
+    else:  # pragma: no cover - minimal images only
+
+        def test_any_steps_and_stride(self):
+            rng = random.Random(0x57EA)
+            for _ in range(40):
+                check_streamed_steady_state(
+                    rng.choice(FLUID_SCHEMES), rng.choice(STREAM_SOLVERS),
+                    rng.randint(1, 80), rng.randint(1, 20),
+                )
+
+    @pytest.mark.parametrize("steps, stride, expected", [
+        (1, 16, 1), (16, 16, 2), (17, 16, 2), (18, 16, 3), (30, 1, 30),
+    ])
+    def test_sample_count(self, steps, stride, expected):
+        assert sample_count(steps, stride) == expected
+
+    def test_miscounted_stream_raises(self):
+        model = _build_model(FluidScenario(flows=1))
+        with pytest.raises(RuntimeError):
+            steady_state(
+                stream_model(model, "xmp", duration=10 * STREAM_DT,
+                             dt=STREAM_DT, sample_stride=4),
+                3, 0.3,  # steps 0, 4, 8 and 9 are sampled
+            )
+
+    def test_result_holds_reductions_only(self):
+        result = _simulate(FluidScenario(flows=2, duration=seconds(0.01)))
+        assert not hasattr(result, "trajectory")
+        assert len(result.windows) == len(result.rates) == 2
+        assert len(result.queues) == result.num_links == len(result.link_names)
+        assert result.max_steady_state_queue() == max(
+            result.steady_state_queue(name) for name in result.link_names
+        )
+
+
+@pytest.mark.skipif(not vector_available(), reason="numpy not installed")
+def test_k8_cell_result_size_and_retention():
+    """A k=8, 512 x 2-subflow vector cell pickles to under 100 KB, and
+    integrating it costs little beyond building its model: the network
+    and path lists are released first and the samples are folded as
+    they stream (the trajectory-carrying result was 824 KB, +85 %)."""
+    scenario = FluidScenario(
+        topology="fattree", k=8, flows=512, subflows=2,
+        duration=seconds(0.01), solver="vector",
+    )
+    _simulate(FluidScenario(flows=1, duration=seconds(0.001), solver="vector"))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        model = _build_model(scenario)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        del model
+        gc.collect()
+        tracemalloc.reset_peak()
+        result = _simulate(scenario)
+        simulate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.events == 500 * (1024 + result.num_links)
+    assert len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)) <= 100_000
+    assert simulate_peak <= 1.25 * build_peak, (simulate_peak, build_peak)
+
+
+class TestScenarioValidation:
+    @pytest.mark.parametrize("spec", [
+        {"solver": "nope"},
+        {"topology": "ring"},
+        {"sample_stride": 0},
+        {"duration": 0.0},
+        {"dt": -1.0},
+        {"topology": "fattree", "k": 3},
+    ], ids=["solver", "topology", "stride", "duration", "dt", "odd-k"])
+    def test_bad_spec_fails_at_construction(self, spec):
+        with pytest.raises(ValueError):
+            FluidScenario(**spec)
+
+    def test_k_is_checked_only_for_the_fat_tree(self):
+        assert FluidScenario(topology="bottleneck", k=3).k == 3
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Properties of the one series type (``repro.metrics.series``).
 
 The reductions are pinned *bit-equal* to the list formulas they
-replaced — the ledger digests fluid goodputs to nine significant digits,
-so "close" would not be the same result — and equality/pickling are
-pinned because the determinism tests compare whole results with ``==``
-across jobs=1 / jobs=4 and cache hit / miss.
+replaced, summed as a plain left fold from 0.0 (CPython 3.11's ``sum``;
+3.12's ``sum`` is compensated) — the ledger digests fluid goodputs to
+nine significant digits, so "close" would not be the same result — and
+equality/pickling are pinned because the determinism tests compare whole
+results with ``==`` across jobs=1 / jobs=4 and cache hit / miss.
 """
 
 import ast
@@ -23,6 +24,13 @@ from repro.metrics.series import TimeSeries
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 columns = st.lists(finite, min_size=0, max_size=40)
+
+
+def fold(values):
+    total = 0.0
+    for value in values:
+        total = total + value
+    return total
 
 
 def one_column(values, times=None):
@@ -59,7 +67,7 @@ class TestReductionsMatchTheListFormulas:
     def test_tail_mean(self, values, fraction):
         # solver.tail_mean / FluidLinkResult.steady_state_* at the parent.
         start = min(int(len(values) * (1.0 - fraction)), len(values) - 1)
-        expected = sum(values[start:]) / (len(values) - start)
+        expected = fold(values[start:]) / (len(values) - start)
         assert one_column(values).tail_mean("v", fraction) == expected
 
     @given(values=columns, start=st.floats(-1.0, 50.0), width=st.floats(0.0, 50.0))
@@ -68,13 +76,17 @@ class TestReductionsMatchTheListFormulas:
         end = start + width
         times = [0.7 * i for i in range(len(values))]
         window = [v for t, v in zip(times, values) if start <= t <= end]
-        expected = sum(window) / len(window) if window else 0.0
+        expected = fold(window) / len(window) if window else 0.0
         assert one_column(values, times).mean("v", start, end) == expected
 
     @given(values=st.lists(st.integers(0, 100), min_size=1, max_size=40))
     def test_whole_series_mean_of_integer_samples(self, values):
         # QueueMonitor.mean_occupancy summed ints; doubles hold them exactly.
         assert one_column(values).mean("v") == sum(values) / len(values)
+
+    def test_left_fold_is_not_compensated(self):
+        # A compensated sum (math.fsum, CPython >= 3.12's sum) gives 2.0.
+        assert series_module.left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5])
     def test_tail_fraction_validated(self, bad):
