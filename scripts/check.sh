@@ -112,6 +112,16 @@ fluid_smoke() {
     echo "== fluid smoke (dumbbell + fat-tree cells, bottleneck crosscheck via the CLI) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
         --flows 4 --duration 0.05 --no-cache
+    # Every fluid law on both solvers, so a law that breaks under one
+    # solver fails the smoke too.
+    local scheme solver
+    for scheme in $(PYTHONPATH="$REPRO_PYTHONPATH" python -c \
+            'from repro.fluid.laws import FLUID_SCHEMES; print(*FLUID_SCHEMES)'); do
+        for solver in reference vector; do
+            PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid --scheme "$scheme" \
+                --solver "$solver" --flows 2 --duration 0.005 --no-cache
+        done
+    done
     local fluid_cache cold warm
     fluid_cache=$(mktemp -d)
     fattree_cell() {

@@ -27,24 +27,26 @@ from repro.sim.units import Seconds
 from repro.transport.cc import Coupling
 
 
+def coupled_delta(cwnd, total_rate, min_rtt):
+    """Eq. 9 / Algorithm 1 as one expression, ``cwnd / (y_s * T_s)``, on
+    floats or numpy arrays alike: the packet-level :func:`trash_delta`
+    and the fluid XMP drift (:mod:`repro.fluid.laws`) both call it.
+    ``cwnd`` and ``total_rate`` share a size unit (packets with packets/s,
+    or bytes with bytes/s) — delta is dimensionless."""
+    return cwnd / (total_rate * min_rtt)
+
+
 def trash_delta(
     cwnd: float,
     total_rate: float,
     min_rtt: Seconds,
     weight: float = 1.0,
 ) -> float:
-    """Eq. 9 / Algorithm 1 as a pure formula: ``w * cwnd / (y_s * T_s)``.
-
-    ``cwnd`` and ``total_rate`` must share a size unit (packets with
-    packets/s, or bytes with bytes/s) — delta is dimensionless.  Shared
-    by the packet-level :class:`TraSh` and the fluid backend's XMP law
-    (:mod:`repro.fluid.laws`), so the two backends cannot drift apart on
-    the coupling formula.  Falls back to the uncoupled ``weight`` until
-    both quantities are measurable.
-    """
+    """:func:`coupled_delta` of the ``weight``-scaled window, falling back
+    to the uncoupled ``weight`` until both flow quantities are measurable."""
     if total_rate <= 0.0 or min_rtt <= 0.0:
         return weight
-    return weight * cwnd / (total_rate * min_rtt)
+    return coupled_delta(weight * cwnd, total_rate, min_rtt)
 
 
 class TraSh(Coupling):
@@ -97,4 +99,4 @@ class TraSh(Coupling):
         return trash_delta(sender.cwnd, total, min_rtt, self.weight)
 
 
-__all__ = ["TraSh", "trash_delta"]
+__all__ = ["TraSh", "coupled_delta", "trash_delta"]

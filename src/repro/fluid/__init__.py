@@ -18,11 +18,12 @@ tolerances); it does not model per-packet effects — retransmission
 timeouts, slow start, incast synchronization.  Use it where the packet
 engine cannot go: k=16/k=32 fat trees with 10^4-10^6 concurrent flows.
 
-The paper's own Eq. 2 model lives here too: :func:`bos_window_ode` and
-:func:`threshold_marking_probability` beside the other laws, and the two
-closed-form integrators (:func:`integrate_single_flow`,
-:func:`integrate_shared_link`) the packet simulator is validated
-against.
+Each scheme's law (:mod:`repro.fluid.laws`) is written once: a per-flow
+coupling and one drift expression that both solvers evaluate.  The
+paper's own Eq. 2 model lives there too (:func:`bos_window_ode`,
+:func:`threshold_marking_probability`), beside the two closed-form
+integrators (:func:`integrate_single_flow`, :func:`integrate_shared_link`)
+the packet simulator is validated against.
 """
 
 from repro.fluid.backend import FluidResult, FluidScenario, run_fluid

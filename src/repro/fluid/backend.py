@@ -89,6 +89,8 @@ class FluidScenario:
             raise ValueError(f"need at least one flow, got {self.flows}")
         if self.subflows < 1:
             raise ValueError(f"need at least one subflow, got {self.subflows}")
+        if self.beta < 2:
+            raise ValueError(f"beta must be >= 2 (Eq. 1 requires it), got {self.beta}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown fluid topology {self.topology!r} (one of {TOPOLOGIES})")
         if self.topology == "fattree" and (self.k < 2 or self.k % 2):

@@ -3,26 +3,26 @@
 :data:`FLUID_LAWS` is the fluid column of the scheme table
 (:data:`repro.mptcp.coupling.SCHEMES`): one :class:`FluidLaw` per scheme
 that has a fluid form, keyed by the table's names (it lives here so that
-``repro.mptcp`` imports nothing from ``repro.fluid``).  Each law is the
-fluid (per-second drift) form of a packet-level scheme, built from the
-*same* pure formulas the packet controllers use:
+``repro.mptcp`` imports nothing from ``repro.fluid``).  A law has the
+shape Peng, Walid, Hwang & Low give an MP-TCP algorithm: a per-flow
+coupling (the reductions over its subflows it reads) and a per-subflow
+drift, one elementwise expression both solvers evaluate.  The drifts call
+the *same* one-expression formulas the packet controllers and the
+closed-form integrators call:
 
-* ``xmp`` — Eq. 2's BOS ODE (:func:`bos_window_ode`) with delta from
-  TraSh's Eq. 9 (:func:`repro.core.trash.trash_delta`);
+* ``xmp`` — Eq. 2 (:func:`bos_drift`) with delta from TraSh's Eq. 9
+  (:func:`repro.core.trash.coupled_delta`) over the flow's total rate
+  and minimum RTT;
 * ``bos-uncoupled`` — Eq. 2 with delta = 1;
 * ``lia`` — RFC 6356's linked increase with alpha from
-  :func:`repro.mptcp.lia.lia_alpha` and the Reno halving as drift;
+  :func:`repro.mptcp.lia.linked_alpha` and the Reno halving as drift;
 * ``dctcp`` — per-ACK increase 1/w plus the alpha-proportional cut,
   with the marked-fraction EWMA (gain
-  :data:`repro.transport.dctcp.DEFAULT_GAIN`) itself integrated as an
-  ODE.
+  :data:`repro.transport.dctcp.DEFAULT_GAIN`) integrated as its state.
 
-Each law's ``reference`` step is the executable semantics; its ``vector``
-function mirrors it with numpy (handed in by the solver — this module
-never imports it) and is pinned to it by an equality test
-(``tests/test_fluid_backend.py``).  Which knee a scheme's marking
-probability sits at — ECN's K or the buffer limit — is the table's
-``ecn`` column.
+``tests/test_fluid_backend.py`` pins the two solvers' evaluations equal
+with ``==``.  Which knee a scheme's marking probability sits at — ECN's
+K or the buffer limit — is the table's ``ecn`` column.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.trash import trash_delta
+from repro.core.trash import coupled_delta
 from repro.mptcp.coupling import SCHEMES
-from repro.mptcp.lia import lia_alpha
-from repro.sim.units import Seconds
+from repro.mptcp.lia import linked_alpha
 from repro.transport.dctcp import DEFAULT_GAIN
 
 #: Window floor in packets — matches the packet engine's one-segment
@@ -45,14 +44,26 @@ MIN_WINDOW = 1.0
 #: :func:`threshold_marking_probability`.
 MARKING_WIDTH = 2.0
 
+#: Cap on the marking knee's exponent: ``exp(709)`` (~8.2e307) still fits
+#: a double, so a queue far below its knee reads a probability of
+#: ~1e-308 instead of overflowing.  Every exponent below the cap keeps
+#: its bits.
+MAX_EXPONENT = 709.0
+
+
+def bos_drift(w, p, delta, beta, rtt):
+    """Right-hand side of Eq. 2 as one expression: dw/dt given marking
+    probability ``p``, elementwise on floats or numpy arrays."""
+    return (delta * (1.0 - p) - w * p / beta) / rtt
+
 
 def bos_window_ode(
     w: float, p: float, delta: float, beta: float, rtt: float
 ) -> float:
-    """Right-hand side of Eq. 2: dw/dt given marking probability ``p``."""
+    """:func:`bos_drift` for one window, with its RTT checked."""
     if rtt <= 0:
         raise ValueError(f"rtt must be positive, got {rtt}")
-    return (delta / rtt) * (1.0 - p) - (w / (rtt * beta)) * p
+    return bos_drift(w, p, delta, beta, rtt)
 
 
 def threshold_marking_probability(
@@ -67,129 +78,63 @@ def threshold_marking_probability(
     """
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
-    return 1.0 / (1.0 + math.exp(-(queue_packets - threshold) / width))
-
-
-def lia_window_drift(
-    w: float, p: float, rtt: Seconds, alpha: float, flow_total_window: float
-) -> float:
-    """LIA: linked increase per ACK, Reno halving at the loss rate.
-
-    Per-ACK increase ``min(alpha/w_total, 1/w)`` times the ACK rate
-    ``x(1-p)``, minus the halving ``w/2`` at the per-round loss rate
-    ``x p`` — with the packet side's fallback to the uncoupled ``1/w``
-    increase while alpha is unmeasurable.
-    """
-    x = w / rtt
-    own = 1.0 / max(w, 1.0)
-    if alpha > 0.0 and flow_total_window > 0.0:
-        increase = min(alpha / flow_total_window, own)
-    else:
-        increase = own
-    return x * (1.0 - p) * increase - x * p * (w / 2.0)
-
-
-def dctcp_window_drift(
-    w: float, p: float, rtt: Seconds, alpha: float
-) -> float:
-    """DCTCP: additive increase, alpha-proportional cut at the mark rate."""
-    return (1.0 - p) / rtt - (w * alpha / 2.0) * (p / rtt)
-
-
-def dctcp_alpha_drift(
-    alpha: float, p: float, rtt: Seconds, gain: float = DEFAULT_GAIN
-) -> float:
-    """DCTCP's marked-fraction EWMA as an ODE: one gain step per RTT."""
-    return gain * (p - alpha) / rtt
-
-
-# ----------------------------------------------------------------------
-# One Euler step of every subflow's window, per scheme and per solver.
-# ``reference(dt, beta, w, p, rtt, x, slices, state)`` updates the lists
-# ``w`` (and ``state``) in place, flow by flow over the ``(start, end)``
-# subflow ``slices``; ``vector(np, dt, beta, w, p, rtt, x, flow_offsets,
-# flow_of, state)`` returns ``(dw, state)`` over whole numpy arrays, its
-# per-flow reductions being ``reduceat`` over the flows' first-subflow
-# offsets broadcast back through ``flow_of``.
-# ----------------------------------------------------------------------
-
-
-def _xmp_reference(dt, beta, w, p, rtt, x, slices, state):
-    """XMP: Eq. 2 with TraSh's delta (Eq. 9) from the flow's total rate
-    ``y_s`` (packets/s) and minimum subflow RTT ``T_s``."""
-    for start, end in slices:
-        y = sum(x[start:end])
-        t_min = min(rtt[start:end])
-        for s in range(start, end):
-            delta = trash_delta(w[s], y, t_min)
-            w[s] += dt * bos_window_ode(w[s], p[s], delta, beta, rtt[s])
-
-
-def _xmp_vector(np, dt, beta, w, p, rtt, x, flow_offsets, flow_of, state):
-    y = np.add.reduceat(x, flow_offsets)[flow_of]
-    t_min = np.minimum.reduceat(rtt, flow_offsets)[flow_of]
-    # Eq. 9 with cwnd = x * rtt: repro.core.trash.trash_delta.
-    delta = w / (y * t_min)
-    return (delta * (1.0 - p) - w * p / beta) / rtt, state
-
-
-def _bos_reference(dt, beta, w, p, rtt, x, slices, state):
-    """Uncoupled BOS: Eq. 2 with delta = 1."""
-    for s in range(len(w)):
-        w[s] += dt * bos_window_ode(w[s], p[s], 1.0, beta, rtt[s])
-
-
-def _bos_vector(np, dt, beta, w, p, rtt, x, flow_offsets, flow_of, state):
-    return ((1.0 - p) - w * p / beta) / rtt, state
-
-
-def _lia_reference(dt, beta, w, p, rtt, x, slices, state):
-    for start, end in slices:
-        flow_alpha = lia_alpha(w[start:end], rtt[start:end])
-        total = sum(w[start:end])
-        for s in range(start, end):
-            w[s] += dt * lia_window_drift(w[s], p[s], rtt[s], flow_alpha, total)
-
-
-def _lia_vector(np, dt, beta, w, p, rtt, x, flow_offsets, flow_of, state):
-    numerator = np.maximum.reduceat(w / (rtt * rtt), flow_offsets)
-    denominator = np.add.reduceat(w / rtt, flow_offsets)
-    total = np.add.reduceat(w, flow_offsets)
-    flow_alpha = total * numerator / (denominator * denominator)
-    own = 1.0 / np.maximum(w, 1.0)
-    increase = np.minimum(flow_alpha[flow_of] / total[flow_of], own)
-    return x * ((1.0 - p) * increase - p * (w / 2.0)), state
-
-
-def _dctcp_reference(dt, beta, w, p, rtt, x, slices, state):
-    for s in range(len(w)):
-        w[s] += dt * dctcp_window_drift(w[s], p[s], rtt[s], state[s])
-        state[s] += dt * dctcp_alpha_drift(state[s], p[s], rtt[s])
-
-
-def _dctcp_vector(np, dt, beta, w, p, rtt, x, flow_offsets, flow_of, state):
-    dw = ((1.0 - p) - (w * state / 2.0) * p) / rtt
-    return dw, state + dt * DEFAULT_GAIN * (p - state) / rtt
+    exponent = (threshold - queue_packets) / width
+    return 1.0 / (1.0 + math.exp(exponent if exponent < MAX_EXPONENT else MAX_EXPONENT))
 
 
 @dataclass(frozen=True)
 class FluidLaw:
-    """The fluid column of one scheme row: its window step in both solvers."""
+    """The fluid column of one scheme row.
 
-    reference: Callable[..., None]
-    vector: Callable[..., Tuple[Any, Any]]
-    #: Initial value of the extra per-subflow state integrated beside the
-    #: window (DCTCP's alpha); ``None`` when the law has none.
+    ``drift(xp, w, p, rtt, x, flow, beta, state) -> (dw, dstate)`` is one
+    elementwise expression of a subflow's window, marking probability,
+    RTT and rate ``x = w/rtt``, ``flow`` holding its flow's reductions.
+    The reference solver calls it per subflow on floats, the vector
+    solver once on numpy arrays; ``xp`` supplies ``minimum``/``maximum``.
+    """
+
+    drift: Callable[..., Tuple[Any, Any]]
+    #: The per-flow reductions the coupling reads, as ``(reduction,
+    #: term)`` pairs: the builtin ``sum``, ``min`` or ``max`` of a column
+    #: (``"w"``, ``"rtt"``, ``"x"``) or of an elementwise ``term(w, rtt)``.
+    flow: Tuple[Tuple[Callable[..., Any], Any], ...] = ()
+    #: Initial value of the per-subflow state integrated beside the window
+    #: (DCTCP's alpha, drifting at ``dstate``); ``None`` when there is none.
     state0: Optional[float] = None
+
+
+def _xmp(xp, w, p, rtt, x, flow, beta, state):
+    # Eq. 9's delta from the flow's y_s (packets/s) and T_s, with cwnd = w.
+    total_rate, min_rtt = flow
+    return bos_drift(w, p, coupled_delta(w, total_rate, min_rtt), beta, rtt), state
+
+
+def _bos_uncoupled(xp, w, p, rtt, x, flow, beta, state):
+    return bos_drift(w, p, 1.0, beta, rtt), state
+
+
+def _lia(xp, w, p, rtt, x, flow, beta, state):
+    # Per-ACK increase min(alpha/w_total, 1/w) at the ACK rate x(1-p),
+    # the Reno halving w/2 at the loss rate x p.
+    peak, rate_sum, total = flow
+    own = 1.0 / xp.maximum(w, 1.0)
+    increase = xp.minimum(linked_alpha(total, peak, rate_sum) / total, own)
+    return x * ((1.0 - p) * increase - p * (w / 2.0)), state
+
+
+def _dctcp(xp, w, p, rtt, x, flow, beta, alpha):
+    # Additive increase, the alpha-proportional cut at the mark rate, and
+    # the marked-fraction EWMA as an ODE: one gain step per RTT.
+    return ((1.0 - p) - (w * alpha / 2.0) * p) / rtt, DEFAULT_GAIN * (p - alpha) / rtt
 
 
 #: Scheme name -> fluid law, for the rows of
 #: :data:`~repro.mptcp.coupling.SCHEMES` that have one.
 FLUID_LAWS: Dict[str, FluidLaw] = {
-    "xmp": FluidLaw(_xmp_reference, _xmp_vector),
-    "bos-uncoupled": FluidLaw(_bos_reference, _bos_vector),
-    "lia": FluidLaw(_lia_reference, _lia_vector),
-    "dctcp": FluidLaw(_dctcp_reference, _dctcp_vector, state0=1.0),
+    "xmp": FluidLaw(_xmp, flow=((sum, "x"), (min, "rtt"))),
+    "bos-uncoupled": FluidLaw(_bos_uncoupled),
+    "lia": FluidLaw(_lia, flow=((max, lambda w, rtt: w / (rtt * rtt)), (sum, "x"), (sum, "w"))),
+    "dctcp": FluidLaw(_dctcp, state0=1.0),
 }
 
 #: Scheme names accepted by the fluid backend, in the table's order.
@@ -230,13 +175,11 @@ __all__ = [
     "FLUID_SCHEMES",
     "FluidLaw",
     "MARKING_WIDTH",
+    "MAX_EXPONENT",
     "MIN_WINDOW",
+    "bos_drift",
     "bos_window_ode",
-    "dctcp_alpha_drift",
-    "dctcp_window_drift",
     "fluid_law",
-    "lia_alpha",
-    "lia_window_drift",
     "render_scheme_table",
     "threshold_marking_probability",
 ]

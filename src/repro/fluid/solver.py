@@ -6,18 +6,20 @@ One Euler step advances, in this order:
    probability of every link (:func:`threshold_marking_probability`);
 2. **subflows** — RTT (base + path queueing delay), path marking
    probability ``1 - prod(1 - p_l)``, fluid rate ``x = w/T``;
-3. **flows** — the per-flow aggregates the coupled laws need (XMP's
-   ``y_s``/``T_s``, LIA's alpha and total window);
-4. **windows** — the scheme's drift (:mod:`repro.fluid.laws`), clamped
+3. **flows** — the per-flow reductions the scheme's law names in its
+   ``flow`` (XMP's ``y_s``/``T_s``; LIA's max w/rtt^2, sum w/rtt and
+   sum w);
+4. **windows** — the law's drift (:mod:`repro.fluid.laws`), clamped
    at :data:`~repro.fluid.laws.MIN_WINDOW`;
 5. **queues** — ``q += dt * (arrivals - C)``, floored at zero,
    with arrivals taken from the pre-update rates (as in
    :func:`integrate_shared_link`).
 
 Two interchangeable solvers implement these semantics, each a generator
-of :func:`sample_count` ``(time, windows, rates, queues)`` samples that
-keeps none it has yielded; :func:`integrate_model` collects them into a
-:class:`FluidTrajectory`, :func:`steady_state` folds them into tail means:
+of :func:`sample_count` ``(time, windows, rates, queues)`` samples;
+:func:`integrate_model` collects them into a :class:`FluidTrajectory`,
+:func:`steady_state` folds them into tail means.  Both evaluate the same
+drift; each keeps its own link, path and flow arithmetic:
 
 * ``"reference"`` — pure Python, the executable specification; and
 * ``"vector"`` — numpy segment reductions over flattened path arrays,
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
@@ -163,11 +166,7 @@ def stream_model(
     sample_stride: int = SAMPLE_STRIDE,
     solver: str = "reference",
 ) -> Iterator[Tuple]:
-    """Validate the arguments, then return the solver's sample generator.
-
-    The reference solver updates its window and queue lists in place, so
-    a consumer must copy or fold each sample before it asks for the next.
-    """
+    """Validate the arguments, then return the solver's sample generator."""
     law = laws.fluid_law(scheme)
     if solver not in SOLVERS:
         raise ValueError(f"unknown solver {solver!r} (one of {SOLVERS})")
@@ -237,6 +236,43 @@ def _fold(total, values):
     return [t + v for t, v in zip(total, values)]
 
 
+#: The reference solver's ``xp`` (a drift's numpy functions as builtins),
+#: and the ufunc the vector solver reduces a flow with for each builtin.
+_FLOATS = SimpleNamespace(minimum=min, maximum=max)
+_UFUNCS = {sum: "add", min: "minimum", max: "maximum"}
+
+
+def _reference_drift(law, beta, w, p, rtt, x, slices, flow_of, state) -> List[Tuple]:
+    """Every subflow's ``(dw, dstate)``: ``law.drift`` called once per
+    subflow on floats, each flow's reductions taken by builtins over its
+    ``(start, end)`` slice."""
+    columns = {"w": w, "rtt": rtt, "x": x}
+    reduced = []
+    for reduce, term in law.flow:
+        values = columns[term] if isinstance(term, str) else list(map(term, w, rtt))
+        reduced.append([reduce(values[start:end]) for start, end in slices])
+    flows = list(zip(*reduced)) if reduced else [()] * len(slices)
+    drift = law.drift
+    return [
+        drift(_FLOATS, ws, ps, r, xs, flows[f], beta, st)
+        for ws, ps, r, xs, f, st in zip(w, p, rtt, x, flow_of, state)
+    ]
+
+
+def _vector_drift(np, law, beta, w, p, rtt, x, flow_offsets, flow_of, state) -> Tuple:
+    """``(dw, dstate)`` over whole arrays: ``law.drift`` called once, each
+    flow reduction a ``ufunc.reduceat`` over the flows' first-subflow
+    offsets, broadcast back through ``flow_of``."""
+    columns = {"w": w, "rtt": rtt, "x": x}
+    flow = [
+        getattr(np, _UFUNCS[reduce]).reduceat(
+            columns[term] if isinstance(term, str) else term(w, rtt), flow_offsets
+        )[flow_of]
+        for reduce, term in law.flow
+    ]
+    return law.drift(np, w, p, rtt, x, flow, beta, state)
+
+
 def _integrate_reference(
     model: FluidModel,
     law: laws.FluidLaw,
@@ -254,16 +290,18 @@ def _integrate_reference(
     paths = [subflow.links for subflow in model.subflows]
     base = [subflow.base_rtt for subflow in model.subflows]
     slices = model.flow_slices()
+    flow_of = [subflow.flow for subflow in model.subflows]
 
     w = [float(w0)] * num_subflows
     q = [0.0] * num_links
-    state = None if law.state0 is None else [law.state0] * num_subflows
+    state = [law.state0] * num_subflows
+    floor = laws.MIN_WINDOW
 
     for i in range(steps):
-        delay = [q[l] / caps[l] for l in range(num_links)]
+        delay = [queue / cap for queue, cap in zip(q, caps)]
         p_link = [
-            threshold_marking_probability(q[l], knees[l], laws.MARKING_WIDTH)
-            for l in range(num_links)
+            threshold_marking_probability(queue, knee, laws.MARKING_WIDTH)
+            for queue, knee in zip(q, knees)
         ]
         rtts = [0.0] * num_subflows
         probs = [0.0] * num_subflows
@@ -282,13 +320,15 @@ def _integrate_reference(
             for l in paths[s]:
                 arrivals[l] += x
 
-        law.reference(dt, beta, w, probs, rtts, rates, slices, state)
-        for s in range(num_subflows):
-            if w[s] < laws.MIN_WINDOW:
-                w[s] = laws.MIN_WINDOW
+        drifts = _reference_drift(law, beta, w, probs, rtts, rates, slices, flow_of, state)
+        w = [m if (m := ws + dt * dw) > floor else floor for ws, (dw, _) in zip(w, drifts)]
+        if law.state0 is not None:
+            state = [a + dt * da for a, (_, da) in zip(state, drifts)]
 
-        for l in range(num_links):
-            q[l] = max(0.0, q[l] + dt * (arrivals[l] - caps[l]))
+        q = [
+            moved if (moved := queue + dt * (arrived - cap)) > 0.0 else 0.0
+            for queue, arrived, cap in zip(q, arrivals, caps)
+        ]
 
         if i % sample_stride == 0 or i == steps - 1:
             yield i * dt, w, rates, q
@@ -343,16 +383,17 @@ def _integrate_vector(
 
     for i in range(steps):
         delay = q / caps
-        p_link = 1.0 / (1.0 + np.exp(-(q - knee) / laws.MARKING_WIDTH))
+        exponent = (knee - q) / laws.MARKING_WIDTH
+        p_link = 1.0 / (1.0 + np.exp(np.minimum(exponent, laws.MAX_EXPONENT, out=exponent)))
         rtt = base + np.add.reduceat(delay[path_links], sub_offsets)
         survive = np.multiply.reduceat(1.0 - p_link[path_links], sub_offsets)
         p = 1.0 - survive
         x = w / rtt
 
-        dw, state = law.vector(
-            np, dt, beta, w, p, rtt, x, flow_offsets, flow_of, state
-        )
+        dw, dstate = _vector_drift(np, law, beta, w, p, rtt, x, flow_offsets, flow_of, state)
         w = np.maximum(w + dt * dw, laws.MIN_WINDOW)
+        if state is not None:
+            state = state + dt * dstate
         arrivals = np.bincount(path_links, weights=x[path_sub], minlength=num_links)
         q = np.maximum(q + dt * (arrivals - caps), 0.0)
 

@@ -24,16 +24,21 @@ from typing import Optional, Sequence
 from repro.transport.cc import Coupling, RenoCC
 
 
+def linked_alpha(total, peak, rate_sum):
+    """RFC 6356's ``alpha = w_total * max_r(w_r/rtt_r^2) / (sum_r
+    w_r/rtt_r)^2`` as one expression of those three flow reductions, on
+    floats or numpy arrays alike: :func:`lia_alpha` and the fluid LIA
+    drift (:mod:`repro.fluid.laws`) both call it."""
+    return total * peak / (rate_sum * rate_sum)
+
+
 def lia_alpha(
     windows: Sequence[float], rtts: Sequence[Optional[float]]
 ) -> float:
-    """RFC 6356's aggressiveness factor as a pure formula.
+    """:func:`linked_alpha` over parallel ``windows``/``rtts`` sequences.
 
-    ``alpha = w_total * max_r(w_r/rtt_r^2) / (sum_r w_r/rtt_r)^2`` over
-    parallel ``windows``/``rtts`` sequences.  Shared by the packet-level
-    :class:`LiaCoupling` and the fluid backend's LIA law
-    (:mod:`repro.fluid.laws`).  Returns 0.0 when any RTT is unknown or
-    non-positive (the packet side's "not measured yet" fallback).
+    Returns 0.0 when any RTT is unknown or non-positive (the packet
+    side's "not measured yet" fallback).
     """
     numerator = 0.0
     denominator = 0.0
@@ -46,7 +51,7 @@ def lia_alpha(
         total += cwnd
     if denominator <= 0:
         return 0.0
-    return total * numerator / (denominator * denominator)
+    return linked_alpha(total, numerator, denominator)
 
 
 class LiaCoupling(Coupling):
@@ -89,4 +94,4 @@ class LiaCC(RenoCC):
         return min(alpha / total, own)
 
 
-__all__ = ["LiaCoupling", "LiaCC", "lia_alpha"]
+__all__ = ["LiaCoupling", "LiaCC", "lia_alpha", "linked_alpha"]

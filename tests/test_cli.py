@@ -248,9 +248,10 @@ class TestInputValidation:
         (["profile", "fig4", "--duration", "0.01"], "--duration"),
         (["fluid", "--duration", "0"], "must be positive"),
         (["fluid", "--topology", "fattree", "--k", "3"], "got 3"),
+        (["fluid", "--beta", "0"], "beta must be >= 2"),
     ], ids=["zero-subflows-spec", "fluid-subflows", "fluid-flows",
             "fluid-scheme", "profile-pattern", "profile-duration",
-            "fluid-duration", "fluid-odd-k"])
+            "fluid-duration", "fluid-odd-k", "fluid-beta"])
     def test_bad_value_fails_at_parse_time_not_inside_a_cell(
         self, argv, complaint, capsys
     ):

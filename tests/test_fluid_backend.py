@@ -1,10 +1,12 @@
 """Tests for the fluid backend package (repro.fluid) and the integrator
 fixes it depends on: exact step counts, final-state
 sampling, tail-fraction validation, Eq. 2/3 equilibrium properties, the
-reference/vector solver equivalence, the streamed steady state and the
-reductions-only result, combinatorial fat-tree paths, and the
+reference/vector solver equivalence and the one drift expression both
+evaluate, the streamed steady state and the reductions-only result, the
+marking knee's overflow clamp, combinatorial fat-tree paths, and the
 runner/telemetry backend plumbing."""
 
+import dataclasses
 import gc
 import math
 import pickle
@@ -23,8 +25,19 @@ from repro.fluid import (
     vector_available,
 )
 from repro.fluid.backend import _build_model, _simulate, _solver_args
-from repro.fluid.laws import FLUID_SCHEMES
-from repro.fluid.solver import sample_count, steady_state, stream_model
+from repro.fluid.laws import (
+    FLUID_LAWS,
+    FLUID_SCHEMES,
+    MARKING_WIDTH,
+    threshold_marking_probability,
+)
+from repro.fluid.solver import (
+    _reference_drift,
+    _vector_drift,
+    sample_count,
+    steady_state,
+    stream_model,
+)
 from repro.metrics.series import TimeSeries
 from repro.net.network import Network
 from repro.net.routing import DistinctPathSelector
@@ -334,6 +347,98 @@ class TestSolverEquivalence:
         with pytest.raises(ValueError):
             _simulate(FluidScenario(solver="magic"))
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_k4_goodputs_agree_to_nine_digits(self, seed):
+        """The ledger formats fluid goodputs with ``.9g``; on its k=4 XMP-2
+        cell both solvers must print the same digits (the rule behind the
+        identical ``k4_ref``/``k4_vec`` digests)."""
+        printed = [
+            [f"{g:.9g}" for g in _simulate(FluidScenario(
+                topology="fattree", flows=64, subflows=2,
+                duration=seconds(0.02), seed=seed, solver=solver,
+            )).flow_goodputs_bps()]
+            for solver in ("reference", "vector")
+        ]
+        assert printed[0] == printed[1]
+
+
+# ----------------------------------------------------------------------
+# One law, one expression: both solvers evaluate the same drift
+# ----------------------------------------------------------------------
+
+
+def check_one_expression(scheme, beta, subflows, sizes):
+    """A law's drift evaluated per subflow on floats (the reference path)
+    equals its one evaluation on arrays (the vector path) with ``==``.
+
+    ``subflows`` holds ``(w, rtt, p, alpha)`` draws and ``sizes`` the
+    flows' subflow counts.  Flows have one or two subflows: over three or
+    more, ``sum`` and ``np.add.reduceat`` add in different orders, the
+    one place the solvers' own arithmetic enters a law.
+    """
+    import numpy as np
+
+    law = FLUID_LAWS[scheme]
+    w, rtt, p, alpha = (list(column) for column in zip(*subflows))
+    x = [window / r for window, r in zip(w, rtt)]
+    slices, flow_of = [], []
+    for flow, size in enumerate(sizes):
+        slices.append((len(flow_of), len(flow_of) + size))
+        flow_of += [flow] * size
+    state = [None] * len(w) if law.state0 is None else alpha
+    floats = _reference_drift(law, beta, w, p, rtt, x, slices, flow_of, state)
+    dw, dstate = _vector_drift(
+        np, law, beta, *(np.array(column) for column in (w, p, rtt, x)),
+        np.array([start for start, _ in slices]), np.array(flow_of),
+        None if law.state0 is None else np.array(alpha),
+    )
+    assert [d for d, _ in floats] == dw.tolist()
+    if law.state0 is not None:
+        assert [d for _, d in floats] == dstate.tolist()
+
+
+@pytest.mark.skipif(not vector_available(), reason="numpy not installed")
+class TestOneExpression:
+    if HAVE_HYPOTHESIS:
+
+        @given(
+            scheme=st.sampled_from(FLUID_SCHEMES),
+            beta=st.floats(2.0, 16.0),
+            sizes=st.lists(st.integers(1, 2), min_size=1, max_size=6),
+            data=st.data(),
+        )
+        @settings(max_examples=200, deadline=None)
+        def test_reference_drift_equals_vector_drift(self, scheme, beta, sizes, data):
+            subflow = st.tuples(
+                st.floats(1.0, 1e4), st.floats(1e-6, 0.1),
+                st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+            )
+            n = sum(sizes)
+            subflows = data.draw(st.lists(subflow, min_size=n, max_size=n))
+            check_one_expression(scheme, beta, subflows, sizes)
+
+    else:  # pragma: no cover - minimal images only
+
+        def test_reference_drift_equals_vector_drift(self):
+            rng = random.Random(0x1A3)
+            for _ in range(200):
+                sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 6))]
+                subflows = [
+                    (rng.uniform(1.0, 1e4), rng.uniform(1e-6, 0.1),
+                     rng.random(), rng.random())
+                    for _ in range(sum(sizes))
+                ]
+                check_one_expression(
+                    rng.choice(FLUID_SCHEMES), rng.uniform(2.0, 16.0), subflows, sizes
+                )
+
+    def test_law_rows_are_drift_flow_and_state(self):
+        for law in FLUID_LAWS.values():
+            assert [f.name for f in dataclasses.fields(law)] == ["drift", "flow", "state0"]
+            for reduction, term in law.flow:
+                assert reduction in (sum, min, max)
+                assert callable(term) or term in ("w", "rtt", "x")
+
 
 # ----------------------------------------------------------------------
 # The streamed steady state == the tail means of the collected trajectory
@@ -458,13 +563,40 @@ class TestScenarioValidation:
         {"duration": 0.0},
         {"dt": -1.0},
         {"topology": "fattree", "k": 3},
-    ], ids=["solver", "topology", "stride", "duration", "dt", "odd-k"])
+        {"beta": 1.5},
+    ], ids=["solver", "topology", "stride", "duration", "dt", "odd-k", "beta"])
     def test_bad_spec_fails_at_construction(self, spec):
         with pytest.raises(ValueError):
             FluidScenario(**spec)
 
     def test_k_is_checked_only_for_the_fat_tree(self):
         assert FluidScenario(topology="bottleneck", k=3).k == 3
+
+
+# ----------------------------------------------------------------------
+# The marking knee never overflows
+# ----------------------------------------------------------------------
+
+
+class TestMarkingKnee:
+    def test_far_below_a_buffer_sized_knee(self):
+        assert 0.0 < threshold_marking_probability(0.0, 2000.0) < 1e-300
+
+    @pytest.mark.parametrize("queue, knee", [
+        (0.0, 10.0), (9.5, 10.0), (30.0, 10.0), (0.0, 100.0), (0.0, 1418.0),
+    ])
+    def test_in_range_probabilities_keep_their_bits(self, queue, knee):
+        unclamped = 1.0 / (1.0 + math.exp(-(queue - knee) / MARKING_WIDTH))
+        assert threshold_marking_probability(queue, knee) == unclamped
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("solver", STREAM_SOLVERS)
+    def test_buffer_sized_knee_integrates(self, solver):
+        result = _simulate(FluidScenario(
+            scheme="lia", flows=2, queue_capacity=2000,
+            duration=seconds(0.01), solver=solver,
+        ))
+        assert all(0.0 < g <= 1.01e9 for g in result.flow_goodputs_bps())
 
 
 # ----------------------------------------------------------------------
