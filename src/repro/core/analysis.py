@@ -14,9 +14,10 @@ packet; one round later the sender cuts by 1/β:
 * cycle length    ``(w_max − w_min)/δ`` rounds.
 
 From the sawtooth follow the three quantities the paper trades off —
-utilization, mean queue (latency) and the marking period — so the whole
-(β, K) plane can be mapped without simulating, and the simulator can be
-checked against the map (see ``tests/test_core_analysis.py``).
+utilization, mean queue (latency) and the marking period in rounds — so
+the whole (β, K) plane can be mapped without simulating, and the
+simulator can be checked against the map (see
+``tests/test_core_analysis.py``).
 
 Accuracy: the model treats the queue as instantaneously ``w − BDP`` and
 the cut as acting exactly one round after the threshold crossing.  The
@@ -32,8 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.utility import min_marking_threshold
-
 
 @dataclass(frozen=True)
 class SawtoothPrediction:
@@ -48,11 +47,6 @@ class SawtoothPrediction:
     cycle_rounds: float
     utilization: float
     mean_queue_packets: float
-
-    @property
-    def meets_eq1(self) -> bool:
-        """Whether K satisfies Eq. 1's full-utilization bound."""
-        return self.threshold >= min_marking_threshold(self.bdp_packets, self.beta)
 
 
 def predict_sawtooth(
@@ -120,33 +114,4 @@ def _sawtooth_mean_queue(w_min: float, w_max: float, bdp: float) -> float:
     return above * average_above
 
 
-def utilization_map(
-    bdp_packets: float,
-    betas,
-    thresholds,
-    delta: float = 1.0,
-):
-    """Predictions over a (β, K) grid — the §7 'deeper understanding'.
-
-    Returns ``{(beta, threshold): SawtoothPrediction}``.
-    """
-    return {
-        (beta, threshold): predict_sawtooth(bdp_packets, threshold, beta, delta)
-        for beta in betas
-        for threshold in thresholds
-    }
-
-
-def marking_period_seconds(prediction: SawtoothPrediction, rtt: float) -> float:
-    """Wall-clock time between window cuts at steady state."""
-    if rtt <= 0:
-        raise ValueError(f"rtt must be positive, got {rtt}")
-    return prediction.cycle_rounds * rtt
-
-
-__all__ = [
-    "SawtoothPrediction",
-    "predict_sawtooth",
-    "utilization_map",
-    "marking_period_seconds",
-]
+__all__ = ["SawtoothPrediction", "predict_sawtooth"]

@@ -50,6 +50,7 @@ from repro.mptcp.coupling import parse_scheme_spec
 from repro.runner import Campaign, CampaignResult, RunSpec
 from repro.workloads.arrivals import ARRIVAL_NAMES
 from repro.workloads.cdf import WORKLOAD_NAMES
+from repro.workloads.partition_aggregate import DEFAULT_RESPONSE_BYTES
 
 #: One CLI flag: the option string and its ``add_argument`` keywords.
 Flag = Tuple[str, Dict[str, Any]]
@@ -250,8 +251,8 @@ _ROWS = (
                  help="workers per partition-aggregate round "
                       "(default: 2 4 8 12)"),
             _schemes("response-flow schemes, e.g. xmp-2 dctcp lia-2"),
-            flag("--response-bytes", type=int, default=64_000,
-                 help="bytes each worker sends back (default: 64000)"),
+            flag("--response-bytes", type=int, default=DEFAULT_RESPONSE_BYTES,
+                 help=f"bytes each worker sends back (default: {DEFAULT_RESPONSE_BYTES})"),
             flag("--concurrent", dest="concurrent_jobs", metavar="CONCURRENT",
                  type=int, default=4,
                  help="partition-aggregate jobs in flight at once"),

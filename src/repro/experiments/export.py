@@ -6,8 +6,6 @@ plotted or diffed outside the repo:
 
 * :func:`export_fattree_result` — one fat-tree run: per-flow records,
   JCTs, RTT samples and per-link utilization as CSV plus a summary JSON.
-* :func:`export_rate_result` — any rate-versus-time experiment result
-  (Figs. 1/4/6/7) as a CSV of its series plus a JSON of its config.
 * :func:`export_campaign_metrics` — a campaign's per-cell runner metrics
   (wall-clock, events, events/sec, cache provenance) as ``cells.csv``.
 """
@@ -95,20 +93,6 @@ def export_fattree_result(result: FatTreeResult, directory: PathLike) -> pathlib
     return out
 
 
-def export_rate_result(result, directory: PathLike, name: str = "rates") -> pathlib.Path:
-    """Write a rate-series experiment result (Fig. 1/4/6/7 style).
-
-    ``result`` must expose ``series`` and ``config``; produces
-    ``<name>.csv`` plus ``config.json``.
-    """
-    out = _ensure_dir(directory)
-    (out / f"{name}.csv").write_text(result.series.to_csv())
-    (out / "config.json").write_text(
-        json.dumps(dataclasses.asdict(result.config), indent=2)
-    )
-    return out
-
-
 def export_campaign_metrics(campaign, directory: PathLike) -> pathlib.Path:
     """Write a campaign's per-cell metrics as ``<directory>/cells.csv``.
 
@@ -133,4 +117,4 @@ def export_campaign_metrics(campaign, directory: PathLike) -> pathlib.Path:
     return out
 
 
-__all__ = ["export_fattree_result", "export_rate_result", "export_campaign_metrics"]
+__all__ = ["export_fattree_result", "export_campaign_metrics"]

@@ -114,22 +114,11 @@ class FatTreeResult:
         return [u for _, l, u in self.link_utilization if l == layer]
 
 
-def clear_cache() -> None:
-    """Drop memoized runs (tests use this to force fresh simulations).
-
-    Delegates to the runner cache's in-process tier; an attached disk
-    tier is deliberately left alone (it is content-addressed and safe).
-    """
-    from repro.runner.cache import default_cache
-
-    default_cache().clear_memory()
-
-
-def run_fattree(scenario: FatTreeScenario, campaign=None) -> FatTreeResult:
-    """Run (or fetch from the runner cache) one fat-tree scenario."""
+def run_fattree(scenario: FatTreeScenario) -> FatTreeResult:
+    """Run (or fetch from the process-wide run cache) one fat-tree scenario."""
     from repro.runner import RunSpec, run_spec
 
-    return run_spec(RunSpec("fattree", scenario), campaign).value
+    return run_spec(RunSpec("fattree", scenario)).value
 
 
 def build_cell(scenario) -> Tuple[RandomStreams, FatTreeNetwork, List[str]]:
@@ -276,6 +265,5 @@ __all__ = [
     "FatTreeScenario",
     "FatTreeResult",
     "run_fattree",
-    "clear_cache",
     "PATTERNS",
 ]

@@ -39,10 +39,6 @@ class Fig10Result:
     #: Per-cell runner observability (wall/events/cache provenance).
     campaign: Optional[CampaignResult] = None
 
-    def mean_rtt(self, label: str, category: str) -> float:
-        summary = self.rtt.get(label, {}).get(category)
-        return summary["mean"] if summary else 0.0
-
     def format(self) -> str:
         headers = ["Scheme"] + [f"{c} p50 (ms)" for c in CATEGORIES]
         rows = []

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.fattree_eval import FatTreeScenario
 from repro.experiments.fig10_rtt import CATEGORIES, FIG10_SCHEMES
 from repro.experiments.reporting import format_table
-from repro.metrics.stats import cdf_points, summarize
+from repro.metrics.stats import cdf_points, percentile, summarize
 from repro.runner import CampaignResult
 
 LINK_RATE_BPS = 1e9
@@ -40,9 +40,7 @@ class Fig8Result:
         points = self.cdfs[label]
         if not points:
             return 0.0
-        values = [value for value, _ in points]
-        values.sort()
-        return values[len(values) // 2]
+        return percentile([value for value, _ in points], 50)
 
     def format(self) -> str:
         headers = ["Scheme", "median"] + [f"{c} p50" for c in CATEGORIES]

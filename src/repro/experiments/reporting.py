@@ -6,7 +6,7 @@ these helpers keep that output consistent and readable in pytest logs.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Sequence
 
 from repro.metrics.stats import percentile
 
@@ -31,17 +31,13 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_cdf(
-    values: Sequence[float],
-    quantiles: Sequence[float] = (10, 25, 50, 75, 90, 99),
-    unit: str = "",
-    scale: float = 1.0,
-) -> str:
-    """Summarize a distribution by its quantiles on one line."""
+def format_cdf(values: Sequence[float], unit: str = "", scale: float = 1.0) -> str:
+    """Summarize a distribution by its p10/p25/p50/p75/p90/p99 on one line."""
     if not values:
         return "(no samples)"
     parts = [
-        f"p{int(q)}={percentile(values, q) * scale:.3g}{unit}" for q in quantiles
+        f"p{q}={percentile(values, q) * scale:.3g}{unit}"
+        for q in (10, 25, 50, 75, 90, 99)
     ]
     parts.append(f"n={len(values)}")
     return "  ".join(parts)
@@ -79,24 +75,9 @@ def format_cell_metrics(results: Iterable) -> str:
     )
 
 
-def format_series(
-    series: Sequence[Tuple[float, float]], scale: float = 1.0, width: int = 50
-) -> str:
-    """Render a (time, value) series as a crude horizontal bar chart."""
-    if not series:
-        return "(empty series)"
-    peak = max(value for _, value in series) or 1.0
-    lines: List[str] = []
-    for time, value in series:
-        bar = "#" * int(width * value / peak)
-        lines.append(f"{time:8.2f}s  {value * scale:10.3f}  {bar}")
-    return "\n".join(lines)
-
-
 __all__ = [
     "format_table",
     "format_cdf",
     "format_summary",
     "format_cell_metrics",
-    "format_series",
 ]

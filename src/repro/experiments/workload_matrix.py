@@ -358,13 +358,6 @@ class WorkloadMatrixResult:
     cells: Dict[Tuple[str, float], WorkloadResult] = field(default_factory=dict)
     campaign: Optional[CampaignResult] = None
 
-    def labels(self) -> List[str]:
-        seen: List[str] = []
-        for label, _load in self.cells:
-            if label not in seen:
-                seen.append(label)
-        return seen
-
     def format(self) -> str:
         headers = [
             "scheme",

@@ -26,7 +26,7 @@ integrators (:func:`integrate_single_flow`, :func:`integrate_shared_link`)
 the packet simulator is validated against.
 """
 
-from repro.fluid.backend import FluidResult, FluidScenario, run_fluid
+from repro.fluid.backend import FluidResult, FluidScenario
 from repro.fluid.laws import bos_window_ode, threshold_marking_probability
 from repro.fluid.model import (
     PACKET_BITS,
@@ -59,7 +59,6 @@ __all__ = [
     "integrate_shared_link",
     "integrate_single_flow",
     "model_from_network",
-    "run_fluid",
     "step_count",
     "threshold_marking_probability",
     "vector_available",

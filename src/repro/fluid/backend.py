@@ -125,10 +125,6 @@ class FluidResult:
     #: runner's throughput accounting uses.
     events: int
 
-    @property
-    def num_links(self) -> int:
-        return len(self.link_names)
-
     def steady_state_windows(self) -> List[float]:
         """Per-subflow steady-state window, packets."""
         return list(self.windows)
@@ -141,16 +137,6 @@ class FluidResult:
         """Mean per-flow steady-state goodput, bps."""
         goodputs = self.flow_goodputs_bps()
         return sum(goodputs) / len(goodputs) if goodputs else 0.0
-
-    def steady_state_queue(self, link_name: str) -> float:
-        """Steady-state queue of one named link, packets."""
-        try:
-            return self.queues[self.link_names.index(link_name)]
-        except ValueError:
-            raise KeyError(
-                f"link {link_name!r} not in fluid model "
-                f"({len(self.link_names)} links)"
-            ) from None
 
     def max_steady_state_queue(self) -> float:
         """The most congested link's steady-state queue, packets."""
@@ -171,13 +157,6 @@ class FluidResult:
             ["steady state", "value"], rows,
             title=f"fluid {self.scenario.label()} ({self.scenario.solver} solver)",
         )
-
-
-def run_fluid(scenario: FluidScenario, campaign=None) -> FluidResult:
-    """Run (or fetch from the runner cache) one fluid scenario."""
-    from repro.runner import RunSpec, run_spec
-
-    return run_spec(RunSpec("fluid", scenario), campaign).value
 
 
 def _permutation_pairs(
@@ -281,5 +260,4 @@ __all__ = [
     "FluidResult",
     "FluidScenario",
     "flow_goodputs_bps",
-    "run_fluid",
 ]

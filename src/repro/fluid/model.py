@@ -18,15 +18,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 from repro.net.network import Network
+from repro.net.packet import ACK_PACKET_BYTES, DATA_PACKET_BYTES
 from repro.net.routing import Path
 from repro.sim.units import Packets, Seconds
 
-#: Packet size used to convert packets <-> bits (paper: 1500 B MTU).
-PACKET_BITS = 1500 * 8
+#: Packet size used to convert packets <-> bits: the packet engine's
+#: full data packet (paper: 1500 B MTU).
+PACKET_BITS = DATA_PACKET_BYTES * 8
 
-#: Reverse-path (ACK) size used in the no-load RTT: 40 B of TCP/IP
-#: header, as in the packet engine's pure-ACK segments.
-ACK_BITS = 40 * 8
+#: Reverse-path (ACK) size used in the no-load RTT: the packet engine's
+#: pure-ACK segment.
+ACK_BITS = ACK_PACKET_BYTES * 8
 
 
 @dataclass(frozen=True)

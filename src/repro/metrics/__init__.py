@@ -4,12 +4,11 @@
 * :mod:`repro.metrics.fairness` — Jain's fairness index.
 * :mod:`repro.metrics.series` — :class:`TimeSeries`, the one shape every
   sampled quantity (packet samplers and fluid trajectories alike) is
-  recorded, reduced, cached and exported in.
+  recorded, reduced and cached in.
 * :mod:`repro.metrics.collector` — periodic samplers (per-flow rates,
   queue occupancy, RTTs) driven by simulator events.
-* :mod:`repro.metrics.goodput` — flow records and goodput aggregation
-  (Table 1/2, Fig. 8).
-* :mod:`repro.metrics.utilization` — per-layer link utilization (Fig. 11).
+* :mod:`repro.metrics.goodput` — flow records and the per-scheme goodput
+  table (Tables 1/2).
 * :mod:`repro.metrics.fct` — FCT-by-size-bin, 99p queue depth and
   incast goodput-collapse reducers for the workload matrix.
 """
@@ -18,9 +17,7 @@ from repro.metrics.stats import cdf_points, mean, percentile, summarize
 from repro.metrics.fairness import jain_index
 from repro.metrics.series import TimeSeries
 from repro.metrics.collector import QueueMonitor, RateSampler, RttSampler
-from repro.metrics.trace import FlowTracer
 from repro.metrics.goodput import FlowRecord, goodput_table
-from repro.metrics.utilization import utilization_by_layer
 from repro.metrics.fct import (
     check_fct_invariants,
     fct_by_size_bin,
@@ -43,9 +40,7 @@ __all__ = [
     "QueueMonitor",
     "RateSampler",
     "RttSampler",
-    "FlowTracer",
     "TimeSeries",
     "FlowRecord",
     "goodput_table",
-    "utilization_by_layer",
 ]

@@ -27,15 +27,4 @@ def jain_index(rates: Sequence[float]) -> float:
     return total * total / (len(rates) * squares)
 
 
-def max_min_ratio(rates: Sequence[float]) -> float:
-    """max/min of the rates; ``inf`` when the minimum is zero."""
-    if not rates:
-        raise ValueError("max_min_ratio of empty sequence")
-    low = min(rates)
-    high = max(rates)
-    if low <= 0.0:
-        return float("inf") if high > 0 else 1.0
-    return high / low
-
-
-__all__ = ["jain_index", "max_min_ratio"]
+__all__ = ["jain_index"]

@@ -2,15 +2,15 @@
 
 The paper defines Goodput as "the average data transfer rate of a large
 flow over its whole running time"; a :class:`FlowRecord` captures one
-finished (or still-running) transfer and the helpers aggregate them the
-way the tables and CDFs do.
+finished (or still-running) transfer and :func:`goodput_table` averages
+them per scheme the way the tables do.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.metrics.stats import cdf_points, mean, summarize
+from repro.metrics.stats import mean
 
 
 class FlowRecord:
@@ -69,10 +69,6 @@ class FlowRecord:
             f"t=[{self.start_time}, {self.complete_time}])"
         )
 
-    @property
-    def finished(self) -> bool:
-        return self.complete_time is not None
-
     def goodput_bps(self, now: Optional[float] = None) -> float:
         """Delivered bits over running time; unfinished flows need ``now``."""
         end = self.complete_time
@@ -85,17 +81,6 @@ class FlowRecord:
             return 0.0
         return self.delivered_bytes * 8.0 / duration
 
-    def completion_time(self) -> Optional[float]:
-        """Flow completion time in seconds, if finished."""
-        if self.complete_time is None:
-            return None
-        return self.complete_time - self.start_time
-
-
-def goodputs_bps(records: Sequence[FlowRecord], now: Optional[float] = None) -> List[float]:
-    """Goodput of every record (unfinished ones measured up to ``now``)."""
-    return [record.goodput_bps(now) for record in records]
-
 
 def goodput_table(
     records_by_scheme: Dict[str, Sequence[FlowRecord]],
@@ -103,30 +88,9 @@ def goodput_table(
 ) -> Dict[str, float]:
     """Average goodput per scheme in bps — one column of Table 1."""
     return {
-        scheme: mean(goodputs_bps(records, now))
+        scheme: mean([record.goodput_bps(now) for record in records])
         for scheme, records in records_by_scheme.items()
     }
 
 
-def goodput_cdf(records: Sequence[FlowRecord], now: Optional[float] = None):
-    """Empirical goodput CDF points — one curve of Fig. 8(a)/(b)."""
-    return cdf_points(goodputs_bps(records, now))
-
-
-def goodput_by_category(
-    records: Sequence[FlowRecord], now: Optional[float] = None
-) -> Dict[str, Dict[str, float]]:
-    """Five-number goodput summary per flow category — Fig. 8(c)/(d)."""
-    grouped: Dict[str, List[float]] = {}
-    for record in records:
-        grouped.setdefault(record.category, []).append(record.goodput_bps(now))
-    return {category: summarize(values) for category, values in grouped.items()}
-
-
-__all__ = [
-    "FlowRecord",
-    "goodputs_bps",
-    "goodput_table",
-    "goodput_cdf",
-    "goodput_by_category",
-]
+__all__ = ["FlowRecord", "goodput_table"]

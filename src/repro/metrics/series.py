@@ -3,8 +3,8 @@
 Everything the paper plots is a sampled series — rate-versus-time
 (Figs. 1/4/6/7), queue occupancy, per-flow control state, and the
 window/rate/queue trajectories of the fluid model — so every sampler and
-``integrate_model`` write this one type, figure results carry it through
-the run cache, and an export is :meth:`TimeSeries.to_csv`.
+``integrate_model`` write this one type and figure results carry it
+through the run cache.
 
 Columns are ``array('d')`` (8 bytes a sample, no boxed floats), keyed by
 strings for samplers and by integer index for fluid state, in
@@ -19,8 +19,6 @@ Standard library only; imports nothing from :mod:`repro`.
 
 from __future__ import annotations
 
-import csv
-import io
 from array import array
 from typing import Dict, Hashable, Iterable, Sequence
 
@@ -108,14 +106,6 @@ class TimeSeries:
         values = self.columns[key]
         start = tail_start(len(values), fraction)
         return left_sum(values[start:]) / (len(values) - start)
-
-    def to_csv(self) -> str:
-        """CSV text: a ``time`` column, then every column in order."""
-        buffer = io.StringIO()
-        writer = csv.writer(buffer)
-        writer.writerow(["time", *self.columns])
-        writer.writerows(zip(self.times, *self.columns.values()))
-        return buffer.getvalue()
 
 
 __all__ = ["TimeSeries", "left_sum", "tail_start"]

@@ -17,43 +17,23 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-#: The locked percentile interpolation.  Every number this repo reports
-#: (EXPERIMENTS.md tables, golden digests, workload FCT/queue-depth
-#: percentiles) uses this method; changing it is a reportable behaviour
-#: change, not a refactor.
-PERCENTILE_METHOD = "linear"
-
-
-def percentile(values: Sequence[float], q: float, method: str = PERCENTILE_METHOD) -> float:
+def percentile(values: Sequence[float], q: float) -> float:
     """Percentile of ``values``, ``q`` in [0, 100].
 
-    The default (and locked — see :data:`PERCENTILE_METHOD`) method is
-    **linear**: rank ``(n - 1) * q / 100`` with linear interpolation
-    between the two bracketing order statistics.  It matches numpy's
-    default ("linear" / Hyndman-Fan type 7), so results are comparable
-    with common plotting pipelines, and it is exact on ties (a run of
-    equal values brackets to itself).
-
-    ``method="nearest-rank"`` is available for cross-checks against
-    textbook definitions (ceil(n * q / 100)-th order statistic, the
-    Hyndman-Fan type 1 / classic "p99 is an observed sample" rule); it
-    is deliberately *not* the default — reported numbers must all come
-    from one method, locked by ``test_metrics.py::TestPercentileLock``.
+    The one method every reported number uses (EXPERIMENTS.md tables,
+    golden digests, workload FCT/queue-depth percentiles): **linear** —
+    rank ``(n - 1) * q / 100`` with linear interpolation between the two
+    bracketing order statistics.  It matches numpy's default ("linear" /
+    Hyndman-Fan type 7), so results are comparable with common plotting
+    pipelines, and it is exact on ties (a run of equal values brackets
+    to itself).  Changing it is a reportable behaviour change, not a
+    refactor; ``test_metrics.py::TestPercentileLock`` pins it.
     """
     if not values:
         raise ValueError("percentile of empty sequence")
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be in [0, 100], got {q}")
     ordered = sorted(values)
-    if method == "nearest-rank":
-        if q == 0.0:
-            return ordered[0]
-        rank_index = math.ceil(len(ordered) * q / 100.0) - 1
-        return ordered[min(rank_index, len(ordered) - 1)]
-    if method != "linear":
-        raise ValueError(
-            f"unknown percentile method {method!r} (known: linear, nearest-rank)"
-        )
     if len(ordered) == 1:
         return ordered[0]
     rank = (len(ordered) - 1) * q / 100.0
@@ -92,19 +72,4 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def stddev(values: Sequence[float]) -> float:
-    """Population standard deviation; 0.0 for fewer than two values."""
-    if len(values) < 2:
-        return 0.0
-    m = mean(values)
-    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
-
-
-__all__ = [
-    "PERCENTILE_METHOD",
-    "mean",
-    "percentile",
-    "cdf_points",
-    "summarize",
-    "stddev",
-]
+__all__ = ["mean", "percentile", "cdf_points", "summarize"]

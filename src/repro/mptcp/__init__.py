@@ -12,14 +12,13 @@ are the single-path baselines when used with one path).
 """
 
 from repro.mptcp.connection import MptcpConnection, Subflow
-from repro.mptcp.coupling import available_schemes, create_coupling
+from repro.mptcp.coupling import create_coupling
 from repro.mptcp.lia import LiaCoupling, LiaCC
 from repro.mptcp.olia import OliaCoupling, OliaCC
 
 __all__ = [
     "MptcpConnection",
     "Subflow",
-    "available_schemes",
     "create_coupling",
     "LiaCoupling",
     "LiaCC",

@@ -47,11 +47,6 @@ class Subflow:
         #: Set when reinjection declared this subflow's path dead.
         self.failed = False
 
-    @property
-    def rate_bps(self) -> float:
-        """Instantaneous rate estimate cwnd/srtt in bits/second."""
-        return self.sender.instant_rate * MSS_BYTES * 8.0
-
 
 class MptcpConnection:
     """A multipath transfer from ``src`` to ``dst`` over explicit paths.
@@ -69,7 +64,6 @@ class MptcpConnection:
         paths: Sequence[Path],
         scheme: Union[str, Coupling] = "xmp",
         size_bytes: Optional[int] = None,
-        flow_id: Optional[int] = None,
         beta: float = 4.0,
         initial_cwnd: float = 10,
         rto_min: Seconds = 0.200,
@@ -87,7 +81,7 @@ class MptcpConnection:
         self.dst = dst
         #: The scheme's name (a ready coupling's class name when given one).
         self.scheme = scheme if isinstance(scheme, str) else type(scheme).__name__
-        self.flow_id = flow_id if flow_id is not None else network.next_flow_id()
+        self.flow_id = network.next_flow_id()
         self.size_bytes = size_bytes
         self.on_complete = on_complete
         self.coupling = create_coupling(scheme, beta=beta, weight=weight)
@@ -250,14 +244,6 @@ class MptcpConnection:
         if duration <= 0:
             return 0.0
         return self.delivered_bytes * 8.0 / duration
-
-    def subflow_rates_bps(self) -> List[float]:
-        """Per-subflow instantaneous rate estimates, bits/second."""
-        return [subflow.rate_bps for subflow in self.subflows]
-
-    def srtts(self) -> List[Optional[float]]:
-        """Per-subflow smoothed RTTs in seconds."""
-        return [subflow.sender.srtt for subflow in self.subflows]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

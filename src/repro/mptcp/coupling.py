@@ -17,7 +17,7 @@ row here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 from repro.core.bos import BosCC
 from repro.core.trash import TraSh
@@ -58,9 +58,9 @@ def _uncoupled(law: Callable[[], CongestionControl]) -> Builder:
     return lambda beta, weight: Coupling(law)
 
 
-#: name -> row, in the order ``available_schemes()`` and the docs list
-#: them.  ``beta`` only reaches the BOS rows and ``weight`` only XMP
-#: (bandwidth differentiation, see :class:`repro.core.trash.TraSh`);
+#: name -> row, in the order the CLI and the docs list them.  ``beta``
+#: only reaches the BOS rows and ``weight`` only XMP (bandwidth
+#: differentiation, see :class:`repro.core.trash.TraSh`);
 #: ``d2tcp`` hands out deadline-less controllers (d = 1, DCTCP-equivalent
 #: — a flow with a deadline hands a connection a ready coupling instead:
 #: ``scheme=Coupling(lambda: D2tcpCC(deadline=...))``).
@@ -106,11 +106,6 @@ def create_coupling(
     return scheme_row(scheme).build(beta, weight)
 
 
-def available_schemes() -> List[str]:
-    """Names :func:`create_coupling` accepts."""
-    return list(SCHEMES)
-
-
 def parse_scheme_spec(spec: str) -> Tuple[str, int]:
     """Parse a CLI scheme spec: ``"xmp-2"`` -> ("xmp", 2), ``"dctcp"`` -> ("dctcp", 1).
 
@@ -136,7 +131,6 @@ def scheme_label(scheme: str, subflows: int = 1) -> str:
 __all__ = [
     "SCHEMES",
     "Scheme",
-    "available_schemes",
     "create_coupling",
     "parse_scheme_spec",
     "scheme_label",

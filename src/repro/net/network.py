@@ -110,10 +110,6 @@ class Network:
         """Look up a host by name."""
         return self.hosts[name]
 
-    def switch(self, name: str) -> Switch:
-        """Look up a switch by name."""
-        return self.switches[name]
-
     def paths(self, src: str, dst: str, max_paths: int = 64) -> List[Path]:
         """All shortest paths between two hosts (at most ``max_paths``).
 

@@ -89,15 +89,13 @@ def run_record(result: "RunResult") -> dict:
     }
 
 
-def deterministic_view(record: dict, keep_profile: bool = True) -> dict:
+def deterministic_view(record: dict) -> dict:
     """The spec-determined subset of a record (what determinism tests pin).
 
     Drops the wall-clock and provenance fields; inside the profile, keeps
     per-component *event counts* and the heap counters but drops the
     ``wall_s`` columns and the wall-ordered hot-spot table; inside the
-    allocation report, keeps the event counts only.  Pass
-    ``keep_profile=False`` when comparing a profiled (miss) record against
-    an unprofiled (cache hit) one.
+    allocation report, keeps the event counts only.
     """
     view = {
         key: value
@@ -114,18 +112,17 @@ def deterministic_view(record: dict, keep_profile: bool = True) -> dict:
             "functions": {n: f["events"] for n, f in alloc["functions"].items()},
         }
         view["probes"] = {**record["probes"], "alloc": alloc}
-    if keep_profile:
-        profile = record.get("profile")
-        if profile is not None:
-            profile = {
-                "events": profile["events"],
-                "components": [
-                    {"component": c["component"], "events": c["events"]}
-                    for c in profile["components"]
-                ],
-                "heap": profile["heap"],
-            }
-        view["profile"] = profile
+    profile = record.get("profile")
+    if profile is not None:
+        profile = {
+            "events": profile["events"],
+            "components": [
+                {"component": c["component"], "events": c["events"]}
+                for c in profile["components"]
+            ],
+            "heap": profile["heap"],
+        }
+    view["profile"] = profile
     return view
 
 

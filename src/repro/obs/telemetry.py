@@ -55,15 +55,6 @@ class Telemetry:
                 handle.write(to_jsonl(records))
         return records
 
-    def read_records(self) -> List[dict]:
-        """Parse every record written so far (newest last)."""
-        import json
-
-        if not self.path.exists():
-            return []
-        with open(self.path, "r", encoding="utf-8") as handle:
-            return [json.loads(line) for line in handle if line.strip()]
-
 
 def from_environment() -> Optional[Telemetry]:
     """The process-wide telemetry sink, if ``$REPRO_TELEMETRY`` names one.

@@ -42,7 +42,6 @@ from repro.runner.registry import (
     events_of,
     kind_entry,
     register_kind,
-    registered_kinds,
 )
 from repro.runner.spec import CellMetrics, RunResult, RunSpec
 
@@ -62,7 +61,6 @@ __all__ = [
     "execute",
     "kind_entry",
     "register_kind",
-    "registered_kinds",
     "reset_default_cache",
     "run_spec",
     "spec_fingerprint",

@@ -105,8 +105,10 @@ def spec_fingerprint(spec: RunSpec) -> str:
 class MemoryCache:
     """A bounded LRU over (hashable) specs, sharing results in-process."""
 
-    def __init__(self, max_entries: int = 256) -> None:
-        self.max_entries = max_entries
+    #: Results kept before the least recently used is evicted.
+    MAX_ENTRIES = 256
+
+    def __init__(self) -> None:
         self._entries: "OrderedDict[RunSpec, Any]" = OrderedDict()
 
     def __len__(self) -> int:
@@ -128,11 +130,8 @@ class MemoryCache:
     def put(self, spec: RunSpec, value: Any) -> None:
         self._entries[spec] = value
         self._entries.move_to_end(spec)
-        while len(self._entries) > self.max_entries:
+        while len(self._entries) > self.MAX_ENTRIES:
             self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        self._entries.clear()
 
 
 class DiskCache:
@@ -180,15 +179,6 @@ class DiskCache:
             # Caching is best-effort; an unwritable dir must not kill a run.
             pass
 
-    def clear(self) -> None:
-        if not self.directory.exists():
-            return
-        for path in self.directory.glob("*/*.pkl"):
-            try:
-                path.unlink()
-            except OSError:
-                pass
-
 
 class RunCache:
     """The two-tier cache a :class:`~repro.runner.campaign.Campaign` uses.
@@ -227,14 +217,6 @@ class RunCache:
         self.memory.put(spec, value)
         if self.disk is not None:
             self.disk.put(spec_fingerprint(spec), value)
-
-    def clear_memory(self) -> None:
-        self.memory.clear()
-
-    def clear(self) -> None:
-        self.memory.clear()
-        if self.disk is not None:
-            self.disk.clear()
 
 
 _DEFAULT_CACHE: Optional[RunCache] = None

@@ -46,12 +46,6 @@ class CampaignResult:
     def values(self) -> List[Any]:
         return [result.value for result in self.results]
 
-    def value_for(self, spec: RunSpec) -> Any:
-        for result in self.results:
-            if result.spec == spec:
-                return result.value
-        raise KeyError(f"no result for {spec!r}")
-
     @property
     def cached_count(self) -> int:
         return sum(1 for r in self.results if r.metrics.cached)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import importlib
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict
 
 from repro.runner.spec import SOURCE_RUN, CellMetrics, RunResult, RunSpec
 from repro.sim.probe import BRACKET_ORDER, fresh, probing, requested
@@ -72,10 +72,6 @@ def kind_entry(name: str) -> KindEntry:
     except KeyError:
         known = ", ".join(sorted(_KINDS))
         raise KeyError(f"unknown run kind {name!r} (registered: {known})") from None
-
-
-def registered_kinds() -> Tuple[str, ...]:
-    return tuple(sorted(_KINDS))
 
 
 #: Attribute of every kind's result object carrying the simulator's
@@ -142,7 +138,6 @@ __all__ = [
     "register_kind",
     "backend_of",
     "kind_entry",
-    "registered_kinds",
     "events_of",
     "execute",
 ]

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.events import Event
 from repro.sim.probe import NO_PROBE, Probe
@@ -213,13 +213,6 @@ class Simulator:
     def max_run(self) -> int:
         """Largest promoted run size seen (scheduler health metric)."""
         return self._max_run
-
-    def iter_pending(self) -> Iterator[EventRecord]:
-        """Yield every pending record (unspecified order; diagnostics/tests)."""
-        yield from self._run[self._run_i:]
-        yield from self._near
-        yield from self._far
-        yield from self._parked
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -597,38 +590,6 @@ class Simulator:
     def stop(self) -> None:
         """Request the loop to stop after the current callback returns."""
         self._stopped = True
-
-    def reset(self) -> None:
-        """Drop all pending events and rewind the clock to zero.
-
-        Only meaningful between independent runs that reuse the object;
-        experiments normally build a fresh :class:`Simulator` instead.
-        """
-        if self._running:
-            raise SimulationError("cannot reset a running simulator")
-        for record in self.iter_pending():
-            if record[3] is not None:
-                record[3].sim = None
-        self._run = []
-        self._run_i = 0
-        self._run_end = 0.0
-        self._near = []
-        self._far = []
-        self._far_tail_min = _INF
-        self._horizon = 0.0
-        self._far_end = 0.0
-        self._parked = []
-        self._parked_sorted = 0
-        self._width = self.INITIAL_WIDTH
-        self._now = 0.0
-        self._seq = 0
-        self._events_processed = 0
-        self._cancelled_pending = 0
-        self._compactions = 0
-        self._promotions = 0
-        self._far_spills = 0
-        self._max_run = 0
-        self._stopped = False
 
 
 __all__ = ["Simulator", "SimulationError", "EventRecord"]

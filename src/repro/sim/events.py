@@ -103,11 +103,6 @@ class Timer:
         """Whether the timer is currently pending."""
         return self._deadline is not None
 
-    @property
-    def expiry(self) -> Optional[float]:
-        """Absolute expiry time, or ``None`` when not armed."""
-        return self._deadline
-
     def start(self, delay: float) -> None:
         """Arm the timer ``delay`` seconds from now, replacing any pending arm."""
         deadline = self._sim.now + delay

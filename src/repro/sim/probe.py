@@ -78,14 +78,6 @@ class Probe:
             current = sim.probe = ProbeSet(current)
         setattr(current, self.kind, self)
 
-    def detach(self, sim: Any) -> None:
-        """Stop watching ``sim`` (no-op when this probe is not on it)."""
-        current = sim.probe
-        if current is self:
-            sim.probe = None
-        elif isinstance(current, ProbeSet) and getattr(current, self.kind) is self:
-            setattr(current, self.kind, NO_PROBE)
-
     def close(self) -> None:
         """Release what the probe holds; :func:`probing` calls it on exit."""
 

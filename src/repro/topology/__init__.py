@@ -1,7 +1,8 @@
 """Topology builders for every network the paper evaluates on.
 
 * :func:`~repro.topology.bottleneck.build_single_bottleneck` — N host
-  pairs sharing one link (Fig. 1 convergence, Fig. 3(b)/Fig. 6 fairness).
+  pairs sharing one link (Fig. 1 convergence, Fig. 3(b)/Fig. 6 fairness),
+  each pair at one shared or its own no-load RTT.
 * :func:`~repro.topology.testbed.build_shifting_testbed` — the Fig. 3(a)
   two-bottleneck testbed for traffic shifting (Fig. 4).
 * :func:`~repro.topology.torus.build_torus` — the Fig. 5 ring of five
@@ -13,7 +14,6 @@
 from repro.topology.bottleneck import BottleneckNetwork, build_single_bottleneck
 from repro.topology.testbed import ShiftingTestbed, build_shifting_testbed
 from repro.topology.torus import TorusNetwork, build_torus
-from repro.topology.dumbbell import DumbbellNetwork, build_dumbbell
 from repro.topology.fattree import FatTreeNetwork, build_fattree
 
 __all__ = [
@@ -25,6 +25,4 @@ __all__ = [
     "build_torus",
     "FatTreeNetwork",
     "build_fattree",
-    "DumbbellNetwork",
-    "build_dumbbell",
 ]

@@ -40,7 +40,6 @@ class PermutationPattern:
         size_min_bytes: int = 2_000_000,
         size_max_bytes: int = 16_000_000,
         rng: Optional[random.Random] = None,
-        max_rounds: Optional[int] = None,
     ) -> None:
         if size_min_bytes <= 0 or size_max_bytes < size_min_bytes:
             raise ValueError("invalid size range")
@@ -49,7 +48,6 @@ class PermutationPattern:
         self.size_min = size_min_bytes
         self.size_max = size_max_bytes
         self.rng = rng if rng is not None else random.Random(0)
-        self.max_rounds = max_rounds
         self.rounds_started = 0
         self.flows_started = 0
         self._outstanding = 0
@@ -65,8 +63,6 @@ class PermutationPattern:
 
     def _start_round(self) -> None:
         if self._stopped:
-            return
-        if self.max_rounds is not None and self.rounds_started >= self.max_rounds:
             return
         self.rounds_started += 1
         targets = random_derangement(self.hosts, self.rng)

@@ -1,7 +1,7 @@
 """The Random pattern (paper §5.2.1).
 
 Every host transfers to a random destination, subject to each host being
-the destination of at most ``max_in_degree`` (4) flows; a source that
+the destination of at most :data:`MAX_IN_DEGREE` flows; a source that
 finishes immediately picks a new destination and starts again.  Flow
 sizes follow a bounded Pareto distribution (shape 1.5; the paper's mean
 192 MB / bound 768 MB, scaled down by default).
@@ -16,6 +16,9 @@ from repro.sim.priorities import MODEL
 from repro.sim.random import pareto_bounded
 from repro.traffic.factory import TransferFactory
 
+#: Flows one destination may receive at once (the paper's 4).
+MAX_IN_DEGREE = 4
+
 
 class RandomPattern:
     """Back-to-back random transfers per source host."""
@@ -27,7 +30,6 @@ class RandomPattern:
         shape: float = 1.5,
         mean_bytes: float = 6_000_000,
         max_bytes: float = 24_000_000,
-        max_in_degree: int = 4,
         rng: Optional[random.Random] = None,
         exclude_same_rack: bool = False,
         destinations: Optional[Sequence[str]] = None,
@@ -37,7 +39,6 @@ class RandomPattern:
         self.shape = shape
         self.mean_bytes = mean_bytes
         self.max_bytes = max_bytes
-        self.max_in_degree = max_in_degree
         self.rng = rng if rng is not None else random.Random(0)
         self.exclude_same_rack = exclude_same_rack
         #: Candidate destinations; defaults to the sources themselves.  The
@@ -62,7 +63,7 @@ class RandomPattern:
     def _acceptable(self, src: str, dst: str) -> bool:
         if dst == src:
             return False
-        if self.in_degree[dst] >= self.max_in_degree:
+        if self.in_degree[dst] >= MAX_IN_DEGREE:
             return False
         if self.exclude_same_rack:
             network = self.factory.network
@@ -99,4 +100,4 @@ class RandomPattern:
         self.factory.launch(src, dst, size, on_complete=done)
 
 
-__all__ = ["RandomPattern"]
+__all__ = ["MAX_IN_DEGREE", "RandomPattern"]

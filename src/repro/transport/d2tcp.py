@@ -33,13 +33,8 @@ D_MAX = 2.0
 class D2tcpCC(DctcpCC):
     """Deadline-aware DCTCP."""
 
-    def __init__(
-        self,
-        deadline: Optional[float] = None,
-        gain: float = 1.0 / 16.0,
-        initial_alpha: float = 1.0,
-    ) -> None:
-        super().__init__(gain=gain, initial_alpha=initial_alpha)
+    def __init__(self, deadline: Optional[float] = None) -> None:
+        super().__init__()
         #: Absolute simulation time by which the flow wants to finish
         #: (``None`` = no deadline = plain DCTCP behaviour).
         self.deadline = deadline

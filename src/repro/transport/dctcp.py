@@ -29,14 +29,9 @@ class DctcpCC(CongestionControl):
     ecn_capable = True
     echo_mode = EchoMode.DCTCP
 
-    def __init__(self, gain: float = DEFAULT_GAIN, initial_alpha: float = 1.0) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if not 0 < gain <= 1:
-            raise ValueError(f"gain must be in (0, 1], got {gain}")
-        if not 0 <= initial_alpha <= 1:
-            raise ValueError(f"alpha must be in [0, 1], got {initial_alpha}")
-        self.gain = gain
-        self.alpha = initial_alpha
+        self.alpha = 1.0
         self._acked_window = 0
         self._marked_window = 0
         self.reductions = 0
@@ -58,7 +53,7 @@ class DctcpCC(CongestionControl):
         self._marked_window += min(ece_count, max(newly_acked, 1))
         if round_ended and self._acked_window > 0:
             fraction = min(1.0, self._marked_window / self._acked_window)
-            self.alpha += self.gain * (fraction - self.alpha)
+            self.alpha += DEFAULT_GAIN * (fraction - self.alpha)
             self._acked_window = 0
             self._marked_window = 0
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 import random
-from typing import Callable, Optional, Set
+from typing import Set
 
 from repro.net.node import Host
 from repro.net.packet import Packet, make_ack_packet
@@ -70,7 +70,6 @@ class Receiver:
         "duplicates_received",
         "acks_sent",
         "ce_received",
-        "on_segment",
         "sack_enabled",
         "ack_jitter",
         "_jitter_rng",
@@ -85,7 +84,6 @@ class Receiver:
         reverse_path: Path,
         echo_mode: EchoMode = EchoMode.CLASSIC,
         delack_timeout: Seconds = DEFAULT_DELACK_TIMEOUT,
-        on_segment: Optional[Callable[[int], None]] = None,
         sack_enabled: bool = False,
         ack_jitter: Seconds = 0.0,
         jitter_seed: int = 0,
@@ -108,7 +106,6 @@ class Receiver:
         self.duplicates_received = 0
         self.acks_sent = 0
         self.ce_received = 0
-        self.on_segment = on_segment
         self.sack_enabled = sack_enabled
         #: Optional uniform delay in [0, ack_jitter) before each ACK is
         #: injected, modelling host-stack timing noise.  Zero (default)
@@ -145,8 +142,6 @@ class Receiver:
             while self.rcv_nxt in buffered:
                 buffered.discard(self.rcv_nxt)
                 self.rcv_nxt += 1
-            if self.on_segment is not None:
-                self.on_segment(self.rcv_nxt)
         elif seq > self.rcv_nxt:
             self.segments_received += 1
             out_of_order = True

@@ -69,11 +69,6 @@ class FiniteSource(SegmentSource):
     def exhausted(self) -> bool:
         return self.granted >= self.total
 
-    @property
-    def remaining(self) -> int:
-        """Segments not yet handed to any (sub)flow."""
-        return self.total - self.granted
-
     def restitute(self, count: int) -> None:
         """Return ``count`` granted-but-undelivered segments to the pool.
 
@@ -124,7 +119,6 @@ class TcpSender:
         "rtt",
         "rto_timer",
         "completed",
-        "on_complete",
         "on_delivered",
         "segments_sent",
         "retransmissions",
@@ -153,7 +147,6 @@ class TcpSender:
         source: SegmentSource,
         initial_cwnd: float = DEFAULT_INITIAL_CWND,
         rto_min: Seconds = 0.200,
-        on_complete: Optional[Callable[[float], None]] = None,
         on_delivered: Optional[Callable[[int], None]] = None,
         sack_enabled: bool = False,
     ) -> None:
@@ -177,7 +170,6 @@ class TcpSender:
         self.rtt = RttEstimator(rto_min=rto_min)
         self.rto_timer = Timer(sim, self._on_rto)
         self.completed = False
-        self.on_complete = on_complete
         self.on_delivered = on_delivered
         self.segments_sent = 0
         self.retransmissions = 0
@@ -446,8 +438,6 @@ class TcpSender:
             self.completed = True
             self.complete_time = now
             self.rto_timer.cancel()
-            if self.on_complete is not None:
-                self.on_complete(now)
 
 
 def segments_for_bytes(num_bytes: int, mss: int = MSS_BYTES) -> int:

@@ -84,10 +84,6 @@ class ArrivalProcess:
         """Draw the next interarrival gap in seconds (strictly positive)."""
         raise NotImplementedError
 
-    def mean_gap_s(self) -> float:
-        """Analytic mean gap — 1/rate for every process here."""
-        return 1.0 / self.rate_per_s
-
 
 class PoissonArrivals(ArrivalProcess):
     """Memoryless exponential interarrival gaps."""

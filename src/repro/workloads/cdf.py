@@ -164,10 +164,6 @@ class SizeCDF(SizeSampler):
                 prob = p
         return prob
 
-    def knots(self) -> Tuple[Tuple[float, float], ...]:
-        """The (size_bytes, probability) knots, after scaling."""
-        return tuple(zip(self._sizes, self._probs))
-
 
 class UniformSizes(SizeSampler):
     """Uniform flow sizes in ``[min_bytes, max_bytes]``."""

@@ -9,11 +9,11 @@ load generator (the closed-loop patterns in :mod:`repro.traffic` only
 issue a new flow when the previous one completes, which caps the load
 they can offer at whatever the fabric sustains).
 
-Per-flow FCTs come out of the factory's existing lifecycle seam: each
-completed flow's :class:`~repro.metrics.goodput.FlowRecord` carries
-start and completion times, and the factory's ``on_launch`` hook lets
-the pattern count what actually started (flows still in flight at the
-horizon are reported separately, never silently dropped).
+Per-flow FCTs come out of the factory: each completed flow's
+:class:`~repro.metrics.goodput.FlowRecord` in ``factory.records`` carries
+start and completion times, and the pattern counts what it launched
+(flows still in flight at the horizon are reported separately, from the
+factory's unfinished records, never silently dropped).
 
 :class:`ElephantBackground` adds the classic background mix: a few
 long-lived bulk flows (sized to outlive the run) that keep queues
@@ -26,7 +26,6 @@ from __future__ import annotations
 import random
 from typing import List, Optional, Sequence
 
-from repro.metrics.goodput import FlowRecord
 from repro.sim.units import Bytes
 from repro.traffic.factory import TransferFactory
 from repro.workloads.schedule import FlowArrival
@@ -41,7 +40,6 @@ class OpenLoopPattern:
         self.factory = factory
         self.schedule = list(schedule)
         self.launched = 0
-        self.completed_records: List[FlowRecord] = []
 
     def start(self) -> None:
         """Register one simulator event per arrival (time-relative)."""
@@ -57,17 +55,7 @@ class OpenLoopPattern:
 
     def _launch(self, arrival: FlowArrival) -> None:
         self.launched += 1
-        self.factory.launch(
-            arrival.src,
-            arrival.dst,
-            arrival.size_bytes,
-            on_complete=self.completed_records.append,
-        )
-
-    @property
-    def in_flight(self) -> int:
-        """Flows launched but not yet completed."""
-        return self.launched - len(self.completed_records)
+        self.factory.launch(arrival.src, arrival.dst, arrival.size_bytes)
 
 
 class ElephantBackground:

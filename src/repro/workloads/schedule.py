@@ -49,7 +49,6 @@ def build_schedule(
     process: ArrivalProcess,
     rng: random.Random,
     duration: Seconds,
-    max_flows: int = MAX_SCHEDULED_FLOWS,
 ) -> List[FlowArrival]:
     """Generate every arrival in ``[0, duration)``.
 
@@ -64,7 +63,7 @@ def build_schedule(
     ordered = list(hosts)
     schedule: List[FlowArrival] = []
     now = 0.0
-    while len(schedule) < max_flows:
+    while len(schedule) < MAX_SCHEDULED_FLOWS:
         now += process.next_gap(rng)
         if now >= duration:
             break

@@ -17,8 +17,9 @@ class TestConnectionIntrospection:
         conn = MptcpConnection(
             two_host_net, "A", "B", two_host_net.paths("A", "B"), scheme="xmp"
         )
-        assert conn.subflow_rates_bps() == [0.0] * len(conn.subflows)
-        assert conn.srtts() == [None] * len(conn.subflows)
+        senders = [subflow.sender for subflow in conn.subflows]
+        assert [sender.instant_rate for sender in senders] == [0.0] * len(senders)
+        assert [sender.srtt for sender in senders] == [None] * len(senders)
 
     def test_subflow_rates_reflect_activity(self, two_host_net):
         conn = MptcpConnection(
@@ -26,10 +27,9 @@ class TestConnectionIntrospection:
         )
         conn.start()
         two_host_net.sim.run(until=0.05)
-        rates = conn.subflow_rates_bps()
-        srtts = conn.srtts()
-        assert any(rate > 0 for rate in rates)
-        assert any(srtt is not None and srtt > 0 for srtt in srtts)
+        senders = [subflow.sender for subflow in conn.subflows]
+        assert any(sender.instant_rate > 0 for sender in senders)
+        assert any(sender.srtt is not None and sender.srtt > 0 for sender in senders)
 
     def test_repr_is_informative(self, two_host_net):
         conn = MptcpConnection(

@@ -4,11 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.analysis import (
-    marking_period_seconds,
-    predict_sawtooth,
-    utilization_map,
-)
+from repro.core.analysis import predict_sawtooth
+from repro.core.utility import min_marking_threshold
 from repro.metrics.collector import QueueMonitor
 from repro.mptcp.connection import MptcpConnection
 from repro.sim.units import bandwidth_delay_product_packets
@@ -42,22 +39,23 @@ class TestClosedForm:
         assert queues == sorted(queues, reverse=True)
 
     def test_meets_eq1_flag(self):
-        assert predict_sawtooth(30.0, 15.0, 4.0).meets_eq1
-        assert not predict_sawtooth(30.0, 5.0, 4.0).meets_eq1
+        # A K meeting Eq. 1 keeps the link full; one below it does not.
+        assert 5.0 < min_marking_threshold(30.0, 4.0) <= 15.0
+        assert predict_sawtooth(30.0, 15.0, 4.0).utilization == pytest.approx(1.0)
+        assert predict_sawtooth(30.0, 5.0, 4.0).utilization < 1.0
 
     def test_marking_period(self):
-        prediction = predict_sawtooth(20.0, 10.0, 4.0)
-        period = marking_period_seconds(prediction, 300e-6)
-        assert period == pytest.approx(prediction.cycle_rounds * 300e-6)
-        with pytest.raises(ValueError):
-            marking_period_seconds(prediction, 0.0)
+        # One cut per sawtooth: the window climbs from trough to peak by
+        # delta a round.
+        prediction = predict_sawtooth(20.0, 10.0, 4.0, delta=2.0)
+        assert prediction.cycle_rounds == pytest.approx(
+            (prediction.w_max - prediction.w_min) / 2.0
+        )
 
     def test_utilization_map_grid(self):
-        grid = utilization_map(30.0, betas=(2.0, 4.0), thresholds=(5, 10, 30))
-        assert len(grid) == 6
         # Utilization is monotone in K for fixed beta.
         for beta in (2.0, 4.0):
-            utils = [grid[(beta, k)].utilization for k in (5, 10, 30)]
+            utils = [predict_sawtooth(30.0, k, beta).utilization for k in (5, 10, 30)]
             assert utils == sorted(utils)
 
     def test_validation(self):

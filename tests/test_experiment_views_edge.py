@@ -12,6 +12,7 @@ from repro.experiments.fig11_utilization import Fig11Result
 from repro.experiments.table1_goodput import Table1Result, scenarios_for
 from repro.experiments.table2_coexistence import Table2Result
 from repro.metrics.goodput import FlowRecord
+from repro.metrics.stats import cdf_points
 
 
 class TestFatTreeResultHelpers:
@@ -102,6 +103,12 @@ class TestFig8ResultEdge:
         result = Fig8Result(pattern="permutation")
         result.cdfs["X"] = [(0.1, 0.33), (0.5, 0.66), (0.9, 1.0)]
         assert result.median("X") == 0.5
+
+    def test_median_of_even_count_interpolates(self):
+        # The locked linear percentile, not the upper-middle sample.
+        result = Fig8Result(pattern="permutation")
+        result.cdfs["X"] = cdf_points([0.2, 0.4, 0.6, 0.8])
+        assert result.median("X") == pytest.approx(0.5)
 
 
 class TestFormatters:

@@ -8,10 +8,10 @@ test_behavior_invariants).
 import dataclasses
 
 from repro.experiments.catalog import run
-from repro.experiments.fattree_eval import FatTreeScenario, run_fattree
+from repro.experiments.fattree_eval import FatTreeScenario
 from repro.experiments.fig4_traffic_shifting import Fig4Config
 from repro.experiments.fig6_fairness import Fig6Config
-from repro.runner import Campaign
+from repro.runner import Campaign, RunSpec, run_spec
 
 #: Every run below must really simulate: no cache lookup, no store.
 FRESH = Campaign(use_cache=False)
@@ -37,14 +37,17 @@ class TestFatTreeDeterminism:
             result.events,
         )
 
+    def run(self, scenario):
+        return run_spec(RunSpec("fattree", scenario), FRESH).value
+
     def test_same_seed_identical(self):
-        a = run_fattree(TINY, FRESH)
-        b = run_fattree(TINY, FRESH)
+        a = self.run(TINY)
+        b = self.run(TINY)
         assert self.fingerprint(a) == self.fingerprint(b)
 
     def test_different_seed_differs(self):
-        a = run_fattree(TINY, FRESH)
-        b = run_fattree(dataclasses.replace(TINY, seed=10), FRESH)
+        a = self.run(TINY)
+        b = self.run(dataclasses.replace(TINY, seed=10))
         assert self.fingerprint(a) != self.fingerprint(b)
 
     def test_scenario_hashable_and_equal(self):

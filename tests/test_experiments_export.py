@@ -3,10 +3,8 @@
 import csv
 import json
 
-from repro.experiments.export import export_fattree_result, export_rate_result
-from repro.experiments.catalog import run
+from repro.experiments.export import export_fattree_result
 from repro.experiments.fattree_eval import FatTreeScenario, run_fattree
-from repro.experiments.fig4_traffic_shifting import Fig4Config
 
 TINY = FatTreeScenario(
     duration=0.06,
@@ -57,14 +55,3 @@ class TestFatTreeExport:
         categories = {row["category"] for row in rows}
         assert categories <= {"inter-pod", "inter-rack", "inner-rack"}
 
-
-class TestRateExport:
-    def test_fig4_export(self, tmp_path):
-        result = run("fig4", Fig4Config(time_scale=0.02))
-        out = export_rate_result(result, tmp_path, name="fig4")
-        rows = list(csv.reader(open(out / "fig4.csv")))
-        assert rows[0][0] == "time"
-        assert "flow2-1" in rows[0]
-        assert len(rows) == len(result.series) + 1
-        config = json.loads((out / "config.json").read_text())
-        assert config["beta"] == 4.0

@@ -10,11 +10,8 @@ import dataclasses
 import pytest
 
 from repro.experiments.catalog import run
-from repro.experiments.fattree_eval import (
-    FatTreeScenario,
-    clear_cache,
-    run_fattree,
-)
+from repro.experiments.fattree_eval import FatTreeScenario, run_fattree
+from repro.runner import reset_default_cache
 
 #: Tiny flows and a short horizon keep each simulation around a second.
 BASE = FatTreeScenario(
@@ -38,7 +35,7 @@ class TestDriver:
     def test_records_produced(self, perm_xmp):
         assert perm_xmp.records["XMP-2"]
         for record in perm_xmp.records["XMP-2"]:
-            assert record.finished
+            assert record.complete_time is not None
             assert record.delivered_bytes >= record.size_bytes
 
     def test_rtt_samples_by_category(self, perm_xmp):
@@ -60,7 +57,7 @@ class TestDriver:
         scenario = dataclasses.replace(BASE, scheme="xmp", subflows=2, duration=0.02)
         first = run_fattree(scenario)
         assert run_fattree(scenario) is first
-        clear_cache()
+        reset_default_cache()
         second = run_fattree(scenario)
         assert second is not first
 

@@ -21,7 +21,6 @@ from repro.fluid import (
     FluidScenario,
     integrate_model,
     model_from_network,
-    run_fluid,
     vector_available,
 )
 from repro.fluid.backend import _build_model, _simulate, _solver_args
@@ -250,20 +249,15 @@ class TestEquilibriumProperties:
 class TestFluidBackend:
     def test_queue_settles_near_threshold(self):
         result = _simulate(FluidScenario(flows=4, duration=seconds(0.2)))
-        queue = result.steady_state_queue("SWL->SWR")
+        queue = result.queues[result.link_names.index("SWL->SWR")]
         assert 5 < queue < 15
-
-    def test_unknown_link_raises(self):
-        result = _simulate(FluidScenario(flows=1, duration=seconds(0.01)))
-        with pytest.raises(KeyError):
-            result.steady_state_queue("nope->nowhere")
 
     def test_events_counts_state_updates(self):
         scenario = FluidScenario(flows=2, duration=seconds(0.01))
         result = _simulate(scenario)
         steps = fluid.step_count(scenario.duration, scenario.dt)
         # 2 flows x 1 subflow + bottleneck topology links.
-        expected = steps * (2 + result.num_links)
+        expected = steps * (2 + len(result.link_names))
         assert result.events == expected
 
     def test_validation(self):
@@ -285,13 +279,14 @@ class TestFluidBackend:
         )
 
     def test_runs_through_runner_and_cache(self):
-        from repro.runner import Campaign, RunCache
+        from repro.runner import Campaign, RunCache, RunSpec, run_spec
 
-        cache = RunCache()
-        scenario = FluidScenario(flows=2, duration=seconds(0.01))
-        first = run_fluid(scenario, Campaign(cache=cache))
-        second = run_fluid(scenario, Campaign(cache=cache))
-        assert first.steady_state_windows() == second.steady_state_windows()
+        campaign = Campaign(cache=RunCache())
+        spec = RunSpec("fluid", FluidScenario(flows=2, duration=seconds(0.01)))
+        first = run_spec(spec, campaign)
+        second = run_spec(spec, campaign)
+        assert second.metrics.cached
+        assert first.value.steady_state_windows() == second.value.steady_state_windows()
 
     def test_fattree_scenario_subflows_spread_paths(self):
         result = _simulate(FluidScenario(
@@ -521,10 +516,8 @@ class TestStreamedSteadyState:
         result = _simulate(FluidScenario(flows=2, duration=seconds(0.01)))
         assert not hasattr(result, "trajectory")
         assert len(result.windows) == len(result.rates) == 2
-        assert len(result.queues) == result.num_links == len(result.link_names)
-        assert result.max_steady_state_queue() == max(
-            result.steady_state_queue(name) for name in result.link_names
-        )
+        assert len(result.queues) == len(result.link_names)
+        assert result.max_steady_state_queue() == max(result.queues)
 
 
 @pytest.mark.skipif(not vector_available(), reason="numpy not installed")
@@ -550,7 +543,7 @@ def test_k8_cell_result_size_and_retention():
         simulate_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.events == 500 * (1024 + result.num_links)
+    assert result.events == 500 * (1024 + len(result.link_names))
     assert len(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)) <= 100_000
     assert simulate_peak <= 1.25 * build_peak, (simulate_peak, build_peak)
 

@@ -1,25 +1,16 @@
-"""Tests for statistics, fairness, goodput records and utilization."""
+"""Tests for statistics, fairness and goodput records."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.fairness import jain_index, max_min_ratio
-from repro.metrics.goodput import (
-    FlowRecord,
-    goodput_by_category,
-    goodput_cdf,
-    goodput_table,
-    goodputs_bps,
-)
-from repro.metrics.stats import (
-    PERCENTILE_METHOD,
-    cdf_points,
-    mean,
-    percentile,
-    stddev,
-    summarize,
-)
+from repro.experiments.fattree_eval import FatTreeResult, FatTreeScenario
+from repro.experiments.fig8_goodput_dist import view as fig8_view
+from repro.metrics.fairness import jain_index
+from repro.metrics.fct import completion_times
+from repro.metrics.goodput import FlowRecord, goodput_table
+from repro.metrics.stats import cdf_points, mean, percentile, summarize
+from repro.runner import CampaignResult, CellMetrics, RunResult, RunSpec
 
 
 class TestPercentile:
@@ -68,40 +59,32 @@ class TestPercentileLock:
     """The repo-wide percentile interpolation is locked to 'linear'.
 
     Every reported number (EXPERIMENTS.md tables, golden digests, the
-    workload FCT/queue-depth matrix) flows through the default method;
-    flipping it silently would shift p99s without any code "bug".  If
-    this class fails, either restore the default or treat the change as
-    a reportable behaviour change: re-bless the goldens and update the
-    stats docstring and EXPERIMENTS.md together.
+    workload FCT/queue-depth matrix) flows through :func:`percentile`;
+    switching its method silently would shift p99s without any code
+    "bug".  If this class fails, either restore linear interpolation or
+    treat the change as a reportable behaviour change: re-bless the
+    goldens and update the stats docstring and EXPERIMENTS.md together.
     """
 
     def test_locked_method_is_linear(self):
-        assert PERCENTILE_METHOD == "linear"
+        # Hyndman-Fan type 7: rank (n - 1) * q / 100, interpolated.
+        assert percentile([10.0, 20.0, 30.0], 25) == 15.0
+        assert percentile([0.0, 1.0], 99) == pytest.approx(0.99)
 
     def test_default_call_uses_locked_method(self):
-        data = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(data, 50) == percentile(data, 50, method="linear")
         # The linear signature: interpolated median, not an observed
         # sample.  nearest-rank would return 2.0 here.
-        assert percentile(data, 50) == 2.5
+        assert percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.5
 
     def test_nearest_rank_differs_and_is_an_observed_sample(self):
+        """Where nearest-rank (ceil(n * q / 100)-th order statistic)
+        would return an observed sample, the locked method does not."""
         data = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(data, 50, method="nearest-rank") == 2.0
+        assert percentile(data, 50) not in data  # nearest-rank: 2.0
         values = [float(v) for v in range(1, 101)]
-        assert percentile(values, 99, method="nearest-rank") == 99.0
-        assert percentile(values, 99) == pytest.approx(99.01)
-        assert percentile(data, 0, method="nearest-rank") == 1.0
-        assert percentile(data, 100, method="nearest-rank") == 4.0
-
-    def test_nearest_rank_always_in_sample(self):
-        data = [0.7, 1.9, 3.1, 4.2, 8.8]
-        for q in (1, 10, 33, 50, 75, 99):
-            assert percentile(data, q, method="nearest-rank") in data
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="unknown percentile method"):
-            percentile([1.0], 50, method="hazen")
+        assert percentile(values, 99) == pytest.approx(99.01)  # nearest-rank: 99.0
+        assert percentile(data, 0) == 1.0
+        assert percentile(data, 100) == 4.0
 
 
 class TestCdfAndSummary:
@@ -119,12 +102,9 @@ class TestCdfAndSummary:
     def test_summarize_empty(self):
         assert summarize([])["p50"] == 0.0
 
-    def test_mean_and_stddev(self):
+    def test_mean(self):
         assert mean([2, 4]) == 3
         assert mean([]) == 0.0
-        assert stddev([2, 2, 2]) == 0.0
-        assert stddev([1]) == 0.0
-        assert stddev([0, 2]) == 1.0
 
 
 class TestJain:
@@ -166,13 +146,6 @@ class TestJain:
             jain_index([r * scale for r in rates])
         )
 
-    def test_max_min_ratio(self):
-        assert max_min_ratio([1, 2, 4]) == 4.0
-        assert max_min_ratio([0, 1]) == float("inf")
-        assert max_min_ratio([0, 0]) == 1.0
-        with pytest.raises(ValueError):
-            max_min_ratio([])
-
 
 def record(goodput_mbps, duration=1.0, scheme="XMP-2", category="inter-pod"):
     size = int(goodput_mbps * 1e6 / 8 * duration)
@@ -195,9 +168,8 @@ class TestFlowRecord:
         assert r.goodput_bps(now=1.0) == pytest.approx(400.0)
 
     def test_completion_time(self):
-        assert record(1.0, duration=2.5).completion_time() == 2.5
         unfinished = FlowRecord(0, "X", "a", "b", "any", 1, 0.0, None, 0)
-        assert unfinished.completion_time() is None
+        assert completion_times([record(1.0, duration=2.5), unfinished]) == [2.5]
 
     def test_goodput_table(self):
         table = goodput_table({"A": [record(100), record(200)], "B": [record(50)]})
@@ -205,23 +177,29 @@ class TestFlowRecord:
         assert table["B"] == pytest.approx(50e6)
 
     def test_goodput_cdf(self):
-        points = goodput_cdf([record(100), record(300)])
+        # Fig. 8(a)/(b)'s curve: the CDF of the records' goodputs.
+        points = cdf_points([r.goodput_bps() for r in (record(300), record(100))])
         assert len(points) == 2
         assert points[0][0] == pytest.approx(100e6)
+        assert points[-1][1] == 1.0
 
     def test_by_category(self):
-        records = [
+        """Fig. 8(c)/(d)'s bars: a five-number goodput summary per flow
+        category, normalized to the 1 Gbps link."""
+        fattree = FatTreeResult(scenario=FatTreeScenario(scheme="xmp", subflows=2))
+        fattree.records["XMP-2"] = [
             record(100, category="inner-rack"),
             record(300, category="inner-rack"),
             record(50, category="inter-pod"),
         ]
-        summary = goodput_by_category(records)
-        assert summary["inner-rack"]["mean"] == pytest.approx(200e6)
-        assert summary["inter-pod"]["max"] == pytest.approx(50e6)
+        spec = RunSpec("fattree", fattree.scenario)
+        outcome = CampaignResult([RunResult(spec, fattree, CellMetrics())])
+        summary = fig8_view([fattree.scenario], outcome).by_category["XMP-2"]
+        assert summary["inner-rack"]["mean"] == pytest.approx(0.2)
+        assert summary["inter-pod"]["max"] == pytest.approx(0.05)
 
     def test_goodputs_handles_mixture(self):
         finished = record(100)
         running = FlowRecord(0, "X", "a", "b", "any", 1000, 0.5, None, 1460)
-        values = goodputs_bps([finished, running], now=1.0)
-        assert values[0] == pytest.approx(100e6)
-        assert values[1] == pytest.approx(1460 * 8 / 0.5)
+        table = goodput_table({"X": [finished, running]}, now=1.0)
+        assert table["X"] == pytest.approx((100e6 + 1460 * 8 / 0.5) / 2)

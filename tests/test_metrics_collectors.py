@@ -1,4 +1,4 @@
-"""Tests for the periodic samplers and link utilization helpers."""
+"""Tests for the periodic samplers and link utilization."""
 
 import pytest
 
@@ -10,9 +10,10 @@ from repro.metrics.collector import (
     RttSampler,
     SeriesSampler,
 )
-from repro.metrics.utilization import link_utilizations, utilization_by_layer
+from repro.metrics.stats import summarize
 from repro.mptcp.connection import MptcpConnection
 from repro.net.packet import MSS_BYTES
+from repro.sim.probe import Probe
 
 
 class TestSamplePriority:
@@ -48,10 +49,19 @@ class TestSamplePriority:
         assert seen == [1, 2, 3, 4, 5, 6]
 
     def test_ticks_scheduled_at_sample_priority(self, sim):
-        monitor = QueueMonitor(sim, [], interval=0.01)
+        fired = []
+
+        class Spy(Probe):
+            kind = "profile"
+
+            def on_event_fired(self, time, priority, callback, args):
+                fired.append(priority)
+
+        Spy().attach(sim)
+        monitor = QueueMonitor(sim, [], interval=0.01, until=0.05)
         monitor.start()
-        (record,) = sim.iter_pending()
-        assert record[1] == SAMPLE_PRIORITY
+        sim.run()
+        assert fired and set(fired) == {SAMPLE_PRIORITY}
 
     def test_stop_keeps_the_pending_sample(self, sim):
         """``stop()`` promises "after the current tick": the already-
@@ -186,7 +196,7 @@ class TestSeriesSampler:
         for key in "abc":
             sampler.watch(key, lambda: 0.0)
         sampler.start()
-        assert len(list(sim.iter_pending())) == 1
+        assert sim.pending_events == 1
         sim.run()
         assert len(sampler.series) == 6
         # Six sampling ticks plus the one past `until` that declines.
@@ -255,18 +265,20 @@ class TestUtilization:
         conn = MptcpConnection(net, "A", "B", net.paths("A", "B"), scheme="xmp")
         conn.start()
         net.sim.run(until=0.05)
-        result = utilization_by_layer(net.links, 0.05, layers=("",))
-        assert "" in result
-        assert 0.0 <= result[""]["max"] <= 1.0
+        result = summarize([link.utilization(0.05) for link in net.links_by_layer("")])
+        assert 0.0 <= result["min"] <= result["max"] <= 1.0
 
     def test_busy_link_near_one(self, two_host_net):
         net = two_host_net
         conn = MptcpConnection(net, "A", "B", net.paths("A", "B"), scheme="xmp")
         conn.start()
         net.sim.run(until=0.1)
-        values = link_utilizations(net.links, 0.1)
+        values = [link.utilization(0.1) for link in net.links]
         assert max(values) > 0.8
 
     def test_duration_validation(self, two_host_net):
-        with pytest.raises(ValueError):
-            link_utilizations(two_host_net.links, 0.0)
+        # A non-positive window has carried nothing yet: zero, not a
+        # division by zero.
+        assert [link.utilization(0.0) for link in two_host_net.links] == [0.0] * len(
+            two_host_net.links
+        )

@@ -9,8 +9,6 @@ results with ``==`` across jobs=1 / jobs=4 and cache hit / miss.
 """
 
 import ast
-import csv
-import io
 import pickle
 import sys
 from pathlib import Path
@@ -138,15 +136,6 @@ class TestShape:
     def test_duplicate_column_rejected(self):
         with pytest.raises(ValueError):
             build(["a"], []).add_column("a")
-
-    @given(table=tables())
-    def test_csv_header_and_row_count(self, table):
-        keys, rows = table
-        parsed = list(csv.reader(io.StringIO(build(keys, rows).to_csv())))
-        assert parsed[0] == ["time"] + [str(key) for key in keys]
-        assert len(parsed) == len(rows) + 1
-        for i, line in enumerate(parsed[1:]):
-            assert [float(cell) for cell in line] == [i * 0.5] + rows[i]
 
     @given(table=tables())
     def test_short_row_rejected_and_nothing_recorded(self, table):

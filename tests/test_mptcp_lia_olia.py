@@ -144,9 +144,9 @@ class TestOliaAlphas:
 
 class TestCouplingRegistry:
     def test_known_schemes(self):
-        from repro.mptcp.coupling import available_schemes, create_coupling
+        from repro.mptcp.coupling import SCHEMES, create_coupling
 
-        for scheme in available_schemes():
+        for scheme in SCHEMES:
             coupling = create_coupling(scheme)
             controller = coupling.make_controller()
             assert controller is not None

@@ -112,7 +112,7 @@ class TestPoolRestitution:
         pool = FiniteSource(100)
         pool.take(60)
         pool.restitute(20)
-        assert pool.remaining == 60
+        assert pool.granted == 40
         assert pool.take(100) == 60
 
     def test_restitute_validation(self):

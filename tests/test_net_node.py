@@ -37,13 +37,13 @@ class TestForwarding:
         net.host("B").register(0, 0, lambda p: None)
         net.host("A").send(Packet(DATA, 1500, 0, 0, path=path))
         net.sim.run()
-        assert net.switch("SW1").packets_forwarded == 1
-        assert net.switch("SW2").packets_forwarded == 1
+        assert net.switches["SW1"].packets_forwarded == 1
+        assert net.switches["SW2"].packets_forwarded == 1
 
     def test_forward_without_next_hop_raises(self):
         net = linear_net()
         with pytest.raises(RuntimeError):
-            net.switch("SW1").forward(Packet(DATA, 1500, 0, 0, path=()))
+            net.switches["SW1"].forward(Packet(DATA, 1500, 0, 0, path=()))
 
 
 class TestHostDemux:

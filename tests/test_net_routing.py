@@ -52,7 +52,7 @@ class TestEnumeration:
         # Add a longer detour; it must not appear.
         net = diamond_net()
         w = net.add_switch("W")
-        net.connect(net.switch("U"), w, 1e9, 1e-6)
+        net.connect(net.switches["U"], w, 1e9, 1e-6)
         net.connect(w, net.host("B"), 1e9, 1e-6)
         paths = net.paths("A", "B")
         assert len(paths) == 2

@@ -103,17 +103,6 @@ class TestProfilerCounters:
         assert profiler.snapshot().heap.compactions == sim.compactions
         keep.cancel()
 
-    def test_detach_stops_counting(self, sim):
-        profiler = Profiler()
-        profiler.attach(sim)
-        sim.schedule(0.0, noop)
-        profiler.detach(sim)
-        assert sim.probe is None
-        sim.run()
-        snap = profiler.snapshot()
-        assert snap.heap.pushes == 1
-        assert snap.events == 0  # the fire happened unprofiled
-
     def test_multi_sim_aggregation(self):
         profiler = Profiler()
         sims = [Simulator(), Simulator()]

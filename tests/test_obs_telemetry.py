@@ -24,6 +24,14 @@ from repro.obs.telemetry import Telemetry, from_environment
 from repro.runner import Campaign, MemoryCache, RunCache, RunSpec
 from repro.runner.spec import SOURCE_MEMORY, SOURCE_RUN
 
+
+def read_records(telemetry):
+    """Every record the sink has written, oldest first."""
+    if not telemetry.path.exists():
+        return []
+    return [json.loads(line) for line in telemetry.path.read_text().splitlines()]
+
+
 TINY = FatTreeScenario(
     duration=0.02,
     perm_size_min=50_000,
@@ -82,13 +90,13 @@ class TestTelemetrySink:
         spec = grid()[:1]
         Campaign(jobs=1, use_cache=False, telemetry=telemetry).run(spec)
         Campaign(jobs=1, use_cache=False, telemetry=telemetry).run(spec)
-        assert len(telemetry.read_records()) == 2
+        assert len(read_records(telemetry)) == 2
 
     def test_empty_batch_writes_nothing(self, tmp_path):
         telemetry = Telemetry(tmp_path / "never")
         assert telemetry.record_results([]) == []
         assert not telemetry.path.exists()
-        assert telemetry.read_records() == []
+        assert read_records(telemetry) == []
 
     def test_from_environment(self, tmp_path, monkeypatch):
         assert from_environment() is None
@@ -113,8 +121,8 @@ class TestDeterminism:
         fanned = Telemetry(tmp_path / "fanned")
         Campaign(jobs=1, use_cache=False, telemetry=serial).run(specs)
         Campaign(jobs=4, use_cache=False, telemetry=fanned).run(specs)
-        serial_views = [deterministic_view(r) for r in serial.read_records()]
-        fanned_views = [deterministic_view(r) for r in fanned.read_records()]
+        serial_views = [deterministic_view(r) for r in read_records(serial)]
+        fanned_views = [deterministic_view(r) for r in read_records(fanned)]
         assert serial_views == fanned_views
         # The stripped profile still pins per-component event counts.
         assert serial_views[0]["profile"]["components"]
@@ -123,8 +131,8 @@ class TestDeterminism:
         """Hit and miss records agree on everything the spec determines.
 
         The hit's ``profile`` is null (nothing executed), so the
-        comparison uses ``keep_profile=False``; provenance fields are the
-        other intended difference and are stripped by the view.
+        comparison blanks both profiles; provenance fields are the other
+        intended difference and are stripped by the view.
         """
         spec = grid()[:1]
         cache = RunCache(memory=MemoryCache())
@@ -132,15 +140,15 @@ class TestDeterminism:
         warm = Telemetry(tmp_path / "warm")
         Campaign(jobs=1, cache=cache, telemetry=cold).run(spec)
         Campaign(jobs=1, cache=cache, telemetry=warm).run(spec)
-        [miss] = cold.read_records()
-        [hit] = warm.read_records()
+        [miss] = read_records(cold)
+        [hit] = read_records(warm)
         assert miss["source"] == SOURCE_RUN and not miss["cached"]
         assert hit["source"] == SOURCE_MEMORY and hit["cached"]
         assert miss["profile"] is not None
         assert hit["profile"] is None
         assert hit["wall_sim_ratio"] is None
-        assert deterministic_view(hit, keep_profile=False) == deterministic_view(
-            miss, keep_profile=False
+        assert deterministic_view(dict(hit, profile=None)) == deterministic_view(
+            dict(miss, profile=None)
         )
 
     def test_profiling_does_not_change_results(self, monkeypatch):

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.experiments.reporting import (
-    format_cdf,
-    format_series,
-    format_summary,
-    format_table,
-)
+from repro.experiments.reporting import format_cdf, format_summary, format_table
 from repro.mptcp.connection import MptcpConnection
 from repro.transport.cc import RenoCC
 from repro.transport.dctcp import DctcpCC
@@ -31,16 +26,16 @@ class TestFormatTable:
 
 class TestFormatCdf:
     def test_quantiles_shown(self):
-        text = format_cdf([1, 2, 3, 4, 5], quantiles=(50,), unit="ms")
-        assert "p50=3" in text
+        text = format_cdf([1, 2, 3, 4, 5], unit="ms")
+        assert "p10=1.4ms" in text and "p50=3ms" in text and "p99=4.96ms" in text
         assert "n=5" in text
 
     def test_empty(self):
         assert format_cdf([]) == "(no samples)"
 
     def test_scaling(self):
-        text = format_cdf([0.001], quantiles=(50,), unit="ms", scale=1e3)
-        assert "p50=1" in text
+        text = format_cdf([0.001], unit="ms", scale=1e3)
+        assert "p50=1ms" in text
 
 
 class TestFormatSummaryAndSeries:
@@ -48,16 +43,6 @@ class TestFormatSummaryAndSeries:
         summary = {"min": 0.0, "p10": 0.1, "p50": 0.5, "p90": 0.9, "max": 1.0}
         text = format_summary(summary)
         assert "p50=0.5" in text
-
-    def test_series_bars(self):
-        text = format_series([(0.0, 1.0), (1.0, 2.0)])
-        assert "#" in text
-
-    def test_empty_series(self):
-        assert format_series([]) == "(empty series)"
-
-    def test_all_zero_series(self):
-        assert "0.000" in format_series([(0.0, 0.0)])
 
 
 class TestEchoModeMapping:
@@ -108,10 +93,10 @@ class TestSinglePathFlow:
 class TestSharedPool:
     def test_remaining_tracks_grants(self):
         pool = FiniteSource(100)
-        pool.take(30)
-        assert pool.remaining == 70
-        pool.take(100)
-        assert pool.remaining == 0
+        assert pool.take(30) == 30
+        assert not pool.exhausted
+        assert pool.take(100) == 70
+        assert pool.granted == pool.total
         assert pool.exhausted
 
     def test_multiple_consumers_never_over_grant(self):

@@ -23,7 +23,6 @@ from repro.runner import (
     RunCache,
     RunSpec,
     kind_entry,
-    registered_kinds,
     run_spec,
     spec_fingerprint,
 )
@@ -125,8 +124,9 @@ class TestCache:
         result = run_spec(self.spec(), Campaign(cache=RunCache(disk=DiskCache(blocked))))
         assert result.metrics.source == SOURCE_RUN
 
-    def test_memory_cache_is_bounded(self):
-        cache = MemoryCache(max_entries=3)
+    def test_memory_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(MemoryCache, "MAX_ENTRIES", 3)
+        cache = MemoryCache()
         specs = [RunSpec("fattree", dataclasses.replace(TINY, seed=i))
                  for i in range(5)]
         for i, spec in enumerate(specs):
@@ -156,7 +156,7 @@ class TestCache:
         # Through both RunCache tiers: memory first, then disk promote.
         cache = RunCache(memory=memory, disk=disk)
         assert cache.lookup(spec) == (None, SOURCE_MEMORY)
-        cache.clear_memory()
+        cache.memory = MemoryCache()
         assert cache.lookup(spec) == (None, SOURCE_DISK)
         # The disk hit was promoted back into the memory tier.
         assert cache.lookup(spec) == (None, SOURCE_MEMORY)
@@ -199,22 +199,19 @@ class TestCampaignResult:
         assert "memory" in table
         assert "fattree" in table
 
-    def test_value_for(self):
-        spec = RunSpec("fattree", TINY)
-        outcome = Campaign(cache=RunCache()).run([spec])
-        assert outcome.value_for(spec) is outcome.values[0]
-        with pytest.raises(KeyError):
-            outcome.value_for(RunSpec("fattree", dataclasses.replace(TINY, seed=9)))
+
+#: Every kind the registry ships with.
+KINDS = ("fattree", "fig1", "fig4", "fig6", "fig7", "workload", "incast_sweep", "fluid")
 
 
 class TestRegistry:
     def test_all_drivers_registered(self):
-        assert {"fattree", "fig1", "fig4", "fig6", "fig7"} <= set(registered_kinds())
+        assert [kind_entry(kind).name for kind in KINDS] == list(KINDS)
 
     def test_unknown_kind_raises(self):
         with pytest.raises(KeyError, match="fattree"):
             kind_entry("nonsense")
 
     def test_entries_resolve(self):
-        for name in registered_kinds():
+        for name in KINDS:
             assert callable(kind_entry(name).resolve())

@@ -19,12 +19,7 @@ from repro.fluid import FluidScenario, integrate_model, model_from_network
 from repro.fluid.laws import FLUID_LAWS, FLUID_SCHEMES, render_scheme_table
 from repro.fluid.solver import SOLVERS, vector_available
 from repro.mptcp.connection import MptcpConnection
-from repro.mptcp.coupling import (
-    SCHEMES,
-    available_schemes,
-    create_coupling,
-    parse_scheme_spec,
-)
+from repro.mptcp.coupling import SCHEMES, create_coupling, parse_scheme_spec
 from repro.mptcp.lia import LiaCoupling, lia_alpha
 from repro.sim.probe import probing
 from repro.topology.bottleneck import build_single_bottleneck
@@ -89,7 +84,6 @@ class TestEveryRow:
 
 class TestReadersFollowTheTable:
     def test_names_in_table_order(self):
-        assert available_schemes() == list(SCHEMES)
         assert FLUID_SCHEMES == tuple(n for n in SCHEMES if n in FLUID_LAWS)
         assert set(FLUID_LAWS) <= set(SCHEMES)
 

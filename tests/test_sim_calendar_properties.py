@@ -150,9 +150,8 @@ def interpret(sim, script, until_ticks=None, max_events=None):
     return fired
 
 
-def check_workload(script, until_ticks=None, max_events=None, far_window=None,
-                   real=None):
-    real = real or Simulator()
+def check_workload(script, until_ticks=None, max_events=None, far_window=None):
+    real = Simulator()
     real.COMPACT_MIN_CANCELLED = 4  # instance attr shadows class default
     if far_window is not None:
         real.FAR_WINDOW = far_window
@@ -199,10 +198,7 @@ def with_long_dated(rng, script):
 def check_long_dated(script, seed, far_window):
     rng = random.Random(seed)
     script, span = with_long_dated(rng, script)
-    mode = rng.randrange(3)
-    if mode == 0:
-        check_workload(script, far_window=far_window)
-    elif mode == 1:
+    if rng.randrange(2):
         check_workload(
             script,
             until_ticks=rng.randrange(span),
@@ -210,18 +206,7 @@ def check_long_dated(script, seed, far_window):
             far_window=far_window,
         )
     else:
-        # reset() with records parked: the reused simulator must then be
-        # indistinguishable from a fresh one.
-        real = Simulator()
-        real.FAR_WINDOW = far_window
-        stale = [real.schedule(t * TICK, lambda: None) for t in range(0, span, 7)]
-        real.run(until=rng.randrange(span) * TICK)
-        real.reset()
-        assert real.pending_events == 0
-        for handle in stale:
-            handle.cancel()  # no longer scheduler-resident: not counted
-        assert real.cancelled_pending == 0
-        check_workload(script, real=real)
+        check_workload(script, far_window=far_window)
 
 
 # ----------------------------------------------------------------------

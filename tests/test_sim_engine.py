@@ -182,26 +182,10 @@ class TestRunControl:
         assert fired == [1, 2]
 
 
-class TestReset:
-    def test_reset_clears_pending_and_clock(self, sim):
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        sim.reset()
-        assert sim.now == 0.0
-        assert sim.pending_events == 0
-        assert sim.events_processed == 0
-
-    def test_reset_drops_unfired_events(self, sim):
-        fired = []
-        sim.schedule(1.0, fired.append, 1)
-        sim.reset()
-        sim.run()
-        assert fired == []
-
-
 class TestHeapCompaction:
     def test_compaction_bounds_dead_fraction(self, sim):
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(5000)]
+        fired = []
+        events = [sim.schedule(float(i + 1), fired.append, i) for i in range(5000)]
         for event in events[:4000]:
             event.cancel()
         # Compaction triggered mid-cancellation: live events all survive,
@@ -209,13 +193,9 @@ class TestHeapCompaction:
         # the trigger thresholds.
         assert sim.pending_events < 5000
         assert sim.pending_events >= 1000
-        live = sum(
-            1
-            for record in sim.iter_pending()
-            if record[3] is None or not record[3].cancelled
-        )
-        assert live == 1000
-        assert sim.cancelled_pending == sim.pending_events - live
+        assert sim.cancelled_pending == sim.pending_events - 1000
+        sim.run()
+        assert fired == list(range(4000, 5000))
 
     def test_below_threshold_no_compaction(self, sim):
         events = [sim.schedule(float(i + 1), lambda: None) for i in range(100)]

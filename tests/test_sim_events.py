@@ -20,9 +20,11 @@ class TestTimer:
         assert not timer.armed
 
     def test_expiry_reports_deadline(self, sim):
-        timer = Timer(sim, lambda: None)
+        expired_at = []
+        timer = Timer(sim, lambda: expired_at.append(sim.now))
         timer.start(2.0)
-        assert timer.expiry == 2.0
+        sim.run()
+        assert expired_at == [2.0]
 
     def test_cancel_prevents_firing(self, sim):
         fired = []

@@ -1,39 +1,86 @@
-"""Tests for the dumbbell topology and RTT-(un)fairness behaviour."""
+"""Tests for per-pair RTTs on the single-bottleneck builder (the
+dumbbell) and RTT-(un)fairness behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mptcp.connection import MptcpConnection
-from repro.topology.dumbbell import build_dumbbell
+from repro.topology.bottleneck import build_single_bottleneck
+
+rtts_s = st.floats(1e-6, 0.1, allow_nan=False, allow_infinity=False)
+
+
+def dumbbell(rtts, **kwargs):
+    return build_single_bottleneck(num_pairs=len(rtts), rtt=rtts, **kwargs)
+
+
+def round_trip(net, index):
+    path = net.flow_path(index)
+    return sum(link.delay for link in path) + sum(
+        link.delay for link in net.reverse_path(path)
+    )
 
 
 class TestConstruction:
     def test_per_pair_rtts(self):
         rtts = [200e-6, 400e-6, 800e-6]
-        net = build_dumbbell(rtts)
+        net = dumbbell(rtts)
         for index, rtt in enumerate(rtts):
-            path = net.flow_path(index)
-            total = sum(l.delay for l in path) + sum(
-                l.delay for l in net.reverse_path(path)
-            )
-            assert total == pytest.approx(rtt)
+            assert round_trip(net, index) == pytest.approx(rtt, rel=1e-15)
 
     def test_all_pairs_share_one_bottleneck(self):
-        net = build_dumbbell([200e-6, 400e-6])
+        net = dumbbell([200e-6, 400e-6])
         for index in range(2):
             assert net.forward_bottleneck in net.flow_path(index)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_dumbbell([])
+            build_single_bottleneck(num_pairs=0, rtt=[])
         with pytest.raises(ValueError):
-            build_dumbbell([0.0])
+            dumbbell([0.0])
         with pytest.raises(ValueError):
-            build_dumbbell([100e-6], bottleneck_delay=60e-6)
+            build_single_bottleneck(num_pairs=2, rtt=[100e-6])
+
+
+class TestOneBuilderForBothRttForms:
+    """Equal RTTs must split into exactly ``rtt / 6`` per hop — the
+    ``bottleneck-xmp`` and ``bottleneck-mixed`` goldens digest every
+    event time — whether given once or once per pair."""
+
+    @pytest.mark.parametrize("rtt", [225e-6, 1.8e-3, 350e-6])
+    def test_equal_rtts_give_every_hop_a_sixth(self, rtt):
+        for net in (build_single_bottleneck(num_pairs=3, rtt=rtt), dumbbell([rtt] * 3)):
+            assert {link.delay for link in net.links} == {rtt / 6.0}
+
+    @given(rtt=rtts_s, pairs=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_rtts_property(self, rtt, pairs):
+        for net in (build_single_bottleneck(num_pairs=pairs, rtt=rtt),
+                    dumbbell([rtt] * pairs)):
+            assert all(link.delay == rtt / 6.0 for link in net.links)
+
+    @given(rtts=st.lists(rtts_s, min_size=1, max_size=5))
+    @settings(max_examples=60, deadline=None)
+    def test_per_pair_round_trips(self, rtts):
+        net = dumbbell(rtts)
+        for index, rtt in enumerate(rtts):
+            assert round_trip(net, index) == pytest.approx(rtt, rel=1e-15)
+
+    def test_link_names_and_order(self):
+        for net in (build_single_bottleneck(num_pairs=2), dumbbell([200e-6, 400e-6])):
+            assert [(link.name, link.layer) for link in net.links] == [
+                ("SWL->SWR", "bottleneck"), ("SWR->SWL", "bottleneck"),
+                ("S0->SWL", "access"), ("SWL->S0", "access"),
+                ("SWR->D0", "access"), ("D0->SWR", "access"),
+                ("S1->SWL", "access"), ("SWL->S1", "access"),
+                ("SWR->D1", "access"), ("D1->SWR", "access"),
+            ]
 
 
 class TestRttFairness:
     def run_pair(self, rtts, scheme="xmp", duration=0.6):
-        net = build_dumbbell(rtts, marking_threshold=10)
+        net = dumbbell(rtts, marking_threshold=10)
         connections = []
         for index in range(len(rtts)):
             conn = MptcpConnection(
@@ -63,7 +110,7 @@ class TestRttFairness:
         """An XMP flow whose subflows traverse different-RTT access legs
         still keeps both subflows active (min-rtt normalization in
         Eq. 9 prevents starvation of the long path)."""
-        net = build_dumbbell([200e-6, 600e-6], marking_threshold=10)
+        net = dumbbell([200e-6, 600e-6], marking_threshold=10)
         conn = MptcpConnection(
             net, "S0", "D0",
             [net.flow_path(0)], scheme="xmp",

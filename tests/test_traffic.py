@@ -1,6 +1,7 @@
 """Tests for the workload patterns (permutation / random / incast)."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 
 from repro.topology.fattree import build_fattree
 from repro.traffic.factory import TransferFactory
-from repro.traffic.incast import IncastPattern, REQUEST_BYTES, RESPONSE_BYTES
+from repro.traffic.incast import IncastPattern
 from repro.traffic.permutation import PermutationPattern, random_derangement
-from repro.traffic.random_pattern import RandomPattern
+from repro.traffic.random_pattern import MAX_IN_DEGREE, RandomPattern
+from repro.workloads.partition_aggregate import (
+    DEFAULT_REQUEST_BYTES as REQUEST_BYTES,
+    DEFAULT_RESPONSE_BYTES as RESPONSE_BYTES,
+)
 
 
 @pytest.fixture
@@ -61,7 +66,7 @@ class TestFactory:
         record = factory.records[0]
         assert record.category == "inter-pod"
         assert record.scheme == "XMP-2"
-        assert record.finished
+        assert record.complete_time is not None
 
     def test_single_path_scheme_gets_one_subflow(self, fattree):
         factory = factory_for(fattree, scheme="dctcp", subflows=1)
@@ -84,7 +89,7 @@ class TestFactory:
         fattree.sim.run(until=0.02)
         unfinished = factory.unfinished_records(0.02)
         assert len(unfinished) == 1
-        assert not unfinished[0].finished
+        assert unfinished[0].complete_time is None
         assert unfinished[0].goodput_bps(0.02) > 0
 
     def test_all_records_merges(self, fattree):
@@ -108,10 +113,10 @@ class TestPermutationPattern:
     def test_round_launches_one_flow_per_host(self, fattree):
         factory = factory_for(fattree)
         pattern = PermutationPattern(
-            factory, fattree.host_names, 50_000, 100_000,
-            rng=random.Random(0), max_rounds=1,
+            factory, fattree.host_names, 50_000, 100_000, rng=random.Random(0)
         )
         pattern.start()
+        pattern.stop()
         assert pattern.flows_started == 16
         destinations = [c.dst for c in factory.active]
         assert sorted(destinations) == sorted(fattree.host_names)
@@ -119,9 +124,14 @@ class TestPermutationPattern:
     def test_new_round_after_completion(self, fattree):
         factory = factory_for(fattree)
         pattern = PermutationPattern(
-            factory, fattree.host_names, 20_000, 40_000,
-            rng=random.Random(0), max_rounds=3,
+            factory, fattree.host_names, 20_000, 40_000, rng=random.Random(0)
         )
+
+        def stop_in_third_round(connection):
+            if pattern.rounds_started == 3:
+                pattern.stop()
+
+        factory.on_launch = stop_in_third_round
         pattern.start()
         fattree.sim.run(until=2.0)
         assert pattern.rounds_started == 3
@@ -140,10 +150,10 @@ class TestPermutationPattern:
     def test_sizes_within_range(self, fattree):
         factory = factory_for(fattree)
         pattern = PermutationPattern(
-            factory, fattree.host_names, 50_000, 100_000,
-            rng=random.Random(0), max_rounds=1,
+            factory, fattree.host_names, 50_000, 100_000, rng=random.Random(0)
         )
         pattern.start()
+        pattern.stop()
         fattree.sim.run(until=2.0)
         for record in factory.records:
             assert 50_000 <= record.size_bytes <= 100_000
@@ -175,14 +185,18 @@ class TestRandomPattern:
         assert len(factory.active) == 16  # always one per source
 
     def test_in_degree_respected(self, fattree):
+        # 16 sources onto 4 destinations: only the cap keeps any one of
+        # them from drawing more than MAX_IN_DEGREE flows.
         factory = factory_for(fattree)
         pattern = RandomPattern(
             factory, fattree.host_names, mean_bytes=50_000_000,
-            max_bytes=50_000_000, max_in_degree=1, rng=random.Random(0),
+            max_bytes=50_000_000, rng=random.Random(0),
+            destinations=fattree.host_names[:4],
         )
         pattern.start()
-        destinations = [c.dst for c in factory.active]
-        assert len(set(destinations)) == len(destinations)
+        fattree.sim.run(until=0.01)
+        in_degree = Counter(c.dst for c in factory.active)
+        assert max(in_degree.values()) == MAX_IN_DEGREE
 
     def test_exclude_same_rack(self, fattree):
         factory = factory_for(fattree)

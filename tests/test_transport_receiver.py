@@ -91,14 +91,6 @@ class TestCumulativeAck:
         assert acks[-1].ack == 2
         assert h.receiver.duplicates_received == 1
 
-    def test_on_segment_callback_reports_progress(self, two_host_net):
-        progress = []
-        h = Harness(two_host_net)
-        h.receiver.on_segment = progress.append
-        for seq in range(3):
-            h.deliver(seq)
-        assert progress == [1, 2, 3]
-
 
 class TestTimestampEcho:
     def test_echoes_earliest_unacked_timestamp(self, two_host_net):

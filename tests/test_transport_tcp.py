@@ -23,7 +23,6 @@ class SenderHarness:
     def __init__(self, net, total_segments=10_000, cc=None, initial_cwnd=10):
         self.net = net
         self.sent = []
-        self.completions = []
         forward = net.paths("A", "B")[0]
         self.reverse = net.reverse_path(forward)
         net.host("B").register(0, 0, self.sent.append)
@@ -36,7 +35,6 @@ class SenderHarness:
             cc if cc is not None else RenoCC(),
             FiniteSource(total_segments),
             initial_cwnd=initial_cwnd,
-            on_complete=self.completions.append,
         )
 
     def start(self):
@@ -198,7 +196,7 @@ class TestCompletion:
         h.start()
         h.ack(5)
         assert h.sender.completed
-        assert h.completions
+        assert 0.01 < h.sender.complete_time <= two_host_net.sim.now
         assert not h.sender.rto_timer.armed
 
     def test_not_complete_with_outstanding(self, two_host_net):

@@ -17,7 +17,7 @@ from repro.experiments.workload_matrix import (
     _simulate_workload,
 )
 from repro.mptcp.coupling import parse_scheme_spec
-from repro.runner import Campaign, RunSpec, registered_kinds
+from repro.runner import Campaign, RunSpec, kind_entry
 from repro.runner.cache import DiskCache, MemoryCache, RunCache
 from repro.validate.golden import digest_incast_sweep, digest_workload
 
@@ -29,9 +29,8 @@ TINY_INCAST = IncastSweepScenario(
 
 class TestWorkloadCell:
     def test_registered_kinds(self):
-        kinds = registered_kinds()
-        assert "workload" in kinds
-        assert "incast_sweep" in kinds
+        assert kind_entry("workload").function == "_simulate_workload"
+        assert kind_entry("incast_sweep").function == "_simulate_incast"
 
     def test_cell_accounting_is_consistent(self):
         result = _simulate_workload(TINY)
@@ -160,7 +159,7 @@ class TestDriversAndFormat:
         assert "mice p50 (ms)" in text
         assert "99p queue (pkt)" in text
         assert "XMP-2" in text
-        assert result.labels() == ["XMP-2/websearch@0.3"]
+        assert [label for label, _load in result.cells] == ["XMP-2/websearch@0.3"]
 
     def test_incast_sweep_format(self):
         result = run(

@@ -34,6 +34,7 @@ from repro.workloads.cdf import (
     UniformSizes,
     make_sampler,
 )
+from repro.workloads import schedule as schedule_module
 from repro.workloads.schedule import build_schedule, offered_bytes
 
 #: Draws for the distributional checks.  The KS critical value at
@@ -57,7 +58,7 @@ class TestEmpiricalCdfs:
         cdf = SizeCDF(name, points)
         rng = random.Random(12345)
         draws = [cdf.sample(rng) for _ in range(N_DRAWS)]
-        for size, prob in cdf.knots():
+        for size, prob in points:
             gap = abs(_empirical_cdf_at(draws, size) - cdf.cdf_at(size))
             assert gap < KS_BOUND, (
                 f"{name}: empirical CDF off by {gap:.4f} at {size:.0f} B "
@@ -174,7 +175,7 @@ class TestArrivalProcesses:
         rng = random.Random(11)
         gaps = [process.next_gap(rng) for _ in range(N_DRAWS)]
         assert sum(gaps) / len(gaps) == pytest.approx(
-            process.mean_gap_s(), rel=0.02
+            1.0 / process.rate_per_s, rel=0.02
         )
 
     def test_lognormal_mean_gap_matches_rate(self):
@@ -262,14 +263,14 @@ class TestScheduleDeterminism:
         assert {a.src for a in schedule} == set(self.HOSTS)
         assert {a.dst for a in schedule} == set(self.HOSTS)
 
-    def test_max_flows_backstop(self):
+    def test_max_flows_backstop(self, monkeypatch):
+        monkeypatch.setattr(schedule_module, "MAX_SCHEDULED_FLOWS", 25)
         schedule = build_schedule(
             self.HOSTS,
             FixedSizes(1000),
             PoissonArrivals(1e6),
             random.Random(0),
             10.0,
-            max_flows=25,
         )
         assert len(schedule) == 25
 
