@@ -40,7 +40,7 @@ def run_random_lia(sack: bool, duration: float = 0.4):
             )
             conn.on_complete = lambda c, now: _finish(c, now, src, dst,
                                                       size_bytes, on_complete)
-            factory.active.append(conn)
+            factory.active[conn.flow_id] = conn
             conn.start()
             return conn
 
@@ -53,8 +53,7 @@ def run_random_lia(sack: bool, duration: float = 0.4):
                 conn.start_time or 0.0, now, conn.delivered_bytes,
             )
             factory.records.append(record)
-            if conn in factory.active:
-                factory.active.remove(conn)
+            factory.active.pop(conn.flow_id, None)
             if on_complete is not None:
                 on_complete(record)
 

@@ -178,10 +178,17 @@ class MptcpConnection:
             subflow.sender.stop()
 
     def close(self) -> None:
-        """Stop and unregister every endpoint."""
+        """Stop and release the endpoints; completion calls this too.
+
+        Every sender is closed for good.  Every receiver is too, except
+        that a *completed* connection keeps the receiver of each subflow
+        that is not :attr:`~repro.transport.tcp.TcpSender.settled`: a copy
+        of one of its segments may still arrive, and is ACKed as before.
+        """
         for subflow in self.subflows:
             subflow.sender.close()
-            subflow.receiver.close()
+            if not self.completed or subflow.sender.settled:
+                subflow.receiver.close()
 
     def _maybe_reinject(self, sender: TcpSender) -> None:
         """Declare a repeatedly-timed-out subflow dead and reinject its data.
@@ -226,7 +233,7 @@ class MptcpConnection:
         ):
             self.completed = True
             self.complete_time = self.network.sim.now
-            self.stop()
+            self.close()
             if self.on_complete is not None:
                 self.on_complete(self, self.complete_time)
 

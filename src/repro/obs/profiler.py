@@ -64,7 +64,8 @@ class HeapStats:
 
     The name predates the calendar-queue engine; the counters now cover
     its four tiers.  ``promotions``/``max_run`` count sorted-run rebuilds
-    and the largest run seen, ``far_spills`` counts records pulled from
+    and the largest run seen at promotion (in-run inserts not counted),
+    ``far_spills`` counts records pulled from
     the far window into near buckets.
     """
 

@@ -46,12 +46,18 @@ times):
   every spill.
 
 The bucket width adapts to the observed event density (halving when runs
-come out oversized, doubling when they come out undersized), and a hard
-``RUN_MAX`` cut keeps any single promotion bounded: an oversized sorted
-run is split at a *time boundary*, never between two events at the same
-instant, so the ``(time, priority, seq)`` total order — including
-same-instant priority ties resolved across tiers — is exactly the order
-a single binary heap would produce.
+come out oversized, doubling when they come out undersized, between
+``MIN_WIDTH`` and ``MAX_WIDTH``).  The width only tracks density at
+promotions, so after an idle gap it can be wide enough that a dense
+burst lands inside one run; the ``RUN_MAX`` cut therefore bounds the run
+twice.  A promotion larger than ``RUN_MAX`` is cut back to it.  A run
+that in-run inserts grow past ``RUN_MAX`` drops its consumed prefix, and
+if its unconsumed records alone still pass ``RUN_MAX`` it is cut back to
+``RUN_HI`` of them.  Either cut falls at a *time
+boundary*, never between two events at the same instant, so the
+``(time, priority, seq)`` total order — including same-instant priority
+ties resolved across tiers — is exactly the order a single binary heap
+would produce.
 ``tests/test_sim_calendar_properties.py`` pins this equivalence property
 against a reference heap.
 
@@ -113,8 +119,10 @@ class Simulator:
     #: sim.events_per_s.*).
     RUN_LO = 8
     RUN_HI = 128
-    #: Hard cap: an oversized run is cut back to ~RUN_MAX at a time
-    #: boundary and the tail returned to the near bucket.
+    #: Hard cap, at a time boundary, with the tail returned to the near
+    #: bucket: an oversized promotion is cut back to ~RUN_MAX, and a run
+    #: that in-run inserts grow past RUN_MAX unconsumed records is cut
+    #: back to ~RUN_HI (a consumed prefix is simply dropped).
     RUN_MAX = 512
     #: Length of the far window in bucket widths: long enough that
     #: packet-scale delays (a propagation delay, an RTT) never park,
@@ -211,7 +219,8 @@ class Simulator:
 
     @property
     def max_run(self) -> int:
-        """Largest promoted run size seen (scheduler health metric)."""
+        """Largest run size seen at promotion, before any cut and not
+        counting in-run inserts (scheduler health metric)."""
         return self._max_run
 
     # ------------------------------------------------------------------
@@ -249,7 +258,10 @@ class Simulator:
         event.sim = self
         record = (time, priority, seq, event, callback, args)  # simperf: allow-alloc(calendar-queue record tuple; inherent to scheduling)
         if time < self._run_end:
-            insort(self._run, record, self._run_i)
+            run = self._run
+            insort(run, record, self._run_i)
+            if len(run) > self.RUN_MAX:
+                self._trim_run()
         elif time < self._horizon:
             self._near.append(record)
         elif time < self._far_end:
@@ -286,7 +298,10 @@ class Simulator:
         self._seq = seq = self._seq + 1
         record = (time, priority, seq, None, callback, args)  # simperf: allow-alloc(calendar-queue record tuple; inherent to scheduling)
         if time < self._run_end:
-            insort(self._run, record, self._run_i)
+            run = self._run
+            insort(run, record, self._run_i)
+            if len(run) > self.RUN_MAX:
+                self._trim_run()
         elif time < self._horizon:
             self._near.append(record)
         elif time < self._far_end:
@@ -432,25 +447,12 @@ class Simulator:
             self._spill_far(horizon)
             near = self._near  # the spilled slice — already sorted
         size = len(near)
-        run = near
-        tail: List[EventRecord] = []
-        run_end = self._horizon
-        if size > self.RUN_MAX:
-            # Cut the oversized run at a time boundary: records sharing
-            # one instant must stay in one tier, or a later-scheduled
-            # lower-priority record could overtake them.
-            cut = self.RUN_MAX
-            cut_time = run[cut][0]
-            while cut > 0 and run[cut - 1][0] == cut_time:
-                cut -= 1
-            if cut > 0:
-                tail = run[cut:]
-                del run[cut:]
-                run_end = cut_time
-        self._run = run
+        self._run = near
         self._run_i = 0
-        self._run_end = run_end
-        self._near = tail
+        self._run_end = self._horizon
+        self._near = []
+        if size > self.RUN_MAX:
+            self._cut_run(self.RUN_MAX)
         self._promotions += 1
         if size > self._max_run:
             self._max_run = size
@@ -460,16 +462,49 @@ class Simulator:
                 self._width *= 0.5
         elif size < self.RUN_LO and self._width < self.MAX_WIDTH:
             self._width *= 2.0
-        if run_end == self._horizon:
+        if self._run_end == self._horizon:
             # Consumed the whole near window: slide it one bucket and
             # spill the far records that just became near.
-            horizon = run_end + self._width
+            horizon = self._horizon + self._width
             self._horizon = horizon
             self._spill_far(horizon)
         probe = self.probe
         if probe is not None:
             probe.on_promote(size)
         return True
+
+    def _cut_run(self, keep: int) -> None:
+        """Return the run's records from index ``keep`` on to the near bucket.
+
+        The cut falls at a *time boundary*, before the first record
+        sharing the ``keep``-th record's instant: records sharing one
+        instant must stay in one tier, or a later-scheduled
+        lower-priority record could overtake them.  When every record
+        before ``keep`` shares that instant there is no cut.
+        """
+        run = self._run
+        cut_time = run[keep][0]
+        cut = bisect_left(run, (cut_time,))
+        if cut > 0:
+            self._near.extend(run[cut:])
+            del run[cut:]
+            self._run_end = cut_time
+
+    def _trim_run(self) -> None:
+        """Bound a run that in-run inserts have grown past ``RUN_MAX``.
+
+        Drops the consumed prefix and, if the unconsumed records alone
+        still pass ``RUN_MAX``, cuts them back to ``RUN_HI``, so what a
+        run retains and what one insert moves stay bounded however long
+        a dense phase inside one wide bucket lasts.  Called from inside
+        a callback, so it works in place: the loop re-reads the run and
+        its index every event.
+        """
+        run = self._run
+        del run[: self._run_i]
+        self._run_i = 0
+        if len(run) > self.RUN_MAX:
+            self._cut_run(self.RUN_HI)
 
     # ------------------------------------------------------------------
     # Running

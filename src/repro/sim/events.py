@@ -8,12 +8,14 @@ bit-for-bit for a given seed.
 Cancellation uses lazy deletion: :meth:`Event.cancel` flips a flag and the
 scheduler skips cancelled events when it pops them.  This is much cheaper
 than removing the record from whichever tier of the calendar queue holds
-it and is the standard approach for timer-heavy network simulations
-(every TCP segment arms or re-arms an RTO timer).  The scheduler counts
-pending cancellations and compacts its four tiers when they dominate
-(see :meth:`repro.sim.engine.Simulator._compact`), so long runs with
-many cancelled retransmit timers don't carry them through every
-promotion.
+it and is the standard approach for timer-heavy network simulations.
+The scheduler counts pending cancellations and compacts its four tiers
+when they dominate (see :meth:`repro.sim.engine.Simulator._compact`).
+
+A :class:`Timer` does *not* cancel its event when disarmed: the pending
+record stays and fires as a counted no-op (see :meth:`Timer.cancel`).
+:meth:`Timer.close` also drops the callback, so that no-op record no
+longer keeps the timer's owner alive.
 """
 
 from __future__ import annotations
@@ -119,8 +121,21 @@ class Timer:
         self.start(delay)
 
     def cancel(self) -> None:
-        """Disarm the timer if pending (the pending event is lazily skipped)."""
+        """Disarm the timer if pending.
+
+        The pending event is not cancelled: it still fires, finds no
+        deadline and returns, and the engine counts it like any event.
+        """
         self._deadline = None
+
+    def close(self) -> None:
+        """Disarm for good and let go of the callback (and its owner).
+
+        A pending event still fires as the counted no-op :meth:`cancel`
+        leaves, but it no longer references whoever owned the timer.
+        """
+        self._deadline = None
+        self._callback = _closed
 
     def _fire(self) -> None:
         self._event = None
@@ -136,6 +151,10 @@ class Timer:
             return
         self._deadline = None
         self._callback()
+
+
+def _closed() -> None:
+    raise RuntimeError("timer started after close()")
 
 
 __all__ = ["Event", "Timer"]

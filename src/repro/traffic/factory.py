@@ -17,7 +17,7 @@ Every workload pattern funnels flow creation through one
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.metrics.collector import RttSampler
 from repro.metrics.goodput import FlowRecord
@@ -62,7 +62,8 @@ class TransferFactory:
         #: Name used in reports: e.g. "XMP-2", "LIA-4", "DCTCP".
         self.label = label if label is not None else scheme_label(scheme, subflow_count)
         self.records: List[FlowRecord] = []
-        self.active: List[MptcpConnection] = []
+        #: Running transfers by flow id, in launch order.
+        self.active: Dict[int, MptcpConnection] = {}
         self._ecmp = EcmpSelector(self.rng)
         self._distinct = DistinctPathSelector(self.rng)
 
@@ -106,8 +107,7 @@ class TransferFactory:
                 delivered_bytes=connection.delivered_bytes,
             )
             self.records.append(record)
-            if connection in self.active:
-                self.active.remove(connection)
+            del self.active[connection.flow_id]
             if on_complete is not None:
                 on_complete(record)
 
@@ -126,7 +126,7 @@ class TransferFactory:
         if self.rtt_sampler is not None:
             for subflow in connection.subflows:
                 self.rtt_sampler.watch(category, subflow.sender)
-        self.active.append(connection)
+        self.active[connection.flow_id] = connection
         connection.start()
         if self.on_launch is not None:
             self.on_launch(connection)
@@ -142,7 +142,7 @@ class TransferFactory:
         short scaled-down runs and is reported separately.
         """
         records = []
-        for connection in self.active:
+        for connection in self.active.values():
             records.append(
                 FlowRecord(
                     flow_id=connection.flow_id,

@@ -231,8 +231,9 @@ class Receiver:
         return tuple(reversed(blocks[-3:]))
 
     def close(self) -> None:
-        """Tear down the endpoint (unregister from the host demux)."""
-        self._delack_timer.cancel()
+        """Tear down the endpoint for good (close the delayed-ACK timer,
+        unregister from the host demux)."""
+        self._delack_timer.close()
         self.host.unregister(self.flow, self.subflow)
 
 

@@ -245,9 +245,21 @@ class TcpSender:
         self.rto_timer.cancel()
 
     def close(self) -> None:
-        """Tear the endpoint down entirely."""
+        """Tear the endpoint down for good: stop, close the RTO timer and
+        unregister, so nothing the simulator holds reaches this sender."""
         self.stop()
+        self.rto_timer.close()
         self.host.unregister(self.flow, self.subflow)
+
+    @property
+    def settled(self) -> bool:
+        """Every segment was sent exactly once and acknowledged, so no
+        copy of any can still be on its way to the receiver."""
+        return (
+            self.snd_una == self.snd_nxt
+            and self.timeouts == 0
+            and self.retransmissions == 0
+        )
 
     # ------------------------------------------------------------------
     # Sending

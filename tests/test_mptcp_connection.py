@@ -1,11 +1,17 @@
 """Tests for MptcpConnection: striping, completion, lifecycle."""
 
+import gc
+import weakref
+from collections import Counter
+
 import pytest
 
 from repro.mptcp.connection import MptcpConnection
 from repro.net.network import Network
-from repro.net.packet import MSS_BYTES
+from repro.net.packet import MSS_BYTES, make_data_packet
 from repro.net.queue import ThresholdECNQueue
+from repro.topology.bottleneck import build_single_bottleneck
+from repro.transport.tcp import TcpSender
 
 
 def diamond_net():
@@ -177,3 +183,71 @@ class TestSchemes:
         conn.start()
         net.sim.run(until=2.0)
         assert conn.completed, scheme
+
+
+class TestRelease:
+    """Completion is terminal: a finished connection lets go of its state."""
+
+    def test_finished_connections_and_senders_are_garbage(self):
+        net = build_single_bottleneck(num_pairs=4)
+        # The last flow cannot finish within the 20 ms run.
+        sizes = [30_000, 60_000, 90_000, 50_000_000]
+        completed = []
+        refs = []
+        for index, size in enumerate(sizes):
+            conn = MptcpConnection(
+                net, net.source(index), net.sink(index), [net.flow_path(index)] * 2,
+                scheme="xmp", size_bytes=size,
+                on_complete=lambda c, now: completed.append(c.flow_id),
+            )
+            conn.start()
+            refs.append((conn.flow_id, weakref.ref(conn)))
+        del conn
+        net.sim.run(until=0.02)
+        gc.collect()
+        assert len(completed) == 3
+        # Slotted senders take no weakref: find the live ones by census.
+        live_senders = Counter(
+            obj.flow for obj in gc.get_objects() if isinstance(obj, TcpSender)
+        )
+        for flow_id, conn_ref in refs:
+            finished = flow_id in completed
+            assert (conn_ref() is None) == finished, flow_id
+            assert live_senders[flow_id] == (0 if finished else 2), flow_id
+
+    def _completed(self, net, scheme, size_bytes):
+        conn = MptcpConnection(net, "S0", "D0", [net.flow_path(0)],
+                               scheme=scheme, size_bytes=size_bytes)
+        conn.start()
+        net.sim.run(until=10.0)
+        assert conn.completed
+        return conn
+
+    def _late_duplicate(self, net, conn):
+        """Replay segment 0 of the finished subflow, as a late copy would arrive."""
+        net.host("S0").send(
+            make_data_packet(conn.flow_id, 0, 0, net.sim.now, net.flow_path(0), False)
+        )
+        net.sim.run(until=net.sim.now + 0.01)
+
+    def test_subflow_that_retransmitted_keeps_its_receiver(self):
+        net = build_single_bottleneck(num_pairs=1, bottleneck_rate_bps=100e6, rtt=1e-3,
+                                      marking_threshold=None, queue_capacity=5)
+        conn = self._completed(net, "tcp", 2_000_000)
+        sender, receiver = conn.subflows[0].sender, conn.subflows[0].receiver
+        assert sender.retransmissions + sender.timeouts > 0
+        assert not sender.settled
+        acks, duplicates = receiver.acks_sent, receiver.duplicates_received
+        self._late_duplicate(net, conn)
+        assert receiver.duplicates_received == duplicates + 1
+        assert receiver.acks_sent == acks + 1  # still ACKed, as before completion
+        assert net.host("D0").packets_unclaimed == 0
+
+    def test_settled_subflow_releases_its_receiver(self):
+        net = build_single_bottleneck(num_pairs=1)
+        conn = self._completed(net, "xmp", 100_000)
+        assert conn.subflows[0].sender.settled
+        acks = conn.subflows[0].receiver.acks_sent
+        self._late_duplicate(net, conn)
+        assert net.host("D0").packets_unclaimed == 1
+        assert conn.subflows[0].receiver.acks_sent == acks

@@ -364,6 +364,51 @@ def test_jump_ahead_reaches_parked_records_over_an_empty_far_window():
     assert sim._promote() is False
 
 
+def _gap_then_burst(sim, fired, observe):
+    """24 lone events a second apart (every promotion is undersized, so
+    the bucket width doubles up to ``MAX_WIDTH``), then at t=24 s a
+    6,000-event binary fan-out one to seven fine ticks a step: the whole
+    burst falls inside one wide bucket, and its pending set grows far
+    past ``RUN_MAX``.  ``observe()`` runs inside every burst event."""
+
+    def burst(i):
+        fired.append((sim.now, i))
+        observe()
+        if 2 * i + 2 < 6000:
+            sim.post((i % 7 + 1) * FINE, burst, 2 * i + 1)
+            sim.schedule((i % 5 + 1) * FINE, burst, 2 * i + 2, priority=i % 3 - 1)
+
+    for j in range(24):
+        sim.schedule(float(j), fired.append, ("idle", j))
+    sim.schedule(24.0, burst, 0)
+
+
+def test_dense_burst_after_idle_gap_keeps_the_run_bounded():
+    """In-run inserts cannot grow a run without bound: the consumed
+    prefix is dropped and the unconsumed records are cut back at a time
+    boundary, and the firing order stays the reference heap's."""
+    sim = Simulator()
+    fired, reference = [], []
+    seen = {"run": 0, "pending": 0, "width": None}
+
+    def observe():
+        if seen["width"] is None:
+            seen["width"] = sim._width
+        seen["run"] = max(seen["run"], len(sim._run))
+        seen["pending"] = max(seen["pending"], sim.pending_events)
+
+    _gap_then_burst(sim, fired, observe)
+    sim.run()
+    ref = ReferenceSimulator()
+    _gap_then_burst(ref, reference, lambda: None)
+    ref.run()
+    assert fired == reference
+    assert seen["width"] >= 1.0, "the burst was meant to land in one wide bucket"
+    assert seen["pending"] > 2 * Simulator.RUN_MAX
+    assert seen["run"] <= Simulator.RUN_MAX
+    assert sim.pending_events == 0
+
+
 class _SortMeter(list):
     """A tier list that counts the records each ``sort()`` is handed."""
 

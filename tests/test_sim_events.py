@@ -37,6 +37,37 @@ class TestTimer:
     def test_cancel_without_start_is_noop(self, sim):
         Timer(sim, lambda: None).cancel()
 
+    def test_cancelled_record_still_fires_as_counted_noop(self, sim):
+        timer = Timer(sim, lambda: None)
+        timer.start(1.0)
+        timer.cancel()
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.events_processed == 1
+
+    def test_close_lets_go_of_the_owner_but_keeps_the_record(self, sim):
+        import gc
+        import weakref
+
+        class Owner:
+            def __init__(self):
+                self.fired = 0
+                self.timer = Timer(sim, self.expire)
+
+            def expire(self):
+                self.fired += 1
+
+        owner = Owner()
+        owner.timer.start(1.0)
+        owner.timer.close()
+        ref = weakref.ref(owner)
+        del owner
+        gc.collect()
+        assert ref() is None  # the pending record no longer reaches it
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.events_processed == 1  # fired, as the same counted no-op
+
     def test_restart_extends_deadline(self, sim):
         fired = []
         timer = Timer(sim, lambda: fired.append(sim.now))

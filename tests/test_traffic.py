@@ -118,7 +118,7 @@ class TestPermutationPattern:
         pattern.start()
         pattern.stop()
         assert pattern.flows_started == 16
-        destinations = [c.dst for c in factory.active]
+        destinations = [c.dst for c in factory.active.values()]
         assert sorted(destinations) == sorted(fattree.host_names)
 
     def test_new_round_after_completion(self, fattree):
@@ -195,7 +195,7 @@ class TestRandomPattern:
         )
         pattern.start()
         fattree.sim.run(until=0.01)
-        in_degree = Counter(c.dst for c in factory.active)
+        in_degree = Counter(c.dst for c in factory.active.values())
         assert max(in_degree.values()) == MAX_IN_DEGREE
 
     def test_exclude_same_rack(self, fattree):
