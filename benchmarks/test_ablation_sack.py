@@ -26,14 +26,10 @@ def run_random_lia(sack: bool, duration: float = 0.4):
     )
     if sack:
         # Route transfer creation through a thin wrapper flipping SACK on.
-        original_launch = factory.launch
-
-        def launch_with_sack(src, dst, size_bytes, on_complete=None,
-                             subflow_count=None):
-            count = subflow_count or factory.subflow_count
+        def launch_with_sack(src, dst, size_bytes, on_complete=None):
             paths = net.paths(src, dst)
             selector = DistinctPathSelector(factory.rng)
-            chosen = selector.select(paths, 0, count)
+            chosen = selector.select(paths, 0, factory.subflow_count)
             conn = MptcpConnection(
                 net, src, dst, chosen, scheme="lia",
                 size_bytes=size_bytes, sack=True,

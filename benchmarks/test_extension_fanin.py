@@ -15,7 +15,7 @@ from _bench_common import emit
 from repro.metrics.stats import percentile
 from repro.topology.fattree import build_fattree
 from repro.traffic.factory import TransferFactory
-from repro.traffic.incast import IncastPattern
+from repro.workloads.partition_aggregate import PartitionAggregatePattern
 
 FAN_INS = (2, 4, 8, 12)
 DURATION = 1.0
@@ -24,8 +24,8 @@ DURATION = 1.0
 def run_fanin(servers: int):
     net = build_fattree(k=4)
     factory = TransferFactory(net, "tcp", rng=random.Random(21))
-    pattern = IncastPattern(
-        factory, net.host_names, servers_per_job=servers,
+    pattern = PartitionAggregatePattern(
+        factory, factory, net.host_names, fan_in=servers,
         concurrent_jobs=4, rng=random.Random(22),
     )
     pattern.start()

@@ -267,10 +267,12 @@ def _run_experiment(row: Experiment, args: argparse.Namespace) -> str:
     if getattr(args, "crosscheck", None):
         return _run_crosscheck(args)
     try:
+        # The configs validate themselves, sweep axes included.
         base, axes = row.parse(vars(args))
-    except ValueError as error:  # the config's own validation of a flag value
+        configs = row.grid(base, **axes)
+    except ValueError as error:
         _usage_error(str(error))
-    view, outcome = row.run(base, _campaign(args), **axes)
+    view, outcome = row.run(configs, _campaign(args))
     return view.format() + _epilogue(args, outcome)
 
 

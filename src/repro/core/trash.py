@@ -36,36 +36,23 @@ def coupled_delta(cwnd, total_rate, min_rtt):
     return cwnd / (total_rate * min_rtt)
 
 
-def trash_delta(
-    cwnd: float,
-    total_rate: float,
-    min_rtt: Seconds,
-    weight: float = 1.0,
-) -> float:
-    """:func:`coupled_delta` of the ``weight``-scaled window, falling back
-    to the uncoupled ``weight`` until both flow quantities are measurable."""
+def trash_delta(cwnd: float, total_rate: float, min_rtt: Seconds) -> float:
+    """:func:`coupled_delta`, falling back to the uncoupled 1.0 until both
+    flow quantities are measurable."""
     if total_rate <= 0.0 or min_rtt <= 0.0:
-        return weight
-    return coupled_delta(weight * cwnd, total_rate, min_rtt)
+        return 1.0
+    return coupled_delta(cwnd, total_rate, min_rtt)
 
 
 class TraSh(Coupling):
     """The coupling state shared by all subflows of one XMP flow.
 
     Every controller it hands out is a BOS law with reduction factor
-    ``beta`` whose delta this instance tunes.  ``weight`` scales every
-    subflow's delta uniformly: since a BOS flow's equilibrium window is
-    proportional to its delta (Eq. 3), a flow with weight w converges to
-    w shares of each bottleneck relative to weight-1 flows — bandwidth
-    differentiation through the same knob TraSh already turns (an
-    extension; the paper uses weight 1).
+    ``beta`` whose delta this instance tunes.
     """
 
-    def __init__(self, beta: float = DEFAULT_BETA, weight: float = 1.0) -> None:
-        if weight <= 0:
-            raise ValueError(f"weight must be positive, got {weight}")
+    def __init__(self, beta: float = DEFAULT_BETA) -> None:
         super().__init__(lambda: BosCC(beta=beta, delta_provider=self.delta))
-        self.weight = weight
 
     def total_rate(self) -> float:
         """Sum of ``instant_rate`` over the active subflows."""
@@ -91,12 +78,12 @@ class TraSh(Coupling):
         """
         sender = controller.sender
         if sender is None:
-            return self.weight
+            return 1.0
         total = self.total_rate()
         min_rtt = self.min_rtt()
         if min_rtt is None:
-            return self.weight
-        return trash_delta(sender.cwnd, total, min_rtt, self.weight)
+            return 1.0
+        return trash_delta(sender.cwnd, total, min_rtt)
 
 
 __all__ = ["TraSh", "coupled_delta", "trash_delta"]

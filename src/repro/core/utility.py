@@ -97,29 +97,18 @@ def subflow_equilibrium_probability(
     return 1.0 / (1.0 + rate * rtt / (delta * beta))
 
 
-def trash_delta(rate: float, rtt: float, total_rate: float, min_rtt: float) -> float:
-    """Eq. 9 — the TraSh fixed point ``delta = (T_r*x_r)/(T_s*y_s)``.
-
-    The formula itself is :func:`repro.core.trash.trash_delta` at
-    ``cwnd = x_r * T_r``; this form rejects the unmeasurable inputs that
-    one answers with its uncoupled fallback.
-    """
-    if total_rate <= 0 or min_rtt <= 0:
-        raise ValueError("total rate and min rtt must be positive")
-    if rate < 0 or rtt <= 0:
-        raise ValueError("rate must be >= 0 and rtt positive")
-    return trash.trash_delta(rate * rtt, total_rate, min_rtt)
-
-
 def trash_step(
     rates: Sequence[float], rtts: Sequence[float]
 ) -> list:
     """One TraSh Parameter Adjustment step over all subflows of a flow.
 
     Given converged per-subflow rates and RTTs, return the next deltas
-    (TraSh step 3).  Used by tests to verify Proposition 1 — the update
-    raises delta exactly on subflows whose congestion is below the flow's
-    expected congestion.
+    (TraSh step 3): Eq. 9's fixed point ``delta = (T_r*x_r)/(T_s*y_s)``,
+    which is :func:`repro.core.trash.coupled_delta` at ``cwnd = x_r * T_r``.
+    Unlike the packet coupling, which answers unmeasurable inputs with its
+    uncoupled fallback, this rejects them.  Used by tests to verify
+    Proposition 1 — the update raises delta exactly on subflows whose
+    congestion is below the flow's expected congestion.
     """
     if len(rates) != len(rtts):
         raise ValueError("rates and rtts must have the same length")
@@ -127,7 +116,11 @@ def trash_step(
         return []
     total = sum(rates)
     min_rtt = min(rtts)
-    return [trash_delta(x, t, total, min_rtt) for x, t in zip(rates, rtts)]
+    if total <= 0 or min_rtt <= 0:
+        raise ValueError("total rate and every rtt must be positive")
+    if min(rates) < 0:
+        raise ValueError("rates must be >= 0")
+    return [trash.coupled_delta(x * t, total, min_rtt) for x, t in zip(rates, rtts)]
 
 
 __all__ = [
@@ -138,6 +131,5 @@ __all__ = [
     "xmp_utility",
     "xmp_expected_congestion",
     "subflow_equilibrium_probability",
-    "trash_delta",
     "trash_step",
 ]

@@ -105,13 +105,11 @@ class Experiment:
         return base, {d: v for d, v in given.items() if d not in fields}
 
     def run(
-        self, base: Any = None, campaign: Optional[Campaign] = None, **axes: Any
+        self, configs: Sequence[Any], campaign: Campaign
     ) -> Tuple[Any, CampaignResult]:
-        """Grid -> campaign -> view; also returns the per-cell metrics."""
-        configs = self.grid(base, **axes)
-        outcome = (campaign or Campaign()).run(
-            RunSpec(self.kind, config) for config in configs
-        )
+        """The :meth:`grid`'s configs -> campaign -> view; also returns the
+        per-cell metrics."""
+        outcome = campaign.run(RunSpec(self.kind, config) for config in configs)
         return self.view(configs, outcome), outcome
 
 
@@ -124,7 +122,8 @@ def run(
     ``Campaign()`` (serial, process-wide cache); ``axes`` are the
     keywords of the row's ``cells`` (``schemes=``, ``patterns=``, ...).
     """
-    return EXPERIMENTS[name].run(base, campaign, **axes)[0]
+    row = EXPERIMENTS[name]
+    return row.run(row.grid(base, **axes), campaign or Campaign())[0]
 
 
 def _scheme_cells(

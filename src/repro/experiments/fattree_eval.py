@@ -28,11 +28,12 @@ from repro.metrics.collector import RttSampler
 from repro.metrics.goodput import FlowRecord
 from repro.mptcp.coupling import scheme_label
 from repro.sim.random import RandomStreams
-from repro.topology.fattree import FatTreeNetwork, build_fattree
+from repro.topology.fattree import FatTreeNetwork, build_fattree, fattree_hosts
 from repro.traffic.factory import TransferFactory
-from repro.traffic.incast import IncastPattern
+from repro.traffic.incast import CONCURRENT_JOBS, SERVERS_PER_JOB
 from repro.traffic.permutation import PermutationPattern
 from repro.traffic.random_pattern import RandomPattern
+from repro.workloads.partition_aggregate import PartitionAggregatePattern, check_rounds
 
 PATTERNS = ("permutation", "random", "incast")
 
@@ -60,6 +61,13 @@ class FatTreeScenario:
     coexist_scheme: Optional[str] = None
     coexist_subflows: int = 2
     rtt_sample_interval: float = 0.005
+
+    def __post_init__(self) -> None:
+        # What would otherwise fail inside the cell, checked before any
+        # topology is built.
+        hosts = fattree_hosts(self.k)
+        if self.pattern == "incast":
+            check_rounds(hosts, SERVERS_PER_JOB, CONCURRENT_JOBS)
 
     def label(self) -> str:
         return scheme_label(self.scheme, self.subflows)
@@ -169,7 +177,7 @@ def _simulate(scenario: FatTreeScenario) -> FatTreeResult:
         rtt_sampler=rtt_sampler,
     )
     factories = [main_factory]
-    incast_pattern: Optional[IncastPattern] = None
+    incast_pattern: Optional[PartitionAggregatePattern] = None
 
     if scenario.coexist_scheme is not None:
         other_factory = scheme_factory(
@@ -216,8 +224,9 @@ def _simulate(scenario: FatTreeScenario) -> FatTreeResult:
             rng=streams.stream("paths-small"),
             label="TCP-SMALL",
         )
-        incast_pattern = IncastPattern(
-            small_factory, hosts, rng=streams.stream("incast")
+        incast_pattern = PartitionAggregatePattern(
+            small_factory, small_factory, hosts, fan_in=SERVERS_PER_JOB,
+            concurrent_jobs=CONCURRENT_JOBS, rng=streams.stream("incast"),
         )
         incast_pattern.start()
         # Background large flows follow the Random pattern, source and

@@ -29,6 +29,9 @@ from repro.topology.bottleneck import build_single_bottleneck
 JOIN_STEPS = (0, 1, 2, 3)
 LEAVE_STEPS = (4, 5, 6)
 TOTAL_STEPS = 7
+#: A flow has converged once its rate is within this fraction of the
+#: fair share.
+CONVERGENCE_TOLERANCE = 0.3
 
 
 @dataclass(frozen=True)
@@ -65,19 +68,20 @@ class Fig1Result:
         multi = [j for _, _, n, j in self.segments if n >= 2]
         return min(multi) if multi else 1.0
 
-    def convergence_time(self, segment_index: int, tolerance: float = 0.3) -> float:
+    def convergence_time(self, segment_index: int) -> float:
         """Seconds from a segment's start until rates settle at fair share.
 
         Convergence is the earliest sample time after which *every* active
-        flow's rate stays within ``tolerance x fair_share`` of the fair
-        share for the remainder of the segment.  Returns the full segment
-        length if the segment never converges — the quantity the paper's
-        Fig. 1 narrative contrasts between DCTCP and constant-factor cuts.
+        flow's rate stays within :data:`CONVERGENCE_TOLERANCE` x fair share
+        of the fair share for the remainder of the segment.  Returns the
+        full segment length if the segment never converges — the quantity
+        the paper's Fig. 1 narrative contrasts between DCTCP and
+        constant-factor cuts.
         """
         start, end, active_count, _jain = self.segments[segment_index]
         flows = self.segment_flows[segment_index]
         fair = self.config.bottleneck_rate_bps / active_count
-        band = tolerance * fair
+        band = CONVERGENCE_TOLERANCE * fair
         times = self.series.times
         sample_indices = [i for i, t in enumerate(times) if start < t <= end]
         converged_from = None
@@ -95,10 +99,10 @@ class Fig1Result:
             return end - start
         return converged_from - start
 
-    def mean_convergence_time(self, tolerance: float = 0.3) -> float:
+    def mean_convergence_time(self) -> float:
         """Average convergence time over multi-flow segments."""
         times = [
-            self.convergence_time(i, tolerance)
+            self.convergence_time(i)
             for i, (_, _, n, _) in enumerate(self.segments)
             if n >= 2
         ]

@@ -51,8 +51,8 @@ class JctResult:
     def mean_jct(self, label: str) -> float:
         return mean(self.jcts[label])
 
-    def fraction_over(self, label: str, deadline: float = DEADLINE) -> float:
-        """Fraction of jobs missing ``deadline``.
+    def fraction_over(self, label: str) -> float:
+        """Fraction of jobs missing the :data:`DEADLINE`.
 
         A completed job misses if its JCT exceeds the deadline; a job still
         running at the end of the simulation misses only if it has already
@@ -62,11 +62,11 @@ class JctResult:
         """
         finished = self.jcts.get(label, [])
         ages = self.unfinished_ages.get(label, [])
-        overdue_unfinished = sum(1 for age in ages if age > deadline)
+        overdue_unfinished = sum(1 for age in ages if age > DEADLINE)
         denominator = len(finished) + overdue_unfinished
         if denominator == 0:
             return 0.0
-        misses = sum(1 for jct in finished if jct > deadline) + overdue_unfinished
+        misses = sum(1 for jct in finished if jct > DEADLINE) + overdue_unfinished
         return misses / denominator
 
     def format_table3(self) -> str:

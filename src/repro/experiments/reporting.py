@@ -43,10 +43,10 @@ def format_cdf(values: Sequence[float], unit: str = "", scale: float = 1.0) -> s
     return "  ".join(parts)
 
 
-def format_summary(summary: Dict[str, float], scale: float = 1.0, unit: str = "") -> str:
+def format_summary(summary: Dict[str, float]) -> str:
     """Render a five-number summary dict from :func:`repro.metrics.stats.summarize`."""
     keys = ("min", "p10", "p50", "p90", "max")
-    return "  ".join(f"{key}={summary[key] * scale:.3g}{unit}" for key in keys)
+    return "  ".join(f"{key}={summary[key]:.3g}" for key in keys)
 
 
 def format_cell_metrics(results: Iterable) -> str:

@@ -41,6 +41,7 @@ from repro.metrics.fct import (
 from repro.metrics.goodput import FlowRecord
 from repro.mptcp.coupling import scheme_label
 from repro.runner import CampaignResult
+from repro.topology.fattree import fattree_hosts
 from repro.traffic.factory import TransferFactory
 from repro.workloads.arrivals import make_arrivals, offered_flow_rate, workload_capacity_bps
 from repro.workloads.cdf import make_sampler
@@ -49,6 +50,7 @@ from repro.workloads.partition_aggregate import (
     DEFAULT_REQUEST_BYTES,
     DEFAULT_RESPONSE_BYTES,
     PartitionAggregatePattern,
+    check_rounds,
 )
 from repro.workloads.schedule import build_schedule, offered_bytes
 
@@ -138,6 +140,15 @@ class WorkloadScenario:
     #: Long-lived background bulk flows under the open-loop mice.
     background_elephants: int = 0
     queue_sample_interval: float = 0.001
+
+    def __post_init__(self) -> None:
+        # What would otherwise fail inside the cell, checked before any
+        # topology is built.
+        fattree_hosts(self.k)
+        if self.load <= 0:
+            raise ValueError(f"load must be positive, got {self.load}")
+        if self.size_scale <= 0:
+            raise ValueError(f"size_scale must be positive, got {self.size_scale}")
 
     def label(self) -> str:
         base = scheme_label(self.scheme, self.subflows)
@@ -266,6 +277,11 @@ class IncastSweepScenario:
     queue_capacity: int = 100
     rto_min: float = 0.200
     queue_sample_interval: float = 0.001
+
+    def __post_init__(self) -> None:
+        # What would otherwise fail inside the cell, checked before any
+        # topology is built.
+        check_rounds(fattree_hosts(self.k), self.fan_in, self.concurrent_jobs)
 
     def label(self) -> str:
         return f"{scheme_label(self.scheme, self.subflows)}/fanin{self.fan_in}"

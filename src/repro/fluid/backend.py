@@ -49,7 +49,7 @@ from repro.sim.units import (
     seconds,
 )
 from repro.topology.bottleneck import build_single_bottleneck
-from repro.topology.fattree import build_fattree
+from repro.topology.fattree import build_fattree, fattree_hosts
 from repro.traffic.permutation import random_derangement
 
 TOPOLOGIES = ("bottleneck", "fattree")
@@ -93,8 +93,8 @@ class FluidScenario:
             raise ValueError(f"beta must be >= 2 (Eq. 1 requires it), got {self.beta}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown fluid topology {self.topology!r} (one of {TOPOLOGIES})")
-        if self.topology == "fattree" and (self.k < 2 or self.k % 2):
-            raise ValueError(f"fat-tree k must be an even integer >= 2, got {self.k}")
+        if self.topology == "fattree":
+            fattree_hosts(self.k)
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r} (one of {SOLVERS})")
         if self.sample_stride < 1:

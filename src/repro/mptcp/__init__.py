@@ -7,8 +7,8 @@ subflows' windows are coupled is the scheme's *coupling*, one column of
 its row in :data:`repro.mptcp.coupling.SCHEMES` — the one table of
 schemes (``"xmp"``, the paper's; ``"lia"`` and ``"olia"``, MPTCP's
 couplings; ``"bos-uncoupled"``, the coupling ablation; ``"dctcp"``,
-``"d2tcp"``, ``"tcp"``/``"reno"``, ``"reno-ecn"``, uncoupled laws that
-are the single-path baselines when used with one path).
+``"tcp"``, ``"reno-ecn"``, uncoupled laws that are the single-path
+baselines when used with one path).
 """
 
 from repro.mptcp.connection import MptcpConnection, Subflow

@@ -16,15 +16,14 @@ implementation used — without simulating per-packet scheduler decisions.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 from repro.net.network import Network
 from repro.net.packet import MSS_BYTES
 from repro.net.routing import Path
 from repro.sim.probe import watchers
 from repro.sim.units import Seconds
-from repro.transport.cc import Coupling
-from repro.transport.receiver import DEFAULT_DELACK_TIMEOUT, Receiver
+from repro.transport.receiver import Receiver
 from repro.transport.tcp import (
     FiniteSource,
     InfiniteSource,
@@ -49,12 +48,8 @@ class Subflow:
 
 
 class MptcpConnection:
-    """A multipath transfer from ``src`` to ``dst`` over explicit paths.
-
-    ``scheme`` is a :data:`~repro.mptcp.coupling.SCHEMES` name, or a
-    ready :class:`~repro.transport.cc.Coupling` for controllers the table
-    cannot parameterise (``Coupling(lambda: D2tcpCC(deadline=0.01))``).
-    """
+    """A multipath transfer from ``src`` to ``dst`` over explicit paths;
+    ``scheme`` is a :data:`~repro.mptcp.coupling.SCHEMES` name."""
 
     def __init__(
         self,
@@ -62,16 +57,13 @@ class MptcpConnection:
         src: str,
         dst: str,
         paths: Sequence[Path],
-        scheme: Union[str, Coupling] = "xmp",
+        scheme: str = "xmp",
         size_bytes: Optional[int] = None,
         beta: float = 4.0,
-        initial_cwnd: float = 10,
         rto_min: Seconds = 0.200,
-        delack_timeout: Seconds = DEFAULT_DELACK_TIMEOUT,
         on_complete: Optional[Callable[["MptcpConnection", float], None]] = None,
         reinject_after_timeouts: Optional[int] = None,
         sack: bool = False,
-        weight: float = 1.0,
         ack_jitter: Seconds = 0.0,
     ) -> None:
         if not paths:
@@ -79,12 +71,11 @@ class MptcpConnection:
         self.network = network
         self.src = src
         self.dst = dst
-        #: The scheme's name (a ready coupling's class name when given one).
-        self.scheme = scheme if isinstance(scheme, str) else type(scheme).__name__
+        self.scheme = scheme
         self.flow_id = network.next_flow_id()
         self.size_bytes = size_bytes
         self.on_complete = on_complete
-        self.coupling = create_coupling(scheme, beta=beta, weight=weight)
+        self.coupling = create_coupling(scheme, beta=beta)
         if size_bytes is None:
             self.total_segments: Optional[int] = None
             self.source = InfiniteSource()
@@ -104,9 +95,7 @@ class MptcpConnection:
         self.sack = sack
         #: Receiver-side ACK jitter bound, seconds (0 = deterministic).
         self.ack_jitter = ack_jitter
-        self._initial_cwnd = initial_cwnd
         self._rto_min = rto_min
-        self._delack_timeout = delack_timeout
         self.subflows: List[Subflow] = []
         for path in paths:
             self.add_subflow(path)
@@ -131,7 +120,6 @@ class MptcpConnection:
             path,
             cc,
             self.source,
-            initial_cwnd=self._initial_cwnd,
             rto_min=self._rto_min,
             on_delivered=self._on_delivered,
             sack_enabled=self.sack,
@@ -143,7 +131,6 @@ class MptcpConnection:
             index,
             self.network.reverse_path(path),
             echo_mode=cc.echo_mode,
-            delack_timeout=self._delack_timeout,
             sack_enabled=self.sack,
             ack_jitter=self.ack_jitter,
             jitter_seed=self.flow_id * 131 + index,

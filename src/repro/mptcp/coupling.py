@@ -17,19 +17,18 @@ row here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Tuple
 
 from repro.core.bos import BosCC
 from repro.core.trash import TraSh
 from repro.mptcp.lia import LiaCoupling
 from repro.mptcp.olia import OliaCoupling
 from repro.transport.cc import CongestionControl, Coupling, RenoCC
-from repro.transport.d2tcp import D2tcpCC
 from repro.transport.dctcp import DctcpCC
 from repro.transport.receiver import EchoMode
 
-#: ``build(beta, weight)`` -> the coupling of one flow.
-Builder = Callable[[float, float], Coupling]
+#: ``build(beta)`` -> the coupling of one flow.
+Builder = Callable[[float], Coupling]
 
 
 @dataclass(frozen=True)
@@ -55,30 +54,24 @@ ECN, LOSS = True, False
 
 def _uncoupled(law: Callable[[], CongestionControl]) -> Builder:
     """Independent controllers: the base coupling around ``law``."""
-    return lambda beta, weight: Coupling(law)
+    return lambda beta: Coupling(law)
 
 
 #: name -> row, in the order the CLI and the docs list them.  ``beta``
-#: only reaches the BOS rows and ``weight`` only XMP (bandwidth
-#: differentiation, see :class:`repro.core.trash.TraSh`);
-#: ``d2tcp`` hands out deadline-less controllers (d = 1, DCTCP-equivalent
-#: — a flow with a deadline hands a connection a ready coupling instead:
-#: ``scheme=Coupling(lambda: D2tcpCC(deadline=...))``).
+#: only reaches the BOS rows.
 SCHEMES: Dict[str, Scheme] = {
     row.name: row
     for row in (
         Scheme("xmp", "BOS (Algorithm 1)", "TraSh (Eq. 9)", ECN, EchoMode.XMP, TraSh),
         Scheme("bos-uncoupled", "BOS (Algorithm 1)", "none (delta = 1)", ECN,
                EchoMode.XMP,
-               lambda beta, weight: Coupling(lambda: BosCC(beta=beta))),
+               lambda beta: Coupling(lambda: BosCC(beta=beta))),
         Scheme("lia", "Reno", "LIA (RFC 6356)", LOSS, EchoMode.CLASSIC,
-               lambda beta, weight: LiaCoupling()),
+               lambda beta: LiaCoupling()),
         Scheme("olia", "Reno", "OLIA", LOSS, EchoMode.CLASSIC,
-               lambda beta, weight: OliaCoupling()),
+               lambda beta: OliaCoupling()),
         Scheme("dctcp", "DCTCP", "none", ECN, EchoMode.DCTCP, _uncoupled(DctcpCC)),
-        Scheme("d2tcp", "D2TCP", "none", ECN, EchoMode.DCTCP, _uncoupled(D2tcpCC)),
         Scheme("tcp", "Reno", "none", LOSS, EchoMode.CLASSIC, _uncoupled(RenoCC)),
-        Scheme("reno", "Reno", "none", LOSS, EchoMode.CLASSIC, _uncoupled(RenoCC)),
         Scheme("reno-ecn", "Reno + RFC 3168 ECN", "none", ECN, EchoMode.CLASSIC,
                _uncoupled(lambda: RenoCC(ecn=True))),
     )
@@ -93,17 +86,9 @@ def scheme_row(scheme: str) -> Scheme:
     return row
 
 
-def create_coupling(
-    scheme: Union[str, Coupling], beta: float = 4.0, weight: float = 1.0
-) -> Coupling:
-    """Build the coupling object for ``scheme``, a :data:`SCHEMES` name.
-
-    A ready :class:`Coupling` passes through, so whatever takes a scheme
-    name also takes hand-built controllers.
-    """
-    if isinstance(scheme, Coupling):
-        return scheme
-    return scheme_row(scheme).build(beta, weight)
+def create_coupling(scheme: str, beta: float = 4.0) -> Coupling:
+    """Build the coupling object for ``scheme``, a :data:`SCHEMES` name."""
+    return scheme_row(scheme).build(beta)
 
 
 def parse_scheme_spec(spec: str) -> Tuple[str, int]:

@@ -26,8 +26,8 @@ QueueFactory = Callable[[], DropTailQueue]
 class Network:
     """A static topology plus the simulator it runs on."""
 
-    def __init__(self, sim: Optional[Simulator] = None) -> None:
-        self.sim = sim if sim is not None else Simulator()
+    def __init__(self) -> None:
+        self.sim = Simulator()
         self.hosts: Dict[str, Host] = {}
         self.switches: Dict[str, Switch] = {}
         self.links: List[Link] = []

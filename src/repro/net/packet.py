@@ -108,12 +108,13 @@ def make_data_packet(
     now: float,
     path: Tuple["Link", ...],
     ect: bool,
-    size: int = DATA_PACKET_BYTES,
 ) -> Packet:
     """Build a full-MSS data packet stamped with the current time."""
     # Positional arguments throughout: keyword matching costs real time
     # at this call rate (one construction per transmitted segment).
-    return Packet(DATA, size, flow, subflow, seq, 0, now, -1.0, ect, False, 0, (), path, 0)
+    return Packet(
+        DATA, DATA_PACKET_BYTES, flow, subflow, seq, 0, now, -1.0, ect, False, 0, (), path, 0
+    )
 
 
 def make_ack_packet(

@@ -19,7 +19,6 @@ campaign; concurrent campaigns stay safe through atomic replace).
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Optional
@@ -27,7 +26,7 @@ from typing import Any, Iterable, List, Optional
 from repro.runner.cache import RunCache, default_cache
 from repro.runner.registry import events_of, execute
 from repro.runner.spec import CellMetrics, RunResult, RunSpec
-from repro.sim.probe import exported
+from repro.sim.probe import exported, setting
 
 
 @dataclass
@@ -128,7 +127,7 @@ class Campaign:
         # the cache must run profiled — in-process and in pool workers
         # alike.  Exporting $REPRO_PROFILE before the pool is created
         # covers both (children inherit the environment at creation).
-        if self.telemetry is None or os.environ.get("REPRO_PROFILE"):
+        if self.telemetry is None or setting("REPRO_PROFILE"):
             return self._run(specs)
         with exported("REPRO_PROFILE"):
             return self._run(specs)
@@ -179,9 +178,9 @@ class Campaign:
         return outcome
 
 
-def run_spec(spec: RunSpec, campaign: Optional[Campaign] = None) -> RunResult:
-    """Run a single spec — the one-cell campaign (default: ``Campaign()``)."""
-    return (campaign or Campaign()).run([spec]).results[0]
+def run_spec(spec: RunSpec) -> RunResult:
+    """Run a single spec — the one-cell default ``Campaign()``."""
+    return Campaign().run([spec]).results[0]
 
 
 __all__ = ["Campaign", "CampaignResult", "run_spec"]

@@ -141,16 +141,13 @@ def transmission_delay(size_bytes: int, rate_bps: float) -> float:
     return size_bytes * 8.0 / rate_bps
 
 
-def bandwidth_delay_product_packets(
-    rate_bps: float, rtt_s: float, packet_bytes: int = 1500
-) -> float:
-    """BDP expressed in packets, as used throughout the paper (e.g. Eq. 1).
+def bandwidth_delay_product_packets(rate_bps: float, rtt_s: float) -> float:
+    """BDP expressed in 1500-byte packets, as used throughout the paper
+    (e.g. Eq. 1).
 
     The paper computes e.g. ``1 Gbps x 225 us / (8 x 1500) ~= 19 packets``.
     """
-    if packet_bytes <= 0:
-        raise ValueError(f"packet size must be positive, got {packet_bytes}")
-    return rate_bps * rtt_s / (8.0 * packet_bytes)
+    return rate_bps * rtt_s / (8.0 * 1500)
 
 
 #: Constructor name -> dimension of its return value.  This is the

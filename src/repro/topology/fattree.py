@@ -24,10 +24,15 @@ from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.queue import DropTailQueue, ThresholdECNQueue
 from repro.net.routing import Path
-from repro.sim.units import BitsPerSecond, Seconds
+from repro.sim.units import BitsPerSecond, seconds
 
 #: ``(forward, backward)`` as returned by :meth:`Network.connect`.
 LinkPair = Tuple[Link, Link]
+
+#: One-way propagation delay per layer (paper §5.2.1).
+RACK_DELAY = seconds(20e-6)
+AGGREGATION_DELAY = seconds(30e-6)
+CORE_DELAY = seconds(40e-6)
 
 
 class FatTreeNetwork(Network):
@@ -153,18 +158,22 @@ class FatTreeNetwork(Network):
         return constructed
 
 
+def fattree_hosts(k: int) -> int:
+    """The host count of a k-ary fat tree, ``k^3/4``; ``ValueError`` unless
+    ``k`` is an even integer >= 2."""
+    if k < 2 or k % 2 != 0:
+        raise ValueError(f"fat-tree k must be an even integer >= 2, got {k}")
+    return k ** 3 // 4
+
+
 def build_fattree(
     k: int = 4,
     link_rate_bps: BitsPerSecond = 1e9,
-    rack_delay: Seconds = 20e-6,
-    aggregation_delay: Seconds = 30e-6,
-    core_delay: Seconds = 40e-6,
     queue_capacity: int = 100,
     marking_threshold: int = 10,
 ) -> FatTreeNetwork:
     """Build a k-ary fat tree with the paper's §5.2.1 defaults."""
-    if k < 2 or k % 2 != 0:
-        raise ValueError(f"k must be an even integer >= 2, got {k}")
+    fattree_hosts(k)
     net = FatTreeNetwork()
     net.k = k
     net.link_rate_bps = link_rate_bps
@@ -185,13 +194,13 @@ def build_fattree(
         for a, agg in enumerate(aggs):
             # Aggregation switch a connects to cores a*half .. a*half+half-1.
             agg_core.append([
-                net.connect(agg, cores[a * half + j], link_rate_bps, core_delay,
+                net.connect(agg, cores[a * half + j], link_rate_bps, CORE_DELAY,
                             queue_factory=queue, layer="core")
                 for j in range(half)
             ])
             for e, edge in enumerate(edges):
                 edge_agg[e].append(
-                    net.connect(edge, agg, link_rate_bps, aggregation_delay,
+                    net.connect(edge, agg, link_rate_bps, AGGREGATION_DELAY,
                                 queue_factory=queue, layer="aggregation")
                 )
         net._agg_core.append(agg_core)
@@ -199,11 +208,11 @@ def build_fattree(
         for e, edge in enumerate(edges):
             for h in range(half):
                 host = net.add_host(f"h_{pod}_{e}_{h}")
-                up, down = net.connect(host, edge, link_rate_bps, rack_delay,
+                up, down = net.connect(host, edge, link_rate_bps, RACK_DELAY,
                                        queue_factory=queue, layer="rack")
                 net._host_ports[host.name] = (pod, e, up, down)
                 net.host_names.append(host.name)
     return net
 
 
-__all__ = ["FatTreeNetwork", "build_fattree"]
+__all__ = ["FatTreeNetwork", "build_fattree", "fattree_hosts"]

@@ -8,19 +8,18 @@
   permutations, restarted when a round finishes.
 * :class:`~repro.traffic.random_pattern.RandomPattern` — random pairs with
   bounded in-degree and Pareto sizes, back-to-back per source.
-* :class:`~repro.traffic.incast.IncastPattern` — request/response fan-in
-  jobs over TCP small flows, with Random-pattern background large flows.
+* :mod:`~repro.traffic.incast` — the constants of the request/response
+  fan-in jobs over TCP small flows (a
+  :class:`~repro.workloads.partition_aggregate.PartitionAggregatePattern`),
+  run with Random-pattern background large flows.
 """
 
 from repro.traffic.factory import TransferFactory
 from repro.traffic.permutation import PermutationPattern
 from repro.traffic.random_pattern import RandomPattern
-from repro.traffic.incast import IncastJob, IncastPattern
 
 __all__ = [
     "TransferFactory",
     "PermutationPattern",
     "RandomPattern",
-    "IncastPattern",
-    "IncastJob",
 ]

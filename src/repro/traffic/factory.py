@@ -38,7 +38,6 @@ class TransferFactory:
         subflow_count: int = 1,
         beta: float = 4.0,
         rto_min: float = 0.200,
-        initial_cwnd: float = 10,
         rng: Optional[random.Random] = None,
         rtt_sampler: Optional[RttSampler] = None,
         label: Optional[str] = None,
@@ -51,7 +50,6 @@ class TransferFactory:
         self.subflow_count = subflow_count
         self.beta = beta
         self.rto_min = rto_min
-        self.initial_cwnd = initial_cwnd
         self.rng = rng if rng is not None else random.Random(0)
         self.rtt_sampler = rtt_sampler
         #: Flow-lifecycle hook: called with each connection as it starts
@@ -81,10 +79,9 @@ class TransferFactory:
         dst: str,
         size_bytes: int,
         on_complete: Optional[Callable[[FlowRecord], None]] = None,
-        subflow_count: Optional[int] = None,
     ) -> MptcpConnection:
         """Create and start a transfer now."""
-        count = subflow_count if subflow_count is not None else self.subflow_count
+        count = self.subflow_count
         paths = self.network.paths(src, dst)
         if not paths:
             raise ValueError(f"no path between {src} and {dst}")
@@ -120,7 +117,6 @@ class TransferFactory:
             size_bytes=size_bytes,
             beta=self.beta,
             rto_min=self.rto_min,
-            initial_cwnd=self.initial_cwnd,
             on_complete=finished,
         )
         if self.rtt_sampler is not None:

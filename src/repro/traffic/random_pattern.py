@@ -18,6 +18,8 @@ from repro.traffic.factory import TransferFactory
 
 #: Flows one destination may receive at once (the paper's 4).
 MAX_IN_DEGREE = 4
+#: The bounded Pareto's shape (the paper's 1.5).
+PARETO_SHAPE = 1.5
 
 
 class RandomPattern:
@@ -27,7 +29,6 @@ class RandomPattern:
         self,
         factory: TransferFactory,
         hosts: Sequence[str],
-        shape: float = 1.5,
         mean_bytes: float = 6_000_000,
         max_bytes: float = 24_000_000,
         rng: Optional[random.Random] = None,
@@ -36,7 +37,6 @@ class RandomPattern:
     ) -> None:
         self.factory = factory
         self.hosts = list(hosts)
-        self.shape = shape
         self.mean_bytes = mean_bytes
         self.max_bytes = max_bytes
         self.rng = rng if rng is not None else random.Random(0)
@@ -88,7 +88,7 @@ class RandomPattern:
                 0.001, self._issue, src, priority=MODEL
             )
             return
-        size = int(pareto_bounded(self.rng, self.shape, self.mean_bytes, self.max_bytes))
+        size = int(pareto_bounded(self.rng, PARETO_SHAPE, self.mean_bytes, self.max_bytes))
         size = max(size, 1)
         self.in_degree[dst] += 1
         self.flows_started += 1

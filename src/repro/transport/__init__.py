@@ -9,7 +9,6 @@ delayed-ACK and ECN-echo variants is :mod:`repro.transport.receiver`.
 from repro.transport.rto import RttEstimator, DEFAULT_RTO_MIN
 from repro.transport.cc import CongestionControl, RenoCC
 from repro.transport.dctcp import DctcpCC
-from repro.transport.d2tcp import D2tcpCC
 from repro.transport.receiver import Receiver, EchoMode
 from repro.transport.tcp import TcpSender, SegmentSource, FiniteSource, InfiniteSource
 
@@ -19,7 +18,6 @@ __all__ = [
     "CongestionControl",
     "RenoCC",
     "DctcpCC",
-    "D2tcpCC",
     "Receiver",
     "EchoMode",
     "TcpSender",

@@ -61,7 +61,7 @@ class DctcpCC(CongestionControl):
         if ece_count > 0 and self.state == NORMAL:
             if self.enter_reduced():
                 self.reductions += 1
-                reduced = sender.cwnd * (1.0 - self.penalty(now) / 2.0)
+                reduced = sender.cwnd * (1.0 - self.alpha / 2.0)
                 sender.cwnd = max(reduced, MIN_CWND)
                 sender.ssthresh = sender.cwnd - 1.0
             return
@@ -72,10 +72,6 @@ class DctcpCC(CongestionControl):
             sender.cwnd += newly_acked
         else:
             sender.cwnd += newly_acked / max(sender.cwnd, 1.0)
-
-    def penalty(self, now: float) -> float:
-        """The congestion penalty a reduction applies: ``cwnd *= 1 - p/2``."""
-        return self.alpha
 
     def on_timeout(self, now: float) -> None:
         super().on_timeout(now)

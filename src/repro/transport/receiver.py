@@ -43,9 +43,9 @@ class EchoMode(enum.Enum):
 XMP_MAX_CE_PER_ACK = 3
 #: Delayed-ACK: acknowledge at least every Nth data packet.
 DELAYED_ACK_EVERY = 2
-#: Fallback delayed-ACK timeout.  Real stacks use tens of ms; in a DCN that
+#: Delayed-ACK timeout.  Real stacks use tens of ms; in a DCN that
 #: would dwarf the RTT, and bulk traffic almost never hits the timer anyway.
-DEFAULT_DELACK_TIMEOUT = 500e-6
+DELACK_TIMEOUT = 500e-6
 
 
 class Receiver:
@@ -58,7 +58,6 @@ class Receiver:
         "subflow",
         "reverse_path",
         "echo_mode",
-        "delack_timeout",
         "rcv_nxt",
         "_out_of_order",
         "_unacked_data",
@@ -83,7 +82,6 @@ class Receiver:
         subflow: int,
         reverse_path: Path,
         echo_mode: EchoMode = EchoMode.CLASSIC,
-        delack_timeout: Seconds = DEFAULT_DELACK_TIMEOUT,
         sack_enabled: bool = False,
         ack_jitter: Seconds = 0.0,
         jitter_seed: int = 0,
@@ -94,7 +92,6 @@ class Receiver:
         self.subflow = subflow
         self.reverse_path = reverse_path
         self.echo_mode = echo_mode
-        self.delack_timeout = delack_timeout
         self.rcv_nxt = 0
         self._out_of_order: Set[int] = set()
         self._unacked_data = 0
@@ -165,7 +162,7 @@ class Receiver:
         if force:
             self._send_ack()
         elif not self._delack_timer.armed:
-            self._delack_timer.start(self.delack_timeout)
+            self._delack_timer.start(DELACK_TIMEOUT)
 
     # ------------------------------------------------------------------
 
@@ -242,5 +239,5 @@ __all__ = [
     "EchoMode",
     "XMP_MAX_CE_PER_ACK",
     "DELAYED_ACK_EVERY",
-    "DEFAULT_DELACK_TIMEOUT",
+    "DELACK_TIMEOUT",
 ]

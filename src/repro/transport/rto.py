@@ -15,7 +15,7 @@ from repro.sim.units import Seconds
 #: Linux default minimum RTO; the quantity Table 1/Fig. 9 discussions hinge on.
 DEFAULT_RTO_MIN = 0.200
 #: Cap on exponential backoff of the RTO.
-DEFAULT_RTO_MAX = 64.0
+RTO_MAX = 64.0
 #: RTO before the first RTT sample (RFC 6298 says 1 s).
 DEFAULT_RTO_INITIAL = 1.0
 
@@ -29,22 +29,17 @@ class RttEstimator:
     ``alpha=1/8``, ``beta=1/4``.
     """
 
-    __slots__ = ("srtt", "rttvar", "rto", "rto_min", "rto_max", "samples")
+    __slots__ = ("srtt", "rttvar", "rto", "rto_min", "samples")
 
-    def __init__(
-        self,
-        rto_min: Seconds = DEFAULT_RTO_MIN,
-        rto_max: Seconds = DEFAULT_RTO_MAX,
-    ) -> None:
+    def __init__(self, rto_min: Seconds = DEFAULT_RTO_MIN) -> None:
         if rto_min <= 0:
             raise ValueError(f"rto_min must be positive, got {rto_min}")
-        if rto_max < rto_min:
-            raise ValueError("rto_max must be >= rto_min")
+        if rto_min > RTO_MAX:
+            raise ValueError(f"rto_min must be <= RTO_MAX ({RTO_MAX}), got {rto_min}")
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
         self.rto: float = max(DEFAULT_RTO_INITIAL, rto_min)
         self.rto_min = rto_min
-        self.rto_max = rto_max
         self.samples = 0
 
     def update(self, rtt_sample: float) -> None:
@@ -60,15 +55,15 @@ class RttEstimator:
             self.rttvar += 0.25 * (abs(delta) - self.rttvar)
             self.srtt += 0.125 * delta
         raw = self.srtt + 4.0 * self.rttvar
-        self.rto = min(self.rto_max, max(self.rto_min, raw))
+        self.rto = min(RTO_MAX, max(self.rto_min, raw))
 
     def backoff(self) -> None:
-        """Double the RTO after a timeout (Karn), capped at ``rto_max``."""
-        self.rto = min(self.rto_max, self.rto * 2.0)
+        """Double the RTO after a timeout (Karn), capped at :data:`RTO_MAX`."""
+        self.rto = min(RTO_MAX, self.rto * 2.0)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         srtt = f"{self.srtt*1e6:.0f}us" if self.srtt is not None else "-"
         return f"RttEstimator(srtt={srtt}, rto={self.rto*1e3:.1f}ms)"
 
 
-__all__ = ["RttEstimator", "DEFAULT_RTO_MIN", "DEFAULT_RTO_MAX", "DEFAULT_RTO_INITIAL"]
+__all__ = ["RttEstimator", "DEFAULT_RTO_MIN", "RTO_MAX", "DEFAULT_RTO_INITIAL"]

@@ -30,9 +30,9 @@ from repro.transport.rto import RttEstimator
 
 #: Fast retransmit after this many duplicate ACKs (RFC 5681).
 DUPACK_THRESHOLD = 3
-#: Default initial window, segments (Linux since 2.6.39; kernel 3.5, which
+#: Initial window, segments (Linux since 2.6.39; kernel 3.5, which
 #: the paper's MPTCP v0.86 is based on, ships IW10).
-DEFAULT_INITIAL_CWND = 10
+INITIAL_CWND = 10
 #: How many segments a sender asks its source for at a time.
 SOURCE_BATCH = 16
 
@@ -145,7 +145,6 @@ class TcpSender:
         path: Path,
         cc: CongestionControl,
         source: SegmentSource,
-        initial_cwnd: float = DEFAULT_INITIAL_CWND,
         rto_min: Seconds = 0.200,
         on_delivered: Optional[Callable[[int], None]] = None,
         sack_enabled: bool = False,
@@ -158,7 +157,7 @@ class TcpSender:
         self.cc = cc
         self.source = source
         cc.attach(self)
-        self.cwnd = float(initial_cwnd)
+        self.cwnd = float(INITIAL_CWND)
         self.ssthresh = math.inf
         self.snd_una = 0
         self.snd_nxt = 0
@@ -452,11 +451,11 @@ class TcpSender:
             self.rto_timer.cancel()
 
 
-def segments_for_bytes(num_bytes: int, mss: int = MSS_BYTES) -> int:
+def segments_for_bytes(num_bytes: int) -> int:
     """Number of MSS-sized segments needed to carry ``num_bytes``."""
     if num_bytes <= 0:
         return 0
-    return -(-num_bytes // mss)
+    return -(-num_bytes // MSS_BYTES)
 
 
 __all__ = [
@@ -466,6 +465,6 @@ __all__ = [
     "InfiniteSource",
     "segments_for_bytes",
     "DUPACK_THRESHOLD",
-    "DEFAULT_INITIAL_CWND",
+    "INITIAL_CWND",
     "SOURCE_BATCH",
 ]

@@ -52,11 +52,9 @@ def digest_to_json(digest: Dict[str, Any]) -> str:
     return json.dumps(canonical(digest), indent=2, sort_keys=True) + "\n"
 
 
-def load_golden(
-    name: str, directory: Optional[pathlib.Path] = None
-) -> Optional[Dict[str, Any]]:
+def load_golden(name: str) -> Optional[Dict[str, Any]]:
     """The checked-in digest for ``name``, or ``None`` when never blessed."""
-    path = (directory or golden_dir()) / f"{name}.json"
+    path = golden_dir() / f"{name}.json"
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -64,11 +62,9 @@ def load_golden(
         return None
 
 
-def save_golden(
-    name: str, digest: Dict[str, Any], directory: Optional[pathlib.Path] = None
-) -> pathlib.Path:
+def save_golden(name: str, digest: Dict[str, Any]) -> pathlib.Path:
     """Write (bless) ``digest`` as the new golden for ``name``."""
-    base = directory or golden_dir()
+    base = golden_dir()
     base.mkdir(parents=True, exist_ok=True)
     path = base / f"{name}.json"
     with open(path, "w", encoding="utf-8") as handle:
@@ -76,17 +72,17 @@ def save_golden(
     return path
 
 
-def diff_digests(
-    golden: Any, actual: Any, prefix: str = ""
-) -> List[str]:
+def diff_digests(golden: Any, actual: Any) -> List[str]:
     """Key-by-key differences between two canonicalized digests.
 
     Returns human-readable lines like
     ``flows[0].delivered_segments: golden=1370 actual=1295``; an empty
     list means the digests match.
     """
-    golden = canonical(golden)
-    actual = canonical(actual)
+    return _diff(canonical(golden), canonical(actual), "")
+
+
+def _diff(golden: Any, actual: Any, prefix: str) -> List[str]:
     lines: List[str] = []
     if isinstance(golden, dict) and isinstance(actual, dict):
         for key in sorted(set(golden) | set(actual)):
@@ -96,7 +92,7 @@ def diff_digests(
             elif key not in actual:
                 lines.append(f"{where}: golden={golden[key]!r}, missing from actual")
             else:
-                lines.extend(diff_digests(golden[key], actual[key], where))
+                lines.extend(_diff(golden[key], actual[key], where))
         return lines
     if isinstance(golden, list) and isinstance(actual, list):
         if len(golden) != len(actual):
@@ -104,32 +100,27 @@ def diff_digests(
                 f"{prefix}: length golden={len(golden)} actual={len(actual)}"
             )
         for index, (g, a) in enumerate(zip(golden, actual)):
-            lines.extend(diff_digests(g, a, f"{prefix}[{index}]"))
+            lines.extend(_diff(g, a, f"{prefix}[{index}]"))
         return lines
     if golden != actual:
         lines.append(f"{prefix}: golden={golden!r} actual={actual!r}")
     return lines
 
 
-def check_digest(
-    name: str,
-    digest: Dict[str, Any],
-    bless: bool = False,
-    directory: Optional[pathlib.Path] = None,
-) -> List[str]:
+def check_digest(name: str, digest: Dict[str, Any], bless: bool = False) -> List[str]:
     """Compare ``digest`` against the checked-in golden (or bless it).
 
     Returns the diff lines (empty = match).  With ``bless=True`` the
     digest is written as the new golden and the (pre-bless) diff is still
     returned, so a bless run shows what changed.
     """
-    golden = load_golden(name, directory)
+    golden = load_golden(name)
     if golden is None:
         differences = [f"{name}: no golden checked in (run with --bless to create it)"]
     else:
         differences = diff_digests(golden, digest)
     if bless:
-        save_golden(name, digest, directory)
+        save_golden(name, digest)
         return [] if golden is None else differences
     return differences
 

@@ -487,17 +487,16 @@ class BosObserver:
             sender = cc.sender
             srtt = sender.srtt if sender is not None else None
             min_rtt = coupling.min_rtt()
-            weight = getattr(coupling, "weight", 1.0)
             if srtt is not None and min_rtt is not None and min_rtt > 0:
                 v.checks += 1
-                bound = weight * srtt / min_rtt
+                bound = srtt / min_rtt
                 if delta > bound * (1.0 + 1e-6) + EPS:
                     v.record(
                         "trash-delta-bounds",
                         self.label,
                         f"delta={delta:.6f} exceeds the Eq. 9 bound "
-                        f"w*srtt/min_rtt={bound:.6f} (weight={weight}, "
-                        f"srtt={srtt:.6g}, min_rtt={min_rtt:.6g})",
+                        f"srtt/min_rtt={bound:.6f} "
+                        f"(srtt={srtt:.6g}, min_rtt={min_rtt:.6g})",
                     )
 
     def finish(self) -> None:
@@ -530,8 +529,7 @@ class Validator(Probe):
 
     kind = "validate"
 
-    def __init__(self, fail_fast: bool = False) -> None:
-        self.fail_fast = fail_fast
+    def __init__(self) -> None:
         self.violations: List[Violation] = []
         #: Number of individual invariant evaluations performed.
         self.checks = 0
@@ -620,11 +618,8 @@ class Validator(Probe):
     # -- recording ------------------------------------------------------
 
     def record(self, invariant: str, subject: str, message: str) -> None:
-        """Record one violation (and raise immediately when fail-fast)."""
-        violation = Violation(invariant, subject, message)
-        self.violations.append(violation)
-        if self.fail_fast:
-            raise InvariantError(str(violation))
+        """Record one violation."""
+        self.violations.append(Violation(invariant, subject, message))
 
     # -- post-run -------------------------------------------------------
 
@@ -725,9 +720,7 @@ class Validator(Probe):
 
 
 @contextlib.contextmanager
-def validating(
-    validator: Optional[Validator] = None, raise_on_violation: bool = True
-) -> Iterator[Validator]:
+def validating(raise_on_violation: bool = True) -> Iterator[Validator]:
     """Run a block under a validator, then finish it.
 
     Usage::
@@ -741,8 +734,7 @@ def validating(
     Pass ``raise_on_violation=False`` to only sweep and inspect
     ``v.violations`` yourself (the negative tests do).
     """
-    if validator is None:
-        validator = Validator()
+    validator = Validator()
     with probing(validator):
         yield validator
     if raise_on_violation:

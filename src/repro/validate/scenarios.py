@@ -165,9 +165,7 @@ def run_scenario(name: str, **overrides: Any) -> Tuple[Dict[str, Any], Validator
     return digest, validator
 
 
-def run_golden_suite(
-    names: Any = None, bless: bool = False, directory: Any = None
-) -> Tuple[str, bool]:
+def run_golden_suite(names: Any = None, bless: bool = False) -> Tuple[str, bool]:
     """Run scenarios, compare (or bless) goldens, enforce invariants.
 
     Returns a report string and an overall pass flag.  Used by the CLI's
@@ -185,7 +183,7 @@ def run_golden_suite(
             ok = False
             status.append(f"{len(validator.violations)} invariant violations")
             details.append(validator.report())
-        differences = check_digest(name, digest, bless=bless, directory=directory)
+        differences = check_digest(name, digest, bless=bless)
         if differences:
             if bless:
                 status.append(f"blessed ({len(differences)} fields changed)")

@@ -36,7 +36,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.sim.units import Bytes
 
@@ -245,39 +245,29 @@ DEFAULT_LOGNORMAL_SIGMA = 1.5
 DEFAULT_FIXED_BYTES = 2_000_000
 
 
-def make_sampler(
-    workload: str,
-    size_scale: float = 1.0,
-    params: Optional[Dict[str, float]] = None,
-) -> SizeSampler:
+def make_sampler(workload: str, size_scale: float = 1.0) -> SizeSampler:
     """Build the named flow-size sampler.
 
     ``size_scale`` multiplies every size (the same scaled-down-testbed
-    knob the fat-tree scenarios use for their MB-scale flows);
-    ``params`` overrides the synthetic samplers' defaults
-    (``min_bytes``/``max_bytes``, ``mean_bytes``/``sigma``,
-    ``size_bytes``).
+    knob the fat-tree scenarios use for their MB-scale flows).
     """
     if size_scale <= 0:
         raise ValueError(f"size_scale must be positive, got {size_scale}")
-    p = dict(params or {})
     if workload == "websearch":
         return SizeCDF("websearch", WEBSEARCH_POINTS, scale=size_scale)
     if workload == "datamining":
         return SizeCDF("datamining", DATAMINING_POINTS, scale=size_scale)
     if workload == "uniform":
-        low = p.get("min_bytes", DEFAULT_UNIFORM_RANGE[0])
-        high = p.get("max_bytes", DEFAULT_UNIFORM_RANGE[1])
+        low, high = DEFAULT_UNIFORM_RANGE
         return UniformSizes(
             max(1, int(low * size_scale)), max(1, int(high * size_scale))
         )
     if workload == "lognormal":
-        mean = p.get("mean_bytes", DEFAULT_LOGNORMAL_MEAN)
-        sigma = p.get("sigma", DEFAULT_LOGNORMAL_SIGMA)
-        return LognormalSizes(max(1, int(mean * size_scale)), sigma)
+        return LognormalSizes(
+            max(1, int(DEFAULT_LOGNORMAL_MEAN * size_scale)), DEFAULT_LOGNORMAL_SIGMA
+        )
     if workload == "fixed":
-        size = p.get("size_bytes", DEFAULT_FIXED_BYTES)
-        return FixedSizes(max(1, int(size * size_scale)))
+        return FixedSizes(max(1, int(DEFAULT_FIXED_BYTES * size_scale)))
     raise ValueError(
         f"unknown workload {workload!r} (known: {', '.join(WORKLOAD_NAMES)})"
     )

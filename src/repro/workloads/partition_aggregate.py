@@ -37,6 +37,17 @@ DEFAULT_REQUEST_BYTES = 2_000
 DEFAULT_RESPONSE_BYTES = 64_000
 
 
+def check_rounds(hosts: int, fan_in: int, concurrent_jobs: int) -> None:
+    """``ValueError`` unless ``hosts`` hosts can keep ``concurrent_jobs``
+    rounds of ``fan_in`` workers (plus their aggregator) running."""
+    if fan_in < 1:
+        raise ValueError(f"fan_in must be >= 1, got {fan_in}")
+    if hosts < fan_in + 1:
+        raise ValueError(f"need at least {fan_in + 1} hosts, got {hosts}")
+    if concurrent_jobs < 1:
+        raise ValueError(f"concurrent_jobs must be >= 1, got {concurrent_jobs}")
+
+
 class PartitionAggregateJob:
     """One aggregator round at a given fan-in."""
 
@@ -98,12 +109,7 @@ class PartitionAggregatePattern:
         concurrent_jobs: int = 1,
         rng: Optional[random.Random] = None,
     ) -> None:
-        if fan_in < 1:
-            raise ValueError(f"fan_in must be >= 1, got {fan_in}")
-        if len(hosts) < fan_in + 1:
-            raise ValueError(f"need at least {fan_in + 1} hosts, got {len(hosts)}")
-        if concurrent_jobs < 1:
-            raise ValueError(f"concurrent_jobs must be >= 1, got {concurrent_jobs}")
+        check_rounds(len(hosts), fan_in, concurrent_jobs)
         self.request_factory = request_factory
         self.response_factory = response_factory
         self.network = request_factory.network
@@ -159,4 +165,5 @@ __all__ = [
     "DEFAULT_RESPONSE_BYTES",
     "PartitionAggregateJob",
     "PartitionAggregatePattern",
+    "check_rounds",
 ]

@@ -79,7 +79,7 @@ class TestReceiverLifecycle:
         receiver = Receiver(
             net.sim, net.host("B"), 0, 0,
             net.reverse_path(net.paths("A", "B")[0]),
-            echo_mode=EchoMode.XMP, delack_timeout=1e-3,
+            echo_mode=EchoMode.XMP,
         )
         packet = Packet(DATA, 1500, 0, 0, seq=0)
         packet.hop = 1

@@ -249,12 +249,22 @@ class TestInputValidation:
         (["fluid", "--duration", "0"], "must be positive"),
         (["fluid", "--topology", "fattree", "--k", "3"], "got 3"),
         (["fluid", "--beta", "0"], "beta must be >= 2"),
+        (["incast", "--fan-ins", "16"], "need at least 17 hosts, got 16"),
+        (["workload", "--loads", "0"], "load must be positive"),
+        (["table1", "--k", "3"], "k must be an even integer >= 2, got 3"),
     ], ids=["zero-subflows-spec", "fluid-subflows", "fluid-flows",
             "fluid-scheme", "profile-pattern", "profile-duration",
-            "fluid-duration", "fluid-odd-k", "fluid-beta"])
+            "fluid-duration", "fluid-odd-k", "fluid-beta",
+            "incast-fan-in", "workload-load", "table1-odd-k"])
     def test_bad_value_fails_at_parse_time_not_inside_a_cell(
-        self, argv, complaint, capsys
+        self, argv, complaint, capsys, monkeypatch
     ):
+        from repro.runner import Campaign
+
+        def no_cells(campaign, specs):
+            raise AssertionError("a cell was simulated")
+
+        monkeypatch.setattr(Campaign, "run", no_cells)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -67,7 +67,7 @@ class TestTraShDelta:
     def test_matches_eq9(self):
         trash, (c1, c2) = coupled([(8.0, 200e-6), (24.0, 100e-6)])
         x1, x2 = 8.0 / 200e-6, 24.0 / 100e-6
-        expected = utility.trash_delta(x1, 200e-6, x1 + x2, 100e-6)
+        expected = utility.trash_step([x1, x2], [200e-6, 100e-6])[0]
         assert trash.delta(c1, 0.0) == pytest.approx(expected)
 
     def test_falls_back_to_one_without_rtt(self):
@@ -229,6 +229,6 @@ class TestUtilityFunctions:
         with pytest.raises(ValueError):
             utility.bos_utility(-1.0, 1e-4, 4.0)
         with pytest.raises(ValueError):
-            utility.trash_delta(1.0, 1e-4, 0.0, 1e-4)
+            utility.trash_step([0.0], [1e-4])
         with pytest.raises(ValueError):
             utility.trash_step([1.0], [1.0, 2.0])

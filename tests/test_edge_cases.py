@@ -11,8 +11,9 @@ from repro.net.packet import DATA, Packet
 from repro.net.queue import DropTailQueue
 from repro.sim.engine import Simulator
 from repro.topology.bottleneck import build_single_bottleneck
-from repro.traffic.incast import IncastPattern
+from repro.traffic.incast import CONCURRENT_JOBS, SERVERS_PER_JOB
 from repro.traffic.factory import TransferFactory
+from repro.workloads.partition_aggregate import PartitionAggregatePattern
 
 
 class Sink(Node):
@@ -80,7 +81,10 @@ class TestIncastAges:
 
         net = build_fattree(k=4)
         factory = TransferFactory(net, "tcp", rng=random.Random(0))
-        pattern = IncastPattern(factory, net.host_names, rng=random.Random(1))
+        pattern = PartitionAggregatePattern(
+            factory, factory, net.host_names, fan_in=SERVERS_PER_JOB,
+            concurrent_jobs=CONCURRENT_JOBS, rng=random.Random(1),
+        )
         pattern.start()
         net.sim.run(until=0.0005)
         ages = pattern.unfinished_ages(0.0005)
@@ -129,10 +133,3 @@ class TestCliExport:
         assert "summary.json" in out
         assert (tmp_path / "out" / "flows.csv").exists()
 
-
-class TestWeightThroughFactoryDefaults:
-    def test_connection_weight_default_is_neutral(self, two_host_net):
-        conn = MptcpConnection(
-            two_host_net, "A", "B", two_host_net.paths("A", "B"), scheme="xmp"
-        )
-        assert conn.coupling.weight == 1.0

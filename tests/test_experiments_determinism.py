@@ -11,7 +11,7 @@ from repro.experiments.catalog import run
 from repro.experiments.fattree_eval import FatTreeScenario
 from repro.experiments.fig4_traffic_shifting import Fig4Config
 from repro.experiments.fig6_fairness import Fig6Config
-from repro.runner import Campaign, RunSpec, run_spec
+from repro.runner import Campaign, RunSpec
 
 #: Every run below must really simulate: no cache lookup, no store.
 FRESH = Campaign(use_cache=False)
@@ -38,7 +38,7 @@ class TestFatTreeDeterminism:
         )
 
     def run(self, scenario):
-        return run_spec(RunSpec("fattree", scenario), FRESH).value
+        return FRESH.run([RunSpec("fattree", scenario)]).results[0].value
 
     def test_same_seed_identical(self):
         a = self.run(TINY)

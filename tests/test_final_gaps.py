@@ -10,6 +10,7 @@ from repro.experiments.fattree_eval import FatTreeScenario, run_fattree
 from repro.mptcp.connection import MptcpConnection
 from repro.topology.bottleneck import build_single_bottleneck
 from repro.traffic.factory import TransferFactory
+from repro.transport.tcp import INITIAL_CWND
 
 TINY = FatTreeScenario(
     duration=0.08,
@@ -43,10 +44,9 @@ class TestRandomPatternViews:
 class TestConstructorPlumbing:
     def test_initial_cwnd_reaches_senders(self, two_host_net):
         conn = MptcpConnection(
-            two_host_net, "A", "B", two_host_net.paths("A", "B"),
-            scheme="xmp", initial_cwnd=4,
+            two_host_net, "A", "B", two_host_net.paths("A", "B"), scheme="xmp",
         )
-        assert all(s.sender.cwnd == 4.0 for s in conn.subflows)
+        assert all(s.sender.cwnd == INITIAL_CWND for s in conn.subflows)
 
     def test_rto_min_reaches_estimators(self, two_host_net):
         conn = MptcpConnection(
@@ -55,20 +55,13 @@ class TestConstructorPlumbing:
         )
         assert all(s.sender.rtt.rto_min == 0.01 for s in conn.subflows)
 
-    def test_delack_timeout_reaches_receivers(self, two_host_net):
-        conn = MptcpConnection(
-            two_host_net, "A", "B", two_host_net.paths("A", "B"),
-            scheme="xmp", delack_timeout=2e-3,
-        )
-        assert all(s.receiver.delack_timeout == 2e-3 for s in conn.subflows)
-
     def test_added_subflow_inherits_settings(self, two_host_net):
         conn = MptcpConnection(
             two_host_net, "A", "B", two_host_net.paths("A", "B"),
-            scheme="xmp", initial_cwnd=6, sack=True,
+            scheme="xmp", rto_min=0.01, sack=True,
         )
         subflow = conn.add_subflow(two_host_net.paths("A", "B")[0])
-        assert subflow.sender.cwnd == 6.0
+        assert subflow.sender.rtt.rto_min == 0.01
         assert subflow.sender.sack_enabled
         assert subflow.receiver.sack_enabled
 
@@ -88,9 +81,3 @@ class TestFactoryOutsideFatTree:
         assert factory.records
         assert factory.records[0].scheme == "MYLABEL"
         assert factory.records[0].category == "any"
-
-    def test_subflow_count_override_per_launch(self):
-        net = build_single_bottleneck(num_pairs=1)
-        factory = TransferFactory(net, "xmp", subflow_count=1)
-        conn = factory.launch("S0", "D0", 50_000, subflow_count=3)
-        assert len(conn.subflows) == 3

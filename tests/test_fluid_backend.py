@@ -279,12 +279,12 @@ class TestFluidBackend:
         )
 
     def test_runs_through_runner_and_cache(self):
-        from repro.runner import Campaign, RunCache, RunSpec, run_spec
+        from repro.runner import Campaign, RunCache, RunSpec
 
         campaign = Campaign(cache=RunCache())
         spec = RunSpec("fluid", FluidScenario(flows=2, duration=seconds(0.01)))
-        first = run_spec(spec, campaign)
-        second = run_spec(spec, campaign)
+        first, = campaign.run([spec]).results
+        second, = campaign.run([spec]).results
         assert second.metrics.cached
         assert first.value.steady_state_windows() == second.value.steady_state_windows()
 

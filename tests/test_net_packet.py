@@ -37,10 +37,6 @@ class TestDataPacket:
         packet = make_data_packet(0, 0, 0, 0.0, (), ect=False)
         assert packet.ect is False
 
-    def test_custom_size(self):
-        packet = make_data_packet(0, 0, 0, 0.0, (), ect=False, size=600)
-        assert packet.size == 600
-
 
 class TestAckPacket:
     def test_fields(self):

@@ -92,6 +92,15 @@ class TestTelemetrySink:
         Campaign(jobs=1, use_cache=False, telemetry=telemetry).run(spec)
         assert len(read_records(telemetry)) == 2
 
+    def test_profile_switched_off_still_profiles_telemetry(self, tmp_path, monkeypatch):
+        # REPRO_PROFILE=0 means "off", so telemetry must still switch the
+        # profiler on for the cells it records.
+        monkeypatch.setenv("REPRO_PROFILE", "0")
+        telemetry = Telemetry(tmp_path)
+        Campaign(jobs=1, use_cache=False, telemetry=telemetry).run(grid()[:1])
+        (record,) = read_records(telemetry)
+        assert record["profile"] is not None
+
     def test_empty_batch_writes_nothing(self, tmp_path):
         telemetry = Telemetry(tmp_path / "never")
         assert telemetry.record_results([]) == []

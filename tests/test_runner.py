@@ -23,7 +23,6 @@ from repro.runner import (
     RunCache,
     RunSpec,
     kind_entry,
-    run_spec,
     spec_fingerprint,
 )
 from repro.runner.cache import _stable
@@ -38,6 +37,11 @@ TINY = FatTreeScenario(
     random_max=300_000,
     seed=7,
 )
+
+
+def run_cell(spec, campaign):
+    """One spec through ``campaign``."""
+    return campaign.run([spec]).results[0]
 
 
 def tiny_grid():
@@ -72,11 +76,11 @@ class TestCache:
 
     def test_round_trip_through_disk(self, tmp_path):
         disk = DiskCache(tmp_path)
-        first = run_spec(self.spec(), Campaign(cache=RunCache(disk=disk)))
+        first = run_cell(self.spec(), Campaign(cache=RunCache(disk=disk)))
         assert first.metrics.source == SOURCE_RUN
         # A fresh memory tier over the same directory: served from disk,
         # equal value (a new unpickled object, not the same one).
-        reloaded = run_spec(self.spec(), Campaign(cache=RunCache(disk=disk)))
+        reloaded = run_cell(self.spec(), Campaign(cache=RunCache(disk=disk)))
         assert reloaded.metrics.source == SOURCE_DISK
         assert reloaded.metrics.cached
         assert reloaded.value == first.value
@@ -84,18 +88,18 @@ class TestCache:
 
     def test_memory_tier_preserves_identity(self):
         cache = RunCache()
-        first = run_spec(self.spec(), Campaign(cache=cache))
-        again = run_spec(self.spec(), Campaign(cache=cache))
+        first = run_cell(self.spec(), Campaign(cache=cache))
+        again = run_cell(self.spec(), Campaign(cache=cache))
         assert again.metrics.source == SOURCE_MEMORY
         assert again.value is first.value
 
     def test_corrupted_file_recomputed(self, tmp_path):
         disk = DiskCache(tmp_path)
-        first = run_spec(self.spec(), Campaign(cache=RunCache(disk=disk)))
+        first = run_cell(self.spec(), Campaign(cache=RunCache(disk=disk)))
         path = disk.path_for(spec_fingerprint(self.spec()))
         assert path.exists()
         path.write_bytes(b"not a pickle")
-        rerun = run_spec(self.spec(), Campaign(cache=RunCache(disk=disk)))
+        rerun = run_cell(self.spec(), Campaign(cache=RunCache(disk=disk)))
         assert rerun.metrics.source == SOURCE_RUN
         assert rerun.value == first.value
         # The rewrite healed the entry.
@@ -104,24 +108,24 @@ class TestCache:
 
     def test_truncated_file_recomputed(self, tmp_path):
         disk = DiskCache(tmp_path)
-        run_spec(self.spec(), Campaign(cache=RunCache(disk=disk)))
+        run_cell(self.spec(), Campaign(cache=RunCache(disk=disk)))
         path = disk.path_for(spec_fingerprint(self.spec()))
         path.write_bytes(path.read_bytes()[:10])
-        rerun = run_spec(self.spec(), Campaign(cache=RunCache(disk=disk)))
+        rerun = run_cell(self.spec(), Campaign(cache=RunCache(disk=disk)))
         assert rerun.metrics.source == SOURCE_RUN
 
     def test_no_cache_bypasses_everything(self, tmp_path):
         disk = DiskCache(tmp_path)
         cache = RunCache(disk=disk)
-        run_spec(self.spec(), Campaign(cache=cache))
-        forced = run_spec(self.spec(), Campaign(cache=cache, use_cache=False))
+        run_cell(self.spec(), Campaign(cache=cache))
+        forced = run_cell(self.spec(), Campaign(cache=cache, use_cache=False))
         assert forced.metrics.source == SOURCE_RUN
         assert not forced.metrics.cached
 
     def test_unwritable_directory_is_nonfatal(self, tmp_path):
         blocked = tmp_path / "blocked"
         blocked.write_text("a file where the cache dir should be")
-        result = run_spec(self.spec(), Campaign(cache=RunCache(disk=DiskCache(blocked))))
+        result = run_cell(self.spec(), Campaign(cache=RunCache(disk=DiskCache(blocked))))
         assert result.metrics.source == SOURCE_RUN
 
     def test_memory_cache_is_bounded(self, monkeypatch):

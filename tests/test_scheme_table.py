@@ -3,9 +3,8 @@
 ``repro.mptcp.coupling.SCHEMES`` is the one declaration of the congestion
 schemes; each test here is parametrised over its rows, so a new row is a
 new case rather than a new test.  The property tests pin the shared
-coupling base and the ``DctcpCC.penalty`` hook *bit-equal* to the code
-they replaced: golden digests and the ledger hash model output, so
-"close" would not be the same result.
+coupling base *bit-equal* to the code it replaced: golden digests and
+the ledger hash model output, so "close" would not be the same result.
 """
 
 from pathlib import Path
@@ -23,9 +22,7 @@ from repro.mptcp.coupling import SCHEMES, create_coupling, parse_scheme_spec
 from repro.mptcp.lia import LiaCoupling, lia_alpha
 from repro.sim.probe import probing
 from repro.topology.bottleneck import build_single_bottleneck
-from repro.transport.cc import MIN_CWND, Coupling
-from repro.transport.d2tcp import D2tcpCC
-from repro.transport.dctcp import DctcpCC
+from repro.transport.cc import Coupling
 from repro.validate.invariants import Validator
 
 REPO = Path(__file__).resolve().parent.parent
@@ -36,7 +33,7 @@ row_cases = pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
 class TestEveryRow:
     @row_cases
     def test_builds_controllers_with_the_rows_signal_and_echo(self, row):
-        coupling = create_coupling(row.name, beta=5.0, weight=2.0)
+        coupling = create_coupling(row.name, beta=5.0)
         assert isinstance(coupling, Coupling)
         first, second = coupling.make_controller(), coupling.make_controller()
         assert coupling.controllers == [first, second]
@@ -109,7 +106,7 @@ class TestReadersFollowTheTable:
 
 
 # ----------------------------------------------------------------------
-# Bit-equality with the code the base and the hook replaced
+# Bit-equality with the code the base replaced
 # ----------------------------------------------------------------------
 
 
@@ -148,7 +145,7 @@ def attach_all(coupling, states, attached):
 
 @given(sender_states, st.lists(st.booleans(), min_size=6, max_size=6))
 def test_trash_sums_equal_the_parents_formulas(states, attached):
-    trash = TraSh(beta=4, weight=1.5)
+    trash = TraSh(beta=4)
     active = attach_all(trash, states, attached)
     total = 0.0
     for sender in active:
@@ -158,10 +155,10 @@ def test_trash_sums_equal_the_parents_formulas(states, attached):
     assert trash.min_rtt() == (min(rtts) if rtts else None)
     for controller in trash.controllers:
         if controller.sender is None or not rtts:
-            assert trash.delta(controller, 0.0) == 1.5
+            assert trash.delta(controller, 0.0) == 1.0
         else:
             assert trash.delta(controller, 0.0) == trash_delta(
-                controller.sender.cwnd, total, min(rtts), 1.5
+                controller.sender.cwnd, total, min(rtts)
             )
 
 
@@ -179,37 +176,3 @@ def test_lia_aggregates_equal_the_parents_formulas(states, attached):
         rtts.append(sender.srtt)
     assert coupling.alpha() == (lia_alpha(windows, rtts) if known else 0.0)
 
-
-class AckedSender:
-    """The slice of ``TcpSender`` a DCTCP-family controller touches."""
-
-    in_recovery = False
-
-    def __init__(self):
-        self.cwnd, self.ssthresh = 10.0, 64.0
-        self.snd_una = self.snd_nxt = 0
-
-
-acks = st.lists(
-    st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()),
-    min_size=1, max_size=200,
-)
-
-
-@given(acks)
-def test_deadline_less_d2tcp_is_dctcp(sequence):
-    controllers = DctcpCC(), D2tcpCC(deadline=None)
-    senders = AckedSender(), AckedSender()
-    for controller, sender in zip(controllers, senders):
-        controller.attach(sender)
-    now = 0.0
-    for newly_acked, ece_count, round_ended in sequence:
-        now += 1e-4
-        traces = []
-        for controller, sender in zip(controllers, senders):
-            sender.snd_una += newly_acked
-            sender.snd_nxt = sender.snd_una + int(sender.cwnd)
-            controller.on_ack(newly_acked, ece_count, None, now, round_ended)
-            assert sender.cwnd >= MIN_CWND
-            traces.append((sender.cwnd, sender.ssthresh, controller.alpha))
-        assert traces[0] == traces[1]

@@ -65,7 +65,3 @@ class TestDerived:
         # §3: 1 Gbps, RTT < 400 us  =>  BDP ~ 33 packets.
         bdp = units.bandwidth_delay_product_packets(1e9, 400e-6)
         assert bdp == pytest.approx(33.3, abs=0.1)
-
-    def test_bdp_rejects_bad_packet_size(self):
-        with pytest.raises(ValueError):
-            units.bandwidth_delay_product_packets(1e9, 1e-3, 0)

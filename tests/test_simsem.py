@@ -6,6 +6,8 @@ SIM004 ``--fix`` round trip, and the acceptance gate that the real tree
 analyzes clean.
 """
 
+import importlib
+import inspect
 import json
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from repro.lint.sem import (
     SinkRegistryError,
     build_summary,
 )
-from repro.lint.sem.registry import parse_sinks_toml
+from repro.lint.sem.registry import DEFAULT_SINKS_FILE, parse_sinks_toml
 from repro.lint.sem.summary import module_name_for_path
 from repro.sim import units
 
@@ -92,6 +94,36 @@ def test_checked_in_registry_loads_and_covers_link():
         "rate_bps": "bits_per_second",
         "delay": "seconds",
     }
+
+
+def _resolve(qname):
+    """The object a dotted ``module.attr...`` name spells, or None."""
+    parts = qname.split(".")
+    for split in range(len(parts) - 1, 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ImportError:
+            continue
+        for attr in parts[split:]:
+            target = getattr(target, attr, None)
+        return target
+    return None
+
+
+def test_checked_in_registry_entries_resolve_to_real_parameters():
+    """Every ``sinks.toml`` section names an existing callable and every
+    key one of its parameters: a deleted knob cannot leave a stale sink
+    behind (the twin of the hotpaths.toml resolve test)."""
+    sinks = parse_sinks_toml(DEFAULT_SINKS_FILE.read_text(encoding="utf-8"))
+    stale = []
+    for qname, params in sinks.items():
+        target = _resolve(qname)
+        if not callable(target):
+            stale.append(qname)
+            continue
+        known = inspect.signature(target).parameters
+        stale.extend(f"{qname}({param}=)" for param in params if param not in known)
+    assert stale == [], f"sinks.toml names unknown callables or parameters: {stale}"
 
 
 # ----------------------------------------------------------------------

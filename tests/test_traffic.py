@@ -9,18 +9,27 @@ from hypothesis import strategies as st
 
 from repro.topology.fattree import build_fattree
 from repro.traffic.factory import TransferFactory
-from repro.traffic.incast import IncastPattern
+from repro.traffic.incast import CONCURRENT_JOBS, SERVERS_PER_JOB
 from repro.traffic.permutation import PermutationPattern, random_derangement
 from repro.traffic.random_pattern import MAX_IN_DEGREE, RandomPattern
 from repro.workloads.partition_aggregate import (
     DEFAULT_REQUEST_BYTES as REQUEST_BYTES,
     DEFAULT_RESPONSE_BYTES as RESPONSE_BYTES,
+    PartitionAggregatePattern,
 )
 
 
 @pytest.fixture
 def fattree():
     return build_fattree(k=4)
+
+
+def incast(factory, hosts, concurrent_jobs=CONCURRENT_JOBS, rng=None):
+    """The paper's incast jobs: one factory both ways, 8 servers a job."""
+    return PartitionAggregatePattern(
+        factory, factory, hosts, fan_in=SERVERS_PER_JOB,
+        concurrent_jobs=concurrent_jobs, rng=rng,
+    )
 
 
 def factory_for(net, scheme="xmp", subflows=2, label=None):
@@ -228,8 +237,7 @@ class TestIncastPattern:
 
     def test_jobs_complete_and_chain(self, fattree):
         factory = TransferFactory(fattree, "tcp", rng=random.Random(2))
-        pattern = IncastPattern(factory, fattree.host_names,
-                                rng=random.Random(3))
+        pattern = incast(factory, fattree.host_names, rng=random.Random(3))
         pattern.start()
         fattree.sim.run(until=0.5)
         assert pattern.completed_jobs
@@ -239,7 +247,7 @@ class TestIncastPattern:
 
     def test_concurrent_jobs_count(self, fattree):
         factory = TransferFactory(fattree, "tcp", rng=random.Random(2))
-        pattern = IncastPattern(
+        pattern = incast(
             factory, fattree.host_names, concurrent_jobs=3, rng=random.Random(3)
         )
         pattern.start()
@@ -248,7 +256,7 @@ class TestIncastPattern:
     def test_job_traffic_volume(self, fattree):
         # Each job moves 8 requests + 8 responses.
         factory = TransferFactory(fattree, "tcp", rng=random.Random(2))
-        pattern = IncastPattern(
+        pattern = incast(
             factory, fattree.host_names, concurrent_jobs=1, rng=random.Random(3)
         )
         pattern.start()
@@ -263,7 +271,7 @@ class TestIncastPattern:
 
     def test_stop(self, fattree):
         factory = TransferFactory(fattree, "tcp", rng=random.Random(2))
-        pattern = IncastPattern(factory, fattree.host_names, rng=random.Random(3))
+        pattern = incast(factory, fattree.host_names, rng=random.Random(3))
         pattern.start()
         pattern.stop()
         fattree.sim.run(until=0.5)
@@ -272,11 +280,9 @@ class TestIncastPattern:
     def test_needs_enough_hosts(self, fattree):
         factory = TransferFactory(fattree, "tcp", rng=random.Random(2))
         with pytest.raises(ValueError):
-            IncastPattern(factory, fattree.host_names[:5], rng=random.Random(3))
+            incast(factory, fattree.host_names[:5], rng=random.Random(3))
 
     def test_is_partition_aggregate_at_the_paper_constants(self):
-        from repro.workloads.partition_aggregate import PartitionAggregatePattern
-
         def run(make_pattern):
             net = build_fattree(k=4)
             factory = TransferFactory(net, "tcp", rng=random.Random(2))
@@ -285,9 +291,9 @@ class TestIncastPattern:
             net.sim.run(until=0.3)
             return pattern.completion_times(), pattern.jobs_started, factory.records
 
-        incast = run(lambda f, hosts: IncastPattern(f, hosts, rng=random.Random(3)))
+        paper = run(lambda f, hosts: incast(f, hosts, rng=random.Random(3)))
         spelled_out = run(lambda f, hosts: PartitionAggregatePattern(
             f, f, hosts, fan_in=8, request_bytes=2_000, response_bytes=64_000,
             concurrent_jobs=8, rng=random.Random(3),
         ))
-        assert incast[0] and incast == spelled_out
+        assert paper[0] and paper == spelled_out

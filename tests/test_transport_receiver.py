@@ -14,7 +14,7 @@ from repro.transport.receiver import (
 class Harness:
     """A receiver on host B whose ACKs are captured at host A."""
 
-    def __init__(self, net, echo_mode=EchoMode.XMP, delack_timeout=500e-6):
+    def __init__(self, net, echo_mode=EchoMode.XMP):
         self.net = net
         self.acks = []
         forward = net.paths("A", "B")[0]
@@ -27,7 +27,6 @@ class Harness:
             0,
             reverse,
             echo_mode=echo_mode,
-            delack_timeout=delack_timeout,
         )
 
     def deliver(self, seq, ce=False, ts=None):
@@ -60,7 +59,7 @@ class TestCumulativeAck:
         assert [a.ack for a in acks] == [2, 4, 6]
 
     def test_delack_timer_flushes_odd_packet(self, two_host_net):
-        h = Harness(two_host_net, delack_timeout=1e-4)
+        h = Harness(two_host_net)
         h.deliver(0)
         acks = h.run()
         assert [a.ack for a in acks] == [1]

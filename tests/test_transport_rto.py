@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transport.rto import DEFAULT_RTO_MIN, RttEstimator
+from repro.transport.rto import DEFAULT_RTO_MIN, RTO_MAX, RttEstimator
 
 
 class TestFirstSample:
@@ -66,10 +66,10 @@ class TestBackoff:
         assert est.rto == 2 * rto
 
     def test_backoff_caps_at_max(self):
-        est = RttEstimator(rto_max=1.0)
+        est = RttEstimator()
         for _ in range(20):
             est.backoff()
-        assert est.rto == 1.0
+        assert est.rto == RTO_MAX
 
     def test_update_after_backoff_recomputes(self):
         est = RttEstimator()
@@ -87,7 +87,7 @@ class TestValidation:
 
     def test_rto_max_at_least_min(self):
         with pytest.raises(ValueError):
-            RttEstimator(rto_min=1.0, rto_max=0.5)
+            RttEstimator(rto_min=2 * RTO_MAX)
 
     @given(samples=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)
@@ -95,7 +95,7 @@ class TestValidation:
         est = RttEstimator()
         for sample in samples:
             est.update(sample)
-        assert est.rto_min <= est.rto <= est.rto_max
+        assert est.rto_min <= est.rto <= RTO_MAX
 
     @given(samples=st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=50))
     @settings(max_examples=60, deadline=None)

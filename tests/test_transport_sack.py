@@ -83,8 +83,9 @@ class SenderHarness:
         net.host("B").register(0, 0, self.sent.append)
         self.sender = TcpSender(
             net.sim, net.host("A"), 0, 0, forward, RenoCC(),
-            FiniteSource(total), initial_cwnd=initial_cwnd, sack_enabled=True,
+            FiniteSource(total), sack_enabled=True,
         )
+        self.sender.cwnd = float(initial_cwnd)
 
     def start(self):
         self.sender.start()

@@ -6,9 +6,9 @@ import pytest
 
 from repro.net.packet import ACK, DATA, Packet, make_ack_packet
 from repro.mptcp.connection import MptcpConnection
-from repro.transport.cc import MIN_CWND, Coupling, RenoCC
+from repro.transport.cc import MIN_CWND, RenoCC
 from repro.transport.tcp import (
-    DEFAULT_INITIAL_CWND,
+    INITIAL_CWND,
     DUPACK_THRESHOLD,
     FiniteSource,
     InfiniteSource,
@@ -34,8 +34,8 @@ class SenderHarness:
             forward,
             cc if cc is not None else RenoCC(),
             FiniteSource(total_segments),
-            initial_cwnd=initial_cwnd,
         )
+        self.sender.cwnd = float(initial_cwnd)
 
     def start(self):
         self.sender.start()
@@ -272,7 +272,7 @@ class TestEndToEnd:
     def test_transfer_completes_and_counts_bytes(self, two_host_net):
         flow = MptcpConnection(
             two_host_net, "A", "B", two_host_net.paths("A", "B"),
-            scheme=Coupling(RenoCC), size_bytes=1_000_000,
+            scheme="tcp", size_bytes=1_000_000,
         )
         flow.start()
         two_host_net.sim.run(until=1.0)
@@ -283,6 +283,6 @@ class TestEndToEnd:
     def test_goodput_zero_before_start(self, two_host_net):
         flow = MptcpConnection(
             two_host_net, "A", "B", two_host_net.paths("A", "B"),
-            scheme=Coupling(RenoCC), size_bytes=1000,
+            scheme="tcp", size_bytes=1000,
         )
         assert flow.goodput_bps() == 0.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.validate import golden as golden_module
 from repro.validate.golden import (
     canonical,
     check_digest,
@@ -55,23 +56,28 @@ class TestDigestMechanics:
         lines = diff_digests({"f": [1, 2]}, {"f": [1]})
         assert any("length golden=2 actual=1" in line for line in lines)
 
-    def test_save_load_roundtrip(self, tmp_path):
+    @pytest.fixture
+    def scratch_goldens(self, tmp_path, monkeypatch):
+        """Point the golden directory at an empty temp directory."""
+        monkeypatch.setattr(golden_module, "golden_dir", lambda: tmp_path)
+
+    def test_save_load_roundtrip(self, scratch_goldens):
         digest = {"events": 5, "t": 0.125}
-        save_golden("unit", digest, directory=tmp_path)
-        assert load_golden("unit", directory=tmp_path) == canonical(digest)
+        save_golden("unit", digest)
+        assert load_golden("unit") == canonical(digest)
 
-    def test_load_missing_returns_none(self, tmp_path):
-        assert load_golden("never-blessed", directory=tmp_path) is None
+    def test_load_missing_returns_none(self, scratch_goldens):
+        assert load_golden("never-blessed") is None
 
-    def test_check_digest_unblessed(self, tmp_path):
-        lines = check_digest("fresh", {"events": 1}, directory=tmp_path)
+    def test_check_digest_unblessed(self, scratch_goldens):
+        lines = check_digest("fresh", {"events": 1})
         assert lines and "--bless" in lines[0]
 
-    def test_check_digest_bless_then_match(self, tmp_path):
+    def test_check_digest_bless_then_match(self, scratch_goldens):
         digest = {"events": 7}
-        assert check_digest("s", digest, bless=True, directory=tmp_path) == []
-        assert check_digest("s", digest, directory=tmp_path) == []
-        lines = check_digest("s", {"events": 8}, directory=tmp_path)
+        assert check_digest("s", digest, bless=True) == []
+        assert check_digest("s", digest) == []
+        lines = check_digest("s", {"events": 8})
         assert lines == ["events: golden=7 actual=8"]
 
     def test_format_diff_is_actionable(self):

@@ -146,11 +146,6 @@ class TestViolationPlumbing:
         assert "[inv-a] x: first" in message
         assert "[inv-b] y: second" in message
 
-    def test_fail_fast(self):
-        validator = Validator(fail_fast=True)
-        with pytest.raises(InvariantError, match=r"\[unit-test\] widget: boom"):
-            validator.record("unit-test", "widget", "boom")
-
     def test_raise_on_violation_false_collects(self):
         with validating(raise_on_violation=False) as validator:
             validator.record("unit-test", "widget", "boom")

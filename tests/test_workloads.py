@@ -160,14 +160,6 @@ class TestSyntheticSamplers:
         with pytest.raises(ValueError):
             make_sampler("websearch", size_scale=-1)
 
-    def test_make_sampler_params_override(self):
-        sampler = make_sampler("fixed", params={"size_bytes": 42})
-        assert sampler.sample(random.Random(0)) == 42
-        uniform = make_sampler(
-            "uniform", params={"min_bytes": 5, "max_bytes": 6}
-        )
-        assert uniform.mean_bytes() == 5.5
-
 
 class TestArrivalProcesses:
     def test_poisson_mean_gap_matches_rate(self):
