@@ -6,9 +6,11 @@ the two subflows of each of 10,240 permutation flows to distinct paths,
 extract the model, and integrate 500 vector-solver steps while folding
 the samples into steady-state tail means.  Wall-clock is the benchmark
 statistic; the ``tracemalloc`` peak of one further traced run is
-recorded beside it as ``extra_info["tracemalloc_peak_mb"]``, because a
-cell that holds its network or trajectory while integrating shows up
-there before it shows up in the ledger's ``peak_rss_mb``.
+recorded beside it as ``extra_info["tracemalloc_peak_mb"]``, and that
+peak over the 20,480 subflows as ``extra_info["bytes_per_subflow"]``,
+because a cell that holds its network, path lists or trajectory while
+integrating shows up there before it shows up in the ledger's
+``peak_rss_mb``.
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_fluid.py --benchmark-only
 """
@@ -26,13 +28,17 @@ K16_VEC = FluidScenario(
     duration=0.01, k=16, solver="vector", seed=1,
 )
 
+#: 10,240 flows x 2 subflows.
+K16_VEC_SUBFLOWS = 20_480
+
 #: 500 Euler steps x (20,480 subflows + 6,144 links).
 K16_VEC_EVENTS = 13_312_000
 
 
 @pytest.mark.skipif(not vector_available(), reason="numpy not installed")
 def test_fluid_k16_vec_cell(benchmark):
-    """``_simulate`` of the k16_vec cell: wall-clock and tracemalloc peak."""
+    """``_simulate`` of the k16_vec cell: wall-clock, tracemalloc peak and
+    peak bytes per subflow."""
     result = benchmark.pedantic(_simulate, args=(K16_VEC,), rounds=3, iterations=1)
     assert result.events == K16_VEC_EVENTS
 
@@ -44,3 +50,4 @@ def test_fluid_k16_vec_cell(benchmark):
     finally:
         tracemalloc.stop()
     benchmark.extra_info["tracemalloc_peak_mb"] = peak / 2**20
+    benchmark.extra_info["bytes_per_subflow"] = peak / K16_VEC_SUBFLOWS

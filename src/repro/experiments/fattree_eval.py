@@ -65,6 +65,8 @@ class FatTreeScenario:
     def __post_init__(self) -> None:
         # What would otherwise fail inside the cell, checked before any
         # topology is built.
+        if self.duration <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration}")
         hosts = fattree_hosts(self.k)
         if self.pattern == "incast":
             check_rounds(hosts, SERVERS_PER_JOB, CONCURRENT_JOBS)

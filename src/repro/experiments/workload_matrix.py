@@ -145,6 +145,8 @@ class WorkloadScenario:
         # What would otherwise fail inside the cell, checked before any
         # topology is built.
         fattree_hosts(self.k)
+        if self.duration <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration}")
         if self.load <= 0:
             raise ValueError(f"load must be positive, got {self.load}")
         if self.size_scale <= 0:
@@ -281,6 +283,8 @@ class IncastSweepScenario:
     def __post_init__(self) -> None:
         # What would otherwise fail inside the cell, checked before any
         # topology is built.
+        if self.duration <= 0:
+            raise ValueError(f"duration must be positive, got {self.duration}")
         check_rounds(fattree_hosts(self.k), self.fan_in, self.concurrent_jobs)
 
     def label(self) -> str:

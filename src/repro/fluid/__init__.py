@@ -4,7 +4,8 @@ The packet engine (``repro.sim`` + ``repro.net``) simulates every
 segment; this package simulates the *fluid limit* of the same system —
 per-subflow window ODEs (paper Eq. 2, extended with TraSh coupling,
 Eq. 9) coupled to per-link queue/marking state extracted from the same
-``repro.topology`` builders and path enumeration the packet engine uses.
+``repro.topology`` builders and path enumeration the packet engine uses,
+into a :class:`FluidModel` of flat per-link and per-subflow columns.
 A :class:`~repro.fluid.backend.FluidScenario` is a frozen RunSpec config
 like any packet scenario, so fluid cells flow through the same
 Campaign/cache/telemetry machinery (``kind="fluid"``).  Its result holds
@@ -28,13 +29,7 @@ the packet simulator is validated against.
 
 from repro.fluid.backend import FluidResult, FluidScenario
 from repro.fluid.laws import bos_window_ode, threshold_marking_probability
-from repro.fluid.model import (
-    PACKET_BITS,
-    FluidLink,
-    FluidModel,
-    FluidSubflow,
-    model_from_network,
-)
+from repro.fluid.model import PACKET_BITS, FluidModel, model_from_network
 from repro.fluid.solver import (
     SAMPLE_STRIDE,
     FluidTrajectory,
@@ -48,11 +43,9 @@ from repro.fluid.solver import (
 __all__ = [
     "PACKET_BITS",
     "SAMPLE_STRIDE",
-    "FluidLink",
     "FluidModel",
     "FluidResult",
     "FluidScenario",
-    "FluidSubflow",
     "FluidTrajectory",
     "bos_window_ode",
     "integrate_model",

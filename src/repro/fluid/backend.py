@@ -100,6 +100,8 @@ class FluidScenario:
         if self.sample_stride < 1:
             raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
         step_count(self.duration, self.dt)  # both must be positive
+        if self.dt > self.duration:
+            raise ValueError(f"dt ({self.dt}) must not exceed duration ({self.duration})")
 
     def label(self) -> str:
         base = scheme_label(self.scheme, self.subflows)
@@ -185,8 +187,8 @@ def flow_goodputs_bps(
 
 
 def _build_model(scenario: FluidScenario) -> FluidModel:
-    """The scenario's fluid model.  The network and path lists it is
-    extracted from are garbage once this returns."""
+    """The scenario's fluid model.  Each flow's paths are selected as the
+    model consumes them, and the network is garbage once this returns."""
     if scenario.topology == "bottleneck":
         net = build_single_bottleneck(
             num_pairs=scenario.flows,
@@ -197,10 +199,10 @@ def _build_model(scenario: FluidScenario) -> FluidModel:
         )
         # The dumbbell has one path per pair; extra subflows share it
         # (what multiple addresses on one physical path would do).
-        flow_paths = [
+        flow_paths = (
             [net.flow_path(flow)] * scenario.subflows
             for flow in range(scenario.flows)
-        ]
+        )
     else:
         net = build_fattree(
             k=scenario.k,
@@ -213,10 +215,10 @@ def _build_model(scenario: FluidScenario) -> FluidModel:
             net.host_names, scenario.flows, streams.stream("fluid-perm")
         )
         selector = DistinctPathSelector(streams.stream("fluid-paths"))
-        flow_paths = [
+        flow_paths = (
             selector.select(net.paths(src, dst), flow, scenario.subflows)
             for flow, (src, dst) in enumerate(pairs)
-        ]
+        )
     return model_from_network(net, flow_paths)
 
 
@@ -247,10 +249,10 @@ def _simulate(scenario: FluidScenario) -> FluidResult:
         windows=windows,
         rates=rates,
         queues=queues,
-        link_names=tuple(link.name for link in model.links),
-        flow_of_subflow=tuple(sf.flow for sf in model.subflows),
+        link_names=model.link_names,
+        flow_of_subflow=tuple(model.flow_of),
         num_flows=model.num_flows,
-        events=steps * (len(model.subflows) + len(model.links)),
+        events=steps * (len(model.flow_of) + len(model.link_names)),
     )
 
 

@@ -251,7 +251,7 @@ def _fluid_steady_state(
     trajectory = integrate_model(model, **_solver_args(scenario))
     goodputs = flow_goodputs_bps(
         trajectory.steady_state_rates(TAIL_FRACTION),
-        [subflow.flow for subflow in model.subflows],
+        model.flow_of,
         model.num_flows,
     )
     return trajectory, goodputs

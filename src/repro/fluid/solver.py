@@ -22,7 +22,7 @@ of :func:`sample_count` ``(time, windows, rates, queues)`` samples;
 drift; each keeps its own link, path and flow arithmetic:
 
 * ``"reference"`` — pure Python, the executable specification; and
-* ``"vector"`` — numpy segment reductions over flattened path arrays,
+* ``"vector"`` — numpy over a padded (subflows x width) hop matrix,
   for the 10^4-10^6-subflow scenarios the reference loop cannot reach.
   Requires numpy (an optional test/bench dependency — the choice is
   explicit in the spec, never auto-detected, so a spec's fingerprint
@@ -41,6 +41,7 @@ designed from (``benchmarks/test_ablation_fluid.py`` and the tests).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
@@ -172,13 +173,10 @@ def stream_model(
         raise ValueError(f"unknown solver {solver!r} (one of {SOLVERS})")
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-    if not model.subflows:
+    if not model.flow_of:
         raise ValueError("model has no subflows")
     # The scheme's signal picks the knee: ECN's K or the buffer limit.
-    ecn = SCHEMES[scheme].ecn
-    knees = [
-        link.ecn_threshold if ecn else link.drop_threshold for link in model.links
-    ]
+    knees = model.ecn_threshold if SCHEMES[scheme].ecn else model.drop_threshold
     integrate = _integrate_vector if solver == "vector" else _integrate_reference
     return integrate(
         model, law, knees, step_count(duration, dt), dt, beta, w0, sample_stride
@@ -196,8 +194,9 @@ def integrate_model(
     solver: str = "reference",
 ) -> FluidTrajectory:
     """Euler-integrate ``model`` under ``scheme`` for ``duration``."""
-    names = [link.name for link in model.links]
-    out = FluidTrajectory.empty(len(model.subflows), names, step_count(duration, dt), dt)
+    out = FluidTrajectory.empty(
+        len(model.flow_of), model.link_names, step_count(duration, dt), dt
+    )
     for sample in stream_model(model, scheme, duration, dt, beta, w0, sample_stride, solver):
         out.record(*sample)
     return out
@@ -276,7 +275,7 @@ def _vector_drift(np, law, beta, w, p, rtt, x, flow_offsets, flow_of, state) -> 
 def _integrate_reference(
     model: FluidModel,
     law: laws.FluidLaw,
-    knees: List[float],
+    knees: array,
     steps: int,
     dt: float,
     beta: float,
@@ -284,13 +283,15 @@ def _integrate_reference(
     sample_stride: int,
 ) -> Iterator[Tuple]:
     """The pure-Python executable specification of one Euler step."""
-    num_links = len(model.links)
-    num_subflows = len(model.subflows)
-    caps = [link.capacity_pps for link in model.links]
-    paths = [subflow.links for subflow in model.subflows]
-    base = [subflow.base_rtt for subflow in model.subflows]
-    slices = model.flow_slices()
-    flow_of = [subflow.flow for subflow in model.subflows]
+    num_links = len(model.link_names)
+    num_subflows = len(model.flow_of)
+    caps = model.capacity_pps.tolist()
+    starts = model.path_start
+    paths = [model.path_links[start:end].tolist() for start, end in zip(starts, starts[1:])]
+    base = model.base_rtt.tolist()
+    flow_of = model.flow_of.tolist()
+    bounds = [bisect_left(flow_of, flow) for flow in range(model.num_flows + 1)]
+    slices = list(zip(bounds, bounds[1:]))
 
     w = [float(w0)] * num_subflows
     q = [0.0] * num_links
@@ -334,10 +335,33 @@ def _integrate_reference(
             yield i * dt, w, rates, q
 
 
+def _hop_sum(columns, out):
+    """The hop matrix's row sums, from its (at least two) column views, as
+    ``np.add.reduceat`` sums a segment of at most 8: it seeds with ``a0``
+    and adds the rest's pairwise sum, a left fold below 8 elements, so
+    ``a0 + ((((a1 + a2) + a3) + a4) + a5)``.  Past width 8 reduceat turns
+    pairwise and the two differ in the last bits; no path here exceeds 6 hops.
+    """
+    out[:] = columns[1]
+    for column in columns[2:]:
+        out += column
+    out += columns[0]
+    return out
+
+
+def _hop_product(columns, out):
+    """The hop matrix's row products, left to right: the order
+    ``np.multiply.reduceat`` folds a segment in at any width."""
+    out[:] = columns[0]
+    for column in columns[1:]:
+        out *= column
+    return out
+
+
 def _integrate_vector(
     model: FluidModel,
     law: laws.FluidLaw,
-    knees: List[float],
+    knees: array,
     steps: int,
     dt: float,
     beta: float,
@@ -346,12 +370,14 @@ def _integrate_vector(
 ) -> Iterator[Tuple]:
     """numpy mirror of :func:`_integrate_reference` (same semantics).
 
-    Paths are flattened into one link-index array with per-subflow
-    segment offsets; per-subflow sums/products and per-flow reductions
-    are ``ufunc.reduceat`` calls, and arrivals scatter back with
-    ``bincount``.  Float summation *order* differs from the reference
-    loop, so trajectories agree only to integration tolerance — which
-    is why the spec names the solver explicitly.
+    The model's columns are wrapped, not copied.  Paths become a
+    (subflows x width >= 2) hop matrix padded with a sentinel link of
+    delay 0 and survival 1.  Each step gathers through it into one
+    preallocated buffer and folds the rows (:func:`_hop_sum`,
+    :func:`_hop_product`); ``bincount`` over the row-major matrix adds
+    each link's rates in subflow order.  Float summation *order* differs
+    from the reference loop, so trajectories agree only to integration
+    tolerance — which is why the spec names the solver explicitly.
     """
     try:
         import numpy as np
@@ -360,41 +386,51 @@ def _integrate_vector(
             "the 'vector' fluid solver requires numpy; use solver='reference'"
         ) from None
 
-    num_links = len(model.links)
-    num_subflows = len(model.subflows)
-    caps = np.array([link.capacity_pps for link in model.links])
-    knee = np.array(knees)
-    base = np.array([subflow.base_rtt for subflow in model.subflows])
-    path_links = np.concatenate(
-        [np.asarray(subflow.links, dtype=np.int64) for subflow in model.subflows]
-    )
-    path_lens = np.array(
-        [len(subflow.links) for subflow in model.subflows], dtype=np.int64
-    )
-    sub_offsets = np.concatenate(([0], np.cumsum(path_lens)[:-1]))
-    path_sub = np.repeat(np.arange(num_subflows, dtype=np.int64), path_lens)
-    slices = model.flow_slices()
-    flow_offsets = np.array([start for start, _ in slices], dtype=np.int64)
-    flow_of = np.array([subflow.flow for subflow in model.subflows], dtype=np.int64)
+    num_links = len(model.link_names)
+    num_subflows = len(model.flow_of)
+    caps = np.frombuffer(model.capacity_pps)
+    knee = np.frombuffer(knees)
+    base = np.frombuffer(model.base_rtt)
+    flow_of = np.frombuffer(model.flow_of, dtype=np.int64)
+    flow_offsets = np.searchsorted(flow_of, np.arange(model.num_flows))
+    path_lens = np.diff(np.frombuffer(model.path_start, dtype=np.int64))
+    hops = np.full((num_subflows, max(2, path_lens.max())), num_links, dtype=np.int64)
+    hops[np.arange(hops.shape[1]) < path_lens[:, None]] = model.path_links
+
+    # What the hops gather: one entry per link, the sentinel link last.
+    # Every hop index is in range, so the gathers use mode="wrap": under
+    # the default "raise", np.take buffers ``out`` instead of filling it.
+    delay = np.zeros(num_links + 1)
+    survival = np.ones(num_links + 1)
+    link_delay, link_survival = delay[:-1], survival[:-1]
+    hop_values = np.empty(hops.shape)
+    columns = [hop_values[:, hop] for hop in range(hops.shape[1])]
+    path_value = np.empty(num_subflows)
+    hop_links = hops.ravel()
 
     w = np.full(num_subflows, float(w0))
     q = np.zeros(num_links)
     state = None if law.state0 is None else np.full(num_subflows, law.state0)
 
     for i in range(steps):
-        delay = q / caps
+        np.divide(q, caps, out=link_delay)
         exponent = (knee - q) / laws.MARKING_WIDTH
         p_link = 1.0 / (1.0 + np.exp(np.minimum(exponent, laws.MAX_EXPONENT, out=exponent)))
-        rtt = base + np.add.reduceat(delay[path_links], sub_offsets)
-        survive = np.multiply.reduceat(1.0 - p_link[path_links], sub_offsets)
-        p = 1.0 - survive
+        np.subtract(1.0, p_link, out=link_survival)
+        np.take(delay, hops, out=hop_values, mode="wrap")
+        rtt = base + _hop_sum(columns, path_value)
+        np.take(survival, hops, out=hop_values, mode="wrap")
+        p = 1.0 - _hop_product(columns, path_value)
         x = w / rtt
 
         dw, dstate = _vector_drift(np, law, beta, w, p, rtt, x, flow_offsets, flow_of, state)
         w = np.maximum(w + dt * dw, laws.MIN_WINDOW)
         if state is not None:
             state = state + dt * dstate
-        arrivals = np.bincount(path_links, weights=x[path_sub], minlength=num_links)
+        hop_values[:] = x[:, None]
+        arrivals = np.bincount(
+            hop_links, weights=hop_values.ravel(), minlength=num_links + 1
+        )[:num_links]
         q = np.maximum(q + dt * (arrivals - caps), 0.0)
 
         if i % sample_stride == 0 or i == steps - 1:

@@ -252,10 +252,19 @@ class TestInputValidation:
         (["incast", "--fan-ins", "16"], "need at least 17 hosts, got 16"),
         (["workload", "--loads", "0"], "load must be positive"),
         (["table1", "--k", "3"], "k must be an even integer >= 2, got 3"),
+        (["table1", "--duration", "0"], "duration must be positive, got 0.0"),
+        (["table1", "--duration", "-1"], "duration must be positive, got -1.0"),
+        (["incast", "--duration", "-0.1"], "duration must be positive, got -0.1"),
+        (["workload", "--duration", "0"], "duration must be positive, got 0.0"),
+        (["fluid", "--duration", "0.01", "--dt", "0.02"], "must not exceed duration"),
+        (["fluid", "--duration", "0.01", "--dt", "1"], "must not exceed duration"),
     ], ids=["zero-subflows-spec", "fluid-subflows", "fluid-flows",
             "fluid-scheme", "profile-pattern", "profile-duration",
             "fluid-duration", "fluid-odd-k", "fluid-beta",
-            "incast-fan-in", "workload-load", "table1-odd-k"])
+            "incast-fan-in", "workload-load", "table1-odd-k",
+            "table1-zero-duration", "table1-negative-duration",
+            "incast-negative-duration", "workload-zero-duration",
+            "fluid-dt-over-duration", "fluid-dt-one"])
     def test_bad_value_fails_at_parse_time_not_inside_a_cell(
         self, argv, complaint, capsys, monkeypatch
     ):

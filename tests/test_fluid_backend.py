@@ -12,11 +12,13 @@ import math
 import pickle
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
 from repro import fluid
 from repro.core import utility
+from repro.core.bos import DEFAULT_BETA
 from repro.fluid import (
     FluidScenario,
     integrate_model,
@@ -28,6 +30,8 @@ from repro.fluid.laws import (
     FLUID_LAWS,
     FLUID_SCHEMES,
     MARKING_WIDTH,
+    MAX_EXPONENT,
+    MIN_WINDOW,
     threshold_marking_probability,
 )
 from repro.fluid.solver import (
@@ -38,6 +42,7 @@ from repro.fluid.solver import (
     stream_model,
 )
 from repro.metrics.series import TimeSeries
+from repro.mptcp.coupling import SCHEMES
 from repro.net.network import Network
 from repro.net.routing import DistinctPathSelector
 from repro.sim.units import seconds
@@ -357,6 +362,122 @@ class TestSolverEquivalence:
         assert printed[0] == printed[1]
 
 
+STREAM_DT = 2e-5
+
+
+# ----------------------------------------------------------------------
+# The model is stdlib columns; the hop matrix equals the reductions it
+# replaced
+# ----------------------------------------------------------------------
+
+
+class TestModelColumns:
+    def test_consumes_a_generator_into_array_columns(self):
+        net = build_fattree(k=4)
+        hosts = net.host_names
+        drawn = []
+
+        def flow_paths():
+            for flow, dst in enumerate(hosts[1:] + hosts[:1]):
+                drawn.append(flow)
+                yield net.paths(hosts[flow], dst)[:2]
+
+        paths = flow_paths()
+        model = model_from_network(net, paths)
+        assert next(paths, None) is None and drawn == list(range(len(hosts)))
+        assert model.num_flows == len(hosts)
+        kinds = {
+            field.name: type(getattr(model, field.name))
+            for field in dataclasses.fields(model)
+        }
+        assert kinds == {
+            "link_names": tuple, "num_flows": int,
+            **{name: array for name in (
+                "capacity_pps", "ecn_threshold", "drop_threshold",
+                "flow_of", "base_rtt", "path_start", "path_links",
+            )},
+        }
+        assert all(isinstance(name, str) for name in model.link_names)
+        for name in ("capacity_pps", "ecn_threshold", "drop_threshold"):
+            column = getattr(model, name)
+            assert column.typecode == "d" and len(column) == len(model.link_names)
+        assert model.flow_of.typecode == "q" and model.base_rtt.typecode == "d"
+        assert len(model.flow_of) == len(model.base_rtt) == len(model.path_start) - 1
+        assert model.path_start[0] == 0 and model.path_start[-1] == len(model.path_links)
+        assert list(model.flow_of) == sorted(model.flow_of)
+
+    @pytest.mark.parametrize("flow_paths, complaint", [
+        ([[]], "no paths"), ([[()]], "empty path"),
+    ])
+    def test_flows_without_a_path_are_rejected(self, flow_paths, complaint):
+        net = build_single_bottleneck(num_pairs=1)
+        with pytest.raises(ValueError, match=complaint):
+            model_from_network(net, iter(flow_paths))
+
+
+def reduceat_step(np, model, law, knees, beta, dt, w, q, state):
+    """One vector Euler step as the solver took it before the hop matrix:
+    per-subflow ``np.add.reduceat`` / ``np.multiply.reduceat`` over the
+    flat path array and a ``bincount`` scatter over it.  The oracle the
+    hop matrix must equal bit for bit."""
+    flat = np.frombuffer(model.path_links, dtype=np.int64)
+    starts = np.frombuffer(model.path_start, dtype=np.int64)
+    caps = np.frombuffer(model.capacity_pps)
+    exponent = (np.frombuffer(knees) - q) / MARKING_WIDTH
+    p_link = 1.0 / (1.0 + np.exp(np.minimum(exponent, MAX_EXPONENT)))
+    rtt = np.frombuffer(model.base_rtt) + np.add.reduceat((q / caps)[flat], starts[:-1])
+    survival = np.multiply.reduceat(1.0 - p_link[flat], starts[:-1])
+    x = w / rtt
+    flow_of = np.frombuffer(model.flow_of, dtype=np.int64)
+    offsets = np.searchsorted(flow_of, np.arange(model.num_flows))
+    dw, dstate = _vector_drift(np, law, beta, w, 1.0 - survival, rtt, x, offsets, flow_of, state)
+    arrivals = np.bincount(flat, weights=np.repeat(x, np.diff(starts)), minlength=len(caps))
+    return (
+        np.maximum(w + dt * dw, MIN_WINDOW),
+        x,
+        np.maximum(q + dt * (arrivals - caps), 0.0),
+        None if state is None else state + dt * dstate,
+    )
+
+
+@pytest.mark.skipif(not vector_available(), reason="numpy not installed")
+@pytest.mark.parametrize("scheme", FLUID_SCHEMES)
+@pytest.mark.parametrize("topology, flows, subflows, widths", [
+    ("fattree", 64, 3, {2, 4, 6}), ("bottleneck", 4, 2, {3}),
+])
+def test_hop_matrix_equals_reduceat_oracle(scheme, topology, flows, subflows, widths):
+    """Every step of the vector solver equals :func:`reduceat_step` from
+    the solver's own previous state, with ``==``: the per-subflow RTT
+    (through the yielded rates), the path survival (through the windows)
+    and the per-link arrivals (through the queues).  Four permutation
+    rounds put many subflows, at different hop positions, on each link,
+    so a scatter in another order would show."""
+    import numpy as np
+
+    model = _build_model(FluidScenario(
+        scheme=scheme, topology=topology, flows=flows, subflows=subflows,
+    ))
+    assert set(np.diff(np.frombuffer(model.path_start, dtype=np.int64))) == widths
+    law = FLUID_LAWS[scheme]
+    knees = model.ecn_threshold if SCHEMES[scheme].ecn else model.drop_threshold
+    w = np.full(len(model.flow_of), 20.0)  # enough to queue from the first step
+    q = np.zeros(len(model.link_names))
+    state = None if law.state0 is None else np.full(len(w), law.state0)
+    steps = 0
+    for _, windows, rates, queues in stream_model(
+        model, scheme, duration=60 * STREAM_DT, dt=STREAM_DT, w0=20.0,
+        sample_stride=1, solver="vector",
+    ):
+        w, x, q, state = reduceat_step(
+            np, model, law, knees, DEFAULT_BETA, STREAM_DT, w, q, state
+        )
+        assert rates.tolist() == x.tolist()
+        assert windows.tolist() == w.tolist()
+        assert queues.tolist() == q.tolist()
+        steps += 1
+    assert steps == 60 and q.max() > 0.0
+
+
 # ----------------------------------------------------------------------
 # One law, one expression: both solvers evaluate the same drift
 # ----------------------------------------------------------------------
@@ -441,7 +562,6 @@ class TestOneExpression:
 
 STREAM_SOLVERS = ("reference", "vector") if vector_available() else ("reference",)
 STREAM_FRACTIONS = (0.3, 0.4, 1.0)
-STREAM_DT = 2e-5
 
 
 def check_streamed_steady_state(scheme, solver, steps, stride):
@@ -555,9 +675,11 @@ class TestScenarioValidation:
         {"sample_stride": 0},
         {"duration": 0.0},
         {"dt": -1.0},
+        {"duration": 0.01, "dt": 0.02},
         {"topology": "fattree", "k": 3},
         {"beta": 1.5},
-    ], ids=["solver", "topology", "stride", "duration", "dt", "odd-k", "beta"])
+    ], ids=["solver", "topology", "stride", "duration", "dt", "dt-over-duration",
+            "odd-k", "beta"])
     def test_bad_spec_fails_at_construction(self, spec):
         with pytest.raises(ValueError):
             FluidScenario(**spec)

@@ -457,3 +457,24 @@ def test_packet_cells_never_import_numpy():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_reference_fluid_cells_never_import_numpy():
+    """The fluid model is stdlib columns and the reference solver pure
+    Python, so only ``solver="vector"`` may pull numpy in."""
+    code = (
+        "import sys\n"
+        "from repro.runner import RunSpec, execute\n"
+        "from repro.fluid import FluidScenario\n"
+        "cell = execute(RunSpec('fluid', FluidScenario(\n"
+        "    topology='fattree', flows=16, subflows=2, duration=0.002,\n"
+        "    solver='reference')))\n"
+        "assert cell.value.num_flows == 16\n"
+        "print('numpy' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC), "PATH": ""},
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "False"
