@@ -52,12 +52,14 @@ import sys
 from typing import Any, Callable, Dict, Iterable, NoReturn, Optional, Sequence, Tuple
 
 from repro.experiments.catalog import (
-    EXPERIMENTS,
     K,
     PATTERN,
+    ROWS,
     SEED,
     Experiment,
     Flag,
+    experiment,
+    experiments,
     flag,
 )
 from repro.experiments.fattree_eval import FatTreeScenario
@@ -72,12 +74,17 @@ from repro.runner import (
 from repro.runner.registry import BACKEND_PACKET, backend_of
 from repro.sim.probe import exported
 
-#: kind -> config class of every packet-engine row: what ``profile`` can run.
-PROFILE_KINDS = {
-    row.kind: row.config
-    for row in EXPERIMENTS.values()
-    if backend_of(row.kind) == BACKEND_PACKET
-}
+#: Every subcommand, in the full parser's order.
+COMMANDS = ("list", *ROWS, "lint", "validate", "export", "profile")
+
+
+def _profile_kinds() -> Dict[str, type]:
+    """kind -> config class of every packet-engine row: what ``profile`` can run."""
+    return {
+        row.kind: row.config
+        for row in experiments().values()
+        if backend_of(row.kind) == BACKEND_PACKET
+    }
 
 
 def _scenario_flags(
@@ -137,16 +144,21 @@ def _add_runner_options(p: argparse.ArgumentParser) -> None:
                             "simulated cells; see OBSERVABILITY.md)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``repro`` parser.  Given an experiment row's name it holds only
+    that row's subcommand, so no other row is built; its usage still
+    names every subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce experiments from the XMP paper (CoNEXT'13).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    rows = experiments().values() if command is None else [experiment(command)]
+    if command is None:
+        sub.add_parser("list", help="list available experiments and cell counts")
 
-    sub.add_parser("list", help="list available experiments and cell counts")
-
-    for row in EXPERIMENTS.values():
+    for row in rows:
         p = sub.add_parser(row.name, help=row.help)
         _add_flags(p, row.flags)
         if row.name == "fluid":
@@ -159,6 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                      "scenarios instead of running one cell "
                      "(optionally restrict to one topology)")
         _add_runner_options(p)
+    if command is not None:
+        return parser
 
     p = sub.add_parser(
         "lint",
@@ -182,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_runner_options(p)
 
     p = sub.add_parser("profile", help=TOOLS["profile"][1])
-    p.add_argument("experiment", choices=tuple(PROFILE_KINDS),
+    p.add_argument("experiment", choices=tuple(_profile_kinds()),
                    help="registered experiment kind to profile")
     _add_flags(p, PROFILE_FLAGS)
     p.add_argument("--top", type=int, default=12, metavar="N",
@@ -319,7 +333,7 @@ def _run_profile(args: argparse.Namespace) -> str:
     kind = args.experiment
     # The row's own flag -> config split: what is left over names no field.
     config, unknown = Experiment(
-        kind, "", kind, PROFILE_KINDS[kind], PROFILE_FLAGS
+        kind, "", kind, _profile_kinds()[kind], PROFILE_FLAGS
     ).parse(vars(args))
     if unknown:
         _usage_error(
@@ -380,7 +394,7 @@ def _list_text() -> str:
     ``--jobs`` — computed from each row's default grid."""
     from repro.validate.scenarios import scenario_names
 
-    entries = [(row.name, len(row.grid()), row.help) for row in EXPERIMENTS.values()]
+    entries = [(row.name, len(row.grid()), row.help) for row in experiments().values()]
     tool_cells = {"export": 1, "validate": len(scenario_names()), "profile": 1}
     entries += [(name, tool_cells[name], text) for name, (_, text) in TOOLS.items()]
     lines = [
@@ -397,7 +411,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv[:1] == ["--list"]:
         print(_list_text())
         return 0
-    args = build_parser().parse_args(argv)
+    # A row's own command builds only its own row (and imports its driver).
+    args = build_parser(argv[0] if argv[:1] and argv[0] in ROWS else None).parse_args(argv)
+    if getattr(args, "jobs", 1) < 1:
+        _usage_error(f"--jobs must be at least 1, got {args.jobs}")
     if args.command == "list":
         print(_list_text())
         return 0
@@ -411,8 +428,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # this one command so the calling process is left as it was found.
     validating = getattr(args, "validate", False)
     with exported("REPRO_VALIDATE") if validating else contextlib.nullcontext():
-        if args.command in EXPERIMENTS:
-            print(_run_experiment(EXPERIMENTS[args.command], args))
+        if args.command in ROWS:
+            print(_run_experiment(experiment(args.command), args))
         else:
             print(TOOLS[args.command][0](args))
     return 0

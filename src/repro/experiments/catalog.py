@@ -14,6 +14,12 @@ only driver::
                 campaign=Campaign(jobs=4), patterns=("permutation",))
     print(table.format())
 
+Rows are built on demand: ``ROWS`` maps each name to a small function
+that imports the row's own driver module and builds the row,
+:func:`experiment` builds and memoises one row and :func:`experiments`
+all of them, so running one row never imports the drivers of the other
+twelve.
+
 The CLI (:mod:`repro.cli`) builds its subcommands, ``list`` and dispatch
 from the same rows: a flag whose dest is a field of the row's config
 feeds the base config, any other dest is a sweep axis of ``cells``, and
@@ -23,34 +29,15 @@ a value of ``None`` means "not given".
 from __future__ import annotations
 
 import dataclasses
+import importlib
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.experiments import (
-    fig8_goodput_dist,
-    fig9_jct_cdf,
-    fig10_rtt,
-    fig11_utilization,
-    table1_goodput,
-    table2_coexistence,
-    workload_matrix,
-)
 from repro.experiments.fattree_eval import PATTERNS, FatTreeScenario
-from repro.experiments.fig1_convergence import Fig1Config
-from repro.experiments.fig4_traffic_shifting import Fig4Config
-from repro.experiments.fig6_fairness import Fig6Config
-from repro.experiments.fig7_rate_compensation import Fig7Config
-from repro.experiments.fig10_rtt import FIG10_SCHEMES
 from repro.experiments.table1_goodput import TABLE1_SCHEMES, scenarios_for
-from repro.fluid.backend import TOPOLOGIES as FLUID_TOPOLOGIES, FluidScenario
-from repro.fluid.laws import FLUID_SCHEMES
-from repro.fluid.solver import SOLVERS as FLUID_SOLVERS
 from repro.mptcp.coupling import parse_scheme_spec
 from repro.runner import Campaign, CampaignResult, RunSpec
-from repro.workloads.arrivals import ARRIVAL_NAMES
-from repro.workloads.cdf import WORKLOAD_NAMES
-from repro.workloads.partition_aggregate import DEFAULT_RESPONSE_BYTES
 
 #: One CLI flag: the option string and its ``add_argument`` keywords.
 Flag = Tuple[str, Dict[str, Any]]
@@ -122,15 +109,18 @@ def run(
     ``Campaign()`` (serial, process-wide cache); ``axes`` are the
     keywords of the row's ``cells`` (``schemes=``, ``patterns=``, ...).
     """
-    row = EXPERIMENTS[name]
+    row = experiment(name)
     return row.run(row.grid(base, **axes), campaign or Campaign())[0]
 
 
 def _scheme_cells(
-    base: FatTreeScenario, schemes: Schemes = FIG10_SCHEMES
+    base: FatTreeScenario, schemes: Optional[Schemes] = None
 ) -> List[FatTreeScenario]:
-    """The shared grid's slice at the base's own pattern (Figs. 8/10/11)."""
-    return scenarios_for(base, schemes, (base.pattern,))
+    """The shared grid's slice at the base's own pattern (Figs. 8/10/11);
+    ``schemes`` defaults to Fig. 10's."""
+    from repro.experiments.fig10_rtt import FIG10_SCHEMES
+
+    return scenarios_for(base, FIG10_SCHEMES if schemes is None else schemes, (base.pattern,))
 
 
 # ----------------------------------------------------------------------
@@ -155,66 +145,40 @@ def _threshold(default: int) -> Flag:
 
 
 def _schemes(help: str) -> Flag:
+    from repro.experiments.workload_matrix import MATRIX_SCHEMES
+
     return flag("--schemes", nargs="+", type=parse_scheme_spec,
-                metavar="SCHEME[-N]", default=list(workload_matrix.MATRIX_SCHEMES), help=help)
+                metavar="SCHEME[-N]", default=list(MATRIX_SCHEMES), help=help)
 
 
-def _fattree(name: str, help: str, cells, view, *flags: Flag) -> Experiment:
-    """A §5.2 row: one more reading of the shared fat-tree grid."""
+def _driver(name: str) -> Any:
+    """The driver module ``repro.experiments.<name>``, imported on first use."""
+    return importlib.import_module(f"repro.experiments.{name}")
+
+
+def _figure(name: str, help: str, driver: str, config: str, *flags: Flag) -> Experiment:
+    """A testbed/torus/bottleneck row: one cell of kind ``name`` whose
+    config class is ``config`` in its driver module."""
+    return Experiment(name, help, name, getattr(_driver(driver), config), flags)
+
+
+def _fattree(
+    name: str, help: str, driver: str, cells: Optional[Callable[..., List[Any]]], *flags: Flag
+) -> Experiment:
+    """A §5.2 row: one more reading of the shared fat-tree grid, folded by
+    its driver module's ``view`` (``cells=None``: the driver's own)."""
+    module = _driver(driver)
+    cells, view = cells or module.cells, module.view
     shared = (flag("--duration", type=float, default=0.4), K, SEED)
     return Experiment(name, help, "fattree", FatTreeScenario, shared + flags, cells, view)
 
 
-_ROWS = (
-    Experiment(
-        "fig1", "Fig. 1: convergence on one bottleneck", "fig1", Fig1Config,
-        (
-            flag("--scheme", choices=("dctcp", "bos"), default="dctcp"),
-            _threshold(10),
-            flag("--beta", type=float, default=2.0),
-            flag("--interval", type=float, default=1.0,
-                 help="seconds between joins/leaves (paper: 5)"),
-        ),
-    ),
-    Experiment(
-        "fig4", "Fig. 4: traffic shifting testbed", "fig4", Fig4Config,
-        (BETA, flag("--time-scale", type=float, default=0.2)),
-    ),
-    Experiment(
-        "fig6", "Fig. 6: fairness vs subflow count", "fig6", Fig6Config,
-        (BETA, flag("--time-scale", type=float, default=0.2)),
-    ),
-    Experiment(
-        "fig7", "Fig. 7: torus rate compensation", "fig7", Fig7Config,
-        (BETA, _threshold(20), flag("--time-scale", type=float, default=0.05)),
-    ),
-    _fattree(
-        "table1", "Table 1: goodput per scheme per pattern",
-        scenarios_for, table1_goodput.view,
-        pattern_flag("--patterns", nargs="+", default=list(PATTERNS)),
-    ),
-    _fattree(
-        "table2", "Table 2: XMP coexistence",
-        table2_coexistence.cells, table2_coexistence.view,
-    ),
-    _fattree(
-        "fig8", "Fig. 8: goodput distribution by category",
-        partial(_scheme_cells, schemes=TABLE1_SCHEMES), fig8_goodput_dist.view,
-        PATTERN,
-    ),
-    _fattree(
-        "jct", "Fig. 9 / Table 3: incast job completion times",
-        partial(scenarios_for, patterns=("incast",)), fig9_jct_cdf.view,
-    ),
-    _fattree(
-        "rtt", "Fig. 10: RTT by category",
-        _scheme_cells, fig10_rtt.view, PATTERN,
-    ),
-    _fattree(
-        "utilization", "Fig. 11: utilization by layer",
-        _scheme_cells, fig11_utilization.view, PATTERN,
-    ),
-    Experiment(
+def _workload() -> Experiment:
+    from repro.experiments import workload_matrix
+    from repro.workloads.arrivals import ARRIVAL_NAMES
+    from repro.workloads.cdf import WORKLOAD_NAMES
+
+    return Experiment(
         "workload",
         "workload matrix: empirical flow sizes, open-loop arrivals, "
         "FCT/queue-depth by load 0.1-0.9",
@@ -238,8 +202,14 @@ _ROWS = (
             K, SEED,
         ),
         cells=workload_matrix.matrix_cells, view=workload_matrix.matrix_view,
-    ),
-    Experiment(
+    )
+
+
+def _incast() -> Experiment:
+    from repro.experiments import workload_matrix
+    from repro.workloads.partition_aggregate import DEFAULT_RESPONSE_BYTES
+
+    return Experiment(
         "incast",
         "incast sweep: partition-aggregate fan-in vs JCT and goodput "
         "collapse",
@@ -258,15 +228,22 @@ _ROWS = (
             flag("--duration", type=float, default=0.1), K, SEED,
         ),
         cells=workload_matrix.sweep_cells, view=workload_matrix.sweep_view,
-    ),
-    Experiment(
+    )
+
+
+def _fluid() -> Experiment:
+    from repro.fluid.backend import TOPOLOGIES, FluidScenario
+    from repro.fluid.laws import FLUID_SCHEMES
+    from repro.fluid.solver import SOLVERS
+
+    return Experiment(
         "fluid",
         "fluid ODE backend: steady-state windows/goodput/queues; "
         "--crosscheck validates fluid against the packet engine",
         "fluid", FluidScenario,
         (
             flag("--scheme", default="xmp", choices=FLUID_SCHEMES),
-            flag("--topology", default="bottleneck", choices=FLUID_TOPOLOGIES),
+            flag("--topology", default="bottleneck", choices=TOPOLOGIES),
             flag("--flows", type=int, default=4,
                  help="long-lived flows (default 4)"),
             flag("--subflows", type=int, default=1),
@@ -278,23 +255,80 @@ _ROWS = (
             flag("--k", type=int, default=4,
                  help="fat-tree arity (fattree topology only)"),
             SEED,
-            flag("--solver", default="reference", choices=FLUID_SOLVERS,
+            flag("--solver", default="reference", choices=SOLVERS,
                  help="reference (pure python) or vector (numpy)"),
         ),
-    ),
-)
+    )
 
-#: name -> row, in ``python -m repro list`` order.
-EXPERIMENTS: Dict[str, Experiment] = {row.name: row for row in _ROWS}
+
+#: name -> the function that builds its row, in ``python -m repro list``
+#: order.  Each imports only its own row's driver module.
+ROWS: Dict[str, Callable[[], Experiment]] = {
+    "fig1": partial(
+        _figure, "fig1", "Fig. 1: convergence on one bottleneck", "fig1_convergence", "Fig1Config",
+        flag("--scheme", choices=("dctcp", "bos"), default="dctcp"),
+        _threshold(10),
+        flag("--beta", type=float, default=2.0),
+        flag("--interval", type=float, default=1.0,
+             help="seconds between joins/leaves (paper: 5)"),
+    ),
+    "fig4": partial(
+        _figure, "fig4", "Fig. 4: traffic shifting testbed", "fig4_traffic_shifting", "Fig4Config",
+        BETA, flag("--time-scale", type=float, default=0.2),
+    ),
+    "fig6": partial(
+        _figure, "fig6", "Fig. 6: fairness vs subflow count", "fig6_fairness", "Fig6Config",
+        BETA, flag("--time-scale", type=float, default=0.2),
+    ),
+    "fig7": partial(
+        _figure, "fig7", "Fig. 7: torus rate compensation", "fig7_rate_compensation", "Fig7Config",
+        BETA, _threshold(20), flag("--time-scale", type=float, default=0.05),
+    ),
+    "table1": partial(
+        _fattree, "table1", "Table 1: goodput per scheme per pattern", "table1_goodput",
+        scenarios_for, pattern_flag("--patterns", nargs="+", default=list(PATTERNS)),
+    ),
+    "table2": partial(_fattree, "table2", "Table 2: XMP coexistence", "table2_coexistence", None),
+    "fig8": partial(
+        _fattree, "fig8", "Fig. 8: goodput distribution by category", "fig8_goodput_dist",
+        partial(_scheme_cells, schemes=TABLE1_SCHEMES), PATTERN,
+    ),
+    "jct": partial(
+        _fattree, "jct", "Fig. 9 / Table 3: incast job completion times", "fig9_jct_cdf",
+        partial(scenarios_for, patterns=("incast",)),
+    ),
+    "rtt": partial(
+        _fattree, "rtt", "Fig. 10: RTT by category", "fig10_rtt", _scheme_cells, PATTERN,
+    ),
+    "utilization": partial(
+        _fattree, "utilization", "Fig. 11: utilization by layer", "fig11_utilization",
+        _scheme_cells, PATTERN,
+    ),
+    "workload": _workload, "incast": _incast, "fluid": _fluid,
+}
+
+
+@lru_cache(maxsize=None)
+def experiment(name: str) -> Experiment:
+    """Row ``name``, built (and its driver imported) on first use."""
+    return ROWS[name]()
+
+
+def experiments() -> Dict[str, Experiment]:
+    """Every row, name -> row, in ``list`` order."""
+    return {name: experiment(name) for name in ROWS}
+
 
 __all__ = [
-    "EXPERIMENTS",
     "Experiment",
     "Flag",
     "PATTERN",
     "K",
+    "ROWS",
     "SEED",
     "dest_of",
+    "experiment",
+    "experiments",
     "flag",
     "pattern_flag",
     "run",

@@ -16,7 +16,7 @@ import csv
 import dataclasses
 import json
 import pathlib
-from typing import Union
+from typing import Iterable, Union
 
 from repro.experiments.fattree_eval import FatTreeResult
 
@@ -27,6 +27,13 @@ def _ensure_dir(path: PathLike) -> pathlib.Path:
     directory = pathlib.Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     return directory
+
+
+def _write_csv(path: pathlib.Path, header: Iterable[str], rows: Iterable[Iterable]) -> None:
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def export_fattree_result(result: FatTreeResult, directory: PathLike) -> pathlib.Path:
@@ -49,47 +56,23 @@ def export_fattree_result(result: FatTreeResult, directory: PathLike) -> pathlib
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
 
-    with open(out / "flows.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ["scheme", "src", "dst", "category", "size_bytes",
-             "start_time", "complete_time", "delivered_bytes", "goodput_bps"]
-        )
-        for label in result.records:
-            for record in result.records[label] + result.unfinished.get(label, []):
-                writer.writerow(
-                    [
-                        record.scheme,
-                        record.src,
-                        record.dst,
-                        record.category,
-                        record.size_bytes,
-                        record.start_time,
-                        record.complete_time if record.complete_time is not None else "",
-                        record.delivered_bytes,
-                        record.goodput_bps(result.duration),
-                    ]
-                )
-
-    with open(out / "jct.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["jct_seconds"])
-        for jct in result.jcts:
-            writer.writerow([jct])
-
-    with open(out / "rtt_samples.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["category", "srtt_seconds"])
-        for category, samples in result.rtt_samples.items():
-            for sample in samples:
-                writer.writerow([category, sample])
-
-    with open(out / "links.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["link", "layer", "utilization"])
-        for name, layer, utilization in result.link_utilization:
-            writer.writerow([name, layer, utilization])
-
+    _write_csv(out / "flows.csv", (
+        "scheme", "src", "dst", "category", "size_bytes",
+        "start_time", "complete_time", "delivered_bytes", "goodput_bps",
+    ), (
+        (r.scheme, r.src, r.dst, r.category, r.size_bytes, r.start_time,
+         "" if r.complete_time is None else r.complete_time, r.delivered_bytes,
+         r.goodput_bps(result.duration))
+        for label in result.records
+        for r in result.records[label] + result.unfinished.get(label, [])
+    ))
+    _write_csv(out / "jct.csv", ("jct_seconds",), ((jct,) for jct in result.jcts))
+    _write_csv(out / "rtt_samples.csv", ("category", "srtt_seconds"), (
+        (category, sample)
+        for category, samples in result.rtt_samples.items()
+        for sample in samples
+    ))
+    _write_csv(out / "links.csv", ("link", "layer", "utilization"), result.link_utilization)
     return out
 
 
@@ -100,20 +83,11 @@ def export_campaign_metrics(campaign, directory: PathLike) -> pathlib.Path:
     iterable over :class:`repro.runner.RunResult`).
     """
     out = _ensure_dir(directory)
-    with open(out / "cells.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["cell", "source", "wall_seconds", "events", "events_per_sec"])
-        for result in campaign:
-            metrics = result.metrics
-            writer.writerow(
-                [
-                    result.spec.label(),
-                    metrics.source,
-                    metrics.wall_time_s,
-                    metrics.events,
-                    metrics.events_per_sec,
-                ]
-            )
+    _write_csv(out / "cells.csv", ("cell", "source", "wall_seconds", "events", "events_per_sec"), (
+        (r.spec.label(), r.metrics.source, r.metrics.wall_time_s, r.metrics.events,
+         r.metrics.events_per_sec)
+        for r in campaign
+    ))
     return out
 
 

@@ -2,8 +2,10 @@
 
 A paper evaluation is dozens of *independent* (scheme, pattern, seed)
 cells; :class:`Campaign` runs such a grid through the cache and, for the
-misses, over a :class:`concurrent.futures.ProcessPoolExecutor`.  Two
-properties make parallelism safe here:
+misses, over a :class:`concurrent.futures.ProcessPoolExecutor`.  The pool
+stack (``concurrent.futures``, ``multiprocessing`` and what they pull in)
+is imported only on the branch that forks, so a serial campaign never
+loads it.  Two properties make parallelism safe here:
 
 * every registered run function is pure — each cell builds its own
   :class:`~repro.sim.engine.Simulator` and
@@ -19,7 +21,6 @@ campaign; concurrent campaigns stay safe through atomic replace).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Iterable, List, Optional
 
@@ -96,6 +97,7 @@ class Campaign:
 
     Args:
         jobs: worker processes for cache misses; ``1`` runs inline.
+            Below ``1`` is a :class:`ValueError`.
         cache: the :class:`RunCache` to consult/fill; defaults to the
             process-wide :func:`default_cache`.
         use_cache: ``False`` disables lookup *and* store (the CLI's
@@ -114,7 +116,9 @@ class Campaign:
         use_cache: bool = True,
         telemetry: Optional[Any] = None,
     ) -> None:
-        self.jobs = max(1, int(jobs))
+        self.jobs = int(jobs)
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
         self.cache = (cache if cache is not None else default_cache()) if use_cache else None
         if telemetry is None:
             from repro.obs.telemetry import from_environment
@@ -155,6 +159,8 @@ class Campaign:
                 for index in misses:
                     results[index] = execute(spec_list[index])
             else:
+                from concurrent.futures import ProcessPoolExecutor
+
                 workers = min(self.jobs, len(misses))
                 with ProcessPoolExecutor(max_workers=workers) as pool:
                     futures = {

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.catalog import ROWS
 
 
 class TestParser:
@@ -18,9 +19,33 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
-    def test_unknown_command_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig99"])
+    def test_unknown_command_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["fig99"])
+        assert exit_info.value.code == 2
+        assert "argument command: invalid choice: 'fig99'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["table1", "--help"], ["fluid", "--help"], ["profile", "--help"],
+        ["table1", "--bogus"], ["fig1", "--jobs", "x"],
+    ], ids=["top", "table1", "fluid", "profile", "unknown-flag", "bad-int"])
+    def test_a_row_command_reads_as_the_full_parser(self, argv, capsys):
+        """main() hands a row's command a parser holding only that row;
+        its help and usage errors are the full parser's, byte for byte."""
+        printed = []
+        for parse in (main, build_parser().parse_args):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(argv)
+            printed.append((exit_info.value.code, capsys.readouterr()))
+        assert printed[0] == printed[1]
+
+    def test_list_names_every_subcommand_rows_first(self, capsys):
+        assert main(["list"]) == 0
+        listed = [line.split()[0] for line in capsys.readouterr().out.splitlines()[1:]]
+        [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+        commands = [name for name in sub.choices if name not in ("list", "lint")]
+        assert sorted(listed) == sorted(commands)
+        assert listed[:13] == commands[:13] == list(ROWS)
 
     def test_fig4_defaults(self):
         args = build_parser().parse_args(["fig4"])
@@ -178,9 +203,9 @@ class TestExperimentTable:
     """Every row of repro.experiments.catalog conforms to the one contract."""
 
     def rows(self):
-        from repro.experiments.catalog import EXPERIMENTS
+        from repro.experiments.catalog import experiments
 
-        return EXPERIMENTS
+        return experiments()
 
     def test_every_row_has_a_tiny_run(self):
         assert set(_tiny_runs()) == set(self.rows())
@@ -258,13 +283,15 @@ class TestInputValidation:
         (["workload", "--duration", "0"], "duration must be positive, got 0.0"),
         (["fluid", "--duration", "0.01", "--dt", "0.02"], "must not exceed duration"),
         (["fluid", "--duration", "0.01", "--dt", "1"], "must not exceed duration"),
+        (["table1", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+        (["table1", "--jobs", "-2"], "--jobs must be at least 1, got -2"),
     ], ids=["zero-subflows-spec", "fluid-subflows", "fluid-flows",
             "fluid-scheme", "profile-pattern", "profile-duration",
             "fluid-duration", "fluid-odd-k", "fluid-beta",
             "incast-fan-in", "workload-load", "table1-odd-k",
             "table1-zero-duration", "table1-negative-duration",
             "incast-negative-duration", "workload-zero-duration",
-            "fluid-dt-over-duration", "fluid-dt-one"])
+            "fluid-dt-over-duration", "fluid-dt-one", "jobs-zero", "jobs-negative"])
     def test_bad_value_fails_at_parse_time_not_inside_a_cell(
         self, argv, complaint, capsys, monkeypatch
     ):

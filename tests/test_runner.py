@@ -56,6 +56,11 @@ def tiny_grid():
 
 
 class TestParallelDeterminism:
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_fewer_than_one_job_is_an_error(self, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            Campaign(jobs=jobs)
+
     def test_jobs4_equals_jobs1(self):
         specs = tiny_grid()
         serial = Campaign(jobs=1, use_cache=False).run(specs)

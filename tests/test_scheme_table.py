@@ -85,12 +85,12 @@ class TestReadersFollowTheTable:
         assert set(FLUID_LAWS) <= set(SCHEMES)
 
     def test_catalog_choices_are_the_tables(self):
-        from repro.experiments.catalog import EXPERIMENTS
+        from repro.experiments.catalog import experiment
 
-        flags = dict(EXPERIMENTS["fluid"].flags)
+        flags = dict(experiment("fluid").flags)
         assert flags["--scheme"]["choices"] == FLUID_SCHEMES
         for name in ("workload", "incast"):
-            assert dict(EXPERIMENTS[name].flags)["--schemes"]["type"] is parse_scheme_spec
+            assert dict(experiment(name).flags)["--schemes"]["type"] is parse_scheme_spec
 
     @pytest.mark.parametrize("spec", ["xmp-0", "lia-00", "bogus", "bogus-2", ""])
     def test_bad_specs_fail_at_parse_time(self, spec):

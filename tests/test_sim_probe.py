@@ -438,8 +438,9 @@ def test_importing_the_model_layers_loads_no_tooling():
 
 def test_packet_cells_never_import_numpy():
     """numpy is the fluid vector solver's optional dependency; importing
-    it costs ~12 MB of a packet cell's ~28 MB peak RSS, so the packet
-    path (samplers, series, reducers included) must stay clear of it."""
+    it costs 11-14 MB, against a packet campaign's ≈23 MB peak RSS
+    (ledger ``fabric_bulk``), so the packet path (samplers, series,
+    reducers included) must stay clear of it."""
     code = (
         "import sys\n"
         "import repro.metrics\n"
@@ -478,3 +479,69 @@ def test_reference_fluid_cells_never_import_numpy():
         capture_output=True, text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def _fresh(code, *prefixes):
+    """Run ``code`` in a fresh interpreter: (the lines it printed, the
+    sorted modules under ``prefixes`` it left in ``sys.modules``)."""
+    code += (
+        "\nimport sys\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(SRC), "PATH": ""},
+        capture_output=True, text=True, check=True,
+    )
+    *printed, imported = result.stdout.splitlines()
+    return printed, imported
+
+
+#: The process-pool stack a forking campaign loads: ≈1.9 MB of start-up.
+POOL = ("concurrent.futures", "multiprocessing")
+
+
+def test_serial_campaigns_never_import_the_process_pool():
+    """Only a campaign that forks pays for the pool stack."""
+    code = (
+        "from repro.runner import Campaign, RunSpec\n"
+        "from repro.experiments.fattree_eval import FatTreeScenario\n"
+        "from repro.fluid import FluidScenario\n"
+        "outcome = Campaign(jobs=1, use_cache=False).run([\n"
+        "    RunSpec('fattree', FatTreeScenario(duration=0.005)),\n"
+        "    RunSpec('fluid', FluidScenario(duration=0.002, solver='reference'))])\n"
+        "assert len(outcome) == 2"
+    )
+    assert _fresh(code, *POOL)[1] == "[]"
+
+
+def _table1(jobs):
+    """``repro table1`` at a tiny duration, printing its table only."""
+    return (
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    main(['table1', '--duration', '0.005', '--patterns', 'permutation',\n"
+        f"          '--no-cache', '--jobs', '{jobs}'])\n"
+        "print(out.getvalue().split('[runner]')[0])"
+    )
+
+
+def test_a_cli_row_imports_only_its_own_drivers():
+    """``table1`` builds its own row: no fluid backend, no workload or
+    testbed driver, and (serial) no process pool."""
+    unwanted = (
+        "repro.fluid", "repro.experiments.workload_matrix",
+        "repro.experiments.fig1_convergence", *POOL,
+    )
+    assert _fresh(_table1(1), *unwanted)[1] == "[]"
+
+
+def test_cli_jobs2_forks_and_prints_the_jobs1_table():
+    """``--jobs 2`` still loads the pool, and its table is ``--jobs 1``'s."""
+    serial, serial_pool = _fresh(_table1(1), "concurrent.futures.process")
+    fanned, fanned_pool = _fresh(_table1(2), "concurrent.futures.process")
+    assert any("XMP-4" in line for line in serial)
+    assert serial == fanned
+    assert (serial_pool, fanned_pool) == ("[]", "['concurrent.futures.process']")
