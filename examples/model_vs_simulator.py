@@ -1,62 +1,40 @@
 #!/usr/bin/env python3
 """The paper's fluid model (Eq. 2) against the packet-level simulator.
 
-Integrates the BOS window ODE for N flows sharing a marked 1 Gbps link
-and runs the identical scenario packet by packet, printing steady-state
-windows and queue side by side — the internal-consistency check that the
-implementation sits where the paper's own analysis says it should.
+Runs the fluid backend and the packet simulator on the same dumbbell of
+N XMP flows sharing a marked 1 Gbps link, printing steady-state windows
+and queue side by side, then checks Eq. 3 on the fluid side: at the
+marking probability ``p`` of its own bottleneck queue, the window sits
+at the fixed point ``delta*beta*(1-p)/p``.  The internal-consistency
+check that the implementation sits where the paper's own analysis says
+it should.
 
 Run:  python examples/model_vs_simulator.py
 """
 
-from repro import fluid
 from repro.core.utility import equilibrium_window
-from repro.metrics.collector import QueueMonitor
-from repro.mptcp.connection import MptcpConnection
-from repro.topology.bottleneck import build_single_bottleneck
+from repro.fluid.crosscheck import crosscheck_bottleneck
+from repro.fluid.laws import threshold_marking_probability
 
-CAPACITY = 1e9
-BASE_RTT = 225e-6
 K = 10
-
-
-def packet_run(num_flows):
-    net = build_single_bottleneck(
-        num_pairs=num_flows, bottleneck_rate_bps=CAPACITY, rtt=BASE_RTT,
-        marking_threshold=K,
-    )
-    monitor = QueueMonitor(net.sim, [net.forward_bottleneck], 0.001)
-    monitor.start()
-    connections = []
-    for i in range(num_flows):
-        conn = MptcpConnection(net, f"S{i}", f"D{i}", [net.flow_path(i)],
-                               scheme="xmp")
-        conn.start()
-        connections.append(conn)
-    net.sim.run(until=0.3)
-    windows = [c.subflows[0].sender.cwnd for c in connections]
-    return sum(windows) / num_flows, monitor.series.mean(
-        net.forward_bottleneck.name
-    )
+BETA = 4.0
 
 
 def main() -> None:
     print(f"{'flows':>6} {'fluid w':>9} {'packet w':>9} "
-          f"{'fluid q':>9} {'packet q':>9}")
+          f"{'fluid q':>9} {'packet q':>9} {'p':>7} {'Eq. 3 w':>9}")
     for n in (1, 2, 4, 8):
-        model = fluid.integrate_shared_link(
-            num_flows=n, capacity_bps=CAPACITY, base_rtt=BASE_RTT,
-            threshold=K, duration=0.25,
+        window, queue, _ = crosscheck_bottleneck(
+            scheme="xmp", flows=n, marking_threshold=K, beta=BETA
         )
-        fluid_w = sum(model.steady_state_windows()) / n
-        (fluid_q,) = model.steady_state_queues()
-        packet_w, packet_q = packet_run(n)
-        print(f"{n:6d} {fluid_w:9.1f} {packet_w:9.1f} "
-              f"{fluid_q:9.1f} {packet_q:9.1f}")
+        p = threshold_marking_probability(queue.fluid, K)
+        print(f"{n:6d} {window.fluid:9.1f} {window.packet:9.1f} "
+              f"{queue.fluid:9.1f} {queue.packet:9.1f} {p:7.4f} "
+              f"{equilibrium_window(p, 1.0, BETA):9.1f}")
     print(
-        "\nEq. 3 cross-check: at marking probability p the model's window"
-        "\nfixed point is delta*beta*(1-p)/p; e.g. p=0.2 ->"
-        f" {equilibrium_window(0.2, 1.0, 4.0):.0f} packets."
+        "\nEq. 3 cross-check: p is the marking probability of the fluid"
+        "\nbottleneck queue, and the fluid window equals the fixed point"
+        f"\ndelta*beta*(1-p)/p at delta=1, beta={BETA:g}."
     )
 
 

@@ -144,6 +144,10 @@ fluid_smoke() {
     fi
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fluid \
         --crosscheck bottleneck --duration 0.05 --no-cache
+    # The example that drives the fluid API from outside the package
+    # (fluid vs packet at 1-8 flows, Eq. 3 at the measured p; ~3 s).
+    echo "== fluid example (examples/model_vs_simulator.py) =="
+    PYTHONPATH="$REPRO_PYTHONPATH" python examples/model_vs_simulator.py
 }
 
 if [ "$run_invariants_only" = 1 ]; then

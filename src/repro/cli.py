@@ -58,6 +58,7 @@ from repro.experiments.catalog import (
     SEED,
     Experiment,
     Flag,
+    dest_of,
     experiment,
     experiments,
     flag,
@@ -279,7 +280,7 @@ def _from_flags(config: type, args: argparse.Namespace) -> Any:
 def _run_experiment(row: Experiment, args: argparse.Namespace) -> str:
     """The one path every experiment row takes: flags -> grid -> view."""
     if getattr(args, "crosscheck", None):
-        return _run_crosscheck(args)
+        return _run_crosscheck(row, args)
     try:
         # The configs validate themselves, sweep axes included.
         base, axes = row.parse(vars(args))
@@ -290,7 +291,19 @@ def _run_experiment(row: Experiment, args: argparse.Namespace) -> str:
     return view.format() + _epilogue(args, outcome)
 
 
-def _run_crosscheck(args: argparse.Namespace) -> str:
+def _run_crosscheck(row: Experiment, args: argparse.Namespace) -> str:
+    """The golden scenarios, fixed but for a shorter ``--duration``: any
+    other row flag off its default is a usage error, as is a horizon the
+    row's config rejects."""
+    for option, kwargs in row.flags:
+        dest = dest_of((option, kwargs))
+        if dest != "duration" and getattr(args, dest) != kwargs.get("default"):
+            _usage_error(f"{option} does not apply to --crosscheck")
+    if args.duration is not None:
+        try:
+            row.config(duration=args.duration)
+        except ValueError as error:
+            _usage_error(str(error))
     from repro.fluid.crosscheck import run_crosschecks
 
     checks = run_crosschecks(args.crosscheck, duration=args.duration)

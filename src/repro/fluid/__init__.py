@@ -21,21 +21,16 @@ engine cannot go: k=16/k=32 fat trees with 10^4-10^6 concurrent flows.
 
 Each scheme's law (:mod:`repro.fluid.laws`) is written once: a per-flow
 coupling and one drift expression that both solvers evaluate.  The
-paper's own Eq. 2 model lives there too (:func:`bos_window_ode`,
-:func:`threshold_marking_probability`), beside the two closed-form
-integrators (:func:`integrate_single_flow`, :func:`integrate_shared_link`)
-the packet simulator is validated against.
+paper's own Eq. 2 is the ``bos-uncoupled`` row, and its marking knee
+is :func:`~repro.fluid.laws.threshold_marking_probability`.
 """
 
 from repro.fluid.backend import FluidResult, FluidScenario
-from repro.fluid.laws import bos_window_ode, threshold_marking_probability
 from repro.fluid.model import PACKET_BITS, FluidModel, model_from_network
 from repro.fluid.solver import (
     SAMPLE_STRIDE,
     FluidTrajectory,
     integrate_model,
-    integrate_shared_link,
-    integrate_single_flow,
     step_count,
     vector_available,
 )
@@ -47,12 +42,8 @@ __all__ = [
     "FluidResult",
     "FluidScenario",
     "FluidTrajectory",
-    "bos_window_ode",
     "integrate_model",
-    "integrate_shared_link",
-    "integrate_single_flow",
     "model_from_network",
     "step_count",
-    "threshold_marking_probability",
     "vector_available",
 ]

@@ -7,8 +7,7 @@ that has a fluid form, keyed by the table's names (it lives here so that
 shape Peng, Walid, Hwang & Low give an MP-TCP algorithm: a per-flow
 coupling (the reductions over its subflows it reads) and a per-subflow
 drift, one elementwise expression both solvers evaluate.  The drifts call
-the *same* one-expression formulas the packet controllers and the
-closed-form integrators call:
+the *same* one-expression formulas the packet controllers call:
 
 * ``xmp`` — Eq. 2 (:func:`bos_drift`) with delta from TraSh's Eq. 9
   (:func:`repro.core.trash.coupled_delta`) over the flow's total rate
@@ -37,11 +36,11 @@ from repro.mptcp.lia import linked_alpha
 from repro.transport.dctcp import DEFAULT_GAIN
 
 #: Window floor in packets — matches the packet engine's one-segment
-#: minimum and the core integrators' clamp.
+#: minimum.
 MIN_WINDOW = 1.0
 
-#: Width (packets) of the logistic marking knee, the default of
-#: :func:`threshold_marking_probability`.
+#: Width (packets) of the logistic marking knee both solvers evaluate
+#: (:func:`threshold_marking_probability`).
 MARKING_WIDTH = 2.0
 
 #: Cap on the marking knee's exponent: ``exp(709)`` (~8.2e307) still fits
@@ -57,28 +56,15 @@ def bos_drift(w, p, delta, beta, rtt):
     return (delta * (1.0 - p) - w * p / beta) / rtt
 
 
-def bos_window_ode(
-    w: float, p: float, delta: float, beta: float, rtt: float
-) -> float:
-    """:func:`bos_drift` for one window, with its RTT checked."""
-    if rtt <= 0:
-        raise ValueError(f"rtt must be positive, got {rtt}")
-    return bos_drift(w, p, delta, beta, rtt)
-
-
-def threshold_marking_probability(
-    queue_packets: float, threshold: float, width: float = MARKING_WIDTH
-) -> float:
+def threshold_marking_probability(queue_packets: float, threshold: float) -> float:
     """Smooth stand-in for 'at least one mark this round' near a K-queue.
 
     Below ``K`` the instantaneous queue rarely crosses the threshold
     within a round; above it, almost every round sees a mark.  A logistic
-    of width ~2 packets reproduces that knife edge while keeping the ODE
-    well behaved.
+    of width :data:`MARKING_WIDTH` reproduces that knife edge while
+    keeping the ODE well behaved.
     """
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width}")
-    exponent = (threshold - queue_packets) / width
+    exponent = (threshold - queue_packets) / MARKING_WIDTH
     return 1.0 / (1.0 + math.exp(exponent if exponent < MAX_EXPONENT else MAX_EXPONENT))
 
 
@@ -178,7 +164,6 @@ __all__ = [
     "MAX_EXPONENT",
     "MIN_WINDOW",
     "bos_drift",
-    "bos_window_ode",
     "fluid_law",
     "render_scheme_table",
     "threshold_marking_probability",

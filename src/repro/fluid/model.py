@@ -75,8 +75,7 @@ def model_from_network(
     columns before the next is drawn, so a generator keeps no flow's
     paths alive.  Only links on some forward path become fluid links —
     reverse (ACK) directions contribute their no-load delay but carry
-    negligible load, the approximation
-    :func:`repro.fluid.solver.integrate_shared_link` makes too.
+    negligible load.
     """
     link_index: Dict[str, int] = {}
     capacity, ecn, drop = array("d"), array("d"), array("d")

@@ -12,8 +12,7 @@ One Euler step advances, in this order:
 4. **windows** — the law's drift (:mod:`repro.fluid.laws`), clamped
    at :data:`~repro.fluid.laws.MIN_WINDOW`;
 5. **queues** — ``q += dt * (arrivals - C)``, floored at zero,
-   with arrivals taken from the pre-update rates (as in
-   :func:`integrate_shared_link`).
+   with arrivals taken from the pre-update rates.
 
 Two interchangeable solvers implement these semantics, each a generator
 of :func:`sample_count` ``(time, windows, rates, queues)`` samples;
@@ -28,14 +27,9 @@ drift; each keeps its own link, path and flow arithmetic:
   explicit in the spec, never auto-detected, so a spec's fingerprint
   always names the float-summation order that produced its result).
 
-The module also holds the two closed-form integrators of Eq. 2 the
-backend grew out of — :func:`integrate_single_flow` (one flow against a
-marking schedule) and :func:`integrate_shared_link` (N BOS flows on one
-marked link: the queue integrates ``sum_i w_i/T_i - C``, never below
-zero; every flow sees ``T_i = base_rtt + q/C``; marking is the logistic
-knee of :func:`~repro.fluid.laws.threshold_marking_probability`) — so
-the packet-level simulator can be validated against the model it was
-designed from (``benchmarks/test_ablation_fluid.py`` and the tests).
+Paper Eq. 2 for N flows on one marked link is the ``bos-uncoupled`` law
+on a ``bottleneck`` model; :mod:`repro.fluid.crosscheck` validates the
+packet simulator against this backend.
 """
 
 from __future__ import annotations
@@ -44,22 +38,21 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
 from repro.fluid import laws
-from repro.fluid.laws import bos_window_ode, threshold_marking_probability
-from repro.fluid.model import PACKET_BITS, FluidModel
+from repro.fluid.laws import threshold_marking_probability
+from repro.fluid.model import FluidModel
 from repro.metrics.series import TimeSeries, tail_start
 from repro.mptcp.coupling import SCHEMES
 from repro.sim.units import Seconds
 
 SOLVERS = ("reference", "vector")
 
-#: Default sampling stride of :func:`integrate_shared_link`: one recorded
-#: sample per this many Euler steps.  The final step is always recorded
-#: regardless of stride, so ``steady_state_*`` tail means never miss the
-#: terminal state.
+#: Default sampling stride of the solvers: one recorded sample per this
+#: many Euler steps.  The final step is always recorded regardless of
+#: stride, so tail means never miss the terminal state.
 SAMPLE_STRIDE = 16
 
 
@@ -140,10 +133,6 @@ class FluidTrajectory:
     def steady_state_rates(self, tail_fraction: float = 0.3) -> List[float]:
         """Per-subflow tail-mean fluid rate, packets/s."""
         return _tail_means(self.rates, tail_fraction)
-
-    def steady_state_queues(self, tail_fraction: float = 0.3) -> List[float]:
-        """Per-link tail-mean queue, packets (parallel to link_names)."""
-        return _tail_means(self.queues, tail_fraction)
 
 
 def _tail_means(series: TimeSeries, tail_fraction: float) -> List[float]:
@@ -301,8 +290,7 @@ def _integrate_reference(
     for i in range(steps):
         delay = [queue / cap for queue, cap in zip(q, caps)]
         p_link = [
-            threshold_marking_probability(queue, knee, laws.MARKING_WIDTH)
-            for queue, knee in zip(q, knees)
+            threshold_marking_probability(queue, knee) for queue, knee in zip(q, knees)
         ]
         rtts = [0.0] * num_subflows
         probs = [0.0] * num_subflows
@@ -437,95 +425,11 @@ def _integrate_vector(
             yield i * dt, w, x, q
 
 
-def integrate_single_flow(
-    p_of_t: Callable[[float], float],
-    duration: float,
-    dt: float = 1e-4,
-    w0: float = 1.0,
-    delta: float = 1.0,
-    beta: float = 4.0,
-    rtt: float = 100e-6,
-) -> List[float]:
-    """Euler-integrate Eq. 2 for one flow against a marking schedule.
-
-    Returns the window trajectory sampled at every step.  At a constant
-    ``p`` the trajectory converges to Eq. 3's fixed point
-    ``w* = delta*beta*(1-p)/p``.
-    """
-    steps = step_count(duration, dt)
-    w = w0
-    trajectory = []
-    for i in range(steps):
-        t = i * dt
-        p = p_of_t(t)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"marking probability out of range: {p}")
-        w += dt * bos_window_ode(w, p, delta, beta, rtt)
-        w = max(w, 1.0)
-        trajectory.append(w)
-    return trajectory
-
-
-def integrate_shared_link(
-    num_flows: int,
-    capacity_bps: float,
-    base_rtt: float,
-    threshold: float,
-    duration: float,
-    dt: float = 2e-5,
-    beta: float = 4.0,
-    deltas: Sequence[float] = (),
-    w0: float = 2.0,
-    sample_stride: int = SAMPLE_STRIDE,
-) -> FluidTrajectory:
-    """N BOS flows sharing one marked link, in the fluid limit.
-
-    Windows follow Eq. 2; the queue integrates excess arrival; RTTs are
-    base propagation plus queueing delay; marking follows
-    :func:`threshold_marking_probability`.  The trajectory has one
-    window/rate column per flow and the one link's queue, sampled every
-    ``sample_stride`` steps, plus the final step unconditionally.
-    """
-    if num_flows < 1:
-        raise ValueError("need at least one flow")
-    if capacity_bps <= 0 or base_rtt <= 0:
-        raise ValueError("capacity and base_rtt must be positive")
-    if sample_stride < 1:
-        raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
-    flow_deltas = list(deltas) if deltas else [1.0] * num_flows
-    if len(flow_deltas) != num_flows:
-        raise ValueError("deltas must match num_flows")
-
-    capacity_pps = capacity_bps / PACKET_BITS
-    windows = [w0] * num_flows
-    rates = [0.0] * num_flows
-    queue = 0.0
-    steps = step_count(duration, dt)
-    result = FluidTrajectory.empty(num_flows, ["link"], steps, dt)
-    for i in range(steps):
-        rtt = base_rtt + queue / capacity_pps
-        p = threshold_marking_probability(queue, threshold)
-        arrival = 0.0
-        for f in range(num_flows):
-            rates[f] = windows[f] / rtt
-            arrival += rates[f]
-            windows[f] += dt * bos_window_ode(
-                windows[f], p, flow_deltas[f], beta, rtt
-            )
-            windows[f] = max(windows[f], 1.0)
-        queue = max(0.0, queue + dt * (arrival - capacity_pps))
-        if i % sample_stride == 0 or i == steps - 1:
-            result.record(i * dt, windows, rates, [queue])
-    return result
-
-
 __all__ = [
     "SAMPLE_STRIDE",
     "SOLVERS",
     "FluidTrajectory",
     "integrate_model",
-    "integrate_shared_link",
-    "integrate_single_flow",
     "sample_count",
     "steady_state",
     "step_count",

@@ -285,22 +285,31 @@ class TestInputValidation:
         (["fluid", "--duration", "0.01", "--dt", "1"], "must not exceed duration"),
         (["table1", "--jobs", "0"], "--jobs must be at least 1, got 0"),
         (["table1", "--jobs", "-2"], "--jobs must be at least 1, got -2"),
+        (["fluid", "--crosscheck", "bottleneck", "--duration", "-1"], "must be positive"),
+        (["fluid", "--crosscheck", "fattree", "--duration", "0"], "must be positive"),
+        (["fluid", "--crosscheck", "--duration", "1e-6"], "must not exceed duration"),
+        (["fluid", "--crosscheck", "bottleneck", "--flows", "8", "--scheme", "lia"],
+         "--scheme does not apply to --crosscheck"),
+        (["fluid", "--crosscheck", "--flows", "8"], "--flows does not apply to --crosscheck"),
     ], ids=["zero-subflows-spec", "fluid-subflows", "fluid-flows",
             "fluid-scheme", "profile-pattern", "profile-duration",
             "fluid-duration", "fluid-odd-k", "fluid-beta",
             "incast-fan-in", "workload-load", "table1-odd-k",
             "table1-zero-duration", "table1-negative-duration",
             "incast-negative-duration", "workload-zero-duration",
-            "fluid-dt-over-duration", "fluid-dt-one", "jobs-zero", "jobs-negative"])
+            "fluid-dt-over-duration", "fluid-dt-one", "jobs-zero", "jobs-negative",
+            "crosscheck-negative-duration", "crosscheck-zero-duration",
+            "crosscheck-dt-over-duration", "crosscheck-scheme", "crosscheck-flows"])
     def test_bad_value_fails_at_parse_time_not_inside_a_cell(
         self, argv, complaint, capsys, monkeypatch
     ):
         from repro.runner import Campaign
 
-        def no_cells(campaign, specs):
+        def no_cells(*args, **kwargs):
             raise AssertionError("a cell was simulated")
 
         monkeypatch.setattr(Campaign, "run", no_cells)
+        monkeypatch.setattr("repro.fluid.crosscheck.run_crosschecks", no_cells)
         with pytest.raises(SystemExit) as exit_info:
             main(argv)
         assert exit_info.value.code == 2

@@ -1,10 +1,11 @@
 """Tests for the fluid backend package (repro.fluid) and the integrator
 fixes it depends on: exact step counts, final-state
-sampling, tail-fraction validation, Eq. 2/3 equilibrium properties, the
-reference/vector solver equivalence and the one drift expression both
-evaluate, the streamed steady state and the reductions-only result, the
-marking knee's overflow clamp, combinatorial fat-tree paths, and the
-runner/telemetry backend plumbing."""
+sampling, tail-fraction validation, Eq. 2/3 equilibrium properties on
+the running backend and its agreement with the closed-form sawtooth
+analysis, the reference/vector solver equivalence and the one drift
+expression both evaluate, the streamed steady state and the
+reductions-only result, the marking knee, combinatorial fat-tree paths,
+and the runner/telemetry backend plumbing."""
 
 import dataclasses
 import gc
@@ -15,9 +16,11 @@ import tracemalloc
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import fluid
-from repro.core import utility
+from repro.core import analysis, utility
 from repro.core.bos import DEFAULT_BETA
 from repro.fluid import (
     FluidScenario,
@@ -32,6 +35,7 @@ from repro.fluid.laws import (
     MARKING_WIDTH,
     MAX_EXPONENT,
     MIN_WINDOW,
+    bos_drift,
     threshold_marking_probability,
 )
 from repro.fluid.solver import (
@@ -50,18 +54,19 @@ from repro.topology.bottleneck import build_single_bottleneck
 from repro.topology.fattree import build_fattree
 from repro.traffic.permutation import random_derangement
 
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - exercised on minimal images
-    HAVE_HYPOTHESIS = False
+#: The dumbbell's marked link, the one every flow shares.
+BOTTLENECK = "SWL->SWR"
+STREAM_SOLVERS = ("reference", "vector") if vector_available() else ("reference",)
 
 
 def _trajectory(scenario):
     """A fluid cell's whole trajectory, integrated in-process."""
     return integrate_model(_build_model(scenario), **_solver_args(scenario))
+
+
+def _bottleneck_model(flows):
+    """The dumbbell's fluid model: ``flows`` one-subflow flows."""
+    return _build_model(FluidScenario(flows=flows))
 
 
 # ----------------------------------------------------------------------
@@ -101,12 +106,13 @@ class TestStepCount:
             fluid.step_count(-0.1, 1e-4)
 
     def test_single_flow_integrator_full_horizon(self):
-        # duration/dt = 0.3/1e-4: the truncating form would return 2999
-        # samples; the fixed integrator covers all 3000 steps.
-        trajectory = fluid.integrate_single_flow(
-            lambda t: 0.0, duration=0.3, dt=1e-4
+        # duration/dt = 0.3/1e-4: the truncating form would sample 2999
+        # steps; the fixed integrator covers all 3000.
+        trajectory = integrate_model(
+            _bottleneck_model(1), "bos-uncoupled", duration=0.3, dt=1e-4,
+            sample_stride=1,
         )
-        assert len(trajectory) == 3000
+        assert trajectory.steps == len(trajectory.times) == 3000
 
 
 # ----------------------------------------------------------------------
@@ -119,38 +125,54 @@ class TestSampling:
         # 30 steps, stride 16 -> raw strides hit i=0 and 16 only; the
         # final step (i=29) must be recorded anyway.
         dt = 1e-4
-        result = fluid.integrate_shared_link(
-            num_flows=1, capacity_bps=1e9, base_rtt=225e-6,
-            threshold=10, duration=30 * dt, dt=dt, sample_stride=16,
+        result = integrate_model(
+            _bottleneck_model(1), "bos-uncoupled", duration=30 * dt, dt=dt,
+            sample_stride=16,
         )
         assert list(result.times) == pytest.approx([0.0, 16 * dt, 29 * dt])
 
     def test_stride_one_samples_every_step(self):
-        result = fluid.integrate_shared_link(
-            num_flows=1, capacity_bps=1e9, base_rtt=225e-6,
-            threshold=10, duration=0.001, dt=1e-4, sample_stride=1,
+        result = integrate_model(
+            _bottleneck_model(1), "bos-uncoupled", duration=0.001, dt=1e-4,
+            sample_stride=1,
         )
         assert len(result.times) == 10
 
     def test_stride_validation(self):
         with pytest.raises(ValueError):
-            fluid.integrate_shared_link(
-                num_flows=1, capacity_bps=1e9, base_rtt=225e-6,
-                threshold=10, duration=0.001, sample_stride=0,
+            integrate_model(
+                _bottleneck_model(1), "bos-uncoupled", duration=0.001,
+                sample_stride=0,
             )
 
     def test_default_stride_is_named_constant(self):
         assert fluid.SAMPLE_STRIDE == 16
 
     def test_trajectory_final_state_recorded(self):
-        net = build_single_bottleneck(num_pairs=1)
-        model = model_from_network(net, [[net.flow_path(0)]])
         dt = 1e-4
         trajectory = integrate_model(
-            model, "xmp", duration=30 * dt, dt=dt, sample_stride=16
+            _bottleneck_model(1), "xmp", duration=30 * dt, dt=dt, sample_stride=16
         )
         assert trajectory.times[-1] == pytest.approx(29 * dt)
         assert trajectory.steps == 30
+
+    def test_result_sampling_consistency(self):
+        model = _bottleneck_model(3)
+        result = integrate_model(model, "bos-uncoupled", duration=0.05)
+        assert result.link_names == model.link_names
+        assert list(result.windows.columns) == list(result.rates.columns) == [0, 1, 2]
+        assert list(result.queues.columns) == list(range(len(model.link_names)))
+        for series in (result.windows, result.rates, result.queues):
+            assert series.times == result.times
+            for column in series.columns.values():
+                assert len(column) == len(result.times)
+        assert list(result.times) == sorted(result.times)
+
+    def test_steady_state_empty_result(self):
+        empty = fluid.FluidTrajectory()
+        assert empty.steady_state_windows() == []
+        assert empty.steady_state_rates() == []
+        assert len(empty.times) == 0
 
 
 # ----------------------------------------------------------------------
@@ -168,10 +190,7 @@ def _column(values):
 
 class TestTailFraction:
     def _result(self):
-        return fluid.integrate_shared_link(
-            num_flows=2, capacity_bps=1e9, base_rtt=225e-6,
-            threshold=10, duration=0.01,
-        )
+        return integrate_model(_bottleneck_model(2), "bos-uncoupled", duration=0.01)
 
     @pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, 2.0])
     def test_out_of_range_raises(self, bad):
@@ -179,7 +198,7 @@ class TestTailFraction:
         with pytest.raises(ValueError):
             result.steady_state_windows(tail_fraction=bad)
         with pytest.raises(ValueError):
-            result.steady_state_queues(tail_fraction=bad)
+            result.steady_state_rates(tail_fraction=bad)
         with pytest.raises(ValueError):
             _column([1.0, 2.0]).tail_mean("v", bad)
 
@@ -207,43 +226,113 @@ class TestEquilibriumProperties:
     @pytest.mark.parametrize("beta", [2.0, 4.0, 8.0])
     @pytest.mark.parametrize("p", [0.05, 0.2, 0.5])
     def test_eq3_fixed_point_grid(self, delta, beta, p):
-        """Eq. 2 converges to w* = delta*beta*(1-p)/p across the knob grid."""
-        expected = utility.equilibrium_window(p, delta, beta)
-        trajectory = fluid.integrate_single_flow(
-            lambda t: p, duration=0.4, dt=2e-5, beta=beta, delta=delta
-        )
-        assert trajectory[-1] == pytest.approx(max(expected, 1.0), rel=0.03)
+        """Eq. 2's drift, the expression both solvers evaluate, vanishes
+        at w* = delta*beta*(1-p)/p across the knob grid."""
+        w_star = utility.equilibrium_window(p, delta, beta)
+        assert bos_drift(w_star, p, delta, beta, 1e-4) == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("num_flows", [1, 2, 4, 8])
     def test_aggregate_rate_matches_capacity(self, num_flows):
-        """Conservation: N flows sharing one link fill it, never exceed it
-        beyond integration tolerance."""
-        capacity = 1e9
-        base_rtt = 225e-6
-        result = fluid.integrate_shared_link(
-            num_flows=num_flows, capacity_bps=capacity, base_rtt=base_rtt,
-            threshold=10, duration=0.3,
+        """Conservation in Eq. 2's own terms: N BOS flows' windows over
+        the RTT their steady-state queue sets fill the link, never exceed
+        it beyond integration tolerance."""
+        scenario = FluidScenario(
+            scheme="bos-uncoupled", flows=num_flows, duration=seconds(0.3)
         )
-        capacity_pps = capacity / fluid.PACKET_BITS
-        rtt = base_rtt + result.steady_state_queues()[0] / capacity_pps
-        total_pps = sum(result.steady_state_windows()) / rtt
-        assert total_pps == pytest.approx(capacity_pps, rel=0.05)
+        result = _simulate(scenario)
+        capacity_pps = scenario.link_rate_bps / fluid.PACKET_BITS
+        queue = result.queues[result.link_names.index(BOTTLENECK)]
+        rtt = _build_model(scenario).base_rtt[0] + queue / capacity_pps
+        assert sum(result.windows) / rtt == pytest.approx(capacity_pps, rel=0.05)
+
+    @pytest.mark.parametrize("solver", STREAM_SOLVERS)
+    @pytest.mark.parametrize("flows", [1, 4])
+    @pytest.mark.parametrize("beta", [2.0, 4.0, 8.0])
+    def test_backend_windows_satisfy_eq3(self, beta, flows, solver):
+        """Eq. 3 on the running backend: every steady-state window is
+        w* = delta*beta*(1-p)/p, delta = 1, at the marking probability of
+        the bottleneck's own steady-state queue."""
+        result = _simulate(FluidScenario(
+            scheme="bos-uncoupled", flows=flows, beta=beta,
+            duration=seconds(0.2), solver=solver,
+        ))
+        queue = result.queues[result.link_names.index(BOTTLENECK)]
+        p = threshold_marking_probability(queue, result.scenario.marking_threshold)
+        expected = utility.equilibrium_window(p, 1.0, beta)
+        assert list(result.windows) == pytest.approx([expected] * flows, rel=1e-9)
 
     @pytest.mark.parametrize("scheme", FLUID_SCHEMES)
-    def test_backend_aggregate_matches_capacity(self, scheme):
-        """Same conservation through the full backend, for every scheme."""
+    @pytest.mark.parametrize("flows", [1, 8])
+    def test_backend_aggregate_matches_capacity(self, flows, scheme):
+        """Conservation: N flows sharing one link fill it, never exceed it
+        beyond integration tolerance, for every scheme."""
         scenario = FluidScenario(
-            scheme=scheme, topology="bottleneck", flows=4,
+            scheme=scheme, topology="bottleneck", flows=flows,
             duration=seconds(0.2),
         )
         result = _simulate(scenario)
         total = sum(result.flow_goodputs_bps())
         assert total == pytest.approx(1e9, rel=0.05)
 
+    @given(p=st.floats(0.01, 0.9))
+    @settings(max_examples=30, deadline=None)
+    def test_ode_fixed_point_equals_eq3_inverse(self, p):
+        w_star = utility.equilibrium_window(p, 1.0, 4.0)
+        assert bos_drift(w_star, p, 1.0, 4.0, 1e-4) == pytest.approx(0.0, abs=1e-6)
+
+    def test_fixed_point_is_stationary(self):
+        p = 0.1
+        w_star = utility.equilibrium_window(p, 1.0, 4.0)
+        assert bos_drift(w_star, p, 1.0, 4.0, 1e-4) == pytest.approx(0.0, abs=1e-6)
+
+    def test_drift_sign(self):
+        p = 0.1
+        w_star = utility.equilibrium_window(p, 1.0, 4.0)
+        assert bos_drift(w_star / 2, p, 1.0, 4.0, 1e-4) > 0
+        assert bos_drift(w_star * 2, p, 1.0, 4.0, 1e-4) < 0
+
+    def test_no_marks_grows_delta_per_rtt(self):
+        rtt = 1e-4
+        for delta in (0.5, 1.0, 2.0):
+            assert bos_drift(5.0, 0.0, delta, 4.0, rtt) * rtt == pytest.approx(delta)
+
     def test_equal_flows_get_equal_goodput(self):
         result = _simulate(FluidScenario(flows=4, duration=seconds(0.2)))
         goodputs = result.flow_goodputs_bps()
         assert max(goodputs) - min(goodputs) < 0.02 * max(goodputs)
+
+
+class TestFluidAnalysisConsistency:
+    @given(
+        bdp=st.floats(5.0, 100.0),
+        beta=st.floats(2.0, 6.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_sawtooth_peak_exceeds_trough_by_one_beta_cut(self, bdp, beta):
+        prediction = analysis.predict_sawtooth(bdp, bdp / 2, beta)
+        if prediction.w_min > 2.0:  # not floored
+            assert prediction.w_min == pytest.approx(
+                prediction.w_max * (1 - 1 / beta)
+            )
+
+    @given(threshold=st.floats(1.0, 50.0))
+    @settings(max_examples=30, deadline=None)
+    def test_more_k_never_hurts_utilization(self, threshold):
+        low = analysis.predict_sawtooth(30.0, threshold, 4.0).utilization
+        high = analysis.predict_sawtooth(30.0, threshold * 1.5, 4.0).utilization
+        assert high >= low - 1e-9
+
+    def test_fluid_equilibrium_against_analysis_queue(self):
+        """The backend's standing bottleneck queue and the sawtooth's mean
+        queue should roughly agree for one flow (the ODE smooths the
+        sawtooth)."""
+        scenario = FluidScenario(scheme="bos-uncoupled", flows=1, duration=seconds(0.25))
+        result = _simulate(scenario)
+        bdp = scenario.link_rate_bps * scenario.base_rtt / fluid.PACKET_BITS
+        sawtooth = analysis.predict_sawtooth(bdp, scenario.marking_threshold, scenario.beta)
+        assert result.queues[result.link_names.index(BOTTLENECK)] == pytest.approx(
+            sawtooth.mean_queue_packets, abs=4.0
+        )
 
 
 # ----------------------------------------------------------------------
@@ -254,7 +343,7 @@ class TestEquilibriumProperties:
 class TestFluidBackend:
     def test_queue_settles_near_threshold(self):
         result = _simulate(FluidScenario(flows=4, duration=seconds(0.2)))
-        queue = result.queues[result.link_names.index("SWL->SWR")]
+        queue = result.queues[result.link_names.index(BOTTLENECK)]
         assert 5 < queue < 15
 
     def test_events_counts_state_updates(self):
@@ -515,38 +604,21 @@ def check_one_expression(scheme, beta, subflows, sizes):
 
 @pytest.mark.skipif(not vector_available(), reason="numpy not installed")
 class TestOneExpression:
-    if HAVE_HYPOTHESIS:
-
-        @given(
-            scheme=st.sampled_from(FLUID_SCHEMES),
-            beta=st.floats(2.0, 16.0),
-            sizes=st.lists(st.integers(1, 2), min_size=1, max_size=6),
-            data=st.data(),
+    @given(
+        scheme=st.sampled_from(FLUID_SCHEMES),
+        beta=st.floats(2.0, 16.0),
+        sizes=st.lists(st.integers(1, 2), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_reference_drift_equals_vector_drift(self, scheme, beta, sizes, data):
+        subflow = st.tuples(
+            st.floats(1.0, 1e4), st.floats(1e-6, 0.1),
+            st.floats(0.0, 1.0), st.floats(0.0, 1.0),
         )
-        @settings(max_examples=200, deadline=None)
-        def test_reference_drift_equals_vector_drift(self, scheme, beta, sizes, data):
-            subflow = st.tuples(
-                st.floats(1.0, 1e4), st.floats(1e-6, 0.1),
-                st.floats(0.0, 1.0), st.floats(0.0, 1.0),
-            )
-            n = sum(sizes)
-            subflows = data.draw(st.lists(subflow, min_size=n, max_size=n))
-            check_one_expression(scheme, beta, subflows, sizes)
-
-    else:  # pragma: no cover - minimal images only
-
-        def test_reference_drift_equals_vector_drift(self):
-            rng = random.Random(0x1A3)
-            for _ in range(200):
-                sizes = [rng.randint(1, 2) for _ in range(rng.randint(1, 6))]
-                subflows = [
-                    (rng.uniform(1.0, 1e4), rng.uniform(1e-6, 0.1),
-                     rng.random(), rng.random())
-                    for _ in range(sum(sizes))
-                ]
-                check_one_expression(
-                    rng.choice(FLUID_SCHEMES), rng.uniform(2.0, 16.0), subflows, sizes
-                )
+        n = sum(sizes)
+        subflows = data.draw(st.lists(subflow, min_size=n, max_size=n))
+        check_one_expression(scheme, beta, subflows, sizes)
 
     def test_law_rows_are_drift_flow_and_state(self):
         for law in FLUID_LAWS.values():
@@ -560,7 +632,6 @@ class TestOneExpression:
 # The streamed steady state == the tail means of the collected trajectory
 # ----------------------------------------------------------------------
 
-STREAM_SOLVERS = ("reference", "vector") if vector_available() else ("reference",)
 STREAM_FRACTIONS = (0.3, 0.4, 1.0)
 
 
@@ -581,7 +652,9 @@ def check_streamed_steady_state(scheme, solver, steps, stride):
         )
         assert list(windows) == trajectory.steady_state_windows(fraction)
         assert list(rates) == trajectory.steady_state_rates(fraction)
-        assert list(queues) == trajectory.steady_state_queues(fraction)
+        assert list(queues) == [
+            trajectory.queues.tail_mean(key, fraction) for key in trajectory.queues.columns
+        ]
 
 
 class TestStreamedSteadyState:
@@ -595,27 +668,15 @@ class TestStreamedSteadyState:
     def test_grid(self, scheme, solver, steps, stride):
         check_streamed_steady_state(scheme, solver, steps, stride)
 
-    if HAVE_HYPOTHESIS:
-
-        @given(
-            scheme=st.sampled_from(FLUID_SCHEMES),
-            solver=st.sampled_from(STREAM_SOLVERS),
-            steps=st.integers(1, 80),
-            stride=st.integers(1, 20),
-        )
-        @settings(max_examples=40, deadline=None)
-        def test_any_steps_and_stride(self, scheme, solver, steps, stride):
-            check_streamed_steady_state(scheme, solver, steps, stride)
-
-    else:  # pragma: no cover - minimal images only
-
-        def test_any_steps_and_stride(self):
-            rng = random.Random(0x57EA)
-            for _ in range(40):
-                check_streamed_steady_state(
-                    rng.choice(FLUID_SCHEMES), rng.choice(STREAM_SOLVERS),
-                    rng.randint(1, 80), rng.randint(1, 20),
-                )
+    @given(
+        scheme=st.sampled_from(FLUID_SCHEMES),
+        solver=st.sampled_from(STREAM_SOLVERS),
+        steps=st.integers(1, 80),
+        stride=st.integers(1, 20),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_any_steps_and_stride(self, scheme, solver, steps, stride):
+        check_streamed_steady_state(scheme, solver, steps, stride)
 
     @pytest.mark.parametrize("steps, stride, expected", [
         (1, 16, 1), (16, 16, 2), (17, 16, 2), (18, 16, 3), (30, 1, 30),
@@ -689,11 +750,22 @@ class TestScenarioValidation:
 
 
 # ----------------------------------------------------------------------
-# The marking knee never overflows
+# The marking knee: a logistic at K that never overflows
 # ----------------------------------------------------------------------
 
 
 class TestMarkingKnee:
+    def test_half_at_threshold(self):
+        assert threshold_marking_probability(10, 10) == pytest.approx(0.5)
+
+    def test_monotone(self):
+        ps = [threshold_marking_probability(q, 10) for q in range(0, 30)]
+        assert ps == sorted(ps)
+
+    def test_sharp_far_from_threshold(self):
+        assert threshold_marking_probability(0, 10) < 0.01
+        assert threshold_marking_probability(20, 10) > 0.99
+
     def test_far_below_a_buffer_sized_knee(self):
         assert 0.0 < threshold_marking_probability(0.0, 2000.0) < 1e-300
 

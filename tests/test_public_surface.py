@@ -54,8 +54,6 @@ KEEP = {
         "ROADMAP 8: Proposition 1's TraSh step on given rates",
     "repro.net.network:Network.set_link_pair_up":
         "ROADMAP 6a: the fuzzer's link-flap scripts heal a link through it",
-    "repro.fluid.solver:integrate_single_flow":
-        "reference implementation the fluid solvers are tested against",
     "repro.fluid.laws:render_scheme_table":
         "renders DESIGN.md's scheme table; a test pins the document copy",
     "repro.obs.telemetry:render_env_table":
@@ -78,19 +76,6 @@ KEEP_PARAMS = {
     "repro.sim.engine:Simulator.schedule_at(priority=)":
         "keeps the engine API symmetric with post/schedule; the calendar "
         "property tests drive same-instant ties through it",
-    **{
-        f"repro.fluid.solver:integrate_single_flow({param}=)":
-            "reference model: Eq. 2 for one flow, swept by the solver tests"
-        for param in ("dt", "w0", "delta", "beta", "rtt")
-    },
-    **{
-        f"repro.fluid.solver:integrate_shared_link({param}=)":
-            "reference model: N BOS flows on one link, swept by the solver tests"
-        for param in ("dt", "beta", "deltas", "w0", "sample_stride")
-    },
-    "repro.fluid.solver:FluidTrajectory.steady_state_queues(tail_fraction=)":
-        "reference model: the tail a trajectory's steady state averages, "
-        "a sibling of the windows/rates views the program sets",
     "repro.core.analysis:predict_sawtooth(delta=)":
         "a model parameter of the sawtooth prediction (Eq. 3's delta)",
     "repro.mptcp.connection:MptcpConnection(ack_jitter=)":
