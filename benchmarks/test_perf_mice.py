@@ -5,9 +5,16 @@ The ledger's ``mice_churn`` ``ws_xmp2`` cell end to end inside the
 websearch-sized flows at load 0.6 (sizes scaled by 0.02), XMP with two
 subflows, 100 ms simulated.  About 3,500 flows are launched and most
 finish, so what a finished flow keeps alive is what this cell's memory
-grows with.  Wall-clock is the benchmark statistic; one further traced
-run records ``extra_info["tracemalloc_peak_mb"]`` and
-``extra_info["bytes_per_flow"]`` (that peak over the flows launched).
+grows with.  Wall-clock is the benchmark statistic; further runs record
+
+* ``extra_info["tracemalloc_peak_mb"]`` and ``extra_info["bytes_per_flow"]``
+  (that peak over the flows launched);
+* ``extra_info["cyclic_garbage"]``: the objects one ``gc.collect()``
+  finds after a run made with the collector disabled, while the cell's
+  topology is still held.  The topology is a cycle by construction and
+  is freed at the cell boundary; anything else the collection finds is
+  what finished flows left behind for it.  A finished flow is acyclic,
+  so this is 0.
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_mice.py --benchmark-only
 """
@@ -15,6 +22,7 @@ run records ``extra_info["tracemalloc_peak_mb"]`` and
 import gc
 import tracemalloc
 
+from repro.experiments import workload_matrix
 from repro.experiments.workload_matrix import WorkloadScenario, _simulate_workload
 
 WS_XMP2 = WorkloadScenario(
@@ -23,9 +31,32 @@ WS_XMP2 = WorkloadScenario(
 )
 
 
-def test_mice_ws_xmp2_cell(benchmark):
+def cyclic_garbage(scenario, monkeypatch):
+    """What ``gc.collect()`` finds after ``scenario`` ran with the collector
+    off, while the cell's topology (and so every unfinished flow) is held."""
+    held = []
+    build_cell = workload_matrix.build_cell
+
+    def holding_build_cell(config):
+        cell = build_cell(config)
+        held.append(cell)
+        return cell
+
+    monkeypatch.setattr(workload_matrix, "build_cell", holding_build_cell)
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        _simulate_workload(scenario)
+        return gc.collect()
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_mice_ws_xmp2_cell(benchmark, monkeypatch):
     """``_simulate_workload`` of the ws_xmp2 cell: wall-clock, tracemalloc
-    peak and peak bytes per launched flow."""
+    peak, peak bytes per launched flow and cyclic garbage."""
     result = benchmark.pedantic(
         _simulate_workload, args=(WS_XMP2,), rounds=3, iterations=1
     )
@@ -42,3 +73,7 @@ def test_mice_ws_xmp2_cell(benchmark):
     assert traced.events == result.events
     benchmark.extra_info["tracemalloc_peak_mb"] = peak / 2**20
     benchmark.extra_info["bytes_per_flow"] = peak / traced.launched_flows
+
+    garbage = cyclic_garbage(WS_XMP2, monkeypatch)
+    benchmark.extra_info["cyclic_garbage"] = garbage
+    assert garbage == 0

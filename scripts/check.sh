@@ -8,7 +8,7 @@
 #   scripts/check.sh --lint        # ruff (if installed) + lint pass + sanitizer smoke + mypy (if installed)
 #   scripts/check.sh --tests       # tests only
 #   scripts/check.sh --invariants  # invariant + golden-trace suite only
-#   scripts/check.sh --bench       # experiment ledger selftest (BENCHMARK.json's harness)
+#   scripts/check.sh --bench       # experiment ledger selftest (BENCHMARK.json's harness) + call-count repeatability
 #
 # ruff and mypy are optional: their configs live in pyproject.toml, but
 # the check degrades gracefully on machines without them.  The lint pass
@@ -82,6 +82,11 @@ if [ "$run_bench_only" = 1 ]; then
     # workload at 1/20 duration, digests against expected.json, ~20 s.
     echo "== experiment ledger selftest (benchmarks/ledger/run.py --selftest) =="
     python benchmarks/ledger/run.py --selftest
+    # Call counts are the deterministic cost row: two runs of one
+    # fabric cell must make exactly the same calls, layer by layer.
+    echo "== call-count repeatability (benchmarks/test_perf_calls.py) =="
+    PYTHONPATH="$REPRO_PYTHONPATH" python -m pytest -q -p no:cacheprovider \
+        benchmarks/test_perf_calls.py::test_call_counts_repeat_exactly
 fi
 
 workload_smoke() {

@@ -56,6 +56,10 @@ class BosCC(CongestionControl):
         self.delta = 1.0
         self.reductions = 0
 
+    def close(self) -> None:
+        super().close()
+        self.delta_provider = None
+
     # ------------------------------------------------------------------
 
     def on_ack(

@@ -52,7 +52,11 @@ class TraSh(Coupling):
     """
 
     def __init__(self, beta: float = DEFAULT_BETA) -> None:
-        super().__init__(lambda: BosCC(beta=beta, delta_provider=self.delta))
+        super().__init__()
+        self.beta = beta
+
+    def _new_controller(self) -> BosCC:
+        return BosCC(beta=self.beta, delta_provider=self.delta)
 
     def total_rate(self) -> float:
         """Sum of ``instant_rate`` over the active subflows."""

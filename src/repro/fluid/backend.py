@@ -188,7 +188,10 @@ def flow_goodputs_bps(
 
 def _build_model(scenario: FluidScenario) -> FluidModel:
     """The scenario's fluid model.  Each flow's paths are selected as the
-    model consumes them, and the network is garbage once this returns."""
+    model consumes them.  The network is unreachable once this returns,
+    but it is a cycle, so it is not freed then: it lives through the
+    whole solve until the cell-boundary ``gc.collect()`` in
+    :func:`repro.runner.registry.execute`."""
     if scenario.topology == "bottleneck":
         net = build_single_bottleneck(
             num_pairs=scenario.flows,

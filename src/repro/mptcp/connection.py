@@ -171,6 +171,16 @@ class MptcpConnection:
         that a *completed* connection keeps the receiver of each subflow
         that is not :attr:`~repro.transport.tcp.TcpSender.settled`: a copy
         of one of its segments may still arrive, and is ACKed as before.
+
+        Closing leaves the connection acyclic: each sender and controller
+        cuts its own back-edges (:meth:`TcpSender.close
+        <repro.transport.tcp.TcpSender.close>`), while the forward edges a
+        report reads afterwards stay (``coupling.controllers`` and each
+        controller's counters).  A finished flow is therefore freed by
+        reference counting the moment its last outside holder lets go,
+        with no garbage collection; a receiver kept for a late copy lives
+        on in its host until the topology is collected at the end of the
+        cell.
         """
         for subflow in self.subflows:
             subflow.sender.close()

@@ -57,8 +57,8 @@ def lia_alpha(
 class LiaCoupling(Coupling):
     """Shared state across the LIA controllers of one MPTCP flow."""
 
-    def __init__(self) -> None:
-        super().__init__(lambda: LiaCC(self))
+    def _new_controller(self) -> "LiaCC":
+        return LiaCC(self)
 
     def total_cwnd(self) -> float:
         """Sum of windows over active subflows."""
@@ -78,17 +78,22 @@ class LiaCC(RenoCC):
 
     def __init__(self, coupling: LiaCoupling) -> None:
         super().__init__(ecn=False)
-        self.coupling = coupling
+        self.coupling: Optional[LiaCoupling] = coupling
+
+    def close(self) -> None:
+        super().close()
+        self.coupling = None
 
     def increase_per_segment(self, newly_acked: int) -> float:
         sender = self.sender
-        assert sender is not None
+        coupling = self.coupling
+        assert sender is not None and coupling is not None
         own = 1.0 / max(sender.cwnd, 1.0)
-        alpha = self.coupling.alpha()
+        alpha = coupling.alpha()
         if alpha <= 0.0:
             # RTTs not measured yet: fall back to the uncoupled increase.
             return own
-        total = self.coupling.total_cwnd()
+        total = coupling.total_cwnd()
         if total <= 0.0:
             return own
         return min(alpha / total, own)

@@ -24,7 +24,7 @@ Decrease is Reno halving on loss; OLIA is loss-driven (not ECN-capable).
 
 from __future__ import annotations
 
-from typing import Dict, Set
+from typing import Dict, Optional, Set
 
 from repro.transport.cc import Coupling, RenoCC
 
@@ -32,8 +32,8 @@ from repro.transport.cc import Coupling, RenoCC
 class OliaCoupling(Coupling):
     """Shared state across the OLIA controllers of one MPTCP flow."""
 
-    def __init__(self) -> None:
-        super().__init__(lambda: OliaCC(self))
+    def _new_controller(self) -> "OliaCC":
+        return OliaCC(self)
 
     def rate_denominator(self) -> float:
         """``(sum_p w_p/rtt_p)^2``; 0 while RTTs are unknown."""
@@ -84,11 +84,15 @@ class OliaCC(RenoCC):
 
     def __init__(self, coupling: OliaCoupling) -> None:
         super().__init__(ecn=False)
-        self.coupling = coupling
+        self.coupling: Optional[OliaCoupling] = coupling
         # l1: segments delivered between the previous two losses;
         # l2: segments delivered since the last loss.
         self._l1 = 0.0
         self._l2 = 0.0
+
+    def close(self) -> None:
+        super().close()
+        self.coupling = None
 
     def loss_interval(self) -> float:
         """``l_r`` — the larger of the two inter-loss transfer estimates."""
@@ -109,16 +113,17 @@ class OliaCC(RenoCC):
 
     def increase_per_segment(self, newly_acked: int) -> float:
         sender = self.sender
-        assert sender is not None
+        coupling = self.coupling
+        assert sender is not None and coupling is not None
         own = 1.0 / max(sender.cwnd, 1.0)
-        denominator = self.coupling.rate_denominator()
+        denominator = coupling.rate_denominator()
         if denominator <= 0.0:
             return own
         srtt = sender.srtt
         if srtt is None or srtt <= 0:
             return own
         base = (sender.cwnd / (srtt * srtt)) / denominator
-        alpha = self.coupling.alphas().get(self, 0.0)
+        alpha = coupling.alphas().get(self, 0.0)
         increase = base + alpha / max(sender.cwnd, 1.0)
         # OLIA caps the increase at the uncoupled TCP rate and floors the
         # total at zero (a path is never actively shrunk by the increase

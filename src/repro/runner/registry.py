@@ -18,6 +18,7 @@ extracts the events-processed counter, and wraps everything in a
 
 from __future__ import annotations
 
+import gc
 import importlib
 import time
 from dataclasses import dataclass
@@ -98,7 +99,9 @@ def execute(spec: RunSpec) -> RunResult:
     its kind, and a validator that saw a violation raises
     :class:`~repro.validate.invariants.InvariantError` naming the cell.
     Probes observe only; the result value is byte-identical with and
-    without them.
+    without them.  Once the probes are finished and released, one
+    ``gc.collect()`` frees the cell's topology, so no ``Simulator`` or
+    ``Network`` of the cell outlives the call.
     """
     run = kind_entry(spec.kind).resolve()
     probes = [fresh(kind) for kind in BRACKET_ORDER if requested(kind)]
@@ -106,6 +109,12 @@ def execute(spec: RunSpec) -> RunResult:
     with probing(*probes):
         value = run(spec.config)
     reports = {probe.kind: probe.finish(spec.label()) for probe in probes}
+    del probes
+    # A finished flow was freed when it finished (MptcpConnection.close
+    # leaves it acyclic), but the topology is a cycle by construction:
+    # links hold their own bound methods.  Free it here, once per cell,
+    # rather than under the next cell's allocations.
+    gc.collect()
     metrics = CellMetrics(
         wall_time_s=time.perf_counter() - started,
         events=events_of(value),

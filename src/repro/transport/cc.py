@@ -60,6 +60,13 @@ class CongestionControl:
             raise RuntimeError("congestion control already attached")
         self.sender = sender
 
+    def close(self) -> None:
+        """Let go of the sender, for good; :meth:`TcpSender.close
+        <repro.transport.tcp.TcpSender.close>` calls this.  A coupled law
+        also drops its edge to the coupling here, so a finished flow holds
+        no cycle and reference counting frees it."""
+        self.sender = None
+
     # ------------------------------------------------------------------
     # Events (the sender calls these)
     # ------------------------------------------------------------------
@@ -163,18 +170,25 @@ class Coupling:
 
     A coupled scheme subclasses this with the state its controllers
     share (TraSh's rate sum, LIA's alpha, OLIA's path sets), all of it
-    read off :meth:`active_senders`.  The base itself is the uncoupled
-    case: independent controllers, each built by ``factory``.
+    read off :meth:`active_senders`, and overrides :meth:`_new_controller`:
+    a method, not a closure over the coupling, so nothing the coupling
+    owns points back at it once its controllers are closed.  The base
+    itself is the uncoupled case: independent controllers, each built by
+    ``law``.
     """
 
-    def __init__(self, factory: Callable[[], CongestionControl]) -> None:
-        self._factory = factory
+    def __init__(self, law: Optional[Callable[[], CongestionControl]] = None) -> None:
+        self._law = law
         self._controllers: List[CongestionControl] = []
 
     def make_controller(self) -> CongestionControl:
-        controller = self._factory()
+        controller = self._new_controller()
         self._controllers.append(controller)
         return controller
+
+    def _new_controller(self) -> CongestionControl:
+        assert self._law is not None
+        return self._law()
 
     @property
     def controllers(self) -> List[CongestionControl]:

@@ -187,7 +187,7 @@ class Receiver:
         self.acks_sent += 1
         if self._jitter_rng is not None:
             delay = self._jitter_rng.random() * self.ack_jitter
-            self.sim.schedule(delay, self.host.send, ack)
+            self.sim.post(delay, self.host.send, ack)
         else:
             self.host.send(ack)
 

@@ -245,10 +245,21 @@ class TcpSender:
 
     def close(self) -> None:
         """Tear the endpoint down for good: stop, close the RTO timer and
-        unregister, so nothing the simulator holds reaches this sender."""
+        unregister, so nothing the simulator holds reaches this sender.
+
+        It also cuts every back-edge the sender is part of: the controller
+        lets go of it (:meth:`CongestionControl.close
+        <repro.transport.cc.CongestionControl.close>`), and the two hooks,
+        bound methods of the owning connection, are dropped.  A closed
+        sender is then in no reference cycle, so it is freed by reference
+        counting as soon as its connection is, not by a later collection.
+        """
         self.stop()
         self.rto_timer.close()
         self.host.unregister(self.flow, self.subflow)
+        self.cc.close()
+        self.on_delivered = None
+        self.on_timeout_event = None
 
     @property
     def settled(self) -> bool:

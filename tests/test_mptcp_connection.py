@@ -7,10 +7,12 @@ from collections import Counter
 import pytest
 
 from repro.mptcp.connection import MptcpConnection
+from repro.mptcp.coupling import SCHEMES
 from repro.net.network import Network
 from repro.net.packet import MSS_BYTES, make_data_packet
 from repro.net.queue import ThresholdECNQueue
 from repro.topology.bottleneck import build_single_bottleneck
+from repro.transport.receiver import Receiver
 from repro.transport.tcp import TcpSender
 
 
@@ -188,32 +190,72 @@ class TestSchemes:
 class TestRelease:
     """Completion is terminal: a finished connection lets go of its state."""
 
-    def test_finished_connections_and_senders_are_garbage(self):
-        net = build_single_bottleneck(num_pairs=4)
+    #: Each is a path a new back-edge from a flow's endpoints could hide on.
+    VARIANTS = {
+        "plain": {},
+        "reinject": {"reinject_after_timeouts": 2},
+        "sack": {"sack": True},
+        "ack-jitter": {"ack_jitter": 20e-6},
+        "late-subflow": {},
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_finished_connections_and_senders_are_garbage(self, scheme, variant):
+        """With the collector off for the whole run, every finished flow is
+        already gone: reference counting freed it at completion."""
         # The last flow cannot finish within the 20 ms run.
         sizes = [30_000, 60_000, 90_000, 50_000_000]
-        completed = []
+        unsettled = {}
         refs = []
-        for index, size in enumerate(sizes):
-            conn = MptcpConnection(
-                net, net.source(index), net.sink(index), [net.flow_path(index)] * 2,
-                scheme="xmp", size_bytes=size,
-                on_complete=lambda c, now: completed.append(c.flow_id),
+        was_enabled = gc.isenabled()
+        gc.collect()  # earlier tests' topologies, so the census below is ours
+        gc.disable()
+        try:
+            net = build_single_bottleneck(num_pairs=4)
+            for index, size in enumerate(sizes):
+                conn = MptcpConnection(
+                    net, net.source(index), net.sink(index), [net.flow_path(index)] * 2,
+                    scheme=scheme, size_bytes=size,
+                    on_complete=lambda c, now: unsettled.__setitem__(
+                        c.flow_id, sum(not s.sender.settled for s in c.subflows)
+                    ),
+                    **self.VARIANTS[variant],
+                )
+                conn.start()
+                refs.append((index, conn.flow_id, weakref.ref(conn)))
+            del conn
+            if variant == "late-subflow":
+                net.sim.run(until=100e-6)
+                for index, _, conn_ref in refs:
+                    conn_ref().add_subflow(net.flow_path(index), start=True)
+            subflows = 3 if variant == "late-subflow" else 2
+            controllers = {
+                flow_id: [weakref.ref(cc) for cc in conn_ref().coupling.controllers]
+                for _, flow_id, conn_ref in refs
+            }
+            net.sim.run(until=0.02)
+            assert len(unsettled) == 3
+            # Slotted endpoints take no weakref: find the live ones by census.
+            live = Counter(
+                (type(obj), obj.flow)
+                for obj in gc.get_objects()
+                if isinstance(obj, (TcpSender, Receiver)) and obj.sim is net.sim
             )
-            conn.start()
-            refs.append((conn.flow_id, weakref.ref(conn)))
-        del conn
-        net.sim.run(until=0.02)
-        gc.collect()
-        assert len(completed) == 3
-        # Slotted senders take no weakref: find the live ones by census.
-        live_senders = Counter(
-            obj.flow for obj in gc.get_objects() if isinstance(obj, TcpSender)
-        )
-        for flow_id, conn_ref in refs:
-            finished = flow_id in completed
-            assert (conn_ref() is None) == finished, flow_id
-            assert live_senders[flow_id] == (0 if finished else 2), flow_id
+            # Read before the collector is back on: its first pass would
+            # free what a cycle still held.
+            for _, flow_id, conn_ref in refs:
+                finished = flow_id in unsettled
+                assert (conn_ref() is None) == finished, flow_id
+                assert live[TcpSender, flow_id] == (0 if finished else subflows), flow_id
+                # close() keeps exactly the receivers of unsettled subflows.
+                kept = unsettled[flow_id] if finished else subflows
+                assert live[Receiver, flow_id] == kept, flow_id
+                dead = [ref() is None for ref in controllers[flow_id]]
+                assert dead == [finished] * subflows, flow_id
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def _completed(self, net, scheme, size_bytes):
         conn = MptcpConnection(net, "S0", "D0", [net.flow_path(0)],

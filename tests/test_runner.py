@@ -9,12 +9,17 @@ change wall-clock, never output.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import gc
 import pickle
 
 import pytest
 
 from repro.experiments.fattree_eval import FatTreeScenario
+from repro.experiments.workload_matrix import IncastSweepScenario, WorkloadScenario
+from repro.fluid.backend import FluidScenario
+from repro.net.network import Network
 from repro.runner import (
     MISS,
     Campaign,
@@ -22,11 +27,15 @@ from repro.runner import (
     MemoryCache,
     RunCache,
     RunSpec,
+    execute,
     kind_entry,
     spec_fingerprint,
 )
 from repro.runner.cache import _stable
 from repro.runner.spec import SOURCE_DISK, SOURCE_MEMORY, SOURCE_RUN
+from repro.sim.engine import Simulator
+from repro.sim.probe import ENV
+from repro.validate.invariants import validating
 
 #: Small enough that a four-cell grid simulates in a few seconds.
 TINY = FatTreeScenario(
@@ -224,3 +233,46 @@ class TestRegistry:
     def test_entries_resolve(self):
         for name in KINDS:
             assert callable(kind_entry(name).resolve())
+
+
+#: One short cell of each kind that builds a topology, which is a
+#: reference cycle by construction (links hold their own bound methods).
+BOUNDARY_CELLS = {
+    "fattree": RunSpec("fattree", dataclasses.replace(TINY, duration=0.005)),
+    "workload": RunSpec("workload", WorkloadScenario(duration=0.005)),
+    "incast_sweep": RunSpec("incast_sweep", IncastSweepScenario(duration=0.005)),
+    "fluid": RunSpec("fluid", FluidScenario(duration=0.002)),
+}
+
+
+class TestCellBoundary:
+    """``execute`` frees the cell's topology before it returns."""
+
+    @pytest.mark.parametrize("validated", [False, True], ids=["bare", "validated"])
+    @pytest.mark.parametrize("kind", BOUNDARY_CELLS)
+    def test_no_simulator_or_network_outlives_the_cell(self, kind, validated, monkeypatch):
+        for row in ENV.values():
+            for name in row.switches:
+                monkeypatch.delenv(name, raising=False)
+        was_enabled = gc.isenabled()
+        gc.collect()  # earlier tests' garbage, so the census below is this cell's
+        gc.disable()
+        try:
+            with contextlib.ExitStack() as stack:
+                if validated:
+                    # An active validator gets the cell a fresh one, which
+                    # holds the cell's connections and simulator until
+                    # execute has finished it.
+                    stack.enter_context(validating())
+                result = execute(BOUNDARY_CELLS[kind])
+                left = [
+                    type(obj).__name__
+                    for obj in gc.get_objects()
+                    if isinstance(obj, (Simulator, Network))
+                ]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert left == []
+        assert ("validate" in result.metrics.probes) == validated
+        assert result.metrics.events > 0

@@ -188,3 +188,39 @@ class TestLifecycle:
         assert h.receiver.segments_received == 2
         assert h.receiver.ce_received == 1
         assert h.receiver.acks_sent >= 1
+
+
+class TestAckJitter:
+    def test_jittered_run_matches_its_pinned_flow_records(self):
+        """A jittered ACK is posted without a cancellation handle.  That
+        takes the same sequence number a handled event would, so event
+        order, and every flow record below, must not move."""
+        from repro.mptcp.connection import MptcpConnection
+        from repro.topology.bottleneck import build_single_bottleneck
+
+        net = build_single_bottleneck(num_pairs=3)
+        conns = [
+            MptcpConnection(
+                net, net.source(i), net.sink(i), [net.flow_path(i)] * 2,
+                scheme="xmp", size_bytes=size, ack_jitter=30e-6,
+            )
+            for i, size in enumerate([200_000, 400_000, 20_000_000])
+        ]
+        for conn in conns:
+            conn.start()
+        net.sim.run(until=0.01)
+        assert net.sim.events_processed == 7307
+        records = [
+            (
+                conn.complete_time,
+                conn.delivered_segments,
+                sum(s.sender.segments_sent for s in conn.subflows),
+                sum(cc.reductions for cc in conn.coupling.controllers),
+            )
+            for conn in conns
+        ]
+        assert records == [
+            (0.006020434009259711, 137, 137, 11),
+            (0.008485995565826323, 274, 274, 13),
+            (None, 336, 356, 15),
+        ]

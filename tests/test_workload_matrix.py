@@ -7,8 +7,12 @@ the reducers, while keeping the whole module in seconds.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+
 import pytest
 
+from repro.experiments import workload_matrix
 from repro.experiments.catalog import run
 from repro.experiments.workload_matrix import (
     IncastSweepScenario,
@@ -22,6 +26,8 @@ from repro.runner.cache import DiskCache, MemoryCache, RunCache
 from repro.validate.golden import digest_incast_sweep, digest_workload
 
 TINY = WorkloadScenario(duration=0.008, load=0.4, queue_sample_interval=0.002)
+#: Many short flows (the ledger's mice cell, shortened): most finish.
+CHURN = WorkloadScenario(duration=0.01, load=0.6, size_scale=0.02)
 TINY_INCAST = IncastSweepScenario(
     duration=0.008, fan_in=4, queue_sample_interval=0.002
 )
@@ -82,6 +88,32 @@ class TestWorkloadCell:
             )
         )
         assert high.scheduled_flows > low.scheduled_flows
+
+
+    @pytest.mark.parametrize("scheme", ["xmp", "lia", "olia", "dctcp"])
+    def test_finished_flows_leave_no_cyclic_garbage(self, scheme, monkeypatch):
+        """With the collector off for the whole cell and the topology still
+        held, a collection finds nothing: every finished flow was freed by
+        reference counting when it finished."""
+        held = []
+        build_cell = workload_matrix.build_cell
+
+        def holding_build_cell(config):
+            held.append(build_cell(config))
+            return held[-1]
+
+        monkeypatch.setattr(workload_matrix, "build_cell", holding_build_cell)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            result = _simulate_workload(dataclasses.replace(CHURN, scheme=scheme))
+            garbage = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert held and len(result.records) > 100
+        assert garbage == 0
 
 
 class TestIncastCell:
