@@ -8,7 +8,12 @@ finish, so what a finished flow keeps alive is what this cell's memory
 grows with.  Wall-clock is the benchmark statistic; further runs record
 
 * ``extra_info["tracemalloc_peak_mb"]`` and ``extra_info["bytes_per_flow"]``
-  (that peak over the flows launched);
+  (that peak over the flows launched), asserted below
+  :data:`BYTES_PER_FLOW_BOUND`;
+* ``extra_info["peak_pending"]``: the most scheduler records pending at
+  once.  Most of them, late in the cell, are finished flows' RTO
+  wake-ups (RTOmin is 200 ms, longer than the cell), each one record;
+  the open-loop arrivals add one, however many flows are still to come;
 * ``extra_info["cyclic_garbage"]``: the objects one ``gc.collect()``
   finds after a run made with the collector disabled, while the cell's
   topology is still held.  The topology is a cycle by construction and
@@ -24,11 +29,35 @@ import tracemalloc
 
 from repro.experiments import workload_matrix
 from repro.experiments.workload_matrix import WorkloadScenario, _simulate_workload
+from repro.sim.probe import Probe, probing
 
 WS_XMP2 = WorkloadScenario(
     scheme="xmp", subflows=2, workload="websearch", arrival="poisson",
     load=0.6, size_scale=0.02, duration=0.1, seed=1,
 )
+
+#: Measured 1,208 bytes per launched flow (CPython 3.11, seed 1) once a
+#: timer arm and a pending arrival each cost one record; 1,592 when each
+#: arm also held an Event and a bound method and every arrival was posted
+#: up front.
+BYTES_PER_FLOW_BOUND = 1_300
+
+
+class PeakPending(Probe):
+    """Tracks the most records ever pending; observes nothing else."""
+
+    __slots__ = ("peak",)
+    kind = "profile"
+
+    def __init__(self) -> None:
+        self.peak = 0
+
+    def on_push(self, pending: int) -> None:
+        if pending > self.peak:
+            self.peak = pending
+
+    def finish(self, context: str = "") -> dict:
+        return {"peak_pending": self.peak}
 
 
 def cyclic_garbage(scenario, monkeypatch):
@@ -56,7 +85,8 @@ def cyclic_garbage(scenario, monkeypatch):
 
 def test_mice_ws_xmp2_cell(benchmark, monkeypatch):
     """``_simulate_workload`` of the ws_xmp2 cell: wall-clock, tracemalloc
-    peak, peak bytes per launched flow and cyclic garbage."""
+    peak, peak bytes per launched flow, peak pending records and cyclic
+    garbage."""
     result = benchmark.pedantic(
         _simulate_workload, args=(WS_XMP2,), rounds=3, iterations=1
     )
@@ -73,6 +103,13 @@ def test_mice_ws_xmp2_cell(benchmark, monkeypatch):
     assert traced.events == result.events
     benchmark.extra_info["tracemalloc_peak_mb"] = peak / 2**20
     benchmark.extra_info["bytes_per_flow"] = peak / traced.launched_flows
+    assert peak / traced.launched_flows < BYTES_PER_FLOW_BOUND
+
+    pending = PeakPending()
+    with probing(pending):
+        probed = _simulate_workload(WS_XMP2)
+    assert probed.events == result.events
+    benchmark.extra_info["peak_pending"] = pending.peak
 
     garbage = cyclic_garbage(WS_XMP2, monkeypatch)
     benchmark.extra_info["cyclic_garbage"] = garbage

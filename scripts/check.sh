@@ -8,7 +8,7 @@
 #   scripts/check.sh --lint        # ruff (if installed) + lint pass + sanitizer smoke + mypy (if installed)
 #   scripts/check.sh --tests       # tests only
 #   scripts/check.sh --invariants  # invariant + golden-trace suite only
-#   scripts/check.sh --bench       # experiment ledger selftest (BENCHMARK.json's harness) + call-count repeatability
+#   scripts/check.sh --bench       # experiment ledger selftest (BENCHMARK.json's harness) + call-count repeatability + flow-churn memory census
 #
 # ruff and mypy are optional: their configs live in pyproject.toml, but
 # the check degrades gracefully on machines without them.  The lint pass
@@ -87,6 +87,12 @@ if [ "$run_bench_only" = 1 ]; then
     echo "== call-count repeatability (benchmarks/test_perf_calls.py) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m pytest -q -p no:cacheprovider \
         benchmarks/test_perf_calls.py::test_call_counts_repeat_exactly
+    # The flow-churn memory census: one websearch cell's tracemalloc peak
+    # per launched flow under its bound, and no cyclic garbage left by
+    # finished flows (~45 s).
+    echo "== flow-churn memory census (benchmarks/test_perf_mice.py) =="
+    PYTHONPATH="$REPRO_PYTHONPATH" python -m pytest -q -p no:cacheprovider \
+        benchmarks/test_perf_mice.py --benchmark-only
 fi
 
 workload_smoke() {

@@ -140,10 +140,10 @@ def _simulate(config: Fig1Config) -> Fig1Result:
 
     interval = config.interval
     for i, connection in enumerate(flows):
-        net.sim.schedule(JOIN_STEPS[i % len(JOIN_STEPS)] * interval, connection.start)
+        net.sim.post(JOIN_STEPS[i % len(JOIN_STEPS)] * interval, connection.start)
     for i, step in enumerate(LEAVE_STEPS):
         if i < len(flows):
-            net.sim.schedule(step * interval, flows[i].stop)
+            net.sim.post(step * interval, flows[i].stop)
 
     total_time = TOTAL_STEPS * interval
     sampler = RateSampler(

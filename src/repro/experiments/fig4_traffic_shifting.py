@@ -98,11 +98,11 @@ def _simulate(config: Fig4Config) -> Fig4Result:
                           scheme=config.scheme, beta=config.beta)
 
     for connection in (flow1, flow2, flow3):
-        net.sim.schedule(0.0, connection.start)
-    net.sim.schedule(10.0 * s, bg1.start)
-    net.sim.schedule(20.0 * s, bg1.stop)
-    net.sim.schedule(20.0 * s, bg2.start)
-    net.sim.schedule(30.0 * s, bg2.stop)
+        net.sim.post(0.0, connection.start)
+    net.sim.post(10.0 * s, bg1.start)
+    net.sim.post(20.0 * s, bg1.stop)
+    net.sim.post(20.0 * s, bg2.start)
+    net.sim.post(30.0 * s, bg2.stop)
 
     total = 40.0 * s
     sampler = RateSampler(

@@ -104,14 +104,14 @@ def _simulate(config: Fig6Config) -> Fig6Result:
         subflow = flow1.add_subflow(path1, start=True)
         sampler.add_sender(label, subflow.sender)
 
-    net.sim.schedule(0.0, flow1.start)
-    net.sim.schedule(5.0 * s, add_flow1_subflow, "flow1-2")
-    net.sim.schedule(15.0 * s, add_flow1_subflow, "flow1-3")
-    net.sim.schedule(20.0 * s, flow2.start)
-    net.sim.schedule(0.0, flow3.start)
-    net.sim.schedule(10.0 * s, flow4.start)
-    net.sim.schedule(25.0 * s, flow3.stop)
-    net.sim.schedule(25.0 * s, flow4.stop)
+    net.sim.post(0.0, flow1.start)
+    net.sim.post(5.0 * s, add_flow1_subflow, "flow1-2")
+    net.sim.post(15.0 * s, add_flow1_subflow, "flow1-3")
+    net.sim.post(20.0 * s, flow2.start)
+    net.sim.post(0.0, flow3.start)
+    net.sim.post(10.0 * s, flow4.start)
+    net.sim.post(25.0 * s, flow3.stop)
+    net.sim.post(25.0 * s, flow4.stop)
 
     sampler.start(config.sample_interval * s)
     net.sim.run(until=30.0 * s)

@@ -96,7 +96,7 @@ def _simulate(config: Fig7Config) -> Fig7Result:
         )
         for j, subflow in enumerate(connection.subflows, start=1):
             sampler.add_sender(f"flow{i}-{j}", subflow.sender)
-        net.sim.schedule((i - 1) * 5.0 * s, connection.start)
+        net.sim.post((i - 1) * 5.0 * s, connection.start)
 
     for b in range(1, config.num_background + 1):
         background = MptcpConnection(
@@ -104,11 +104,11 @@ def _simulate(config: Fig7Config) -> Fig7Result:
             scheme=config.scheme, beta=config.beta,
         )
         sampler.add_sender(f"bg{b}", background.subflows[0].sender)
-        net.sim.schedule((25.0 + (b - 1) * 5.0) * s, background.start)
-        net.sim.schedule((45.0 + (b - 1) * 5.0) * s, background.stop)
+        net.sim.post((25.0 + (b - 1) * 5.0) * s, background.start)
+        net.sim.post((45.0 + (b - 1) * 5.0) * s, background.stop)
 
     l3 = net.bottleneck(3)
-    net.sim.schedule(60.0 * s, net.set_link_pair_down, l3)
+    net.sim.post(60.0 * s, net.set_link_pair_down, l3)
 
     sampler.start(config.sample_interval * s)
     net.sim.run(until=total)

@@ -52,7 +52,7 @@ from repro.workloads.partition_aggregate import (
     PartitionAggregatePattern,
     check_rounds,
 )
-from repro.workloads.schedule import build_schedule, offered_bytes
+from repro.workloads.schedule import iter_schedule
 
 #: The matrix's default scheme column: XMP vs the single-path baseline
 #: vs one MPTCP coupling (add ("lia", 4), ("olia", 2), ... per run).
@@ -203,7 +203,7 @@ def _simulate_workload(scenario: WorkloadScenario) -> WorkloadResult:
     capacity = workload_capacity_bps(net)
     rate = offered_flow_rate(scenario.load, capacity, sampler.mean_bytes())
     process = make_arrivals(scenario.arrival, rate, sigma=scenario.arrival_sigma)
-    schedule = build_schedule(
+    schedule = iter_schedule(
         hosts,
         sampler,
         process,
@@ -245,9 +245,9 @@ def _simulate_workload(scenario: WorkloadScenario) -> WorkloadResult:
             if elephant_factory is not None
             else []
         ),
-        scheduled_flows=len(schedule),
+        scheduled_flows=pattern.scheduled,
         launched_flows=pattern.launched,
-        offered_bytes=offered_bytes(schedule),
+        offered_bytes=pattern.offered_bytes,
         capacity_bps=capacity,
         duration=scenario.duration,
     )

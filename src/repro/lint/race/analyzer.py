@@ -3,7 +3,7 @@
 Runs over the same whole-program summary set simsem builds (phase 1 is
 shared; this module is phase 2b).  The raw material is the per-function
 ``sched_calls`` records: priority classification and callback shape of
-every ``schedule()``/``post()``/``schedule_at()`` call.
+every ``schedule()``/``post()``/``schedule_at()``/``post_at()`` call.
 
 SIM018 is the sampler-bug shape: a *periodic* callback — a method that
 reschedules itself — scheduled at the default or a bare-literal

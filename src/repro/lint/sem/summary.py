@@ -57,11 +57,11 @@ HOOK_RECEIVERS = frozenset({"probe", "observer"})
 
 #: Receiver terminals that make a ``.schedule()``/``.post()`` call a
 #: scheduler call (SIM018's raw material): ``sim.schedule(...)``,
-#: ``self._sim.post(...)``, ``net.sim.schedule_at(...)``.
+#: ``self._sim.post(...)``, ``net.sim.schedule_at(...)``, ``sim.post_at(...)``.
 _SIM_RECEIVER_RE = re.compile(r"^_?sim(ulator)?$")
 
 #: Method names that enqueue an event on a simulator receiver.
-_SCHED_METHODS = frozenset({"schedule", "post", "schedule_at"})
+_SCHED_METHODS = frozenset({"schedule", "post", "schedule_at", "post_at"})
 
 #: Roots that make a seed expression nondeterministic across processes
 #: (SIM013): name -> human-readable reason.

@@ -46,7 +46,7 @@ class PeriodicSampler:
 
     def start(self, delay: float = 0.0) -> None:
         """Begin sampling ``delay`` seconds from now."""
-        self.sim.schedule(delay, self._tick, priority=SAMPLE_PRIORITY)
+        self.sim.post(delay, self._tick, priority=SAMPLE_PRIORITY)
 
     def stop(self) -> None:
         """Stop after the current tick.
@@ -63,7 +63,7 @@ class PeriodicSampler:
         self.sample()
         if self._stopped:
             return
-        self.sim.schedule(self.interval, self._tick, priority=SAMPLE_PRIORITY)
+        self.sim.post(self.interval, self._tick, priority=SAMPLE_PRIORITY)
 
     def sample(self) -> None:
         raise NotImplementedError

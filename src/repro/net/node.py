@@ -37,11 +37,10 @@ class Node:
         about drops only through missing ACKs.
         """
         hop = packet.hop
-        if hop >= len(packet.path):
-            raise RuntimeError(  # simperf: allow-alloc(unreachable error path)
-                f"{self.name}: packet has no next hop ({packet!r})"  # simperf: allow-alloc(error path)
-            )
-        link = packet.path[hop]
+        try:
+            link = packet.path[hop]
+        except IndexError:
+            raise _no_next_hop(self, packet) from None
         packet.hop = hop + 1
         return link.enqueue(packet)
 
@@ -63,13 +62,11 @@ class Switch(Node):
         # extra frame is measurable on fat-tree cells.
         self.packets_forwarded += 1
         hop = packet.hop
-        path = packet.path
-        if hop >= len(path):
-            raise RuntimeError(  # simperf: allow-alloc(unreachable error path)
-                f"{self.name}: packet has no next hop ({packet!r})"  # simperf: allow-alloc(error path)
-            )
+        try:
+            link = packet.path[hop]
+        except IndexError:
+            raise _no_next_hop(self, packet) from None
         packet.hop = hop + 1
-        link = path[hop]
         if link.busy and link.up:
             # The busy-transmitter branch of Link.enqueue, inlined: on a
             # loaded fabric most transit packets take it, and the saved
@@ -129,13 +126,21 @@ class Host(Node):
         # `forward` inlined: every transmitted segment and ACK enters the
         # network here, so the extra frame is measurable.
         hop = packet.hop
-        path = packet.path
-        if hop >= len(path):
-            raise RuntimeError(
-                f"{self.name}: packet has no next hop ({packet!r})"
-            )
+        try:
+            link = packet.path[hop]
+        except IndexError:
+            raise _no_next_hop(self, packet) from None
         packet.hop = hop + 1
-        return path[hop].enqueue(packet)
+        return link.enqueue(packet)
+
+
+def _no_next_hop(node: Node, packet: Packet) -> RuntimeError:
+    """The error for a packet forwarded past the end of its path.
+
+    The forwarding paths index ``path[hop]`` unguarded and turn the
+    ``IndexError`` into this, so the common case pays no length check.
+    """
+    return RuntimeError(f"{node.name}: packet has no next hop ({packet!r})")
 
 
 __all__ = ["Node", "Switch", "Host"]

@@ -61,13 +61,22 @@ would produce.
 ``tests/test_sim_calendar_properties.py`` pins this equivalence property
 against a reference heap.
 
-Event records are packed 6-tuples ``(time, priority, seq, event, callback,
-args)`` so ordering comparisons and sorting stay in C.  The ``event``
-field is ``None`` for records created by :meth:`Simulator.post`, the
-allocation-free fast path for the per-packet events (link serialization,
-propagation delivery) that are never cancelled; :meth:`Simulator.schedule`
-additionally allocates an :class:`~repro.sim.events.Event` handle for
-callers that may cancel.  Cancellation stays lazy (flag + skip-on-pop)
+Event records are packed 6-tuples ``(time, priority, seq, handle,
+callback, args)`` so ordering comparisons and sorting stay in C.  The
+``handle`` field is ``None`` for records created by :meth:`Simulator.post`
+and :meth:`Simulator.post_at`, the allocation-free path for events that
+are never cancelled (link serialization, propagation delivery, workload
+arrivals).  Otherwise it is the object that can void the record: the
+:class:`~repro.sim.events.Event` that :meth:`Simulator.schedule` returns,
+or a :class:`~repro.sim.events.Timer`, which is its own handle.
+
+Record liveness is one rule: a record is live while ``handle.seq ==
+record seq``.  A handle's ``seq`` names its one live record (0 when it
+has none): the loop zeroes it when the record fires, and
+:meth:`~repro.sim.events.Event.cancel` or a timer re-arm that moves the
+deadline earlier zeroes or replaces it, so the old record no longer
+matches.  Both loops and :meth:`Simulator._compact` skip a record that
+fails the rule, uncounted.  Cancellation stays lazy (void + skip-on-pop)
 with the same compaction thresholds the seed engine used.
 """
 
@@ -80,8 +89,9 @@ from typing import Any, Callable, List, Optional, Tuple
 from repro.sim.events import Event
 from repro.sim.probe import NO_PROBE, Probe
 
-#: One packed event record; ``event`` is None for post()-ed records.
-EventRecord = Tuple[float, int, int, Optional[Event], Callable[..., None], tuple]
+#: One packed event record; ``handle`` (an Event or a Timer, anything
+#: with a ``seq``) is None for post()-ed records.
+EventRecord = Tuple[float, int, int, Any, Callable[..., None], tuple]
 
 _INF = math.inf
 
@@ -241,8 +251,8 @@ class Simulator:
         same-time same-priority events fire in FIFO order.
 
         Returns the :class:`Event`, which the caller may :meth:`~Event.cancel`.
-        Hot paths that never cancel should prefer :meth:`post`, which
-        skips the handle allocation entirely.
+        Callers that never cancel should use :meth:`post`, which skips
+        the handle allocation entirely.
         """
         if not 0.0 <= delay < _INF:
             # One comparison rejects negatives, inf and NaN alike: NaN
@@ -252,27 +262,7 @@ class Simulator:
             raise SimulationError(  # simperf: allow-alloc(error path)
                 f"delay must be finite and >= 0, got {delay!r}"  # simperf: allow-alloc(error path)
             )
-        time = self._now + delay
-        self._seq = seq = self._seq + 1
-        event = Event(time, priority, seq, callback, args)  # simperf: allow-alloc(cancellation handle is the documented cost of schedule; post() is the alloc-free path)
-        event.sim = self
-        record = (time, priority, seq, event, callback, args)  # simperf: allow-alloc(calendar-queue record tuple; inherent to scheduling)
-        if time < self._run_end:
-            run = self._run
-            insort(run, record, self._run_i)
-            if len(run) > self.RUN_MAX:
-                self._trim_run()
-        elif time < self._horizon:
-            self._near.append(record)
-        elif time < self._far_end:
-            self._far.append(record)
-            if time < self._far_tail_min:
-                self._far_tail_min = time
-        else:
-            self._parked.append(record)
-        if self.probe is not None:
-            self.probe.on_push(self.pending_events)
-        return event
+        return self._schedule_at(self._now + delay, callback, args, priority)
 
     def post(
         self,
@@ -288,7 +278,9 @@ class Simulator:
         which dominate event traffic and are never cancelled.  Ordering
         semantics are identical to :meth:`schedule` (``post`` consumes a
         sequence number from the same counter), only the :class:`Event`
-        allocation and its back-reference bookkeeping are skipped.
+        allocation and its back-reference bookkeeping are skipped.  The
+        tier dispatch is :meth:`_insert`'s, inlined: this is the
+        per-packet path.
         """
         if not 0.0 <= delay < _INF:
             raise SimulationError(  # simperf: allow-alloc(error path)
@@ -313,6 +305,22 @@ class Simulator:
         if self.probe is not None:
             self.probe.on_push(self.pending_events)
 
+    def post_at(
+        self,
+        time: float,
+        callback: Callable[..., None],
+        *args: Any,
+        priority: int = 0,
+    ) -> None:
+        """:meth:`post` at an absolute simulation time, stored verbatim.
+
+        ``now + (time - now)`` is not always ``time`` in floating point,
+        so a caller that holds absolute times (a precomputed arrival
+        schedule) posts them here to fire at exactly the time it holds.
+        """
+        self._check_time(time)
+        self._insert(time, priority, None, callback, args)
+
     def schedule_at(
         self,
         time: float,
@@ -320,19 +328,67 @@ class Simulator:
         *args: Any,
         priority: int = 0,
     ) -> Event:
-        """Schedule ``callback(*args)`` at an absolute simulation time."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+        """:meth:`schedule` at an absolute simulation time, stored verbatim."""
+        self._check_time(time)
+        return self._schedule_at(time, callback, args, priority)
+
+    def _check_time(self, time: float) -> None:
+        if not self._now <= time < _INF:
+            raise SimulationError(  # simperf: allow-alloc(error path)
+                f"cannot schedule at t={time!r}: not finite or before now={self._now!r}"  # simperf: allow-alloc(error path)
             )
-        return self.schedule(time - self._now, callback, *args, priority=priority)
+
+    def _schedule_at(
+        self, time: float, callback: Callable[..., None], args: tuple, priority: int
+    ) -> Event:
+        event = Event(time, priority, 0, callback, args)  # simperf: allow-alloc(cancellation handle is the documented cost of schedule; post() is the alloc-free path)
+        event.sim = self
+        event.seq = self._insert(time, priority, event, callback, args)
+        return event
+
+    def _insert(
+        self,
+        time: float,
+        priority: int,
+        handle: Any,
+        callback: Callable[..., None],
+        args: tuple,
+    ) -> int:
+        """File one record at absolute ``time``; return its sequence number.
+
+        The one insert behind everything but :meth:`post`.  ``handle`` is
+        None or an object whose ``seq`` the caller sets to the returned
+        number: the record is live while the two match.
+        """
+        self._seq = seq = self._seq + 1
+        record = (time, priority, seq, handle, callback, args)  # simperf: allow-alloc(calendar-queue record tuple; inherent to scheduling)
+        if time < self._run_end:
+            run = self._run
+            insort(run, record, self._run_i)
+            if len(run) > self.RUN_MAX:
+                self._trim_run()
+        elif time < self._horizon:
+            self._near.append(record)
+        elif time < self._far_end:
+            self._far.append(record)
+            if time < self._far_tail_min:
+                self._far_tail_min = time
+        else:
+            self._parked.append(record)
+        if self.probe is not None:
+            self.probe.on_push(self.pending_events)
+        return seq
 
     # ------------------------------------------------------------------
     # Cancellation bookkeeping
     # ------------------------------------------------------------------
 
     def _note_cancelled(self) -> None:
-        """Called by :meth:`Event.cancel` while the event is scheduler-resident.
+        """Count one record its handle just voided (zeroed or replaced its ``seq``).
+
+        Called by :meth:`Event.cancel` and by a timer re-arm that moves
+        its deadline earlier, after the handle no longer matches the
+        record, so a compaction run from here already drops it.
 
         Lazy deletion leaves cancelled events in place until their
         scheduled time; when they dominate (long runs cancel an RTO timer
@@ -349,8 +405,8 @@ class Simulator:
 
     @staticmethod
     def _alive(record: EventRecord) -> bool:
-        event = record[3]
-        return event is None or not event.cancelled
+        handle = record[3]
+        return handle is None or handle.seq == record[2]
 
     def _compact(self) -> None:
         """Drop cancelled records from all four tiers, in place.
@@ -556,14 +612,13 @@ class Simulator:
                         if stop_time > self._now:
                             self._now = stop_time
                         break
-                    event = record[3]
-                    if event is not None:
-                        if event.cancelled:
+                    handle = record[3]
+                    if handle is not None:
+                        if handle.seq != record[2]:
                             self._run_i = i + 1
-                            event.sim = None
                             self._cancelled_pending -= 1
                             continue
-                        event.sim = None
+                        handle.seq = 0
                     self._run_i = i + 1
                     self._now = time
                     args = record[5]
@@ -594,15 +649,14 @@ class Simulator:
                         if stop_time > self._now:
                             self._now = stop_time
                         break
-                    event = record[3]
-                    if event is not None:
-                        if event.cancelled:
+                    handle = record[3]
+                    if handle is not None:
+                        if handle.seq != record[2]:
                             self._run_i = i + 1
-                            event.sim = None
                             self._cancelled_pending -= 1
                             probe.on_discard()
                             continue
-                        event.sim = None
+                        handle.seq = 0
                     self._run_i = i + 1
                     self._now = time
                     callback = record[4]

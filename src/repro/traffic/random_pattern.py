@@ -84,7 +84,7 @@ class RandomPattern:
         dst = self._pick_destination(src)
         if dst is None:
             # Everyone saturated; retry shortly rather than deadlocking.
-            self.factory.network.sim.schedule(
+            self.factory.network.sim.post(
                 0.001, self._issue, src, priority=MODEL
             )
             return

@@ -10,10 +10,11 @@ flow sets, one incast table) into the standard DCN evaluation surface:
   arrival processes calibrated to a target load against the topology's
   bisection-derived capacity;
 * :mod:`repro.workloads.schedule` — pure, deterministic schedule
-  generation (the piece property tests and the future fluid backend
-  share);
+  generation, as a stream or as a list (the piece the property tests
+  and the ledger's traced pass share);
 * :mod:`repro.workloads.openloop` — schedule replay over the existing
-  transport seams, plus elephant/mice background mixes;
+  transport seams, one pending arrival at a time, plus elephant/mice
+  background mixes;
 * :mod:`repro.workloads.partition_aggregate` — parametric incast
   fan-in jobs for goodput-collapse sweeps.
 
@@ -49,7 +50,7 @@ from repro.workloads.partition_aggregate import (
 from repro.workloads.schedule import (
     FlowArrival,
     build_schedule,
-    offered_bytes,
+    iter_schedule,
 )
 
 __all__ = [
@@ -75,5 +76,5 @@ __all__ = [
     "PartitionAggregatePattern",
     "FlowArrival",
     "build_schedule",
-    "offered_bytes",
+    "iter_schedule",
 ]

@@ -1,19 +1,22 @@
 """Open-loop execution of a flow schedule, plus elephant/mice mixes.
 
-:class:`OpenLoopPattern` replays a precomputed schedule
-(:func:`repro.workloads.schedule.build_schedule`) against a
-:class:`~repro.traffic.factory.TransferFactory`: every arrival is
-scheduled as a simulator event at its exact arrival time, regardless of
-how congested the fabric is — the defining property of an open-loop
-load generator (the closed-loop patterns in :mod:`repro.traffic` only
-issue a new flow when the previous one completes, which caps the load
-they can offer at whatever the fabric sustains).
+:class:`OpenLoopPattern` replays a schedule stream
+(:func:`repro.workloads.schedule.iter_schedule`) against a
+:class:`~repro.traffic.factory.TransferFactory`: each arrival is posted
+at its exact arrival time, regardless of how congested the fabric is —
+the defining property of an open-loop load generator (the closed-loop
+patterns in :mod:`repro.traffic` only issue a new flow when the previous
+one completes, which caps the load they can offer at whatever the fabric
+sustains).  The stream is read one arrival ahead: exactly one arrival is
+pending in the simulator, and firing it posts the next, so a run holds
+one arrival record instead of the whole schedule.
 
 Per-flow FCTs come out of the factory: each completed flow's
 :class:`~repro.metrics.goodput.FlowRecord` in ``factory.records`` carries
-start and completion times, and the pattern counts what it launched
-(flows still in flight at the horizon are reported separately, from the
-factory's unfinished records, never silently dropped).
+start and completion times, and the pattern counts what it scheduled
+and launched (flows still in flight at the horizon are reported
+separately, from the factory's unfinished records, never silently
+dropped).
 
 :class:`ElephantBackground` adds the classic background mix: a few
 long-lived bulk flows (sized to outlive the run) that keep queues
@@ -24,37 +27,48 @@ short-flow FCT tails actually differentiate congestion controllers.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
+from repro.sim.priorities import MODEL
 from repro.sim.units import Bytes
 from repro.traffic.factory import TransferFactory
 from repro.workloads.schedule import FlowArrival
 
 
 class OpenLoopPattern:
-    """Launch every scheduled arrival at its appointed time."""
+    """Launch every arrival of a time-ordered stream at its appointed time."""
 
     def __init__(
-        self, factory: TransferFactory, schedule: Sequence[FlowArrival]
+        self, factory: TransferFactory, schedule: Iterable[FlowArrival]
     ) -> None:
         self.factory = factory
-        self.schedule = list(schedule)
+        self._arrivals = iter(schedule)
+        #: Arrivals taken from the stream (each posted) / fired so far.
+        self.scheduled = 0
         self.launched = 0
+        #: Bytes the posted arrivals offer.
+        self.offered_bytes = 0
 
     def start(self) -> None:
-        """Register one simulator event per arrival (time-relative)."""
-        sim = self.factory.network.sim
-        now = sim.now
-        for arrival in self.schedule:
-            delay = arrival.time - now
-            if delay < 0:
-                raise ValueError(
-                    f"arrival at {arrival.time} is in the past (now={now})"
-                )
-            sim.schedule(delay, self._launch, arrival)
+        """Post the first arrival; each one posts the next as it fires."""
+        self._post_next()
+
+    def _post_next(self) -> None:
+        arrival = next(self._arrivals, None)
+        if arrival is None:
+            return
+        # Absolute time, stored verbatim: the flow starts at exactly
+        # arrival.time, which now + (arrival.time - now) need not be.
+        # An arrival in the past is a SimulationError.
+        self.factory.network.sim.post_at(
+            arrival.time, self._launch, arrival, priority=MODEL
+        )
+        self.scheduled += 1
+        self.offered_bytes += arrival.size_bytes
 
     def _launch(self, arrival: FlowArrival) -> None:
         self.launched += 1
+        self._post_next()
         self.factory.launch(arrival.src, arrival.dst, arrival.size_bytes)
 
 

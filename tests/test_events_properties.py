@@ -1,7 +1,9 @@
 """Property-based tests for the event heap and Timer.
 
 Random interleavings of schedule/cancel (with heap compaction forced via
-a tiny ``COMPACT_MIN_CANCELLED``) and of Timer start/restart/cancel are
+a tiny ``COMPACT_MIN_CANCELLED``) and of Timer start/restart/cancel (one
+timer, and several under the same forced compaction, where
+``cancelled_pending`` must match the voided records still pending) are
 checked against straightforward reference models.  Uses ``hypothesis``
 when available and falls back to a seeded fuzzer otherwise, so the suite
 exercises the same properties on machines without the dependency.
@@ -117,28 +119,9 @@ def test_cancelled_event_never_fires_and_cancel_is_idempotent():
 # ----------------------------------------------------------------------
 
 
-def run_timer_ops(ops):
-    """Apply timed Timer ops; return (fires, expected_fires).
-
-    ``ops`` is a list of (at_ticks, action, delay_ticks) with strictly
-    increasing ``at_ticks``; actions are "start", "restart", "cancel".
-    The reference model tracks only the deadline contract: a timer set
-    at t to delay d fires at t+d unless re-armed or cancelled first.
-    """
-    sim = Simulator()
-    fires = []
-    timer = Timer(sim, lambda: fires.append(sim.now))
-    actions = {
-        "start": timer.start,
-        "restart": timer.restart,
-        "cancel": lambda _delay: timer.cancel(),
-    }
-    for at, action, delay in ops:
-        sim.schedule_at(
-            at * TICK, actions[action], delay * TICK, priority=-1
-        )
-    sim.run()
-
+def expected_timer_fires(ops):
+    """The reference model: a timer set at t to delay d fires at t+d
+    unless re-armed or cancelled first.  ``ops`` as in :func:`run_timer_ops`."""
     expected = []
     deadline = None
     for at, action, delay in ops:
@@ -158,7 +141,97 @@ def run_timer_ops(ops):
             deadline = None
     if deadline is not None:
         expected.append(deadline)
-    return fires, expected
+    return expected
+
+
+def run_timer_ops(ops):
+    """Apply timed Timer ops; return (fires, expected_fires).
+
+    ``ops`` is a list of (at_ticks, action, delay_ticks) with strictly
+    increasing ``at_ticks``; actions are "start", "restart", "cancel".
+    The reference model tracks only the deadline contract.
+    """
+    sim = Simulator()
+    fires = []
+    timer = Timer(sim, lambda: fires.append(sim.now))
+    actions = {
+        "start": timer.start,
+        "restart": timer.restart,
+        "cancel": lambda _delay: timer.cancel(),
+    }
+    for at, action, delay in ops:
+        sim.schedule_at(
+            at * TICK, actions[action], delay * TICK, priority=-1
+        )
+    sim.run()
+    return fires, expected_timer_fires(ops)
+
+
+def stale_records(sim):
+    """Pending records whose handle no longer names them (voided)."""
+    pending = sim._run[sim._run_i:] + sim._near + sim._far + sim._parked
+    return sum(
+        record[3] is not None and record[3].seq != record[2] for record in pending
+    )
+
+
+def run_timer_churn(ops, timers=3, compact_min=2):
+    """Several timers under interleaved ops, compaction forced small.
+
+    ``ops`` is a list of (at_ticks, timer_index, action, delay_ticks)
+    with strictly increasing ``at_ticks``.  After every op the scheduler's
+    ``cancelled_pending`` must equal the number of voided records still
+    pending — moved-earlier re-arms void one each, compactions drop them
+    all — and each timer must fire exactly as the one-timer model says.
+    """
+    sim = Simulator()
+    sim.COMPACT_MIN_CANCELLED = compact_min
+    fires = [[] for _ in range(timers)]
+    pool = [
+        Timer(sim, lambda index=index: fires[index].append(sim.now))
+        for index in range(timers)
+    ]
+    census = []
+
+    def apply(index, action, delay):
+        if action == "cancel":
+            pool[index].cancel()
+        else:
+            pool[index].start(delay)
+        census.append((sim.cancelled_pending, stale_records(sim)))
+
+    for at, index, action, delay in ops:
+        sim.schedule_at(at * TICK, apply, index % timers, action, delay * TICK, priority=-1)
+    sim.run()
+    census.append((sim.cancelled_pending, stale_records(sim)))
+    expected = [
+        expected_timer_fires(
+            [(at, action, delay) for at, i, action, delay in ops if i % timers == index]
+        )
+        for index in range(timers)
+    ]
+    return fires, expected, census, sim
+
+
+def check_timer_churn(ops):
+    fires, expected, census, sim = run_timer_churn(ops)
+    assert fires == expected
+    assert all(counted == stale for counted, stale in census), census
+    assert census[-1] == (0, 0)
+    assert sim.pending_events == 0
+    return sim
+
+
+def test_timer_churn_counts_every_voided_record_through_compactions():
+    # Three timers each pulled earlier over and over: every pull voids
+    # one record, so compactions run with timer records pending.
+    ops = []
+    at = 0
+    for round_ in range(40):
+        for index in range(3):
+            at += 1
+            ops.append((at, index, "start", 400 - 9 * round_ - index))
+    assert check_timer_churn(ops).compactions > 0
 
 
 def check_timer(ops):
@@ -246,6 +319,28 @@ if HAVE_HYPOTHESIS:
     def test_timer_property(ops):
         check_timer(ops)
 
+    @st.composite
+    def timer_churn_ops(draw):
+        count = draw(st.integers(min_value=0, max_value=30))
+        times = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=600),
+                min_size=count, max_size=count, unique=True,
+            )
+        )
+        ops = []
+        for at in sorted(times):
+            index = draw(st.integers(min_value=0, max_value=2))
+            action = draw(st.sampled_from(["start", "start", "restart", "cancel"]))
+            delay = draw(st.integers(min_value=1, max_value=200))
+            ops.append((at, index, action, delay))
+        return ops
+
+    @given(timer_churn_ops())
+    @settings(max_examples=150, deadline=None)
+    def test_timer_churn_property(ops):
+        check_timer_churn(ops)
+
 else:  # pragma: no cover - minimal images only
 
     def test_schedule_cancel_property():
@@ -274,3 +369,18 @@ else:  # pragma: no cover - minimal images only
                 for at in sorted(times)
             ]
             check_timer(ops)
+
+    def test_timer_churn_property():
+        rng = random.Random(0xFACE)
+        for _ in range(300):
+            times = rng.sample(range(601), rng.randrange(0, 31))
+            ops = [
+                (
+                    at,
+                    rng.randrange(3),
+                    rng.choice(["start", "start", "restart", "cancel"]),
+                    rng.randrange(1, 201),
+                )
+                for at in sorted(times)
+            ]
+            check_timer_churn(ops)

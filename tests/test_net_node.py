@@ -45,6 +45,20 @@ class TestForwarding:
         with pytest.raises(RuntimeError):
             net.switches["SW1"].forward(Packet(DATA, 1500, 0, 0, path=()))
 
+    @pytest.mark.parametrize("entry", ["forward", "receive", "send"])
+    def test_past_the_end_of_the_path_names_node_and_packet(self, entry):
+        # Every forwarding entry indexes path[hop] unguarded; running off
+        # the end is the same RuntimeError, not a bare IndexError.
+        net = linear_net()
+        node = net.host("A") if entry == "send" else net.switches["SW1"]
+        path = net.paths("A", "B")[0]
+        packet = Packet(DATA, 1500, 0, 0, path=path)
+        packet.hop = len(path)
+        with pytest.raises(RuntimeError, match=r"^(SW1|A): packet has no next hop \(Packet") as info:
+            getattr(node, entry)(packet)
+        assert info.value.__cause__ is None
+        assert packet.hop == len(path)
+
 
 class TestHostDemux:
     def test_dispatch_by_flow_and_subflow(self):

@@ -1,5 +1,8 @@
 """Tests for Event and the lazy deadline Timer."""
 
+import tracemalloc
+
+from repro.sim import events as events_module
 from repro.sim.events import Timer
 
 
@@ -131,3 +134,74 @@ class TestTimer:
         timer.start(1.0)
         sim.run()
         assert fired == [1.0, 2.0, 3.0]
+
+
+class TestTimerIsItsOwnHandle:
+    """An arm files one record pointing at the timer: no Event, no bound
+    method, and a moved-earlier re-arm voids the old record exactly."""
+
+    def test_arm_fire_rearm_cycles_allocate_no_event(self, sim, monkeypatch):
+        created = []
+        init = events_module.Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(events_module.Event, "__init__", counting_init)
+        fired = []
+        timer = Timer(sim, lambda: None)
+
+        def expire():
+            fired.append(sim.now)
+            if len(fired) < 10_000:
+                timer.start(1e-3)  # arm after fire
+                timer.start(2e-3)  # later: rides the pending record
+                timer.start(1.5e-3)  # earlier than the deadline, not the record
+
+        timer._callback = expire
+        timer.start(1e-3)
+        sim.run()
+        assert len(fired) == 10_000
+        assert created == []
+
+    def test_a_pending_arm_costs_only_its_record(self, sim):
+        timers = [Timer(sim, lambda: None) for _ in range(10_000)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i, timer in enumerate(timers):
+                timer.start(1.0 + i * 1e-6)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # The record tuple, its one-element args tuple, the time and the
+        # sequence number: ~200 bytes.  An Event plus a bound method per
+        # arm put it at ~330.
+        assert grown / len(timers) < 260
+
+    def test_moved_earlier_rearm_fires_once_and_skips_the_stale_record(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(2.0)
+        timer.start(0.5)  # earlier: the 2.0 record is voided
+        assert sim.pending_events == 2
+        assert sim.cancelled_pending == 1
+        sim.run()
+        assert fired == [0.5]
+        # Only the live record counts; the stale one was skipped.
+        assert sim.events_processed == 1
+        assert sim.cancelled_pending == 0
+        assert sim.pending_events == 0
+
+    def test_moved_earlier_twice_voids_both_stale_records(self, sim):
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(3.0)
+        timer.start(2.0)
+        timer.start(1.0)
+        assert sim.cancelled_pending == 2
+        sim.run()
+        assert fired == [1.0]
+        assert sim.events_processed == 1
+        assert sim.cancelled_pending == 0

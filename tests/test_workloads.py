@@ -6,14 +6,28 @@ The satellites the production-traffic issue pins:
   (a KS-style sup bound) and the sample mean matches the analytic mean;
 * the mean interarrival gap matches the requested rate;
 * identical seeds give byte-identical flow schedules (the schedule is a
-  pure function of its inputs — no simulation needed for the proof).
+  pure function of its inputs — no simulation needed for the proof);
+* the streamed schedule is the listed one, and the open-loop pattern
+  replays it one pending arrival at a time, each flow launched at its
+  arrival time bit for bit.
 """
 
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - exercised on minimal images
+    HAVE_HYPOTHESIS = False
+
+from repro.sim.engine import SimulationError, Simulator
 
 from repro.topology.fattree import build_fattree
 from repro.workloads.arrivals import (
@@ -34,8 +48,11 @@ from repro.workloads.cdf import (
     UniformSizes,
     make_sampler,
 )
+from repro.validate.golden import load_golden
+from repro.validate.scenarios import run_scenario
 from repro.workloads import schedule as schedule_module
-from repro.workloads.schedule import build_schedule, offered_bytes
+from repro.workloads.openloop import OpenLoopPattern
+from repro.workloads.schedule import FlowArrival, build_schedule, iter_schedule
 
 #: Draws for the distributional checks.  The KS critical value at
 #: alpha=0.001 is 1.95/sqrt(N) ~ 0.0062; the seeds are fixed, so the
@@ -248,7 +265,6 @@ class TestScheduleDeterminism:
         assert all(0 < a.time < 0.5 for a in schedule)
         assert all(a.src != a.dst for a in schedule)
         assert all(a.size_bytes >= 1 for a in schedule)
-        assert offered_bytes(schedule) == sum(a.size_bytes for a in schedule)
 
     def test_all_hosts_participate(self):
         schedule = self._schedule(5, duration=5.0)
@@ -277,3 +293,108 @@ class TestScheduleDeterminism:
                 self.HOSTS, FixedSizes(1), PoissonArrivals(1.0),
                 random.Random(0), 0.0,
             )
+
+
+class TestStreamedArrivals:
+    HOSTS = [f"h{i}" for i in range(8)]
+
+    def _both(self, seed, duration, arrival):
+        def stream():
+            return (
+                self.HOSTS, make_sampler("websearch"),
+                make_arrivals(arrival, 400.0, sigma=1.5), random.Random(seed), duration,
+            )
+
+        return list(iter_schedule(*stream())), build_schedule(*stream())
+
+    def check_stream_equals_list(self, seed, duration, arrival):
+        streamed, listed = self._both(seed, duration, arrival)
+        assert isinstance(listed, list)
+        assert len(streamed) == len(listed)
+        for a, b in zip(streamed, listed):
+            assert a == b
+            assert a.time.hex() == b.time.hex()
+
+    if HAVE_HYPOTHESIS:
+
+        @given(
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.floats(min_value=1e-4, max_value=0.2),
+            st.sampled_from(["poisson", "lognormal"]),
+        )
+        @settings(max_examples=60, deadline=None)
+        def test_stream_equals_list(self, seed, duration, arrival):
+            self.check_stream_equals_list(seed, duration, arrival)
+
+    else:  # pragma: no cover - minimal images only
+
+        def test_stream_equals_list(self):
+            rng = random.Random(0x5EED)
+            for _ in range(60):
+                self.check_stream_equals_list(
+                    rng.randrange(2**32), rng.uniform(1e-4, 0.2),
+                    rng.choice(["poisson", "lognormal"]),
+                )
+
+    @staticmethod
+    def _replay(schedule):
+        """Run an OpenLoopPattern over ``schedule`` with a recording factory;
+        return (launch times, pending records seen at each launch, pattern)."""
+        sim = Simulator()
+        launches = []
+        pending = []
+
+        def launch(src, dst, size):
+            launches.append(sim.now)
+            pending.append(sim.pending_events)
+
+        factory = SimpleNamespace(network=SimpleNamespace(sim=sim), launch=launch)
+        pattern = OpenLoopPattern(factory, schedule)
+        pattern.start()
+        pending.append(sim.pending_events)
+        sim.run()
+        return launches, pending, pattern
+
+    def test_each_flow_launches_at_its_arrival_time_bit_for_bit(self):
+        # A pair where a relative delay would not land on the arrival:
+        # now + (t - now) is one ulp off t.
+        now, t = 6.731135254387071e-07, 1.6832368123840407e-06
+        assert now + (t - now) != t
+        schedule = [FlowArrival(now, "h0", "h1", 1), FlowArrival(t, "h1", "h0", 2)]
+        schedule += [
+            arrival
+            for arrival in iter_schedule(
+                self.HOSTS, FixedSizes(1000), PoissonArrivals(2e5), random.Random(3), 0.02,
+            )
+            if arrival.time > t
+        ]
+        launches, _, pattern = self._replay(schedule)
+        assert [time.hex() for time in launches] == [a.time.hex() for a in schedule]
+        assert pattern.launched == pattern.scheduled == len(schedule)
+        assert pattern.offered_bytes == sum(a.size_bytes for a in schedule)
+
+    def test_at_most_one_arrival_is_ever_pending(self):
+        schedule = iter_schedule(
+            self.HOSTS, FixedSizes(1000), PoissonArrivals(1e5), random.Random(9), 0.01,
+        )
+        launches, pending, pattern = self._replay(schedule)
+        assert len(launches) > 500
+        # Nothing else is scheduled here, so the pending records are the
+        # pattern's own: the next arrival, never more.
+        assert max(pending) == 1
+        assert pattern.launched == pattern.scheduled == len(launches)
+
+    def test_arrival_in_the_past_is_rejected(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        factory = SimpleNamespace(network=SimpleNamespace(sim=sim), launch=None)
+        pattern = OpenLoopPattern(factory, [FlowArrival(0.5, "h0", "h1", 1)])
+        with pytest.raises(SimulationError, match="before now"):
+            pattern.start()
+
+    def test_websearch_golden_schedule_totals_unchanged(self):
+        digest, _ = run_scenario("workload-websearch")
+        golden = load_golden("workload-websearch")
+        for key in ("scheduled_flows", "launched_flows", "offered_bytes"):
+            assert digest[key] == golden[key]
+        assert (digest["scheduled_flows"], digest["offered_bytes"]) == (11, 29441043)
