@@ -179,14 +179,21 @@ def digest_connection(conn: Any) -> Dict[str, Any]:
     }
 
 
-def digest_bottleneck_run(net: Any, connections: List[Any]) -> Dict[str, Any]:
-    """Digest for a hand-built small-topology run (bottleneck scenarios)."""
-    return {
+def digest_bottleneck_run(
+    net: Any, connections: List[Any], series: Any = None
+) -> Dict[str, Any]:
+    """Digest for a hand-built small-topology run (bottleneck scenarios);
+    a sampled run's ``series`` is pinned column by column, in order."""
+    digest = {
         "events": net.sim.events_processed,
         "final_time": net.sim.now,
         "queues": digest_network_queues(net),
         "flows": [digest_connection(conn) for conn in connections],
     }
+    if series is not None:
+        digest["sample_times"] = list(series.times)
+        digest["series"] = [[key, list(series[key])] for key in series.columns]
+    return digest
 
 
 def digest_fattree(result: Any) -> Dict[str, Any]:
