@@ -43,7 +43,7 @@ from repro.lint.core import (
 )
 from repro.lint.fixes import apply_fixes, ensure_units_imports, fix_file
 from repro.lint.registry import catalog, known_codes, syntactic_rules
-from repro.lint.rules import RULE_CLASSES, all_rules, rules_by_code
+from repro.lint.rules import RULE_CLASSES, all_rules
 
 __all__ = [
     "Analyzer",
@@ -61,6 +61,5 @@ __all__ = [
     "fix_file",
     "iter_python_files",
     "known_codes",
-    "rules_by_code",
     "syntactic_rules",
 ]

@@ -267,15 +267,6 @@ class Analyzer:
         text = Path(path).read_text(encoding="utf-8")
         return self.lint_source(text, path=path)
 
-    def lint_paths(
-        self, paths: Iterable["str | os.PathLike[str]"]
-    ) -> List[Finding]:
-        """Lint files and directory trees (``*.py``, sorted, once each)."""
-        findings: List[Finding] = []
-        for path in iter_python_files(paths):
-            findings.extend(self.lint_file(path))
-        return findings
-
 
 def iter_python_files(
     paths: Iterable["str | os.PathLike[str]"],

@@ -43,8 +43,7 @@ def _unparseable_line(raw_line: str, value: Optional[str]) -> str:
 class HotPathRegistry:
     """Dotted hot-function qnames, each with a documented reason."""
 
-    def __init__(self, origin: str = str(DEFAULT_HOTPATHS_FILE)) -> None:
-        self.origin = origin
+    def __init__(self) -> None:
         self._reasons: Dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
@@ -63,16 +62,8 @@ class HotPathRegistry:
     @classmethod
     def load(cls, path: Optional[Path] = None) -> "HotPathRegistry":
         path = path if path is not None else DEFAULT_HOTPATHS_FILE
-        registry = cls(origin=str(path))
+        registry = cls()
         registry._parse(path.read_text(encoding="utf-8"), str(path))
-        return registry
-
-    @classmethod
-    def from_text(
-        cls, text: str, origin: str = "<inline>"
-    ) -> "HotPathRegistry":
-        registry = cls(origin=origin)
-        registry._parse(text, origin)
         return registry
 
     def _parse(self, text: str, origin: str) -> None:

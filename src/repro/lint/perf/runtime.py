@@ -46,6 +46,11 @@ from repro.sim.probe import Probe
 #: under test, and no real object construction hides under it — the
 #: smallest tuple/list/dict/instance all exceed 32 bytes.
 SCALAR_NOISE_BYTES = 32
+#: The share of its firings on which a hot function must allocate to be
+#: reported: a majority separates structural per-event allocation (a
+#: constructor on every fire) from free-list warmup noise, which shows
+#: up on a handful of early firings only.
+ALLOCATOR_MIN_RATIO = 0.5
 
 
 class AllocMonitor(Probe):
@@ -145,18 +150,14 @@ class AllocMonitor(Probe):
 
     # -- reporting -----------------------------------------------------
 
-    def allocators(self, min_ratio: float = 0.5) -> List[str]:
-        """Hot functions that allocated on ≥ ``min_ratio`` of firings.
-
-        The majority threshold separates structural per-event allocation
-        (a constructor on every fire) from free-list warmup noise, which
-        shows up on a handful of early firings only.
-        """
+    def allocators(self) -> List[str]:
+        """Hot functions that allocated on ≥ :data:`ALLOCATOR_MIN_RATIO`
+        of their firings."""
         return sorted(
             dotted
             for dotted, entry in self.stats.items()
             if entry["events"] > 0
-            and entry["alloc_events"] / entry["events"] >= min_ratio
+            and entry["alloc_events"] / entry["events"] >= ALLOCATOR_MIN_RATIO
         )
 
     def finish(self, context: str = "") -> Dict[str, Any]:
@@ -169,4 +170,4 @@ class AllocMonitor(Probe):
         }
 
 
-__all__ = ["AllocMonitor", "SCALAR_NOISE_BYTES"]
+__all__ = ["ALLOCATOR_MIN_RATIO", "AllocMonitor", "SCALAR_NOISE_BYTES"]

@@ -8,7 +8,7 @@ single registry the analyzer, CLI and docs build from.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple, Type
+from typing import List, Tuple, Type
 
 from repro.lint.core import Rule
 from repro.lint.rules.determinism import UnorderedIterationRule, UnseededRandomRule
@@ -34,8 +34,4 @@ def all_rules() -> List[Rule]:
     return [cls() for cls in RULE_CLASSES]
 
 
-def rules_by_code() -> Dict[str, Type[Rule]]:
-    return {cls.code: cls for cls in RULE_CLASSES}
-
-
-__all__ = ["RULE_CLASSES", "all_rules", "rules_by_code"]
+__all__ = ["RULE_CLASSES", "all_rules"]

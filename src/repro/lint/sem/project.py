@@ -145,16 +145,12 @@ class _EffectiveSinks:
 class ProjectAnalyzer:
     """Two-phase whole-program analyzer: summaries, then every join."""
 
-    def __init__(
-        self,
-        registry: Optional[SinkRegistry] = None,
-        hotpaths: Optional[HotPathRegistry] = None,
-    ) -> None:
-        self.registry = registry if registry is not None else SinkRegistry.load()
+    def __init__(self) -> None:
+        self.registry = SinkRegistry.load()
         #: Hot-path registry override for the perf join (fixture
-        #: projects carry their own); ``None`` means the checked-in
+        #: projects set their own); ``None`` means the checked-in
         #: ``hotpaths.toml``.
-        self.hotpaths = hotpaths
+        self.hotpaths: Optional[HotPathRegistry] = None
         self.stats = SemStats()
 
     # -- phase 1 ----------------------------------------------------------

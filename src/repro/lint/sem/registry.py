@@ -104,19 +104,20 @@ class SinkRegistry:
       name, since that is what a constructor call looks like).
     """
 
-    def __init__(self, sinks: Optional[Dict[str, Dict[str, str]]] = None) -> None:
+    def __init__(self) -> None:
         self._sinks: Dict[str, Dict[str, str]] = {}
-        if sinks:
-            for qname, params in sinks.items():
-                for param, dimension in params.items():
-                    self.add(qname, param, dimension)
 
     @classmethod
     def load(cls, path: Optional[Path] = None) -> "SinkRegistry":
         """Load the checked-in registry (or ``path``)."""
         target = path if path is not None else DEFAULT_SINKS_FILE
-        text = target.read_text(encoding="utf-8")
-        return cls(parse_sinks_toml(text, origin=str(target)))
+        registry = cls()
+        for qname, params in parse_sinks_toml(
+            target.read_text(encoding="utf-8"), origin=str(target)
+        ).items():
+            for param, dimension in params.items():
+                registry.add(qname, param, dimension)
+        return registry
 
     def add(self, qname: str, param: str, dimension: str) -> None:
         if dimension not in KNOWN_DIMENSIONS:

@@ -1,7 +1,7 @@
 """Every public name and every defaulted parameter in ``src/repro`` earns
 a caller outside ``tests/``.
 
-The census walks the AST of ``src/repro`` (outside ``repro.lint``) for
+The census walks the AST of ``src/repro`` (``repro.lint`` included) for
 public functions, classes and methods.  A *reference* is a Name, an
 Attribute, an import or an identifier string anywhere in ``src/repro``,
 ``benchmarks/`` (the ledger included), ``examples/`` or ``scripts/`` —
@@ -217,7 +217,7 @@ def _name(node: ast.AST) -> Optional[Tuple[str, bool]]:
 
 def _module(path: Path) -> Optional[str]:
     """The censused module ``path`` defines, or None outside the census."""
-    if not path.is_relative_to(SRC) or path.is_relative_to(SRC / "lint"):
+    if not path.is_relative_to(SRC):
         return None
     parts = path.relative_to(SRC.parent).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)

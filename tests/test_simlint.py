@@ -32,7 +32,8 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 
 def test_src_tree_lints_clean():
-    findings = Analyzer().lint_paths([SRC])
+    analyzer = Analyzer()
+    findings = [f for path in iter_python_files([SRC]) for f in analyzer.lint_file(path)]
     assert findings == [], "simlint findings in src/repro:\n" + "\n".join(
         f.format() for f in findings
     )

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import Analyzer, all_rules, rules_by_code
+from repro.lint import RULE_CLASSES, Analyzer, all_rules
 
 pytestmark = pytest.mark.lint
 
@@ -86,7 +86,7 @@ def test_bad_fixture_messages(fixture):
     text = fixture.read_text(encoding="utf-8")
     findings = Analyzer().lint_source(text, path=virtual_path(text, fixture))
     assert findings, f"{fixture.name} is a bad fixture but linted clean"
-    by_code = rules_by_code()
+    by_code = {cls.code: cls for cls in RULE_CLASSES}
     for finding in findings:
         rule = by_code[finding.code]
         assert finding.severity is rule.severity

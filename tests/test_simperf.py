@@ -18,11 +18,14 @@ The acceptance bar the pass is held to:
 
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 
 from repro.lint.perf.analyzer import check_perf, explained_hot_functions
 from repro.lint.perf.hotpaths import HotPathError, HotPathRegistry
+from repro.lint.perf import runtime
 from repro.lint.perf.runtime import SCALAR_NOISE_BYTES, AllocMonitor
 from repro.lint.registry import catalog, known_codes
 from repro.lint.sem import ProjectAnalyzer
@@ -36,8 +39,18 @@ pytestmark = pytest.mark.lint
 PERF_CODES = frozenset(e.code for e in catalog() if e.kind == "perf")
 
 
+def registry_from(text):
+    """A hot-path registry loaded, as the program loads one, from a file
+    holding ``text``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "hotpaths.toml"
+        path.write_text(text, encoding="utf-8")
+        return HotPathRegistry.load(path)
+
+
 def perf_findings(sources, registry):
-    analyzer = ProjectAnalyzer(hotpaths=registry)
+    analyzer = ProjectAnalyzer()
+    analyzer.hotpaths = registry
     return [
         f
         for f in analyzer.analyze_sources(sources)
@@ -61,13 +74,13 @@ def test_checked_in_registry_loads_and_is_reasoned():
 
 def test_registry_rejects_malformed_entries():
     with pytest.raises(HotPathError):
-        HotPathRegistry.from_text('[not-a-dotted-name]\nreason = "x"\n')
+        registry_from('[not-a-dotted-name]\nreason = "x"\n')
     with pytest.raises(HotPathError):
-        HotPathRegistry.from_text('[a.b]\n')  # missing reason
+        registry_from('[a.b]\n')  # missing reason
     with pytest.raises(HotPathError):
-        HotPathRegistry.from_text('[a.b]\nreason = ""\n')
+        registry_from('[a.b]\nreason = ""\n')
     with pytest.raises(HotPathError):
-        HotPathRegistry.from_text(
+        registry_from(
             '[a.b]\nreason = "x"\n[a.b]\nreason = "y"\n'
         )
 
@@ -115,7 +128,7 @@ class Pump:
         sim.schedule(0.0, self.on_event)
 '''
 
-PLANTED_REGISTRY = HotPathRegistry.from_text(
+PLANTED_REGISTRY = registry_from(
     '[repro.x.pump.Pump.on_event]\nreason = "planted hot path"\n'
 )
 
@@ -130,7 +143,7 @@ def test_planted_hot_allocation_is_flagged():
 
 
 def test_unregistered_function_is_not_held_hot():
-    empty = HotPathRegistry.from_text("# no hot paths\n")
+    empty = registry_from("# no hot paths\n")
     assert perf_findings(
         [("src/repro/x/pump.py", PLANTED_ALLOC)], empty
     ) == []
@@ -187,7 +200,7 @@ def _victim_registry(*methods):
         f'reason = "test victim"\n'
         for name in methods
     )
-    return HotPathRegistry.from_text(text)
+    return registry_from(text)
 
 
 def _run_monitored(monitor, schedule, events=200):
@@ -246,7 +259,7 @@ def test_trace_all_covers_unregistered_callbacks():
     """Micro-cell mode: every callback is attributed, registry or not."""
     monitor = _run_monitored(
         AllocMonitor(
-            registry=HotPathRegistry.from_text("# empty\n"), trace_all=True
+            registry=registry_from("# empty\n"), trace_all=True
         ),
         lambda sim, v, i: sim.schedule(i * 1e-3, v.no_op),
     )
@@ -254,14 +267,15 @@ def test_trace_all_covers_unregistered_callbacks():
     assert monitor.allocators() == []
 
 
-def test_majority_ratio_separates_warmup_from_structural():
-    monitor = AllocMonitor(registry=HotPathRegistry.from_text("# empty\n"))
+def test_majority_ratio_separates_warmup_from_structural(monkeypatch):
+    monitor = AllocMonitor(registry=registry_from("# empty\n"))
     monitor.stats["a.warmup"] = {"events": 100, "alloc_events": 3,
                                  "bytes": 4096}
     monitor.stats["a.structural"] = {"events": 100, "alloc_events": 99,
                                      "bytes": 6400}
     assert monitor.allocators() == ["a.structural"]
-    assert monitor.allocators(min_ratio=0.01) == [
+    monkeypatch.setattr(runtime, "ALLOCATOR_MIN_RATIO", 0.01)
+    assert monitor.allocators() == [
         "a.structural", "a.warmup"
     ]
     monitor.close()

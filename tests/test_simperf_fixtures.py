@@ -3,7 +3,7 @@
 Same contract as the simrace corpus (see ``test_simrace_fixtures.py``):
 each direct subdirectory of ``tests/lint_fixtures/perf/`` is one
 mini-project analyzed as a unit through
-``ProjectAnalyzer(hotpaths=...).analyze_sources``, with virtual paths from
+``ProjectAnalyzer.analyze_sources`` with its ``hotpaths`` set, with virtual paths from
 each file's ``# simlint-path:`` header.  One sidecar parameterizes the
 pass: ``hotpaths.toml`` (the project's hot-path registry).  ``_bad``
 projects must produce exactly the findings their ``# EXPECT:`` comments
@@ -61,9 +61,9 @@ def load_project(project: Path):
 
 
 def make_analyzer(project: Path) -> ProjectAnalyzer:
-    return ProjectAnalyzer(
-        hotpaths=HotPathRegistry.load(project / "hotpaths.toml")
-    )
+    analyzer = ProjectAnalyzer()
+    analyzer.hotpaths = HotPathRegistry.load(project / "hotpaths.toml")
+    return analyzer
 
 
 def analyze_project(project: Path):

@@ -74,7 +74,8 @@ def test_parse_sinks_toml_rejects(text, fragment):
 
 
 def test_registry_lookup_and_conflicts():
-    registry = SinkRegistry({"repro.net.link.Link.__init__": {"delay": "seconds"}})
+    registry = SinkRegistry()
+    registry.add("repro.net.link.Link.__init__", "delay", "seconds")
     # A constructor sink answers to the class name at attribute calls.
     assert registry.by_callable_name("Link") == [
         ("repro.net.link.Link.__init__", {"delay": "seconds"})

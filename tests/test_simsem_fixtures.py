@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro.lint.sem import ProjectAnalyzer, SinkRegistry
-from repro.lint.sem.registry import parse_sinks_toml
 
 pytestmark = pytest.mark.lint
 
@@ -61,17 +60,23 @@ def load_project(project: Path):
                     expected[(virtual, code.strip(), lineno)] += 1
     toml = project / "sinks.toml"
     if toml.exists():
-        registry = SinkRegistry(
-            parse_sinks_toml(toml.read_text(encoding="utf-8"), origin=str(toml))
-        )
+        registry = SinkRegistry.load(toml)
     else:
         registry = SinkRegistry()
     return items, expected, registry
 
 
+def sem_analyzer(registry):
+    """A ProjectAnalyzer joined against ``registry`` instead of the
+    checked-in sinks."""
+    analyzer = ProjectAnalyzer()
+    analyzer.registry = registry
+    return analyzer
+
+
 def analyze_project(project: Path):
     items, expected, registry = load_project(project)
-    analyzer = ProjectAnalyzer(registry=registry)
+    analyzer = sem_analyzer(registry)
     return analyzer.analyze_sources(items), expected
 
 
@@ -123,12 +128,12 @@ def test_finding_order_is_deterministic():
     items, _expected, registry = load_project(project)
     runs = []
     for ordered in (items, list(reversed(items)), items):
-        analyzer = ProjectAnalyzer(registry=registry)
+        analyzer = sem_analyzer(registry)
         runs.append([f.format() for f in analyzer.analyze_sources(ordered)])
     assert runs[0] == runs[1] == runs[2]
     # And the order itself is the canonical (path, line, col, code) sort.
     keys = [(f.path, f.line, f.col, f.code) for f in (
-        ProjectAnalyzer(registry=registry).analyze_sources(items)
+        sem_analyzer(registry).analyze_sources(items)
     )]
     assert keys == sorted(keys)
 
@@ -137,11 +142,11 @@ def test_suppression_fixture_is_honoured():
     """The suppressed twin would fire SIM012 without its pragma."""
     project = SEM_FIXTURES / "sim012_suppressed_good"
     items, _expected, registry = load_project(project)
-    findings = ProjectAnalyzer(registry=registry).analyze_sources(items)
+    findings = sem_analyzer(registry).analyze_sources(items)
     assert findings == []
     stripped = [
         (path, text.replace("# simlint: disable=SIM012", ""))
         for path, text in items
     ]
-    findings = ProjectAnalyzer(registry=registry).analyze_sources(stripped)
+    findings = sem_analyzer(registry).analyze_sources(stripped)
     assert [f.code for f in findings] == ["SIM012"]
