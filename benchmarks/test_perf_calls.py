@@ -3,7 +3,7 @@
 Wall-clock on a shared host swings 10-25 % between runs of one commit.
 The number of Python calls a run makes does not: every event, callback,
 property and helper is one call, and the simulator is deterministic, so
-a run's call count is the same in every process.  This bench runs the six
+a run's call count is the same in every process.  This bench runs the
 golden scenarios and one short ``fabric_bulk``-shaped cell (k=4
 permutation, XMP with 2 subflows, 0.05 s) under stdlib ``cProfile``,
 folds ``ncalls`` by ``src/repro`` package, and divides each layer by the
@@ -25,6 +25,7 @@ from __future__ import annotations
 import cProfile
 import pathlib
 import pstats
+import sys
 from collections import Counter
 
 import repro
@@ -73,15 +74,23 @@ def layer_of(filename: str) -> str:
 
 
 def count_calls(run):
-    """``run()`` under cProfile: its value, calls per layer, packet-hops."""
+    """``run()`` under cProfile: its value, calls per layer, packet-hops.
+
+    A module imported inside the profiled region would count the import
+    machinery's calls, which differ between loading from source and from
+    ``__pycache__``; so ``run`` must be warm, and an import fails here.
+    """
     census = LinkCensus()
     profiler = cProfile.Profile()
+    loaded = set(sys.modules)
     with probing(census):
         profiler.enable()
         try:
             value = run()
         finally:
             profiler.disable()
+    imported = sorted(set(sys.modules) - loaded)
+    assert not imported, f"modules imported while profiling (warm up first): {imported}"
     calls = Counter()
     for (filename, _, _), (_, ncalls, _, _, _) in pstats.Stats(profiler).stats.items():
         calls[layer_of(filename)] += ncalls
@@ -116,7 +125,10 @@ def test_call_counts_repeat_exactly():
 
 
 def test_calls_per_packet_hop_table():
-    """The golden scenarios and the fabric cell, one block each."""
+    """The golden scenarios and the fabric cell, one block each, every
+    one warmed up first so no import lands inside a count."""
+    for run in SCENARIOS.values():
+        run()
     fabric_cell()
     blocks = []
     for name, run in SCENARIOS.items():
