@@ -109,6 +109,13 @@ workload_smoke() {
         --loads 0.4 --schemes xmp-2 dctcp olia-2 --duration 0.006 --no-cache
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro incast \
         --fan-ins 4 --schemes xmp-2 --duration 0.006 --no-cache
+    # Each scene-driven figure once through the CLI, so every scripted
+    # action (start, stop, add_subflow, link_down) runs end to end (~3 s).
+    echo "== figure smoke (Figs. 1/4/6/7 via the CLI) =="
+    PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fig1 --interval 0.05 --no-cache
+    PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fig4 --time-scale 0.01 --no-cache
+    PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fig6 --time-scale 0.01 --no-cache
+    PYTHONPATH="$REPRO_PYTHONPATH" python -m repro fig7 --time-scale 0.002 --no-cache
 }
 
 fluid_smoke() {
