@@ -15,6 +15,12 @@ Cell functions with their configs/results (testbed / torus / fabric):
 * :mod:`repro.experiments.fattree_eval` — the §5.2 fat-tree cell
 * :mod:`repro.experiments.workload_matrix` — workload and incast-sweep cells
 
+Each figure cell is a scene constructor, ``build_scene(config)``, plus
+the reduction of its series: :mod:`repro.experiments.scene` holds the
+frozen ``Scene`` (topology, flows, a script of timed actions, sampled
+columns, horizon) and the one ``play(scene)`` that runs it.  The
+fat-tree and workload cells drive :mod:`repro.traffic` instead.
+
 Views over the shared fat-tree grid (``view(grid, CampaignResult)``):
 
 * :mod:`repro.experiments.table1_goodput`, :mod:`...fig8_goodput_dist`,

@@ -19,16 +19,16 @@ from dataclasses import dataclass, field
 from typing import List, Tuple
 
 from repro.experiments.reporting import format_table
-from repro.metrics.collector import RateSampler
+from repro.experiments.scene import Flow, Scene, play
 from repro.metrics.fairness import jain_index
 from repro.metrics.series import TimeSeries
-from repro.mptcp.connection import MptcpConnection
-from repro.topology.bottleneck import build_single_bottleneck
 
 #: Flow join offsets and leave offsets, in units of the interval.
 JOIN_STEPS = (0, 1, 2, 3)
 LEAVE_STEPS = (4, 5, 6)
 TOTAL_STEPS = 7
+#: The shared link every flow crosses, bits/second.
+BOTTLENECK_RATE_BPS = 1e9
 #: A flow has converged once its rate is within this fraction of the
 #: fair share.
 CONVERGENCE_TOLERANCE = 0.3
@@ -42,10 +42,6 @@ class Fig1Config:
     beta: float = 2.0  # only used by "bos"; beta=2 is "halving cwnd"
     marking_threshold: int = 10
     interval: float = 5.0  # the paper's 5 s; tests use much less
-    bottleneck_rate_bps: float = 1e9
-    rtt: float = 225e-6
-    queue_capacity: int = 100
-    num_flows: int = 4
     sample_interval: float = 0.05
 
 
@@ -80,7 +76,7 @@ class Fig1Result:
         """
         start, end, active_count, _jain = self.segments[segment_index]
         flows = self.segment_flows[segment_index]
-        fair = self.config.bottleneck_rate_bps / active_count
+        fair = BOTTLENECK_RATE_BPS / active_count
         band = CONVERGENCE_TOLERANCE * fair
         times = self.series.times
         sample_indices = [i for i, t in enumerate(times) if start < t <= end]
@@ -120,64 +116,50 @@ class Fig1Result:
         return f"{table}\nworst multi-flow Jain: {self.worst_jain():.4f}"
 
 
+def build_scene(config: Fig1Config) -> Scene:
+    """Four flows on one 1 Gbps bottleneck (RTT 225 µs, 100-packet
+    queue), joining at :data:`JOIN_STEPS` and leaving at
+    :data:`LEAVE_STEPS` intervals."""
+    scheme = {"dctcp": "dctcp", "bos": "bos-uncoupled"}[config.scheme]
+    interval = config.interval
+    return Scene(
+        "bottleneck",
+        (("num_pairs", 4), ("bottleneck_rate_bps", BOTTLENECK_RATE_BPS), ("rtt", 225e-6),
+         ("queue_capacity", 100), ("marking_threshold", config.marking_threshold)),
+        flows=tuple(Flow(f"S{i}", f"D{i}", (None,), scheme, config.beta) for i in range(4)),
+        script=tuple((step * interval, "start", i) for i, step in enumerate(JOIN_STEPS))
+        + tuple((step * interval, "stop", i) for i, step in enumerate(LEAVE_STEPS)),
+        horizon=TOTAL_STEPS * interval,
+        samples=tuple((f"flow{i + 1}", i, 0) for i in range(4)),
+        sample_interval=config.sample_interval,
+    )
+
+
+def _running(scene: Scene, at: float) -> List[int]:
+    """The flows the script has started, and not stopped, by time ``at``."""
+    started = {flow for time, action, flow in scene.script if action == "start" and time <= at}
+    stopped = {flow for time, action, flow in scene.script if action == "stop" and time <= at}
+    return sorted(started - stopped)
+
+
 def _simulate(config: Fig1Config) -> Fig1Result:
     """Simulate one panel of Fig. 1 and return its series and fairness."""
-    scheme = {"dctcp": "dctcp", "bos": "bos-uncoupled"}[config.scheme]
-    net = build_single_bottleneck(
-        num_pairs=config.num_flows,
-        bottleneck_rate_bps=config.bottleneck_rate_bps,
-        rtt=config.rtt,
-        queue_capacity=config.queue_capacity,
-        marking_threshold=config.marking_threshold,
-    )
-    flows = []
-    for i in range(config.num_flows):
-        connection = MptcpConnection(
-            net, f"S{i}", f"D{i}", [net.flow_path(i)],
-            scheme=scheme, beta=config.beta,
-        )
-        flows.append(connection)
-
-    interval = config.interval
-    for i, connection in enumerate(flows):
-        net.sim.post(JOIN_STEPS[i % len(JOIN_STEPS)] * interval, connection.start)
-    for i, step in enumerate(LEAVE_STEPS):
-        if i < len(flows):
-            net.sim.post(step * interval, flows[i].stop)
-
-    total_time = TOTAL_STEPS * interval
-    sampler = RateSampler(
-        net.sim,
-        {f"flow{i+1}": conn.subflows[0].sender for i, conn in enumerate(flows)},
-        interval=config.sample_interval,
-        until=total_time,
-    )
-    sampler.start(config.sample_interval)
-    net.sim.run(until=total_time)
-
-    result = Fig1Result(config=config, series=sampler.series)
+    scene = build_scene(config)
+    _net, _connections, series, events = play(scene)
+    result = Fig1Result(config=config, series=series, events=events)
 
     # Fairness in the tail (last 40%) of each between-events segment.
+    interval = config.interval
     for step in range(TOTAL_STEPS):
         seg_start, seg_end = step * interval, (step + 1) * interval
-        active = [
-            i
-            for i in range(config.num_flows)
-            if JOIN_STEPS[i % len(JOIN_STEPS)] <= step
-            and (i >= len(LEAVE_STEPS) or LEAVE_STEPS[i] > step)
-        ]
+        active = _running(scene, seg_start)
         if not active:
             continue
         tail_start = seg_end - 0.4 * interval
-        means = []
-        for i in active:
-            means.append(result.series.mean(f"flow{i+1}", tail_start, seg_end))
-        result.segments.append(
-            (seg_start, seg_end, len(active), jain_index(means))
-        )
+        means = [series.mean(f"flow{i+1}", tail_start, seg_end) for i in active]
+        result.segments.append((seg_start, seg_end, len(active), jain_index(means)))
         result.segment_flows.append(active)
-    result.events = net.sim.events_processed
     return result
 
 
-__all__ = ["Fig1Config", "Fig1Result", "JOIN_STEPS", "LEAVE_STEPS"]
+__all__ = ["Fig1Config", "Fig1Result", "JOIN_STEPS", "LEAVE_STEPS", "build_scene"]

@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.experiments.reporting import format_table
-from repro.metrics.collector import RateSampler
+from repro.experiments.scene import Flow, Scene, play
 from repro.metrics.series import TimeSeries
-from repro.mptcp.connection import MptcpConnection
-from repro.topology.testbed import build_shifting_testbed
+
+
+#: Each DummyNet bottleneck's rate, bits/second.
+BOTTLENECK_RATE_BPS = 300e6
 
 
 @dataclass(frozen=True)
@@ -30,11 +32,6 @@ class Fig4Config:
     beta: float = 4.0
     scheme: str = "xmp"
     time_scale: float = 1.0  # 1.0 = the paper's 40 s experiment
-    bottleneck_rate_bps: float = 300e6
-    rtt: float = 1.8e-3
-    marking_threshold: int = 15
-    queue_capacity: int = 100
-    sample_interval: float = 0.25
 
 
 @dataclass
@@ -46,11 +43,10 @@ class Fig4Result:
     events: int = 0
 
     def normalized(self, name: str) -> List[float]:
-        cap = self.config.bottleneck_rate_bps
-        return [rate / cap for rate in self.series[name]]
+        return [rate / BOTTLENECK_RATE_BPS for rate in self.series[name]]
 
     def mean_normalized(self, name: str, start: float, end: float) -> float:
-        return self.series.mean(name, start, end) / self.config.bottleneck_rate_bps
+        return self.series.mean(name, start, end) / BOTTLENECK_RATE_BPS
 
     def phases(self) -> Dict[str, Tuple[float, float]]:
         """The experiment's windows in (scaled) absolute time."""
@@ -77,52 +73,38 @@ class Fig4Result:
         )
 
 
+def build_scene(config: Fig4Config) -> Scene:
+    """Flows 1-3 from 0 s, background on DN1 for 10-20 s and on DN2 for
+    20-30 s, sampled every 0.25 s (all scaled); flows are constructed
+    1, 3, 2, BG1, BG2 and started 1, 2, 3."""
+    s = config.time_scale
+    scheme, beta = config.scheme, config.beta
+    return Scene(
+        "testbed",
+        (("bottleneck_rate_bps", BOTTLENECK_RATE_BPS), ("rtt", 1.8e-3),
+         ("queue_capacity", 100), ("marking_threshold", 15)),
+        flows=(
+            Flow("S1", "D1", (None,), scheme, beta),
+            Flow("S3", "D3", (None,), scheme, beta),
+            Flow("S2", "D2", ("A1->B1", "A2->B2"), scheme, beta),
+            Flow("BG1", "BGD1", (None,), scheme, beta),
+            Flow("BG2", "BGD2", (None,), scheme, beta),
+        ),
+        script=(
+            (0.0, "start", 0), (0.0, "start", 2), (0.0, "start", 1),
+            (10.0 * s, "start", 3), (20.0 * s, "stop", 3),
+            (20.0 * s, "start", 4), (30.0 * s, "stop", 4),
+        ),
+        horizon=40.0 * s,
+        samples=(("flow2-1", 2, 0), ("flow2-2", 2, 1), ("flow1", 0, 0), ("flow3", 1, 0)),
+        sample_interval=0.25 * s,
+    )
+
+
 def _simulate(config: Fig4Config) -> Fig4Result:
     """Simulate Fig. 4 and return Flow 2's subflow rate series."""
-    s = config.time_scale
-    net = build_shifting_testbed(
-        bottleneck_rate_bps=config.bottleneck_rate_bps,
-        rtt=config.rtt,
-        queue_capacity=config.queue_capacity,
-        marking_threshold=config.marking_threshold,
-    )
-    flow1 = MptcpConnection(net, "S1", "D1", [net.path_flow1()],
-                            scheme=config.scheme, beta=config.beta)
-    flow3 = MptcpConnection(net, "S3", "D3", [net.path_flow3()],
-                            scheme=config.scheme, beta=config.beta)
-    flow2 = MptcpConnection(net, "S2", "D2", net.paths_flow2(),
-                            scheme=config.scheme, beta=config.beta)
-    bg1 = MptcpConnection(net, "BG1", "BGD1", [net.path_background(1)],
-                          scheme=config.scheme, beta=config.beta)
-    bg2 = MptcpConnection(net, "BG2", "BGD2", [net.path_background(2)],
-                          scheme=config.scheme, beta=config.beta)
-
-    for connection in (flow1, flow2, flow3):
-        net.sim.post(0.0, connection.start)
-    net.sim.post(10.0 * s, bg1.start)
-    net.sim.post(20.0 * s, bg1.stop)
-    net.sim.post(20.0 * s, bg2.start)
-    net.sim.post(30.0 * s, bg2.stop)
-
-    total = 40.0 * s
-    sampler = RateSampler(
-        net.sim,
-        {
-            "flow2-1": flow2.subflows[0].sender,
-            "flow2-2": flow2.subflows[1].sender,
-            "flow1": flow1.subflows[0].sender,
-            "flow3": flow3.subflows[0].sender,
-        },
-        interval=config.sample_interval * s,
-        until=total,
-    )
-    sampler.start(config.sample_interval * s)
-    net.sim.run(until=total)
-    return Fig4Result(
-        config=config,
-        series=sampler.series,
-        events=net.sim.events_processed,
-    )
+    _net, _connections, series, events = play(build_scene(config))
+    return Fig4Result(config=config, series=series, events=events)
 
 
-__all__ = ["Fig4Config", "Fig4Result"]
+__all__ = ["Fig4Config", "Fig4Result", "build_scene"]

@@ -16,23 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.experiments.reporting import format_table
-from repro.metrics.collector import RateSampler
+from repro.experiments.scene import Flow, Scene, play
 from repro.metrics.fairness import jain_index
 from repro.metrics.series import TimeSeries
-from repro.mptcp.connection import MptcpConnection
-from repro.topology.bottleneck import build_single_bottleneck
 
 
 @dataclass(frozen=True)
 class Fig6Config:
     beta: float = 4.0
-    scheme: str = "xmp"
     time_scale: float = 1.0  # 1.0 = the paper's 30 s experiment
-    bottleneck_rate_bps: float = 300e6
-    rtt: float = 1.8e-3
-    marking_threshold: int = 15
-    queue_capacity: int = 100
-    sample_interval: float = 0.25
 
 
 @dataclass
@@ -70,56 +62,37 @@ class Fig6Result:
         return f"{table}\nJain index: {self.fairness_all_flows():.4f}"
 
 
+def build_scene(config: Fig6Config) -> Scene:
+    """Four XMP flows with 1 (growing to 3), 2, 1 and 1 subflows on one
+    300 Mbps bottleneck (RTT 1.8 ms, K = 15, 100-packet queue), sampled
+    every 0.25 s (all times scaled)."""
+    s = config.time_scale
+    return Scene(
+        "bottleneck",
+        (("num_pairs", 4), ("bottleneck_rate_bps", 300e6), ("rtt", 1.8e-3),
+         ("queue_capacity", 100), ("marking_threshold", 15)),
+        flows=tuple(
+            Flow(f"S{i}", f"D{i}", (None,) * subflows, "xmp", config.beta)
+            for i, subflows in enumerate((1, 2, 1, 1))
+        ),
+        script=(
+            (0.0, "start", 0), (5.0 * s, "add_subflow", 0), (15.0 * s, "add_subflow", 0),
+            (20.0 * s, "start", 1), (0.0, "start", 2), (10.0 * s, "start", 3),
+            (25.0 * s, "stop", 2), (25.0 * s, "stop", 3),
+        ),
+        horizon=30.0 * s,
+        samples=(
+            ("flow1-1", 0, 0), ("flow2-1", 1, 0), ("flow2-2", 1, 1), ("flow3-1", 2, 0),
+            ("flow4-1", 3, 0), ("flow1-2", 0, 1), ("flow1-3", 0, 2),
+        ),
+        sample_interval=0.25 * s,
+    )
+
+
 def _simulate(config: Fig6Config) -> Fig6Result:
     """Simulate Fig. 6; returns per-subflow rate series."""
-    s = config.time_scale
-    net = build_single_bottleneck(
-        num_pairs=4,
-        bottleneck_rate_bps=config.bottleneck_rate_bps,
-        rtt=config.rtt,
-        queue_capacity=config.queue_capacity,
-        marking_threshold=config.marking_threshold,
-    )
-    sampler = RateSampler(net.sim, {}, interval=config.sample_interval * s,
-                          until=30.0 * s)
-
-    def make_flow(index: int, subflow_count: int) -> MptcpConnection:
-        path = net.flow_path(index - 1)
-        connection = MptcpConnection(
-            net, f"S{index-1}", f"D{index-1}", [path] * subflow_count,
-            scheme=config.scheme, beta=config.beta,
-        )
-        for j, subflow in enumerate(connection.subflows, start=1):
-            sampler.add_sender(f"flow{index}-{j}", subflow.sender)
-        return connection
-
-    flow1 = make_flow(1, 1)  # grows to 3 subflows
-    flow2 = make_flow(2, 2)
-    flow3 = make_flow(3, 1)
-    flow4 = make_flow(4, 1)
-
-    path1 = net.flow_path(0)
-
-    def add_flow1_subflow(label: str) -> None:
-        subflow = flow1.add_subflow(path1, start=True)
-        sampler.add_sender(label, subflow.sender)
-
-    net.sim.post(0.0, flow1.start)
-    net.sim.post(5.0 * s, add_flow1_subflow, "flow1-2")
-    net.sim.post(15.0 * s, add_flow1_subflow, "flow1-3")
-    net.sim.post(20.0 * s, flow2.start)
-    net.sim.post(0.0, flow3.start)
-    net.sim.post(10.0 * s, flow4.start)
-    net.sim.post(25.0 * s, flow3.stop)
-    net.sim.post(25.0 * s, flow4.stop)
-
-    sampler.start(config.sample_interval * s)
-    net.sim.run(until=30.0 * s)
-    return Fig6Result(
-        config=config,
-        series=sampler.series,
-        events=net.sim.events_processed,
-    )
+    _net, _connections, series, events = play(build_scene(config))
+    return Fig6Result(config=config, series=series, events=events)
 
 
-__all__ = ["Fig6Config", "Fig6Result"]
+__all__ = ["Fig6Config", "Fig6Result", "build_scene"]

@@ -22,22 +22,16 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.experiments.reporting import format_table
-from repro.metrics.collector import RateSampler
+from repro.experiments.scene import Flow, Scene, play
 from repro.metrics.series import TimeSeries
-from repro.mptcp.connection import MptcpConnection
-from repro.topology.torus import DEFAULT_CAPACITIES, build_torus
+from repro.topology.torus import DEFAULT_CAPACITIES
 
 
 @dataclass(frozen=True)
 class Fig7Config:
     beta: float = 4.0
     marking_threshold: int = 20
-    scheme: str = "xmp"
     time_scale: float = 1.0  # 1.0 = the paper's 70 s experiment
-    rtt: float = 350e-6
-    queue_capacity: int = 100
-    num_background: int = 4
-    sample_interval: float = 5.0  # the paper averages per 5 s interval
 
 
 @dataclass
@@ -75,49 +69,40 @@ class Fig7Result:
         )
 
 
+def build_scene(config: Fig7Config) -> Scene:
+    """Five two-subflow XMP flows starting 5 s apart, four background
+    flows on L3 (joining from 25 s, leaving from 45 s, 5 s apart), L3
+    closed at 60 s, sampled every 5 s as the paper averages (all times
+    scaled); RTT 350 µs, 100-packet queues."""
+    s = config.time_scale
+    beta = config.beta
+    main = [Flow(f"S{i}", f"D{i}", (f"A{i}->B{i}", f"A{i % 5 + 1}->B{i % 5 + 1}"), "xmp", beta)
+            for i in range(1, 6)]
+    background = [Flow(f"BG{b}", f"BGD{b}", (None,), "xmp", beta) for b in range(1, 5)]
+    script = [((i - 1) * 5.0 * s, "start", i - 1) for i in range(1, 6)]
+    for b in range(1, 5):
+        script += [((25.0 + (b - 1) * 5.0) * s, "start", 4 + b),
+                   ((45.0 + (b - 1) * 5.0) * s, "stop", 4 + b)]
+    script.append((60.0 * s, "link_down", "A3->B3"))
+    samples = [(f"flow{i}-{j}", i - 1, j - 1) for i in range(1, 6) for j in (1, 2)]
+    samples += [(f"bg{b}", 4 + b, 0) for b in range(1, 5)]
+    return Scene(
+        "torus",
+        (("capacities", DEFAULT_CAPACITIES), ("rtt", 350e-6), ("queue_capacity", 100),
+         ("marking_threshold", config.marking_threshold), ("num_background", 4)),
+        flows=tuple(main + background),
+        script=tuple(script),
+        horizon=70.0 * s,
+        samples=tuple(samples),
+        sample_interval=5.0 * s,
+    )
+
+
 def _simulate(config: Fig7Config) -> Fig7Result:
     """Simulate Fig. 7; returns 5 s-averaged subflow rates."""
-    s = config.time_scale
-    net = build_torus(
-        capacities=DEFAULT_CAPACITIES,
-        rtt=config.rtt,
-        queue_capacity=config.queue_capacity,
-        marking_threshold=config.marking_threshold,
-        num_background=config.num_background,
-    )
-    total = 70.0 * s
-    sampler = RateSampler(net.sim, {}, interval=config.sample_interval * s,
-                          until=total)
-
-    for i in range(1, 6):
-        connection = MptcpConnection(
-            net, f"S{i}", f"D{i}", net.flow_paths(i),
-            scheme=config.scheme, beta=config.beta,
-        )
-        for j, subflow in enumerate(connection.subflows, start=1):
-            sampler.add_sender(f"flow{i}-{j}", subflow.sender)
-        net.sim.post((i - 1) * 5.0 * s, connection.start)
-
-    for b in range(1, config.num_background + 1):
-        background = MptcpConnection(
-            net, f"BG{b}", f"BGD{b}", [net.background_path(b)],
-            scheme=config.scheme, beta=config.beta,
-        )
-        sampler.add_sender(f"bg{b}", background.subflows[0].sender)
-        net.sim.post((25.0 + (b - 1) * 5.0) * s, background.start)
-        net.sim.post((45.0 + (b - 1) * 5.0) * s, background.stop)
-
-    l3 = net.bottleneck(3)
-    net.sim.post(60.0 * s, net.set_link_pair_down, l3)
-
-    sampler.start(config.sample_interval * s)
-    net.sim.run(until=total)
-    return Fig7Result(
-        config=config,
-        series=sampler.series,
-        capacities=list(DEFAULT_CAPACITIES),
-        events=net.sim.events_processed,
-    )
+    _net, _connections, series, events = play(build_scene(config))
+    return Fig7Result(config=config, series=series,
+                      capacities=list(DEFAULT_CAPACITIES), events=events)
 
 
-__all__ = ["Fig7Config", "Fig7Result"]
+__all__ = ["Fig7Config", "Fig7Result", "build_scene"]

@@ -101,19 +101,9 @@ class RateSampler(SeriesSampler):
 
     This is how the paper's rate-versus-time plots (Figs. 1, 4, 6, 7) are
     produced: the rate in an interval is the growth of cumulatively
-    acknowledged payload divided by the interval.
+    acknowledged payload divided by the interval.  Senders are added one
+    column at a time with :meth:`add_sender`.
     """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        senders: Dict[str, TcpSender],
-        interval: float,
-        until: Optional[float] = None,
-    ) -> None:
-        super().__init__(sim, interval, until)
-        for name, sender in senders.items():
-            self.add_sender(name, sender)
 
     def add_sender(self, name: str, sender: TcpSender) -> None:
         """Track one more sender; earlier intervals are padded with 0."""

@@ -344,7 +344,7 @@ def probing(*probes: Probe) -> Iterator[Any]:
     Usage::
 
         with probing(Profiler()) as prof:
-            _simulate(Fig1Config())  # anything that builds networks
+            play(scene)  # anything that builds networks
         print(prof.finish().format())
 
     Yields the probe itself when given one, the tuple when given several.

@@ -12,16 +12,14 @@
 """
 
 from repro.topology.bottleneck import BottleneckNetwork, build_single_bottleneck
-from repro.topology.testbed import ShiftingTestbed, build_shifting_testbed
-from repro.topology.torus import TorusNetwork, build_torus
+from repro.topology.testbed import build_shifting_testbed
+from repro.topology.torus import build_torus
 from repro.topology.fattree import FatTreeNetwork, build_fattree
 
 __all__ = [
     "BottleneckNetwork",
     "build_single_bottleneck",
-    "ShiftingTestbed",
     "build_shifting_testbed",
-    "TorusNetwork",
     "build_torus",
     "FatTreeNetwork",
     "build_fattree",

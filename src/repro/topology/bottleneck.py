@@ -41,17 +41,9 @@ class BottleneckNetwork(Network):
         self.forward_bottleneck = None
         self.backward_bottleneck = None
 
-    def source(self, index: int) -> str:
-        """Name of the ``index``-th source host."""
-        return f"S{index}"
-
-    def sink(self, index: int) -> str:
-        """Name of the ``index``-th sink host."""
-        return f"D{index}"
-
     def flow_path(self, index: int) -> Path:
-        """The unique path from source ``index`` to sink ``index``."""
-        paths = self.paths(self.source(index), self.sink(index))
+        """The unique path from source ``S{index}`` to sink ``D{index}``."""
+        paths = self.paths(f"S{index}", f"D{index}")
         if not paths:
             raise RuntimeError(f"no path for pair {index}")
         return paths[0]

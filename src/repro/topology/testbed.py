@@ -21,39 +21,7 @@ from __future__ import annotations
 
 from repro.net.network import Network
 from repro.net.queue import DropTailQueue, ThresholdECNQueue
-from repro.net.routing import Path
 from repro.sim.units import BitsPerSecond, Seconds, gigabits_per_second
-
-
-class ShiftingTestbed(Network):
-    """Network plus named paths for the Fig. 4 experiment."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.bottleneck_rate_bps = 0.0
-        self.base_rtt = 0.0
-
-    # Paths -------------------------------------------------------------
-
-    def path_flow1(self) -> Path:
-        """S1 -> D1 via DN1."""
-        return self.paths("S1", "D1")[0]
-
-    def path_flow3(self) -> Path:
-        """S3 -> D3 via DN2."""
-        return self.paths("S3", "D3")[0]
-
-    def paths_flow2(self) -> list:
-        """S2 -> D2: one path via DN1, one via DN2 (in that order)."""
-        all_paths = self.paths("S2", "D2")
-        if len(all_paths) != 2:
-            raise RuntimeError(f"expected 2 paths for flow 2, got {len(all_paths)}")
-        # Order deterministically: the path through A1 first.
-        return sorted(all_paths, key=lambda p: p[0].dst.name)
-
-    def path_background(self, bottleneck: int) -> Path:
-        """BG{i} -> BGD{i} via DN{i} (``bottleneck`` is 1 or 2)."""
-        return self.paths(f"BG{bottleneck}", f"BGD{bottleneck}")[0]
 
 
 def build_shifting_testbed(
@@ -61,15 +29,14 @@ def build_shifting_testbed(
     rtt: Seconds = 1.8e-3,
     queue_capacity: int = 100,
     marking_threshold: int = 15,
-) -> ShiftingTestbed:
+) -> Network:
     """Build the testbed with the paper's §4 parameters as defaults.
 
     300 Mbps bottlenecks, 1.8 ms average RTT (BDP ≈ 45 packets), K = 15,
-    100-packet queues.
+    100-packet queues.  The bottleneck links are ``A1->B1`` (DN1) and
+    ``A2->B2`` (DN2).
     """
-    net = ShiftingTestbed()
-    net.bottleneck_rate_bps = bottleneck_rate_bps
-    net.base_rtt = rtt
+    net = Network()
 
     hop_delay = rtt / 6.0
     access_rate = gigabits_per_second(1)
@@ -109,4 +76,4 @@ def build_shifting_testbed(
     return net
 
 
-__all__ = ["ShiftingTestbed", "build_shifting_testbed"]
+__all__ = ["build_shifting_testbed"]

@@ -10,55 +10,14 @@ which is what lets a congestion event on L3 ripple around the ring
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
-from repro.net.link import Link
 from repro.net.network import Network
 from repro.net.queue import DropTailQueue, ThresholdECNQueue
-from repro.net.routing import Path
 from repro.sim.units import Seconds, gigabits_per_second
 
 #: The paper's bottleneck capacities, left to right, bits/second.
 DEFAULT_CAPACITIES = (0.8e9, 1.2e9, 2.0e9, 1.5e9, 0.5e9)
-
-
-class TorusNetwork(Network):
-    """Network plus helpers naming the paper's flows and links."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.num_bottlenecks = 0
-        self.base_rtt = 0.0
-        self.bottlenecks: List[Link] = []
-
-    def bottleneck(self, index: int) -> Link:
-        """Forward direction of L{index} (1-based, as in the paper)."""
-        return self.bottlenecks[index - 1]
-
-    def flow_paths(self, index: int) -> List[Path]:
-        """The two subflow paths of Flow ``index`` (1-based).
-
-        Subflow 1 crosses L_index; subflow 2 crosses L_{index+1} (wrapped),
-        matching the paper's left-to-right, top-down numbering.
-        """
-        n = self.num_bottlenecks
-        first = self._path_via(index, index)
-        second = self._path_via(index, index % n + 1)
-        return [first, second]
-
-    def _path_via(self, flow_index: int, bottleneck_index: int) -> Path:
-        src = f"S{flow_index}"
-        dst = f"D{flow_index}"
-        for path in self.paths(src, dst):
-            if self.bottlenecks[bottleneck_index - 1] in path:
-                return path
-        raise RuntimeError(
-            f"no path for flow {flow_index} via L{bottleneck_index}"
-        )
-
-    def background_path(self, index: int) -> Path:
-        """BG{index} -> BGD{index}, all crossing L3 (1-based index)."""
-        return self.paths(f"BG{index}", f"BGD{index}")[0]
 
 
 def build_torus(
@@ -67,17 +26,16 @@ def build_torus(
     queue_capacity: int = 100,
     marking_threshold: int = 20,
     num_background: int = 4,
-) -> TorusNetwork:
+) -> Network:
     """Build the torus with the paper's §5.1 parameters as defaults.
 
     Every path's no-load RTT is ``rtt`` (350 µs in the paper, giving BDPs
-    between 15 and 60 packets across the five capacities).
+    between 15 and 60 packets across the five capacities).  L{i} is the
+    link ``A{i}->B{i}``; S{i} reaches D{i} across L{i} and L{i+1}.
     """
     if len(capacities) < 2:
         raise ValueError("need at least two bottlenecks")
-    net = TorusNetwork()
-    net.num_bottlenecks = len(capacities)
-    net.base_rtt = rtt
+    net = Network()
 
     hop_delay = rtt / 6.0
     access_rate = gigabits_per_second(10)
@@ -93,11 +51,8 @@ def build_torus(
     for i, capacity in enumerate(capacities, start=1):
         head = net.add_switch(f"A{i}")
         tail = net.add_switch(f"B{i}")
-        forward, _ = net.connect(
-            head, tail, capacity, hop_delay,
-            queue_factory=marking_queue, layer="bottleneck",
-        )
-        net.bottlenecks.append(forward)
+        net.connect(head, tail, capacity, hop_delay,
+                    queue_factory=marking_queue, layer="bottleneck")
         heads.append(head)
         tails.append(tail)
 
@@ -124,4 +79,4 @@ def build_torus(
     return net
 
 
-__all__ = ["TorusNetwork", "build_torus", "DEFAULT_CAPACITIES"]
+__all__ = ["build_torus", "DEFAULT_CAPACITIES"]

@@ -33,8 +33,7 @@ def fig6_result():
 
 @pytest.fixture(scope="module")
 def fig7_result():
-    return run("fig7", Fig7Config(beta=4.0, marking_threshold=20,
-                                  time_scale=0.02, sample_interval=5.0))
+    return run("fig7", Fig7Config(beta=4.0, marking_threshold=20, time_scale=0.02))
 
 
 class TestFig1:

@@ -6,9 +6,8 @@ from repro.experiments.fig1_convergence import Fig1Config, Fig1Result
 from repro.metrics.series import TimeSeries
 
 
-def synthetic_result(rates_by_flow, interval=1.0, sample=0.1, capacity=1e9):
-    config = Fig1Config(interval=interval, bottleneck_rate_bps=capacity,
-                        sample_interval=sample)
+def synthetic_result(rates_by_flow, interval=1.0, sample=0.1):
+    config = Fig1Config(interval=interval, sample_interval=sample)
     result = Fig1Result(config=config)
     result.series = TimeSeries(rates_by_flow)
     for i, row in enumerate(zip(*rates_by_flow.values())):

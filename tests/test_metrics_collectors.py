@@ -80,9 +80,8 @@ class TestRateSampler:
     def test_measures_delivery_rate(self, two_host_net):
         net = two_host_net
         conn = MptcpConnection(net, "A", "B", net.paths("A", "B"), scheme="xmp")
-        sampler = RateSampler(
-            net.sim, {"f": conn.subflows[0].sender}, interval=0.01, until=0.1
-        )
+        sampler = RateSampler(net.sim, interval=0.01, until=0.1)
+        sampler.add_sender("f", conn.subflows[0].sender)
         sampler.start(0.01)
         conn.start()
         net.sim.run(until=0.1)
@@ -93,9 +92,8 @@ class TestRateSampler:
     def test_rate_times_interval_matches_delivery(self, two_host_net):
         net = two_host_net
         conn = MptcpConnection(net, "A", "B", net.paths("A", "B"), scheme="xmp")
-        sampler = RateSampler(
-            net.sim, {"f": conn.subflows[0].sender}, interval=0.01, until=0.2
-        )
+        sampler = RateSampler(net.sim, interval=0.01, until=0.2)
+        sampler.add_sender("f", conn.subflows[0].sender)
         sampler.start(0.01)
         conn.start()
         net.sim.run(until=0.2)
@@ -104,7 +102,7 @@ class TestRateSampler:
         assert total_from_rates == pytest.approx(delivered, rel=0.1)
 
     def test_add_sender_pads_history(self, sim):
-        sampler = RateSampler(sim, {}, interval=0.1)
+        sampler = RateSampler(sim, interval=0.1)
         sampler.start()
         sim.run(until=0.35)
 
@@ -121,7 +119,8 @@ class TestRateSampler:
         class FakeSender:
             delivered_segments = 0
 
-        sampler = RateSampler(sim, {"a": FakeSender()}, interval=0.1)
+        sampler = RateSampler(sim, interval=0.1)
+        sampler.add_sender("a", FakeSender())
         with pytest.raises(ValueError):
             sampler.add_sender("a", FakeSender())
 
@@ -130,7 +129,8 @@ class TestRateSampler:
             delivered_segments = 0
 
         sender = FakeSender()
-        sampler = RateSampler(sim, {"a": sender}, interval=0.1)
+        sampler = RateSampler(sim, interval=0.1)
+        sampler.add_sender("a", sender)
         sampler.start()
 
         def bump():
@@ -144,7 +144,7 @@ class TestRateSampler:
 
     def test_interval_validation(self, sim):
         with pytest.raises(ValueError):
-            RateSampler(sim, {}, interval=0.0)
+            RateSampler(sim, interval=0.0)
 
 
 class TestQueueMonitor:

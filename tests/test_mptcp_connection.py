@@ -215,7 +215,7 @@ class TestRelease:
             net = build_single_bottleneck(num_pairs=4)
             for index, size in enumerate(sizes):
                 conn = MptcpConnection(
-                    net, net.source(index), net.sink(index), [net.flow_path(index)] * 2,
+                    net, f"S{index}", f"D{index}", [net.flow_path(index)] * 2,
                     scheme=scheme, size_bytes=size,
                     on_complete=lambda c, now: unsettled.__setitem__(
                         c.flow_id, sum(not s.sender.settled for s in c.subflows)

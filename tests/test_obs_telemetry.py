@@ -179,8 +179,8 @@ class TestDrainHelpers:
         net = two_host_net
         conn = MptcpConnection(net, "A", "B", net.paths("A", "B"),
                                scheme="xmp")
-        rates = RateSampler(net.sim, {"f": conn.subflows[0].sender},
-                            interval=0.005, until=0.03)
+        rates = RateSampler(net.sim, interval=0.005, until=0.03)
+        rates.add_sender("f", conn.subflows[0].sender)
         queues = QueueMonitor(net.sim, net.links, interval=0.005, until=0.03)
         rates.start(0.005)
         queues.start(0.005)

@@ -56,9 +56,7 @@ class TestTorusAgainstNetworkx:
         net = build_torus()
         graph = to_networkx(net)
         for i in range(1, 6):
-            ours = {
-                node_sequence(path, f"S{i}") for path in net.flow_paths(i)
-            }
+            ours = {node_sequence(path, f"S{i}") for path in net.paths(f"S{i}", f"D{i}")}
             theirs = {
                 tuple(p)
                 for p in nx.all_shortest_paths(graph, f"S{i}", f"D{i}")

@@ -47,7 +47,7 @@ class TestEveryRow:
         with probing(validator):
             net = build_single_bottleneck(num_pairs=1)
             connection = MptcpConnection(
-                net, net.source(0), net.sink(0), [net.flow_path(0)],
+                net, "S0", "D0", [net.flow_path(0)],
                 scheme=row.name, size_bytes=200_000,
             )
             connection.start()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.scene import route
 from repro.net.queue import DropTailQueue, ThresholdECNQueue
 from repro.topology.bottleneck import build_single_bottleneck
 from repro.topology.fattree import build_fattree
@@ -50,20 +51,41 @@ class TestBottleneck:
             build_single_bottleneck(rtt=0)
 
 
+def flow2_paths(net):
+    """Fig. 4's multihomed Flow 2: one route over each bottleneck."""
+    return [route(net, "S2", "D2", via) for via in ("A1->B1", "A2->B2")]
+
+
+def torus_paths(net, i):
+    """Fig. 7's Flow ``i``: one route across L_i, one across L_{i+1}."""
+    j = i % 5 + 1
+    return [route(net, f"S{i}", f"D{i}", via) for via in (f"A{i}->B{i}", f"A{j}->B{j}")]
+
+
+def torus_bottleneck(net, i):
+    return next(link for link in net.links if link.name == f"A{i}->B{i}")
+
+
 class TestShiftingTestbed:
     def test_flow2_has_two_disjoint_paths(self):
         net = build_shifting_testbed()
-        paths = net.paths_flow2()
-        assert len(paths) == 2
+        assert len(net.paths("S2", "D2")) == 2
+        paths = flow2_paths(net)
         assert set(paths[0]).isdisjoint(set(paths[1]))
 
     def test_flow2_paths_cross_different_bottlenecks(self):
         net = build_shifting_testbed()
-        p1, p2 = net.paths_flow2()
+        p1, p2 = flow2_paths(net)
         names1 = {link.name for link in p1}
         names2 = {link.name for link in p2}
         assert "A1->B1" in names1
         assert "A2->B2" in names2
+        assert "A2->B2" not in names1
+
+    def test_route_without_a_crossing_is_an_error(self):
+        net = build_shifting_testbed()
+        with pytest.raises(ValueError, match="no path from S1 to D1 via A2->B2"):
+            route(net, "S1", "D1", "A2->B2")
 
     def test_single_path_flows(self):
         net = build_shifting_testbed()
@@ -72,8 +94,8 @@ class TestShiftingTestbed:
 
     def test_background_paths_use_their_bottleneck(self):
         net = build_shifting_testbed()
-        assert any(l.name == "A1->B1" for l in net.path_background(1))
-        assert any(l.name == "A2->B2" for l in net.path_background(2))
+        assert any(l.name == "A1->B1" for l in route(net, "BG1", "BGD1", None))
+        assert any(l.name == "A2->B2" for l in route(net, "BG2", "BGD2", None))
 
     def test_bottleneck_parameters(self):
         net = build_shifting_testbed(bottleneck_rate_bps=300e6, marking_threshold=15)
@@ -87,31 +109,33 @@ class TestShiftingTestbed:
 class TestTorus:
     def test_default_capacities(self):
         net = build_torus()
-        assert [l.rate_bps for l in net.bottlenecks] == list(DEFAULT_CAPACITIES)
+        rates = [torus_bottleneck(net, i).rate_bps for i in range(1, 6)]
+        assert rates == list(DEFAULT_CAPACITIES)
 
     def test_flow_paths_cross_adjacent_bottlenecks(self):
         net = build_torus()
         for i in range(1, 6):
-            first, second = net.flow_paths(i)
-            assert net.bottleneck(i) in first
+            first, second = torus_paths(net, i)
+            assert torus_bottleneck(net, i) in first
             wrap = i % 5 + 1
-            assert net.bottleneck(wrap) in second
+            assert torus_bottleneck(net, wrap) in second
+            assert torus_bottleneck(net, wrap) not in first
 
     def test_flow5_wraps_to_l1(self):
         net = build_torus()
-        _, second = net.flow_paths(5)
-        assert net.bottleneck(1) in second
+        _, second = torus_paths(net, 5)
+        assert torus_bottleneck(net, 1) in second
 
     def test_background_flows_cross_l3(self):
         net = build_torus(num_background=4)
         for b in range(1, 5):
-            assert net.bottleneck(3) in net.background_path(b)
+            assert torus_bottleneck(net, 3) in route(net, f"BG{b}", f"BGD{b}", None)
 
     def test_rtt_of_each_path(self):
         rtt = 350e-6
         net = build_torus(rtt=rtt)
         for i in range(1, 6):
-            for path in net.flow_paths(i):
+            for path in torus_paths(net, i):
                 total = sum(l.delay for l in path) + sum(
                     l.delay for l in net.reverse_path(path)
                 )

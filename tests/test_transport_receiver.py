@@ -201,7 +201,7 @@ class TestAckJitter:
         net = build_single_bottleneck(num_pairs=3)
         conns = [
             MptcpConnection(
-                net, net.source(i), net.sink(i), [net.flow_path(i)] * 2,
+                net, f"S{i}", f"D{i}", [net.flow_path(i)] * 2,
                 scheme="xmp", size_bytes=size, ack_jitter=30e-6,
             )
             for i, size in enumerate([200_000, 400_000, 20_000_000])
