@@ -15,6 +15,7 @@ measured in the tail of the segment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -29,6 +30,8 @@ LEAVE_STEPS = (4, 5, 6)
 TOTAL_STEPS = 7
 #: The shared link every flow crosses, bits/second.
 BOTTLENECK_RATE_BPS = 1e9
+#: Jain's index is taken over this trailing fraction of each segment.
+TAIL_FRACTION = 0.4
 #: A flow has converged once its rate is within this fraction of the
 #: fair share.
 CONVERGENCE_TOLERANCE = 0.3
@@ -43,6 +46,26 @@ class Fig1Config:
     marking_threshold: int = 10
     interval: float = 5.0  # the paper's 5 s; tests use much less
     sample_interval: float = 0.05
+
+    def __post_init__(self) -> None:
+        # Rate samples fall on multiples of sample_interval; each
+        # segment's tail [end - TAIL_FRACTION * interval, end] must hold
+        # one, or its Jain index would be taken over no data.  The 1e-9
+        # slack keeps a sample that lands on a window edge inside it.
+        if self.interval <= 0 or self.sample_interval <= 0:
+            raise ValueError("interval and sample_interval must be positive")
+        for step in range(1, TOTAL_STEPS + 1):
+            end = step * self.interval
+            start = end - TAIL_FRACTION * self.interval
+            if math.ceil(start / self.sample_interval - 1e-9) > math.floor(
+                end / self.sample_interval + 1e-9
+            ):
+                raise ValueError(
+                    f"interval {self.interval:g} s: the last "
+                    f"{TAIL_FRACTION:.0%} of segment {step} "
+                    f"([{start:g}, {end:g}] s) holds no rate sample at "
+                    f"the {self.sample_interval:g} s sample interval"
+                )
 
 
 @dataclass
@@ -148,14 +171,19 @@ def _simulate(config: Fig1Config) -> Fig1Result:
     _net, _connections, series, events = play(scene)
     result = Fig1Result(config=config, series=series, events=events)
 
-    # Fairness in the tail (last 40%) of each between-events segment.
+    # Fairness in the tail (last TAIL_FRACTION) of each between-events segment.
     interval = config.interval
     for step in range(TOTAL_STEPS):
         seg_start, seg_end = step * interval, (step + 1) * interval
         active = _running(scene, seg_start)
         if not active:
             continue
-        tail_start = seg_end - 0.4 * interval
+        tail_start = seg_end - TAIL_FRACTION * interval
+        if not any(tail_start <= t <= seg_end for t in series.times):
+            raise ValueError(
+                f"segment {step + 1} holds no rate sample in its tail "
+                f"[{tail_start:g}, {seg_end:g}] s"
+            )
         means = [series.mean(f"flow{i+1}", tail_start, seg_end) for i in active]
         result.segments.append((seg_start, seg_end, len(active), jain_index(means)))
         result.segment_flows.append(active)

@@ -183,7 +183,7 @@ def _tiny_runs():
     fattree = FatTreeScenario(duration=0.01)
     one = {"schemes": (("xmp", 2),)}
     return {
-        "fig1": (Fig1Config(interval=0.01), {}),
+        "fig1": (Fig1Config(interval=0.05), {}),
         "fig4": (Fig4Config(time_scale=0.005), {}),
         "fig6": (Fig6Config(time_scale=0.005), {}),
         "fig7": (Fig7Config(time_scale=0.002), {}),
@@ -291,6 +291,7 @@ class TestInputValidation:
         (["fluid", "--crosscheck", "bottleneck", "--flows", "8", "--scheme", "lia"],
          "--scheme does not apply to --crosscheck"),
         (["fluid", "--crosscheck", "--flows", "8"], "--flows does not apply to --crosscheck"),
+        (["fig1", "--interval", "0.01"], "holds no rate sample"),
     ], ids=["zero-subflows-spec", "fluid-subflows", "fluid-flows",
             "fluid-scheme", "profile-pattern", "profile-duration",
             "fluid-duration", "fluid-odd-k", "fluid-beta",
@@ -299,7 +300,8 @@ class TestInputValidation:
             "incast-negative-duration", "workload-zero-duration",
             "fluid-dt-over-duration", "fluid-dt-one", "jobs-zero", "jobs-negative",
             "crosscheck-negative-duration", "crosscheck-zero-duration",
-            "crosscheck-dt-over-duration", "crosscheck-scheme", "crosscheck-flows"])
+            "crosscheck-dt-over-duration", "crosscheck-scheme", "crosscheck-flows",
+            "fig1-interval-without-tail-sample"])
     def test_bad_value_fails_at_parse_time_not_inside_a_cell(
         self, argv, complaint, capsys, monkeypatch
     ):
