@@ -51,13 +51,13 @@ fi
 if [ "$run_lint" = 1 ]; then
     if command -v ruff > /dev/null 2>&1; then
         echo "== ruff =="
-        ruff check src tests benchmarks
+        ruff check src tests benchmarks scripts
     else
         echo "== ruff not installed; skipping =="
     fi
     # One pass: the per-file rules and the whole-program join (unit
-    # dataflow, priority tiers, hot-path cost) over one set of file summaries;
-    # the gate is zero findings.
+    # arithmetic, seed provenance, priority tiers, hot-path cost) over one
+    # set of file summaries; the gate is zero findings.
     echo "== lint (python -m repro.lint) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro.lint src/repro
     # One smoke: every golden scenario under all four probes together —

@@ -4,20 +4,18 @@ Static counterpart to the runtime invariant checker
 (:mod:`repro.validate`): where the validator catches a hazard *when it
 fires*, simlint rejects the code shapes that introduce such hazards
 before they ever run — unseeded randomness, wall-clock reads in model
-code, float-time equality, raw unit literals, set-order-dependent
-scheduling, mutable defaults, pickle-unsafe members and swallowed
+code, float-time equality, pickle-unsafe members and swallowed
 exceptions.
 
 On top of the per-file rules sits the whole-program join over one set
-of per-file summaries, run on every invocation: unit-dimension dataflow
-against a declared sink registry (SIM011/SIM012), seed provenance
-(SIM013), observer-hook conformance (SIM014) and event-handler
-reachability (SIM015) in :mod:`repro.lint.sem`; priority tiers of
-periodic callbacks (SIM018) in :mod:`repro.lint.race`; hot-path cost
-against ``hotpaths.toml`` (SIM019/SIM020) in :mod:`repro.lint.perf`.
+of per-file summaries, run on every invocation: unit-unsafe arithmetic
+(SIM012) and seed provenance (SIM013) in :mod:`repro.lint.sem`; priority
+tiers of periodic callbacks (SIM018) in :mod:`repro.lint.race`; hot-path
+cost against ``hotpaths.toml`` (SIM019/SIM020) in :mod:`repro.lint.perf`.
 The two runtime sanitizers those packages carry run over the golden
-scenarios in :mod:`repro.lint.smoke`, which decides at run time what the
-seven retired rules (LINTING.md has the audit) tried to guess.
+scenarios in :mod:`repro.lint.smoke`.  Every rule kept has a planted
+hazard that only it catches; LINTING.md's audit has the measurement and
+the thirteen retired codes.
 
 Usage::
 
@@ -41,7 +39,7 @@ from repro.lint.core import (
     Suppressions,
     iter_python_files,
 )
-from repro.lint.fixes import apply_fixes, ensure_units_imports, fix_file
+from repro.lint.fixes import apply_fixes, fix_file
 from repro.lint.registry import catalog, known_codes, syntactic_rules
 from repro.lint.rules import RULE_CLASSES, all_rules
 
@@ -57,7 +55,6 @@ __all__ = [
     "all_rules",
     "apply_fixes",
     "catalog",
-    "ensure_units_imports",
     "fix_file",
     "iter_python_files",
     "known_codes",

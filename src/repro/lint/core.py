@@ -11,9 +11,6 @@ The linter is a thin framework around :mod:`ast`:
   suppresses it after the fact, so rules never need to know about
   suppressions.
 
-The module also holds :func:`parse_toml_subset`, the one reader of the
-``sinks.toml`` / ``hotpaths.toml`` registry files.
-
 Everything is pure stdlib by design: unlike ruff, simlint must run on
 any machine that can run the simulator (see ``scripts/check.sh``).
 """
@@ -26,7 +23,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 _PARENT_ATTR = "_simlint_parent"
 
@@ -288,48 +285,6 @@ def iter_python_files(
                 yield candidate
 
 
-#: One ``[section]`` of a registry file: ``(lineno, raw header line,
-#: name, [(lineno, key, value), ...])``.
-TomlSection = Tuple[int, str, str, List[Tuple[int, str, str]]]
-
-
-def parse_toml_subset(
-    text: str,
-    origin: str,
-    error: Type[ValueError],
-    unparseable: Callable[[str, Optional[str]], str],
-) -> List[TomlSection]:
-    """The one reader of the registries' TOML subset.
-
-    ``[section]`` headers, ``key = "string"`` pairs and ``#`` comments;
-    ``sinks.toml`` and ``hotpaths.toml`` are both written in it.
-    Returns the sections in file order, duplicates included — which
-    names, keys and values are acceptable is each registry's business.
-    A pair before any header, and a line that is neither header nor
-    pair, raise ``error``; ``unparseable(raw_line, value)`` words the
-    latter in the registry's terms (``value`` is the text right of the
-    ``=``, ``None`` when there is none).
-    """
-    sections: List[TomlSection] = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            sections.append((lineno, raw_line, line[1:-1].strip(), []))
-            continue
-        key, equals, value = line.partition("=")
-        value = value.strip()
-        if not equals:
-            raise error(f"{origin}:{lineno}: {unparseable(raw_line, None)}")
-        if not sections:
-            raise error(f"{origin}:{lineno}: key outside any [section]")
-        if not (len(value) >= 2 and value[0] == '"' and value[-1] == '"'):
-            raise error(f"{origin}:{lineno}: {unparseable(raw_line, value)}")
-        sections[-1][3].append((lineno, key.strip(), value[1:-1]))
-    return sections
-
-
 __all__ = [
     "Analyzer",
     "FileContext",
@@ -339,5 +294,4 @@ __all__ = [
     "Severity",
     "Suppressions",
     "iter_python_files",
-    "parse_toml_subset",
 ]

@@ -9,14 +9,10 @@ never invalidate later spans.
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
-from typing import Iterable, List, Set, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.lint.core import Analyzer, Finding
-from repro.sim.units import CONSTRUCTOR_DIMENSIONS
-
-_UNITS_MODULE = "repro.sim.units"
 
 
 def apply_fixes(source: str, findings: Iterable[Finding]) -> Tuple[str, int]:
@@ -43,81 +39,6 @@ def apply_fixes(source: str, findings: Iterable[Finding]) -> Tuple[str, int]:
     return "".join(lines), applied
 
 
-def _bound_names(tree: ast.Module) -> Set[str]:
-    """Names the module binds at top level (imports, defs, assignments)."""
-    bound: Set[str] = set()
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                bound.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                bound.add(alias.asname or alias.name)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            for target in ast.walk(node):
-                if isinstance(target, ast.Name) and isinstance(
-                    target.ctx, ast.Store
-                ):
-                    bound.add(target.id)
-    return bound
-
-
-def ensure_units_imports(source: str) -> str:
-    """Import any ``repro.sim.units`` constructor a fix introduced.
-
-    The SIM004 rewrite replaces a literal with a bare constructor call
-    (``gigabits_per_second(1)``); this post-pass makes the name resolve:
-    it extends an existing single-line ``from repro.sim.units import``
-    statement, or inserts one after the last top-level import.  A no-op
-    when every used constructor is already bound.
-    """
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return source
-    used = {
-        node.func.id
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id in CONSTRUCTOR_DIMENSIONS
-    }
-    missing = sorted(used - _bound_names(tree))
-    if not missing:
-        return source
-    lines = source.splitlines(keepends=True)
-    # Prefer extending an existing single-line units import.
-    for node in tree.body:
-        if (
-            isinstance(node, ast.ImportFrom)
-            and node.module == _UNITS_MODULE
-            and node.level == 0
-            and node.end_lineno == node.lineno
-            and not any(alias.asname or alias.name == "*" for alias in node.names)
-        ):
-            names = sorted({alias.name for alias in node.names} | set(missing))
-            indent = lines[node.lineno - 1][: node.col_offset]
-            lines[node.lineno - 1] = (
-                f"{indent}from {_UNITS_MODULE} import {', '.join(names)}\n"
-            )
-            return "".join(lines)
-    # Otherwise insert a fresh import after the last top-level import
-    # (or after the module docstring when there are none).
-    insert_after = 0
-    for node in tree.body:
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            insert_after = max(insert_after, node.end_lineno or node.lineno)
-    if insert_after == 0 and tree.body:
-        first = tree.body[0]
-        if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
-            insert_after = first.end_lineno or first.lineno
-    statement = f"from {_UNITS_MODULE} import {', '.join(missing)}\n"
-    lines.insert(insert_after, statement)
-    return "".join(lines)
-
-
 def fix_file(analyzer: Analyzer, path: "str | Path") -> Tuple[int, List[Finding]]:
     """Fix one file in place; returns (edits applied, remaining findings).
 
@@ -129,10 +50,9 @@ def fix_file(analyzer: Analyzer, path: "str | Path") -> Tuple[int, List[Finding]
     findings = analyzer.lint_source(source, path=target)
     fixed, applied = apply_fixes(source, findings)
     if applied:
-        fixed = ensure_units_imports(fixed)
         target.write_text(fixed, encoding="utf-8")
         findings = analyzer.lint_source(fixed, path=target)
     return applied, findings
 
 
-__all__ = ["apply_fixes", "ensure_units_imports", "fix_file"]
+__all__ = ["apply_fixes", "fix_file"]

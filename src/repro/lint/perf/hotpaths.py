@@ -9,9 +9,7 @@ registered functions, and ``python -m repro.lint.smoke`` fails when an
 unregistered callback fires a twentieth of a golden scenario's events —
 so the file cannot drift away from where the events actually go.
 
-The file format is the same deliberately tiny TOML subset as
-``sinks.toml``, read by the same function
-(:func:`repro.lint.core.parse_toml_subset`): ``[section]``
+The file format is a deliberately tiny TOML subset: ``[section]``
 headers and ``key = "string"`` pairs, ``#`` comments, hard errors on
 anything else — no tomllib dependency and no silent misparses.
 """
@@ -22,8 +20,6 @@ import re
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.lint.core import parse_toml_subset
-
 DEFAULT_HOTPATHS_FILE = Path(__file__).with_name("hotpaths.toml")
 
 _QNAME_RE = re.compile(r"^[A-Za-z_][\w]*(\.[A-Za-z_][\w]*)+$")
@@ -33,10 +29,10 @@ class HotPathError(ValueError):
     """A malformed or inconsistent hotpaths.toml."""
 
 
-def _unparseable_line(raw_line: str, value: Optional[str]) -> str:
-    return (
-        f"unparseable line {raw_line!r} (the hotpaths format is "
-        "[dotted.qname] sections with one `reason = \"...\"` each)"
+def _unparseable_line(origin: str, lineno: int, raw_line: str) -> HotPathError:
+    return HotPathError(
+        f"{origin}:{lineno}: unparseable line {raw_line!r} (the hotpaths "
+        "format is [dotted.qname] sections with one `reason = \"...\"` each)"
     )
 
 
@@ -67,22 +63,35 @@ class HotPathRegistry:
         return registry
 
     def _parse(self, text: str, origin: str) -> None:
-        for _lineno, _raw, section, pairs in parse_toml_subset(
-            text, origin, HotPathError, _unparseable_line
-        ):
-            reason: Optional[str] = None
-            for lineno, key, value in pairs:
-                if key != "reason":
-                    raise HotPathError(
-                        f"{origin}:{lineno}: unknown key {key!r} "
-                        "(only `reason` is allowed)"
-                    )
-                if reason is not None:
-                    raise HotPathError(
-                        f"{origin}:{lineno}: duplicate reason for "
-                        f"[{section}]"
-                    )
-                reason = value
+        """``[qname]`` headers, each followed by one ``reason = "..."``."""
+        sections: Dict[str, Optional[str]] = {}
+        section: Optional[str] = None
+        for lineno, raw_line in enumerate(text.splitlines(), start=1):
+            line = raw_line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip()
+                if section in sections:
+                    raise HotPathError(f"duplicate hot-path entry {section!r}")
+                sections[section] = None
+                continue
+            key, equals, value = (part.strip() for part in line.partition("="))
+            if not (equals and len(value) >= 2 and value[0] == value[-1] == '"'):
+                raise _unparseable_line(origin, lineno, raw_line)
+            if section is None:
+                raise HotPathError(f"{origin}:{lineno}: key outside any [section]")
+            if key != "reason":
+                raise HotPathError(
+                    f"{origin}:{lineno}: unknown key {key!r} "
+                    "(only `reason` is allowed)"
+                )
+            if sections[section] is not None:
+                raise HotPathError(
+                    f"{origin}:{lineno}: duplicate reason for [{section}]"
+                )
+            sections[section] = value[1:-1]
+        for section, reason in sections.items():
             if reason is None:
                 raise HotPathError(
                     f"{origin}: hot path [{section}] is missing its "

@@ -1,11 +1,11 @@
-"""The single rule catalog: the 16 codes in SIM001–SIM020 in one table.
+"""The single rule catalog: the 10 live codes in SIM001–SIM020 in one table.
 
-Seven codes are retired and never reused — SIM006, SIM008, SIM016,
-SIM017, SIM021, SIM022, SIM023; LINTING.md's audit table says which
-run-time check replaced each.  The per-file rules (SIM001–SIM010) are
-:class:`~repro.lint.core.Rule` classes and describe themselves; the
-whole-program rules (SIM011–SIM020) are findings of the join over the
-per-file summaries
+Thirteen codes are retired and never reused — SIM004–SIM008, SIM011,
+SIM014–SIM017 and SIM021–SIM023; LINTING.md's audit table names the
+run-time check that catches what each rejected.  The
+per-file rules (SIM001–SIM010) are :class:`~repro.lint.core.Rule`
+classes and describe themselves; the whole-program rules
+(SIM012–SIM020) are findings of the join over the per-file summaries
 (:mod:`repro.lint.sem.project`, :mod:`repro.lint.race.analyzer`,
 :mod:`repro.lint.perf.analyzer`), not per-node rules, so their catalog
 rows are spelled out here in :data:`PROJECT_RULES`.  The CLI
@@ -38,7 +38,7 @@ class CatalogEntry:
     severity: Severity
     rationale: str
     #: Which analysis reports it: "syntactic" (per-file Rule),
-    #: "semantic" (unit/seed/hook/handler dataflow), "race"
+    #: "semantic" (unit arithmetic, seed provenance), "race"
     #: (same-instant ordering) or "perf" (hot-path cost).
     kind: str
     #: Whether ``--fix`` can rewrite this rule's findings.
@@ -46,13 +46,6 @@ class CatalogEntry:
 
 
 PROJECT_RULES: Tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        "SIM011", "unit-sink-mismatch", Severity.ERROR,
-        "a value of one dimension (or a raw literal travelling through "
-        "assignments) reaches a parameter declared to take another; "
-        "seconds-vs-bytes mixups shift every figure silently",
-        "semantic",
-    ),
     CatalogEntry(
         "SIM012", "unit-unsafe-arithmetic", Severity.ERROR,
         "adding values of different dimensions, or multiplying two "
@@ -65,20 +58,6 @@ PROJECT_RULES: Tuple[CatalogEntry, ...] = (
         "an RNG seeded from hash()/id()/pid-like entropy is "
         "nondeterministic across processes even though it LOOKS seeded; "
         "seeds must descend from a component seed or repro.sim.random",
-        "semantic",
-    ),
-    CatalogEntry(
-        "SIM014", "hook-conformance", Severity.ERROR,
-        "an observer hook call no observer class defines (or a defined "
-        "hook nothing ever fires) is silent protocol drift between the "
-        "model and the probe seam (repro.sim.probe and its probes)",
-        "semantic",
-    ),
-    CatalogEntry(
-        "SIM015", "dead-event-handler", Severity.WARNING,
-        "a handler-named callable nothing references can never be "
-        "reached from any schedule() site; it is either dead code or a "
-        "wiring bug",
         "semantic",
     ),
     CatalogEntry(

@@ -1,7 +1,7 @@
 """The simlint rule catalog.
 
 One :class:`~repro.lint.core.Rule` subclass per per-file SIMxxx code
-(SIM006 and SIM008 are retired and their numbers stay unused); see
+(retired codes are never reused); see
 LINTING.md for the catalog with rationale and the audit behind it.  :func:`all_rules` is the
 single registry the analyzer, CLI and docs build from.
 """
@@ -11,19 +11,16 @@ from __future__ import annotations
 from typing import List, Tuple, Type
 
 from repro.lint.core import Rule
-from repro.lint.rules.determinism import UnorderedIterationRule, UnseededRandomRule
+from repro.lint.rules.determinism import UnseededRandomRule
 from repro.lint.rules.drivers import PickleUnsafeMemberRule
-from repro.lint.rules.numerics import FloatTimeEqualityRule, MagicUnitLiteralRule
-from repro.lint.rules.structure import MutableDefaultRule, SwallowedExceptionRule
+from repro.lint.rules.numerics import FloatTimeEqualityRule
+from repro.lint.rules.structure import SwallowedExceptionRule
 from repro.lint.rules.wallclock import WallClockRule
 
 RULE_CLASSES: Tuple[Type[Rule], ...] = (
     UnseededRandomRule,  # SIM001
     WallClockRule,  # SIM002
     FloatTimeEqualityRule,  # SIM003
-    MagicUnitLiteralRule,  # SIM004
-    UnorderedIterationRule,  # SIM005
-    MutableDefaultRule,  # SIM007
     PickleUnsafeMemberRule,  # SIM009
     SwallowedExceptionRule,  # SIM010
 )

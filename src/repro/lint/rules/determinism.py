@@ -1,14 +1,10 @@
-"""Determinism rules: seeded randomness (SIM001) and ordered iteration (SIM005).
+"""Determinism: seeded randomness (SIM001).
 
 The whole reproduction rests on bit-for-bit deterministic replay (same
-seed, same trace, same Fig. 3-11 curves).  Two classic ways to lose it:
-
-* drawing from the process-global ``random`` module (seeded from OS
-  entropy) or an unseeded ``random.Random()`` instead of routing through
-  :class:`repro.sim.random.RandomStreams`;
-* iterating a ``set`` while scheduling events or drawing randomness —
-  ``PYTHONHASHSEED`` varies string hashes across processes, so set order
-  is not stable run-to-run even though dict order is.
+seed, same trace, same Fig. 3-11 curves).  The classic way to lose it is
+drawing from the process-global ``random`` module (seeded from OS
+entropy) or an unseeded ``random.Random()`` instead of routing through
+:class:`repro.sim.random.RandomStreams`.
 """
 
 from __future__ import annotations
@@ -139,72 +135,3 @@ class UnseededRandomRule(Rule):
             expected=segment,
             replacement=segment[:-2] + "(0)",
         )
-
-
-#: Method names that schedule or cancel simulator events.
-SCHEDULING_METHODS = frozenset({"schedule", "schedule_at", "cancel"})
-
-
-def _is_set_typed(expr: ast.expr) -> bool:
-    """Syntactically set-typed: literals, comprehensions, set()/frozenset(),
-    and set-algebra expressions over those."""
-    if isinstance(expr, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-        return expr.func.id in ("set", "frozenset")
-    if isinstance(expr, ast.BinOp) and isinstance(
-        expr.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
-    ):
-        return _is_set_typed(expr.left) or _is_set_typed(expr.right)
-    return False
-
-
-def _hazardous_call(node: ast.Call) -> "str | None":
-    """What (if anything) an in-loop call does that set order would perturb."""
-    func = node.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    if func.attr in SCHEDULING_METHODS:
-        return "event scheduling"
-    if func.attr in GLOBAL_RNG_FUNCTIONS:
-        return "an RNG draw"
-    return None
-
-
-class UnorderedIterationRule(Rule):
-    """SIM005: no event scheduling / RNG draws while iterating a set."""
-
-    code = "SIM005"
-    name = "unordered-iteration"
-    severity = Severity.ERROR
-    rationale = (
-        "set iteration order depends on PYTHONHASHSEED; feeding it into "
-        "schedule() or RNG draws reorders events between runs"
-    )
-    node_types = (ast.For, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        if isinstance(node, ast.For):
-            set_iter = _is_set_typed(node.iter)
-            body: "list[ast.AST]" = list(node.body)
-        else:
-            assert isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-            )
-            set_iter = any(_is_set_typed(gen.iter) for gen in node.generators)
-            body = [node]
-        if not set_iter:
-            return
-        for child in body:
-            for inner in ast.walk(child):
-                if isinstance(inner, ast.Call):
-                    hazard = _hazardous_call(inner)
-                    if hazard is not None:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"iterating a set feeds {hazard}; iterate a "
-                            "sorted() or otherwise deterministically "
-                            "ordered sequence instead",
-                        )
-                        return

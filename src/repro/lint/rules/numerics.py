@@ -1,26 +1,17 @@
-"""Numeric-hygiene rules: float-time equality (SIM003), magic units (SIM004).
+"""Numeric hygiene: float-time equality (SIM003).
 
 Simulation time is a float in seconds.  Exact ``==`` on derived times is
 only stable while nobody reorders an arithmetic expression; the engine
 guarantees deterministic *ordering* via ``(time, priority, seq)`` tuples
-precisely so model code never needs float equality.  Likewise, the
-simulator's base units (seconds, bits/s, bytes) make a bare ``rate=1e9``
-ambiguous — ``repro.sim.units`` exists so every literal names its unit.
+precisely so model code never needs float equality.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.lint.core import FileContext, Finding, Fix, Rule, Severity
-from repro.sim import units as _units
-from repro.sim.units import (
-    CONVERSION_FACTORS,
-    DIM_BITS_PER_SECOND,
-    DIM_SECONDS,
-    IDENTITY_CONSTRUCTORS,
-)
+from repro.lint.core import FileContext, Finding, Rule, Severity
 
 #: Identifiers (variable names / attribute names) treated as sim-time values.
 TIME_NAMES = frozenset(
@@ -86,158 +77,3 @@ class FloatTimeEqualityRule(Rule):
                         "ordering comparison or an explicit tolerance",
                     )
             left = right
-
-
-#: Call keywords carrying a rate (bits/second).
-RATE_KWARGS = frozenset(
-    {
-        "rate",
-        "rate_bps",
-        "bandwidth",
-        "bandwidth_bps",
-        "link_rate",
-        "link_rate_bps",
-        "access_rate",
-        "access_rate_bps",
-    }
-)
-
-#: Call keywords carrying a time (seconds).
-TIME_KWARGS = frozenset(
-    {
-        "delay",
-        "delay_s",
-        "hop_delay",
-        "propagation_delay",
-        "rtt",
-        "rtt_s",
-        "base_rtt",
-    }
-)
-
-#: Call keywords whose value carries a unit the literal cannot express.
-UNIT_KWARGS = RATE_KWARGS | TIME_KWARGS
-
-#: Named conversions --fix may propose, largest scale first, per dimension.
-_FIX_CANDIDATES = {
-    DIM_SECONDS: ("seconds", "milliseconds", "microseconds", "nanoseconds"),
-    DIM_BITS_PER_SECOND: (
-        "gigabits_per_second",
-        "megabits_per_second",
-        "kilobits_per_second",
-        "bits_per_second",
-    ),
-}
-
-
-def _unit_replacement(value: float, literal_text: str, dimension: str) -> Optional[str]:
-    """Source text of a units call that is BIT-IDENTICAL to ``value``.
-
-    Tries the named conversions largest-scale-first with an integral
-    argument (``1e9`` -> ``gigabits_per_second(1)``), verifying each
-    candidate by calling the real constructor — ``microseconds(20)`` is
-    one ulp away from ``20e-6``, and a fix that shifts a float would
-    shift golden-trace digests.  When no named conversion reproduces the
-    value, falls back to the identity constructor wrapping the original
-    literal (``seconds(20e-6)``), which is exact by construction.
-    """
-    for name in _FIX_CANDIDATES.get(dimension, ()):
-        factor = CONVERSION_FACTORS[name]
-        argument = value / factor
-        if argument != int(argument) or not 1 <= abs(argument) < 1000:
-            continue
-        if getattr(_units, name)(int(argument)) == value:
-            return f"{name}({int(argument)})"
-    identity = IDENTITY_CONSTRUCTORS.get(dimension)
-    if identity is not None and getattr(_units, identity)(value) == value:
-        return f"{identity}({literal_text})"
-    return None
-
-
-def _unit_fix(ctx: FileContext, expr: ast.expr, dimension: str) -> Optional[Fix]:
-    """A guarded single-line rewrite of a bare unit literal, if safe."""
-    value = _numeric_literal(expr)
-    if value is None or value == 0:
-        return None
-    if getattr(expr, "end_lineno", None) != expr.lineno:
-        return None
-    col_end = getattr(expr, "end_col_offset", None)
-    if col_end is None:
-        return None
-    expected = ctx.line_text(expr.lineno)[expr.col_offset : col_end]
-    if not expected:
-        return None
-    replacement = _unit_replacement(value, expected, dimension)
-    if replacement is None:
-        return None
-    return Fix(
-        lineno=expr.lineno,
-        col_start=expr.col_offset,
-        col_end=col_end,
-        expected=expected,
-        replacement=replacement,
-    )
-
-
-def _numeric_literal(expr: ast.expr) -> Optional[float]:
-    """The value of a bare (possibly negated) numeric literal, else None."""
-    if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, ast.USub):
-        inner = _numeric_literal(expr.operand)
-        return None if inner is None else -inner
-    if isinstance(expr, ast.Constant) and type(expr.value) in (int, float):
-        return float(expr.value)
-    return None
-
-
-class MagicUnitLiteralRule(Rule):
-    """SIM004: bandwidth/delay arguments must go through repro.sim.units."""
-
-    code = "SIM004"
-    name = "magic-unit-literal"
-    severity = Severity.ERROR
-    rationale = (
-        "a bare number in a rate/delay argument hides its unit; "
-        "repro.sim.units conversions make Gbps-vs-bps bugs impossible"
-    )
-    fixable = True
-    node_types = (ast.Call,)
-    excluded_path_parts = ("tests/", "benchmarks/")
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        assert isinstance(node, ast.Call)
-        for keyword in node.keywords:
-            if keyword.arg is None or keyword.arg not in UNIT_KWARGS:
-                continue
-            value = _numeric_literal(keyword.value)
-            if value is not None and value != 0:
-                dimension = (
-                    DIM_BITS_PER_SECOND
-                    if keyword.arg in RATE_KWARGS
-                    else DIM_SECONDS
-                )
-                yield self.finding(
-                    ctx,
-                    keyword.value,
-                    f"bare numeric literal for {keyword.arg}=; wrap it in a "
-                    "repro.sim.units conversion "
-                    "(e.g. gigabits_per_second, microseconds)",
-                    fix=_unit_fix(ctx, keyword.value, dimension),
-                )
-        # Network.connect(a, b, rate_bps, delay_s, ...): the two positional
-        # unit slots of the one call every topology goes through.
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr == "connect":
-            for index, label, dimension in (
-                (2, "rate_bps", DIM_BITS_PER_SECOND),
-                (3, "delay_s", DIM_SECONDS),
-            ):
-                if index < len(node.args):
-                    value = _numeric_literal(node.args[index])
-                    if value is not None and value != 0:
-                        yield self.finding(
-                            ctx,
-                            node.args[index],
-                            f"bare numeric literal for connect() {label}; "
-                            "wrap it in a repro.sim.units conversion",
-                            fix=_unit_fix(ctx, node.args[index], dimension),
-                        )

@@ -1,11 +1,8 @@
-"""Structural-safety rules: mutable defaults (SIM007), swallowed errors (SIM010).
+"""Structural safety: swallowed errors (SIM010).
 
-A mutable default argument is shared across every call — in a simulator
-that means shared across every *flow*, turning independent senders into
-accidentally coupled ones.  And a bare ``except:`` (or a broad handler
-that only ``pass``es) in the engine or runner can swallow an
-``InvariantError`` or a worker crash, converting a loud determinism
-violation into silently wrong curves.
+A bare ``except:`` (or a broad handler that only ``pass``es) in the
+engine or runner can swallow an ``InvariantError`` or a worker crash,
+converting a loud determinism violation into silently wrong curves.
 """
 
 from __future__ import annotations
@@ -14,60 +11,6 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.core import FileContext, Finding, Fix, Rule, Severity
-
-#: Constructors returning fresh mutable containers.
-MUTABLE_CONSTRUCTORS = frozenset(
-    {"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter",
-     "OrderedDict"}
-)
-
-
-def _is_mutable_literal(expr: ast.expr) -> bool:
-    if isinstance(
-        expr, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
-    ):
-        return True
-    if isinstance(expr, ast.Call):
-        func = expr.func
-        name = None
-        if isinstance(func, ast.Name):
-            name = func.id
-        elif isinstance(func, ast.Attribute):
-            name = func.attr
-        return name in MUTABLE_CONSTRUCTORS
-    return False
-
-
-class MutableDefaultRule(Rule):
-    """SIM007: no mutable default arguments."""
-
-    code = "SIM007"
-    name = "mutable-default"
-    severity = Severity.ERROR
-    rationale = (
-        "a mutable default is shared across calls, coupling what should be "
-        "independent flows/queues; default to None and construct in the body"
-    )
-    node_types = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-
-    def visit(self, node: ast.AST, ctx: FileContext) -> Iterator[Finding]:
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-        args = node.args
-        defaults = list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None
-        ]
-        label = (
-            getattr(node, "name", None) or "<lambda>"
-        )
-        for default in defaults:
-            if _is_mutable_literal(default):
-                yield self.finding(
-                    ctx,
-                    default,
-                    f"mutable default argument in {label}(); it is shared "
-                    "across every call — default to None and build the "
-                    "container in the body",
-                )
 
 
 def _broad_handler(type_node: Optional[ast.expr]) -> bool:

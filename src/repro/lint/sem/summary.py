@@ -1,29 +1,22 @@
 """Phase 1: one JSON-serializable summary per source file.
 
-The summary carries *everything* phase 2 needs — symbol definitions,
-import bindings, call records with abstract argument values, locally
-decidable findings (SIM012 unit-unsafe arithmetic, SIM013 seed
-provenance), observer-hook call/definition sites, handler-named defs and
-the file's identifier reference set — so that no join ever re-parses
-a file.  Anything that requires another
-file's facts (sink resolution, hook conformance, dead handlers) is left
-to :mod:`repro.lint.sem.project`.
+The summary carries everything the whole-program joins need, so that no
+join ever re-parses a file: the locally decidable findings (SIM012
+unit-unsafe arithmetic, SIM013 seed provenance), per function its call
+records (the callee of every call: the call graph the allocation
+sanitizer's explanation closure walks), its scheduler calls (SIM018's
+raw material) and its cost record (SIM019/SIM020's), per class its
+methods, and per file its suppressions and allocation waivers.  The
+joins live in :mod:`repro.lint.sem.project`.
 
-Abstract values form a tiny lattice, encoded as plain dicts so the whole
-summary round-trips through JSON:
+SIM012 and SIM013 evaluate expressions over a tiny lattice of abstract
+values, plain dicts:
 
 ``{"k": "dim", "d": <dimension>}``
     value of a known dimension (from a ``repro.sim.units`` constructor,
     an alias-annotated parameter, or dimension-preserving arithmetic);
-``{"k": "raw", "via": 0|1, "zero": bool}``
-    numeric literal — ``via 0`` directly at the use site, ``via 1``
-    having travelled through at least one assignment (``zero`` marks an
-    exact zero, which is dimensionless and never flagged);
-``{"k": "param", "name": p}``
-    pristine reference to parameter ``p`` of the enclosing function
-    (never reassigned) — phase 2 derives sinks through these;
-``{"k": "import", "name": dotted}``
-    reference to an imported module-level constant, resolved by phase 2;
+``{"k": "raw"}``
+    numeric literal, directly or through assignments;
 ``{"k": "unknown"}``
     everything else (the safe default: unknown never fires a rule).
 """
@@ -39,21 +32,6 @@ from repro.sim.units import ANNOTATION_DIMENSIONS, CONSTRUCTOR_DIMENSIONS
 
 UNITS_MODULE = "repro.sim.units"
 RANDOM_STREAMS = "repro.sim.random.RandomStreams"
-
-#: Callable names matching this are event-handler-shaped (SIM015).
-HANDLER_NAME_RE = re.compile(
-    r"^_?on_|^_handle_|^_finish_|^_fire_"
-    r"|_timeout$|_expired$|_tick$|_handler$|_callback$"
-)
-
-#: Receiver identifiers that make a ``.on_*()`` call an observer-hook
-#: dispatch (SIM014): the engine's one ``probe`` slot
-#: (``probe.on_x(...)``, ``self.probe.on_x(...)``) and the per-object
-#: validation ``observer`` (``self.observer.on_x(...)``).  Hot paths that
-#: hoist the receiver into a local (``obs = self.observer`` before a
-#: drain loop) are caught by the scanner's alias tracking, which maps the
-#: local back to the receiver it was loaded from.
-HOOK_RECEIVERS = frozenset({"probe", "observer"})
 
 #: Receiver terminals that make a ``.schedule()``/``.post()`` call a
 #: scheduler call (SIM018's raw material): ``sim.schedule(...)``,
@@ -94,23 +72,13 @@ def _absval_dim(dimension: str) -> Dict[str, Any]:
     return {"k": "dim", "d": dimension}
 
 
-def _absval_raw(via: int, zero: bool = False) -> Dict[str, Any]:
-    return {"k": "raw", "via": via, "zero": zero}
-
-
+_RAW: Dict[str, Any] = {"k": "raw"}
 _UNKNOWN: Dict[str, Any] = {"k": "unknown"}
 
 
 def _join(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
     """Lattice join: agreeing values survive, anything else is unknown."""
-    if a == b:
-        return a
-    if a["k"] == "raw" and b["k"] == "raw":
-        return _absval_raw(
-            max(int(a["via"]), int(b["via"])),
-            bool(a.get("zero")) and bool(b.get("zero")),
-        )
-    return _UNKNOWN
+    return a if a == b else _UNKNOWN
 
 
 def module_name_for_path(path: str) -> str:
@@ -406,8 +374,6 @@ class _FunctionScanner:
 
     def __init__(
         self,
-        module: str,
-        qname: str,
         node: ast.AST,
         imports: _ImportMap,
         params: List[str],
@@ -415,10 +381,7 @@ class _FunctionScanner:
         module_constants: Dict[str, Dict[str, Any]],
         local_returns: Dict[str, str],
         self_attr_dims: Dict[str, str],
-        is_method: bool,
     ) -> None:
-        self.module = module
-        self.qname = qname
         self.node = node
         self.imports = imports
         self.params = params
@@ -426,18 +389,12 @@ class _FunctionScanner:
         self.module_constants = module_constants
         self.local_returns = local_returns
         self.self_attr_dims = self_attr_dims
-        self.is_method = is_method
         self.calls: List[Dict[str, Any]] = []
         self.findings: List[Tuple[str, int, int, str]] = []
-        self.hook_calls: List[Dict[str, Any]] = []
         self.sched_calls: List[Dict[str, Any]] = []
         self.return_dims: List[Optional[str]] = []
         self._env: Dict[str, Dict[str, Any]] = {}
         self._assigned: Set[str] = set()
-        #: Local name -> hook receiver it aliases (``obs = self.observer``
-        #: makes ``obs`` an alias of ``observer``); ``None`` poisons a
-        #: name that was also assigned something else.
-        self._hook_aliases: Dict[str, Optional[str]] = {}
 
     # -- environment -----------------------------------------------------
 
@@ -464,27 +421,17 @@ class _FunctionScanner:
                 value = None
             if not targets:
                 continue
-            alias = None if value is None else self._receiver_terminal(value)
             for target in targets:
                 for name_node in ast.walk(target):
                     if isinstance(name_node, ast.Name):
                         self._assigned.add(name_node.id)
-                        # Alias tracking for hook receivers: only a plain
-                        # ``name = <receiver>`` binds; any other
-                        # assignment to the same name poisons it.
-                        bound = alias if name_node is target else None
-                        if name_node.id in self._hook_aliases:
-                            if self._hook_aliases[name_node.id] != bound:
-                                self._hook_aliases[name_node.id] = None
-                        else:
-                            self._hook_aliases[name_node.id] = bound
             if value is None:
                 for target in targets:
                     for name_node in ast.walk(target):
                         if isinstance(name_node, ast.Name):
                             self._env[name_node.id] = _UNKNOWN
                 continue
-            abstract = self._eval(value, store=True)
+            abstract = self._eval(value)
             for target in targets:
                 if isinstance(target, ast.Name):
                     previous = self._env.get(target.id)
@@ -509,12 +456,10 @@ class _FunctionScanner:
                 return self.local_returns[call.func.id]
         return None
 
-    def _eval(self, expr: ast.expr, store: bool = False) -> Dict[str, Any]:
-        """Abstract value of an expression (``store``: for an assignment,
-        so a literal comes out with ``via`` already bumped)."""
-        literal = _numeric_literal(expr)
-        if literal is not None:
-            return _absval_raw(1 if store else 0, zero=literal == 0)
+    def _eval(self, expr: ast.expr) -> Dict[str, Any]:
+        """Abstract value of an expression."""
+        if _numeric_literal(expr) is not None:
+            return _RAW
         if isinstance(expr, ast.Name):
             if expr.id in self._env:
                 return self._env[expr.id]
@@ -522,16 +467,10 @@ class _FunctionScanner:
                 dim = self.param_dims.get(expr.id)
                 if dim is not None:
                     return _absval_dim(dim)
-                return {"k": "param", "name": expr.id}
-            imported = self.imports.resolve(expr.id)
-            if imported is not None:
-                return {"k": "import", "name": imported}
-            if expr.id in self.module_constants:
-                value = dict(self.module_constants[expr.id])
-                if value.get("k") == "raw":
-                    value["via"] = 1
-                return value
-            return _UNKNOWN
+                return _UNKNOWN
+            if self.imports.resolve(expr.id) is not None:
+                return _UNKNOWN
+            return self.module_constants.get(expr.id, _UNKNOWN)
         if isinstance(expr, ast.Attribute):
             if (
                 isinstance(expr.value, ast.Name)
@@ -546,17 +485,16 @@ class _FunctionScanner:
                 return _absval_dim(dim)
             return _UNKNOWN
         if isinstance(expr, ast.UnaryOp) and isinstance(expr.op, (ast.USub, ast.UAdd)):
-            return self._eval(expr.operand, store=store)
+            return self._eval(expr.operand)
         if isinstance(expr, ast.BinOp):
-            return self._eval_binop(expr, store=store)
+            return self._eval_binop(expr)
         if isinstance(expr, ast.IfExp):
-            return _join(self._eval(expr.body, store=store),
-                         self._eval(expr.orelse, store=store))
+            return _join(self._eval(expr.body), self._eval(expr.orelse))
         return _UNKNOWN
 
-    def _eval_binop(self, expr: ast.BinOp, store: bool = False) -> Dict[str, Any]:
-        left = self._eval(expr.left, store=store)
-        right = self._eval(expr.right, store=store)
+    def _eval_binop(self, expr: ast.BinOp) -> Dict[str, Any]:
+        left = self._eval(expr.left)
+        right = self._eval(expr.right)
         ldim = left.get("d") if left["k"] == "dim" else None
         rdim = right.get("d") if right["k"] == "dim" else None
         if isinstance(expr.op, (ast.Add, ast.Sub)):
@@ -686,29 +624,6 @@ class _FunctionScanner:
                 )
             )
 
-    @staticmethod
-    def _receiver_terminal(expr: ast.expr) -> Optional[str]:
-        """Direct hook-receiver terminal of an expression, if any."""
-        if isinstance(expr, ast.Name) and expr.id in HOOK_RECEIVERS:
-            return expr.id
-        if isinstance(expr, ast.Attribute) and expr.attr in HOOK_RECEIVERS:
-            return expr.attr
-        return None
-
-    def _hook_receiver(self, expr: ast.expr) -> Optional[str]:
-        """Terminal identifier of an observer-ish hook receiver.
-
-        Either a direct reference (``observer.on_x``, ``self.observer.on_x``)
-        or a local alias hoisted out of a hot loop (``obs = self.observer``
-        followed by ``obs.on_x(...)``) — batched drains do exactly that.
-        """
-        terminal = self._receiver_terminal(expr)
-        if terminal is not None:
-            return terminal
-        if isinstance(expr, ast.Name):
-            return self._hook_aliases.get(expr.id)
-        return None
-
     # -- scheduler calls (SIM018's raw material) --------------------------
 
     @staticmethod
@@ -768,13 +683,6 @@ class _FunctionScanner:
         elif isinstance(func, ast.Name):
             callee = {"kind": "local", "name": func.id}
         elif isinstance(func, ast.Attribute):
-            receiver = self._hook_receiver(func.value)
-            if receiver is not None and func.attr.startswith("on_"):
-                line, col = _loc(call)
-                self.hook_calls.append(
-                    {"method": func.attr, "receiver": receiver,
-                     "line": line, "col": col}
-                )
             if func.attr in _SCHED_METHODS and self._is_sim_receiver(
                 func.value
             ):
@@ -783,27 +691,7 @@ class _FunctionScanner:
         if callee is None:
             return
         line, col = _loc(call)
-        args = [self._eval(arg) for arg in call.args]
-        kwargs = {
-            keyword.arg: self._eval(keyword.value)
-            for keyword in call.keywords
-            if keyword.arg is not None
-        }
-        self.calls.append(
-            {
-                "callee": callee,
-                "line": line,
-                "col": col,
-                "args": args,
-                "kwargs": kwargs,
-                "arg_locs": [list(_loc(arg)) for arg in call.args],
-                "kwarg_locs": {
-                    keyword.arg: list(_loc(keyword.value))
-                    for keyword in call.keywords
-                    if keyword.arg is not None
-                },
-            }
-        )
+        self.calls.append({"callee": callee, "line": line, "col": col})
 
     def scan(self) -> None:
         self._collect_env()
@@ -916,9 +804,8 @@ def _module_constants(
 ) -> Dict[str, Dict[str, Any]]:
     """Abstract values of module-level simple assignments."""
     scanner = _FunctionScanner(
-        module="", qname="<module>", node=tree, imports=imports,
-        params=[], param_dims={}, module_constants={},
-        local_returns=local_returns, self_attr_dims={}, is_method=False,
+        node=tree, imports=imports, params=[], param_dims={},
+        module_constants={}, local_returns=local_returns, self_attr_dims={},
     )
     constants: Dict[str, Dict[str, Any]] = {}
     for stmt in tree.body:
@@ -928,7 +815,7 @@ def _module_constants(
             targets, value = [stmt.target], stmt.value
         else:
             continue
-        abstract = scanner._eval(value, store=True)
+        abstract = scanner._eval(value)
         for target in targets:
             if isinstance(target, ast.Name):
                 previous = constants.get(target.id)
@@ -938,28 +825,12 @@ def _module_constants(
     return constants
 
 
-def _identifier_refs(tree: ast.Module) -> Set[str]:
-    """Every identifier the file references (names, attributes, keyword
-    argument names) — minus def-statement names, which are definitions."""
-    refs: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            refs.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
-        elif isinstance(node, ast.keyword) and node.arg is not None:
-            refs.add(node.arg)
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                refs.add(alias.asname or alias.name)
-    return refs
-
-
 def build_summary(path: str, source: str) -> Dict[str, Any]:
     """Build the phase-1 summary for one file.
 
     A file that fails to parse yields a summary with a single SIM000
-    local finding, so the semantic pass degrades exactly like simlint.
+    local finding, so the whole-program pass degrades exactly like the
+    per-file rules.
     """
     posix = _normalize(path)
     module = module_name_for_path(posix)
@@ -972,10 +843,6 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
             "parse_error": True,
             "functions": {},
             "classes": {},
-            "module_constants": {},
-            "hook_defs": [],
-            "handler_defs": [],
-            "refs": [],
             "suppressions": {},
             "perf_pragmas": {},
             "local_findings": [
@@ -995,8 +862,8 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
         if class_name is not None:
             continue
         scanner = _FunctionScanner(
-            module, qname, node, imports, _function_params(node),
-            _param_dims(node, imports), {}, {}, {}, is_method=False,
+            node, imports, _function_params(node),
+            _param_dims(node, imports), {}, {}, {},
         )
         scanner.scan()
         dim = scanner.returns_dim()
@@ -1008,39 +875,24 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
 
     functions: Dict[str, Dict[str, Any]] = {}
     local_findings: List[List[Any]] = []
-    hook_calls_all: List[Dict[str, Any]] = []
     classes: Dict[str, Dict[str, Any]] = {}
-    hook_defs: List[Dict[str, Any]] = []
-    handler_defs: List[Dict[str, Any]] = []
-
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            methods: Dict[str, int] = {}
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    methods[item.name] = item.lineno
-                    if item.name.startswith("on_"):
-                        hook_defs.append(
-                            {"class": node.name, "method": item.name,
-                             "line": item.lineno}
-                        )
+            methods: Dict[str, int] = {
+                item.name: item.lineno
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
             classes[node.name] = {"line": node.lineno, "methods": methods}
 
     for qname, node, class_name in _iter_functions(tree):
-        params = _function_params(node)
-        is_method = class_name is not None and bool(params) and params[0] in (
-            "self", "cls"
-        )
         scanner = _FunctionScanner(
-            module, qname, node, imports, params,
+            node, imports, _function_params(node),
             _param_dims(node, imports), constants, local_returns,
-            attr_dims_by_class.get(class_name or "", {}), is_method,
+            attr_dims_by_class.get(class_name or "", {}),
         )
         scanner.scan()
         functions[qname] = {
-            "params": params,
-            "param_dims": _param_dims(node, imports),
-            "is_method": is_method,
             "class": class_name,
             "calls": scanner.calls,
             "sched_calls": scanner.sched_calls,
@@ -1050,18 +902,11 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
             [code, line, col, message]
             for code, line, col, message in scanner.findings
         )
-        hook_calls_all.extend(scanner.hook_calls)
-        name = qname.rsplit(".", 1)[-1]
-        if HANDLER_NAME_RE.search(name):
-            handler_defs.append(
-                {"qname": qname, "name": name, "line": node.lineno}
-            )
 
     # Module-level statements (constants already harvested; calls at
     # module level — rare — are scanned as a pseudo-function).
     module_scanner = _FunctionScanner(
-        module, "<module>", tree, imports, [], {}, constants,
-        local_returns, {}, is_method=False,
+        tree, imports, [], {}, constants, local_returns, {},
     )
     for stmt in tree.body:
         if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -1073,9 +918,6 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
                     module_scanner._record_call(sub)
     if module_scanner.calls or module_scanner.findings:
         functions["<module>"] = {
-            "params": [],
-            "param_dims": {},
-            "is_method": False,
             "class": None,
             "calls": module_scanner.calls,
             "sched_calls": module_scanner.sched_calls,
@@ -1084,7 +926,6 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
             [code, line, col, message]
             for code, line, col, message in module_scanner.findings
         )
-        hook_calls_all.extend(module_scanner.hook_calls)
 
     suppressions = Suppressions.parse(source)
     suppression_map = {
@@ -1104,11 +945,6 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
         "parse_error": False,
         "functions": functions,
         "classes": classes,
-        "module_constants": constants,
-        "hook_defs": hook_defs,
-        "hook_calls": hook_calls_all,
-        "handler_defs": handler_defs,
-        "refs": sorted(_identifier_refs(tree)),
         "suppressions": suppression_map,
         "perf_pragmas": perf_pragmas,
         "local_findings": local_findings,
@@ -1117,7 +953,6 @@ def build_summary(path: str, source: str) -> Dict[str, Any]:
 
 __all__ = [
     "PERF_PRAGMA_RE",
-    "HANDLER_NAME_RE",
     "build_summary",
     "module_name_for_path",
 ]

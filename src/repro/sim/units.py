@@ -5,17 +5,16 @@ The simulator's base units are **seconds**, **bits per second** and
 queues; these helpers keep experiment configs readable and conversion bugs
 out of the model code.
 
-Two machine-readable declarations back the cross-module semantic
-analyzer (``repro.lint.sem``, see LINTING.md):
+Two machine-readable declarations back simlint's unit-arithmetic rule
+(SIM012, ``repro.lint.sem``, see LINTING.md):
 
 * :data:`CONSTRUCTOR_DIMENSIONS` maps every conversion here to the
-  dimension of its return value, seeding the analyzer's unit-dataflow
-  facts (``milliseconds(5)`` *is* seconds, wherever it flows);
+  dimension of its return value (``milliseconds(5)`` *is* seconds);
 * the :data:`Seconds` / :data:`BitsPerSecond` / :data:`Bytes` /
-  :data:`Packets` aliases annotate unit-typed parameters ("sinks") in
-  model constructors — plain ``float``/``int`` at runtime, but the
-  analyzer reads them as dimension declarations and checks every value
-  that crosses into such a parameter.
+  :data:`Packets` aliases annotate unit-typed parameters in model
+  constructors — plain ``float``/``int`` at runtime, but the rule reads
+  them as dimension declarations (:data:`ANNOTATION_DIMENSIONS`), so
+  ``delay + rate_bps`` inside such a function is flagged.
 """
 
 from __future__ import annotations
@@ -26,21 +25,21 @@ from typing import Dict
 # Dimension names and annotation aliases
 # ---------------------------------------------------------------------------
 
-#: Canonical dimension identifiers used by the semantic analyzer.
+#: Canonical dimension identifiers used by SIM012.
 DIM_SECONDS = "seconds"
 DIM_BITS_PER_SECOND = "bits_per_second"
 DIM_BYTES = "bytes"
 DIM_PACKETS = "packets"
 
-#: Annotation aliases for unit-typed ("sink") parameters.  Inert at
-#: runtime; ``repro.lint.sem`` treats an annotated parameter as a
-#: declared unit sink (see ANNOTATION_DIMENSIONS).
+#: Annotation aliases for unit-typed parameters.  Inert at runtime;
+#: SIM012 reads an annotated parameter as a value of that dimension
+#: (see ANNOTATION_DIMENSIONS).
 Seconds = float
 BitsPerSecond = float
 Bytes = int
 Packets = float
 
-#: Annotation name -> dimension, for the semantic analyzer.
+#: Annotation name -> dimension, for SIM012.
 ANNOTATION_DIMENSIONS: Dict[str, str] = {
     "Seconds": DIM_SECONDS,
     "BitsPerSecond": DIM_BITS_PER_SECOND,
@@ -150,10 +149,8 @@ def bandwidth_delay_product_packets(rate_bps: float, rtt_s: float) -> float:
     return rate_bps * rtt_s / (8.0 * 1500)
 
 
-#: Constructor name -> dimension of its return value.  This is the
-#: machine-readable seed for unit-dataflow analysis: every entry here is
-#: a fact of the form "a call to <name>(...) produces a value of
-#: <dimension>", regardless of which module the call appears in.
+#: Constructor name -> dimension of its return value: a call to
+#: <name>(...) produces a value of <dimension>, wherever it appears.
 CONSTRUCTOR_DIMENSIONS: Dict[str, str] = {
     "seconds": DIM_SECONDS,
     "milliseconds": DIM_SECONDS,
@@ -173,49 +170,16 @@ CONSTRUCTOR_DIMENSIONS: Dict[str, str] = {
     "bandwidth_delay_product_packets": DIM_PACKETS,
 }
 
-#: Identity constructor per dimension: wraps a value without changing it,
-#: naming its unit at the call site.  Used by ``simlint --fix`` when no
-#: named conversion reproduces a literal bit-for-bit.
-IDENTITY_CONSTRUCTORS: Dict[str, str] = {
-    DIM_SECONDS: "seconds",
-    DIM_BITS_PER_SECOND: "bits_per_second",
-    DIM_BYTES: "bytes_",
-}
-
-#: Scale factor of each *multiplicative* conversion (constructor(x) ==
-#: x * factor, up to float rounding).  ``simlint --fix`` consults this to
-#: propose ``gigabits_per_second(1)`` for ``1e9`` — and then verifies the
-#: rewrite is bit-identical before attaching it, because e.g.
-#: ``microseconds(20)`` is NOT the same float as ``20e-6``.
-CONVERSION_FACTORS: Dict[str, float] = {
-    "seconds": 1.0,
-    "milliseconds": 1e-3,
-    "microseconds": 1e-6,
-    "nanoseconds": 1e-9,
-    "bits_per_second": 1.0,
-    "kilobits_per_second": 1e3,
-    "megabits_per_second": 1e6,
-    "gigabits_per_second": 1e9,
-    "bytes_": 1.0,
-    "kilobytes": 1e3,
-    "kibibytes": 1024.0,
-    "megabytes": 1e6,
-    "mebibytes": 1024.0 * 1024.0,
-    "gigabytes": 1e9,
-}
-
 
 __all__ = [
     "ANNOTATION_DIMENSIONS",
     "BitsPerSecond",
     "Bytes",
     "CONSTRUCTOR_DIMENSIONS",
-    "CONVERSION_FACTORS",
     "DIM_BITS_PER_SECOND",
     "DIM_BYTES",
     "DIM_PACKETS",
     "DIM_SECONDS",
-    "IDENTITY_CONSTRUCTORS",
     "Packets",
     "Seconds",
     "seconds",

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -111,7 +112,7 @@ class TestExampleSmoke:
     def test_quickstart_runs_as_script(self):
         completed = subprocess.run(
             [sys.executable, "examples/quickstart.py"],
-            capture_output=True, text=True, timeout=120, cwd="/root/repo",
+            capture_output=True, text=True, timeout=120, cwd=Path(__file__).resolve().parents[1],
         )
         assert completed.returncode == 0
         assert "goodput" in completed.stdout

@@ -18,6 +18,12 @@ from repro.lint.race.runtime import RaceMonitor
 
 pytestmark = pytest.mark.lint
 
+#: Every code ever issued and retired: never reused, rejected by --select.
+RETIRED = (
+    "SIM004", "SIM005", "SIM006", "SIM007", "SIM008", "SIM011", "SIM014",
+    "SIM015", "SIM016", "SIM017", "SIM021", "SIM022", "SIM023",
+)
+
 #: A periodic callback at the default priority: the SIM018 shape.
 RACY_SOURCE = '''\
 class Ticker:
@@ -31,18 +37,6 @@ class Ticker:
 CLEAN_SOURCE = "def helper(x):\n    return x + 1\n"
 
 WALLCLOCK_SOURCE = "import time\n\n\ndef stamp():\n    return time.time()\n"
-
-UNIT_MISMATCH_SOURCE = '''\
-from repro.sim.units import Seconds, megabits_per_second
-
-
-def set_timeout(timeout: Seconds) -> None:
-    pass
-
-
-def run() -> None:
-    set_timeout(megabits_per_second(1))
-'''
 
 #: Lands on a hot path of the checked-in hotpaths.toml once it sits at
 #: ``<project>/repro/net/link.py`` (module ``repro.net.link``).
@@ -67,11 +61,8 @@ def racy_project(tmp_path):
 
 @pytest.fixture
 def mixed_project(tmp_path):
-    """One finding per rule family: SIM002, SIM011, SIM018, SIM019."""
+    """One finding per rule family: SIM002, SIM018, SIM019."""
     (tmp_path / "stamp.py").write_text(WALLCLOCK_SOURCE, encoding="utf-8")
-    (tmp_path / "units_mod.py").write_text(
-        UNIT_MISMATCH_SOURCE, encoding="utf-8"
-    )
     (tmp_path / "ticker.py").write_text(RACY_SOURCE, encoding="utf-8")
     net = tmp_path / "repro" / "net"
     net.mkdir(parents=True)
@@ -79,7 +70,7 @@ def mixed_project(tmp_path):
     return tmp_path
 
 
-MIXED_CODES = ["SIM002", "SIM011", "SIM018", "SIM019"]
+MIXED_CODES = ["SIM002", "SIM018", "SIM019"]
 
 
 # ----------------------------------------------------------------------
@@ -108,6 +99,14 @@ def test_removed_flags_are_usage_errors(flag, racy_project):
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("code", RETIRED)
+def test_retired_code_is_a_usage_error(code, racy_project):
+    for option in ("--select", "--ignore"):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([option, code, str(racy_project), "-q"])
+        assert excinfo.value.code == 2
+
+
 def test_option_count_is_the_documented_six():
     from repro.lint.cli import build_parser
 
@@ -127,7 +126,7 @@ def test_option_count_is_the_documented_six():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("code", ["SIM011", "SIM018", "SIM019"])
+@pytest.mark.parametrize("code", ["SIM018", "SIM019"])
 def test_select_whole_program_code_needs_no_mode_flag(code, mixed_project):
     target = str(mixed_project)
     assert lint_main(["--select", code, target, "-q"]) == 1
@@ -141,7 +140,7 @@ def test_select_interacts_across_passes(tmp_path):
     target = str(tmp_path)
     # Selecting another whole-program code mutes the race finding and
     # the per-file rules:
-    assert lint_main(["--select", "SIM015", target, "-q"]) == 0
+    assert lint_main(["--select", "SIM019", target, "-q"]) == 0
     # Syntactic finding only, race finding muted by --select:
     assert lint_main(["--select", "SIM002", target, "-q"]) == 1
     # --ignore drops the race finding, syntactic SIM002 remains:
@@ -159,15 +158,15 @@ def test_one_run_reports_every_family_text(mixed_project, capsys):
     captured = capsys.readouterr()
     lines = captured.out.splitlines()
     assert sorted(line.split()[1] for line in lines) == MIXED_CODES
-    assert "4 finding(s) in 4 file(s)" in captured.err
+    assert "3 finding(s) in 3 file(s)" in captured.err
 
 
 def test_one_run_reports_every_family_json(mixed_project, capsys):
     assert lint_main(["--format", "json", str(mixed_project)]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert sorted(f["code"] for f in payload["findings"]) == MIXED_CODES
-    assert payload["checked_files"] == 4
-    assert payload["sem"] == {"files": 4, "findings": 3}
+    assert payload["checked_files"] == 3
+    assert payload["sem"] == {"files": 3, "findings": 2}
 
 
 def test_one_run_reports_every_family_sarif(mixed_project, capsys):
@@ -198,7 +197,7 @@ def test_list_rules_text_spans_the_ladder(capsys):
         assert entry.code in out
         assert entry.name in out
         assert f"[{entry.kind}/{entry.severity.value}]" in out
-    assert len(re.findall(r"^  SIM\d{3}  ", out, re.MULTILINE)) == 16
+    assert len(re.findall(r"^  SIM\d{3}  ", out, re.MULTILINE)) == 10
     assert "[--fix]" in out
 
 
@@ -209,12 +208,10 @@ def test_list_rules_json_is_machine_readable(capsys):
     payload = json.loads(capsys.readouterr().out)
     rules = payload["rules"]
     assert [r["code"] for r in rules] == [e.code for e in catalog()]
-    assert len(rules) == 16
-    retired = {"SIM006", "SIM008", "SIM016", "SIM017", "SIM021", "SIM022", "SIM023"}
-    assert not retired & {r["code"] for r in rules}
+    assert len(rules) == 10
+    assert not set(RETIRED) & {r["code"] for r in rules}
     by_code = {r["code"]: r for r in rules}
     assert by_code["SIM001"]["kind"] == "syntactic"
-    assert by_code["SIM011"]["kind"] == "semantic"
     assert by_code["SIM018"]["kind"] == "race"
     assert by_code["SIM019"]["kind"] == "perf"
     for rule in rules:
@@ -244,7 +241,7 @@ def test_sarif_output_is_valid_and_complete(racy_project, capsys):
     run = log["runs"][0]
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
     # The driver catalog spans every family.
-    for code in ("SIM001", "SIM011", "SIM018", "SIM020"):
+    for code in ("SIM001", "SIM018", "SIM020"):
         assert code in rule_ids
     results = run["results"]
     assert [r["ruleId"] for r in results] == ["SIM018"]

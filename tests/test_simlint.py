@@ -77,9 +77,11 @@ def test_hazardous_module_trips_rules_with_line_numbers(tmp_path):
             return time.time()
 
 
-        def record(sample, sink=[]):
-            sink.append(sample)
-            return sink
+        def flush(sample):
+            try:
+                sample.flush()
+            except Exception:
+                pass
         """
     )
     module = tmp_path / "hazard.py"
@@ -88,7 +90,7 @@ def test_hazardous_module_trips_rules_with_line_numbers(tmp_path):
     assert [(f.code, f.line) for f in findings] == [
         ("SIM001", 6),
         ("SIM002", 10),
-        ("SIM007", 13),
+        ("SIM010", 16),
     ]
 
 
@@ -179,7 +181,7 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for rule in all_rules():
         assert rule.code in out
-    assert len(all_rules()) == 8
+    assert len(all_rules()) == 5
 
 
 def test_cli_clean_directory_exits_zero(tmp_path, capsys):

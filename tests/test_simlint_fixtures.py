@@ -32,9 +32,6 @@ MESSAGE_PHRASES = {
     "SIM001": ("RNG", "seed"),
     "SIM002": ("host clock", "wall clock"),
     "SIM003": ("simulation-time float",),
-    "SIM004": ("units",),
-    "SIM005": ("set",),
-    "SIM007": ("mutable default",),
     "SIM009": ("pickled",),
     "SIM010": ("except", "exception"),
 }
@@ -101,10 +98,10 @@ def test_bad_fixture_messages(fixture):
 
 
 def test_every_rule_has_bad_and_good_fixture():
-    """The corpus covers all 8 per-file rules in both directions."""
+    """The corpus covers all 5 per-file rules in both directions."""
     stems = {p.stem for p in fixture_files()}
     codes = [rule.code for rule in all_rules()]
-    assert len(codes) == 8
+    assert len(codes) == 5
     for code in codes:
         number = code[3:].lstrip("0")
         name = f"sim{int(number):03d}"
@@ -124,7 +121,7 @@ def test_good_twin_of_allowlisted_path():
 
 
 def test_suppressions_cover_all_hazards():
-    """suppressed.py packs SIM001/2/3/5/7 hazards, all waived inline."""
+    """suppressed.py packs SIM001/2/3 hazards, all waived inline."""
     text = (FIXTURES / "suppressed.py").read_text(encoding="utf-8")
     findings = Analyzer().lint_source(
         text, path="src/repro/traffic/fixture_suppressed.py"
@@ -135,6 +132,4 @@ def test_suppressions_cover_all_hazards():
     refound = Analyzer().lint_source(
         stripped, path="src/repro/traffic/fixture_suppressed.py"
     )
-    assert {f.code for f in refound} >= {
-        "SIM001", "SIM002", "SIM003", "SIM005", "SIM007",
-    }
+    assert {f.code for f in refound} >= {"SIM001", "SIM002", "SIM003"}

@@ -12,8 +12,8 @@ The acceptance bar the pass is held to:
   (an allocation site reachable in its summary call graph), and the two
   sides agree in the positive direction: a planted per-event allocation
   is flagged by SIM019 *and* attributed by the monitor;
-* the rule catalog, the CLI and LINTING.md agree on the 16 surviving
-  rules (seven codes are retired, none reused).
+* the rule catalog, the CLI and LINTING.md agree on the 10 surviving
+  rules (thirteen codes are retired, none reused).
 """
 
 import json
@@ -350,16 +350,16 @@ def test_static_and_dynamic_agree_on_planted_allocation():
 
 
 def test_catalog_spans_the_full_ladder():
-    """The 16 surviving rules, one entry per code in code order, the
-    seven retired codes absent and not reused, each entry tagged with
+    """The 10 surviving rules, one entry per code in code order, the
+    thirteen retired codes absent and not reused, each entry tagged with
     the analysis that reports it."""
     entries = catalog()
     codes = [entry.code for entry in entries]
-    retired = {6, 8, 16, 17, 21, 22, 23}
+    retired = {4, 5, 6, 7, 8, 11, 14, 15, 16, 17, 21, 22, 23}
     assert codes == [
         f"SIM{n:03d}" for n in range(1, 24) if n not in retired
     ]
-    assert len(codes) == 16
+    assert len(codes) == 10
     assert known_codes() == frozenset(codes)
     assert PERF_CODES == {"SIM019", "SIM020"}
     kinds = {entry.kind for entry in entries}

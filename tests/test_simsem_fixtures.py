@@ -6,9 +6,7 @@ mini-project, analyzed as a unit through
 each file's ``# simlint-path:`` header.  Directories ending in ``_bad``
 must produce exactly the findings their ``# EXPECT:`` comments announce
 (code, line and multiplicity); directories ending in ``_good`` must be
-clean.  A ``sinks.toml`` inside the directory seeds the project's sink
-registry; otherwise the registry starts empty and only alias-annotated
-parameters declare sinks.
+clean.
 """
 
 import re
@@ -17,12 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint.sem import ProjectAnalyzer, SinkRegistry
+from repro.lint.sem import ProjectAnalyzer
 
 pytestmark = pytest.mark.lint
 
 SEM_FIXTURES = Path(__file__).parent / "lint_fixtures" / "sem"
-SEM_CODES = ("SIM011", "SIM012", "SIM013", "SIM014", "SIM015")
+SEM_CODES = ("SIM012", "SIM013")
 
 _PATH_RE = re.compile(r"#\s*simlint-path:\s*(\S+)")
 _EXPECT_RE = re.compile(r"#\s*EXPECT:\s*([A-Z0-9 ,]+)")
@@ -30,11 +28,8 @@ _EXPECT_RE = re.compile(r"#\s*EXPECT:\s*([A-Z0-9 ,]+)")
 #: Every message must contain at least one of its code's anchor phrases,
 #: so a rule cannot silently degenerate into a generic complaint.
 MESSAGE_PHRASES = {
-    "SIM011": ("declared",),
     "SIM012": ("dimensionally unsafe", "no physical meaning"),
     "SIM013": ("seed",),
-    "SIM014": ("observer",),
-    "SIM015": ("never referenced",),
 }
 
 
@@ -43,7 +38,7 @@ def project_dirs():
 
 
 def load_project(project: Path):
-    """(virtual-path, source) pairs, expected findings, sink registry."""
+    """(virtual-path, source) pairs and expected findings."""
     items = []
     expected: Counter = Counter()
     for path in sorted(project.glob("*.py")):
@@ -58,26 +53,12 @@ def load_project(project: Path):
             if expect:
                 for code in expect.group(1).split(","):
                     expected[(virtual, code.strip(), lineno)] += 1
-    toml = project / "sinks.toml"
-    if toml.exists():
-        registry = SinkRegistry.load(toml)
-    else:
-        registry = SinkRegistry()
-    return items, expected, registry
-
-
-def sem_analyzer(registry):
-    """A ProjectAnalyzer joined against ``registry`` instead of the
-    checked-in sinks."""
-    analyzer = ProjectAnalyzer()
-    analyzer.registry = registry
-    return analyzer
+    return items, expected
 
 
 def analyze_project(project: Path):
-    items, expected, registry = load_project(project)
-    analyzer = sem_analyzer(registry)
-    return analyzer.analyze_sources(items), expected
+    items, expected = load_project(project)
+    return ProjectAnalyzer().analyze_sources(items), expected
 
 
 @pytest.mark.parametrize("project", project_dirs(), ids=lambda p: p.name)
@@ -124,16 +105,15 @@ def test_every_sem_rule_has_bad_and_good_twin(code):
 
 def test_finding_order_is_deterministic():
     """Same project, any input order, twice — identical finding lists."""
-    project = SEM_FIXTURES / "sim011_bad"
-    items, _expected, registry = load_project(project)
+    project = SEM_FIXTURES / "sim013_bad"
+    items, _expected = load_project(project)
     runs = []
     for ordered in (items, list(reversed(items)), items):
-        analyzer = sem_analyzer(registry)
-        runs.append([f.format() for f in analyzer.analyze_sources(ordered)])
+        runs.append([f.format() for f in ProjectAnalyzer().analyze_sources(ordered)])
     assert runs[0] == runs[1] == runs[2]
     # And the order itself is the canonical (path, line, col, code) sort.
     keys = [(f.path, f.line, f.col, f.code) for f in (
-        sem_analyzer(registry).analyze_sources(items)
+        ProjectAnalyzer().analyze_sources(items)
     )]
     assert keys == sorted(keys)
 
@@ -141,12 +121,12 @@ def test_finding_order_is_deterministic():
 def test_suppression_fixture_is_honoured():
     """The suppressed twin would fire SIM012 without its pragma."""
     project = SEM_FIXTURES / "sim012_suppressed_good"
-    items, _expected, registry = load_project(project)
-    findings = sem_analyzer(registry).analyze_sources(items)
+    items, _expected = load_project(project)
+    findings = ProjectAnalyzer().analyze_sources(items)
     assert findings == []
     stripped = [
         (path, text.replace("# simlint: disable=SIM012", ""))
         for path, text in items
     ]
-    findings = sem_analyzer(registry).analyze_sources(stripped)
+    findings = ProjectAnalyzer().analyze_sources(stripped)
     assert [f.code for f in findings] == ["SIM012"]
