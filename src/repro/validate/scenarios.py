@@ -10,6 +10,9 @@ the mechanism stack:
 * ``bottleneck-mixed`` — DCTCP, classic-ECN Reno and plain TCP sharing a
   bottleneck: exercises every echo mode and the AQM marking rule under
   scheme coexistence;
+* ``bottleneck-lia`` — an LIA and an OLIA flow, two subflows each,
+  sharing one bottleneck: the loss-driven coupled increases (RFC 6356's
+  linked alpha, OLIA's path sets) filling a DropTail buffer;
 * ``fattree-xmp-permutation`` — a short k=4 fat-tree permutation cell:
   multipath routing, many queues, the full experiment pipeline;
 * ``fattree-incast`` — the incast workload: small TCP jobs over XMP
@@ -92,6 +95,14 @@ SCENES: Dict[str, Scene] = {
         script=((None, "start", 0), (None, "start", 1), (None, "start", 2)),
         horizon=0.4,
     ),
+    # LIA-2 and OLIA-2 sharing one bottleneck: the loss-driven couplings.
+    "bottleneck-lia": Scene(
+        "bottleneck", (("num_pairs", 2), ("marking_threshold", 10)),
+        flows=(Flow("S0", "D0", (None, None), "lia", size=2_000_000),
+               Flow("S1", "D1", (None, None), "olia", size=2_000_000)),
+        script=((None, "start", 0), (None, "start", 1)),
+        horizon=0.4,
+    ),
     "scene-scripted": _scene_scripted(),
 }
 
@@ -140,6 +151,7 @@ def _incast_fanin(fan_in: int = 8, duration: float = 0.02) -> Dict[str, Any]:
 SCENARIOS: Dict[str, ScenarioFn] = {
     "bottleneck-xmp": partial(_played, SCENES["bottleneck-xmp"]),
     "bottleneck-mixed": partial(_played, SCENES["bottleneck-mixed"]),
+    "bottleneck-lia": partial(_played, SCENES["bottleneck-lia"]),
     "fattree-xmp-permutation": lambda: _fattree("permutation"),
     "fattree-incast": lambda: _fattree("incast"),
     "workload-websearch": _workload_websearch,
