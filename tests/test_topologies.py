@@ -105,6 +105,13 @@ class TestShiftingTestbed:
             assert link.rate_bps == 300e6
             assert link.queue.threshold == 15
 
+    def test_access_links_run_at_one_gigabit(self):
+        # Every host hangs off its switch at 1 Gbps, whatever the
+        # bottleneck rate (the paper's testbed NICs).
+        access = build_shifting_testbed(bottleneck_rate_bps=300e6).links_by_layer("access")
+        assert len(access) == 24  # twelve attachments, both directions
+        assert {link.rate_bps for link in access} == {1e9}
+
 
 class TestTorus:
     def test_default_capacities(self):
@@ -140,6 +147,12 @@ class TestTorus:
                     l.delay for l in net.reverse_path(path)
                 )
                 assert total == pytest.approx(rtt)
+
+    def test_access_links_run_at_ten_gigabits(self):
+        # Faster than every bottleneck, so queueing happens only on L1..L5.
+        access = build_torus(rtt=350e-6).links_by_layer("access")
+        assert len(access) == 2 * (4 * 5 + 2 * 4)  # S/D to both bottlenecks, BG pairs
+        assert {link.rate_bps for link in access} == {10e9}
 
     def test_needs_two_bottlenecks(self):
         with pytest.raises(ValueError):
