@@ -103,10 +103,11 @@ workload_smoke() {
     # One tiny cell of each new traffic kind through the real CLI: the
     # cheapest end-to-end proof that samplers -> schedule -> open-loop
     # launch -> FCT/queue reducers -> table formatting still compose
-    # (olia-2: one scheme-table row no default grid runs).
+    # (olia-2: one scheme-table row no default grid runs; lia-2: the
+    # coupled loss-driven row whose law the fluid backend shares).
     echo "== workload smoke (tiny workload + incast cells via the CLI) =="
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro workload \
-        --loads 0.4 --schemes xmp-2 dctcp olia-2 --duration 0.006 --no-cache
+        --loads 0.4 --schemes xmp-2 dctcp olia-2 lia-2 --duration 0.006 --no-cache
     PYTHONPATH="$REPRO_PYTHONPATH" python -m repro incast \
         --fan-ins 4 --schemes xmp-2 --duration 0.006 --no-cache
     # Each scene-driven figure once through the CLI, so every scripted

@@ -36,7 +36,7 @@ Quickstart::
 from repro.sim import Simulator
 from repro.net import Network
 from repro.mptcp import MptcpConnection
-from repro.core import BosCC, TraSh
+from repro.core import BosCC
 from repro.transport import DctcpCC, RenoCC
 
 __version__ = "1.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "Network",
     "MptcpConnection",
     "BosCC",
-    "TraSh",
     "DctcpCC",
     "RenoCC",
     "__version__",

@@ -13,27 +13,40 @@ BOS is the per-subflow window law of XMP:
   re-entered.
 
 Standalone BOS uses ``delta = 1`` and is exactly the "halving cwnd with a
-constant factor" scheme of Fig. 1 when ``beta = 2``.  Under XMP,
-:class:`~repro.core.trash.TraSh` supplies ``delta`` per round (Eq. 9),
-which is what couples the subflows.
+constant factor" scheme of Fig. 1 when ``beta = 2``.  Under XMP the
+flow's coupling supplies ``delta`` per round (TraSh's Eq. 9, the ``xmp``
+row of :data:`repro.mptcp.coupling.SCHEMES`), which is what couples the
+subflows.
+
+Eq. 2, the fluid form of the law, is :func:`bos_drift`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Optional
 
-from repro.transport.cc import MIN_CWND, NORMAL, CongestionControl
+from repro.transport.cc import MIN_CWND, NORMAL, CongestionControl, Coupling
 from repro.transport.receiver import EchoMode
 
 #: The paper's recommended reduction factor for 1 Gbps DCN links (§2.1).
 DEFAULT_BETA = 4
 
-DeltaProvider = Callable[["BosCC", float], float]
+
+def bos_drift(w, p, delta, beta, rtt):
+    """Right-hand side of Eq. 2 as one expression: dw/dt given marking
+    probability ``p``, elementwise on floats or numpy arrays."""
+    return (delta * (1.0 - p) - w * p / beta) / rtt
+
+
+def drift(xp, w, p, rtt, x, flow, beta, state):
+    """The ``bos-uncoupled`` row's fluid drift: Eq. 2 with ``delta = 1``."""
+    return bos_drift(w, p, 1.0, beta, rtt), state
 
 
 class BosCC(CongestionControl):
-    """The BOS window law, optionally coupled through a delta provider."""
+    """The BOS window law, optionally coupled: ``coupling.increase`` is
+    its ``delta`` each round (1.0 while the coupling has none)."""
 
     ecn_capable = True
     echo_mode = EchoMode.XMP
@@ -41,7 +54,7 @@ class BosCC(CongestionControl):
     def __init__(
         self,
         beta: float = DEFAULT_BETA,
-        delta_provider: Optional[DeltaProvider] = None,
+        coupling: Optional[Coupling] = None,
     ) -> None:
         super().__init__()
         if beta < 2:
@@ -49,16 +62,12 @@ class BosCC(CongestionControl):
                 f"beta must be >= 2 (Eq. 1 requires it), got {beta}"
             )
         self.beta = float(beta)
-        self.delta_provider = delta_provider
+        self.coupling = coupling
         #: Fractional-increase accumulator (``adder`` in Algorithm 1).
         self.adder = 0.0
         #: Growth parameter applied last round (1.0 until coupled).
         self.delta = 1.0
         self.reductions = 0
-
-    def close(self) -> None:
-        super().close()
-        self.delta_provider = None
 
     # ------------------------------------------------------------------
 
@@ -84,8 +93,9 @@ class BosCC(CongestionControl):
 
         # Per-round operations: recompute delta and apply the CA increase.
         if round_ended:
-            if self.delta_provider is not None:
-                self.delta = self.delta_provider(self, now)
+            if self.coupling is not None:
+                delta = self.coupling.increase(sender)
+                self.delta = 1.0 if delta is None else delta
             grown = 0
             if self.state == NORMAL and sender.cwnd > sender.ssthresh:
                 self.adder += self.delta
@@ -128,4 +138,4 @@ class BosCC(CongestionControl):
         self.adder = 0.0
 
 
-__all__ = ["BosCC", "DEFAULT_BETA", "DeltaProvider"]
+__all__ = ["BosCC", "DEFAULT_BETA", "bos_drift", "drift"]

@@ -19,10 +19,12 @@ tolerances); it does not model per-packet effects — retransmission
 timeouts, slow start, incast synchronization.  Use it where the packet
 engine cannot go: k=16/k=32 fat trees with 10^4-10^6 concurrent flows.
 
-Each scheme's law (:mod:`repro.fluid.laws`) is written once: a per-flow
-coupling and one drift expression that both solvers evaluate.  The
-paper's own Eq. 2 is the ``bos-uncoupled`` row, and its marking knee
-is :func:`~repro.fluid.laws.threshold_marking_probability`.
+Each scheme's law is written once, in its row of
+:data:`repro.mptcp.coupling.SCHEMES`: per-flow reductions and one drift
+expression that both solvers evaluate, calling the increase the packet
+controllers are handed (:mod:`repro.fluid.laws`).  The paper's own Eq. 2
+is the ``bos-uncoupled`` row, and its marking knee is
+:func:`~repro.fluid.laws.threshold_marking_probability`.
 """
 
 from repro.fluid.backend import FluidResult, FluidScenario

@@ -1,24 +1,17 @@
-"""Per-scheme fluid window laws, shared with the packet-level controllers.
+"""The fluid side of the scheme table.
 
-:data:`FLUID_LAWS` is the fluid column of the scheme table
-(:data:`repro.mptcp.coupling.SCHEMES`): one :class:`FluidLaw` per scheme
-that has a fluid form, keyed by the table's names (it lives here so that
-``repro.mptcp`` imports nothing from ``repro.fluid``).  A law has the
-shape Peng, Walid, Hwang & Low give an MP-TCP algorithm: a per-flow
-coupling (the reductions over its subflows it reads) and a per-subflow
-drift, one elementwise expression both solvers evaluate.  The drifts call
-the *same* one-expression formulas the packet controllers call:
+A scheme's fluid law is part of its row in
+:data:`repro.mptcp.coupling.SCHEMES` (so that ``repro.mptcp`` imports
+nothing from ``repro.fluid``): the per-flow reductions ``flow``, the
+``drift`` both solvers evaluate and the ``state0`` of the state it
+integrates beside the window.  The ``xmp`` and ``lia`` drifts call the
+very ``increase`` the packet controllers are handed
+(:mod:`repro.core.trash`, :mod:`repro.mptcp.lia`); ``bos-uncoupled`` is
+Eq. 2 with delta = 1 (:mod:`repro.core.bos`) and ``dctcp`` integrates
+its marked-fraction EWMA beside the window (:mod:`repro.transport.dctcp`).
 
-* ``xmp`` — Eq. 2 (:func:`bos_drift`) with delta from TraSh's Eq. 9
-  (:func:`repro.core.trash.coupled_delta`) over the flow's total rate
-  and minimum RTT;
-* ``bos-uncoupled`` — Eq. 2 with delta = 1;
-* ``lia`` — RFC 6356's linked increase with alpha from
-  :func:`repro.mptcp.lia.linked_alpha` and the Reno halving as drift;
-* ``dctcp`` — per-ACK increase 1/w plus the alpha-proportional cut,
-  with the marked-fraction EWMA (gain
-  :data:`repro.transport.dctcp.DEFAULT_GAIN`) integrated as its state.
-
+This module holds what only the fluid backend reads: which rows it runs
+(:data:`FLUID_SCHEMES`), the window floor and the marking knee.
 ``tests/test_fluid_backend.py`` pins the two solvers' evaluations equal
 with ``==``.  Which knee a scheme's marking probability sits at — ECN's
 K or the buffer limit — is the table's ``ecn`` column.
@@ -27,13 +20,8 @@ K or the buffer limit — is the table's ``ecn`` column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.core.trash import coupled_delta
-from repro.mptcp.coupling import SCHEMES
-from repro.mptcp.lia import linked_alpha
-from repro.transport.dctcp import DEFAULT_GAIN
+from repro.mptcp.coupling import SCHEMES, Scheme
 
 #: Window floor in packets — matches the packet engine's one-segment
 #: minimum.
@@ -50,12 +38,6 @@ MARKING_WIDTH = 2.0
 MAX_EXPONENT = 709.0
 
 
-def bos_drift(w, p, delta, beta, rtt):
-    """Right-hand side of Eq. 2 as one expression: dw/dt given marking
-    probability ``p``, elementwise on floats or numpy arrays."""
-    return (delta * (1.0 - p) - w * p / beta) / rtt
-
-
 def threshold_marking_probability(queue_packets: float, threshold: float) -> float:
     """Smooth stand-in for 'at least one mark this round' near a K-queue.
 
@@ -68,73 +50,19 @@ def threshold_marking_probability(queue_packets: float, threshold: float) -> flo
     return 1.0 / (1.0 + math.exp(exponent if exponent < MAX_EXPONENT else MAX_EXPONENT))
 
 
-@dataclass(frozen=True)
-class FluidLaw:
-    """The fluid column of one scheme row.
-
-    ``drift(xp, w, p, rtt, x, flow, beta, state) -> (dw, dstate)`` is one
-    elementwise expression of a subflow's window, marking probability,
-    RTT and rate ``x = w/rtt``, ``flow`` holding its flow's reductions.
-    The reference solver calls it per subflow on floats, the vector
-    solver once on numpy arrays; ``xp`` supplies ``minimum``/``maximum``.
-    """
-
-    drift: Callable[..., Tuple[Any, Any]]
-    #: The per-flow reductions the coupling reads, as ``(reduction,
-    #: term)`` pairs: the builtin ``sum``, ``min`` or ``max`` of a column
-    #: (``"w"``, ``"rtt"``, ``"x"``) or of an elementwise ``term(w, rtt)``.
-    flow: Tuple[Tuple[Callable[..., Any], Any], ...] = ()
-    #: Initial value of the per-subflow state integrated beside the window
-    #: (DCTCP's alpha, drifting at ``dstate``); ``None`` when there is none.
-    state0: Optional[float] = None
+#: Scheme names accepted by the fluid backend: the rows with a drift, in
+#: the table's order.
+FLUID_SCHEMES = tuple(name for name, row in SCHEMES.items() if row.drift is not None)
 
 
-def _xmp(xp, w, p, rtt, x, flow, beta, state):
-    # Eq. 9's delta from the flow's y_s (packets/s) and T_s, with cwnd = w.
-    total_rate, min_rtt = flow
-    return bos_drift(w, p, coupled_delta(w, total_rate, min_rtt), beta, rtt), state
-
-
-def _bos_uncoupled(xp, w, p, rtt, x, flow, beta, state):
-    return bos_drift(w, p, 1.0, beta, rtt), state
-
-
-def _lia(xp, w, p, rtt, x, flow, beta, state):
-    # Per-ACK increase min(alpha/w_total, 1/w) at the ACK rate x(1-p),
-    # the Reno halving w/2 at the loss rate x p.
-    peak, rate_sum, total = flow
-    own = 1.0 / xp.maximum(w, 1.0)
-    increase = xp.minimum(linked_alpha(total, peak, rate_sum) / total, own)
-    return x * ((1.0 - p) * increase - p * (w / 2.0)), state
-
-
-def _dctcp(xp, w, p, rtt, x, flow, beta, alpha):
-    # Additive increase, the alpha-proportional cut at the mark rate, and
-    # the marked-fraction EWMA as an ODE: one gain step per RTT.
-    return ((1.0 - p) - (w * alpha / 2.0) * p) / rtt, DEFAULT_GAIN * (p - alpha) / rtt
-
-
-#: Scheme name -> fluid law, for the rows of
-#: :data:`~repro.mptcp.coupling.SCHEMES` that have one.
-FLUID_LAWS: Dict[str, FluidLaw] = {
-    "xmp": FluidLaw(_xmp, flow=((sum, "x"), (min, "rtt"))),
-    "bos-uncoupled": FluidLaw(_bos_uncoupled),
-    "lia": FluidLaw(_lia, flow=((max, lambda w, rtt: w / (rtt * rtt)), (sum, "x"), (sum, "w"))),
-    "dctcp": FluidLaw(_dctcp, state0=1.0),
-}
-
-#: Scheme names accepted by the fluid backend, in the table's order.
-FLUID_SCHEMES = tuple(name for name in SCHEMES if name in FLUID_LAWS)
-
-
-def fluid_law(scheme: str) -> FluidLaw:
-    """The fluid law of ``scheme``; ``ValueError`` when the row has none."""
-    law = FLUID_LAWS.get(scheme)
-    if law is None:
+def fluid_law(scheme: str) -> Scheme:
+    """The row of ``scheme``; ``ValueError`` when it has no fluid law."""
+    row = SCHEMES.get(scheme)
+    if row is None or row.drift is None:
         raise ValueError(
             f"scheme {scheme!r} has no fluid law (one of {', '.join(FLUID_SCHEMES)})"
         )
-    return law
+    return row
 
 
 def render_scheme_table() -> str:
@@ -148,7 +76,7 @@ def render_scheme_table() -> str:
     ]
     for row in SCHEMES.values():
         signal = "ECN at K" if row.ecn else "loss"
-        fluid = "yes" if row.name in FLUID_LAWS else "no"
+        fluid = "yes" if row.drift is not None else "no"
         lines.append(
             f"| `{row.name}` | {row.law} | {row.coupling} | {signal} "
             f"| {row.echo.value} | {fluid} |"
@@ -157,13 +85,10 @@ def render_scheme_table() -> str:
 
 
 __all__ = [
-    "FLUID_LAWS",
     "FLUID_SCHEMES",
-    "FluidLaw",
     "MARKING_WIDTH",
     "MAX_EXPONENT",
     "MIN_WINDOW",
-    "bos_drift",
     "fluid_law",
     "render_scheme_table",
     "threshold_marking_probability",

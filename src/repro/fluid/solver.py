@@ -6,11 +6,11 @@ One Euler step advances, in this order:
    probability of every link (:func:`threshold_marking_probability`);
 2. **subflows** — RTT (base + path queueing delay), path marking
    probability ``1 - prod(1 - p_l)``, fluid rate ``x = w/T``;
-3. **flows** — the per-flow reductions the scheme's law names in its
+3. **flows** — the per-flow reductions the scheme's row names in its
    ``flow`` (XMP's ``y_s``/``T_s``; LIA's max w/rtt^2, sum w/rtt and
    sum w);
-4. **windows** — the law's drift (:mod:`repro.fluid.laws`), clamped
-   at :data:`~repro.fluid.laws.MIN_WINDOW`;
+4. **windows** — the row's drift (:data:`repro.mptcp.coupling.SCHEMES`),
+   clamped at :data:`~repro.fluid.laws.MIN_WINDOW`;
 5. **queues** — ``q += dt * (arrivals - C)``, floored at zero,
    with arrivals taken from the pre-update rates.
 
@@ -37,7 +37,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from repro.core.bos import DEFAULT_BETA
@@ -45,7 +44,7 @@ from repro.fluid import laws
 from repro.fluid.laws import threshold_marking_probability
 from repro.fluid.model import FluidModel
 from repro.metrics.series import TimeSeries, tail_start
-from repro.mptcp.coupling import SCHEMES
+from repro.mptcp.coupling import FLOATS, Scheme
 from repro.sim.units import Seconds
 
 SOLVERS = ("reference", "vector")
@@ -165,7 +164,7 @@ def stream_model(
     if not model.flow_of:
         raise ValueError("model has no subflows")
     # The scheme's signal picks the knee: ECN's K or the buffer limit.
-    knees = model.ecn_threshold if SCHEMES[scheme].ecn else model.drop_threshold
+    knees = model.ecn_threshold if law.ecn else model.drop_threshold
     integrate = _integrate_vector if solver == "vector" else _integrate_reference
     return integrate(
         model, law, knees, step_count(duration, dt), dt, beta, w0, sample_stride
@@ -224,9 +223,7 @@ def _fold(total, values):
     return [t + v for t, v in zip(total, values)]
 
 
-#: The reference solver's ``xp`` (a drift's numpy functions as builtins),
-#: and the ufunc the vector solver reduces a flow with for each builtin.
-_FLOATS = SimpleNamespace(minimum=min, maximum=max)
+#: The ufunc the vector solver reduces a flow with for each builtin.
 _UFUNCS = {sum: "add", min: "minimum", max: "maximum"}
 
 
@@ -242,7 +239,7 @@ def _reference_drift(law, beta, w, p, rtt, x, slices, flow_of, state) -> List[Tu
     flows = list(zip(*reduced)) if reduced else [()] * len(slices)
     drift = law.drift
     return [
-        drift(_FLOATS, ws, ps, r, xs, flows[f], beta, st)
+        drift(FLOATS, ws, ps, r, xs, flows[f], beta, st)
         for ws, ps, r, xs, f, st in zip(w, p, rtt, x, flow_of, state)
     ]
 
@@ -263,7 +260,7 @@ def _vector_drift(np, law, beta, w, p, rtt, x, flow_offsets, flow_of, state) -> 
 
 def _integrate_reference(
     model: FluidModel,
-    law: laws.FluidLaw,
+    law: Scheme,
     knees: array,
     steps: int,
     dt: float,
@@ -348,7 +345,7 @@ def _hop_product(columns, out):
 
 def _integrate_vector(
     model: FluidModel,
-    law: laws.FluidLaw,
+    law: Scheme,
     knees: array,
     steps: int,
     dt: float,

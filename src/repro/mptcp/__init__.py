@@ -13,15 +13,12 @@ baselines when used with one path).
 
 from repro.mptcp.connection import MptcpConnection, Subflow
 from repro.mptcp.coupling import create_coupling
-from repro.mptcp.lia import LiaCoupling, LiaCC
 from repro.mptcp.olia import OliaCoupling, OliaCC
 
 __all__ = [
     "MptcpConnection",
     "Subflow",
     "create_coupling",
-    "LiaCoupling",
-    "LiaCC",
     "OliaCoupling",
     "OliaCC",
 ]

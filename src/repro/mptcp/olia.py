@@ -47,7 +47,7 @@ class OliaCoupling(Coupling):
 
     def alphas(self) -> Dict["OliaCC", float]:
         """The per-path ``alpha_r`` assignment described above."""
-        active = list(self.active_senders())
+        active = self.active_senders()
         result: Dict["OliaCC", float] = {sender.cc: 0.0 for sender in active}
         if len(active) < 2:
             return result
@@ -89,10 +89,6 @@ class OliaCC(RenoCC):
         # l2: segments delivered since the last loss.
         self._l1 = 0.0
         self._l2 = 0.0
-
-    def close(self) -> None:
-        super().close()
-        self.coupling = None
 
     def loss_interval(self) -> float:
         """``l_r`` — the larger of the two inter-loss transfer estimates."""

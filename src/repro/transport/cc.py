@@ -11,19 +11,20 @@ strategy classes:
 * :class:`~repro.transport.dctcp.DctcpCC` — DCTCP.
 * :class:`~repro.core.bos.BosCC` — the paper's BOS, optionally coupled by
   TraSh into XMP.
-* :class:`~repro.mptcp.lia.LiaCC` / :class:`~repro.mptcp.olia.OliaCC` —
-  MPTCP couplings.
+* :class:`~repro.mptcp.olia.OliaCC` — Reno with OLIA's increase.
 
 All of the ECN-reacting schemes share the paper's Fig. 2 state machine —
 reduce at most once per round, tracked through ``cwr_seq`` — implemented
 once in the base class (:meth:`CongestionControl.update_cwr_state`,
 :meth:`CongestionControl.enter_reduced`).  The controllers of one flow
-come from its :class:`Coupling`, the base of TraSh, LIA and OLIA.
+come from its :class:`Coupling`.  A coupled BOS or Reno controller asks
+its coupling for the increase (:meth:`Coupling.increase`): BOS's delta
+once per round (XMP), Reno's per-segment increase per ACK (LIA).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.transport.receiver import EchoMode
 
@@ -48,6 +49,8 @@ class CongestionControl:
 
     def __init__(self) -> None:
         self.sender: Optional["TcpSender"] = None
+        #: The flow's coupling, for a controller that reads one.
+        self.coupling: Optional[Coupling] = None
         self.state = NORMAL
         self.cwr_seq = 0
         #: Optional validation observer (see :mod:`repro.validate`); only
@@ -66,6 +69,7 @@ class CongestionControl:
         also drops its edge to the coupling here, so a finished flow holds
         no cycle and reference counting frees it."""
         self.sender = None
+        self.coupling = None
 
     # ------------------------------------------------------------------
     # Events (the sender calls these)
@@ -128,12 +132,13 @@ class RenoCC(CongestionControl):
 
     This is the per-subflow behaviour of standard TCP, and — with
     ``ecn=False`` — what the paper's "TCP" small flows and background flows
-    run.  The MPTCP-LIA coupling subclasses the increase rule only.
+    run.  Under LIA, ``coupling.increase`` is the per-segment increase.
     """
 
-    def __init__(self, ecn: bool = False) -> None:
+    def __init__(self, ecn: bool = False, coupling: Optional[Coupling] = None) -> None:
         super().__init__()
         self.ecn_capable = ecn
+        self.coupling = coupling
 
     def on_ack(
         self,
@@ -159,22 +164,27 @@ class RenoCC(CongestionControl):
             sender.cwnd += self.increase_per_segment(newly_acked) * newly_acked
 
     def increase_per_segment(self, newly_acked: int) -> float:
-        """Additive increase per ACKed segment; LIA/OLIA override this."""
+        """Additive increase per ACKed segment: the coupling's, else 1/cwnd.
+        OLIA overrides this."""
         sender = self.sender
         assert sender is not None
+        coupling = self.coupling
+        if coupling is not None:
+            increase = coupling.increase(sender)
+            if increase is not None:
+                return increase
         return 1.0 / max(sender.cwnd, 1.0)
 
 
 class Coupling:
     """One flow's controllers: hands out one per subflow.
 
-    A coupled scheme subclasses this with the state its controllers
-    share (TraSh's rate sum, LIA's alpha, OLIA's path sets), all of it
-    read off :meth:`active_senders`, and overrides :meth:`_new_controller`:
-    a method, not a closure over the coupling, so nothing the coupling
-    owns points back at it once its controllers are closed.  The base
-    itself is the uncoupled case: independent controllers, each built by
-    ``law``.
+    A coupled scheme subclasses this with what its controllers share,
+    read off its active subflows (a scheme row's flow reductions, OLIA's
+    path sets), and overrides :meth:`_new_controller`: a method,
+    not a closure over the coupling, so nothing the coupling owns points
+    back at it once its controllers are closed.  The base itself is the
+    uncoupled case: independent controllers, each built by ``law``.
     """
 
     def __init__(self, law: Optional[Callable[[], CongestionControl]] = None) -> None:
@@ -194,12 +204,21 @@ class Coupling:
     def controllers(self) -> List[CongestionControl]:
         return list(self._controllers)
 
-    def active_senders(self) -> Iterator["TcpSender"]:
+    def increase(self, sender: "TcpSender") -> Optional[float]:
+        """The coupled increase of ``sender``'s subflow, or ``None`` when
+        there is none yet and its controller takes its own uncoupled one
+        (always, for the base)."""
+        return None
+
+    def active_senders(self) -> List["TcpSender"]:
         """The senders of the subflows that are started and unfinished."""
-        for controller in self._controllers:
-            sender = controller.sender
-            if sender is not None and sender.running and not sender.completed:
-                yield sender
+        return [
+            sender
+            for controller in self._controllers
+            if (sender := controller.sender) is not None
+            and sender.running
+            and not sender.completed
+        ]
 
 
 __all__ = [

@@ -23,6 +23,13 @@ from repro.transport.receiver import EchoMode
 DEFAULT_GAIN = 1.0 / 16.0
 
 
+def drift(xp, w, p, rtt, x, flow, beta, alpha):
+    """The ``dctcp`` row's fluid drift: additive increase, the
+    alpha-proportional cut at the mark rate, and the marked-fraction EWMA
+    as an ODE — one gain step per RTT — integrated beside the window."""
+    return ((1.0 - p) - (w * alpha / 2.0) * p) / rtt, DEFAULT_GAIN * (p - alpha) / rtt
+
+
 class DctcpCC(CongestionControl):
     """DCTCP congestion control."""
 
@@ -79,4 +86,4 @@ class DctcpCC(CongestionControl):
         self._marked_window = 0
 
 
-__all__ = ["DctcpCC", "DEFAULT_GAIN"]
+__all__ = ["DctcpCC", "DEFAULT_GAIN", "drift"]

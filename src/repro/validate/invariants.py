@@ -27,8 +27,9 @@ checks:
   window (Fig. 2), cut depth exactly ``cwnd/β`` bounded below by
   ``MIN_CWND`` (Eq. 1), per-round additive growth at most ``δ`` plus the
   fractional adder's carry (Algorithm 1), and under TraSh coupling
-  ``δ <= w · srtt/min_rtt`` (a bound implied by Eq. 9, since the
-  subflow's own rate contributes to the coupled total);
+  ``δ <= srtt/min_rtt``, ``min_rtt`` read off the coupling's flow
+  reductions (a bound implied by Eq. 9, since the subflow's own rate
+  contributes to the coupled total);
 * **end-to-end byte conservation per flow** — the connection's delivered
   count equals the sum of subflow ACK points, the receiver is never
   behind the sender's ACK point, and a completed finite transfer
@@ -60,6 +61,10 @@ from repro.transport.cc import MIN_CWND
 
 #: Slack for float comparisons in window-law checks.
 EPS = 1e-9
+
+#: The flow reduction that is TraSh's ``T_s`` in a scheme row's ``flow``
+#: (:data:`repro.mptcp.coupling.SCHEMES`): the least RTT of the flow.
+MIN_RTT = (min, "rtt")
 
 
 class InvariantError(AssertionError):
@@ -482,12 +487,15 @@ class BosObserver:
                 self.label,
                 f"fractional adder left [0, 1): {cc.adder!r}",
             )
-        coupling = getattr(cc.delta_provider, "__self__", None)
-        if coupling is not None and hasattr(coupling, "min_rtt"):
+        # Under a coupling whose row reduces the flow to its least RTT
+        # (TraSh's T_s), delta is bounded by srtt/T_s.
+        coupling = cc.coupling
+        if coupling is not None and MIN_RTT in coupling.row.flow:
             sender = cc.sender
             srtt = sender.srtt if sender is not None else None
-            min_rtt = coupling.min_rtt()
-            if srtt is not None and min_rtt is not None and min_rtt > 0:
+            flow = coupling.reduce()
+            if srtt is not None and flow is not None:
+                min_rtt = flow[coupling.row.flow.index(MIN_RTT)]
                 v.checks += 1
                 bound = srtt / min_rtt
                 if delta > bound * (1.0 + 1e-6) + EPS:

@@ -1,6 +1,7 @@
 """Unit tests for the BOS window law (paper Algorithm 1)."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -117,7 +118,7 @@ class TestCongestionAvoidance:
         assert sender.cwnd == 10.0
 
     def test_fractional_delta_accumulates(self):
-        cc = BosCC(beta=4, delta_provider=lambda c, now: 0.4)
+        cc = BosCC(beta=4, coupling=SimpleNamespace(increase=lambda sender: 0.4))
         sender = attach(cc, cwnd=10.0, ssthresh=5.0)
         for _ in range(5):
             cc.on_ack(1, 0, None, 0.0, True)
@@ -128,19 +129,27 @@ class TestCongestionAvoidance:
     def test_delta_provider_called_per_round(self):
         calls = []
 
-        def provider(controller, now):
-            calls.append(now)
+        def increase(sender):
+            calls.append(sender)
             return 1.0
 
-        cc = BosCC(beta=4, delta_provider=provider)
-        attach(cc, cwnd=10.0, ssthresh=5.0)
+        cc = BosCC(beta=4, coupling=SimpleNamespace(increase=increase))
+        sender = attach(cc, cwnd=10.0, ssthresh=5.0)
         cc.on_ack(1, 0, None, 1.0, True)
         cc.on_ack(1, 0, None, 2.0, False)
         cc.on_ack(1, 0, None, 3.0, True)
-        assert calls == [1.0, 3.0]
+        assert calls == [sender, sender]
+
+    def test_delta_is_one_while_the_coupling_has_none(self):
+        cc = BosCC(beta=4, coupling=SimpleNamespace(increase=lambda sender: None))
+        cc.delta = 0.25
+        sender = attach(cc, cwnd=10.0, ssthresh=5.0)
+        cc.on_ack(1, 0, None, 0.0, True)
+        assert cc.delta == 1.0
+        assert sender.cwnd == 11.0
 
     def test_timeout_clears_adder(self):
-        cc = BosCC(beta=4, delta_provider=lambda c, n: 0.7)
+        cc = BosCC(beta=4, coupling=SimpleNamespace(increase=lambda sender: 0.7))
         sender = attach(cc, cwnd=10.0, ssthresh=5.0)
         cc.on_ack(1, 0, None, 0.0, True)
         assert cc.adder > 0

@@ -1,6 +1,7 @@
 """Tests for TraSh coupling and the paper's model equations (Eqs. 1-9)."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,14 @@ from hypothesis import strategies as st
 
 from repro.core import utility
 from repro.core.bos import BosCC
-from repro.core.trash import TraSh
+from repro.mptcp.coupling import create_coupling
 
 
 class StubSender:
     def __init__(self, cwnd, srtt, running=True):
         self.cwnd = cwnd
         self.srtt = srtt
+        self.rtt = SimpleNamespace(srtt=srtt)
         self.running = running
         self.completed = False
         self.snd_una = 0
@@ -34,7 +36,7 @@ class StubSender:
 
 
 def coupled(windows_and_rtts):
-    trash = TraSh(beta=4)
+    trash = create_coupling("xmp", beta=4)
     controllers = []
     for cwnd, srtt in windows_and_rtts:
         controller = trash.make_controller()
@@ -43,52 +45,59 @@ def coupled(windows_and_rtts):
     return trash, controllers
 
 
+def delta(trash, controller):
+    """The controller's delta this round: the coupling's, else BOS's 1.0."""
+    coupled = trash.increase(controller.sender)
+    return 1.0 if coupled is None else coupled
+
+
 class TestTraShDelta:
     def test_single_subflow_delta_is_one(self):
         trash, (c,) = coupled([(10.0, 100e-6)])
-        assert trash.delta(c, 0.0) == pytest.approx(1.0)
+        assert delta(trash, c) == pytest.approx(1.0)
 
     def test_symmetric_subflows_get_half(self):
         trash, (c1, c2) = coupled([(10.0, 100e-6), (10.0, 100e-6)])
-        assert trash.delta(c1, 0.0) == pytest.approx(0.5)
-        assert trash.delta(c2, 0.0) == pytest.approx(0.5)
+        assert delta(trash, c1) == pytest.approx(0.5)
+        assert delta(trash, c2) == pytest.approx(0.5)
 
     def test_deltas_sum_to_one_for_equal_rtts(self):
         trash, controllers = coupled(
             [(5.0, 100e-6), (20.0, 100e-6), (10.0, 100e-6)]
         )
-        total = sum(trash.delta(c, 0.0) for c in controllers)
+        total = sum(delta(trash, c) for c in controllers)
         assert total == pytest.approx(1.0)
 
     def test_smaller_window_smaller_delta(self):
         trash, (small, big) = coupled([(5.0, 100e-6), (20.0, 100e-6)])
-        assert trash.delta(small, 0.0) < trash.delta(big, 0.0)
+        assert delta(trash, small) < delta(trash, big)
 
     def test_matches_eq9(self):
         trash, (c1, c2) = coupled([(8.0, 200e-6), (24.0, 100e-6)])
         x1, x2 = 8.0 / 200e-6, 24.0 / 100e-6
         expected = utility.trash_step([x1, x2], [200e-6, 100e-6])[0]
-        assert trash.delta(c1, 0.0) == pytest.approx(expected)
+        assert delta(trash, c1) == pytest.approx(expected)
 
     def test_falls_back_to_one_without_rtt(self):
         trash, (c,) = coupled([(10.0, None)])
-        assert trash.delta(c, 0.0) == 1.0
+        assert trash.increase(c.sender) is None
+        assert delta(trash, c) == 1.0
 
     def test_completed_subflow_excluded(self):
         trash, (c1, c2) = coupled([(10.0, 100e-6), (10.0, 100e-6)])
         c2.sender.completed = True
-        assert trash.delta(c1, 0.0) == pytest.approx(1.0)
+        assert delta(trash, c1) == pytest.approx(1.0)
 
     def test_min_rtt_selected(self):
         trash, _ = coupled([(10.0, 300e-6), (10.0, 100e-6)])
-        assert trash.min_rtt() == 100e-6
+        assert trash.reduce() == (10.0 / 300e-6 + 10.0 / 100e-6, 100e-6)
 
     def test_make_controller_returns_coupled_bos(self):
-        trash = TraSh(beta=5)
+        trash = create_coupling("xmp", beta=5)
         controller = trash.make_controller()
         assert isinstance(controller, BosCC)
         assert controller.beta == 5
-        assert controller.delta_provider is not None
+        assert controller.coupling is trash
 
 
 class TestCongestionEqualityPrinciple:

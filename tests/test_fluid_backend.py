@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro import fluid
 from repro.core import analysis, utility
-from repro.core.bos import DEFAULT_BETA
+from repro.core.bos import DEFAULT_BETA, bos_drift
 from repro.fluid import (
     FluidScenario,
     integrate_model,
@@ -30,12 +30,10 @@ from repro.fluid import (
 )
 from repro.fluid.backend import _build_model, _simulate, _solver_args
 from repro.fluid.laws import (
-    FLUID_LAWS,
     FLUID_SCHEMES,
     MARKING_WIDTH,
     MAX_EXPONENT,
     MIN_WINDOW,
-    bos_drift,
     threshold_marking_probability,
 )
 from repro.fluid.solver import (
@@ -547,7 +545,7 @@ def test_hop_matrix_equals_reduceat_oracle(scheme, topology, flows, subflows, wi
         scheme=scheme, topology=topology, flows=flows, subflows=subflows,
     ))
     assert set(np.diff(np.frombuffer(model.path_start, dtype=np.int64))) == widths
-    law = FLUID_LAWS[scheme]
+    law = SCHEMES[scheme]
     knees = model.ecn_threshold if SCHEMES[scheme].ecn else model.drop_threshold
     w = np.full(len(model.flow_of), 20.0)  # enough to queue from the first step
     q = np.zeros(len(model.link_names))
@@ -583,7 +581,7 @@ def check_one_expression(scheme, beta, subflows, sizes):
     """
     import numpy as np
 
-    law = FLUID_LAWS[scheme]
+    law = SCHEMES[scheme]
     w, rtt, p, alpha = (list(column) for column in zip(*subflows))
     x = [window / r for window, r in zip(w, rtt)]
     slices, flow_of = [], []
@@ -621,8 +619,8 @@ class TestOneExpression:
         check_one_expression(scheme, beta, subflows, sizes)
 
     def test_law_rows_are_drift_flow_and_state(self):
-        for law in FLUID_LAWS.values():
-            assert [f.name for f in dataclasses.fields(law)] == ["drift", "flow", "state0"]
+        for law in map(SCHEMES.get, FLUID_SCHEMES):
+            assert callable(law.drift)
             for reduction, term in law.flow:
                 assert reduction in (sum, min, max)
                 assert callable(term) or term in ("w", "rtt", "x")

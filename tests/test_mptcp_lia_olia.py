@@ -1,10 +1,12 @@
 """Unit tests for the LIA and OLIA couplings."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from repro.mptcp.lia import LiaCC, LiaCoupling
+from repro.mptcp.coupling import create_coupling
+from repro.mptcp.lia import linked_alpha
 from repro.mptcp.olia import OliaCC, OliaCoupling
 from repro.transport.receiver import EchoMode
 
@@ -12,7 +14,7 @@ from repro.transport.receiver import EchoMode
 class StubSender:
     def __init__(self, cwnd, srtt, running=True):
         self.cwnd = cwnd
-        self.srtt = srtt
+        self.rtt = SimpleNamespace(srtt=srtt)
         self.running = running
         self.completed = False
         self.snd_una = 0
@@ -24,13 +26,36 @@ class StubSender:
     def flight(self):
         return self.snd_nxt - self.snd_una
 
+    @property
+    def srtt(self):
+        return self.rtt.srtt
+
+    @srtt.setter
+    def srtt(self, value):
+        self.rtt.srtt = value
+
+    @property
+    def instant_rate(self):
+        if self.srtt is None or self.srtt <= 0:
+            return 0.0
+        return self.cwnd / self.srtt
+
 
 def lia_pair(w1=10.0, w2=10.0, rtt1=100e-6, rtt2=100e-6):
-    coupling = LiaCoupling()
+    coupling = create_coupling("lia")
     c1, c2 = coupling.make_controller(), coupling.make_controller()
     c1.attach(StubSender(w1, rtt1))
     c2.attach(StubSender(w2, rtt2))
     return coupling, c1, c2
+
+
+def alpha(coupling):
+    """RFC 6356's alpha over the coupling's flow reductions; 0 without them."""
+    flow = coupling.reduce()
+    if flow is None:
+        return 0.0
+    peak, rate_sum, total = flow
+    return linked_alpha(total, peak, rate_sum)
 
 
 class TestLiaAlpha:
@@ -39,19 +64,19 @@ class TestLiaAlpha:
         coupling, _, _ = lia_pair()
         w, r = 10.0, 100e-6
         expected = (2 * w) * (w / r**2) / (2 * w / r) ** 2
-        assert coupling.alpha() == pytest.approx(expected)
-        assert coupling.alpha() == pytest.approx(0.5)
+        assert alpha(coupling) == pytest.approx(expected)
+        assert alpha(coupling) == pytest.approx(0.5)
 
     def test_alpha_zero_without_rtt(self):
         coupling, c1, _ = lia_pair()
         c1.sender.srtt = None
-        assert coupling.alpha() == 0.0
+        assert alpha(coupling) == 0.0
 
     def test_total_cwnd_sums_active(self):
         coupling, c1, c2 = lia_pair(w1=4.0, w2=6.0)
-        assert coupling.total_cwnd() == 10.0
+        assert coupling.reduce()[2] == 10.0
         c2.sender.completed = True
-        assert coupling.total_cwnd() == 4.0
+        assert coupling.reduce()[2] == 4.0
 
     def test_increase_capped_by_uncoupled_tcp(self):
         # LIA is never more aggressive per path than plain TCP.
@@ -75,10 +100,10 @@ class TestLiaAlpha:
     def test_lia_prefers_lower_rtt_path(self):
         # alpha weights by w/rtt^2: the short path dominates the numerator.
         coupling, c1, c2 = lia_pair(rtt1=50e-6, rtt2=500e-6)
-        assert coupling.alpha() > 0
+        assert alpha(coupling) > 0
 
     def test_not_ecn_capable(self):
-        assert LiaCC(LiaCoupling()).ecn_capable is False
+        assert create_coupling("lia").make_controller().ecn_capable is False
 
 
 def olia_set(*windows_rtts):
