@@ -27,8 +27,8 @@ Usage (from the repository root; stdlib only, ~1 h on two cores)::
 
 It writes one line per row to ``benchmarks/results/hazard_kills.txt``:
 the rule code, the mutated site, whether the rule flags it, and the
-killing check (test id or golden name), ``survived``, or
-``equivalent: <reason>``.  No wall time is recorded, so the file changes
+killing check (test id, or golden name and, for a golden that crashes,
+the exception type), ``survived``, or ``equivalent: <reason>``.  No wall time is recorded, so the file changes
 only when a verdict does.
 """
 
@@ -83,15 +83,15 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("SIM001", "workloads/schedule.py",
            "src_index = rng.randrange(len(ordered))",
            "src_index = random.randrange(len(ordered))"),
-    Mutant("SIM001", "workloads/partition_aggregate.py",
-           "self.rng = rng if rng is not None else random.Random(0)",
-           "self.rng = rng if rng is not None else random.Random()"),
+    Mutant("SIM001", "traffic/random_pattern.py",
+           "return self.rng.choice(candidates)",
+           "return random.choice(candidates)"),
     # SIM002 wall-clock: a host-clock read where a sim time belongs.
     Mutant("SIM002", "transport/tcp.py",
            "        now = self.sim.now\n",
            "        import time; now = time.monotonic()\n"),
-    Mutant("SIM002", "transport/tcp.py",
-           "self.start_time = self.sim.now",
+    Mutant("SIM002", "mptcp/connection.py",
+           "self.start_time = self.network.sim.now",
            "import time; self.start_time = time.perf_counter()"),
     Mutant("SIM002", "mptcp/connection.py",
            "self.complete_time = self.network.sim.now",
@@ -251,7 +251,9 @@ MUTANTS: Tuple[Mutant, ...] = (
            "    except Exception:\n"
            "        pass\n"
            "    if name not in _KINDS:\n"
-           "        known = \", \".join(sorted(_KINDS))\n"),
+           "        known = \", \".join(sorted(_KINDS))\n",
+           equivalent="the lookup falls through to a membership test that "
+                      "raises the same KeyError with the same message"),
     Mutant("SIM010", "runner/cache.py",
            "        except (OSError, pickle.PicklingError):",
            "        except Exception:"),
@@ -316,9 +318,9 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("SIM013", "fluid/backend.py",
            "streams = RandomStreams(scenario.seed)",
            "streams = RandomStreams(hash(repr(scenario)))"),
-    Mutant("SIM013", "workloads/partition_aggregate.py",
-           "self.rng = rng if rng is not None else random.Random(0)",
-           "self.rng = rng if rng is not None else random.Random(id(self))"),
+    Mutant("SIM013", "traffic/permutation.py",
+           "self.rng = rng",
+           "self.rng = random.Random(hash(str(self.hosts)))"),
     Mutant("SIM013", "transport/receiver.py",
            "random.Random(jitter_seed) if ack_jitter > 0",
            "random.Random(hash(str(jitter_seed))) if ack_jitter > 0"),
@@ -453,12 +455,43 @@ def _first_failure(out: str) -> str:
     return "collection error"
 
 
-def _validate_failure(out: str) -> str:
-    for line in out.splitlines():
-        parts = line.split()
-        if len(parts) >= 2 and parts[1] not in ("ok",) and not line.startswith("validate"):
-            return parts[0]
-    return "crash"
+def _exception_type(out: str) -> str:
+    """The exception class a traceback in ``out`` ends with."""
+    lines = [line for line in out.splitlines() if line.strip()]
+    return lines[-1].split(":")[0].rsplit(".", 1)[-1] if lines else "crash"
+
+
+def _golden_names() -> List[str]:
+    """The goldens in ``python -m repro validate`` order, read off the
+    unmutated tree."""
+    code, out = _run(
+        ROOT, ["-c", "from repro.validate.scenarios import scenario_names; "
+                     "print(*scenario_names())"], "0", 60,
+    )
+    return out.split() if code == 0 else []
+
+
+def _validate_failure(tree: Path, out: str, hash_seed: str) -> str:
+    """The failing golden, and for a crash the exception type.
+
+    A crash aborts the whole suite before any report line, so each golden
+    is then run alone to name the first one that crashes.
+    """
+    if "Traceback (most recent call last):" not in out:
+        for line in out.splitlines():
+            parts = line.split()
+            if len(parts) >= 2 and parts[1] != "ok" and not line.startswith("validate"):
+                return parts[0]
+        return "crash"
+    for name in _golden_names():
+        code, alone = _run(
+            tree, ["-m", "repro", "validate", name], hash_seed, TIMEOUTS["validate"]
+        )
+        if code is None:
+            return f"{name}: timeout"
+        if "Traceback (most recent call last):" in alone:
+            return f"{name}: {_exception_type(alone)}"
+    return _exception_type(out)
 
 
 def _ladder(tree: Path, row: Mutant, hash_seed: str) -> str:
@@ -467,7 +500,7 @@ def _ladder(tree: Path, row: Mutant, hash_seed: str) -> str:
     if code is None:
         return "python -m repro validate (timeout)"
     if code != 0:
-        return f"python -m repro validate ({_validate_failure(out)})"
+        return f"python -m repro validate ({_validate_failure(tree, out, hash_seed)})"
     module = "repro." + row.path[: -len(".py")].replace("/", ".")
     pytest = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
               "-m", "not lint"]

@@ -22,9 +22,12 @@ holds the waiting ones).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.net.packet import Packet
+
+if TYPE_CHECKING:  # pragma: no cover
+    import random
 
 
 class QueueStats:
@@ -148,7 +151,8 @@ class REDQueue(DropTailQueue):
         max_threshold: int = 15,
         max_probability: float = 0.1,
         weight: float = 0.002,
-        rng=None,
+        *,
+        rng: random.Random,
     ) -> None:
         super().__init__(capacity)
         if not 0 < weight <= 1.0:
@@ -193,8 +197,7 @@ class REDQueue(DropTailQueue):
         effective = probability / max(
             1e-9, 1.0 - self._count_since_mark * probability
         )
-        draw = self._rng.random() if self._rng is not None else 0.5
-        if draw < effective:
+        if self._rng.random() < effective:
             packet.ce = True
             self.stats.marked += 1
             self._count_since_mark = 0

@@ -38,7 +38,8 @@ class TransferFactory:
         subflow_count: int = 1,
         beta: float = 4.0,
         rto_min: float = 0.200,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
         rtt_sampler: Optional[RttSampler] = None,
         label: Optional[str] = None,
         on_launch: Optional[Callable[[MptcpConnection], None]] = None,
@@ -50,7 +51,7 @@ class TransferFactory:
         self.subflow_count = subflow_count
         self.beta = beta
         self.rto_min = rto_min
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         self.rtt_sampler = rtt_sampler
         #: Flow-lifecycle hook: called with each connection as it starts
         #: (completion already flows through per-launch ``on_complete``

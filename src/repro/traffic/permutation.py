@@ -10,7 +10,7 @@ starts.  Flow sizes are uniform in a configurable range (the paper's
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.traffic.factory import TransferFactory
 
@@ -39,7 +39,8 @@ class PermutationPattern:
         hosts: Sequence[str],
         size_min_bytes: int = 2_000_000,
         size_max_bytes: int = 16_000_000,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ) -> None:
         if size_min_bytes <= 0 or size_max_bytes < size_min_bytes:
             raise ValueError("invalid size range")
@@ -47,7 +48,7 @@ class PermutationPattern:
         self.hosts = list(hosts)
         self.size_min = size_min_bytes
         self.size_max = size_max_bytes
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         self.rounds_started = 0
         self.flows_started = 0
         self._outstanding = 0

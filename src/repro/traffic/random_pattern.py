@@ -31,7 +31,8 @@ class RandomPattern:
         hosts: Sequence[str],
         mean_bytes: float = 6_000_000,
         max_bytes: float = 24_000_000,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
         exclude_same_rack: bool = False,
         destinations: Optional[Sequence[str]] = None,
     ) -> None:
@@ -39,7 +40,7 @@ class RandomPattern:
         self.hosts = list(hosts)
         self.mean_bytes = mean_bytes
         self.max_bytes = max_bytes
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         self.exclude_same_rack = exclude_same_rack
         #: Candidate destinations; defaults to the sources themselves.  The
         #: coexistence experiments split *sources* between schemes but let

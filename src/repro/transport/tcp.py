@@ -125,7 +125,6 @@ class TcpSender:
         "fast_retransmits",
         "timeouts",
         "rounds",
-        "start_time",
         "complete_time",
         "running",
         "consecutive_timeouts",
@@ -175,7 +174,6 @@ class TcpSender:
         self.fast_retransmits = 0
         self.timeouts = 0
         self.rounds = 0
-        self.start_time = 0.0
         self.complete_time: Optional[float] = None
         self.running = False
         #: RTOs since the last forward progress; a proxy for "path dead".
@@ -235,7 +233,6 @@ class TcpSender:
         if self.running:
             raise RuntimeError("sender already started")
         self.running = True
-        self.start_time = self.sim.now
         self._try_send()
 
     def stop(self) -> None:

@@ -27,7 +27,7 @@ short-flow FCT tails actually differentiate congestion controllers.
 from __future__ import annotations
 
 import random
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.sim.priorities import MODEL
 from repro.sim.units import Bytes
@@ -89,7 +89,7 @@ class ElephantBackground:
         hosts: Sequence[str],
         count: int,
         size_bytes: Bytes,
-        rng: Optional[random.Random] = None,
+        rng: random.Random,
     ) -> None:
         if count < 0:
             raise ValueError(f"elephant count must be >= 0, got {count}")
@@ -101,7 +101,7 @@ class ElephantBackground:
         self.hosts = list(hosts)
         self.count = count
         self.size_bytes = int(size_bytes)
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         self.pairs: List[tuple] = []
 
     def start(self) -> None:

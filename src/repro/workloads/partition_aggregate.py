@@ -107,7 +107,8 @@ class PartitionAggregatePattern:
         request_bytes: Bytes = DEFAULT_REQUEST_BYTES,
         response_bytes: Bytes = DEFAULT_RESPONSE_BYTES,
         concurrent_jobs: int = 1,
-        rng: Optional[random.Random] = None,
+        *,
+        rng: random.Random,
     ) -> None:
         check_rounds(len(hosts), fan_in, concurrent_jobs)
         self.request_factory = request_factory
@@ -118,7 +119,7 @@ class PartitionAggregatePattern:
         self.request_bytes = int(request_bytes)
         self.response_bytes = int(response_bytes)
         self.concurrent_jobs = concurrent_jobs
-        self.rng = rng if rng is not None else random.Random(0)
+        self.rng = rng
         self.completed_jobs: List[PartitionAggregateJob] = []
         self.active_jobs: List[PartitionAggregateJob] = []
         self.jobs_started = 0

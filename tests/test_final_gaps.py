@@ -2,6 +2,7 @@
 and factory behaviour on non-fat-tree networks."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -69,13 +70,14 @@ class TestConstructorPlumbing:
 class TestFactoryOutsideFatTree:
     def test_category_is_any(self):
         net = build_single_bottleneck(num_pairs=1)
-        factory = TransferFactory(net, "xmp", subflow_count=1)
+        factory = TransferFactory(net, "xmp", subflow_count=1,
+                                  rng=random.Random(0))
         assert factory.category("S0", "D0") == "any"
 
     def test_launch_and_record_on_bottleneck(self):
         net = build_single_bottleneck(num_pairs=1)
         factory = TransferFactory(net, "dctcp", subflow_count=1,
-                                  label="MYLABEL")
+                                  rng=random.Random(0), label="MYLABEL")
         factory.launch("S0", "D0", 100_000)
         net.sim.run(until=0.5)
         assert factory.records

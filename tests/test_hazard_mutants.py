@@ -46,3 +46,17 @@ def test_every_judged_family_has_five_rows_at_three_sites():
         }
         assert len(family) >= 5, code
         assert len(sites) >= 3, code
+
+
+def test_verdicts_file_follows_the_table():
+    """``hazard_kills.txt`` holds one line per row, in table order, at the
+    ``path:line`` the row's text sits at now; an equivalent row's verdict
+    is its reason."""
+    lines = (ROOT / "benchmarks" / "results" / "hazard_kills.txt").read_text().splitlines()
+    assert len(lines) == len(MUTANTS.MUTANTS)
+    for row, line in zip(MUTANTS.MUTANTS, lines):
+        code, site, _flag, verdict = line.split(" ", 3)
+        source = (ROOT / "src" / "repro" / row.path).read_text()
+        assert (code, site) == (row.code, MUTANTS.site(row, source)), line
+        if row.equivalent is not None:
+            assert verdict == f"equivalent: {row.equivalent}", line

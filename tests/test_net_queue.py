@@ -184,11 +184,11 @@ class TestRED:
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            REDQueue(100, 5, 15, weight=0.0)
+            REDQueue(100, 5, 15, weight=0.0, rng=random.Random(0))
 
     def test_threshold_order_validation(self):
         with pytest.raises(ValueError):
-            REDQueue(100, 20, 10)
+            REDQueue(100, 20, 10, rng=random.Random(0))
 
     def test_never_marks_non_ect(self):
         queue = REDQueue(100, 0, 0, weight=1.0, rng=random.Random(0))

@@ -96,6 +96,27 @@ class TestTimer:
         sim.run()
         assert fired == [1.9]
 
+    def test_moved_later_rearm_that_rounds_past_its_deadline_fires_once(self, sim):
+        # The wake-up at ``first`` re-files at first + (deadline - first),
+        # which rounds one ulp past ``deadline``: that record wakes after
+        # its deadline and must fire there, not re-arm into the past.
+        first, deadline = 0.6851721226269081, 2.95364116955165
+        due = first + (deadline - first)
+        assert due > deadline
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(first)
+        timer.start(deadline)  # moved later: the ``first`` record re-arms
+        clock = [sim.now]
+        for _ in range(10):
+            if not sim.pending_events:
+                break
+            sim.run(max_events=1)
+            clock.append(sim.now)
+        assert fired == [due]
+        assert clock == sorted(clock)
+        assert sim.pending_events == 0
+
     def test_lazy_restart_does_not_grow_heap(self, sim):
         timer = Timer(sim, lambda: None)
         timer.start(1.0)

@@ -24,7 +24,7 @@ def fattree():
     return build_fattree(k=4)
 
 
-def incast(factory, hosts, concurrent_jobs=CONCURRENT_JOBS, rng=None):
+def incast(factory, hosts, rng, concurrent_jobs=CONCURRENT_JOBS):
     """The paper's incast jobs: one factory both ways, 8 servers a job."""
     return PartitionAggregatePattern(
         factory, factory, hosts, fan_in=SERVERS_PER_JOB,
@@ -115,7 +115,7 @@ class TestFactory:
 
     def test_subflow_count_validation(self, fattree):
         with pytest.raises(ValueError):
-            TransferFactory(fattree, "xmp", subflow_count=0)
+            TransferFactory(fattree, "xmp", subflow_count=0, rng=random.Random(0))
 
 
 class TestPermutationPattern:
@@ -169,7 +169,10 @@ class TestPermutationPattern:
 
     def test_size_validation(self, fattree):
         with pytest.raises(ValueError):
-            PermutationPattern(factory_for(fattree), fattree.host_names, 100, 50)
+            PermutationPattern(
+                factory_for(fattree), fattree.host_names, 100, 50,
+                rng=random.Random(0),
+            )
 
 
 class TestRandomPattern:
