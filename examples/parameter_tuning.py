@@ -16,7 +16,7 @@ from repro.core.analysis import predict_sawtooth
 from repro.core.utility import min_marking_threshold
 from repro.metrics.collector import QueueMonitor
 from repro.mptcp.connection import MptcpConnection
-from repro.sim.units import bandwidth_delay_product_packets
+from repro.sim.units import bandwidth_delay_product_packets, transmission_delay
 from repro.topology.bottleneck import build_single_bottleneck
 
 RATE = 1e9
@@ -47,6 +47,8 @@ def run_cell(beta: float, threshold: int) -> tuple:
 def main() -> None:
     bdp = bandwidth_delay_product_packets(RATE, RTT)
     print(f"bottleneck BDP: {bdp:.1f} packets  (1 Gbps x {RTT * 1e6:.0f} us)")
+    per_packet = transmission_delay(1500, RATE)
+    print(f"each queued 1500 B packet adds {per_packet * 1e6:.0f} us of RTT")
     print(f"{'beta':>5} {'K':>4} {'Eq.1 min K':>10} {'util':>7} {'pred':>6} "
           f"{'mean q':>7} {'pred':>6} {'max q':>6}")
     for beta in (2.0, 3.0, 4.0, 5.0, 6.0):

@@ -28,8 +28,8 @@ Usage (from the repository root; stdlib only, ~1 h on two cores)::
 It writes one line per row to ``benchmarks/results/hazard_kills.txt``:
 the rule code, the mutated site, whether the rule flags it, and the
 killing check (test id, or golden name and, for a golden that crashes,
-the exception type), ``survived``, or ``equivalent: <reason>``.  No wall time is recorded, so the file changes
-only when a verdict does.
+the exception type), ``survived``, or ``equivalent: <reason>``.  No
+wall time is recorded, so the file changes only when a verdict does.
 """
 
 from __future__ import annotations

@@ -3,19 +3,16 @@
 Static counterpart to the runtime invariant checker
 (:mod:`repro.validate`): where the validator catches a hazard *when it
 fires*, simlint rejects the code shapes that introduce such hazards
-before they ever run — unseeded randomness, wall-clock reads in model
-code, float-time equality, pickle-unsafe members and swallowed
-exceptions.
+before they ever run — pickle-unsafe members and swallowed exceptions.
 
 On top of the per-file rules sits the whole-program join over one set
-of per-file summaries, run on every invocation: unit-unsafe arithmetic
-(SIM012) and seed provenance (SIM013) in :mod:`repro.lint.sem`; priority
-tiers of periodic callbacks (SIM018) in :mod:`repro.lint.race`; hot-path
-cost against ``hotpaths.toml`` (SIM019/SIM020) in :mod:`repro.lint.perf`.
-The two runtime sanitizers those packages carry run over the golden
-scenarios in :mod:`repro.lint.smoke`.  Every rule kept has a planted
-hazard that only it catches; LINTING.md's audit has the measurement and
-the thirteen retired codes.
+of per-file summaries (:mod:`repro.lint.sem`), run on every invocation:
+priority tiers of periodic callbacks (SIM018) in :mod:`repro.lint.race`;
+hot-path cost against ``hotpaths.toml`` (SIM019/SIM020) in
+:mod:`repro.lint.perf`.  The two runtime sanitizers those packages
+carry run over the golden scenarios in :mod:`repro.lint.smoke`.  Every
+rule kept has a planted hazard that only it catches; LINTING.md's audit
+has the measurement and the eighteen retired codes.
 
 Usage::
 
@@ -24,7 +21,7 @@ Usage::
     python -m repro.lint.smoke           # both sanitizers on the goldens
     pytest -m lint                       # the self-check suite
 
-Rule catalog, suppression syntax (``# simlint: disable=SIM001``) and
+Rule catalog, suppression syntax (``# simlint: disable=SIM010``) and
 ``--fix`` scope are documented in LINTING.md.  Pure stdlib by design:
 unlike ruff, simlint runs anywhere the simulator runs.
 """

@@ -3,11 +3,10 @@
 Exit codes: 0 clean, 1 findings remain, 2 usage error.  ``--fix``
 applies the mechanically safe fixes in place and reports what is left.
 
-Every run is the one pass: the per-file rules (SIM001–SIM010) and the
-whole-program join over one set of per-file summaries — unit arithmetic
-and seed provenance (SIM012/SIM013, :mod:`repro.lint.sem`), priority
-tiers (SIM018, :mod:`repro.lint.race`) and hot-path cost (SIM019/SIM020,
-:mod:`repro.lint.perf`).  ``--select``/``--ignore`` narrow what is
+Every run is the one pass: the per-file rules (SIM009, SIM010) and the
+whole-program join over one set of per-file summaries
+(:mod:`repro.lint.sem`) — priority tiers (SIM018, :mod:`repro.lint.race`)
+and hot-path cost (SIM019/SIM020, :mod:`repro.lint.perf`).  ``--select``/``--ignore`` narrow what is
 reported, never what is analyzed: cross-module properties are only
 meaningful on whole trees.  A retired code is a usage error.  ``--format sarif`` emits SARIF 2.1.0 for CI
 upload.

@@ -7,7 +7,7 @@ The linter is a thin framework around :mod:`ast`:
 * the :class:`Analyzer` parses each file once, links parent pointers,
   and walks the tree a single time, dispatching every node to the rules
   registered for its type;
-* ``# simlint: disable=SIM001[,SIM002|all]`` on a finding's line
+* ``# simlint: disable=SIM009[,SIM010|all]`` on a finding's line
   suppresses it after the fact, so rules never need to know about
   suppressions.
 
@@ -83,7 +83,6 @@ class FileContext:
 
     def __init__(self, path: str, source: str, tree: ast.Module) -> None:
         self.path = path
-        self.source = source
         self.lines = source.splitlines()
         self.tree = tree
 
@@ -92,10 +91,6 @@ class FileContext:
         if 1 <= lineno <= len(self.lines):
             return self.lines[lineno - 1]
         return ""
-
-    def segment(self, node: ast.AST) -> Optional[str]:
-        """Exact source text of a node, or ``None`` if unavailable."""
-        return ast.get_source_segment(self.source, node)
 
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return getattr(node, _PARENT_ATTR, None)
@@ -112,12 +107,9 @@ class Rule:
     """Base class for simlint rules.
 
     Subclasses set the class attributes and implement :meth:`visit`.
-    Path scoping is declarative: ``allowed_path_suffixes`` are files the
-    rule deliberately ignores (e.g. the one module allowed to construct
-    RNGs), ``excluded_path_parts`` are directory fragments where the
-    rule does not apply (benchmarks measure wall time on purpose), and a
-    non-empty ``restrict_to_path_parts`` limits the rule to matching
-    paths (driver-shape rules only make sense for experiment drivers).
+    Path scoping is declarative: a non-empty ``restrict_to_path_parts``
+    limits the rule to matching paths (driver-shape rules only make
+    sense for experiment drivers).
     """
 
     code: str = "SIM000"
@@ -128,15 +120,9 @@ class Rule:
     #: Whether the rule attaches mechanically safe fixes (``--fix``).
     fixable: bool = False
     node_types: Tuple[Type[ast.AST], ...] = ()
-    allowed_path_suffixes: Tuple[str, ...] = ()
-    excluded_path_parts: Tuple[str, ...] = ()
     restrict_to_path_parts: Tuple[str, ...] = ()
 
     def applies_to(self, path: str) -> bool:
-        if any(path.endswith(suffix) for suffix in self.allowed_path_suffixes):
-            return False
-        if any(part in path for part in self.excluded_path_parts):
-            return False
         if self.restrict_to_path_parts:
             return any(part in path for part in self.restrict_to_path_parts)
         return True
@@ -164,7 +150,7 @@ class Rule:
 
 
 # ---------------------------------------------------------------------------
-# Suppressions: "# simlint: disable=SIM001,SIM002" or "disable=all",
+# Suppressions: "# simlint: disable=SIM009,SIM010" or "disable=all",
 # on the same line as the finding.
 # ---------------------------------------------------------------------------
 

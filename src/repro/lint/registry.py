@@ -1,14 +1,14 @@
-"""The single rule catalog: the 10 live codes in SIM001–SIM020 in one table.
+"""The single rule catalog: the 5 live codes in SIM009–SIM020 in one table.
 
-Thirteen codes are retired and never reused — SIM004–SIM008, SIM011,
-SIM014–SIM017 and SIM021–SIM023; LINTING.md's audit table names the
+Eighteen codes are retired and never reused — SIM001–SIM008,
+SIM011–SIM017 and SIM021–SIM023; LINTING.md's audit table names the
 run-time check that catches what each rejected.  The
-per-file rules (SIM001–SIM010) are :class:`~repro.lint.core.Rule`
+per-file rules (SIM009, SIM010) are :class:`~repro.lint.core.Rule`
 classes and describe themselves; the whole-program rules
-(SIM012–SIM020) are findings of the join over the per-file summaries
-(:mod:`repro.lint.sem.project`, :mod:`repro.lint.race.analyzer`,
-:mod:`repro.lint.perf.analyzer`), not per-node rules, so their catalog
-rows are spelled out here in :data:`PROJECT_RULES`.  The CLI
+(SIM018–SIM020) are findings of the join over the per-file summaries
+(:mod:`repro.lint.race.analyzer`, :mod:`repro.lint.perf.analyzer`),
+not per-node rules, so their catalog rows are spelled out here in
+:data:`PROJECT_RULES`.  The CLI
 (``--list-rules``, ``--select``/``--ignore``), the SARIF driver, the
 analyzers' severities, the tests and LINTING.md all build from this
 module:
@@ -37,8 +37,7 @@ class CatalogEntry:
     name: str
     severity: Severity
     rationale: str
-    #: Which analysis reports it: "syntactic" (per-file Rule),
-    #: "semantic" (unit arithmetic, seed provenance), "race"
+    #: Which analysis reports it: "syntactic" (per-file Rule), "race"
     #: (same-instant ordering) or "perf" (hot-path cost).
     kind: str
     #: Whether ``--fix`` can rewrite this rule's findings.
@@ -46,20 +45,6 @@ class CatalogEntry:
 
 
 PROJECT_RULES: Tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        "SIM012", "unit-unsafe-arithmetic", Severity.ERROR,
-        "adding values of different dimensions, or multiplying two "
-        "rates, is dimensionally meaningless; the result poisons every "
-        "downstream quantity",
-        "semantic",
-    ),
-    CatalogEntry(
-        "SIM013", "seed-provenance", Severity.ERROR,
-        "an RNG seeded from hash()/id()/pid-like entropy is "
-        "nondeterministic across processes even though it LOOKS seeded; "
-        "seeds must descend from a component seed or repro.sim.random",
-        "semantic",
-    ),
     CatalogEntry(
         "SIM018", "unnamed-priority-tier", Severity.WARNING,
         "a periodic (self-rescheduling) callback is scheduled at the "

@@ -11,16 +11,10 @@ from __future__ import annotations
 from typing import List, Tuple, Type
 
 from repro.lint.core import Rule
-from repro.lint.rules.determinism import UnseededRandomRule
 from repro.lint.rules.drivers import PickleUnsafeMemberRule
-from repro.lint.rules.numerics import FloatTimeEqualityRule
 from repro.lint.rules.structure import SwallowedExceptionRule
-from repro.lint.rules.wallclock import WallClockRule
 
 RULE_CLASSES: Tuple[Type[Rule], ...] = (
-    UnseededRandomRule,  # SIM001
-    WallClockRule,  # SIM002
-    FloatTimeEqualityRule,  # SIM003
     PickleUnsafeMemberRule,  # SIM009
     SwallowedExceptionRule,  # SIM010
 )

@@ -1,8 +1,8 @@
 """Phase 2: the whole-program joins over the per-file summaries.
 
 Given one summary per file (:mod:`repro.lint.sem.summary`), this module
-replays each file's locally decided findings (a syntax error is SIM000)
-and runs the two joins that need the whole tree:
+replays a file's syntax error (SIM000) and runs the two joins that need
+the whole tree:
 
 * **SIM018**, the priority-tier check (:mod:`repro.lint.race.analyzer`);
 * **SIM019/SIM020**, the hot-path cost check against ``hotpaths.toml``

@@ -12,8 +12,8 @@ The zero-cost-when-disabled contract is the probe seam's
 (:mod:`repro.sim.probe`): an unprofiled simulator runs the bare loop.
 The engine never reads a host clock; the profiler reads its own, last
 thing in ``on_event_fired`` and first thing in ``on_event_settled``, so
-the wall-clock read lives here (the one module besides the runner's cell
-timer that simlint's SIM002 allowlists) and the timed window is the
+the wall-clock read lives here (besides the runner's cell timer, the one
+module that reads a host clock) and the timed window is the
 callback plus one call/return pair.
 
 Wall-times are obviously host-dependent; everything else in a

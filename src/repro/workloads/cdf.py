@@ -27,8 +27,8 @@ never special-cases a distribution.
 
 All draws flow through a caller-supplied seeded ``random.Random`` (a
 :class:`~repro.sim.random.RandomStreams` stream in experiment code), so
-schedules are bit-reproducible per seed — simlint SIM001/SIM013 apply
-here like everywhere else.
+schedules are bit-reproducible per seed; the ``workload-websearch``
+golden replays one digest for digest.
 """
 
 from __future__ import annotations

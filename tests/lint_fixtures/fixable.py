@@ -1,11 +1,6 @@
 # simlint-path: src/repro/runner/fixture_fixable.py
 """--fix corpus: every finding in this file carries a mechanically safe
 fix, and the fixed file must lint completely clean."""
-import random
-
-
-def make_rng():
-    return random.Random()  # EXPECT: SIM001
 
 
 def read_optional(path):
@@ -14,3 +9,11 @@ def read_optional(path):
             return handle.read()
     except:  # EXPECT: SIM010
         return None
+
+
+def close_quietly(handle):
+    try:
+        handle.close()
+    except:  # EXPECT: SIM010
+        return False
+    return True

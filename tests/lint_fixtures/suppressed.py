@@ -1,21 +1,25 @@
-# simlint-path: src/repro/traffic/fixture_suppressed.py
+# simlint-path: src/repro/experiments/fixture_suppressed.py
 """Suppression corpus: every hazard here is explicitly waived, so the
 file must lint clean."""
-import random
-import time
 
 
-def pick(items):
-    return random.choice(items)  # simlint: disable=SIM001
+class FixtureConfig:
+    keyfn = lambda row: row[0]  # simlint: disable=SIM009
 
 
-def stamp():
-    return time.time()  # simlint: disable=SIM002
+def flush(sample):
+    try:
+        sample.flush()
+    except Exception:  # simlint: disable=SIM010
+        pass
 
 
-def chaos(items):
-    random.shuffle(items)  # simlint: disable=all
+def close(handle):
+    try:
+        handle.close()
+    except:  # simlint: disable=all
+        return None
 
 
-def multi(event, other):
-    return event.time == other.time  # simlint: disable=SIM001,SIM003
+class FixtureResult:
+    rank = lambda row: row[1]  # simlint: disable=SIM009,SIM010

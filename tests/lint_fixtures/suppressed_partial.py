@@ -1,9 +1,7 @@
-# simlint-path: src/repro/traffic/fixture_suppressed_partial.py
-"""A suppression only waives the codes it names: the SIM002 waiver below
-does not cover the SIM001 hazard on the same line."""
-import random
-import time
+# simlint-path: src/repro/experiments/fixture_suppressed_partial.py
+"""A suppression only waives the codes it names: the SIM010 waiver below
+does not cover the SIM009 hazard on the same line."""
 
 
-def jitter():
-    return random.random() * time.time()  # simlint: disable=SIM002  # EXPECT: SIM001
+class FixtureConfig:
+    keyfn = lambda row: row[0]  # simlint: disable=SIM010  # EXPECT: SIM009

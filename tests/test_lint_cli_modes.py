@@ -20,8 +20,9 @@ pytestmark = pytest.mark.lint
 
 #: Every code ever issued and retired: never reused, rejected by --select.
 RETIRED = (
-    "SIM004", "SIM005", "SIM006", "SIM007", "SIM008", "SIM011", "SIM014",
-    "SIM015", "SIM016", "SIM017", "SIM021", "SIM022", "SIM023",
+    "SIM001", "SIM002", "SIM003", "SIM004", "SIM005", "SIM006", "SIM007",
+    "SIM008", "SIM011", "SIM012", "SIM013", "SIM014", "SIM015", "SIM016",
+    "SIM017", "SIM021", "SIM022", "SIM023",
 )
 
 #: A periodic callback at the default priority: the SIM018 shape.
@@ -36,7 +37,8 @@ class Ticker:
 
 CLEAN_SOURCE = "def helper(x):\n    return x + 1\n"
 
-WALLCLOCK_SOURCE = "import time\n\n\ndef stamp():\n    return time.time()\n"
+#: A broad handler that only passes: the SIM010 shape.
+SWALLOW_SOURCE = "try:\n    flush()\nexcept Exception:\n    pass\n"
 
 #: Lands on a hot path of the checked-in hotpaths.toml once it sits at
 #: ``<project>/repro/net/link.py`` (module ``repro.net.link``).
@@ -61,8 +63,8 @@ def racy_project(tmp_path):
 
 @pytest.fixture
 def mixed_project(tmp_path):
-    """One finding per rule family: SIM002, SIM018, SIM019."""
-    (tmp_path / "stamp.py").write_text(WALLCLOCK_SOURCE, encoding="utf-8")
+    """One finding per rule family: SIM010, SIM018, SIM019."""
+    (tmp_path / "flush.py").write_text(SWALLOW_SOURCE, encoding="utf-8")
     (tmp_path / "ticker.py").write_text(RACY_SOURCE, encoding="utf-8")
     net = tmp_path / "repro" / "net"
     net.mkdir(parents=True)
@@ -70,7 +72,7 @@ def mixed_project(tmp_path):
     return tmp_path
 
 
-MIXED_CODES = ["SIM002", "SIM018", "SIM019"]
+MIXED_CODES = ["SIM010", "SIM018", "SIM019"]
 
 
 # ----------------------------------------------------------------------
@@ -136,16 +138,16 @@ def test_select_whole_program_code_needs_no_mode_flag(code, mixed_project):
 
 def test_select_interacts_across_passes(tmp_path):
     (tmp_path / "ticker.py").write_text(RACY_SOURCE, encoding="utf-8")
-    (tmp_path / "stamp.py").write_text(WALLCLOCK_SOURCE, encoding="utf-8")
+    (tmp_path / "flush.py").write_text(SWALLOW_SOURCE, encoding="utf-8")
     target = str(tmp_path)
     # Selecting another whole-program code mutes the race finding and
     # the per-file rules:
     assert lint_main(["--select", "SIM019", target, "-q"]) == 0
     # Syntactic finding only, race finding muted by --select:
-    assert lint_main(["--select", "SIM002", target, "-q"]) == 1
-    # --ignore drops the race finding, syntactic SIM002 remains:
+    assert lint_main(["--select", "SIM010", target, "-q"]) == 1
+    # --ignore drops the race finding, syntactic SIM010 remains:
     assert lint_main(["--ignore", "SIM018", target, "-q"]) == 1
-    assert lint_main(["--ignore", "SIM002,SIM018", target, "-q"]) == 0
+    assert lint_main(["--ignore", "SIM010,SIM018", target, "-q"]) == 0
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +199,7 @@ def test_list_rules_text_spans_the_ladder(capsys):
         assert entry.code in out
         assert entry.name in out
         assert f"[{entry.kind}/{entry.severity.value}]" in out
-    assert len(re.findall(r"^  SIM\d{3}  ", out, re.MULTILINE)) == 10
+    assert len(re.findall(r"^  SIM\d{3}  ", out, re.MULTILINE)) == 5
     assert "[--fix]" in out
 
 
@@ -208,10 +210,10 @@ def test_list_rules_json_is_machine_readable(capsys):
     payload = json.loads(capsys.readouterr().out)
     rules = payload["rules"]
     assert [r["code"] for r in rules] == [e.code for e in catalog()]
-    assert len(rules) == 10
+    assert len(rules) == 5
     assert not set(RETIRED) & {r["code"] for r in rules}
     by_code = {r["code"]: r for r in rules}
-    assert by_code["SIM001"]["kind"] == "syntactic"
+    assert by_code["SIM009"]["kind"] == "syntactic"
     assert by_code["SIM018"]["kind"] == "race"
     assert by_code["SIM019"]["kind"] == "perf"
     for rule in rules:
@@ -241,7 +243,7 @@ def test_sarif_output_is_valid_and_complete(racy_project, capsys):
     run = log["runs"][0]
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
     # The driver catalog spans every family.
-    for code in ("SIM001", "SIM018", "SIM020"):
+    for code in ("SIM009", "SIM018", "SIM020"):
         assert code in rule_ids
     results = run["results"]
     assert [r["ruleId"] for r in results] == ["SIM018"]

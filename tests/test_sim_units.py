@@ -6,14 +6,8 @@ from repro.sim import units
 
 
 class TestTime:
-    def test_milliseconds(self):
-        assert units.milliseconds(200) == pytest.approx(0.2)
-
     def test_microseconds(self):
         assert units.microseconds(225) == pytest.approx(225e-6)
-
-    def test_nanoseconds(self):
-        assert units.nanoseconds(500) == pytest.approx(5e-7)
 
     def test_seconds_identity(self):
         assert units.seconds(1.5) == 1.5
@@ -22,29 +16,6 @@ class TestTime:
 class TestRates:
     def test_gigabit(self):
         assert units.gigabits_per_second(1) == 1e9
-
-    def test_megabit(self):
-        assert units.megabits_per_second(300) == 300e6
-
-    def test_kilobit(self):
-        assert units.kilobits_per_second(56) == 56e3
-
-
-class TestSizes:
-    def test_kilobytes(self):
-        assert units.kilobytes(64) == 64_000
-
-    def test_kibibytes(self):
-        assert units.kibibytes(64) == 65_536
-
-    def test_megabytes(self):
-        assert units.megabytes(192) == 192_000_000
-
-    def test_gigabytes(self):
-        assert units.gigabytes(1) == 1_000_000_000
-
-    def test_bytes_rounds_down(self):
-        assert units.bytes_(10.9) == 10
 
 
 class TestDerived:

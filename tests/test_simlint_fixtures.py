@@ -4,8 +4,7 @@ Each ``simNNN_bad.py`` fixture must produce *exactly* the findings its
 ``# EXPECT:`` comments declare (code and line), and each
 ``simNNN_good.py`` twin must lint clean.  Fixtures carry a
 ``# simlint-path:`` header naming the virtual path they are linted as,
-which exercises the per-rule path scoping (allowlists, driver-only
-rules).  See tests/lint_fixtures/README.md.
+which exercises the per-rule path scoping (driver-only rules).  See tests/lint_fixtures/README.md.
 """
 
 from __future__ import annotations
@@ -29,9 +28,6 @@ _EXPECT_RE = re.compile(r"#\s*EXPECT:\s*([A-Z0-9 ,]+)")
 #: corpus pins messages (not just codes) without being brittle about
 #: per-variant wording.
 MESSAGE_PHRASES = {
-    "SIM001": ("RNG", "seed"),
-    "SIM002": ("host clock", "wall clock"),
-    "SIM003": ("simulation-time float",),
     "SIM009": ("pickled",),
     "SIM010": ("except", "exception"),
 }
@@ -98,10 +94,10 @@ def test_bad_fixture_messages(fixture):
 
 
 def test_every_rule_has_bad_and_good_fixture():
-    """The corpus covers all 5 per-file rules in both directions."""
+    """The corpus covers both per-file rules in both directions."""
     stems = {p.stem for p in fixture_files()}
     codes = [rule.code for rule in all_rules()]
-    assert len(codes) == 5
+    assert len(codes) == 2
     for code in codes:
         number = code[3:].lstrip("0")
         name = f"sim{int(number):03d}"
@@ -109,27 +105,22 @@ def test_every_rule_has_bad_and_good_fixture():
         assert f"{name}_good" in stems, f"no known-good fixture for {code}"
 
 
-def test_good_twin_of_allowlisted_path():
-    """SIM002's benchmark/CLI-timing allowlist: the same wall-clock code
-    is a finding in model code but silent at the runner's timing path."""
-    text = (FIXTURES / "sim002_allowed.py").read_text(encoding="utf-8")
-    assert "perf_counter" in text
-    allowed = Analyzer().lint_source(text, path="src/repro/runner/registry.py")
-    assert allowed == []
-    moved = Analyzer().lint_source(text, path="src/repro/net/link.py")
-    assert {f.code for f in moved} == {"SIM002"}
+def test_driver_rule_is_silent_outside_driver_paths():
+    """SIM009's driver scoping: the same stored lambda is a finding in an
+    experiment driver and silent in model code."""
+    text = (FIXTURES / "sim009_bad.py").read_text(encoding="utf-8")
+    scoped = Analyzer().lint_source(text, path="src/repro/experiments/x.py")
+    assert {f.code for f in scoped} == {"SIM009"}
+    assert Analyzer().lint_source(text, path="src/repro/net/link.py") == []
 
 
 def test_suppressions_cover_all_hazards():
-    """suppressed.py packs SIM001/2/3 hazards, all waived inline."""
+    """suppressed.py packs SIM009/SIM010 hazards, all waived inline."""
     text = (FIXTURES / "suppressed.py").read_text(encoding="utf-8")
-    findings = Analyzer().lint_source(
-        text, path="src/repro/traffic/fixture_suppressed.py"
-    )
-    assert findings == []
+    path = virtual_path(text, FIXTURES / "suppressed.py")
+    assert Analyzer().lint_source(text, path=path) == []
     # Strip the suppression comments and the same file must light up.
     stripped = re.sub(r"#\s*simlint:\s*disable=[^\n#]*", "", text)
-    refound = Analyzer().lint_source(
-        stripped, path="src/repro/traffic/fixture_suppressed.py"
-    )
-    assert {f.code for f in refound} >= {"SIM001", "SIM002", "SIM003"}
+    refound = Analyzer().lint_source(stripped, path=path)
+    assert {f.code for f in refound} == {"SIM009", "SIM010"}
+    assert len(refound) == 4

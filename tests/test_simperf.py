@@ -350,20 +350,20 @@ def test_static_and_dynamic_agree_on_planted_allocation():
 
 
 def test_catalog_spans_the_full_ladder():
-    """The 10 surviving rules, one entry per code in code order, the
-    thirteen retired codes absent and not reused, each entry tagged with
+    """The 5 surviving rules, one entry per code in code order, the
+    eighteen retired codes absent and not reused, each entry tagged with
     the analysis that reports it."""
     entries = catalog()
     codes = [entry.code for entry in entries]
-    retired = {4, 5, 6, 7, 8, 11, 14, 15, 16, 17, 21, 22, 23}
+    retired = {1, 2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 17, 21, 22, 23}
     assert codes == [
         f"SIM{n:03d}" for n in range(1, 24) if n not in retired
     ]
-    assert len(codes) == 10
+    assert len(codes) == 5
     assert known_codes() == frozenset(codes)
     assert PERF_CODES == {"SIM019", "SIM020"}
     kinds = {entry.kind for entry in entries}
-    assert kinds == {"syntactic", "semantic", "race", "perf"}
+    assert kinds == {"syntactic", "race", "perf"}
 
 
 def test_sarif_driver_catalog_matches_registry(tmp_path, capsys):

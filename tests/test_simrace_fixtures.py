@@ -1,7 +1,6 @@
 """Fixture-corpus tests for simrace's static side (SIM018).
 
-Same contract as the simsem corpus (see ``test_simsem_fixtures.py``):
-each direct subdirectory of ``tests/lint_fixtures/race/`` is one
+Each direct subdirectory of ``tests/lint_fixtures/race/`` is one
 mini-project analyzed as a unit through
 ``ProjectAnalyzer().analyze_sources``, with virtual paths from
 each file's ``# simlint-path:`` header.  ``_bad`` projects must produce
